@@ -39,13 +39,14 @@ use rela_cache::{CacheEpoch, CacheKey, VerdictStore, BYTE_VARIANT_SALT};
 use rela_net::{
     behavior_hash, canonical_graph, content_hash128, decode_graph_span, graph_to_fsa_prepared,
     pair_epoch, record_mix, side_fold, AlignedFec, BehaviorHash, FlowDecoded, FlowSpec,
-    ForwardingGraph, Granularity, LocationDb, RawRecord, RecordBody, SnapshotError, SnapshotFramer,
-    SnapshotPair, DROP_LOCATION,
+    ForwardingGraph, Granularity, LocationDb, RawRecord, SnapshotError, SnapshotFramer,
+    SnapshotPair, DROP_LOCATION, FRAME_BATCH_BYTES,
 };
 use serde::{Serialize, Value};
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::Read;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -322,7 +323,16 @@ struct PipelineWorkerState {
     decodes: usize,
     symbols: BTreeSet<String>,
     captured: Vec<(Side, RetainedRecord)>,
+    /// Flows this worker left waiting in the join, by batch, newest
+    /// last: see [`PipelineWorkerState::age_parked`].
+    parked: VecDeque<Vec<(Side, FlowSpec)>>,
 }
+
+/// Batches a record may wait in the join while still sharing its chunk.
+/// Sides that arrive in step pair within a batch or two; a batch is cut
+/// from consecutive records, so it spans at most two chunks and a worker
+/// pins at most twice this many through waiting records.
+const PARKED_BATCHES: usize = 8;
 
 impl PipelineWorkerState {
     fn new() -> PipelineWorkerState {
@@ -333,16 +343,24 @@ impl PipelineWorkerState {
             decodes: 0,
             symbols: BTreeSet::new(),
             captured: Vec::new(),
+            parked: VecDeque::from([Vec::new()]),
+        }
+    }
+
+    /// Close the batch just processed. A flow it left waiting has
+    /// [`PARKED_BATCHES`] more batches to pair; one that is still
+    /// waiting then — the other side is far behind, or never carries it
+    /// and it waits until both streams end — gets a copy of its record,
+    /// so that it cannot keep a whole chunk alive.
+    fn age_parked(&mut self, join: &JoinMap) {
+        self.parked.push_back(Vec::new());
+        if self.parked.len() > PARKED_BATCHES + 1 {
+            for (side, flow) in self.parked.pop_front().into_iter().flatten() {
+                join.unshare(side, &flow);
+            }
         }
     }
 }
-
-/// Byte budget per channel message: framed spans travel in batches cut
-/// by payload bytes rather than record count (per ROADMAP), so the
-/// per-message synchronization cost (mutex + condvar per send/recv)
-/// amortizes uniformly whether a snapshot carries hundred-byte or
-/// near-cap records.
-const FRAME_BATCH_BYTES: usize = 64 * 1024;
 
 /// Record-count backstop per batch: tiny records stop accumulating well
 /// under the byte budget, keeping per-batch vectors (and the in-flight
@@ -881,7 +899,7 @@ impl<'a> Checker<'a> {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("pipeline worker panicked"))
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
                 .collect()
         });
 
@@ -1140,6 +1158,7 @@ impl<'a> Checker<'a> {
                             break;
                         }
                     }
+                    state.age_parked(join);
                 }
                 Recv::Item(PipeBatch::Prepared(batch)) => {
                     for item in batch {
@@ -1157,6 +1176,7 @@ impl<'a> Checker<'a> {
                             break;
                         }
                     }
+                    state.age_parked(join);
                 }
                 Recv::Timeout => {
                     if let Some(task) = decide_queue.pop() {
@@ -1274,22 +1294,9 @@ impl<'a> Checker<'a> {
             offset: raw.offset,
         };
         let (flow, span) = match raw.decode_flow(label).map_err(|e| (side, e))? {
-            // the graph span shares the framer's backing buffer (record
-            // vec or file mapping) — no copy; keep the sibling flow span
-            // of split (binary) records for error reconstruction
-            FlowDecoded::Split(flow, graph_span) => {
-                let flow_span = match &raw.body {
-                    RecordBody::Split { flow, .. } => Some(flow.clone()),
-                    RecordBody::Json(_) => None,
-                };
-                (
-                    flow,
-                    GraphSpan {
-                        span: graph_span,
-                        flow: flow_span,
-                    },
-                )
-            }
+            // the graph span shares the framer's backing buffer (chunk,
+            // record vec, or file mapping) — no copy
+            FlowDecoded::Split(flow, graph_span) => (flow, GraphSpan::of_record(&raw, graph_span)),
             // non-canonical encoding: re-serialize the parsed graph so
             // byte keys are encoding-invariant
             FlowDecoded::Full(flow, graph) => (
@@ -1346,8 +1353,15 @@ impl<'a> Checker<'a> {
             ));
         }
         let route = self.route_of_flow(&flow);
+        let shares_chunk = span.shares_chunk();
         match join.insert(side, &flow, span, hash, provenance) {
-            Joined::Pending => Ok(()),
+            Joined::Pending => {
+                if shares_chunk {
+                    let batch = state.parked.back_mut().expect("a batch is always open");
+                    batch.push((side, flow));
+                }
+                Ok(())
+            }
             Joined::Duplicate(second) => {
                 // `second` is the occurrence with the larger entry index
                 // — what the serial reader names, whichever record a
@@ -1752,7 +1766,7 @@ impl<'a> Checker<'a> {
                     .collect();
                 handles
                     .into_iter()
-                    .flat_map(|h| h.join().expect("consult worker panicked"))
+                    .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
                     .collect()
             })
         };
@@ -1853,7 +1867,7 @@ impl<'a> Checker<'a> {
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
+                    .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
                     .collect::<Vec<_>>()
             });
             for (out, local_phases) in worker_out {
@@ -2023,7 +2037,7 @@ impl<'a> Checker<'a> {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("fingerprint worker panicked"))
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
                 .collect::<Vec<_>>()
         });
         shards.into_iter().flatten().collect()

@@ -10,7 +10,9 @@
 //! drives these pieces from `std::thread::scope` workers.
 
 use crate::report::FecResult;
-use rela_net::{AlignedFec, BehaviorHash, FlowSpec, RawRecord, SnapshotError, SpanBytes};
+use rela_net::{
+    AlignedFec, BehaviorHash, FlowSpec, RawRecord, RecordBody, SnapshotError, SpanBytes,
+};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -218,17 +220,30 @@ impl ErrorSink {
 // ---- sharded flow-join map ---------------------------------------------
 
 /// A raw graph-value span, shared without copying: `span` addresses the
-/// graph value inside its backing buffer — an owned record buffer for
-/// JSON/buffered framing, a file mapping for the zero-copy binary path
-/// (see [`SpanBytes`]). For binary-container records `flow` keeps the
-/// sibling flow span, so a decode failure can reassemble the record and
-/// report the exact serial-reader error. The byte-admission engine
-/// joins, hashes, and deduplicates these spans — a graph is only ever
-/// decoded when its byte content has not been seen before.
+/// graph value inside its backing buffer — a chunk of the JSON container
+/// shared by every record framed out of it, a binary record's own
+/// buffer, or a file mapping for the zero-copy binary path (see
+/// [`SpanBytes`]). `origin` keeps the rest of the record, so a decode
+/// failure can re-run the serial decoder over it and report the exact
+/// serial-reader error. The byte-admission engine joins, hashes, and
+/// deduplicates these spans — a graph is only ever decoded when its
+/// byte content has not been seen before.
 #[derive(Clone)]
 pub(crate) struct GraphSpan {
     pub(crate) span: SpanBytes,
-    pub(crate) flow: Option<SpanBytes>,
+    origin: SpanOrigin,
+}
+
+/// The record a [`GraphSpan`] was cut from.
+#[derive(Clone)]
+enum SpanOrigin {
+    /// A standalone buffer that *is* the span (a re-serialized or
+    /// synthesized graph): nothing to reconstruct.
+    Standalone,
+    /// The whole JSON record span around the graph value.
+    JsonRecord(SpanBytes),
+    /// The sibling flow span of a binary-container record.
+    SplitFlow(SpanBytes),
 }
 
 impl GraphSpan {
@@ -236,32 +251,57 @@ impl GraphSpan {
     pub(crate) fn whole(bytes: Vec<u8>) -> GraphSpan {
         GraphSpan {
             span: bytes.into(),
-            flow: None,
+            origin: SpanOrigin::Standalone,
         }
+    }
+
+    /// The graph span `span` located inside `raw`.
+    pub(crate) fn of_record(raw: &RawRecord, span: SpanBytes) -> GraphSpan {
+        let origin = match &raw.body {
+            RecordBody::Json { record, .. } => SpanOrigin::JsonRecord(record.clone()),
+            RecordBody::Split { flow, .. } => SpanOrigin::SplitFlow(flow.clone()),
+        };
+        GraphSpan { span, origin }
     }
 
     pub(crate) fn as_slice(&self) -> &[u8] {
         self.span.as_slice()
     }
 
-    /// Rebuild the enclosing record for error attribution: the whole
-    /// record buffer for a JSON-container span, the reassembled split
-    /// record for a binary one, `None` for standalone spans (nothing to
-    /// reconstruct — the span is the whole story).
+    /// Whether the span sits in a chunk other records were framed out of.
+    pub(crate) fn shares_chunk(&self) -> bool {
+        matches!(self.origin, SpanOrigin::JsonRecord(_))
+    }
+
+    /// Move the span onto a private copy of its JSON record, for a
+    /// holder that keeps it long after the records framed beside it are
+    /// gone: sharing would pin the whole chunk for one record.
+    /// Binary-container spans share nothing and stay as they are.
+    pub(crate) fn unshare(&mut self) {
+        if let SpanOrigin::JsonRecord(record) = &self.origin {
+            let at = self.span.backing_offset() - record.backing_offset();
+            let record = SpanBytes::from(record.to_vec());
+            self.span = record.slice(at..at + self.span.len());
+            self.origin = SpanOrigin::JsonRecord(record);
+        }
+    }
+
+    /// Rebuild the enclosing record for error attribution: the record
+    /// span for a JSON-container graph, the reassembled split record for
+    /// a binary one, `None` for standalone spans (nothing to reconstruct
+    /// — the span is the whole story).
     pub(crate) fn reconstruct_record(&self, offset: u64, index: usize) -> Option<RawRecord> {
-        match &self.flow {
-            Some(flow) => Some(RawRecord::from_split_spans(
+        match &self.origin {
+            SpanOrigin::Standalone => None,
+            SpanOrigin::JsonRecord(record) => {
+                Some(RawRecord::from_json_span(record.clone(), offset, index))
+            }
+            SpanOrigin::SplitFlow(flow) => Some(RawRecord::from_split_spans(
                 flow.clone(),
                 self.span.clone(),
                 offset,
                 index,
             )),
-            None if !self.span.is_whole() => Some(RawRecord::from_json_span(
-                self.span.whole_buffer(),
-                offset,
-                index,
-            )),
-            None => None,
         }
     }
 }
@@ -315,6 +355,9 @@ pub(crate) struct JoinedSide {
 }
 
 /// What inserting one framed record into the join produced.
+// matched and taken apart by the one caller; boxing the pair would add
+// an allocation per flow to the path that exists to avoid them
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum Joined {
     /// Partner not seen yet; the record spilled into the join state.
     Pending,
@@ -433,6 +476,19 @@ impl JoinMap {
                 }));
                 Joined::Pending
             }
+        }
+    }
+
+    /// Stop a record that is still waiting for its partner from sharing
+    /// its chunk (see [`GraphSpan::unshare`]); a no-op once it paired.
+    pub(crate) fn unshare(&self, side: Side, flow: &FlowSpec) {
+        let mut shard = self.shards[self.shard_of(flow)].lock().expect("join lock");
+        let slot = shard.get_mut(flow).map(|entry| match side {
+            Side::Pre => &mut entry.pre,
+            Side::Post => &mut entry.post,
+        });
+        if let Some(SideSlot::Pending(pending)) = slot {
+            pending.span.unshare();
         }
     }
 
@@ -727,6 +783,56 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(seen, (0..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_waiting_record_can_stop_sharing_its_chunk() {
+        use rela_net::{FlowDecoded, SnapshotFramer};
+        let doc = br#"{"fecs":[
+            {"flow":{"dst":"10.0.0.0/24","ingress":"x1"},"graph":null},
+            {"flow":{"dst":"10.0.1.0/24","ingress":"x1"},"graph":{"vertices":7}}]}"#;
+        let raw = SnapshotFramer::new(&doc[..], "pre")
+            .nth(1)
+            .unwrap()
+            .unwrap();
+        let FlowDecoded::Split(flow, graph) = raw.decode_flow(None).unwrap() else {
+            panic!("a canonical record splits");
+        };
+        let span = GraphSpan::of_record(&raw, graph);
+        let shared_at = span.span.backing_offset();
+        assert!(
+            shared_at > raw.offset as usize,
+            "the span sits in the chunk"
+        );
+        let join = JoinMap::new(2);
+        let provenance = Provenance {
+            index: raw.index,
+            offset: raw.offset,
+        };
+        assert!(matches!(
+            join.insert(Side::Pre, &flow, span, 9, provenance),
+            Joined::Pending
+        ));
+        join.unshare(Side::Post, &flow); // not the waiting side: nothing to do
+        join.unshare(Side::Pre, &flow);
+        let Joined::Paired { pre, .. } = join.insert(
+            Side::Post,
+            &flow,
+            GraphSpan::whole(b"null".to_vec()),
+            1,
+            provenance,
+        ) else {
+            panic!("the partner pairs");
+        };
+        // same bytes, same record around them, now in a buffer of its own
+        assert_eq!(pre.span.as_slice(), br#"{"vertices":7}"#);
+        assert_eq!(
+            pre.span.span.backing_offset(),
+            shared_at - raw.offset as usize
+        );
+        let record = pre.span.reconstruct_record(raw.offset, raw.index).unwrap();
+        assert_eq!(record.json_bytes(), raw.json_bytes());
+        join.unshare(Side::Pre, &flow); // paired: nothing to do
     }
 
     #[test]

@@ -281,6 +281,7 @@ fn read_delta(source: impl Read) -> Result<SnapshotDelta, SnapshotError> {
     expect_key(&mut json, "records")?;
     json.begin_array().map_err(SnapshotError::from_json)?;
     let mut records = Vec::new();
+    let mut members = Vec::new();
     let mut index = 0usize;
     loop {
         let more = json
@@ -290,10 +291,10 @@ fn read_delta(source: impl Read) -> Result<SnapshotDelta, SnapshotError> {
             break;
         }
         let offset = json.byte_offset();
-        let mut bytes = Vec::new();
-        json.read_raw_value(&mut bytes)
+        let span = json
+            .read_raw_span(&mut members)
             .map_err(|e| SnapshotError::from_json(e).with_entry(index))?;
-        records.push(RawRecord::from_json_span(bytes, offset, index));
+        records.push(RawRecord::from_framed_json(span, &members, offset, index));
         index += 1;
     }
 

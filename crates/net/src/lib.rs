@@ -43,6 +43,6 @@ pub use mmap::{MmapReader, MmapSource};
 pub use prefix::{Ipv4Prefix, PrefixParseError, PrefixTrie};
 pub use snapshot::{
     decode_graph_span, snapshot_source, AlignStream, AlignedFec, BinarySnapshotWriter, FlowDecoded,
-    RawRecord, RecordBody, Snapshot, SnapshotError, SnapshotFramer, SnapshotPair, SnapshotReader,
-    SnapshotWriter, SpanBytes, BINARY_MAGIC, BINARY_VERSION,
+    RawRecord, RecordBody, RecordFields, Snapshot, SnapshotError, SnapshotFramer, SnapshotPair,
+    SnapshotReader, SnapshotWriter, SpanBytes, BINARY_MAGIC, BINARY_VERSION, FRAME_BATCH_BYTES,
 };

@@ -46,6 +46,7 @@ use crate::fec::FlowSpec;
 use crate::graph::ForwardingGraph;
 use crate::mmap::{MmapReader, MmapSource};
 use serde::{Deserialize, Serialize, Value};
+use serde_json::scan::{frame_value, Member};
 use serde_json::JsonReader;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
@@ -287,11 +288,18 @@ const BINARY_FLOW_CAP: u32 = 1 << 20;
 /// 64 MiB frame cap).
 const BINARY_GRAPH_CAP: u32 = 64 << 20;
 
+/// Bytes of a JSON container the framer reads, scans, and hands out as
+/// one shared chunk — and the payload the pipelined engine packs into
+/// one channel message, so a message pins about one chunk.
+pub const FRAME_BATCH_BYTES: usize = 64 * 1024;
+
 /// A byte span into a shared backing buffer: an owned `Vec` for
-/// buffered framing, or a read-only file mapping for the zero-copy
-/// binary path. Cloning is O(1) — an `Arc` bump plus the range — so
-/// spans travel through channels, join maps, and retention slots
-/// without copying record bytes.
+/// buffered framing (one per binary-container span, one per *chunk* of
+/// a JSON container — every record framed out of a chunk shares it), or
+/// a read-only file mapping for the zero-copy binary path. Cloning is
+/// O(1) — an `Arc` bump plus the range — so spans travel through
+/// channels, join maps, and retention slots without copying record
+/// bytes; a backing buffer is freed when its last span is dropped.
 ///
 /// Equality compares span *content*, not backing identity: a mapped
 /// span and an owned span over the same bytes are equal (that is the
@@ -319,6 +327,16 @@ impl SpanBuf {
 }
 
 impl SpanBytes {
+    /// A span over `range` of a buffer shared with other spans — how the
+    /// JSON framer hands out the records of one chunk.
+    pub fn shared(buf: Arc<Vec<u8>>, range: Range<usize>) -> SpanBytes {
+        debug_assert!(range.end <= buf.len() && range.start <= range.end);
+        SpanBytes {
+            buf: SpanBuf::Owned(buf),
+            range,
+        }
+    }
+
     /// A span over `range` of a memory-mapped file.
     pub fn mapped(map: Arc<MmapSource>, range: Range<usize>) -> SpanBytes {
         debug_assert!(range.end <= map.len() && range.start <= range.end);
@@ -353,20 +371,10 @@ impl SpanBytes {
         }
     }
 
-    /// Whether the span covers its whole backing buffer (a standalone
-    /// span, rather than a view into an enclosing record or mapping).
-    pub fn is_whole(&self) -> bool {
-        self.range.start == 0 && self.range.end == self.buf.as_slice().len()
-    }
-
-    /// The span widened to its whole backing buffer (for a JSON-container
-    /// value span, that buffer is the enclosing record).
-    pub fn whole_buffer(&self) -> SpanBytes {
-        let len = self.buf.as_slice().len();
-        SpanBytes {
-            buf: self.buf.clone(),
-            range: 0..len,
-        }
+    /// Where the span starts in its backing buffer — two spans sliced
+    /// from one record differ by their distance inside it.
+    pub fn backing_offset(&self) -> usize {
+        self.range.start
     }
 
     /// Copy the span out into an owned `Vec`.
@@ -411,13 +419,14 @@ impl fmt::Debug for SpanBytes {
 /// provenance, as produced by a [`SnapshotFramer`].
 ///
 /// From a JSON container the body is one complete, strictly-validated
-/// JSON record span — re-parsing it cannot hit a syntax error. From a
-/// binary container (buffered or memory-mapped) the body is the two
-/// length-prefixed value spans, carried *unvalidated and unglued* so
-/// byte-level admission can hash them in place; [`RawRecord::decode`]
-/// may therefore surface syntax errors there. Either way, record-level
-/// failures are reported at the record's start offset exactly as the
-/// serial [`SnapshotReader`] does.
+/// JSON record span — re-parsing it cannot hit a syntax error — with the
+/// ranges of its top-level `flow` and `graph` values, found by the scan
+/// that framed it. From a binary container (buffered or memory-mapped)
+/// the body is the two length-prefixed value spans, carried *unvalidated
+/// and unglued* so byte-level admission can hash them in place;
+/// [`RawRecord::decode`] may therefore surface syntax errors there.
+/// Either way, record-level failures are reported at the record's start
+/// offset exactly as the serial [`SnapshotReader`] does.
 #[derive(Debug, Clone)]
 pub struct RawRecord {
     /// The record's value spans.
@@ -434,7 +443,12 @@ pub struct RawRecord {
 pub enum RecordBody {
     /// A complete `{"flow": F, "graph": G}` record span, as framed out
     /// of the JSON container.
-    Json(SpanBytes),
+    Json {
+        /// The whole record.
+        record: SpanBytes,
+        /// Where the record's `flow` and `graph` values sit in it.
+        fields: RecordFields,
+    },
     /// The `flow` and `graph` value spans of a binary-container record,
     /// exactly as they sit in the container (no JSON skeleton).
     Split {
@@ -445,13 +459,97 @@ pub enum RecordBody {
     },
 }
 
+/// What the framing scan learned about the top level of a JSON record:
+/// the ranges (relative to the record's first byte) of the values under
+/// its plain `"flow"` and `"graph"` keys, and whether either name occurs
+/// twice. A key spelled with escapes (`"fl\u006fw"`) counts towards the
+/// duplicate rule but is not located — such a record takes the full
+/// decode, as does one that is not an object.
+#[derive(Debug, Clone, Default)]
+pub struct RecordFields {
+    flow: Option<Range<usize>>,
+    graph: Option<Range<usize>>,
+    duplicate: Option<&'static str>,
+}
+
+impl RecordFields {
+    /// Pick `flow` and `graph` out of the top-level `members` the scan
+    /// of `buf` recorded for the record that starts at `buf[start]`.
+    fn locate(buf: &[u8], start: usize, members: &[Member]) -> RecordFields {
+        let mut fields = RecordFields::default();
+        let (mut flows, mut graphs) = (0, 0);
+        for member in members {
+            let key = &buf[member.key.clone()];
+            let value = member.value.start - start..member.value.end - start;
+            match key {
+                b"\"flow\"" => {
+                    flows += 1;
+                    fields.flow.get_or_insert(value);
+                }
+                b"\"graph\"" => {
+                    graphs += 1;
+                    fields.graph.get_or_insert(value);
+                }
+                _ if key.contains(&b'\\') => {
+                    // the scan validated the token, so it decodes
+                    let name = std::str::from_utf8(key)
+                        .ok()
+                        .and_then(|text| serde_json::from_str::<String>(text).ok());
+                    match name.as_deref() {
+                        Some("flow") => flows += 1,
+                        Some("graph") => graphs += 1,
+                        _ => {}
+                    }
+                }
+                _ => {}
+            }
+        }
+        if flows > 1 {
+            fields.duplicate = Some("flow");
+        } else if graphs > 1 {
+            fields.duplicate = Some("graph");
+        }
+        fields
+    }
+}
+
 impl RawRecord {
-    /// A record over one complete JSON record span (what the JSON framer
-    /// yields; also the constructor for hand-built records in tests and
-    /// delta documents).
+    /// A record over one complete JSON record span that did not come
+    /// out of a framer (hand-built in tests; rebuilt by the engine around
+    /// a graph span to word a decode error). The span goes through the
+    /// scan the JSON framer runs; one that is not strict JSON has nothing
+    /// located and reports its syntax error from [`RawRecord::decode`].
     pub fn from_json_span(span: impl Into<SpanBytes>, offset: u64, index: usize) -> RawRecord {
+        let record = span.into();
+        let bytes = record.as_slice();
+        let mut members = Vec::new();
+        let fields = match frame_value(bytes, 0, true, &mut members) {
+            Ok(end) if bytes[end..].iter().all(|b| b" \t\n\r".contains(b)) => {
+                RecordFields::locate(bytes, 0, &members)
+            }
+            _ => RecordFields::default(),
+        };
         RawRecord {
-            body: RecordBody::Json(span.into()),
+            body: RecordBody::Json { record, fields },
+            offset,
+            index,
+        }
+    }
+
+    /// The record a [`JsonReader::read_raw_span`] just framed: `range`
+    /// of `chunk`, with the scan's top-level `members`.
+    pub(crate) fn from_framed_json(
+        (chunk, range): (Arc<Vec<u8>>, Range<usize>),
+        members: &[Member],
+        offset: u64,
+        index: usize,
+    ) -> RawRecord {
+        let fields = RecordFields::locate(&chunk, range.start, members);
+        RawRecord {
+            body: RecordBody::Json {
+                record: SpanBytes::shared(chunk, range),
+                fields,
+            },
             offset,
             index,
         }
@@ -478,7 +576,7 @@ impl RawRecord {
     /// it is now confined to the decode and unpack paths.)
     pub fn json_bytes(&self) -> Cow<'_, [u8]> {
         match &self.body {
-            RecordBody::Json(span) => Cow::Borrowed(span.as_slice()),
+            RecordBody::Json { record, .. } => Cow::Borrowed(record.as_slice()),
             RecordBody::Split { flow, graph } => {
                 let mut bytes = Vec::with_capacity(flow.len() + graph.len() + 18);
                 bytes.extend_from_slice(b"{\"flow\":");
@@ -495,10 +593,39 @@ impl RawRecord {
     /// engine's byte-budget batching accounts.
     pub fn span_len(&self) -> usize {
         match &self.body {
-            RecordBody::Json(span) => span.len(),
+            RecordBody::Json { record, .. } => record.len(),
             RecordBody::Split { flow, graph } => flow.len() + graph.len(),
         }
     }
+
+    /// A record-level error at this record's offset and entry index.
+    fn fail(&self, message: impl Into<String>, label: Option<&str>) -> SnapshotError {
+        SnapshotError {
+            message: message.into(),
+            entry: Some(self.index),
+            offset: Some(self.offset),
+            offset_in_message: false,
+            label: label.map(str::to_owned),
+        }
+    }
+
+    /// Refuse a JSON record that names `flow` or `graph` twice: which
+    /// occurrence a reader takes would otherwise depend on the reader
+    /// (`docs/SNAPSHOT_FORMAT.md`).
+    fn refuse_duplicates(&self, label: Option<&str>) -> Result<(), SnapshotError> {
+        match &self.body {
+            RecordBody::Json {
+                fields:
+                    RecordFields {
+                        duplicate: Some(name),
+                        ..
+                    },
+                ..
+            } => Err(self.fail(format!("duplicate field `{name}`"), label)),
+            _ => Ok(()),
+        }
+    }
+
     /// Decode the span into its `(flow, graph)` pair. Errors carry the
     /// record's byte offset and entry index; `label` (typically the
     /// source file path) is attached when given.
@@ -506,13 +633,8 @@ impl RawRecord {
         &self,
         label: Option<&str>,
     ) -> Result<(FlowSpec, ForwardingGraph), SnapshotError> {
-        let fail = |message: String| SnapshotError {
-            message,
-            entry: Some(self.index),
-            offset: Some(self.offset),
-            offset_in_message: false,
-            label: label.map(str::to_owned),
-        };
+        self.refuse_duplicates(label)?;
+        let fail = |message: String| self.fail(message, label);
         // the framer validated the span: strings are checked UTF-8 and
         // everything else is ASCII, so both conversions are infallible
         // on framer-produced records (kept as errors for hand-built ones)
@@ -529,78 +651,37 @@ impl RawRecord {
 
     /// The `flow` and `graph` value spans of the record, located without
     /// parsing either value — what byte-level admission and the
-    /// `snapshot pack` converter run instead of a decode. A binary
-    /// container already carries the two spans, so this is a pair of
-    /// O(1) clones there; a JSON record span is scanned. Handles the
-    /// canonical record encodings both framers produce (plain `"flow"`
-    /// and `"graph"` keys in either order, arbitrary inter-token
-    /// whitespace); errors carry the record's offset and entry index
-    /// like [`RawRecord::decode`], with the missing-field messages
-    /// matching the serial reader's exactly.
+    /// `snapshot pack` converter run instead of a decode. O(1) either
+    /// way: a binary container carries the two spans, and a JSON record
+    /// was located by the scan that framed it (plain `"flow"` and
+    /// `"graph"` keys in either order, among any other keys, with any
+    /// inter-token whitespace). Errors carry the record's offset and
+    /// entry index like [`RawRecord::decode`], with the missing-field
+    /// messages matching the serial reader's exactly.
     pub fn split_spans(
         &self,
         label: Option<&str>,
     ) -> Result<(SpanBytes, SpanBytes), SnapshotError> {
-        let span = match &self.body {
+        let (record, fields) = match &self.body {
             RecordBody::Split { flow, graph } => return Ok((flow.clone(), graph.clone())),
-            RecordBody::Json(span) => span,
+            RecordBody::Json { record, fields } => (record, fields),
         };
-        let fail = |message: &str| SnapshotError {
-            message: message.to_owned(),
-            entry: Some(self.index),
-            offset: Some(self.offset),
-            offset_in_message: false,
-            label: label.map(str::to_owned),
-        };
-        let b = span.as_slice();
-        let mut pos = skip_ws(b, 0);
-        if b.get(pos) != Some(&b'{') {
-            return Err(fail("record span is not an object"));
-        }
-        pos += 1;
-        let mut flow: Option<std::ops::Range<usize>> = None;
-        let mut graph: Option<std::ops::Range<usize>> = None;
-        loop {
-            pos = skip_ws(b, pos);
-            match b.get(pos) {
-                Some(b'}') => break,
-                Some(b'"') => {}
-                _ => return Err(fail("malformed record span")),
+        self.refuse_duplicates(label)?;
+        match (&fields.flow, &fields.graph) {
+            (Some(flow), Some(graph)) => {
+                Ok((record.slice(flow.clone()), record.slice(graph.clone())))
             }
-            let key_end =
-                scan_string(b, pos).ok_or_else(|| fail("unterminated string in record span"))?;
-            let key = &b[pos..key_end];
-            pos = skip_ws(b, key_end);
-            if b.get(pos) != Some(&b':') {
-                return Err(fail("malformed record span"));
-            }
-            pos = skip_ws(b, pos + 1);
-            let value_end = scan_value(b, pos).ok_or_else(|| fail("truncated record span"))?;
-            match key {
-                b"\"flow\"" => flow = Some(pos..value_end),
-                b"\"graph\"" => graph = Some(pos..value_end),
-                _ => {}
-            }
-            pos = skip_ws(b, value_end);
-            match b.get(pos) {
-                Some(b',') => pos += 1,
-                Some(b'}') => break,
-                _ => return Err(fail("malformed record span")),
-            }
-        }
-        match (flow, graph) {
-            (Some(f), Some(g)) => Ok((span.slice(f), span.slice(g))),
-            (None, _) => Err(fail("missing field `flow`")),
-            (_, None) => Err(fail("missing field `graph`")),
+            (None, _) => Err(self.fail("missing field `flow`", label)),
+            (_, None) => Err(self.fail("missing field `graph`", label)),
         }
     }
 
     /// Parse the record's flow key and hand out its graph span *without*
     /// decoding the graph — the entry point of the pipelined
     /// byte-admission fast path. Falls back to a full
-    /// [`RawRecord::decode`] when the span scanner cannot handle the
-    /// encoding (escaped keys, malformed spans), so every error is
-    /// exactly what the serial reader would have reported.
+    /// [`RawRecord::decode`] when the values were not located (escaped
+    /// keys, missing fields, a record that is not an object), so every
+    /// error is exactly what the serial reader would have reported.
     pub fn decode_flow(&self, label: Option<&str>) -> Result<FlowDecoded, SnapshotError> {
         if let Ok((flow_span, graph_span)) = self.split_spans(label) {
             let parsed = std::str::from_utf8(flow_span.as_slice())
@@ -639,80 +720,30 @@ pub fn decode_graph_span(bytes: &[u8]) -> Result<ForwardingGraph, String> {
     ForwardingGraph::from_value(&value).map_err(|e| e.to_string())
 }
 
-fn skip_ws(b: &[u8], mut pos: usize) -> usize {
-    while matches!(b.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        pos += 1;
-    }
-    pos
-}
-
-/// End position (exclusive) of the string starting at `pos` (which must
-/// hold a `"`), honoring escapes; `None` if unterminated.
-fn scan_string(b: &[u8], pos: usize) -> Option<usize> {
-    let mut i = pos + 1;
-    loop {
-        match b.get(i)? {
-            b'"' => return Some(i + 1),
-            b'\\' => i += 2,
-            _ => i += 1,
-        }
-    }
-}
-
-/// End position (exclusive) of the JSON value starting at `pos`:
-/// strings scan escape-aware, containers by depth (string-aware),
-/// primitives run to the next delimiter. `None` on truncation.
-fn scan_value(b: &[u8], pos: usize) -> Option<usize> {
-    match b.get(pos)? {
-        b'"' => scan_string(b, pos),
-        b'{' | b'[' => {
-            let mut depth = 0usize;
-            let mut i = pos;
-            loop {
-                match b.get(i)? {
-                    b'"' => i = scan_string(b, i)?,
-                    b'{' | b'[' => {
-                        depth += 1;
-                        i += 1;
-                    }
-                    b'}' | b']' => {
-                        depth = depth.checked_sub(1)?;
-                        i += 1;
-                        if depth == 0 {
-                            return Some(i);
-                        }
-                    }
-                    _ => i += 1,
-                }
-            }
-        }
-        _ => {
-            let mut i = pos;
-            while let Some(c) = b.get(i) {
-                if matches!(c, b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r') {
-                    break;
-                }
-                i += 1;
-            }
-            (i > pos).then_some(i)
-        }
-    }
-}
-
 /// The framing half of the snapshot reader: yields each entry of a JSON
 /// *or* binary snapshot as an undecoded [`RawRecord`] span, without
 /// building a single `Value`. The container format is sniffed from the
 /// first four bytes ([`BINARY_MAGIC`] opens a binary snapshot; anything
 /// else is parsed as the JSON document).
 ///
-/// This is what a pipelined consumer runs on its reader thread — framing
-/// touches every byte at most once (the JSON grammar is strict, so
-/// malformed JSON fails here with the same message and offset as the
-/// decoding reader; binary framing is pure length-prefix arithmetic) but
-/// defers all allocation-heavy decoding to [`RawRecord::decode`] /
+/// This is what a pipelined consumer runs on its reader thread. A JSON
+/// container is read [`FRAME_BATCH_BYTES`] at a time into shared chunks
+/// and framed in place: one strict scan per record (malformed JSON fails
+/// here with the same message and offset as the decoding reader) finds
+/// the record's end and its `flow`/`graph` value ranges, and the record
+/// is handed out as a [`SpanBytes`] range of its chunk — no per-record
+/// buffer, no copy. Only a record cut by the end of a chunk is touched
+/// twice: its head is carried into the next chunk and scanned again
+/// there. Binary framing is pure length-prefix arithmetic. All
+/// allocation-heavy decoding is left to [`RawRecord::decode`] /
 /// [`RawRecord::decode_flow`], which can run on worker threads.
 /// [`SnapshotReader`] is this framer plus an inline decoder and
 /// duplicate-flow detection.
+///
+/// A chunk lives as long as any record framed out of it (or any span
+/// sliced from one): the pipelined engine holds records in channel
+/// batches, for a few batches in unpaired flow-join entries, and — in a
+/// retaining session — in the retained base.
 pub struct SnapshotFramer<R: Read> {
     inner: FramerInner<R>,
     /// Index of the next entry to be framed.
@@ -880,13 +911,17 @@ fn sniff_format<R: Read>(mut source: R) -> Result<FramerInner<R>, SnapshotError>
         Ok(FramerInner::Binary(framer))
     } else {
         Ok(FramerInner::Json(JsonFramer {
-            json: JsonReader::new(PrefixedReader {
-                prefix: head,
-                len: have,
-                pos: 0,
-                inner: source,
-            }),
+            json: JsonReader::with_chunk_bytes(
+                PrefixedReader {
+                    prefix: head,
+                    len: have,
+                    pos: 0,
+                    inner: source,
+                },
+                FRAME_BATCH_BYTES,
+            ),
             started: false,
+            members: Vec::new(),
         }))
     }
 }
@@ -919,6 +954,8 @@ struct JsonFramer<R: Read> {
     json: JsonReader<PrefixedReader<R>>,
     /// Header (`{"fecs": [`) consumed.
     started: bool,
+    /// Scratch for the scan's top-level member ranges.
+    members: Vec<Member>,
 }
 
 impl<R: Read> JsonFramer<R> {
@@ -970,11 +1007,16 @@ impl<R: Read> JsonFramer<R> {
             }
             Ok(true) => {
                 let offset = self.json.byte_offset();
-                let mut bytes = Vec::new();
-                self.json
-                    .read_raw_value(&mut bytes)
+                let span = self
+                    .json
+                    .read_raw_span(&mut self.members)
                     .map_err(|e| SnapshotError::from_json(e).with_entry(index))?;
-                Ok(Some(RawRecord::from_json_span(bytes, offset, index)))
+                Ok(Some(RawRecord::from_framed_json(
+                    span,
+                    &self.members,
+                    offset,
+                    index,
+                )))
             }
         }
     }
@@ -2136,6 +2178,279 @@ mod tests {
         let err = raw.decode_flow(None).unwrap_err();
         let expect = raw.decode(None).unwrap_err();
         assert_eq!(err, expect);
+    }
+
+    // ---- in-place JSON framing over the chunk arena -------------------
+
+    const EMPTY_GRAPH: &str = r#"{"vertices":[],"edges":[],"sources":[],"sinks":[],"drops":[]}"#;
+
+    /// A canonical record for flow `10.0.<n>.0/24`.
+    fn record_text(n: usize) -> String {
+        format!(r#"{{"flow":{{"dst":"10.0.{n}.0/24","ingress":"x1"}},"graph":{EMPTY_GRAPH}}}"#)
+    }
+
+    fn frame_all(doc: &[u8]) -> Result<Vec<RawRecord>, SnapshotError> {
+        SnapshotFramer::new(doc, "doc").collect()
+    }
+
+    /// The chunk a framed JSON record shares.
+    fn chunk_of(raw: &RawRecord) -> &Arc<Vec<u8>> {
+        match &raw.body {
+            RecordBody::Json {
+                record:
+                    SpanBytes {
+                        buf: SpanBuf::Owned(chunk),
+                        ..
+                    },
+                ..
+            } => chunk,
+            _ => panic!("not a framed JSON record"),
+        }
+    }
+
+    #[test]
+    fn a_record_straddling_a_chunk_end_frames_the_same_at_every_offset() {
+        let records = [record_text(0), record_text(1), record_text(2)];
+        let head = "{\"fecs\":[";
+        // pad the header so the chunk ends `into` bytes into the second
+        // record — from its first byte to the comma after it
+        for into in 0..=records[1].len() + 1 {
+            let second_at = FRAME_BATCH_BYTES - into;
+            let pad = second_at - head.len() - records[0].len() - 1;
+            let doc = format!(
+                "{head}{}{},{},{}]}}",
+                " ".repeat(pad),
+                records[0],
+                records[1],
+                records[2]
+            );
+            let framed = frame_all(doc.as_bytes()).unwrap();
+            assert_eq!(framed.len(), 3, "cut {into} bytes in");
+            let mut offset = head.len() + pad;
+            for (ix, (raw, text)) in framed.iter().zip(&records).enumerate() {
+                assert_eq!(raw.json_bytes(), text.as_bytes(), "cut {into} bytes in");
+                assert_eq!((raw.offset, raw.index), (offset as u64, ix));
+                let (flow, graph) = raw.split_spans(None).unwrap();
+                assert_eq!(graph.as_slice(), EMPTY_GRAPH.as_bytes());
+                assert!(text.contains(std::str::from_utf8(&flow).unwrap()));
+                offset += text.len() + 1;
+            }
+            // a record the chunk end cuts is carried, whole, to the next
+            assert_eq!(
+                Arc::ptr_eq(chunk_of(&framed[0]), chunk_of(&framed[1])),
+                into >= records[1].len(),
+                "cut {into} bytes in"
+            );
+        }
+    }
+
+    #[test]
+    fn a_record_larger_than_several_chunks_gets_a_chunk_of_its_own() {
+        let blob = "é".repeat(2 * FRAME_BATCH_BYTES);
+        let big = format!(
+            r#"{{"flow":{{"dst":"10.0.1.0/24","ingress":"x1"}},"note":"{blob}","graph":{EMPTY_GRAPH}}}"#
+        );
+        let doc = format!("{{\"fecs\":[{},{big},{}]}}", record_text(0), record_text(2));
+        let framed = frame_all(doc.as_bytes()).unwrap();
+        assert_eq!(framed.len(), 3);
+        assert_eq!(framed[1].json_bytes(), big.as_bytes());
+        assert_eq!(framed[1].offset as usize, 9 + record_text(0).len() + 1);
+        let (_, graph) = framed[1].split_spans(None).unwrap();
+        assert_eq!(graph.as_slice(), EMPTY_GRAPH.as_bytes());
+        assert!(chunk_of(&framed[1]).len() >= big.len());
+        assert_eq!(framed[2].json_bytes(), record_text(2).as_bytes());
+        assert_eq!(
+            framed[2].offset as usize,
+            doc.len() - 2 - record_text(2).len()
+        );
+        // cut inside the blob: the string is unterminated where the
+        // input ends, however many chunks it grew through
+        let cut = &doc.as_bytes()[..doc.len() / 2];
+        let err = frame_all(cut).unwrap_err();
+        assert!(err.to_string().contains("unterminated string"), "{err}");
+        assert_eq!(err.byte_offset(), Some(cut.len() as u64));
+        assert_eq!(err.entry_index(), Some(1));
+    }
+
+    #[test]
+    fn trailers_and_whitespace_tails_cross_chunk_ends() {
+        let head = "{\"fecs\":[";
+        let record = record_text(0);
+        // `]` ends the first chunk, `}` opens the second, and three
+        // chunks of blank lines follow
+        let pad = FRAME_BATCH_BYTES - head.len() - record.len() - 1;
+        let tail = " \n".repeat(3 * FRAME_BATCH_BYTES / 2);
+        let doc = format!("{head}{}{record}]}}{tail}", "\n".repeat(pad));
+        assert_eq!(doc.as_bytes()[FRAME_BATCH_BYTES - 1], b']');
+        let framed = frame_all(doc.as_bytes()).unwrap();
+        assert_eq!(framed.len(), 1);
+        assert_eq!(framed[0].json_bytes(), record.as_bytes());
+        // anything but whitespace after the tail is addressed by byte,
+        // line and column, all counted across the chunks
+        let err = frame_all(format!("{doc}x").as_bytes()).unwrap_err();
+        let lines = pad + 3 * FRAME_BATCH_BYTES / 2 + 1;
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "doc: trailing characters at line {lines} column 1 (byte {})",
+                doc.len()
+            )
+        );
+        // and a trailer cut by the end of the input says what it lacks
+        let cut = &doc.as_bytes()[..FRAME_BATCH_BYTES];
+        let err = frame_all(cut).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unexpected end of input (expected `,` or `}`)"),
+            "{err}"
+        );
+        assert_eq!(err.byte_offset(), Some(FRAME_BATCH_BYTES as u64));
+    }
+
+    #[test]
+    fn non_canonical_records_frame_to_the_same_spans_and_hashes() {
+        let flow = r#"{"dst":"10.0.0.0/24","ingress":"x1"}"#;
+        let graph = serde_json::to_string(&linear_graph(&["x1", "A1"])).unwrap();
+        let canonical = format!(r#"{{"flow":{flow},"graph":{graph}}}"#);
+        let located = [
+            format!(r#"{{"graph":{graph},"flow":{flow}}}"#),
+            format!(r#"{{"note":[1,{{"flow":0}}],"flow":{flow},"extra":"graph","graph":{graph}}}"#),
+            format!("{{\n\t\"flow\" : {flow} ,\r\n\t\"graph\" :\t{graph}\n}}"),
+        ];
+        let escaped = format!(r#"{{"fl\u006fw":{flow},"graph":{graph}}}"#);
+        let doc = format!(
+            "{{\"fecs\": [{canonical},{},{escaped}]}}",
+            located.join(" , ")
+        );
+        let framed = frame_all(doc.as_bytes()).unwrap();
+        let expected = framed[0].decode(None).unwrap();
+        for raw in &framed[..4] {
+            let (flow_span, graph_span) = raw.split_spans(None).unwrap();
+            assert_eq!(flow_span.as_slice(), flow.as_bytes());
+            assert_eq!(graph_span.as_slice(), graph.as_bytes());
+            assert_eq!(
+                crate::content_hash128(&graph_span),
+                crate::content_hash128(graph.as_bytes())
+            );
+            assert!(matches!(
+                raw.decode_flow(None).unwrap(),
+                FlowDecoded::Split(f, g) if f == expected.0 && g == graph_span
+            ));
+            assert_eq!(raw.decode(None).unwrap(), expected);
+            // a hand-built record over the same bytes locates the same
+            let rebuilt = RawRecord::from_json_span(raw.json_bytes().into_owned(), 0, 0);
+            assert_eq!(rebuilt.split_spans(None).unwrap(), (flow_span, graph_span));
+        }
+        // a key spelled with an escape is not located: the span splitter
+        // reports the field missing and the flow decode takes the full
+        // decode, whose graph re-serializes to the canonical span
+        let raw = &framed[4];
+        let err = raw.split_spans(Some("doc")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "doc: snapshot entry #4: missing field `flow` (byte {})",
+                raw.offset
+            )
+        );
+        match raw.decode_flow(None).unwrap() {
+            FlowDecoded::Full(f, g) => {
+                assert_eq!((f, &g), (expected.0.clone(), &expected.1));
+                assert_eq!(serde_json::to_string(&g).unwrap(), graph);
+            }
+            FlowDecoded::Split(..) => panic!("an escaped key was located"),
+        }
+    }
+
+    #[test]
+    fn a_repeated_flow_or_graph_key_is_refused_by_every_accessor() {
+        let flow = r#"{"dst":"10.0.0.0/24","ingress":"x1"}"#;
+        let cases = [
+            (
+                format!(r#"{{"flow":{flow},"graph":{EMPTY_GRAPH},"graph":{EMPTY_GRAPH}}}"#),
+                "graph",
+            ),
+            (
+                format!(r#"{{"flow":{flow},"graph":{EMPTY_GRAPH},"flow":{flow}}}"#),
+                "flow",
+            ),
+            (
+                format!(r#"{{"flow":{flow},"graph":null,"graph":{EMPTY_GRAPH}}}"#),
+                "graph",
+            ),
+        ];
+        for (record, name) in cases {
+            let doc = format!("{{\"fecs\":[{},{record}]}}", record_text(9));
+            let framed = frame_all(doc.as_bytes()).unwrap();
+            let raw = &framed[1];
+            let expected = format!(
+                "doc: snapshot entry #1: duplicate field `{name}` (byte {})",
+                raw.offset
+            );
+            assert_eq!(raw.decode(Some("doc")).unwrap_err().to_string(), expected);
+            assert_eq!(
+                raw.split_spans(Some("doc")).unwrap_err().to_string(),
+                expected
+            );
+            assert_eq!(
+                raw.decode_flow(Some("doc")).unwrap_err().to_string(),
+                expected
+            );
+            let rebuilt = RawRecord::from_json_span(record.into_bytes(), raw.offset, 1);
+            assert_eq!(
+                rebuilt.decode(Some("doc")).unwrap_err().to_string(),
+                expected
+            );
+            // the serial reader names the same record
+            let err = SnapshotReader::new(doc.as_bytes())
+                .with_label("doc")
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap_err();
+            assert_eq!(err.to_string(), expected);
+        }
+        // a nested `flow` key is the graph's own business
+        let nested =
+            format!(r#"{{"flow":{flow},"graph":{EMPTY_GRAPH},"meta":{{"flow":1,"flow":2}}}}"#);
+        RawRecord::from_json_span(nested.into_bytes(), 0, 0)
+            .decode(None)
+            .unwrap();
+    }
+
+    #[test]
+    fn a_chunk_is_freed_when_its_last_span_drops() {
+        let mut doc = String::from("{\"fecs\":[");
+        for n in 0..10_000 {
+            if n > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&record_text(n));
+        }
+        doc.push_str("]}");
+        assert!(doc.len() > 16 * FRAME_BATCH_BYTES);
+        let mut chunks: Vec<std::sync::Weak<Vec<u8>>> = Vec::new();
+        let mut most_alive = 0;
+        let mut held = None;
+        for raw in SnapshotFramer::new(doc.as_bytes(), "doc") {
+            let raw = raw.unwrap();
+            let chunk = chunk_of(&raw);
+            if chunks.last().map(std::sync::Weak::as_ptr) != Some(Arc::as_ptr(chunk)) {
+                chunks.push(Arc::downgrade(chunk));
+            }
+            // one graph span kept from an early record pins exactly its
+            // own chunk, however far the drain runs
+            if raw.index == 100 {
+                held = Some(raw.split_spans(None).unwrap().1);
+            }
+            drop(raw);
+            most_alive = most_alive.max(chunks.iter().filter(|c| c.strong_count() > 0).count());
+        }
+        assert!(chunks.len() > 16, "{} chunks", chunks.len());
+        assert!(most_alive <= 2, "{most_alive} chunks alive at once");
+        let alive: Vec<usize> = (0..chunks.len())
+            .filter(|&ix| chunks[ix].strong_count() > 0)
+            .collect();
+        assert_eq!(alive.len(), 1, "only the held span's chunk survives");
+        assert_eq!(held.unwrap().as_slice(), EMPTY_GRAPH.as_bytes());
     }
 
     #[test]

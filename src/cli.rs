@@ -658,10 +658,14 @@ fn open_session(
 /// Open a snapshot path as a labeled streaming source for a job.
 /// Whether `path` is a plain (uncompressed) regular file opening with
 /// the RSNB magic — the case where a memory mapping replaces buffered
-/// reads. Gzip streams and pipes are not seekable/mappable; JSON files
-/// gain nothing from a mapping (their records are parsed, not framed in
-/// place). Errors report as `false` so callers fall back to the
-/// streaming open, which attributes the failure properly.
+/// reads. Gzip streams and pipes are not seekable/mappable. JSON files
+/// stay on buffered reads: their records are framed in place too, but
+/// in the 64 KiB chunks the framer reads them into — every byte has to
+/// pass through the scanner anyway, so a mapping would save only that
+/// read (a small fraction of the scan) while every live span pinned
+/// file pages instead of one chunk. Errors report as `false` so callers
+/// fall back to the streaming open, which attributes the failure
+/// properly.
 fn mappable_rsnb(path: &Path) -> bool {
     if path.extension().is_some_and(|ext| ext == "gz") {
         return false;

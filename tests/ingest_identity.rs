@@ -7,9 +7,10 @@
 //! it first.
 
 use rela::lang::{
-    CheckReport, CheckSession, IngestMode, JobOptions, JobSpec, LabeledSource, SessionConfig,
+    CheckReport, CheckSession, IngestMode, JobError, JobOptions, JobSpec, LabeledSource,
+    SessionConfig,
 };
-use rela::net::{BinarySnapshotWriter, Granularity, MmapSource, SnapshotFramer};
+use rela::net::{BinarySnapshotWriter, Granularity, MmapSource, SnapshotDelta, SnapshotFramer};
 use rela::sim::workload::{iteration_deltas, spec_of_size, synthetic_wan, WanParams};
 
 fn params() -> WanParams {
@@ -323,4 +324,99 @@ fn truncated_delta_documents_keep_the_error_contract() {
             assert!(err.entry_index().is_some(), "cut at {cut}: {err}");
         }
     }
+}
+
+/// `doc` with the record at `offset` (`len` bytes long) given a second
+/// `graph` member: an empty graph, after the one it already has.
+fn with_second_graph(doc: &[u8], offset: u64, len: usize) -> Vec<u8> {
+    let close = offset as usize + len - 1;
+    assert_eq!(doc[close], b'}');
+    let mut out = doc[..close].to_vec();
+    out.extend_from_slice(
+        br#","graph":{"vertices":[],"edges":[],"sources":[],"sinks":[],"drops":[]}"#,
+    );
+    out.extend_from_slice(&doc[close..]);
+    out
+}
+
+#[test]
+fn a_repeated_graph_key_is_the_same_error_in_every_container_and_mode() {
+    // the first `graph` is what a keyed lookup finds, the last what a
+    // span scan used to keep: a record that has both is refused whole,
+    // by every engine, with one address
+    let fx = fixture();
+    let target = SnapshotFramer::new(fx.post_json.as_bytes(), "post")
+        .nth(5)
+        .unwrap()
+        .unwrap();
+    let post = with_second_graph(fx.post_json.as_bytes(), target.offset, target.span_len());
+    let expected = format!(
+        "post: snapshot entry #5: duplicate field `graph` (byte {})",
+        target.offset
+    );
+    let same = |err: JobError, how: &str| {
+        assert_eq!(err.to_string(), expected, "{how}");
+        assert_eq!(err.entry_index(), Some(5), "{how}");
+        assert_eq!(err.byte_offset(), Some(target.offset), "{how}");
+        assert_eq!(err.label(), Some("post"), "{how}");
+    };
+    for mode in [
+        IngestMode::Materialized,
+        IngestMode::Serial,
+        IngestMode::Pipelined { depth: 0 },
+        IngestMode::Pipelined { depth: 1 },
+        IngestMode::Pipelined { depth: 7 },
+    ] {
+        let pre = fx.pre_json.as_bytes();
+        let err = session(&fx, false)
+            .run(stream_job(pre, &post, mode))
+            .unwrap_err();
+        same(err, &format!("json × {mode:?}"));
+        let err = session(&fx, false)
+            .run(mapped_job(pre, &post, mode))
+            .unwrap_err();
+        same(err, &format!("json-mmap × {mode:?}"));
+        // against the packed pre side: the containers may differ
+        let err = session(&fx, false)
+            .run(stream_job(&pack(&fx.pre_json), &post, mode))
+            .unwrap_err();
+        same(err, &format!("binary pre, json post × {mode:?}"));
+    }
+    // the pack path refuses it too, so no binary container can hold one
+    let err = SnapshotFramer::new(&post[..], "post")
+        .map(|raw| raw.and_then(|r| r.split_spans(Some("post"))))
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap_err();
+    same(JobError::Snapshot(err), "pack");
+
+    // and so does a delta document, addressed within the document
+    let delta = SnapshotDelta::from_reader(&fx.delta_post[..], "delta:post").unwrap();
+    let record = &delta.records[0];
+    let doc = with_second_graph(&fx.delta_post, record.offset, record.span_len());
+    let s = session(&fx, true);
+    s.run(stream_job(
+        fx.pre_json.as_bytes(),
+        fx.post_seed_json.as_bytes(),
+        IngestMode::default(),
+    ))
+    .unwrap();
+    let err = s
+        .run(
+            JobSpec::deltas(
+                LabeledSource::new(&fx.delta_pre[..], "delta:pre"),
+                LabeledSource::new(&doc[..], "delta:post"),
+            )
+            .with_options(JobOptions {
+                delta_base: Some(fx.base_epoch.as_u128()),
+                ..JobOptions::default()
+            }),
+        )
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "delta:post: snapshot entry #0: duplicate field `graph` (byte {})",
+            record.offset
+        )
+    );
 }

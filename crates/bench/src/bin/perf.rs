@@ -1049,12 +1049,9 @@ fn run_delta_ingest(name: &str, params: &WanParams, threads: usize, smoke: bool)
         secs(wall_cold),
     );
     if !smoke {
-        // the floor was 5× while JSON framing made a warm full
-        // resubmission cost 0.5 s here; framed in place it costs 0.1 s,
-        // and what a delta still saves is the hashing and the replay
         assert!(
-            speedup >= 1.5,
-            "[{name}] a delta must beat a warm full resubmission by ≥1.5× (got {speedup:.1}×)"
+            speedup >= 5.0,
+            "[{name}] a delta must beat a warm full resubmission by ≥5× (got {speedup:.1}×)"
         );
     }
 

@@ -323,16 +323,7 @@ struct PipelineWorkerState {
     decodes: usize,
     symbols: BTreeSet<String>,
     captured: Vec<(Side, RetainedRecord)>,
-    /// Flows this worker left waiting in the join, by batch, newest
-    /// last: see [`PipelineWorkerState::age_parked`].
-    parked: VecDeque<Vec<(Side, FlowSpec)>>,
 }
-
-/// Batches a record may wait in the join while still sharing its chunk.
-/// Sides that arrive in step pair within a batch or two; a batch is cut
-/// from consecutive records, so it spans at most two chunks and a worker
-/// pins at most twice this many through waiting records.
-const PARKED_BATCHES: usize = 8;
 
 impl PipelineWorkerState {
     fn new() -> PipelineWorkerState {
@@ -343,21 +334,6 @@ impl PipelineWorkerState {
             decodes: 0,
             symbols: BTreeSet::new(),
             captured: Vec::new(),
-            parked: VecDeque::from([Vec::new()]),
-        }
-    }
-
-    /// Close the batch just processed. A flow it left waiting has
-    /// [`PARKED_BATCHES`] more batches to pair; one that is still
-    /// waiting then — the other side is far behind, or never carries it
-    /// and it waits until both streams end — gets a copy of its record,
-    /// so that it cannot keep a whole chunk alive.
-    fn age_parked(&mut self, join: &JoinMap) {
-        self.parked.push_back(Vec::new());
-        if self.parked.len() > PARKED_BATCHES + 1 {
-            for (side, flow) in self.parked.pop_front().into_iter().flatten() {
-                join.unshare(side, &flow);
-            }
         }
     }
 }
@@ -1158,7 +1134,6 @@ impl<'a> Checker<'a> {
                             break;
                         }
                     }
-                    state.age_parked(join);
                 }
                 Recv::Item(PipeBatch::Prepared(batch)) => {
                     for item in batch {
@@ -1176,7 +1151,6 @@ impl<'a> Checker<'a> {
                             break;
                         }
                     }
-                    state.age_parked(join);
                 }
                 Recv::Timeout => {
                     if let Some(task) = decide_queue.pop() {
@@ -1353,15 +1327,8 @@ impl<'a> Checker<'a> {
             ));
         }
         let route = self.route_of_flow(&flow);
-        let shares_chunk = span.shares_chunk();
         match join.insert(side, &flow, span, hash, provenance) {
-            Joined::Pending => {
-                if shares_chunk {
-                    let batch = state.parked.back_mut().expect("a batch is always open");
-                    batch.push((side, flow));
-                }
-                Ok(())
-            }
+            Joined::Pending => Ok(()),
             Joined::Duplicate(second) => {
                 // `second` is the occurrence with the larger entry index
                 // — what the serial reader names, whichever record a

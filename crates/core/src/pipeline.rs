@@ -268,24 +268,6 @@ impl GraphSpan {
         self.span.as_slice()
     }
 
-    /// Whether the span sits in a chunk other records were framed out of.
-    pub(crate) fn shares_chunk(&self) -> bool {
-        matches!(self.origin, SpanOrigin::JsonRecord(_))
-    }
-
-    /// Move the span onto a private copy of its JSON record, for a
-    /// holder that keeps it long after the records framed beside it are
-    /// gone: sharing would pin the whole chunk for one record.
-    /// Binary-container spans share nothing and stay as they are.
-    pub(crate) fn unshare(&mut self) {
-        if let SpanOrigin::JsonRecord(record) = &self.origin {
-            let at = self.span.backing_offset() - record.backing_offset();
-            let record = SpanBytes::from(record.to_vec());
-            self.span = record.slice(at..at + self.span.len());
-            self.origin = SpanOrigin::JsonRecord(record);
-        }
-    }
-
     /// Rebuild the enclosing record for error attribution: the record
     /// span for a JSON-container graph, the reassembled split record for
     /// a binary one, `None` for standalone spans (nothing to reconstruct
@@ -406,7 +388,9 @@ impl JoinMap {
     }
 
     /// Insert one framed record; pairs it with its partner if that side
-    /// already arrived.
+    /// already arrived. A record that has to wait keeps its span, and
+    /// through it the JSON chunk it was framed out of, until the partner
+    /// arrives or the streams end.
     pub(crate) fn insert(
         &self,
         side: Side,
@@ -476,19 +460,6 @@ impl JoinMap {
                 }));
                 Joined::Pending
             }
-        }
-    }
-
-    /// Stop a record that is still waiting for its partner from sharing
-    /// its chunk (see [`GraphSpan::unshare`]); a no-op once it paired.
-    pub(crate) fn unshare(&self, side: Side, flow: &FlowSpec) {
-        let mut shard = self.shards[self.shard_of(flow)].lock().expect("join lock");
-        let slot = shard.get_mut(flow).map(|entry| match side {
-            Side::Pre => &mut entry.pre,
-            Side::Post => &mut entry.post,
-        });
-        if let Some(SideSlot::Pending(pending)) = slot {
-            pending.span.unshare();
         }
     }
 
@@ -783,56 +754,6 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(seen, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn a_waiting_record_can_stop_sharing_its_chunk() {
-        use rela_net::{FlowDecoded, SnapshotFramer};
-        let doc = br#"{"fecs":[
-            {"flow":{"dst":"10.0.0.0/24","ingress":"x1"},"graph":null},
-            {"flow":{"dst":"10.0.1.0/24","ingress":"x1"},"graph":{"vertices":7}}]}"#;
-        let raw = SnapshotFramer::new(&doc[..], "pre")
-            .nth(1)
-            .unwrap()
-            .unwrap();
-        let FlowDecoded::Split(flow, graph) = raw.decode_flow(None).unwrap() else {
-            panic!("a canonical record splits");
-        };
-        let span = GraphSpan::of_record(&raw, graph);
-        let shared_at = span.span.backing_offset();
-        assert!(
-            shared_at > raw.offset as usize,
-            "the span sits in the chunk"
-        );
-        let join = JoinMap::new(2);
-        let provenance = Provenance {
-            index: raw.index,
-            offset: raw.offset,
-        };
-        assert!(matches!(
-            join.insert(Side::Pre, &flow, span, 9, provenance),
-            Joined::Pending
-        ));
-        join.unshare(Side::Post, &flow); // not the waiting side: nothing to do
-        join.unshare(Side::Pre, &flow);
-        let Joined::Paired { pre, .. } = join.insert(
-            Side::Post,
-            &flow,
-            GraphSpan::whole(b"null".to_vec()),
-            1,
-            provenance,
-        ) else {
-            panic!("the partner pairs");
-        };
-        // same bytes, same record around them, now in a buffer of its own
-        assert_eq!(pre.span.as_slice(), br#"{"vertices":7}"#);
-        assert_eq!(
-            pre.span.span.backing_offset(),
-            shared_at - raw.offset as usize
-        );
-        let record = pre.span.reconstruct_record(raw.offset, raw.index).unwrap();
-        assert_eq!(record.json_bytes(), raw.json_bytes());
-        join.unshare(Side::Pre, &flow); // paired: nothing to do
     }
 
     #[test]

@@ -289,9 +289,10 @@ const BINARY_FLOW_CAP: u32 = 1 << 20;
 const BINARY_GRAPH_CAP: u32 = 64 << 20;
 
 /// Bytes of a JSON container the framer reads, scans, and hands out as
-/// one shared chunk — and the payload the pipelined engine packs into
-/// one channel message, so a message pins about one chunk.
-pub const FRAME_BATCH_BYTES: usize = 64 * 1024;
+/// one shared chunk (the reader's chunk size) — and the payload the
+/// pipelined engine packs into one channel message, so a message pins
+/// about one chunk.
+pub const FRAME_BATCH_BYTES: usize = serde_json::stream::CHUNK;
 
 /// A byte span into a shared backing buffer: an owned `Vec` for
 /// buffered framing (one per binary-container span, one per *chunk* of
@@ -369,12 +370,6 @@ impl SpanBytes {
             buf: self.buf.clone(),
             range: self.range.start + rel.start..self.range.start + rel.end,
         }
-    }
-
-    /// Where the span starts in its backing buffer — two spans sliced
-    /// from one record differ by their distance inside it.
-    pub fn backing_offset(&self) -> usize {
-        self.range.start
     }
 
     /// Copy the span out into an owned `Vec`.
@@ -911,15 +906,12 @@ fn sniff_format<R: Read>(mut source: R) -> Result<FramerInner<R>, SnapshotError>
         Ok(FramerInner::Binary(framer))
     } else {
         Ok(FramerInner::Json(JsonFramer {
-            json: JsonReader::with_chunk_bytes(
-                PrefixedReader {
-                    prefix: head,
-                    len: have,
-                    pos: 0,
-                    inner: source,
-                },
-                FRAME_BATCH_BYTES,
-            ),
+            json: JsonReader::new(PrefixedReader {
+                prefix: head,
+                len: have,
+                pos: 0,
+                inner: source,
+            }),
             started: false,
             members: Vec::new(),
         }))

@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 
-use rela_net::faultio;
+use rela_net::faultio::{FaultAction, FaultPlan, FaultyWrite};
 
 /// The on-disk schema tag; bump when the file layout changes shape.
 pub const SCHEMA: &str = "rela-cache/v1";
@@ -182,6 +182,8 @@ pub struct VerdictStore {
     /// unparseable (torn) store files and temp files abandoned by dead
     /// writers. Empty on a clean open.
     quarantined: Vec<PathBuf>,
+    /// The fault plan the persist path consults; `None` injects nothing.
+    faults: Option<FaultPlan>,
 }
 
 fn shard_of(key: &str) -> usize {
@@ -236,6 +238,7 @@ impl VerdictStore {
             dirty: AtomicBool::new(false),
             generation: AtomicU64::new(generation),
             quarantined,
+            faults: None,
         })
     }
 
@@ -268,7 +271,14 @@ impl VerdictStore {
             dirty: AtomicBool::new(false),
             generation: AtomicU64::new(0),
             quarantined: Vec::new(),
+            faults: None,
         }
+    }
+
+    /// Hand the store the fault plan its persist path consults (`None`
+    /// stops injecting). A store never handed one injects nothing.
+    pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
+        self.faults = plan;
     }
 
     /// The epoch this store serves.
@@ -409,23 +419,26 @@ impl VerdictStore {
     }
 
     /// The durability core of [`VerdictStore::persist`], with the fault
-    /// hooks the crash harness drives: writes go through the installed
-    /// [`faultio`] plan (injected `ENOSPC`/`EINTR`), and the `persist`
-    /// lifecycle point between the temp-file `fsync` and the rename can
+    /// hooks the crash harness drives: writes go through the plan handed
+    /// to [`VerdictStore::set_faults`] (injected `ENOSPC`/`EINTR`), and
+    /// the `persist` lifecycle point between the temp-file `fsync` and the rename can
     /// pause (the kill-9 window), tear the temp file (a simulated
     /// partial flush surviving the rename), or panic.
     fn write_and_rename(&self, tmp: &Path, path: &Path, mut bytes: Vec<u8>) -> std::io::Result<()> {
         use std::io::Write;
         bytes.push(b'\n');
         let mut file = std::fs::File::create(tmp)?;
-        match faultio::active() {
+        match &self.faults {
             // `write_all` swallows `Interrupted`, exactly like the
             // production retry contract the plan is testing
-            Some(plan) => faultio::FaultyWrite::new(&mut file, plan).write_all(&bytes)?,
+            Some(plan) => FaultyWrite::new(&mut file, plan.clone()).write_all(&bytes)?,
             None => file.write_all(&bytes)?,
         }
         file.sync_all()?;
-        let act = faultio::at("persist");
+        let act = match &self.faults {
+            Some(plan) => plan.at("persist"),
+            None => FaultAction::NONE,
+        };
         if act.tear() {
             file.set_len(bytes.len() as u64 / 2)?;
             file.sync_all()?;

@@ -3,29 +3,17 @@
 //! torn rename is quarantined (not silently deleted) on the next open,
 //! and the generation marker counts exactly the successful flushes.
 //!
-//! These tests install the **process-global** fault plan, so they live
-//! in their own integration binary and serialize on one lock — a plan
-//! leaking into a concurrent test would fault I/O it doesn't own.
+//! Each test hands its own store its own plan, so they run in parallel
+//! without firing each other's faults.
 
 use rela_cache::{CacheEpoch, CacheKey, VerdictStore};
-use rela_net::faultio::{self, FaultPlan};
+use rela_net::faultio::FaultPlan;
 use rela_net::{BehaviorHash, Granularity};
 use serde::Value;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
 
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `body` with `spec` installed as the global plan; always clears
-/// the plan afterwards, even when `body` panics.
-fn with_plan(spec: &str, body: impl FnOnce()) {
-    let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faultio::install(FaultPlan::parse(spec).expect("valid fault spec"));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-    faultio::clear();
-    if let Err(payload) = result {
-        std::panic::resume_unwind(payload);
-    }
+fn plan(spec: &str) -> Option<FaultPlan> {
+    Some(FaultPlan::parse(spec).expect("valid fault spec"))
 }
 
 fn key(n: u128) -> CacheKey {
@@ -60,7 +48,7 @@ fn store_files(dir: &Path, marker: &str) -> Vec<String> {
 fn injected_enospc_fails_the_flush_but_never_the_committed_file() {
     let dir = tmpdir("enospc");
     let epoch = CacheEpoch::derive(1, "engine/v1");
-    let store = VerdictStore::open(&dir, epoch).unwrap();
+    let mut store = VerdictStore::open(&dir, epoch).unwrap();
     store.put(&key(1), Value::Int(1));
     store.persist().unwrap();
     assert_eq!(store.generation(), 1);
@@ -68,10 +56,10 @@ fn injected_enospc_fails_the_flush_but_never_the_committed_file() {
     let committed = std::fs::read_to_string(&path).unwrap();
 
     store.put(&key(2), Value::Int(2));
-    with_plan("enospc-after=16", || {
-        let err = store.persist().expect_err("the write budget must run out");
-        assert!(err.to_string().contains("No space left"), "{err}");
-    });
+    store.set_faults(plan("enospc-after=16"));
+    let err = store.persist().expect_err("the write budget must run out");
+    assert!(err.to_string().contains("No space left"), "{err}");
+    store.set_faults(None);
     // the failed flush: no generation bump, still dirty, no temp corpse,
     // and the committed bytes untouched
     assert_eq!(store.generation(), 1);
@@ -93,13 +81,12 @@ fn injected_enospc_fails_the_flush_but_never_the_committed_file() {
 fn a_torn_rename_is_quarantined_not_silently_dropped() {
     let dir = tmpdir("torn");
     let epoch = CacheEpoch::derive(2, "engine/v1");
-    let store = VerdictStore::open(&dir, epoch).unwrap();
+    let mut store = VerdictStore::open(&dir, epoch).unwrap();
     store.put(&key(1), Value::Int(1));
     // the tear truncates the temp file *after* its fsync, so the rename
     // commits half a document — the classic torn-write crash artifact
-    with_plan("tear=persist@1", || {
-        store.persist().unwrap();
-    });
+    store.set_faults(plan("tear=persist@1"));
+    store.persist().unwrap();
 
     let recovered = VerdictStore::open(&dir, epoch).unwrap();
     assert!(recovered.is_empty(), "a torn store must cold-start");
@@ -127,17 +114,16 @@ fn a_torn_rename_is_quarantined_not_silently_dropped() {
 fn a_panic_mid_persist_leaves_the_previous_file_intact() {
     let dir = tmpdir("panic");
     let epoch = CacheEpoch::derive(3, "engine/v1");
-    let store = VerdictStore::open(&dir, epoch).unwrap();
+    let mut store = VerdictStore::open(&dir, epoch).unwrap();
     store.put(&key(1), Value::Int(1));
     store.persist().unwrap();
     let path = dir.join(format!("verdicts-{epoch}.json"));
     let committed = std::fs::read_to_string(&path).unwrap();
 
     store.put(&key(2), Value::Int(2));
-    with_plan("panic=persist@1", || {
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.persist()));
-        assert!(unwound.is_err(), "the injected panic must fire");
-    });
+    store.set_faults(plan("panic=persist@1"));
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.persist()));
+    assert!(unwound.is_err(), "the injected panic must fire");
     // the crash window is between temp-fsync and rename: the committed
     // file is exactly the previous flush
     assert_eq!(std::fs::read_to_string(&path).unwrap(), committed);
@@ -154,14 +140,13 @@ fn a_panic_mid_persist_leaves_the_previous_file_intact() {
 fn eintr_during_the_flush_is_retried_not_fatal() {
     let dir = tmpdir("eintr");
     let epoch = CacheEpoch::derive(4, "engine/v1");
-    let store = VerdictStore::open(&dir, epoch).unwrap();
+    let mut store = VerdictStore::open(&dir, epoch).unwrap();
     for n in 0..64 {
         store.put(&key(n), Value::Int(n as i64));
     }
     // a high EINTR rate: `write_all` must absorb every interruption
-    with_plan("seed=11,eintr=0.4", || {
-        store.persist().unwrap();
-    });
+    store.set_faults(plan("seed=11,eintr=0.4"));
+    store.persist().unwrap();
     let reopened = VerdictStore::open(&dir, epoch).unwrap();
     assert_eq!(reopened.loaded(), 64);
     assert!(reopened.quarantined().is_empty());

@@ -36,6 +36,7 @@ use rela_automata::{
     determinize, enumerate_words, equivalent, image, minimize, Dfa, Fst, Nfa, SymbolTable,
 };
 use rela_cache::{CacheEpoch, CacheKey, VerdictStore, BYTE_VARIANT_SALT};
+use rela_net::faultio::FaultPlan;
 use rela_net::{
     behavior_hash, canonical_graph, content_hash128, decode_graph_span, graph_to_fsa_prepared,
     pair_epoch, record_mix, side_fold, AlignedFec, BehaviorHash, FlowDecoded, FlowSpec,
@@ -573,6 +574,7 @@ pub struct Checker<'a> {
     memo: Option<&'a FstMemo>,
     retention: Option<&'a RetentionSlot>,
     cancel: Option<&'a CancelToken>,
+    faults: Option<&'a FaultPlan>,
 }
 
 impl<'a> Checker<'a> {
@@ -586,6 +588,7 @@ impl<'a> Checker<'a> {
             memo: None,
             retention: None,
             cancel: None,
+            faults: None,
         }
     }
 
@@ -629,6 +632,13 @@ impl<'a> Checker<'a> {
     /// typed error.
     pub(crate) fn with_cancel(mut self, token: &'a CancelToken) -> Checker<'a> {
         self.cancel = Some(token);
+        self
+    }
+
+    /// Consult `plan` at the `decide` lifecycle point (crate-internal:
+    /// the session hands over the plan it was given).
+    pub(crate) fn with_faults(mut self, plan: &'a FaultPlan) -> Checker<'a> {
+        self.faults = Some(plan);
         self
     }
 
@@ -2188,11 +2198,13 @@ impl<'a> Checker<'a> {
         memo: &FstMemo,
         phases: &mut PhaseTimings,
     ) -> FecResult {
-        // deterministic panic injection for the containment tests: with
-        // a `panic=decide[@n]` plan installed, the n-th class decided in
-        // this process panics here — inside a real engine worker, where
-        // an organic bug would
-        rela_net::faultio::at("decide").fire();
+        // deterministic panic injection for the containment tests: under
+        // a `panic=decide[@n]` plan, the n-th class decided by the plan's
+        // holders panics here — inside a real engine worker, where an
+        // organic bug would
+        if let Some(plan) = self.faults {
+            plan.at("decide").fire();
+        }
         let (route_name, lowered) = match route {
             Some(r) => (
                 Some(self.program.routed[r].name.clone()),

@@ -58,6 +58,7 @@ use crate::pipeline::Side;
 use crate::report::CheckReport;
 use crate::RelaError;
 use rela_cache::{CacheEpoch, VerdictStore};
+use rela_net::faultio::FaultPlan;
 use rela_net::{
     FlowDecoded, FlowSpec, Granularity, LocationDb, MmapReader, MmapSource, Snapshot,
     SnapshotDelta, SnapshotEpoch, SnapshotError, SnapshotFramer, SnapshotPair, SnapshotReader,
@@ -526,6 +527,8 @@ pub struct CheckSession {
     /// epochs, newest first (populated only when
     /// [`SessionConfig::retain_bases`] > 0).
     retained: RetentionSlot,
+    /// The fault plan this session's jobs consult; `None` injects nothing.
+    faults: Option<FaultPlan>,
 }
 
 impl CheckSession {
@@ -552,6 +555,7 @@ impl CheckSession {
                 config.retain_bases.max(1),
                 config.retain_bytes,
             )),
+            faults: None,
         })
     }
 
@@ -560,6 +564,15 @@ impl CheckSession {
     /// error — the store simply never hits).
     pub fn attach_store(&mut self, store: VerdictStore) {
         self.store = Some(store);
+    }
+
+    /// Hand the session the fault plan its jobs consult at the engine's
+    /// lifecycle points (`None` stops injecting). The plan is this
+    /// session's alone: another session in the same process never sees
+    /// it. An attached store takes its own via
+    /// [`VerdictStore::set_faults`].
+    pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
+        self.faults = plan;
     }
 
     /// The cache epoch derived from this session's spec and database.
@@ -694,6 +707,9 @@ impl CheckSession {
             if let Some(store) = &self.store {
                 checker = checker.with_cache(store);
             }
+        }
+        if let Some(plan) = &self.faults {
+            checker = checker.with_faults(plan);
         }
         if self.config.retain_bases > 0 {
             // only the pipelined engine captures records, so the set

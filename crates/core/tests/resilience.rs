@@ -1,28 +1,23 @@
 //! Panic isolation and fault-plan containment at the session boundary.
 //!
-//! These tests install the **process-global** fault plan (the same
-//! `RELA_FAULTS` mechanism the daemon uses), so they live in their own
-//! integration binary and serialize on one lock. The property under
-//! test is the tentpole containment contract: a panic injected into the
-//! engine's decide path surfaces as a typed [`JobError::Panicked`] on
-//! *that job only* — the session survives and the next job's report is
-//! byte-identical to an unfaulted run.
+//! Each test hands its own session its own fault plan (the value
+//! `rela serve` builds from `RELA_FAULTS`), so they run in parallel. The
+//! property under test is the containment contract: a panic injected
+//! into the engine's decide path surfaces as a typed
+//! [`JobError::Panicked`] on *that job only* — the session survives, the
+//! next job's report is byte-identical to an unfaulted run, and a
+//! neighbouring session never sees the plan.
 
 use rela_core::{CheckReport, CheckSession, JobError, JobSpec, LabeledSource, SessionConfig};
 use rela_net::faultio::{self, FaultPlan};
 use rela_net::{linear_graph, Device, FlowSpec, Granularity, LocationDb, Snapshot};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Barrier;
 
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_plan(spec: &str, body: impl FnOnce()) {
-    let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faultio::install(FaultPlan::parse(spec).expect("valid fault spec"));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-    faultio::clear();
-    if let Err(payload) = result {
-        std::panic::resume_unwind(payload);
-    }
+/// A session whose jobs consult the plan `spec` describes.
+fn faulted_session(threads: usize, spec: &str) -> CheckSession {
+    let mut s = session(threads);
+    s.set_faults(Some(FaultPlan::parse(spec).expect("valid fault spec")));
+    s
 }
 
 fn db() -> LocationDb {
@@ -85,36 +80,59 @@ fn an_injected_decide_panic_is_contained_and_the_session_survives() {
         verdict_bytes(&run(&clean, &docs).expect("unfaulted run succeeds"))
     };
 
-    let s = session(1);
-    with_plan("panic=decide@1", || {
-        let err = run(&s, &docs).expect_err("the injected panic must fail the job");
-        match &err {
-            JobError::Panicked { payload } => {
-                assert!(payload.contains("injected fault"), "{payload}");
-                assert!(payload.contains("decide"), "{payload}");
-            }
-            other => panic!("expected Panicked, got {other}"),
+    let s = faulted_session(1, "panic=decide@1");
+    let err = run(&s, &docs).expect_err("the injected panic must fail the job");
+    match &err {
+        JobError::Panicked { payload } => {
+            assert!(payload.contains("injected fault"), "{payload}");
+            assert!(payload.contains("decide"), "{payload}");
         }
-        assert!(err.as_snapshot().is_none());
+        other => panic!("expected Panicked, got {other}"),
+    }
+    assert!(err.as_snapshot().is_none());
 
-        // the very same session serves the next job, byte-identically
-        // to a session that never saw the fault
-        let report = run(&s, &docs).expect("the session must survive the panic");
-        assert_eq!(verdict_bytes(&report), baseline);
-        assert_eq!(s.jobs_run(), 2, "both jobs count, including the failed one");
-    });
+    // the very same session serves the next job, byte-identically
+    // to a session that never saw the fault
+    let report = run(&s, &docs).expect("the session must survive the panic");
+    assert_eq!(verdict_bytes(&report), baseline);
+    assert_eq!(s.jobs_run(), 2, "both jobs count, including the failed one");
 }
 
 #[test]
 fn a_panic_on_a_parallel_worker_is_contained_too() {
     let docs = docs();
-    let s = session(2);
-    with_plan("panic=decide@1", || {
-        let err = run(&s, &docs).expect_err("the injected panic must fail the job");
-        assert!(matches!(err, JobError::Panicked { .. }), "{err}");
-        let report = run(&s, &docs).expect("the session must survive a worker panic");
-        assert!(report.is_compliant());
+    let s = faulted_session(2, "panic=decide@1");
+    let err = run(&s, &docs).expect_err("the injected panic must fail the job");
+    assert!(matches!(err, JobError::Panicked { .. }), "{err}");
+    let report = run(&s, &docs).expect("the session must survive a worker panic");
+    assert!(report.is_compliant());
+}
+
+#[test]
+fn a_plan_fires_only_in_the_session_it_was_handed_to() {
+    // two sessions in one process, released together: only the planned
+    // one panics, however the two jobs interleave
+    let docs = docs();
+    let planned = faulted_session(1, "panic=decide@1");
+    let plain = session(1);
+    let start = Barrier::new(2);
+    let (faulted, clean) = std::thread::scope(|scope| {
+        let job = |s| {
+            let (start, docs) = (&start, &docs);
+            scope.spawn(move || {
+                start.wait();
+                run(s, docs)
+            })
+        };
+        let (faulted, clean) = (job(&planned), job(&plain));
+        (faulted.join().unwrap(), clean.join().unwrap())
     });
+    assert!(
+        matches!(faulted, Err(JobError::Panicked { .. })),
+        "the planned session must fail its job"
+    );
+    let report = clean.expect("the neighbouring session never sees the plan");
+    assert!(report.is_compliant());
 }
 
 #[test]

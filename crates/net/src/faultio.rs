@@ -8,8 +8,8 @@
 //! probabilistic decision from one seed (so a failing run replays
 //! byte-identically), and is consulted by thin wrappers
 //! ([`FaultyRead`], [`FaultyWrite`]) and named lifecycle points
-//! ([`at`]) threaded through the production code. With no plan
-//! installed every hook is a no-op.
+//! ([`FaultPlan::at`]) threaded through the production code. A component
+//! that was handed no plan injects nothing.
 //!
 //! # Spec grammar
 //!
@@ -33,17 +33,19 @@
 //! seed=7,pause=persist:400@2
 //! ```
 //!
-//! Plans install process-globally ([`install`] / [`install_from_env`] /
-//! [`clear`]) so a daemon spawned with `RELA_FAULTS` in its
-//! environment injects faults without any test-only plumbing through
-//! its constructors.
+//! A plan is a value: whoever should inject faults is handed one
+//! (`CheckSession::set_faults`, `VerdictStore::set_faults`, or a
+//! [`FaultyRead`]/[`FaultyWrite`] around one stream), so two sessions in
+//! one process never fire each other's faults. `rela serve` parses
+//! `RELA_FAULTS` once at startup ([`FaultPlan::from_env`]) and hands the
+//! plan to its session and store.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Environment variable consulted by [`install_from_env`].
+/// Environment variable consulted by [`FaultPlan::from_env`].
 pub const ENV_VAR: &str = "RELA_FAULTS";
 
 /// splitmix64: tiny, seed-deterministic, and good enough for fault
@@ -114,8 +116,8 @@ struct State {
 
 /// A seed-deterministic fault schedule. Cloning is cheap (an [`Arc`]
 /// handle); clones share one RNG stream and one set of occurrence
-/// counters, so a plan installed globally and consulted from many
-/// threads stays internally consistent.
+/// counters, so a plan handed to a session and its store and consulted
+/// from many threads stays internally consistent.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     shared: Arc<Shared>,
@@ -205,11 +207,15 @@ impl FaultPlan {
         })
     }
 
-    /// True when the plan injects read-path faults, i.e. wrapping a
-    /// reader in [`FaultyRead`] would change anything.
-    pub fn faults_reads(&self) -> bool {
-        let s = &self.shared.spec;
-        s.short_read > 0.0 || s.eintr > 0.0 || s.latency.is_some()
+    /// Parse the plan [`ENV_VAR`] holds: `Ok(None)` when the variable is
+    /// unset or empty, the parse error otherwise (callers decide whether
+    /// a bad spec is fatal — the daemon treats it as a startup error
+    /// rather than silently running un-faulted).
+    pub fn from_env() -> Result<Option<FaultPlan>, FaultSpecError> {
+        match std::env::var(ENV_VAR) {
+            Ok(spec) if !spec.trim().is_empty() => FaultPlan::parse(&spec).map(Some),
+            _ => Ok(None),
+        }
     }
 
     /// Consult the plan at a named lifecycle point. Increments the
@@ -322,7 +328,8 @@ pub struct FaultAction {
 }
 
 impl FaultAction {
-    /// The no-op action (what [`at`] returns with no plan installed).
+    /// The no-op action (what [`FaultPlan::at`] returns for a point the
+    /// plan has no rule for).
     pub const NONE: FaultAction = FaultAction {
         pause: None,
         panic_message: None,
@@ -345,62 +352,6 @@ impl FaultAction {
     /// True when this occurrence should tear (truncate) its write.
     pub fn tear(&self) -> bool {
         self.tear
-    }
-}
-
-/// The process-global plan. A `Mutex<Option<..>>` rather than a
-/// `OnceLock` so tests can install, clear, and re-install.
-static GLOBAL: Mutex<Option<FaultPlan>> = Mutex::new(None);
-
-/// Install `plan` as the process-global fault plan.
-pub fn install(plan: FaultPlan) {
-    *GLOBAL.lock().unwrap_or_else(PoisonError::into_inner) = Some(plan);
-}
-
-/// Remove the process-global fault plan; every hook becomes a no-op.
-pub fn clear() {
-    *GLOBAL.lock().unwrap_or_else(PoisonError::into_inner) = None;
-}
-
-/// The currently installed plan, if any.
-pub fn active() -> Option<FaultPlan> {
-    GLOBAL
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-}
-
-/// Parse [`ENV_VAR`] and install the resulting plan. Returns the plan
-/// when one was installed, `Ok(None)` when the variable is unset or
-/// empty, and the parse error otherwise (callers decide whether a bad
-/// spec is fatal — the daemon treats it as a startup error rather than
-/// silently running un-faulted).
-pub fn install_from_env() -> Result<Option<FaultPlan>, FaultSpecError> {
-    match std::env::var(ENV_VAR) {
-        Ok(spec) if !spec.trim().is_empty() => {
-            let plan = FaultPlan::parse(&spec)?;
-            install(plan.clone());
-            Ok(Some(plan))
-        }
-        _ => Ok(None),
-    }
-}
-
-/// Consult the global plan at a named lifecycle point (no-op action
-/// when no plan is installed).
-pub fn at(point: &str) -> FaultAction {
-    match active() {
-        Some(plan) => plan.at(point),
-        None => FaultAction::NONE,
-    }
-}
-
-/// Wrap a boxed reader in the global plan's read faults, if a plan
-/// with read faults is installed; otherwise return it unchanged.
-pub fn wrap_read(reader: Box<dyn Read + Send>) -> Box<dyn Read + Send> {
-    match active() {
-        Some(plan) if plan.faults_reads() => Box::new(FaultyRead::new(reader, plan)),
-        _ => reader,
     }
 }
 
@@ -586,7 +537,6 @@ mod tests {
     #[test]
     fn an_empty_spec_is_a_valid_no_op_plan() {
         let plan = FaultPlan::parse("seed=3").unwrap();
-        assert!(!plan.faults_reads());
         let data = b"hello".to_vec();
         let got = drain_with_retries(FaultyRead::new(&data[..], plan));
         assert_eq!(got, data);

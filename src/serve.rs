@@ -151,7 +151,7 @@ pub fn serve(config: &ServeConfig, out: &mut dyn std::io::Write) -> Result<i32, 
 
     // fault injection (tests, chaos drills): a malformed plan is a
     // startup error, not something to discover mid-job
-    rela_net::faultio::install_from_env().map_err(|e| CliError {
+    let faults = rela_net::faultio::FaultPlan::from_env().map_err(|e| CliError {
         message: format!("{}: {e}", rela_net::faultio::ENV_VAR),
         code: 2,
     })?;
@@ -188,13 +188,17 @@ pub fn serve(config: &ServeConfig, out: &mut dyn std::io::Write) -> Result<i32, 
         message: format!("{}: {e}", config.spec.display()),
         code: 2,
     })?;
+    session.set_faults(faults.clone());
     if let Some(dir) = &config.cache_dir {
         match rela_cache::VerdictStore::open_with_gc(
             dir,
             session.epoch(),
             &rela_cache::GcPolicy::default(),
         ) {
-            Ok(store) => session.attach_store(store),
+            Ok(mut store) => {
+                store.set_faults(faults);
+                session.attach_store(store);
+            }
             Err(e) => {
                 let _ = writeln!(out, "warning: cache disabled: {}: {e}", dir.display());
             }

@@ -3,7 +3,7 @@
 //! machine-readable `BENCH_check.json` so the perf trajectory of the
 //! checker is observable (and gated) across PRs.
 //!
-//! Nine scenario kinds:
+//! Seven scenario kinds:
 //!
 //! - **dedup** — the fig6/fig7 testbeds at several WAN scales, with
 //!   dedup on *and* off at equal thread count, asserting identical
@@ -14,29 +14,20 @@
 //!   iterations of one change replayed against a persistent verdict
 //!   cache ([`rela_cache::VerdictStore`]), measuring cold→warm speedup
 //!   with cache-free runs cross-checking every replayed verdict.
-//! - **ablation** — minimize-before-equiv: Hopcroft-minimizing each
-//!   determinized equation side before the equivalence check, plain vs.
-//!   minimized at interface granularity over trunked cores (`speedup` =
-//!   plain ÷ minimized wall; > 1 means minimization pays).
 //! - **ingest** — the cold path from snapshot files on disk to a
-//!   verdict, streamed (`SnapshotReader` → `align_streaming` →
-//!   `check_stream`) vs. materialized (`from_json` → `align` → `check`)
-//!   at 12k and 100k+ FECs. Each path runs in a fresh child process so
-//!   peak RSS (`VmHWM`) isolates its true footprint; report identity is
-//!   asserted via a verdict fingerprint, and the scenario's `speedup`
-//!   records the peak-RSS reduction (materialized ÷ streamed).
-//! - **pipelined-ingest** — the pipelined cold path
-//!   (`check_pipelined`: framers → bounded channel → decode pool →
-//!   decide-while-loading) vs. the serial streamed baseline, same
-//!   child-process methodology; `speedup` is the wall ratio
-//!   (serial ÷ pipelined) and `rss_ratio` the memory cost of the
-//!   in-flight spans (pipelined ÷ serial).
+//!   verdict, pipelined (`SnapshotFramer` → `check_pipelined`: framers →
+//!   bounded channel → decode pool → decide-while-loading) vs.
+//!   materialized (`from_json` → `align` → `check`) at 12k and 100k+
+//!   FECs. Each path runs in a fresh child process so peak RSS (`VmHWM`)
+//!   isolates its true footprint; report identity is asserted via a
+//!   verdict fingerprint, and the scenario's `speedup` records the
+//!   peak-RSS reduction (materialized ÷ pipelined).
 //! - **delta-ingest** — the §8.1 loop delta-first: a resident session
 //!   (`retain_bases`) re-checks one iteration submitted as delta
 //!   documents (`rela-sim`'s native emitter) vs. the same pair
-//!   resubmitted in full with every verdict warm; `speedup` is
-//!   full-warm ÷ delta wall, reports byte-identical, decodes bounded
-//!   by the changed-record count.
+//!   resubmitted in full with every verdict warm; reports must be
+//!   byte-identical and decodes at most 2 × the changed-record count
+//!   (what the run asserts); `speedup` is full-warm ÷ delta wall.
 //! - **binary-ingest** — the cold pipelined path fed the
 //!   length-prefixed binary container (`rela snapshot pack` output)
 //!   vs. the same snapshots as JSON; `speedup` is JSON ÷ binary wall
@@ -104,7 +95,7 @@ use rela_core::{
 };
 use rela_net::{
     content_hash128, BinarySnapshotWriter, Granularity, MmapSource, Snapshot, SnapshotFramer,
-    SnapshotPair, SnapshotReader, SnapshotWriter,
+    SnapshotPair, SnapshotWriter,
 };
 use rela_sim::adversarial::{self, ScenarioFamily};
 use rela_sim::workload::{
@@ -497,7 +488,7 @@ fn run_iterative(threads: usize, smoke: bool) -> Value {
     Value::Obj(fields)
 }
 
-// ---- cold-ingest: streamed vs. materialized snapshot loading ----------
+// ---- cold-ingest: pipelined vs. materialized snapshot loading ---------
 
 /// Peak resident set of this process (`VmHWM`), in KiB. Linux-only;
 /// `None` elsewhere (the scenario then records null RSS fields).
@@ -556,18 +547,6 @@ fn ingest_worker(args: &[String]) -> ! {
             };
             let pair = SnapshotPair::align(&load(pre_path), &load(post_path));
             checker.check(&pair)
-        }
-        "stream" => {
-            let open = |path: &str| {
-                SnapshotReader::new(std::fs::File::open(path).expect("snapshot file"))
-                    .with_label(path)
-            };
-            checker
-                .check_stream(SnapshotPair::align_streaming(
-                    open(pre_path),
-                    open(post_path),
-                ))
-                .expect("snapshot streams")
         }
         "pipelined" => {
             let frame = |path: &str| {
@@ -664,13 +643,12 @@ const INGEST_SPEC_ATOMICS: usize = 4;
 
 /// The **ingest** scenario kind: how fast — and in how much memory — a
 /// cold validation gets from snapshot files on disk to a verdict, with
-/// the streamed path (`SnapshotReader` → `align_streaming` →
-/// `check_stream`) measured against the materialized one
-/// (`from_json` → `align` → `check`). Each path runs in a fresh child
-/// process so `VmHWM` isolates its true peak; both must produce a
-/// byte-identical report (asserted via a verdict fingerprint). The
-/// scenario's `speedup` field records the peak-RSS reduction
-/// (materialized ÷ streamed).
+/// the pipelined path (`SnapshotFramer` → `check_pipelined`) measured
+/// against the materialized one (`from_json` → `align` → `check`). Each
+/// path runs in a fresh child process so `VmHWM` isolates its true peak;
+/// both must produce a byte-identical report (asserted via a verdict
+/// fingerprint). The scenario's `speedup` field records the peak-RSS
+/// reduction (materialized ÷ pipelined).
 fn run_ingest(name: &str, params: &WanParams, threads: usize) -> Value {
     eprintln!(
         "[{name}] generating snapshot files ({} regions, {} FECs/pair)...",
@@ -687,35 +665,35 @@ fn run_ingest(name: &str, params: &WanParams, threads: usize) -> Value {
     let post_bytes = write_snapshot_file(&post_path, &wan.topology, &post_cfg, &wan.traffic);
     let gen = t0.elapsed();
     eprintln!(
-        "[{name}] wrote {:.1} MiB in {} (streamed, record-by-record)",
+        "[{name}] wrote {:.1} MiB in {} (record-by-record)",
         (pre_bytes + post_bytes) as f64 / (1024.0 * 1024.0),
         secs(gen),
     );
 
-    let streamed = ingest_child("stream", &pre_path, &post_path, params, threads);
+    let pipelined = ingest_child("pipelined", &pre_path, &post_path, params, threads);
     let materialized = ingest_child("materialized", &pre_path, &post_path, params, threads);
     std::fs::remove_dir_all(&dir).ok();
 
     let f = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
-    let verdicts_match = streamed.get("report_hash") == materialized.get("report_hash")
-        && streamed.get("report_hash").is_some();
+    let verdicts_match = pipelined.get("report_hash") == materialized.get("report_hash")
+        && pipelined.get("report_hash").is_some();
     assert!(
         verdicts_match,
-        "[{name}] streamed and materialized reports diverged — the streaming path is unsound"
+        "[{name}] pipelined and materialized reports diverged — the pipeline is unsound"
     );
-    let rss_stream = f(&streamed, "peak_rss_kb");
+    let rss_piped = f(&pipelined, "peak_rss_kb");
     let rss_mat = f(&materialized, "peak_rss_kb");
-    let reduction = match (rss_mat, rss_stream) {
+    let reduction = match (rss_mat, rss_piped) {
         (Some(m), Some(s)) if s > 0.0 => Some(m / s),
         _ => None,
     };
     eprintln!(
-        "[{name}] {} FECs | stream {} / {} KiB vs materialized {} / {} KiB | peak-RSS reduction {}",
-        streamed.get("fecs").and_then(Value::as_u64).unwrap_or(0),
+        "[{name}] {} FECs | pipelined {} / {} KiB vs materialized {} / {} KiB | peak-RSS reduction {}",
+        pipelined.get("fecs").and_then(Value::as_u64).unwrap_or(0),
         secs(Duration::from_secs_f64(
-            f(&streamed, "wall_s").unwrap_or(0.0)
+            f(&pipelined, "wall_s").unwrap_or(0.0)
         )),
-        rss_stream.map_or_else(|| "?".into(), |v| format!("{v:.0}")),
+        rss_piped.map_or_else(|| "?".into(), |v| format!("{v:.0}")),
         secs(Duration::from_secs_f64(
             f(&materialized, "wall_s").unwrap_or(0.0)
         )),
@@ -755,23 +733,23 @@ fn run_ingest(name: &str, params: &WanParams, threads: usize) -> Value {
         "cache_hit_rate",
         "violations",
     ] {
-        fields.push((key.to_owned(), copy(&streamed, key)));
+        fields.push((key.to_owned(), copy(&pipelined, key)));
     }
-    fields.push(("wall_s".to_owned(), copy(&streamed, "wall_s")));
+    fields.push(("wall_s".to_owned(), copy(&pipelined, "wall_s")));
     fields.push((
         "wall_materialized_s".to_owned(),
         copy(&materialized, "wall_s"),
     ));
     fields.push((
-        "peak_rss_streamed_kb".to_owned(),
-        copy(&streamed, "peak_rss_kb"),
+        "peak_rss_pipelined_kb".to_owned(),
+        copy(&pipelined, "peak_rss_kb"),
     ));
     fields.push((
         "peak_rss_materialized_kb".to_owned(),
         copy(&materialized, "peak_rss_kb"),
     ));
     // kind-agnostic consumers (the gate) read the RSS reduction as the
-    // scenario's "speedup": the quantity streaming exists to improve
+    // scenario's "speedup": what not materializing the pair buys
     fields.push((
         "speedup".to_owned(),
         match reduction {
@@ -780,10 +758,10 @@ fn run_ingest(name: &str, params: &WanParams, threads: usize) -> Value {
         },
     ));
     // same orientation as the other ingest kinds: measured path ÷
-    // baseline (streamed ÷ materialized — the reciprocal of `speedup`)
+    // baseline (pipelined ÷ materialized — the reciprocal of `speedup`)
     fields.push((
         "rss_ratio".to_owned(),
-        match (rss_stream, rss_mat) {
+        match (rss_piped, rss_mat) {
             (Some(s), Some(m)) if m > 0.0 => (s / m).to_value(),
             _ => Value::Null,
         },
@@ -791,163 +769,6 @@ fn run_ingest(name: &str, params: &WanParams, threads: usize) -> Value {
     fields.push(("wall_nodedup_s".to_owned(), Value::Null));
     fields.push(("verdicts_match".to_owned(), Value::Bool(verdicts_match)));
     Value::Obj(fields)
-}
-
-/// The **pipelined-ingest** scenario kind: the pipelined cold path
-/// (framer threads → bounded channel → decode/fingerprint pool →
-/// decide-while-loading) measured against the serial streamed path (the
-/// PR 4 baseline: one reader thread decodes, hashes, and groups, and
-/// deciding starts after the stream ends). Each path runs in a fresh
-/// child process for an isolated `VmHWM`; both must produce a
-/// byte-identical report (asserted via the verdict fingerprint). The
-/// scenario's `speedup` is the wall-time ratio (serial ÷ pipelined) —
-/// the quantity pipelining exists to improve — and `rss_ratio` records
-/// the memory cost of the in-flight spans (pipelined ÷ serial).
-fn run_pipelined_ingest(name: &str, params: &WanParams, threads: usize) -> Value {
-    eprintln!(
-        "[{name}] generating snapshot files ({} regions, {} FECs/pair)...",
-        params.regions, params.fecs_per_pair,
-    );
-    let wan = synthetic_wan(params);
-    let dir = std::env::temp_dir().join(format!("rela-perf-{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let pre_path = dir.join("pre.json");
-    let post_path = dir.join("post.json");
-    let t0 = Instant::now();
-    let pre_bytes = write_snapshot_file(&pre_path, &wan.topology, &wan.config, &wan.traffic);
-    let post_cfg = configured(&wan.config, &wan.topology, &wan.representative_change);
-    let post_bytes = write_snapshot_file(&post_path, &wan.topology, &post_cfg, &wan.traffic);
-    let gen = t0.elapsed();
-
-    let serial = ingest_child("stream", &pre_path, &post_path, params, threads);
-    let pipelined = ingest_child("pipelined", &pre_path, &post_path, params, threads);
-    std::fs::remove_dir_all(&dir).ok();
-
-    let f = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
-    let verdicts_match = pipelined.get("report_hash") == serial.get("report_hash")
-        && pipelined.get("report_hash").is_some();
-    assert!(
-        verdicts_match,
-        "[{name}] pipelined and serial streamed reports diverged — the pipeline is unsound"
-    );
-    let wall_serial = f(&serial, "wall_s").unwrap_or(0.0);
-    let wall_piped = f(&pipelined, "wall_s").unwrap_or(0.0);
-    let speedup = if wall_piped > 0.0 {
-        Some(wall_serial / wall_piped)
-    } else {
-        None
-    };
-    let rss_ratio = match (f(&pipelined, "peak_rss_kb"), f(&serial, "peak_rss_kb")) {
-        (Some(p), Some(s)) if s > 0.0 => Some(p / s),
-        _ => None,
-    };
-    eprintln!(
-        "[{name}] {} FECs | pipelined {} vs serial-stream {} ({}) | RSS ratio {}",
-        pipelined.get("fecs").and_then(Value::as_u64).unwrap_or(0),
-        secs(Duration::from_secs_f64(wall_piped)),
-        secs(Duration::from_secs_f64(wall_serial)),
-        speedup.map_or_else(|| "?".into(), |v| format!("{v:.2}×")),
-        rss_ratio.map_or_else(|| "?".into(), |v| format!("{v:.2}×")),
-    );
-
-    let copy = |v: &Value, key: &str| v.get(key).cloned().unwrap_or(Value::Null);
-    let mut fields = vec![
-        ("name".to_owned(), name.to_value()),
-        ("kind".to_owned(), "pipelined-ingest".to_value()),
-        ("regions".to_owned(), params.regions.to_value()),
-        (
-            "routers_per_group".to_owned(),
-            params.routers_per_group.to_value(),
-        ),
-        (
-            "parallel_links".to_owned(),
-            params.parallel_links.to_value(),
-        ),
-        (
-            "fecs_per_pair".to_owned(),
-            (params.fecs_per_pair as usize).to_value(),
-        ),
-        ("spec_atomics".to_owned(), INGEST_SPEC_ATOMICS.to_value()),
-        ("granularity".to_owned(), "group".to_value()),
-        (
-            "snapshot_bytes".to_owned(),
-            (pre_bytes + post_bytes).to_value(),
-        ),
-        ("gen_s".to_owned(), gen.as_secs_f64().to_value()),
-    ];
-    for key in [
-        "fecs",
-        "classes",
-        "cache_hits",
-        "cache_hit_rate",
-        "violations",
-    ] {
-        fields.push((key.to_owned(), copy(&pipelined, key)));
-    }
-    fields.push(("wall_s".to_owned(), copy(&pipelined, "wall_s")));
-    fields.push(("wall_serial_stream_s".to_owned(), copy(&serial, "wall_s")));
-    fields.push((
-        "peak_rss_pipelined_kb".to_owned(),
-        copy(&pipelined, "peak_rss_kb"),
-    ));
-    fields.push((
-        "peak_rss_serial_kb".to_owned(),
-        copy(&serial, "peak_rss_kb"),
-    ));
-    fields.push((
-        "rss_ratio".to_owned(),
-        match rss_ratio {
-            Some(r) => r.to_value(),
-            None => Value::Null,
-        },
-    ));
-    fields.push((
-        "speedup".to_owned(),
-        match speedup {
-            Some(r) => r.to_value(),
-            None => Value::Null,
-        },
-    ));
-    fields.push(("wall_nodedup_s".to_owned(), Value::Null));
-    fields.push(("verdicts_match".to_owned(), Value::Bool(verdicts_match)));
-    Value::Obj(fields)
-}
-
-/// The pipelined-ingest scales: the dedup-sweep scale point and the
-/// 100k+ headline scale (the acceptance scale for decide-while-loading),
-/// or a tiny scale in smoke mode.
-fn pipelined_scales(smoke: bool) -> Vec<(&'static str, WanParams)> {
-    if smoke {
-        return vec![(
-            "pipelined-ingest-smoke",
-            WanParams {
-                regions: 3,
-                routers_per_group: 1,
-                parallel_links: 1,
-                fecs_per_pair: 32,
-            },
-        )];
-    }
-    vec![
-        (
-            "pipelined-ingest-12k",
-            WanParams {
-                regions: 4,
-                routers_per_group: 2,
-                parallel_links: 2,
-                fecs_per_pair: 1024,
-            },
-        ),
-        (
-            "pipelined-ingest-102k",
-            WanParams {
-                regions: 5,
-                routers_per_group: 2,
-                parallel_links: 2,
-                fecs_per_pair: 5120,
-            },
-        ),
-    ]
 }
 
 /// The **delta-ingest** scenario kind: the §8.1 loop delta-first. A
@@ -959,10 +780,11 @@ fn pipelined_scales(smoke: bool) -> Vec<(&'static str, WanParams)> {
 /// full warm resubmission of the very same pair — the prior baseline,
 /// where every verdict is warm but every byte is still re-framed and
 /// re-hashed. Reports must be byte-identical (verdict fingerprint), the
-/// delta run may decode at most the changed records, and `speedup` is
-/// full-warm wall ÷ delta wall: the work-proportionality claim that
-/// wall time scales with the changed-FEC count, not the snapshot size.
-fn run_delta_ingest(name: &str, params: &WanParams, threads: usize, smoke: bool) -> Value {
+/// delta run may decode at most two graphs per changed record — the
+/// work-proportionality bound, and one the baseline's speed cannot move
+/// (CI's `serve-smoke` asserts the same) — and `speedup` records
+/// full-warm wall ÷ delta wall.
+fn run_delta_ingest(name: &str, params: &WanParams, threads: usize) -> Value {
     eprintln!(
         "[{name}] building delta iterations ({} regions, {} FECs/pair)...",
         params.regions, params.fecs_per_pair,
@@ -1048,12 +870,6 @@ fn run_delta_ingest(name: &str, params: &WanParams, threads: usize, smoke: bool)
         secs(wall_full),
         secs(wall_cold),
     );
-    if !smoke {
-        assert!(
-            speedup >= 5.0,
-            "[{name}] a delta must beat a warm full resubmission by ≥5× (got {speedup:.1}×)"
-        );
-    }
 
     let mut fields = base_fields(
         name,
@@ -1436,104 +1252,6 @@ fn mmap_scales(smoke: bool) -> Vec<(&'static str, WanParams)> {
     )]
 }
 
-/// The **ablation** scenario kind: does Hopcroft-minimizing each
-/// determinized equation side before the equivalence check pay for
-/// itself on the interface-granularity path explosion (ROADMAP:
-/// minimize-before-equiv)? Heavily-trunked cores at interface
-/// granularity are the regime where the sides are largest; `speedup` is
-/// wall-plain ÷ wall-minimized (>1 ⇒ minimization pays). Verdicts are
-/// compared at the verdict level — minimization may legitimately
-/// reorder witness enumeration, never what holds.
-fn run_ablation(threads: usize, smoke: bool) -> Value {
-    let (name, params, spec_atomics) = if smoke {
-        (
-            "ablation-smoke",
-            WanParams {
-                regions: 3,
-                routers_per_group: 1,
-                parallel_links: 2,
-                fecs_per_pair: 2,
-            },
-            1,
-        )
-    } else {
-        (
-            "ablation-minimize",
-            WanParams {
-                regions: 4,
-                routers_per_group: 2,
-                parallel_links: 6,
-                fecs_per_pair: 4,
-            },
-            1,
-        )
-    };
-    let granularity = Granularity::Interface;
-    eprintln!(
-        "[{name}] building testbed ({} regions, {} links, interface granularity)...",
-        params.regions, params.parallel_links,
-    );
-    let tb = build_testbed(&params);
-    let source = spec_of_size(spec_atomics, params.regions);
-    let program = parse_program(&source).expect("spec parses");
-    let compiled =
-        compile_program(&program, &tb.wan.topology.db, granularity).expect("spec compiles");
-
-    let run = |minimize_sides: bool| {
-        let start = Instant::now();
-        let report = Checker::new(&compiled, &tb.wan.topology.db)
-            .with_options(CheckOptions {
-                threads,
-                minimize_sides,
-                ..CheckOptions::default()
-            })
-            .check(&tb.pair);
-        (start.elapsed(), report)
-    };
-    let (wall_plain, plain) = run(false);
-    let (wall_min, minimized) = run(true);
-    // verdict-level agreement (witness order may differ by design)
-    let verdicts_match = plain.total == minimized.total
-        && plain.compliant == minimized.compliant
-        && plain.part_counts == minimized.part_counts
-        && plain
-            .violations
-            .iter()
-            .map(|v| &v.flow)
-            .eq(minimized.violations.iter().map(|v| &v.flow));
-    assert!(
-        verdicts_match,
-        "[{name}] side minimization changed a verdict — minimize() is unsound"
-    );
-    let speedup = wall_plain.as_secs_f64() / wall_min.as_secs_f64().max(f64::EPSILON);
-    eprintln!(
-        "[{name}] {} classes | plain {} vs minimized {} ({speedup:.2}× {} minimization)",
-        plain.stats.classes,
-        secs(wall_plain),
-        secs(wall_min),
-        if speedup >= 1.0 { "for" } else { "against" },
-    );
-
-    let mut fields = base_fields(
-        name,
-        "ablation",
-        &params,
-        spec_atomics,
-        granularity,
-        &minimized,
-    );
-    fields.push(("wall_s".to_owned(), wall_min.as_secs_f64().to_value()));
-    fields.push((
-        "wall_plain_s".to_owned(),
-        wall_plain.as_secs_f64().to_value(),
-    ));
-    fields.push(("wall_nodedup_s".to_owned(), Value::Null));
-    fields.push(("speedup".to_owned(), speedup.to_value()));
-    fields.push(("verdicts_match".to_owned(), Value::Bool(verdicts_match)));
-    fields.push(("rss_ratio".to_owned(), Value::Null));
-    Value::Obj(fields)
-}
-
 /// Re-read the emitted file and assert the invariants CI relies on:
 /// it parses, has scenarios, every scenario decided at least one class,
 /// reports a hit rate, and no measured comparison diverged. `smoke`
@@ -1772,15 +1490,11 @@ fn main() {
         .map(|s| run_scenario(s, threads, smoke))
         .collect();
     results.push(run_iterative(threads, smoke));
-    results.push(run_ablation(threads, smoke));
     for (name, params) in ingest_scales(smoke) {
         results.push(run_ingest(name, &params, threads));
     }
-    for (name, params) in pipelined_scales(smoke) {
-        results.push(run_pipelined_ingest(name, &params, threads));
-    }
     for (name, params) in delta_scales(smoke) {
-        results.push(run_delta_ingest(name, &params, threads, smoke));
+        results.push(run_delta_ingest(name, &params, threads));
     }
     for (name, params) in binary_scales(smoke) {
         results.push(run_binary_ingest(name, &params, threads));

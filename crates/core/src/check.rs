@@ -32,9 +32,7 @@ use crate::report::{
     CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, ViolationDetail,
 };
 use crate::rir::RirSpec;
-use rela_automata::{
-    determinize, enumerate_words, equivalent, image, minimize, Dfa, Fst, Nfa, SymbolTable,
-};
+use rela_automata::{determinize, enumerate_words, equivalent, image, Dfa, Fst, Nfa, SymbolTable};
 use rela_cache::{CacheEpoch, CacheKey, VerdictStore, BYTE_VARIANT_SALT};
 use rela_net::faultio::FaultPlan;
 use rela_net::{
@@ -61,11 +59,14 @@ use std::time::{Duration, Instant};
 // locations (`table_of`), which changes automaton layouts and therefore
 // witness enumeration order — engine.1 renderings must not replay.
 // engine.3: the store-key variant fingerprint widened from 24 to 25
-// option bytes (`minimize_sides`), so entries written by engine.2 could
+// option bytes (a side-minimization ablation), so entries written by engine.2 could
 // never match again — keeping the epoch would leave them as permanent
 // dead weight in the live store file; moving the epoch lets `cache gc`
 // age the old file out instead.
-pub const ENGINE_VERSION: &str = concat!("rela-core/", env!("CARGO_PKG_VERSION"), "/engine.3");
+// engine.4: the variant fingerprint is back to 24 option bytes (the
+// ablation is gone), so engine.3 entries can never match again — same
+// reasoning as engine.3.
+pub const ENGINE_VERSION: &str = concat!("rela-core/", env!("CARGO_PKG_VERSION"), "/engine.4");
 
 /// The persistent-cache epoch for a parsed program bound to a location
 /// database: a content hash of the spec AST *and* the database it
@@ -100,17 +101,6 @@ pub struct CheckOptions {
     /// per class (on by default; `false` re-decides every FEC from
     /// scratch, which is only useful for benchmarking the dedup win).
     pub dedup: bool,
-    /// Hopcroft-minimize each determinized equation side before the
-    /// equivalence check (the minimize-before-equiv ablation; measured
-    /// by the perf harness's `ablation` scenario). Changes witness
-    /// enumeration order, so it participates in the verdict-store
-    /// variant fingerprint and defaults to off.
-    pub minimize_sides: bool,
-    /// Records in flight per decode worker in the pipelined cold path:
-    /// [`Checker::check_pipelined`]'s bounded channel holds
-    /// `pipeline_depth × workers` undecoded spans, which is the
-    /// back-pressure bound on raw-record memory. `0` = default (8).
-    pub pipeline_depth: usize,
 }
 
 impl Default for CheckOptions {
@@ -120,14 +110,9 @@ impl Default for CheckOptions {
             threads: 0,
             list_paths: 4,
             dedup: true,
-            minimize_sides: false,
-            pipeline_depth: 0,
         }
     }
 }
-
-/// Default records in flight per decode worker (`pipeline_depth` 0).
-const DEFAULT_PIPELINE_DEPTH: usize = 8;
 
 /// One behavior class: the pspec route shared by all members, the
 /// member indices into `pair.fecs` (first member is the representative),
@@ -340,15 +325,8 @@ impl PipelineWorkerState {
 }
 
 /// Record-count backstop per batch: tiny records stop accumulating well
-/// under the byte budget, keeping per-batch vectors (and the in-flight
-/// record count behind the channel capacity formula) bounded.
+/// under the byte budget, keeping per-batch vectors bounded.
 const FRAME_BATCH_RECORDS: usize = 64;
-
-/// Average record size the channel-capacity formula assumes when
-/// converting a records-in-flight budget (`depth × workers`) into a
-/// batch count; with [`FRAME_BATCH_BYTES`] this reproduces the sizing
-/// the old 16-records-per-batch scheme used.
-const FRAME_RECORD_HINT: usize = 4 * 1024;
 
 /// A framer thread body: raw record framing only — spans go over the
 /// bounded channel to the decode pool in batches cut at
@@ -472,7 +450,7 @@ fn table_fingerprint(names: &BTreeSet<String>) -> u128 {
 /// Memo key: `(side behavior hash, route, part index, is_post_side,
 /// symbol-table fingerprint)`. The table fingerprint matters because a
 /// DFA's state/symbol layout is a function of the table it was built
-/// against: the batch engines decide every class under one run-global
+/// against: the batch engine decides every class under one run-global
 /// table, while the pipelined engine's eager decides use per-class
 /// tables — sides may only be shared between decides that interned the
 /// same symbol set.
@@ -670,77 +648,16 @@ impl<'a> Checker<'a> {
         self.run_classes(start, &flows, &classes, &reps)
     }
 
-    /// Check a stream of aligned FECs — the cold-path counterpart of
-    /// [`Checker::check`] fed by [`SnapshotPair::align_streaming`].
-    ///
-    /// Records enter the fingerprint pass as they arrive: each FEC is
-    /// hashed and grouped immediately, and only the *first member of
-    /// each behavior class* (plus every flow key, needed for the report)
-    /// is retained. With dedup on, peak memory is therefore
-    /// O(classes) graphs instead of O(FECs) — on WAN-scale snapshots,
-    /// where classes ≪ FECs, this is the bulk of the cold-start
-    /// footprint (with `--no-dedup` every FEC is its own class and the
-    /// saving vanishes). Deciding starts once the stream ends.
-    ///
-    /// The produced [`CheckReport`] is byte-identical to the
-    /// materialized path's on the same records in any order: grouping
-    /// keys are content hashes, representatives are canonicalized before
-    /// deciding, the symbol table is built order-independently (see
-    /// `prepare_table`), and per-FEC results are sorted by flow. The
-    /// first stream error aborts the check and is returned unchanged.
-    pub fn check_stream<E>(
-        &self,
-        fecs: impl IntoIterator<Item = Result<AlignedFec, E>>,
-    ) -> Result<CheckReport, E> {
-        let start = Instant::now();
-        let mut flows: Vec<FlowSpec> = Vec::new();
-        let mut classes: Vec<BehaviorClass> = Vec::new();
-        let mut reps: Vec<AlignedFec> = Vec::new();
-        let mut index: HashMap<(BehaviorHash, BehaviorHash, usize), usize> = HashMap::new();
-        for fec in fecs {
-            let fec = fec?;
-            let ix = flows.len();
-            flows.push(fec.flow.clone());
-            if !self.options.dedup {
-                classes.push(BehaviorClass {
-                    route: self.route_of(&fec),
-                    members: vec![ix],
-                    key: None,
-                    byte_key: None,
-                });
-                reps.push(fec);
-                continue;
-            }
-            let (route, pre, post) = self.fingerprint_of(&fec);
-            match index.entry((pre, post, route.unwrap_or(usize::MAX))) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    classes[*e.get()].members.push(ix);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(classes.len());
-                    classes.push(BehaviorClass {
-                        route,
-                        members: vec![ix],
-                        key: Some((pre, post)),
-                        byte_key: None,
-                    });
-                    reps.push(fec);
-                }
-            }
-        }
-        Ok(self.run_classes(start, &flows, &classes, &reps))
-    }
-
     /// Check two snapshot streams through the fully pipelined cold path.
     ///
-    /// Where [`Checker::check_stream`] decodes, fingerprints, and groups
-    /// every record on the calling thread and only starts deciding after
-    /// the stream ends, this method overlaps all three stages:
+    /// Where [`Checker::check`] needs the whole pair decoded and aligned
+    /// before it fingerprints a single FEC, this method overlaps framing,
+    /// decoding, and deciding:
     ///
     /// 1. **Framers** (one thread per snapshot) extract undecoded record
     ///    spans ([`rela_net::SnapshotFramer`]) and push them over a
     ///    bounded channel — back-pressure caps raw-record memory at
-    ///    `pipeline_depth × workers` spans.
+    ///    `max(2, ⌈workers / 2⌉)` batches of ~64 KiB.
     /// 2. **Decode workers** parse each span, compute its side's
     ///    [`BehaviorHash`], and hash-join it with its partner on the
     ///    flow key (sharded join map; only unmatched records spill).
@@ -753,13 +670,15 @@ impl<'a> Checker<'a> {
     ///    per-class symbol table. Compliant verdicts carry no rendered
     ///    paths, so they are final; violating ones are re-decided by the
     ///    finisher under the run's definitive sorted table so witness
-    ///    bytes match the batch engines exactly.
+    ///    bytes match the batch engine exactly.
     ///
-    /// The produced report is byte-identical to [`Checker::check`] and
-    /// [`Checker::check_stream`] on the same records at any pipeline
-    /// depth and thread count. The first stream error aborts the
-    /// pipeline (framers stop, workers drain) and is returned with the
-    /// serial reader's offset/entry-index contract; when several errors
+    /// The produced report is byte-identical to [`Checker::check`] on the
+    /// same records at any thread count — `check` shares none of this
+    /// method's shortcuts (no byte-level admission, no eager decides, no
+    /// per-class tables), which is what makes it the reference the
+    /// identity suites compare against. The first stream error aborts
+    /// the pipeline (framers stop, workers drain) and is returned with
+    /// [`rela_net::SnapshotReader`]'s offset/entry-index contract; when several errors
     /// are discovered concurrently, the lowest entry index wins, `pre`
     /// before `post`.
     pub fn check_pipelined<A, B>(
@@ -808,10 +727,6 @@ impl<'a> Checker<'a> {
         let start = Instant::now();
         let threads = self.resolve_threads();
         let workers = threads.max(1);
-        let depth = match self.options.pipeline_depth {
-            0 => DEFAULT_PIPELINE_DEPTH,
-            depth => depth,
-        };
         let default_lowered = LoweredCheck::new(&self.program.default_check);
         let routed_lowered: Vec<LoweredCheck<'_>> = self
             .program
@@ -820,16 +735,9 @@ impl<'a> Checker<'a> {
             .map(|r| LoweredCheck::new(&r.check))
             .collect();
 
-        // capacity counts batches: a records-in-flight budget of
-        // depth × workers, converted through the average-record hint
-        // into byte-cut batches
-        let channel: Channel<PipeBatch> = Channel::new(
-            depth
-                .saturating_mul(workers)
-                .saturating_mul(FRAME_RECORD_HINT)
-                .div_ceil(FRAME_BATCH_BYTES)
-                .max(2),
-        );
+        // capacity counts byte-cut batches: half a batch in flight per
+        // worker, and never fewer than one per framer
+        let channel: Channel<PipeBatch> = Channel::new(workers.div_ceil(2).max(2));
         let shards = workers.next_power_of_two().max(8);
         let join = JoinMap::new(shards);
         let registry = ClassRegistry::new(shards, self.options.dedup);
@@ -898,9 +806,9 @@ impl<'a> Checker<'a> {
 
         // Both streams ended cleanly: drain flows seen on one side only
         // (the missing side is the canonical empty-graph span, so it
-        // byte-hashes and fingerprints exactly as the serial pass
+        // byte-hashes and fingerprints exactly as `align`'s empty graph
         // would). Sorted by entry index so a decode error surfaces for
-        // the record the serial reader would hit first.
+        // the record a sequential reader would hit first.
         let mut drain_state = PipelineWorkerState::new();
         let empty_span = GraphSpan::whole(
             serde_json::to_string(&ForwardingGraph::default().to_value())
@@ -1006,7 +914,7 @@ impl<'a> Checker<'a> {
         redo.sort_unstable();
 
         // Final decides under the run's definitive sorted table — the
-        // same table every batch engine would build, which is what makes
+        // same table the batch engine would build, which is what makes
         // witness bytes identical across engines. Byte-warm classes
         // replay with placeholder reps, so the symbol names their
         // payloads recorded are folded back in here.
@@ -1341,7 +1249,7 @@ impl<'a> Checker<'a> {
             Joined::Pending => Ok(()),
             Joined::Duplicate(second) => {
                 // `second` is the occurrence with the larger entry index
-                // — what the serial reader names, whichever record a
+                // — what `SnapshotReader` names, whichever record a
                 // worker happened to decode first
                 let label = labels[match side {
                     Side::Pre => 0,
@@ -1521,8 +1429,8 @@ impl<'a> Checker<'a> {
         Ok(class)
     }
 
-    /// Decode one side's graph span, attributing failures exactly as the
-    /// serial reader would for the same record.
+    /// Decode one side's graph span, attributing failures exactly as
+    /// [`rela_net::SnapshotReader`] would for the same record.
     fn decode_side(
         &self,
         side: Side,
@@ -1538,8 +1446,8 @@ impl<'a> Checker<'a> {
             }]
             .as_deref();
             // if the span came out of an intact record, re-run the
-            // serial decoder over the reassembled record so the error
-            // text matches the serial contract byte for byte
+            // record decoder over the reassembled record so the error
+            // text matches the reader's contract byte for byte
             if let Some(raw) = joined
                 .span
                 .reconstruct_record(joined.provenance.offset, joined.provenance.index)
@@ -1608,24 +1516,18 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// The decide-and-broadcast engine shared by [`Checker::check`] and
-    /// [`Checker::check_stream`]: given the per-FEC flow keys, the
-    /// behavior classes, and one representative FEC per class
-    /// (`reps[i]` represents `classes[i]`; borrowed from the pair in the
-    /// materialized path, owned in the streaming path), consult the
-    /// persistent store, decide the cold classes over a work-stealing
-    /// queue, and broadcast verdicts to every member.
-    fn run_classes<F, R>(
+    /// The batch decide-and-broadcast engine behind [`Checker::check`]:
+    /// given the per-FEC flow keys, the behavior classes, and one
+    /// representative FEC per class (`reps[i]` represents `classes[i]`),
+    /// consult the persistent store, decide the cold classes over a
+    /// work-stealing queue, and broadcast verdicts to every member.
+    fn run_classes(
         &self,
         start: Instant,
-        flows: &[F],
+        flows: &[&FlowSpec],
         classes: &[BehaviorClass],
-        reps: &[R],
-    ) -> CheckReport
-    where
-        F: Borrow<FlowSpec> + Sync,
-        R: Borrow<AlignedFec> + Sync,
-    {
+        reps: &[&AlignedFec],
+    ) -> CheckReport {
         debug_assert_eq!(classes.len(), reps.len());
         let names = self.collect_symbols(reps);
         let table_fp = table_fingerprint(&names);
@@ -1688,7 +1590,7 @@ impl<'a> Checker<'a> {
                 .load(Ordering::Relaxed)
                 .saturating_sub(memo_hits_before),
             phases,
-            // the batch paths materialize every record during ingest, so
+            // the batch path materializes every record during ingest, so
             // every record costs one graph decode
             flows.len() * 2,
         )
@@ -1700,15 +1602,12 @@ impl<'a> Checker<'a> {
     /// run, and a serial pass leaves every core but one idle (ROADMAP:
     /// parallel warm-replay lookup). Contiguous chunks keep the
     /// warm/cold lists in class order, identical to a serial consult.
-    fn consult_store<F>(
+    fn consult_store(
         &self,
-        flows: &[F],
+        flows: &[&FlowSpec],
         classes: &[BehaviorClass],
         threads: usize,
-    ) -> (Vec<(usize, FecResult)>, Vec<usize>)
-    where
-        F: Borrow<FlowSpec> + Sync,
-    {
+    ) -> (Vec<(usize, FecResult)>, Vec<usize>) {
         if self.cache.is_none() {
             return (Vec::new(), (0..classes.len()).collect());
         }
@@ -1722,10 +1621,7 @@ impl<'a> Checker<'a> {
                 .zip(self.store_key(class))
                 .and_then(|(cache, key)| {
                     cache.get(&key).and_then(|payload| {
-                        FecResult::from_cache_value(
-                            &payload,
-                            flows[class.members[0]].borrow().clone(),
-                        )
+                        FecResult::from_cache_value(&payload, flows[class.members[0]].clone())
                     })
                 })
         };
@@ -2032,13 +1928,10 @@ impl<'a> Checker<'a> {
     /// The option fingerprint folded into every store key; see
     /// [`Checker::store_key`].
     fn store_variant(&self) -> u64 {
-        let mut opts = [0u8; 25];
+        let mut opts = [0u8; 24];
         opts[..8].copy_from_slice(&(self.options.witness.max_paths as u64).to_le_bytes());
         opts[8..16].copy_from_slice(&(self.options.witness.max_len as u64).to_le_bytes());
         opts[16..24].copy_from_slice(&(self.options.list_paths as u64).to_le_bytes());
-        // side minimization changes witness enumeration order, i.e. the
-        // payload bytes — never share entries across the ablation
-        opts[24] = u8::from(self.options.minimize_sides);
         content_hash128(&opts) as u64
     }
 
@@ -2130,9 +2023,8 @@ impl<'a> Checker<'a> {
     /// automaton layouts, witness enumeration order, and report bytes —
     /// a function of the graphs' content only, independent of FEC
     /// arrival order, dedup mode, and thread count. That invariant is
-    /// what lets [`Checker::check_stream`] and
-    /// [`Checker::check_pipelined`] promise byte-identical reports to
-    /// [`Checker::check`]. Interning only class representatives is sound
+    /// what lets [`Checker::check_pipelined`] promise byte-identical
+    /// reports to [`Checker::check`]. Interning only class representatives is sound
     /// and sufficient: members of a class share the representative's
     /// granularity-level location set (the fingerprint hashes those very
     /// labels), so the pre-pass is O(classes), not O(FECs).
@@ -2306,14 +2198,9 @@ impl<'a> Checker<'a> {
         memo: &FstMemo,
         phases: &mut PhaseTimings,
     ) -> Vec<PartViolation> {
-        // the ablation knob: optionally Hopcroft-minimize each side
-        // before the equivalence check (cost counted as determinization)
         let det_side = |nfa: &Nfa, phases: &mut PhaseTimings| {
             let t0 = Instant::now();
-            let mut dfa = determinize(nfa);
-            if self.options.minimize_sides {
-                dfa = minimize(&dfa);
-            }
+            let dfa = determinize(nfa);
             phases.determinize += t0.elapsed();
             dfa
         };
@@ -2973,71 +2860,6 @@ mod tests {
             .join("\n")
     }
 
-    #[test]
-    fn check_stream_is_byte_identical_to_check_in_any_arrival_order() {
-        let db = db();
-        let pair = duplicated_pair(16);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let checker = Checker::new(&compiled, &db);
-        let materialized = checker.check(&pair);
-
-        // forward arrival order
-        let streamed = checker
-            .check_stream(pair.fecs.iter().cloned().map(Ok::<_, ()>))
-            .unwrap();
-        // reversed arrival order (a different representative per class)
-        let reversed = checker
-            .check_stream(pair.fecs.iter().rev().cloned().map(Ok::<_, ()>))
-            .unwrap();
-        for report in [&streamed, &reversed] {
-            assert_eq!(report.total, materialized.total);
-            assert_eq!(report.compliant, materialized.compliant);
-            assert_eq!(report.part_counts, materialized.part_counts);
-            assert_eq!(report.violations, materialized.violations);
-            assert_eq!(report.stats.classes, materialized.stats.classes);
-            assert_eq!(report.stats.dedup_hits, materialized.stats.dedup_hits);
-            assert_eq!(verdict_bytes(report), verdict_bytes(&materialized));
-        }
-    }
-
-    #[test]
-    fn check_stream_without_dedup_agrees_too() {
-        let db = db();
-        let pair = duplicated_pair(8);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let options = CheckOptions {
-            dedup: false,
-            ..CheckOptions::default()
-        };
-        let checker = Checker::new(&compiled, &db).with_options(options);
-        let materialized = checker.check(&pair);
-        let streamed = checker
-            .check_stream(pair.fecs.iter().rev().cloned().map(Ok::<_, ()>))
-            .unwrap();
-        assert_eq!(streamed.stats.classes, 8, "no-dedup: one class per FEC");
-        assert_eq!(verdict_bytes(&streamed), verdict_bytes(&materialized));
-    }
-
-    #[test]
-    fn check_stream_replays_warm_from_the_persistent_store() {
-        let db = db();
-        let pair = duplicated_pair(10);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let store = VerdictStore::in_memory(cache_epoch(&program, &db));
-        // cold through the materialized path...
-        let cold = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
-        // ...warm through the streaming path: the engines share the store
-        let warm = Checker::new(&compiled, &db)
-            .with_cache(&store)
-            .check_stream(pair.fecs.iter().cloned().map(Ok::<_, ()>))
-            .unwrap();
-        assert_eq!(warm.stats.warm_hits, warm.stats.classes);
-        assert_eq!(verdict_bytes(&warm), verdict_bytes(&cold));
-    }
-
     /// The two snapshots behind [`duplicated_pair`], unaligned.
     fn duplicated_snapshots(flows: usize) -> (Snapshot, Snapshot) {
         let mut pre = Snapshot::new();
@@ -3067,7 +2889,7 @@ mod tests {
     }
 
     #[test]
-    fn check_pipelined_is_byte_identical_across_depths_and_threads() {
+    fn check_pipelined_is_byte_identical_across_threads() {
         let db = db();
         let (pre, post) = duplicated_snapshots(16);
         let pair = SnapshotPair::align(&pre, &post);
@@ -3076,22 +2898,19 @@ mod tests {
         let materialized = Checker::new(&compiled, &db).check(&pair);
         assert!(!materialized.is_compliant(), "the testbed must violate");
 
-        for depth in [1usize, 2, 8] {
-            for threads in [1usize, 2, 4] {
-                let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
-                    threads,
-                    pipeline_depth: depth,
-                    ..CheckOptions::default()
-                });
-                let report = pipelined(&checker, &pre, &post);
-                assert_eq!(report.stats.classes, materialized.stats.classes);
-                assert_eq!(report.stats.fecs, materialized.stats.fecs);
-                assert_eq!(
-                    verdict_bytes(&report),
-                    verdict_bytes(&materialized),
-                    "depth {depth} threads {threads}"
-                );
-            }
+        for threads in [1usize, 2, 4] {
+            let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
+                threads,
+                ..CheckOptions::default()
+            });
+            let report = pipelined(&checker, &pre, &post);
+            assert_eq!(report.stats.classes, materialized.stats.classes);
+            assert_eq!(report.stats.fecs, materialized.stats.fecs);
+            assert_eq!(
+                verdict_bytes(&report),
+                verdict_bytes(&materialized),
+                "threads {threads}"
+            );
         }
     }
 
@@ -3148,7 +2967,7 @@ mod tests {
         assert_eq!(warm.stats.warm_hits, warm.stats.classes);
         assert_eq!(warm.stats.graph_decodes, 0);
         assert_eq!(verdict_bytes(&warm), verdict_bytes(&cold));
-        // the batch engines replay the very same store entries
+        // the batch engine replays the very same store entries
         let batch_warm = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
         assert_eq!(batch_warm.stats.warm_hits, batch_warm.stats.classes);
         assert_eq!(verdict_bytes(&batch_warm), verdict_bytes(&cold));
@@ -3170,12 +2989,15 @@ mod tests {
             threads: 4,
             ..CheckOptions::default()
         });
-        let serial_err = checker
-            .check_stream(SnapshotPair::align_streaming(
-                SnapshotReader::new(pre_json.as_bytes()).with_label("pre.json"),
-                SnapshotReader::new(cut.as_bytes()).with_label("post.json"),
-            ))
-            .unwrap_err();
+        // the oracle is the decoder the materialized path runs over the
+        // one corrupt side
+        let reader_err = |doc: &str, label: &str| {
+            SnapshotReader::new(doc.as_bytes())
+                .with_label(label)
+                .collect::<Result<Snapshot, _>>()
+                .unwrap_err()
+        };
+        let serial_err = reader_err(cut, "post.json");
         let piped_err = checker
             .check_pipelined(
                 SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
@@ -3190,12 +3012,7 @@ mod tests {
         // record-level decode failures carry the same contract
         let bad = r#"{"fecs": [{"graph": {"vertices": [], "edges": [],
                       "sources": [], "sinks": [], "drops": []}}]}"#;
-        let serial_err = checker
-            .check_stream(SnapshotPair::align_streaming(
-                SnapshotReader::new(bad.as_bytes()).with_label("pre.json"),
-                SnapshotReader::new(post_json.as_bytes()).with_label("post.json"),
-            ))
-            .unwrap_err();
+        let serial_err = reader_err(bad, "pre.json");
         let piped_err = checker
             .check_pipelined(
                 SnapshotFramer::new(bad.as_bytes(), "pre.json"),
@@ -3231,7 +3048,7 @@ mod tests {
 
         // duplicates more than one frame batch apart: whichever
         // occurrence a worker decodes first, the error must name the
-        // *second* occurrence (entry 20), like the serial reader
+        // *second* occurrence (entry 20), like `SnapshotReader`
         let mut writer = SnapshotWriter::new(Vec::new()).unwrap();
         for i in 0..20 {
             writer
@@ -3249,7 +3066,6 @@ mod tests {
                 let err = Checker::new(&compiled, &db)
                     .with_options(CheckOptions {
                         threads,
-                        pipeline_depth: 1,
                         ..CheckOptions::default()
                     })
                     .check_pipelined(
@@ -3278,68 +3094,6 @@ mod tests {
             .unwrap();
         assert!(report.is_compliant());
         assert_eq!(report.total, 0);
-    }
-
-    #[test]
-    fn minimize_sides_ablation_preserves_verdicts() {
-        let pair = duplicated_pair(12);
-        let plain = check_with(CheckOptions::default(), &pair);
-        let minimized = check_with(
-            CheckOptions {
-                minimize_sides: true,
-                ..CheckOptions::default()
-            },
-            &pair,
-        );
-        // verdict-level agreement: minimization may reorder witness
-        // enumeration, but never changes what holds
-        assert_eq!(minimized.total, plain.total);
-        assert_eq!(minimized.compliant, plain.compliant);
-        assert_eq!(minimized.part_counts, plain.part_counts);
-        let flows = |r: &CheckReport| {
-            r.violations
-                .iter()
-                .map(|v| v.flow.clone())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(flows(&minimized), flows(&plain));
-    }
-
-    #[test]
-    fn minimize_sides_never_shares_store_entries_with_plain_runs() {
-        let db = db();
-        let pair = duplicated_pair(8);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let store = VerdictStore::in_memory(cache_epoch(&program, &db));
-        let plain = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
-        assert_eq!(plain.stats.warm_hits, 0);
-        let ablated = Checker::new(&compiled, &db)
-            .with_options(CheckOptions {
-                minimize_sides: true,
-                ..CheckOptions::default()
-            })
-            .with_cache(&store)
-            .check(&pair);
-        assert_eq!(ablated.stats.warm_hits, 0, "option changes ⇒ full miss");
-    }
-
-    #[test]
-    fn check_stream_aborts_on_the_first_stream_error() {
-        let db = db();
-        let pair = duplicated_pair(4);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let stream = pair
-            .fecs
-            .iter()
-            .cloned()
-            .map(Ok)
-            .chain(std::iter::once(Err("post.json: truncated")));
-        let err = Checker::new(&compiled, &db)
-            .check_stream(stream)
-            .unwrap_err();
-        assert_eq!(err, "post.json: truncated");
     }
 }
 

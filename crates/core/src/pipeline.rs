@@ -21,8 +21,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Which snapshot stream a record came from. `Pre` orders before `Post`
-/// when ranking simultaneous errors, mirroring the serial join's
-/// pull-pre-first alternation.
+/// when ranking simultaneous errors, as the materialized path reads the
+/// pre side first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Side {
     /// The pre-change snapshot.
@@ -174,10 +174,9 @@ impl<T> Drop for PoisonOnPanic<'_, T> {
 
 /// Collects stream errors from framers and decode workers and exposes
 /// the abort flag. When several errors are discovered concurrently, the
-/// one the serial reader would have hit first wins: lowest entry index,
-/// `pre` before `post` at the same index (the serial hash-join pulls
-/// sides alternately, pre first), lowest byte offset as the final tie
-/// break. Errors outside any entry (header/trailer) rank last.
+/// one a sequential reader would have hit first wins: lowest entry
+/// index, `pre` before `post` at the same index, lowest byte offset as
+/// the final tie break. Errors outside any entry (header/trailer) rank last.
 pub(crate) struct ErrorSink {
     errors: Mutex<Vec<(usize, Side, SnapshotError)>>,
     abort: AtomicBool,
@@ -544,7 +543,7 @@ struct RegistryShard {
 /// `(pre, post, route)` fingerprint, keeping only the first member's
 /// graphs. Sharded by key hash so workers admitting different classes
 /// rarely contend. With dedup off every FEC founds its own class (the
-/// index map is bypassed), mirroring the serial engine.
+/// index map is bypassed), mirroring the batch engine.
 ///
 /// A second sharded index maps **raw-span content hashes** to classes
 /// ([`ClassRegistry::admit_by_bytes`]): byte-identical records are
@@ -769,7 +768,7 @@ mod tests {
     }
 
     #[test]
-    fn error_sink_ranks_like_the_serial_join() {
+    fn error_sink_ranks_like_a_sequential_reader() {
         let sink = ErrorSink::new();
         let at = |entry: Option<usize>| {
             let e = SnapshotError::at("boom", 7);

@@ -1,11 +1,10 @@
 //! The unified check-job API: one resident [`CheckSession`] running any
 //! number of [`JobSpec`]s.
 //!
-//! Historically the crate grew three sibling entry points —
-//! [`Checker::check`], [`Checker::check_stream`],
-//! [`Checker::check_pipelined`] — plus the CLI-only `run_check`
-//! convenience, each re-deriving the same warm state (parsed spec,
-//! compiled program, verdict store, FST memo) per call. The paper's
+//! Historically the crate grew sibling entry points —
+//! [`Checker::check`], [`Checker::check_pipelined`] — plus the CLI-only
+//! `run_check` convenience, each re-deriving the same warm state (parsed
+//! spec, compiled program, verdict store, FST memo) per call. The paper's
 //! §8.1 workflow is iterative: an operator re-submits near-identical
 //! jobs against one spec, so that warm state is exactly what should
 //! persist between checks. This module splits the API along that line:
@@ -19,7 +18,7 @@
 //!
 //! One-shot CLI mode is the degenerate case — open a session, run one
 //! job, exit — and `rela serve` is the same session kept resident
-//! behind a socket. Reports are byte-identical across all ingest modes
+//! behind a socket. Reports are byte-identical across both ingest modes
 //! and between a fresh and a warm session (the memo and store change
 //! wall time and the stats line, never verdict bytes).
 //!
@@ -109,29 +108,16 @@ impl Default for SessionConfig {
 
 /// How a job's snapshot streams are ingested. Irrelevant for
 /// [`JobInput::Pair`], which is already in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestMode {
     /// The fully pipelined cold path ([`Checker::check_pipelined`]):
-    /// framing, decoding, fingerprinting, and deciding overlap. `depth`
-    /// is records in flight per decode worker; `0` = engine default.
-    /// This is the default mode.
-    Pipelined {
-        /// Records in flight per decode worker (`0` = engine default).
-        depth: usize,
-    },
-    /// Single-threaded streaming ingest ([`Checker::check_stream`]):
-    /// O(classes) graph residency, deciding starts after the streams
-    /// end.
-    Serial,
+    /// framing, decoding, fingerprinting, and deciding overlap.
+    #[default]
+    Pipelined,
     /// Materialize both snapshots in memory, then align and check
-    /// ([`Checker::check`]).
+    /// ([`Checker::check`]) — the reference engine the identity suites
+    /// and `relabench`'s golden report compare the pipelined one against.
     Materialized,
-}
-
-impl Default for IngestMode {
-    fn default() -> IngestMode {
-        IngestMode::Pipelined { depth: 0 }
-    }
 }
 
 /// Per-job knobs: everything about a check that is legitimate to vary
@@ -148,9 +134,6 @@ pub struct JobOptions {
     /// Group FECs into behavior classes and decide one representative
     /// per class.
     pub dedup: bool,
-    /// Hopcroft-minimize each determinized equation side before the
-    /// equivalence check (ablation knob).
-    pub minimize_sides: bool,
     /// Stream ingest mode (ignored for in-memory pairs).
     pub ingest: IngestMode,
     /// Consult (and write back to) the session's verdict store, when
@@ -175,7 +158,6 @@ impl Default for JobOptions {
             witness: defaults.witness,
             list_paths: defaults.list_paths,
             dedup: defaults.dedup,
-            minimize_sides: defaults.minimize_sides,
             ingest: IngestMode::default(),
             use_cache: true,
             delta_base: None,
@@ -186,19 +168,16 @@ impl Default for JobOptions {
 
 impl Serialize for JobOptions {
     fn to_value(&self) -> Value {
-        let (mode, depth) = match self.ingest {
-            IngestMode::Pipelined { depth } => ("pipelined", depth),
-            IngestMode::Serial => ("serial", 0),
-            IngestMode::Materialized => ("materialized", 0),
+        let mode = match self.ingest {
+            IngestMode::Pipelined => "pipelined",
+            IngestMode::Materialized => "materialized",
         };
         Value::obj(vec![
             ("max_paths", self.witness.max_paths.to_value()),
             ("max_len", self.witness.max_len.to_value()),
             ("list_paths", self.list_paths.to_value()),
             ("dedup", self.dedup.to_value()),
-            ("minimize_sides", self.minimize_sides.to_value()),
             ("ingest", Value::Str(mode.to_owned())),
-            ("pipeline_depth", depth.to_value()),
             ("use_cache", self.use_cache.to_value()),
             (
                 "delta_base",
@@ -220,14 +199,14 @@ impl Serialize for JobOptions {
 
 impl Deserialize for JobOptions {
     fn from_value(value: &Value) -> Result<JobOptions, serde::Error> {
-        let depth: usize = serde::field(value, "pipeline_depth")?;
+        // keys this struct no longer has (older clients still send the
+        // retired ingest tuning keys) are ignored; a retired *mode* is not
         let ingest = match serde::field::<String>(value, "ingest")?.as_str() {
-            "pipelined" => IngestMode::Pipelined { depth },
-            "serial" => IngestMode::Serial,
+            "pipelined" => IngestMode::Pipelined,
             "materialized" => IngestMode::Materialized,
             other => {
                 return Err(serde::Error::custom(format!(
-                    "unknown ingest mode `{other}`"
+                    "unknown ingest mode `{other}` (expected `pipelined` or `materialized`)"
                 )))
             }
         };
@@ -238,7 +217,6 @@ impl Deserialize for JobOptions {
             },
             list_paths: serde::field(value, "list_paths")?,
             dedup: serde::field(value, "dedup")?,
-            minimize_sides: serde::field(value, "minimize_sides")?,
             ingest,
             use_cache: serde::field(value, "use_cache")?,
             // absent (pre-delta clients) and null both mean "no base"
@@ -324,8 +302,7 @@ impl<'a> LabeledSource<'a> {
     }
 
     /// Turn the source into a plain byte stream plus its label, for the
-    /// modes that parse rather than frame (serial, materialized,
-    /// deltas). Mapped sources are read through [`MmapReader`].
+    /// inputs that parse rather than frame (materialized, deltas). Mapped sources are read through [`MmapReader`].
     fn into_stream(self) -> (Box<dyn Read + Send + 'a>, String) {
         match self.source {
             SourceKind::Stream(reader) => (reader, self.label),
@@ -693,11 +670,6 @@ impl CheckSession {
             threads: self.config.threads,
             list_paths: job.options.list_paths,
             dedup: job.options.dedup,
-            minimize_sides: job.options.minimize_sides,
-            pipeline_depth: match job.options.ingest {
-                IngestMode::Pipelined { depth } => depth,
-                _ => 0,
-            },
         };
         let mut checker = Checker::new(&self.program, &self.db)
             .with_options(options)
@@ -722,16 +694,8 @@ impl CheckSession {
                 self.run_delta(&checker, pre, post, job.options.delta_base)
             }
             JobInput::Streams { pre, post } => match job.options.ingest {
-                IngestMode::Pipelined { .. } => {
+                IngestMode::Pipelined => {
                     checker.check_pipelined(pre.into_framer(), post.into_framer())
-                }
-                IngestMode::Serial => {
-                    let (pre, pre_label) = pre.into_stream();
-                    let (post, post_label) = post.into_stream();
-                    checker.check_stream(SnapshotPair::align_streaming(
-                        SnapshotReader::new(pre).with_label(pre_label),
-                        SnapshotReader::new(post).with_label(post_label),
-                    ))
                 }
                 IngestMode::Materialized => {
                     let collect = |source: LabeledSource<'_>| -> Result<Snapshot, SnapshotError> {
@@ -979,7 +943,7 @@ mod tests {
     }
 
     #[test]
-    fn all_ingest_modes_agree_with_the_pair_path() {
+    fn both_ingest_modes_agree_with_the_pair_path() {
         let s = session();
         let pair = pair();
         let json = {
@@ -992,11 +956,7 @@ mod tests {
             (pre.to_json().unwrap(), post.to_json().unwrap())
         };
         let baseline = s.run(JobSpec::pair(&pair)).unwrap();
-        for ingest in [
-            IngestMode::Pipelined { depth: 0 },
-            IngestMode::Serial,
-            IngestMode::Materialized,
-        ] {
+        for ingest in [IngestMode::Pipelined, IngestMode::Materialized] {
             let job = JobSpec::streams(
                 LabeledSource::new(json.0.as_bytes(), "pre.json"),
                 LabeledSource::new(json.1.as_bytes(), "post.json"),
@@ -1012,7 +972,7 @@ mod tests {
                 "{ingest:?} diverged"
             );
         }
-        assert_eq!(s.jobs_run(), 4);
+        assert_eq!(s.jobs_run(), 3);
     }
 
     #[test]
@@ -1051,8 +1011,7 @@ mod tests {
             },
             list_paths: 2,
             dedup: false,
-            minimize_sides: true,
-            ingest: IngestMode::Pipelined { depth: 5 },
+            ingest: IngestMode::Materialized,
             use_cache: false,
             delta_base: Some(0xdead_beef),
             deadline_ms: Some(1234),
@@ -1060,14 +1019,51 @@ mod tests {
         let json = serde_json::to_string(&opts.to_value()).unwrap();
         let back = JobOptions::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
         assert_eq!(back, opts);
-        for ingest in [IngestMode::Serial, IngestMode::Materialized] {
-            let opts = JobOptions {
-                ingest,
-                ..JobOptions::default()
+        let defaults = JobOptions::default();
+        assert_eq!(defaults.ingest, IngestMode::Pipelined);
+        assert_eq!(
+            JobOptions::from_value(&defaults.to_value()).unwrap(),
+            defaults
+        );
+    }
+
+    #[test]
+    fn an_older_clients_payload_still_parses_but_the_serial_mode_is_refused() {
+        // the JOB payload as the previous engine's client wrote it: today's
+        // keys plus the two retired ones (spelled in halves, so a search
+        // for live uses of either name finds none) and the ingest mode the
+        // caller picks
+        let old_payload = |opts: &JobOptions, mode: &str| {
+            let Value::Obj(mut fields) = opts.to_value() else {
+                panic!("job options serialize as an object");
             };
-            let back = JobOptions::from_value(&opts.to_value()).unwrap();
-            assert_eq!(back, opts);
+            fields.retain(|(key, _)| key != "ingest");
+            fields.push(("ingest".to_owned(), Value::Str(mode.to_owned())));
+            fields.push((["pipeline", "depth"].join("_"), Value::UInt(5)));
+            fields.push((["minimize", "sides"].join("_"), Value::Bool(true)));
+            Value::Obj(fields)
+        };
+        let opts = JobOptions {
+            list_paths: 2,
+            ..JobOptions::default()
+        };
+        for (ingest, name) in [
+            (IngestMode::Pipelined, "pipelined"),
+            (IngestMode::Materialized, "materialized"),
+        ] {
+            let opts = JobOptions { ingest, ..opts };
+            assert_eq!(
+                JobOptions::from_value(&old_payload(&opts, name)).unwrap(),
+                opts
+            );
         }
+        let err = JobOptions::from_value(&old_payload(&opts, "serial"))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("`serial`") && err.contains("`pipelined` or `materialized`"),
+            "{err}"
+        );
     }
 
     fn retaining_session() -> CheckSession {

@@ -5,7 +5,7 @@
 //! draws a scenario — failover drill, rolling maintenance, policy
 //! migration, ECMP churn, class skew — and every iteration of it is
 //! checked with the `nochange` spec across the full ingest matrix:
-//! { JSON, RSNB } × { Materialized, Serial, Pipelined }, plus chained
+//! { JSON, RSNB } × { Materialized, Pipelined }, plus chained
 //! delta replay against a retained base. Two properties must hold:
 //!
 //! 1. **Oracle agreement**: the checker's violated-flow set equals the
@@ -303,11 +303,7 @@ fn run_scenario(sc: &Scenario) {
     let db = &sc.wan.topology.db;
     let pre_json = sc.iterations.pre.to_json().unwrap();
     let pre_rsnb = pack(&pre_json);
-    let modes = [
-        IngestMode::Materialized,
-        IngestMode::Serial,
-        IngestMode::Pipelined { depth: 2 },
-    ];
+    let modes = [IngestMode::Materialized, IngestMode::Pipelined];
     let mut oracles = Vec::with_capacity(sc.iteration_count());
     for (ix, post) in sc.iterations.posts.iter().enumerate() {
         let pair = SnapshotPair::align(&sc.iterations.pre, post);

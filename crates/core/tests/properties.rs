@@ -526,16 +526,15 @@ mod dedup {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Pipelined, streamed, and materialized checks produce
-        /// byte-identical reports on randomized snapshot pairs, across
-        /// pipeline depths 1/2/8 and thread counts — the tentpole
-        /// invariant of the decode/fingerprint/decide pipeline.
+        /// Pipelined and materialized checks produce byte-identical
+        /// reports on randomized snapshot pairs at every thread count —
+        /// the invariant of the decode/fingerprint/decide pipeline.
         #[test]
-        fn pipeline_depth_and_threads_never_change_the_report(
+        fn pipelining_and_threads_never_change_the_report(
             bases in proptest::collection::vec(graph_strategy(), 1..4),
             picks in proptest::collection::vec((0..4usize, 0..4usize), 1..13),
         ) {
-            use rela_net::{SnapshotFramer, SnapshotReader};
+            use rela_net::SnapshotFramer;
             let graphs: Vec<ForwardingGraph> = bases
                 .iter()
                 .map(|(walk, parallel, dropped)| build_graph(walk, *parallel, *dropped))
@@ -557,41 +556,25 @@ mod dedup {
                 compile_program(&program, &db, Granularity::Group).expect("spec compiles");
             let reference = report_bytes(&Checker::new(&compiled, &db).check(&pair));
 
-            let streamed = Checker::new(&compiled, &db)
-                .check_stream(SnapshotPair::align_streaming(
-                    SnapshotReader::new(pre_json.as_bytes()),
-                    SnapshotReader::new(post_json.as_bytes()),
-                ))
-                .expect("clean streams");
-            prop_assert_eq!(report_bytes(&streamed), reference.clone(), "streamed");
-
-            for depth in [1usize, 2, 8] {
-                for threads in [1usize, 4] {
-                    let piped = Checker::new(&compiled, &db)
-                        .with_options(CheckOptions {
-                            threads,
-                            pipeline_depth: depth,
-                            ..CheckOptions::default()
-                        })
-                        .check_pipelined(
-                            SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
-                            SnapshotFramer::new(post_json.as_bytes(), "post.json"),
-                        )
-                        .expect("clean streams");
-                    prop_assert_eq!(
-                        report_bytes(&piped),
-                        reference.clone(),
-                        "depth {} threads {}",
-                        depth,
-                        threads
-                    );
-                }
+            for threads in [1usize, 2, 4] {
+                let piped = Checker::new(&compiled, &db)
+                    .with_options(CheckOptions {
+                        threads,
+                        ..CheckOptions::default()
+                    })
+                    .check_pipelined(
+                        SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
+                        SnapshotFramer::new(post_json.as_bytes(), "post.json"),
+                    )
+                    .expect("clean streams");
+                prop_assert_eq!(report_bytes(&piped), reference.clone(), "threads {}", threads);
             }
         }
 
         /// A mid-stream error aborts the pipelined check with exactly
-        /// the serial reader's error — message, byte offset, entry
-        /// index, and label — wherever the stream is cut.
+        /// the error `SnapshotReader` (the decoder the materialized path
+        /// runs) reports for the corrupt side — message, byte offset,
+        /// entry index, and label — wherever the stream is cut.
         #[test]
         fn pipeline_errors_match_the_serial_contract(
             bases in proptest::collection::vec(graph_strategy(), 1..3),
@@ -618,11 +601,9 @@ mod dedup {
             let program = parse_program(SPEC).expect("spec parses");
             let compiled =
                 compile_program(&program, &db, Granularity::Group).expect("spec compiles");
-            let serial_err = Checker::new(&compiled, &db)
-                .check_stream(SnapshotPair::align_streaming(
-                    SnapshotReader::new(pre_json.as_bytes()).with_label("pre.json"),
-                    SnapshotReader::new(cut.as_bytes()).with_label("post.json"),
-                ))
+            let serial_err = SnapshotReader::new(cut.as_bytes())
+                .with_label("post.json")
+                .collect::<Result<Snapshot, _>>()
                 .expect_err("truncated post stream");
             for threads in [1usize, 4] {
                 let piped_err = Checker::new(&compiled, &db)

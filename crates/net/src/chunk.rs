@@ -1,10 +1,11 @@
 //! An in-memory byte pipe for feeding snapshot readers from a socket.
 //!
 //! The framed serve protocol interleaves `pre` and `post` snapshot
-//! chunks on one connection, while the streaming aligner pulls the two
-//! sides in lockstep. A bounded pipe would deadlock the moment the
-//! connection thread blocks pushing bytes for the side the aligner is
-//! *not* currently pulling, so this pipe is deliberately unbounded: the
+//! chunks on one connection, while the engine reads the two sides at
+//! its own pace (the materialized engine reads `pre` to its end first).
+//! A bounded pipe would deadlock the moment the connection thread blocks
+//! pushing bytes for the side the engine is *not* currently reading, so
+//! this pipe is deliberately unbounded: the
 //! connection thread demultiplexes chunks into two pipes without ever
 //! blocking, and backpressure is bounded by the submission's size on the
 //! wire (which the protocol already caps per frame).

@@ -16,10 +16,9 @@
 //! [`SnapshotReader`] pulls `(flow, graph)` records one at a time from
 //! any [`Read`] source (holding at most one decoded record),
 //! [`SnapshotWriter`] emits the same wire format record-by-record, and
-//! [`SnapshotPair::align_streaming`] hash-joins a pre and a post record
-//! stream on the flow key — emitting each aligned FEC the moment both
-//! sides are known and spilling only yet-unmatched records. The wire
-//! format itself is specified in `docs/SNAPSHOT_FORMAT.md`.
+//! [`SnapshotFramer`] hands out undecoded record spans for the checker's
+//! pipelined engine, which joins the two sides on the flow key itself.
+//! The wire format itself is specified in `docs/SNAPSHOT_FORMAT.md`.
 //!
 //! # Container formats
 //!
@@ -1526,49 +1525,6 @@ impl SnapshotPair {
         SnapshotPair { fecs }
     }
 
-    /// Incrementally join a pre and a post record stream on the flow
-    /// key: a streaming [`SnapshotPair::align`].
-    ///
-    /// The two streams are pulled in lockstep and hash-joined: as soon
-    /// as a flow has been seen on both sides its [`AlignedFec`] is
-    /// emitted (and its graphs dropped from the join state), so a
-    /// consumer can start checking while the files are still being
-    /// parsed. Only *unmatched* records spill into the join maps — on
-    /// the common workload (two snapshots of one network, near-identical
-    /// key sets, similar order) the spill stays small instead of holding
-    /// both snapshots. When both streams end, flows present on only one
-    /// side are drained in flow order with an empty graph on the other
-    /// side.
-    ///
-    /// Matched FECs are emitted in arrival order, not flow order; the
-    /// set of emitted FECs is exactly what [`SnapshotPair::align`] would
-    /// produce (collect through [`SnapshotPair::from_stream`] for the
-    /// sorted form). The first error from either stream ends the
-    /// iteration (the stream is fused afterwards).
-    pub fn align_streaming<A: Read, B: Read>(
-        pre: SnapshotReader<A>,
-        post: SnapshotReader<B>,
-    ) -> AlignStream<A, B> {
-        AlignStream {
-            pre: Some(pre),
-            post: Some(post),
-            pre_pending: BTreeMap::new(),
-            post_pending: BTreeMap::new(),
-            failed: false,
-        }
-    }
-
-    /// Collect a stream of aligned FECs into a [`SnapshotPair`],
-    /// restoring the flow-sorted order [`SnapshotPair::align`]
-    /// guarantees. Stops at the first stream error.
-    pub fn from_stream<E>(
-        stream: impl IntoIterator<Item = Result<AlignedFec, E>>,
-    ) -> Result<SnapshotPair, E> {
-        let mut fecs = stream.into_iter().collect::<Result<Vec<AlignedFec>, E>>()?;
-        fecs.sort_by(|a, b| a.flow.cmp(&b.flow));
-        Ok(SnapshotPair { fecs })
-    }
-
     /// Number of aligned traffic classes.
     pub fn len(&self) -> usize {
         self.fecs.len()
@@ -1587,128 +1543,6 @@ impl SnapshotPair {
     /// Deserialize from the JSON exchange format.
     pub fn from_json(json: &str) -> serde_json::Result<SnapshotPair> {
         serde_json::from_str(json)
-    }
-}
-
-/// The incremental pre/post join produced by
-/// [`SnapshotPair::align_streaming`]: an iterator of aligned FECs (or
-/// the first stream error).
-pub struct AlignStream<A: Read, B: Read> {
-    /// `None` once the side's stream is exhausted.
-    pre: Option<SnapshotReader<A>>,
-    post: Option<SnapshotReader<B>>,
-    /// Records seen on one side whose partner has not arrived yet.
-    pre_pending: BTreeMap<FlowSpec, ForwardingGraph>,
-    post_pending: BTreeMap<FlowSpec, ForwardingGraph>,
-    failed: bool,
-}
-
-impl<A: Read, B: Read> AlignStream<A, B> {
-    /// Pull one record from one side; `Ok(Some(fec))` if it completed a
-    /// pair. `pull::<false>` reads the pre side, `pull::<true>` the post
-    /// side.
-    fn pull<const POST: bool>(&mut self) -> Result<Option<AlignedFec>, SnapshotError> {
-        let next = if POST {
-            self.post.as_mut().and_then(Iterator::next)
-        } else {
-            self.pre.as_mut().and_then(Iterator::next)
-        };
-        match next {
-            None => {
-                if POST {
-                    self.post = None;
-                } else {
-                    self.pre = None;
-                }
-                Ok(None)
-            }
-            Some(Err(e)) => Err(e),
-            Some(Ok((flow, graph))) => {
-                let (own, other) = if POST {
-                    (&mut self.post_pending, &mut self.pre_pending)
-                } else {
-                    (&mut self.pre_pending, &mut self.post_pending)
-                };
-                match other.remove(&flow) {
-                    Some(partner) => {
-                        let (pre, post) = if POST {
-                            (partner, graph)
-                        } else {
-                            (graph, partner)
-                        };
-                        Ok(Some(AlignedFec { flow, pre, post }))
-                    }
-                    None => {
-                        own.insert(flow, graph);
-                        Ok(None)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drain one flow present on only one side (both streams ended).
-    /// Smallest flow first, merged across the two maps.
-    fn drain_one(&mut self) -> Option<AlignedFec> {
-        let from_pre = match (
-            self.pre_pending.keys().next(),
-            self.post_pending.keys().next(),
-        ) {
-            (Some(p), Some(q)) => p < q,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if from_pre {
-            let (flow, pre) = self.pre_pending.pop_first().expect("checked non-empty");
-            Some(AlignedFec {
-                flow,
-                pre,
-                post: ForwardingGraph::default(),
-            })
-        } else {
-            let (flow, post) = self.post_pending.pop_first().expect("checked non-empty");
-            Some(AlignedFec {
-                flow,
-                pre: ForwardingGraph::default(),
-                post,
-            })
-        }
-    }
-}
-
-impl<A: Read, B: Read> Iterator for AlignStream<A, B> {
-    type Item = Result<AlignedFec, SnapshotError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        // Alternate sides while either stream has records, emitting the
-        // first completed pair; once both end, drain the one-sided rest.
-        while self.pre.is_some() || self.post.is_some() {
-            if self.pre.is_some() {
-                match self.pull::<false>() {
-                    Ok(Some(fec)) => return Some(Ok(fec)),
-                    Ok(None) => {}
-                    Err(e) => {
-                        self.failed = true;
-                        return Some(Err(e));
-                    }
-                }
-            }
-            if self.post.is_some() {
-                match self.pull::<true>() {
-                    Ok(Some(fec)) => return Some(Ok(fec)),
-                    Ok(None) => {}
-                    Err(e) => {
-                        self.failed = true;
-                        return Some(Err(e));
-                    }
-                }
-            }
-        }
-        self.drain_one().map(Ok)
     }
 }
 
@@ -2443,73 +2277,5 @@ mod tests {
             .collect();
         assert_eq!(alive.len(), 1, "only the held span's chunk survives");
         assert_eq!(held.unwrap().as_slice(), EMPTY_GRAPH.as_bytes());
-    }
-
-    #[test]
-    fn align_streaming_agrees_with_align() {
-        // overlap, pre-only, and post-only flows, in mixed order
-        let f_shared1 = flow("10.0.0.0/24", "x1");
-        let f_shared2 = flow("10.0.3.0/24", "x2");
-        let f_pre_only = flow("10.0.1.0/24", "x1");
-        let f_post_only = flow("10.0.2.0/24", "x2");
-        let mut pre = Snapshot::new();
-        pre.insert(f_shared1.clone(), linear_graph(&["x1", "A1"]));
-        pre.insert(f_pre_only.clone(), linear_graph(&["x1", "B1"]));
-        pre.insert(f_shared2.clone(), linear_graph(&["x2", "C1"]));
-        let mut post = Snapshot::new();
-        post.insert(f_shared1.clone(), linear_graph(&["x1", "A1", "D1"]));
-        post.insert(f_post_only.clone(), linear_graph(&["x2", "D1"]));
-        post.insert(f_shared2.clone(), linear_graph(&["x2", "C1"]));
-
-        let materialized = SnapshotPair::align(&pre, &post);
-        let pre_json = pre.to_json().unwrap();
-        let post_json = post.to_json().unwrap();
-        let streamed = SnapshotPair::from_stream(SnapshotPair::align_streaming(
-            SnapshotReader::new(pre_json.as_bytes()),
-            SnapshotReader::new(post_json.as_bytes()),
-        ))
-        .unwrap();
-        assert_eq!(streamed.len(), materialized.len());
-        for (a, b) in streamed.fecs.iter().zip(&materialized.fecs) {
-            assert_eq!(a.flow, b.flow);
-            assert_eq!(a.pre, b.pre);
-            assert_eq!(a.post, b.post);
-        }
-    }
-
-    #[test]
-    fn align_streaming_spills_only_unmatched_records() {
-        // identical key sets in identical order: every pull pairs up, so
-        // matched FECs appear before the streams are exhausted and the
-        // pending maps never grow beyond one record
-        let snap = three_fec_snapshot();
-        let json = snap.to_json().unwrap();
-        let mut stream = SnapshotPair::align_streaming(
-            SnapshotReader::new(json.as_bytes()),
-            SnapshotReader::new(json.as_bytes()),
-        );
-        let first = stream.next().unwrap().unwrap();
-        assert!(first.pre.carries_traffic());
-        assert!(
-            stream.pre_pending.len() <= 1 && stream.post_pending.is_empty(),
-            "join state spilled whole snapshots: {} / {}",
-            stream.pre_pending.len(),
-            stream.post_pending.len()
-        );
-        let rest: Result<Vec<_>, _> = stream.collect();
-        assert_eq!(rest.unwrap().len() + 1, snap.len());
-    }
-
-    #[test]
-    fn align_streaming_surfaces_side_errors() {
-        let good = three_fec_snapshot().to_json().unwrap();
-        let bad = &good[..good.len() / 2];
-        let err = SnapshotPair::from_stream(SnapshotPair::align_streaming(
-            SnapshotReader::new(good.as_bytes()).with_label("pre.json"),
-            SnapshotReader::new(bad.as_bytes()).with_label("post.json"),
-        ))
-        .unwrap_err();
-        assert_eq!(err.label(), Some("post.json"), "{err}");
-        assert!(err.byte_offset().is_some());
     }
 }

@@ -11,7 +11,6 @@ trajectory point and fails (exit 1) when:
     ``speedup`` by more than ``ALLOWED_REGRESSION`` (30%); or
   - an ingest scenario's wall time regressed by more than 30% relative
     to its in-run baseline compared to the committed trajectory point:
-    ``wall_s / wall_serial_stream_s`` for ``pipelined-ingest``,
     ``wall_s / wall_full_warm_s`` for ``delta-ingest``,
     ``wall_s / wall_json_s`` for ``binary-ingest``, and
     ``wall_s / wall_binary_s`` for ``mmap-ingest``.
@@ -21,7 +20,7 @@ scenarios carry ``"rss_ratio": null`` by schema) — every comparison
 skips, never trips, on a missing or null field.
 
 Comparisons are *relative* (dedup-vs-no-dedup, warm-vs-cold,
-pipelined-vs-serial on the same host), so they are meaningful across
+binary-vs-JSON on the same host), so they are meaningful across
 machines in a way raw wall-clock is not. When either file carries the
 ``"smoke": true`` marker (a `perf -- --smoke` run skips the expensive
 baselines and is too small to time meaningfully), all timing
@@ -39,7 +38,6 @@ ALLOWED_REGRESSION = 0.30
 # wall_s / <baseline field> to within ALLOWED_REGRESSION of the
 # committed trajectory point.
 RATIO_BASELINE_FIELDS = {
-    "pipelined-ingest": "wall_serial_stream_s",
     "delta-ingest": "wall_full_warm_s",
     "binary-ingest": "wall_json_s",
     "mmap-ingest": "wall_binary_s",

@@ -70,9 +70,9 @@ pub enum Command {
         granularity: Granularity,
         /// Worker threads (0 = auto).
         threads: usize,
-        /// Per-job options (`--no-dedup`, `--no-cache`, `--no-stream`,
-        /// `--pipeline-depth` all fold in here) — the same struct a
-        /// `rela submit` client serializes over the wire.
+        /// Per-job options (`--no-dedup`, `--no-cache`, `--no-stream`
+        /// all fold in here) — the same struct a `rela submit` client
+        /// serializes over the wire.
         job: JobOptions,
         /// Persistent verdict-cache directory (`--cache-dir`); `None`
         /// checks from scratch.
@@ -248,14 +248,14 @@ USAGE:
   rela check --spec FILE --db FILE --pre FILE --post FILE
              [--granularity group|device|interface] [--threads N] [--no-dedup]
              [--cache-dir DIR] [--no-cache] [--cache-stats] [--no-stream]
-             [--pipeline-depth N] [--deadline-ms N]
+             [--deadline-ms N]
   rela serve --socket PATH --spec FILE --db FILE
              [--granularity group|device|interface] [--threads N]
              [--cache-dir DIR] [--retain-epochs K] [--retain-bytes N]
   rela submit --socket PATH --pre FILE --post FILE
              [--delta-base EPOCH --delta-pre FILE --delta-post FILE]
              [--no-dedup] [--no-cache] [--cache-stats] [--no-stream]
-             [--pipeline-depth N] [--deadline-ms N]
+             [--deadline-ms N]
              [--retries N] [--retry-delay-ms N]
   rela submit --socket PATH --ping | --shutdown
   rela report --spec FILE --db FILE --pre FILE --post FILE [--json | --csv]
@@ -284,9 +284,9 @@ thread frames raw records, a worker pool decodes and fingerprints them,
 and deciding begins while records still arrive — only one forwarding
 graph per behavior class is ever held in memory (docs/SNAPSHOT_FORMAT.md
 specifies the wire format; files ending in .gz are gunzipped on the fly).
---pipeline-depth N bounds the records in flight per worker (0 = serial
-streamed ingestion); --no-stream loads both snapshots fully before
-aligning instead.
+--no-stream loads both snapshots fully before aligning instead: the
+reference engine the pipelined one is tested against, at the cost of
+holding every forwarding graph of both snapshots in memory.
 serve keeps a compiled spec, location db, verdict store, and FST memo
 resident behind a Unix socket; submit streams a snapshot pair to it and
 prints a report byte-identical to a one-shot check of the same pair —
@@ -355,6 +355,34 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
         }
     }
+    // every flag some subcommand defines; anything else is a typo, and a
+    // typo must not swallow the next argument as its value
+    const VALUE_FLAGS: [&str; 24] = [
+        "--spec",
+        "--db",
+        "--pre",
+        "--post",
+        "--granularity",
+        "--threads",
+        "--cache-dir",
+        "--deadline-ms",
+        "--socket",
+        "--retain-epochs",
+        "--retain-bytes",
+        "--delta-base",
+        "--delta-pre",
+        "--delta-post",
+        "--retries",
+        "--retry-delay-ms",
+        "--in",
+        "--out",
+        "--base-pre",
+        "--base-post",
+        "--out-pre",
+        "--out-post",
+        "--keep-epochs",
+        "--max-bytes",
+    ];
     // flags that take no value
     const SWITCHES: [&str; 9] = [
         "--no-dedup",
@@ -375,6 +403,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         if SWITCHES.contains(&flag.as_str()) {
             flags.insert(flag.trim_start_matches("--").to_owned(), "true".to_owned());
             continue;
+        }
+        if !VALUE_FLAGS.contains(&flag.as_str()) {
+            return Err(usage_error(format!("unknown flag `{flag}`")));
         }
         let value = it
             .next()
@@ -397,27 +428,14 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             )))
         }
     };
-    // `--no-stream`/`--pipeline-depth`/`--no-dedup`/`--no-cache` all
-    // fold into one JobOptions, shared verbatim between the one-shot
-    // CLI and the serve wire protocol
+    // `--no-stream`/`--no-dedup`/`--no-cache` all fold into one
+    // JobOptions, shared verbatim between the one-shot CLI and the serve
+    // wire protocol
     let job_options = |flags: &BTreeMap<String, String>| -> Result<JobOptions, CliError> {
         let ingest = if flags.contains_key("no-stream") {
-            // materialized ingestion wins over any pipeline depth
             IngestMode::Materialized
         } else {
-            match flags.get("pipeline-depth") {
-                None => IngestMode::Pipelined { depth: 0 },
-                Some(raw) => {
-                    let depth: usize = raw
-                        .parse()
-                        .map_err(|_| usage_error(format!("invalid --pipeline-depth `{raw}`")))?;
-                    if depth == 0 {
-                        IngestMode::Serial
-                    } else {
-                        IngestMode::Pipelined { depth }
-                    }
-                }
-            }
+            IngestMode::Pipelined
         };
         let deadline_ms = match flags.get("deadline-ms") {
             None => None,
@@ -434,10 +452,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             ..JobOptions::default()
         })
     };
-    let threads = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let threads = match flags.get("threads") {
+        None => 0,
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| usage_error(format!("invalid --threads `{raw}`")))?,
+    };
     match cmd.as_str() {
         "check" => Ok(Command::Check {
             spec: need("spec")?,
@@ -1429,7 +1449,7 @@ mod tests {
         match parse_args(&args(base)).unwrap() {
             Command::Check { job, .. } => assert_eq!(
                 job.ingest,
-                IngestMode::Pipelined { depth: 0 },
+                IngestMode::Pipelined,
                 "pipelined streaming is the default"
             ),
             other => panic!("unexpected {other:?}"),
@@ -1442,32 +1462,28 @@ mod tests {
         }
     }
 
+    /// A flag no subcommand defines is refused by name instead of eating
+    /// the next argument as its value, and `--threads` must be a number.
     #[test]
-    fn pipeline_depth_flag_parses() {
+    fn unknown_flags_and_bad_thread_counts_are_refused_by_name() {
         let base = &[
             "check", "--spec", "s.rela", "--db", "db.json", "--pre", "a.json", "--post", "b.json",
         ];
-        let mut with_flag: Vec<&str> = base.to_vec();
-        with_flag.extend(["--pipeline-depth", "2"]);
-        match parse_args(&args(&with_flag)).unwrap() {
-            Command::Check { job, .. } => {
-                assert_eq!(job.ingest, IngestMode::Pipelined { depth: 2 })
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let mut serial: Vec<&str> = base.to_vec();
-        serial.extend(["--pipeline-depth", "0"]);
-        match parse_args(&args(&serial)).unwrap() {
-            Command::Check { job, .. } => assert_eq!(
-                job.ingest,
-                IngestMode::Serial,
-                "depth 0 is the serial streamed path"
-            ),
-            other => panic!("unexpected {other:?}"),
-        }
-        let mut bad: Vec<&str> = base.to_vec();
-        bad.extend(["--pipeline-depth", "many"]);
-        assert_eq!(parse_args(&args(&bad)).unwrap_err().code, 2);
+        let refused = |extra: &[&str]| {
+            let mut argv: Vec<&str> = base.to_vec();
+            argv.extend_from_slice(extra);
+            let err = parse_args(&args(&argv)).unwrap_err();
+            assert_eq!(err.code, 2, "{extra:?}");
+            err.message
+        };
+        // a typo'd switch used to swallow `--cache-stats` as its value
+        assert!(refused(&["--no-strem", "--cache-stats"]).contains("`--no-strem`"));
+        assert!(refused(&["--threads", "lots"]).contains("--threads `lots`"));
+        // the first unknown flag is the one named, before any later error
+        assert!(
+            refused(&["--pipeline-dpth", "0", "--threads", "lots", "--ping"])
+                .contains("`--pipeline-dpth`")
+        );
     }
 
     #[test]
@@ -1891,12 +1907,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Pipelined (default), serial streamed (`--pipeline-depth 0`), and
-    /// materialized (`--no-stream`) runs over the same files — plus a
-    /// gzipped copy through the pipelined path — produce byte-identical
-    /// reports and the same exit code.
+    /// Pipelined (default) and materialized (`--no-stream`) runs over
+    /// the same files — plus a gzipped copy through the pipelined path —
+    /// produce byte-identical reports and the same exit code.
     #[test]
-    fn pipelined_streamed_materialized_and_gz_checks_agree() {
+    fn pipelined_materialized_and_gz_checks_agree() {
         use flate2::{write::GzEncoder, Compression};
         use std::io::Write as _;
         let dir = std::env::temp_dir().join(format!("rela-pipe-{}", std::process::id()));
@@ -1937,20 +1952,10 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let (code_p, piped) = check(
-            "pre.json",
-            "post_v2.json",
-            IngestMode::Pipelined { depth: 0 },
-        );
-        let (code_s, serial) = check("pre.json", "post_v2.json", IngestMode::Serial);
+        let (code_p, piped) = check("pre.json", "post_v2.json", IngestMode::Pipelined);
         let (code_m, materialized) = check("pre.json", "post_v2.json", IngestMode::Materialized);
-        let (code_z, gz) = check(
-            "pre.json.gz",
-            "post_v2.json.gz",
-            IngestMode::Pipelined { depth: 2 },
-        );
-        assert_eq!([code_p, code_s, code_m, code_z], [1, 1, 1, 1]);
-        assert_eq!(verdicts(&piped), verdicts(&serial));
+        let (code_z, gz) = check("pre.json.gz", "post_v2.json.gz", IngestMode::Pipelined);
+        assert_eq!([code_p, code_m, code_z], [1, 1, 1]);
         assert_eq!(verdicts(&piped), verdicts(&materialized));
         assert_eq!(verdicts(&piped), verdicts(&gz));
 
@@ -2004,7 +2009,7 @@ mod tests {
             let code = run(&cmd, &mut sink).unwrap();
             (code, String::from_utf8(sink).unwrap())
         };
-        let (code_s, streamed) = check(IngestMode::Pipelined { depth: 0 });
+        let (code_s, streamed) = check(IngestMode::Pipelined);
         let (code_m, materialized) = check(IngestMode::Materialized);
         assert_eq!(code_s, 1);
         assert_eq!(code_m, 1);

@@ -3,7 +3,7 @@
 //! The client owns file access and decompression (`.gz` inflates
 //! client-side, exactly like one-shot `rela check`) and streams the
 //! snapshot pair to the daemon in interleaved chunks, so the daemon's
-//! lockstep aligner never waits on a side the client hasn't started
+//! flow join never waits long on a side the client hasn't started
 //! sending. The reply carries the full report text, which is printed
 //! verbatim — a warm submit is byte-identical to a one-shot check of
 //! the same pair (timing lines aside).
@@ -224,8 +224,8 @@ fn submit_once(
     let mut pre = SideFeed::open(pre, KIND_PRE).map_err(Fatal)?;
     let mut post = SideFeed::open(post, KIND_POST).map_err(Fatal)?;
     if sent {
-        // interleave the sides so the daemon's lockstep aligner always
-        // has bytes for whichever side it pulls next
+        // interleave the sides so the daemon's two framers both have
+        // bytes and its flow join pairs records as they arrive
         while !(pre.done && post.done) {
             let pumped = pre
                 .pump(&mut stream)

@@ -389,9 +389,10 @@ impl SideSink {
 /// memory-mapped and unlinked at end-of-side — the pipelined engine
 /// then frames the body in place instead of copying it chunk by chunk.
 /// Every other side streams through an unbounded in-memory pipe —
-/// unbounded because the engine's streaming aligner pulls the two sides
-/// in lockstep, and a bounded pipe would deadlock against a client that
-/// (legitimately) sends one side first. The job thread starts as soon
+/// unbounded because the engine reads the two sides at its own pace
+/// (the materialized engine reads `pre` to its end first), and a bounded
+/// pipe would deadlock against a client that (legitimately) interleaves
+/// them or sends the other side first. The job thread starts as soon
 /// as both sides' sources exist (immediately for piped sides, at
 /// end-of-side for spooled ones), so streaming jobs keep their
 /// transfer/decode overlap.

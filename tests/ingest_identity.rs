@@ -1,10 +1,9 @@
 //! The ingest-identity property of the delta-first pipeline: a full
 //! JSON snapshot, its binary packing, and a delta against a retained
 //! base are three encodings of the same pair, so every combination of
-//! container × ingest mode × pipeline depth must produce byte-identical
-//! reports — and a corrupted byte stream must fail with the same
-//! labelled, offset-addressed error no matter which engine path hits
-//! it first.
+//! container × ingest mode must produce byte-identical reports — and a
+//! corrupted byte stream must fail with the same labelled,
+//! offset-addressed error no matter which engine path hits it first.
 
 use rela::lang::{
     CheckReport, CheckSession, IngestMode, JobError, JobOptions, JobSpec, LabeledSource,
@@ -126,7 +125,7 @@ fn mapped_job(pre: &[u8], post: &[u8], ingest: IngestMode) -> JobSpec<'static> {
 }
 
 #[test]
-fn every_container_mode_and_depth_agrees_with_materialized_json() {
+fn every_container_and_mode_agrees_with_materialized_json() {
     let fx = fixture();
     let binary_pre = pack(&fx.pre_json);
     let binary_post = pack(&fx.post_json);
@@ -142,16 +141,8 @@ fn every_container_mode_and_depth_agrees_with_materialized_json() {
         ("json", fx.pre_json.as_bytes(), fx.post_json.as_bytes()),
         ("binary", &binary_pre, &binary_post),
     ];
-    let modes = [
-        IngestMode::Materialized,
-        IngestMode::Serial,
-        IngestMode::Pipelined { depth: 0 },
-        IngestMode::Pipelined { depth: 1 },
-        IngestMode::Pipelined { depth: 2 },
-        IngestMode::Pipelined { depth: 7 },
-    ];
     for (container, pre, post) in containers {
-        for mode in modes {
+        for mode in [IngestMode::Materialized, IngestMode::Pipelined] {
             let report = session(&fx, false)
                 .run(stream_job(pre, post, mode))
                 .unwrap();
@@ -210,7 +201,7 @@ fn delta_submission_agrees_with_both_containers() {
         .run(stream_job(
             &pack(&fx.pre_json),
             &pack(&fx.post_json),
-            IngestMode::Pipelined { depth: 0 },
+            IngestMode::Pipelined,
         ))
         .unwrap();
     assert_eq!(verdict_bytes(&delta_report), verdict_bytes(&binary));
@@ -246,15 +237,17 @@ fn truncation_errors_keep_the_label_offset_contract_in_every_container() {
     for (container, pre, post) in &containers {
         for cut in truncation_points(post.len()) {
             let clipped = &post[..cut];
-            // the serial and pipelined engines must surface the same
-            // labelled, offset-addressed error for the same corruption
-            let serial = session(&fx, false)
-                .run(stream_job(pre, clipped, IngestMode::Serial))
+            // the materialized path (`SnapshotReader` over each side in
+            // turn, the pre side intact) and the pipelined engine must
+            // surface the same labelled, offset-addressed error for the
+            // same corruption
+            let reader = session(&fx, false)
+                .run(stream_job(pre, clipped, IngestMode::Materialized))
                 .unwrap_err();
             let pipelined = session(&fx, false)
-                .run(stream_job(pre, clipped, IngestMode::Pipelined { depth: 2 }))
+                .run(stream_job(pre, clipped, IngestMode::Pipelined))
                 .unwrap_err();
-            for err in [&serial, &pipelined] {
+            for err in [&reader, &pipelined] {
                 assert_eq!(
                     err.label(),
                     Some("post"),
@@ -266,24 +259,21 @@ fn truncation_errors_keep_the_label_offset_contract_in_every_container() {
                 );
             }
             assert_eq!(
-                serial.to_string(),
+                reader.to_string(),
                 pipelined.to_string(),
-                "{container} cut at {cut}: serial and pipelined errors diverged"
+                "{container} cut at {cut}: reader and pipelined errors diverged"
             );
             // a truncated *mapped* container must surface the identical
             // error: the in-place framer shares the buffered framer's
             // offset/entry contract byte for byte
             let mapped_err = session(&fx, false)
-                .run(
-                    JobSpec::streams(LabeledSource::new(&pre[..], "pre"), mapped(clipped, "post"))
-                        .with_options(JobOptions {
-                            ingest: IngestMode::Pipelined { depth: 2 },
-                            ..JobOptions::default()
-                        }),
-                )
+                .run(JobSpec::streams(
+                    LabeledSource::new(&pre[..], "pre"),
+                    mapped(clipped, "post"),
+                ))
                 .unwrap_err();
             assert_eq!(
-                serial.to_string(),
+                reader.to_string(),
                 mapped_err.to_string(),
                 "{container} cut at {cut}: mapped and buffered errors diverged"
             );
@@ -360,13 +350,7 @@ fn a_repeated_graph_key_is_the_same_error_in_every_container_and_mode() {
         assert_eq!(err.byte_offset(), Some(target.offset), "{how}");
         assert_eq!(err.label(), Some("post"), "{how}");
     };
-    for mode in [
-        IngestMode::Materialized,
-        IngestMode::Serial,
-        IngestMode::Pipelined { depth: 0 },
-        IngestMode::Pipelined { depth: 1 },
-        IngestMode::Pipelined { depth: 7 },
-    ] {
+    for mode in [IngestMode::Materialized, IngestMode::Pipelined] {
         let pre = fx.pre_json.as_bytes();
         let err = session(&fx, false)
             .run(stream_job(pre, &post, mode))

@@ -421,9 +421,9 @@ impl VerdictStore {
     /// The durability core of [`VerdictStore::persist`], with the fault
     /// hooks the crash harness drives: writes go through the plan handed
     /// to [`VerdictStore::set_faults`] (injected `ENOSPC`/`EINTR`), and
-    /// the `persist` lifecycle point between the temp-file `fsync` and the rename can
-    /// pause (the kill-9 window), tear the temp file (a simulated
-    /// partial flush surviving the rename), or panic.
+    /// the `persist` lifecycle point between the temp-file `fsync` and
+    /// the rename can pause (the kill-9 window), tear the temp file (a
+    /// simulated partial flush surviving the rename), or panic.
     fn write_and_rename(&self, tmp: &Path, path: &Path, mut bytes: Vec<u8>) -> std::io::Result<()> {
         use std::io::Write;
         bytes.push(b'\n');
@@ -435,10 +435,10 @@ impl VerdictStore {
             None => file.write_all(&bytes)?,
         }
         file.sync_all()?;
-        let act = match &self.faults {
-            Some(plan) => plan.at("persist"),
-            None => FaultAction::NONE,
-        };
+        let act = self
+            .faults
+            .as_ref()
+            .map_or(FaultAction::NONE, |plan| plan.at("persist"));
         if act.tear() {
             file.set_len(bytes.len() as u64 / 2)?;
             file.sync_all()?;

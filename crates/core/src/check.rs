@@ -59,10 +59,10 @@ use std::time::{Duration, Instant};
 // locations (`table_of`), which changes automaton layouts and therefore
 // witness enumeration order — engine.1 renderings must not replay.
 // engine.3: the store-key variant fingerprint widened from 24 to 25
-// option bytes (a side-minimization ablation), so entries written by engine.2 could
-// never match again — keeping the epoch would leave them as permanent
-// dead weight in the live store file; moving the epoch lets `cache gc`
-// age the old file out instead.
+// option bytes (a side-minimization ablation), so entries written by
+// engine.2 could never match again — keeping the epoch would leave them
+// as permanent dead weight in the live store file; moving the epoch
+// lets `cache gc` age the old file out instead.
 // engine.4: the variant fingerprint is back to 24 option bytes (the
 // ablation is gone), so engine.3 entries can never match again — same
 // reasoning as engine.3.
@@ -678,9 +678,9 @@ impl<'a> Checker<'a> {
     /// per-class tables), which is what makes it the reference the
     /// identity suites compare against. The first stream error aborts
     /// the pipeline (framers stop, workers drain) and is returned with
-    /// [`rela_net::SnapshotReader`]'s offset/entry-index contract; when several errors
-    /// are discovered concurrently, the lowest entry index wins, `pre`
-    /// before `post`.
+    /// [`rela_net::SnapshotReader`]'s offset/entry-index contract; when
+    /// several errors are discovered concurrently, the lowest entry index
+    /// wins, `pre` before `post`.
     pub fn check_pipelined<A, B>(
         &self,
         pre: SnapshotFramer<A>,
@@ -2024,10 +2024,11 @@ impl<'a> Checker<'a> {
     /// a function of the graphs' content only, independent of FEC
     /// arrival order, dedup mode, and thread count. That invariant is
     /// what lets [`Checker::check_pipelined`] promise byte-identical
-    /// reports to [`Checker::check`]. Interning only class representatives is sound
-    /// and sufficient: members of a class share the representative's
-    /// granularity-level location set (the fingerprint hashes those very
-    /// labels), so the pre-pass is O(classes), not O(FECs).
+    /// reports to [`Checker::check`]. Interning only class
+    /// representatives is sound and sufficient: members of a class share
+    /// the representative's granularity-level location set (the
+    /// fingerprint hashes those very labels), so the pre-pass is
+    /// O(classes), not O(FECs).
     fn table_of(&self, names: &BTreeSet<String>) -> SymbolTable {
         let mut table = self.program.table.clone();
         for name in names {

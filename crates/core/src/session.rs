@@ -302,7 +302,8 @@ impl<'a> LabeledSource<'a> {
     }
 
     /// Turn the source into a plain byte stream plus its label, for the
-    /// inputs that parse rather than frame (materialized, deltas). Mapped sources are read through [`MmapReader`].
+    /// inputs that parse rather than frame (materialized, deltas). Mapped
+    /// sources are read through [`MmapReader`].
     fn into_stream(self) -> (Box<dyn Read + Send + 'a>, String) {
         match self.source {
             SourceKind::Stream(reader) => (reader, self.label),

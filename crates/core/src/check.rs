@@ -25,8 +25,8 @@ use crate::compile::{CompiledCheck, CompiledProgram, GuardedPart};
 use crate::counterexample::{diff_equation, EquationDiff, PathRenderer, WitnessLimits};
 use crate::lower::{lower_pathset_dfa, lower_rel, PairFsas};
 use crate::pipeline::{
-    Channel, ClassRef, ClassRegistry, DecideQueue, EagerOutcome, EagerTask, ErrorSink, FlowRef,
-    GraphSpan, JoinMap, Joined, JoinedSide, OneSided, PoisonOnPanic, Provenance, Recv, Side,
+    Channel, ClassRef, ClassRegistry, ErrorSink, FlowRef, GraphSpan, JoinMap, Joined, JoinedSide,
+    OneSided, PoisonOnPanic, Provenance, Recv, Side,
 };
 use crate::report::{
     CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, ViolationDetail,
@@ -38,11 +38,10 @@ use rela_net::faultio::FaultPlan;
 use rela_net::{
     behavior_hash, canonical_graph, content_hash128, decode_graph_span, graph_to_fsa_prepared,
     pair_epoch, record_mix, side_fold, AlignedFec, BehaviorHash, FlowDecoded, FlowSpec,
-    ForwardingGraph, Granularity, LocationDb, RawRecord, SnapshotError, SnapshotFramer,
-    SnapshotPair, DROP_LOCATION, FRAME_BATCH_BYTES,
+    ForwardingGraph, Granularity, LocationDb, RawRecord, SnapshotEpoch, SnapshotError,
+    SnapshotFramer, SnapshotPair, DROP_LOCATION, FRAME_BATCH_BYTES,
 };
 use serde::{Serialize, Value};
-use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::Read;
 use std::panic::resume_unwind;
@@ -138,6 +137,23 @@ pub(crate) struct RetainedRecord {
     pub(crate) span: GraphSpan,
     pub(crate) hash: u128,
     pub(crate) index: usize,
+}
+
+impl RetainedRecord {
+    /// Split into the flow key and the join's view of the record, which
+    /// sat at byte `offset` of its stream.
+    fn into_joined(self, offset: u64) -> (FlowSpec, JoinedSide) {
+        let provenance = Provenance {
+            index: self.index,
+            offset,
+        };
+        let side = JoinedSide {
+            span: self.span,
+            hash: self.hash,
+            provenance,
+        };
+        (self.flow, side)
+    }
 }
 
 /// The snapshot pair retained after a successful pipelined run, kept so
@@ -264,11 +280,13 @@ impl CancelToken {
     }
 }
 
-/// One pre-framed pipeline input, used by the delta path to mix replayed
-/// base records with the freshly framed delta records.
+/// One input of the pipelined engine. A framer thread yields `Record`s
+/// as it cuts them from its stream; the delta path's item list mixes
+/// them with replayed base records.
 pub(crate) enum PreparedItem {
-    /// A record framed from a delta document (an upsert): decoded and
-    /// admitted exactly like a framer-produced record.
+    /// A framed record (a whole snapshot's, or a delta document's
+    /// upsert): its flow key is decoded, its graph span fingerprinted,
+    /// and it goes through the flow join.
     Record { side: Side, raw: RawRecord },
     /// An unchanged base record whose partner side changed: replays
     /// through the flow join to meet the new partner.
@@ -281,45 +299,58 @@ pub(crate) enum PreparedItem {
     },
 }
 
-/// One bounded-channel message: a batch of framed raw records from a
-/// framer thread, or a batch of prepared items from the delta feeder.
-pub(crate) enum PipeBatch {
-    Raw(Side, Vec<RawRecord>),
-    Prepared(Vec<PreparedItem>),
+impl PreparedItem {
+    /// Payload bytes the item carries, for the producers' byte budget:
+    /// a framed record counts its span bytes, a replayed one its
+    /// retained graph bytes.
+    fn payload_len(&self) -> usize {
+        match self {
+            PreparedItem::Record { raw, .. } => raw.span_len(),
+            PreparedItem::Replay { record, .. } => record.span.as_slice().len(),
+            PreparedItem::PairReplay { pre, post } => {
+                pre.span.as_slice().len() + post.span.as_slice().len()
+            }
+        }
+    }
 }
 
-/// What feeds the pipelined engine: two snapshot framers (the full
-/// path) or a pre-built item list (the delta path).
-enum PipeFeed<A: Read, B: Read> {
-    // boxed: a framer's buffers dwarf the prepared-items variant
-    Framers(Box<SnapshotFramer<A>>, Box<SnapshotFramer<B>>),
-    Prepared(Vec<PreparedItem>),
+/// What a worker (or a framer) reports when a record is bad: the error
+/// and the side it came from, which ranks simultaneous errors.
+type SidedError = (Side, SnapshotError);
+
+/// One producer's input: a snapshot framer tagged with its side (the
+/// full path runs two) or a pre-built item list (the delta path's one).
+type Feed<'f> = Box<dyn Iterator<Item = Result<PreparedItem, SidedError>> + Send + 'f>;
+
+/// A framer as a [`Feed`].
+fn framer_feed<'f, R: Read + Send + 'f>(framer: SnapshotFramer<R>, side: Side) -> Feed<'f> {
+    Box::new(framer.map(move |framed| match framed {
+        Ok(raw) => Ok(PreparedItem::Record { side, raw }),
+        Err(e) => Err((side, e)),
+    }))
 }
 
-/// Per-worker state of the pipelined cold path: the flows this worker
-/// completed pairs for (concatenated into the global flow list after the
-/// join), its eager consult/decide outcomes, its phase timings, the
+/// Per-worker state of the pipelined engine's ingest: the flows this
+/// worker completed pairs for (concatenated into the global flow list
+/// after the join), the classes it replayed warm from the store, the
 /// graph decodes it actually performed, the symbol names replayed out of
 /// byte-keyed store entries, and the records captured for delta-base
 /// retention.
-struct PipelineWorkerState {
+#[derive(Default)]
+struct WorkerState {
+    worker: usize,
     flows: Vec<FlowSpec>,
-    outcomes: Vec<(ClassRef, EagerOutcome)>,
-    phases: PhaseTimings,
+    warm: Vec<(ClassRef, FecResult)>,
     decodes: usize,
     symbols: BTreeSet<String>,
     captured: Vec<(Side, RetainedRecord)>,
 }
 
-impl PipelineWorkerState {
-    fn new() -> PipelineWorkerState {
-        PipelineWorkerState {
-            flows: Vec::new(),
-            outcomes: Vec::new(),
-            phases: PhaseTimings::default(),
-            decodes: 0,
-            symbols: BTreeSet::new(),
-            captured: Vec::new(),
+impl WorkerState {
+    fn new(worker: usize) -> WorkerState {
+        WorkerState {
+            worker,
+            ..WorkerState::default()
         }
     }
 }
@@ -328,92 +359,380 @@ impl PipelineWorkerState {
 /// under the byte budget, keeping per-batch vectors bounded.
 const FRAME_BATCH_RECORDS: usize = 64;
 
-/// A framer thread body: raw record framing only — spans go over the
-/// bounded channel to the decode pool in batches cut at
-/// [`FRAME_BATCH_BYTES`] of payload (or [`FRAME_BATCH_RECORDS`] spans,
-/// whichever comes first). Stops early when the pipeline aborts; the
-/// last framer to finish closes the channel.
-fn frame_side<R: Read>(
-    mut framer: SnapshotFramer<R>,
-    side: Side,
-    channel: &Channel<PipeBatch>,
-    errors: &ErrorSink,
-    producers_left: &AtomicUsize,
-) {
-    let _poison_guard = PoisonOnPanic(channel);
-    let mut batch: Vec<RawRecord> = Vec::new();
-    let mut batch_bytes = 0usize;
-    for item in &mut framer {
-        if errors.aborted() {
-            break;
-        }
-        match item {
-            Ok(raw) => {
-                batch_bytes += raw.span_len();
-                batch.push(raw);
-                if batch_bytes >= FRAME_BATCH_BYTES || batch.len() >= FRAME_BATCH_RECORDS {
-                    let full = std::mem::take(&mut batch);
-                    batch_bytes = 0;
-                    if channel.send(PipeBatch::Raw(side, full)).is_err() {
-                        break; // poisoned: the pipeline is aborting
-                    }
-                }
-            }
-            Err(e) => {
-                errors.record(side, e);
-                channel.poison();
-                break;
-            }
-        }
-    }
-    if !batch.is_empty() {
-        let _ = channel.send(PipeBatch::Raw(side, batch));
-    }
-    if producers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-        channel.close();
-    }
+/// One run of the pipelined engine's front end — frame, decode the flow
+/// key, join, admit by bytes, consult the store — and everything its
+/// producer and worker threads share. It decides nothing: what it
+/// leaves in `registry` goes to [`Checker::finish`].
+struct Pipeline<'c, 'a> {
+    checker: &'c Checker<'a>,
+    /// Batches of items cut at [`FRAME_BATCH_BYTES`] of payload (or
+    /// [`FRAME_BATCH_RECORDS`] items, whichever comes first).
+    channel: Channel<Vec<PreparedItem>>,
+    join: JoinMap,
+    registry: ClassRegistry,
+    errors: ErrorSink,
+    producers_left: AtomicUsize,
+    /// The `[pre, post]` source labels errors are attributed to.
+    labels: [Option<String>; 2],
 }
 
-/// The delta-path producer body: streams pre-built items (replays and
-/// framed delta records) over the same bounded channel the framers use,
-/// so back-pressure and abort behave identically in both modes.
-fn feed_prepared(
-    items: Vec<PreparedItem>,
-    channel: &Channel<PipeBatch>,
-    errors: &ErrorSink,
-    producers_left: &AtomicUsize,
-) {
-    let _poison_guard = PoisonOnPanic(channel);
-    // same byte-budget batching as `frame_side`: replayed spans count
-    // their retained graph bytes, raw delta records their span bytes
-    let item_len = |item: &PreparedItem| match item {
-        PreparedItem::Record { raw, .. } => raw.span_len(),
-        PreparedItem::Replay { record, .. } => record.span.as_slice().len(),
-        PreparedItem::PairReplay { pre, post } => {
-            pre.span.as_slice().len() + post.span.as_slice().len()
+impl Pipeline<'_, '_> {
+    /// Run the producers and `workers` decode workers to the end of the
+    /// feeds, then admit the flows only one side carried. Returns the
+    /// workers' states in worker order (the one-sided drain is the last
+    /// one), or the first stream error. On an expired deadline the
+    /// states are partial and the caller discards them.
+    fn ingest(
+        &self,
+        feeds: Vec<Feed<'_>>,
+        workers: usize,
+    ) -> Result<Vec<WorkerState>, SnapshotError> {
+        let mut locals: Vec<WorkerState> = std::thread::scope(|scope| {
+            for feed in feeds {
+                scope.spawn(move || self.produce(feed));
+            }
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| scope.spawn(move || self.work(worker)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        });
+        if let Some(first) = self.errors.take_first() {
+            return Err(first);
         }
-    };
-    let mut batch: Vec<PreparedItem> = Vec::new();
-    let mut batch_bytes = 0usize;
-    for item in items {
-        if errors.aborted() {
-            break;
+        if self.checker.was_cancelled() {
+            return Ok(locals);
         }
-        batch_bytes += item_len(&item);
-        batch.push(item);
-        if batch_bytes >= FRAME_BATCH_BYTES || batch.len() >= FRAME_BATCH_RECORDS {
-            let full = std::mem::take(&mut batch);
-            batch_bytes = 0;
-            if channel.send(PipeBatch::Prepared(full)).is_err() {
-                break; // poisoned: the pipeline is aborting
+
+        // Both streams ended cleanly: drain flows seen on one side only
+        // (the missing side is the canonical empty-graph span, so it
+        // byte-hashes and fingerprints exactly as `align`'s empty graph
+        // would). Sorted by entry index so a decode error surfaces for
+        // the record a sequential reader would hit first.
+        let mut drain = WorkerState::new(workers); // one extra pseudo-worker
+        let empty_span = GraphSpan::whole(
+            serde_json::to_string(&ForwardingGraph::default().to_value())
+                .expect("the empty graph serializes")
+                .into_bytes(),
+        );
+        let empty_hash = content_hash128(empty_span.as_slice());
+        let mut one_sided = self.join.drain_one_sided();
+        one_sided.sort_by_key(|one| (one.own.provenance.index, one.side));
+        for OneSided { flow, side, own } in one_sided {
+            let absent = JoinedSide {
+                span: empty_span.clone(),
+                hash: empty_hash,
+                provenance: own.provenance,
+            };
+            let (pre, post) = match side {
+                Side::Pre => (own, absent),
+                Side::Post => (absent, own),
+            };
+            self.admit_spans(flow, pre, post, &mut drain)
+                .map_err(|(_, e)| e)?;
+        }
+        locals.push(drain);
+        Ok(locals)
+    }
+
+    /// A producer thread body: no decoding, only batching — items go
+    /// over the bounded channel to the decode pool, so back-pressure and
+    /// abort behave identically for framers and for the delta path's
+    /// list. Stops early when the pipeline aborts; the last producer to
+    /// finish closes the channel.
+    fn produce(&self, feed: Feed<'_>) {
+        let _poison_guard = PoisonOnPanic(&self.channel);
+        let mut batch: Vec<PreparedItem> = Vec::new();
+        let mut batch_bytes = 0usize;
+        for item in feed {
+            if self.errors.aborted() {
+                break;
+            }
+            match item {
+                Ok(item) => {
+                    batch_bytes += item.payload_len();
+                    batch.push(item);
+                    if batch_bytes >= FRAME_BATCH_BYTES || batch.len() >= FRAME_BATCH_RECORDS {
+                        batch_bytes = 0;
+                        if self.channel.send(std::mem::take(&mut batch)).is_err() {
+                            break; // poisoned: the pipeline is aborting
+                        }
+                    }
+                }
+                Err((side, e)) => {
+                    self.errors.record(side, e);
+                    self.channel.poison();
+                    break;
+                }
+            }
+        }
+        if !batch.is_empty() {
+            let _ = self.channel.send(batch);
+        }
+        if self.producers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.channel.close();
+        }
+    }
+
+    /// One decode worker: pull batches until the channel closes.
+    fn work(&self, worker: usize) -> WorkerState {
+        let _poison_guard = PoisonOnPanic(&self.channel);
+        let mut state = WorkerState::new(worker);
+        loop {
+            // deadline poll between batches: poisoning the channel stops
+            // the producers and releases the other workers, so an expired
+            // job drains in one batch per worker instead of finishing
+            // the snapshot
+            if self.checker.cancelled() {
+                self.channel.poison();
+                return state;
+            }
+            match self.channel.recv(Duration::from_millis(1)) {
+                Recv::Item(batch) => {
+                    for item in batch {
+                        if let Err((side, e)) = self.item(item, &mut state) {
+                            self.errors.record(side, e);
+                            self.channel.poison();
+                            break;
+                        }
+                    }
+                }
+                Recv::Timeout => {} // back to the deadline poll
+                Recv::Closed => return state,
             }
         }
     }
-    if !batch.is_empty() {
-        let _ = channel.send(PipeBatch::Prepared(batch));
+
+    /// Process one item.
+    fn item(&self, item: PreparedItem, state: &mut WorkerState) -> Result<(), SidedError> {
+        match item {
+            PreparedItem::Record { side, raw } => self.record(side, raw, state),
+            // replayed spans have no document offset
+            PreparedItem::Replay { side, record } => self.side(side, record, 0, state),
+            PreparedItem::PairReplay { pre, post } => {
+                if self.checker.retention.is_some() {
+                    state.captured.push((Side::Pre, pre.clone()));
+                    state.captured.push((Side::Post, post.clone()));
+                }
+                let (flow, pre) = pre.into_joined(0);
+                let (_, post) = post.into_joined(0);
+                self.admit_spans(flow, pre, post, state)
+            }
+        }
     }
-    if producers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-        channel.close();
+
+    /// Decode one framed record's flow key, fingerprint its raw graph
+    /// span, and hand it to the side joiner. The graph itself stays
+    /// undecoded — byte-level admission decides whether decoding is
+    /// needed at all.
+    fn record(
+        &self,
+        side: Side,
+        raw: RawRecord,
+        state: &mut WorkerState,
+    ) -> Result<(), SidedError> {
+        let decoded = raw.decode_flow(self.label(side)).map_err(|e| (side, e))?;
+        let (flow, span) = match decoded {
+            // the graph span shares the framer's backing buffer (chunk,
+            // record vec, or file mapping) — no copy
+            FlowDecoded::Split(flow, graph_span) => (flow, GraphSpan::of_record(&raw, graph_span)),
+            // non-canonical encoding: re-serialize the parsed graph so
+            // byte keys are encoding-invariant
+            FlowDecoded::Full(flow, graph) => (
+                flow,
+                GraphSpan::whole(
+                    serde_json::to_string(&graph.to_value())
+                        .expect("a parsed graph re-serializes")
+                        .into_bytes(),
+                ),
+            ),
+        };
+        let record = RetainedRecord {
+            flow,
+            hash: content_hash128(span.as_slice()),
+            span,
+            index: raw.index,
+        };
+        self.side(side, record, raw.offset, state)
+    }
+
+    /// Join one fingerprinted side with its partner; a completed pair is
+    /// admitted to the class registry.
+    fn side(
+        &self,
+        side: Side,
+        record: RetainedRecord,
+        offset: u64,
+        state: &mut WorkerState,
+    ) -> Result<(), SidedError> {
+        if self.checker.retention.is_some() {
+            state.captured.push((side, record.clone()));
+        }
+        let (flow, own) = record.into_joined(offset);
+        match self.join.insert(side, &flow, own) {
+            Joined::Pending => Ok(()),
+            // `second` is the occurrence with the larger entry index —
+            // what `SnapshotReader` names, whichever record a worker
+            // happened to decode first
+            Joined::Duplicate(second) => {
+                Err(self.located(side, format!("duplicate flow {flow}"), second))
+            }
+            Joined::Paired { pre, post } => self.admit_spans(flow, pre, post, state),
+        }
+    }
+
+    /// Admit one paired flow to the class registry by its raw byte key.
+    /// A byte-key hit joins the already-resolved class with zero decode
+    /// work; a miss resolves a class — decode, fingerprint,
+    /// behavior-admit, store-consult — under the byte-shard lock, so
+    /// exactly one member per byte key pays for the decode.
+    fn admit_spans(
+        &self,
+        flow: FlowSpec,
+        pre: JoinedSide,
+        post: JoinedSide,
+        state: &mut WorkerState,
+    ) -> Result<(), SidedError> {
+        // routes are a function of the flow alone
+        let route = self.checker.route_of_flow(&flow);
+        let member = FlowRef {
+            worker: state.worker,
+            local: state.flows.len(),
+        };
+        state.flows.push(flow.clone());
+        if !self.checker.options.dedup {
+            let fec = AlignedFec {
+                pre: self.decode_side(Side::Pre, &pre, state)?,
+                post: self.decode_side(Side::Post, &post, state)?,
+                flow,
+            };
+            self.registry.admit(fec, None, None, route, member);
+            return Ok(());
+        }
+        let byte_key = (pre.hash, post.hash, route.unwrap_or(usize::MAX));
+        self.registry.admit_by_bytes(byte_key, member, || {
+            self.resolve_byte_class(&flow, route, &pre, &post, member, state)
+        })?;
+        Ok(())
+    }
+
+    /// Resolve the behavior class for a byte-key founder: consult the
+    /// byte-keyed store first (a hit replays the verdict with **zero**
+    /// graph decodes), else decode both sides, fingerprint, admit by
+    /// behavior key, and — when this member also founds the behavior
+    /// class — consult the behavior-keyed store. A class no store entry
+    /// answers is left for the finisher to decide.
+    fn resolve_byte_class(
+        &self,
+        flow: &FlowSpec,
+        route: Option<usize>,
+        pre: &JoinedSide,
+        post: &JoinedSide,
+        member: FlowRef,
+        state: &mut WorkerState,
+    ) -> Result<ClassRef, SidedError> {
+        let checker = self.checker;
+        let byte_key = (pre.hash, post.hash);
+        let byte_store_key = checker.byte_store_key(byte_key, route);
+        if let Some(payload) = checker.cache.and_then(|cache| cache.get(&byte_store_key)) {
+            if let Some(result) = FecResult::from_cache_value(&payload, flow.clone()) {
+                // the placeholder representative renders nothing, so
+                // the payload carries the symbols its class would
+                // have contributed to the definitive table
+                if let Some(symbols) = payload.get("symbols").and_then(|v| v.as_arr()) {
+                    let names = symbols.iter().filter_map(|name| name.as_str());
+                    state.symbols.extend(names.map(str::to_owned));
+                }
+                let placeholder = AlignedFec {
+                    flow: flow.clone(),
+                    pre: ForwardingGraph::default(),
+                    post: ForwardingGraph::default(),
+                };
+                let (class, _) = self.registry.admit(placeholder, None, None, route, member);
+                state.warm.push((class, result));
+                return Ok(class);
+            }
+        }
+        let pre_graph = self.decode_side(Side::Pre, pre, state)?;
+        let post_graph = self.decode_side(Side::Post, post, state)?;
+        let level = checker.hash_level(route);
+        let key = (
+            behavior_hash(&pre_graph, checker.db, level),
+            behavior_hash(&post_graph, checker.db, level),
+        );
+        let fec = AlignedFec {
+            flow: flow.clone(),
+            pre: pre_graph,
+            post: post_graph,
+        };
+        let (class, founded) = self
+            .registry
+            .admit(fec, Some(key), Some(byte_key), route, member);
+        if !founded {
+            // joined a behavior class founded under a different byte key
+            return Ok(class);
+        }
+        let replay = checker
+            .cache
+            .zip(checker.store_key_parts(Some(key), route))
+            .and_then(|(cache, store_key)| {
+                let payload = cache.get(&store_key)?;
+                let result = FecResult::from_cache_value(&payload, flow.clone())?;
+                Some((cache, payload, result))
+            });
+        if let Some((cache, payload, result)) = replay {
+            // twin the behavior-warm verdict under the byte key so the
+            // next identical snapshot skips the decode
+            let symbols = self
+                .registry
+                .with_rep(class, |rep| checker.collect_symbols(&[rep]));
+            cache.put(&byte_store_key, payload_with_symbols(payload, &symbols));
+            state.warm.push((class, result));
+        }
+        Ok(class)
+    }
+
+    /// Decode one side's graph span, attributing failures exactly as
+    /// [`rela_net::SnapshotReader`] would for the same record.
+    fn decode_side(
+        &self,
+        side: Side,
+        joined: &JoinedSide,
+        state: &mut WorkerState,
+    ) -> Result<ForwardingGraph, SidedError> {
+        state.decodes += 1;
+        decode_graph_span(joined.span.as_slice()).map_err(|message| {
+            // if the span came out of an intact record, re-run the
+            // record decoder over the reassembled record so the error
+            // text matches the reader's contract byte for byte
+            let Provenance { index, offset } = joined.provenance;
+            if let Some(raw) = joined.span.reconstruct_record(offset, index) {
+                if let Err(e) = raw.decode(self.label(side)) {
+                    return (side, e);
+                }
+            }
+            self.located(side, message, joined.provenance)
+        })
+    }
+
+    /// The source label of `side`'s stream.
+    fn label(&self, side: Side) -> Option<&str> {
+        let [pre, post] = &self.labels;
+        match side {
+            Side::Pre => pre.as_deref(),
+            Side::Post => post.as_deref(),
+        }
+    }
+
+    /// A record-level error at `at`, labelled with `side`'s source.
+    fn located(&self, side: Side, message: String, at: Provenance) -> SidedError {
+        let mut e = SnapshotError::at(message, at.offset).with_entry(at.index);
+        if let Some(label) = self.label(side) {
+            e = e.with_source_label(label);
+        }
+        (side, e)
     }
 }
 
@@ -450,10 +769,10 @@ fn table_fingerprint(names: &BTreeSet<String>) -> u128 {
 /// Memo key: `(side behavior hash, route, part index, is_post_side,
 /// symbol-table fingerprint)`. The table fingerprint matters because a
 /// DFA's state/symbol layout is a function of the table it was built
-/// against: the batch engine decides every class under one run-global
-/// table, while the pipelined engine's eager decides use per-class
-/// tables — sides may only be shared between decides that interned the
-/// same symbol set.
+/// against: every class of one run is decided under one table, but a
+/// session's memo outlives the run and the next job's snapshots intern
+/// a different name set — sides may only be shared between decides
+/// that interned the same symbol set.
 type MemoKey = (u128, usize, usize, bool, u128);
 
 /// Size cap for a shared, session-lifetime [`FstMemo`]: beyond this many
@@ -541,6 +860,17 @@ impl<'a> LoweredCheck<'a> {
         };
         LoweredCheck { check, fsts }
     }
+}
+
+/// What every class decide of one run reads: the program's checks with
+/// their relations lowered, the run's symbol table and its fingerprint,
+/// and the memo of determinized sides.
+struct DecideCtx<'a> {
+    default_lowered: LoweredCheck<'a>,
+    routed_lowered: Vec<LoweredCheck<'a>>,
+    table: SymbolTable,
+    table_fp: u128,
+    memo: &'a FstMemo,
 }
 
 /// The checker: a compiled program bound to a location database.
@@ -645,38 +975,42 @@ impl<'a> Checker<'a> {
         let classes = self.group_into_classes(pair, threads);
         let reps: Vec<&AlignedFec> = classes.iter().map(|c| &pair.fecs[c.members[0]]).collect();
         let flows: Vec<&FlowSpec> = pair.fecs.iter().map(|f| &f.flow).collect();
-        self.run_classes(start, &flows, &classes, &reps)
+        let warm = self.consult_store(&flows, &classes, threads);
+        let mut report = self.finish(start, &flows, &classes, &reps, warm, BTreeSet::new());
+        // the batch path materializes every record during ingest, so
+        // every record costs one graph decode
+        report.stats.graph_decodes = flows.len() * 2;
+        report
     }
 
-    /// Check two snapshot streams through the fully pipelined cold path.
+    /// Check two snapshot streams through the pipelined engine.
     ///
     /// Where [`Checker::check`] needs the whole pair decoded and aligned
-    /// before it fingerprints a single FEC, this method overlaps framing,
-    /// decoding, and deciding:
+    /// before it fingerprints a single FEC, this method overlaps framing
+    /// with decoding and decodes only what it has not seen before:
     ///
     /// 1. **Framers** (one thread per snapshot) extract undecoded record
     ///    spans ([`rela_net::SnapshotFramer`]) and push them over a
     ///    bounded channel — back-pressure caps raw-record memory at
     ///    `max(2, ⌈workers / 2⌉)` batches of ~64 KiB.
-    /// 2. **Decode workers** parse each span, compute its side's
-    ///    [`BehaviorHash`], and hash-join it with its partner on the
-    ///    flow key (sharded join map; only unmatched records spill).
-    /// 3. A **class registry** (sharded by `(pre, post, route)`) admits
-    ///    the first representative of each behavior class; graph
-    ///    residency stays O(classes).
-    /// 4. Idle workers **begin deciding** admitted classes while records
-    ///    still arrive: warm classes replay from the persistent store
-    ///    immediately, and cold classes are decided eagerly against a
-    ///    per-class symbol table. Compliant verdicts carry no rendered
-    ///    paths, so they are final; violating ones are re-decided by the
-    ///    finisher under the run's definitive sorted table so witness
-    ///    bytes match the batch engine exactly.
+    /// 2. **Decode workers** parse each record's flow key, content-hash
+    ///    its graph span, and hash-join it with its partner on the flow
+    ///    key (sharded join map; only unmatched records spill).
+    /// 3. A **class registry** admits each joined pair by its raw bytes,
+    ///    decoding and [`BehaviorHash`]ing a pair only when its bytes
+    ///    are new, and keeps the first representative of each behavior
+    ///    class; graph residency stays O(classes). A founded class
+    ///    consults the persistent store at once, so warm classes replay
+    ///    while records still arrive.
+    /// 4. When both streams have ended, the **finisher** — the one
+    ///    [`Checker::check`] uses — decides every class the store did
+    ///    not answer, once, under the run's definitive sorted table.
     ///
     /// The produced report is byte-identical to [`Checker::check`] on the
-    /// same records at any thread count — `check` shares none of this
-    /// method's shortcuts (no byte-level admission, no eager decides, no
-    /// per-class tables), which is what makes it the reference the
-    /// identity suites compare against. The first stream error aborts
+    /// same records at any thread count. `check` shares neither of this
+    /// method's shortcuts — byte-level admission and the streaming join
+    /// — which is what makes it the reference the identity suites
+    /// compare against. The first stream error aborts
     /// the pipeline (framers stop, workers drain) and is returned with
     /// [`rela_net::SnapshotReader`]'s offset/entry-index contract; when
     /// several errors are discovered concurrently, the lowest entry index
@@ -694,7 +1028,8 @@ impl<'a> Checker<'a> {
             pre.label().map(str::to_owned),
             post.label().map(str::to_owned),
         ];
-        self.run_pipelined(PipeFeed::Framers(Box::new(pre), Box::new(post)), labels)
+        let feeds = vec![framer_feed(pre, Side::Pre), framer_feed(post, Side::Post)];
+        self.run_pipelined(feeds, labels)
     }
 
     /// Check a pre-built item feed through the pipelined engine — the
@@ -707,176 +1042,54 @@ impl<'a> Checker<'a> {
         items: Vec<PreparedItem>,
         labels: [Option<String>; 2],
     ) -> Result<CheckReport, SnapshotError> {
-        self.run_pipelined(
-            PipeFeed::<std::io::Empty, std::io::Empty>::Prepared(items),
-            labels,
-        )
+        self.run_pipelined(vec![Box::new(items.into_iter().map(Ok))], labels)
     }
 
     /// The pipelined engine shared by [`Checker::check_pipelined`] and
-    /// the delta path.
-    fn run_pipelined<A, B>(
+    /// the delta path: [`Pipeline::ingest`] in front of
+    /// [`Checker::finish`].
+    fn run_pipelined(
         &self,
-        feed: PipeFeed<A, B>,
+        feeds: Vec<Feed<'_>>,
         labels: [Option<String>; 2],
-    ) -> Result<CheckReport, SnapshotError>
-    where
-        A: Read + Send,
-        B: Read + Send,
-    {
+    ) -> Result<CheckReport, SnapshotError> {
         let start = Instant::now();
-        let threads = self.resolve_threads();
-        let workers = threads.max(1);
-        let default_lowered = LoweredCheck::new(&self.program.default_check);
-        let routed_lowered: Vec<LoweredCheck<'_>> = self
-            .program
-            .routed
-            .iter()
-            .map(|r| LoweredCheck::new(&r.check))
-            .collect();
-
-        // capacity counts byte-cut batches: half a batch in flight per
-        // worker, and never fewer than one per framer
-        let channel: Channel<PipeBatch> = Channel::new(workers.div_ceil(2).max(2));
+        let workers = self.resolve_threads().max(1);
         let shards = workers.next_power_of_two().max(8);
-        let join = JoinMap::new(shards);
-        let registry = ClassRegistry::new(shards, self.options.dedup);
-        let decide_queue = DecideQueue::new();
-        let errors = ErrorSink::new();
-        let local_memo = FstMemo::new();
-        let memo: &FstMemo = self.memo.unwrap_or(&local_memo);
-        let memo_hits_before = memo.hits.load(Ordering::Relaxed);
-        let producers_left = AtomicUsize::new(match &feed {
-            PipeFeed::Framers(..) => 2,
-            PipeFeed::Prepared(..) => 1,
-        });
-
-        let mut locals: Vec<PipelineWorkerState> = std::thread::scope(|scope| {
-            {
-                let (channel, errors, left) = (&channel, &errors, &producers_left);
-                match feed {
-                    PipeFeed::Framers(pre, post) => {
-                        scope.spawn(move || frame_side(*pre, Side::Pre, channel, errors, left));
-                        scope.spawn(move || frame_side(*post, Side::Post, channel, errors, left));
-                    }
-                    PipeFeed::Prepared(items) => {
-                        scope.spawn(move || feed_prepared(items, channel, errors, left));
-                    }
-                }
-            }
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let channel = &channel;
-                    let join = &join;
-                    let registry = &registry;
-                    let decide_queue = &decide_queue;
-                    let errors = &errors;
-                    let memo: &FstMemo = memo;
-                    let default_ref = &default_lowered;
-                    let routed_ref = &routed_lowered;
-                    let labels = &labels;
-                    scope.spawn(move || {
-                        self.pipeline_worker(
-                            worker,
-                            channel,
-                            join,
-                            registry,
-                            decide_queue,
-                            errors,
-                            memo,
-                            default_ref,
-                            routed_ref,
-                            labels,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-                .collect()
-        });
-
-        if errors.aborted() {
-            return Err(errors.into_first().expect("abort implies a recorded error"));
-        }
+        let pipe = Pipeline {
+            checker: self,
+            // capacity counts byte-cut batches: half a batch in flight
+            // per worker, and never fewer than one per framer
+            channel: Channel::new(workers.div_ceil(2).max(2)),
+            join: JoinMap::new(shards),
+            registry: ClassRegistry::new(shards, self.options.dedup),
+            errors: ErrorSink::new(),
+            producers_left: AtomicUsize::new(feeds.len()),
+            labels,
+        };
+        let locals = pipe.ingest(feeds, workers)?;
         if self.was_cancelled() {
             return Ok(self.cancelled_report(start));
         }
 
-        // Both streams ended cleanly: drain flows seen on one side only
-        // (the missing side is the canonical empty-graph span, so it
-        // byte-hashes and fingerprints exactly as `align`'s empty graph
-        // would). Sorted by entry index so a decode error surfaces for
-        // the record a sequential reader would hit first.
-        let mut drain_state = PipelineWorkerState::new();
-        let empty_span = GraphSpan::whole(
-            serde_json::to_string(&ForwardingGraph::default().to_value())
-                .expect("the empty graph serializes")
-                .into_bytes(),
-        );
-        let empty_hash = content_hash128(empty_span.as_slice());
-        let mut one_sided = join.drain_one_sided();
-        one_sided.sort_by_key(|one| (one.provenance.index, one.side));
-        for one in one_sided {
-            let OneSided {
-                flow,
-                side,
-                span,
-                hash,
-                provenance,
-            } = one;
-            let route = self.route_of_flow(&flow);
-            let own = JoinedSide {
-                span,
-                hash,
-                provenance,
-            };
-            let absent = JoinedSide {
-                span: empty_span.clone(),
-                hash: empty_hash,
-                provenance,
-            };
-            let (pre_side, post_side) = match side {
-                Side::Pre => (own, absent),
-                Side::Post => (absent, own),
-            };
-            if let Err((_, e)) = self.pipeline_admit_spans(
-                workers, // the drain acts as one extra pseudo-worker
-                flow,
-                route,
-                pre_side,
-                post_side,
-                &registry,
-                &decide_queue,
-                &labels,
-                &mut drain_state,
-            ) {
-                return Err(e);
-            }
-        }
-        locals.push(drain_state);
-
-        // Flatten worker-local state into the flat engine inputs.
-        let mut phases = PhaseTimings::default();
+        // Flatten worker-local state into the finisher's inputs.
         let mut offsets = Vec::with_capacity(locals.len());
         let mut flows: Vec<FlowSpec> = Vec::new();
-        let mut outcomes: Vec<(ClassRef, EagerOutcome)> = Vec::new();
+        let mut warm_refs: Vec<(ClassRef, FecResult)> = Vec::new();
         let mut graph_decodes = 0usize;
         let mut replayed_symbols: BTreeSet<String> = BTreeSet::new();
         let mut captured: Vec<(Side, RetainedRecord)> = Vec::new();
         for mut local in locals {
             offsets.push(flows.len());
             flows.append(&mut local.flows);
-            outcomes.append(&mut local.outcomes);
-            phases.merge(&local.phases);
+            warm_refs.append(&mut local.warm);
             graph_decodes += local.decodes;
             replayed_symbols.extend(local.symbols);
             captured.append(&mut local.captured);
         }
-        let (accs, shard_offsets) = registry.into_classes();
+        let (accs, shard_offsets) = pipe.registry.into_classes();
         let mut classes: Vec<BehaviorClass> = Vec::with_capacity(accs.len());
-        let mut reps: Vec<Arc<AlignedFec>> = Vec::with_capacity(accs.len());
+        let mut reps: Vec<AlignedFec> = Vec::with_capacity(accs.len());
         for acc in accs {
             classes.push(BehaviorClass {
                 route: acc.route,
@@ -890,618 +1103,53 @@ impl<'a> Checker<'a> {
             });
             reps.push(acc.rep);
         }
-
-        // Partition the eager outcomes: warm replays and compliant eager
-        // decides are final; violating provisionals and classes never
-        // reached (tasks left queued when the stream ended) go to the
-        // finisher.
-        let mut covered = vec![false; classes.len()];
-        let mut warm: Vec<(usize, FecResult)> = Vec::new();
-        let mut done: Vec<(usize, FecResult, Duration, PhaseTimings)> = Vec::new();
-        let mut redo: Vec<usize> = Vec::new();
-        for (class_ref, outcome) in outcomes {
-            let global = shard_offsets[class_ref.shard] + class_ref.index;
-            covered[global] = true;
-            match outcome {
-                EagerOutcome::Warm(result) => warm.push((global, result)),
-                EagerOutcome::Compliant(result, wall, class_phases) => {
-                    done.push((global, result, wall, class_phases))
-                }
-                EagerOutcome::ViolatingProvisional => redo.push(global),
-            }
-        }
-        redo.extend((0..classes.len()).filter(|&ix| !covered[ix]));
-        redo.sort_unstable();
-
-        // Final decides under the run's definitive sorted table — the
-        // same table the batch engine would build, which is what makes
-        // witness bytes identical across engines. Byte-warm classes
-        // replay with placeholder reps, so the symbol names their
-        // payloads recorded are folded back in here.
-        let mut names = self.collect_symbols(&reps);
-        names.extend(replayed_symbols);
-        let table_fp = table_fingerprint(&names);
-        let table = self.table_of(&names);
-        let (fresh, final_phases) = self.decide_classes(
-            &redo,
-            &classes,
-            &reps,
-            &default_lowered,
-            &routed_lowered,
-            &table,
-            table_fp,
-            memo,
-            threads,
-        );
-        phases.merge(&final_phases);
-        if self.was_cancelled() {
-            // partial decides are individually sound but the run is not
-            // complete: nothing may be retained as a delta base, and the
-            // session replies with the deadline error instead
-            return Ok(self.cancelled_report(start));
-        }
-
-        // Write every fresh decision back to the store (eager compliant
-        // verdicts and finisher decisions alike) — under the behavior
-        // key, and mirrored under the founding byte key so the next run
-        // can replay without decoding.
-        if let Some(cache) = self.cache {
-            for (ix, result, wall, class_phases) in done.iter().chain(fresh.iter()) {
-                let class = &classes[*ix];
-                if let Some(key) = self.store_key(class) {
-                    let value = result.to_cache_value(*wall, class_phases);
-                    if let Some(byte_key) = class.byte_key {
-                        let symbols = self.collect_symbols(std::slice::from_ref(&reps[*ix]));
-                        cache.put(
-                            &self.byte_store_key(byte_key, class.route),
-                            payload_with_symbols(value.clone(), &symbols),
-                        );
-                    }
-                    cache.put(&key, value);
-                }
-            }
-        }
-
-        // Retain the pair for delta-base replay (only a clean, complete
-        // run may become a base).
-        if let Some(slot) = self.retention {
-            captured.sort_by_key(|(side, record)| (*side, record.index));
-            let mut pre_records = Vec::new();
-            let mut post_records = Vec::new();
-            for (side, record) in captured {
-                match side {
-                    Side::Pre => pre_records.push(record),
-                    Side::Post => post_records.push(record),
-                }
-            }
-            let fold_of = |records: &[RetainedRecord]| {
-                side_fold(records.iter().map(|r| record_mix(&r.flow, r.hash)))
-            };
-            let epoch = pair_epoch(fold_of(&pre_records), fold_of(&post_records)).as_u128();
-            slot.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(Arc::new(RetainedBase {
-                    epoch,
-                    pre: pre_records,
-                    post: post_records,
-                }));
-        }
-
-        let decided: Vec<(usize, FecResult, Duration)> = done
+        let warm = warm_refs
             .into_iter()
-            .chain(fresh)
-            .map(|(ix, result, wall, _)| (ix, result, wall))
+            .map(|(class, result)| (shard_offsets[class.shard] + class.index, result))
             .collect();
-        Ok(self.assemble_report(
+
+        // Byte-warm classes replay with placeholder reps, so the symbol
+        // names their payloads recorded are folded back into the table.
+        let mut report = self.finish(
             start,
-            &flows,
+            &flows.iter().collect::<Vec<_>>(),
             &classes,
+            &reps.iter().collect::<Vec<_>>(),
             warm,
-            decided,
-            memo.hits
-                .load(Ordering::Relaxed)
-                .saturating_sub(memo_hits_before),
-            phases,
-            graph_decodes,
-        ))
-    }
-
-    /// One decode/fingerprint worker: pull raw spans while they arrive,
-    /// and decide admitted classes in the gaps (decode has priority —
-    /// it is what un-blocks the framers).
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn pipeline_worker(
-        &self,
-        worker: usize,
-        channel: &Channel<PipeBatch>,
-        join: &JoinMap,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
-        errors: &ErrorSink,
-        memo: &FstMemo,
-        default_lowered: &LoweredCheck<'_>,
-        routed_lowered: &[LoweredCheck<'_>],
-        labels: &[Option<String>; 2],
-    ) -> PipelineWorkerState {
-        let _poison_guard = PoisonOnPanic(channel);
-        let mut state = PipelineWorkerState::new();
-        loop {
-            // deadline poll between batches: poisoning the channel stops
-            // the framers and releases the other workers, so an expired
-            // job drains in one batch per worker instead of finishing
-            // the snapshot
-            if self.cancelled() {
-                channel.poison();
-                return state;
-            }
-            match channel.recv(Duration::from_millis(1)) {
-                Recv::Item(PipeBatch::Raw(side, batch)) => {
-                    for raw in batch {
-                        if let Err((side, e)) = self.pipeline_record(
-                            worker,
-                            side,
-                            raw,
-                            join,
-                            registry,
-                            decide_queue,
-                            labels,
-                            &mut state,
-                        ) {
-                            errors.record(side, e);
-                            channel.poison();
-                            break;
-                        }
-                    }
-                }
-                Recv::Item(PipeBatch::Prepared(batch)) => {
-                    for item in batch {
-                        if let Err((side, e)) = self.pipeline_prepared(
-                            worker,
-                            item,
-                            join,
-                            registry,
-                            decide_queue,
-                            labels,
-                            &mut state,
-                        ) {
-                            errors.record(side, e);
-                            channel.poison();
-                            break;
-                        }
-                    }
-                }
-                Recv::Timeout => {
-                    if let Some(task) = decide_queue.pop() {
-                        self.eager_decide(task, memo, default_lowered, routed_lowered, &mut state);
-                    }
-                }
-                Recv::Closed => return state,
-            }
-        }
-    }
-
-    /// Process one prepared (delta-path) item.
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn pipeline_prepared(
-        &self,
-        worker: usize,
-        item: PreparedItem,
-        join: &JoinMap,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
-        labels: &[Option<String>; 2],
-        state: &mut PipelineWorkerState,
-    ) -> Result<(), (Side, SnapshotError)> {
-        match item {
-            PreparedItem::Record { side, raw } => self.pipeline_record(
-                worker,
-                side,
-                raw,
-                join,
-                registry,
-                decide_queue,
-                labels,
-                state,
-            ),
-            PreparedItem::Replay { side, record } => {
-                let provenance = Provenance {
-                    index: record.index,
-                    offset: 0, // replayed spans have no document offset
-                };
-                self.pipeline_side(
-                    worker,
-                    side,
-                    record.flow,
-                    record.span,
-                    record.hash,
-                    provenance,
-                    join,
-                    registry,
-                    decide_queue,
-                    labels,
-                    state,
-                )
-            }
-            PreparedItem::PairReplay { pre, post } => {
-                if self.retention.is_some() {
-                    state.captured.push((Side::Pre, pre.clone()));
-                    state.captured.push((Side::Post, post.clone()));
-                }
-                let flow = pre.flow;
-                let route = self.route_of_flow(&flow);
-                let pre_side = JoinedSide {
-                    span: pre.span,
-                    hash: pre.hash,
-                    provenance: Provenance {
-                        index: pre.index,
-                        offset: 0,
-                    },
-                };
-                let post_side = JoinedSide {
-                    span: post.span,
-                    hash: post.hash,
-                    provenance: Provenance {
-                        index: post.index,
-                        offset: 0,
-                    },
-                };
-                self.pipeline_admit_spans(
-                    worker,
-                    flow,
-                    route,
-                    pre_side,
-                    post_side,
-                    registry,
-                    decide_queue,
-                    labels,
-                    state,
-                )
-            }
-        }
-    }
-
-    /// Decode one framed record's flow key, fingerprint its raw graph
-    /// span, and hand it to the side joiner. The graph itself stays
-    /// undecoded — byte-level admission decides whether decoding is
-    /// needed at all.
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn pipeline_record(
-        &self,
-        worker: usize,
-        side: Side,
-        raw: RawRecord,
-        join: &JoinMap,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
-        labels: &[Option<String>; 2],
-        state: &mut PipelineWorkerState,
-    ) -> Result<(), (Side, SnapshotError)> {
-        let label = labels[match side {
-            Side::Pre => 0,
-            Side::Post => 1,
-        }]
-        .as_deref();
-        let provenance = Provenance {
-            index: raw.index,
-            offset: raw.offset,
-        };
-        let (flow, span) = match raw.decode_flow(label).map_err(|e| (side, e))? {
-            // the graph span shares the framer's backing buffer (chunk,
-            // record vec, or file mapping) — no copy
-            FlowDecoded::Split(flow, graph_span) => (flow, GraphSpan::of_record(&raw, graph_span)),
-            // non-canonical encoding: re-serialize the parsed graph so
-            // byte keys are encoding-invariant
-            FlowDecoded::Full(flow, graph) => (
-                flow,
-                GraphSpan::whole(
-                    serde_json::to_string(&graph.to_value())
-                        .expect("a parsed graph re-serializes")
-                        .into_bytes(),
-                ),
-            ),
-        };
-        let hash = content_hash128(span.as_slice());
-        self.pipeline_side(
-            worker,
-            side,
-            flow,
-            span,
-            hash,
-            provenance,
-            join,
-            registry,
-            decide_queue,
-            labels,
-            state,
-        )
-    }
-
-    /// Join one fingerprinted side with its partner; a completed pair is
-    /// admitted to the class registry.
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn pipeline_side(
-        &self,
-        worker: usize,
-        side: Side,
-        flow: FlowSpec,
-        span: GraphSpan,
-        hash: u128,
-        provenance: Provenance,
-        join: &JoinMap,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
-        labels: &[Option<String>; 2],
-        state: &mut PipelineWorkerState,
-    ) -> Result<(), (Side, SnapshotError)> {
-        if self.retention.is_some() {
-            state.captured.push((
-                side,
-                RetainedRecord {
-                    flow: flow.clone(),
-                    span: span.clone(),
-                    hash,
-                    index: provenance.index,
-                },
-            ));
-        }
-        let route = self.route_of_flow(&flow);
-        match join.insert(side, &flow, span, hash, provenance) {
-            Joined::Pending => Ok(()),
-            Joined::Duplicate(second) => {
-                // `second` is the occurrence with the larger entry index
-                // — what `SnapshotReader` names, whichever record a
-                // worker happened to decode first
-                let label = labels[match side {
-                    Side::Pre => 0,
-                    Side::Post => 1,
-                }]
-                .as_deref();
-                let mut e = SnapshotError::at(format!("duplicate flow {flow}"), second.offset)
-                    .with_entry(second.index);
-                if let Some(label) = label {
-                    e = e.with_source_label(label);
-                }
-                Err((side, e))
-            }
-            Joined::Paired { pre, post } => self.pipeline_admit_spans(
-                worker,
-                flow,
-                route,
-                pre,
-                post,
-                registry,
-                decide_queue,
-                labels,
-                state,
-            ),
-        }
-    }
-
-    /// Admit one paired flow to the class registry by its raw byte key.
-    /// A byte-key hit joins the already-resolved class with zero decode
-    /// work; a miss resolves a class — decode, fingerprint,
-    /// behavior-admit, store-consult — under the byte-shard lock, so
-    /// exactly one member per byte key pays for the decode.
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn pipeline_admit_spans(
-        &self,
-        worker: usize,
-        flow: FlowSpec,
-        route: Option<usize>,
-        pre: JoinedSide,
-        post: JoinedSide,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
-        labels: &[Option<String>; 2],
-        state: &mut PipelineWorkerState,
-    ) -> Result<(), (Side, SnapshotError)> {
-        let member = FlowRef {
-            worker,
-            local: state.flows.len(),
-        };
-        state.flows.push(flow.clone());
-        if !self.options.dedup {
-            let pre_graph = self.decode_side(Side::Pre, &pre, labels, state)?;
-            let post_graph = self.decode_side(Side::Post, &post, labels, state)?;
-            let fec = AlignedFec {
-                flow,
-                pre: pre_graph,
-                post: post_graph,
-            };
-            let (class, rep) = registry.admit(fec, None, None, route, member);
-            let rep = rep.expect("a keyless admission founds a class");
-            decide_queue.push(EagerTask {
-                class,
-                rep,
-                route,
-                key: None,
-            });
-            return Ok(());
-        }
-        let byte_key = (pre.hash, post.hash, route.unwrap_or(usize::MAX));
-        registry.admit_by_bytes(byte_key, member, || {
-            self.resolve_byte_class(
-                &flow,
-                route,
-                &pre,
-                &post,
-                (pre.hash, post.hash),
-                member,
-                registry,
-                decide_queue,
-                labels,
-                state,
-            )
-        })?;
-        Ok(())
-    }
-
-    /// Resolve the behavior class for a byte-key founder: consult the
-    /// byte-keyed store first (a hit replays the verdict with **zero**
-    /// graph decodes), else decode both sides, fingerprint, admit by
-    /// behavior key, and — when this member also founds the behavior
-    /// class — consult the behavior-keyed store as before.
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn resolve_byte_class(
-        &self,
-        flow: &FlowSpec,
-        route: Option<usize>,
-        pre: &JoinedSide,
-        post: &JoinedSide,
-        byte_key: (u128, u128),
-        member: FlowRef,
-        registry: &ClassRegistry,
-        decide_queue: &DecideQueue,
-        labels: &[Option<String>; 2],
-        state: &mut PipelineWorkerState,
-    ) -> Result<ClassRef, (Side, SnapshotError)> {
-        if let Some(cache) = self.cache {
-            let key = self.byte_store_key(byte_key, route);
-            if let Some(payload) = cache.get(&key) {
-                if let Some(result) = FecResult::from_cache_value(&payload, flow.clone()) {
-                    // the placeholder representative renders nothing, so
-                    // the payload carries the symbols its class would
-                    // have contributed to the definitive table
-                    if let Some(symbols) = payload.get("symbols").and_then(|v| v.as_arr()) {
-                        for name in symbols {
-                            if let Some(name) = name.as_str() {
-                                state.symbols.insert(name.to_owned());
-                            }
-                        }
-                    }
-                    let placeholder = AlignedFec {
-                        flow: flow.clone(),
-                        pre: ForwardingGraph::default(),
-                        post: ForwardingGraph::default(),
-                    };
-                    let (class, _) = registry.admit(placeholder, None, None, route, member);
-                    state.outcomes.push((class, EagerOutcome::Warm(result)));
-                    return Ok(class);
-                }
-            }
-        }
-        let pre_graph = self.decode_side(Side::Pre, pre, labels, state)?;
-        let post_graph = self.decode_side(Side::Post, post, labels, state)?;
-        let level = self.hash_level(route);
-        let key = (
-            behavior_hash(&pre_graph, self.db, level),
-            behavior_hash(&post_graph, self.db, level),
+            replayed_symbols,
         );
-        let fec = AlignedFec {
-            flow: flow.clone(),
-            pre: pre_graph,
-            post: post_graph,
-        };
-        let (class, rep) = registry.admit(fec, Some(key), Some(byte_key), route, member);
-        let Some(rep) = rep else {
-            // joined a behavior class founded under a different byte key
-            return Ok(class);
-        };
-        let replay = self
-            .cache
-            .zip(self.store_key_parts(Some(key), route))
-            .and_then(|(cache, store_key)| {
-                cache.get(&store_key).and_then(|payload| {
-                    FecResult::from_cache_value(&payload, rep.flow.clone())
-                        .map(|result| (payload, result))
-                })
-            });
-        match replay {
-            Some((payload, result)) => {
-                if let Some(cache) = self.cache {
-                    // twin the behavior-warm verdict under the byte key
-                    // so the next identical snapshot skips the decode
-                    let symbols = self.collect_symbols(std::slice::from_ref(&rep));
-                    cache.put(
-                        &self.byte_store_key(byte_key, route),
-                        payload_with_symbols(payload, &symbols),
-                    );
-                }
-                state.outcomes.push((class, EagerOutcome::Warm(result)));
-            }
-            None => decide_queue.push(EagerTask {
-                class,
-                rep,
-                route,
-                key: Some(key),
-            }),
+        if !self.was_cancelled() {
+            report.stats.graph_decodes = graph_decodes;
+            report.stats.retained_epoch = self.retain(captured);
         }
-        Ok(class)
+        Ok(report)
     }
 
-    /// Decode one side's graph span, attributing failures exactly as
-    /// [`rela_net::SnapshotReader`] would for the same record.
-    fn decode_side(
-        &self,
-        side: Side,
-        joined: &JoinedSide,
-        labels: &[Option<String>; 2],
-        state: &mut PipelineWorkerState,
-    ) -> Result<ForwardingGraph, (Side, SnapshotError)> {
-        state.decodes += 1;
-        decode_graph_span(joined.span.as_slice()).map_err(|message| {
-            let label = labels[match side {
-                Side::Pre => 0,
-                Side::Post => 1,
-            }]
-            .as_deref();
-            // if the span came out of an intact record, re-run the
-            // record decoder over the reassembled record so the error
-            // text matches the reader's contract byte for byte
-            if let Some(raw) = joined
-                .span
-                .reconstruct_record(joined.provenance.offset, joined.provenance.index)
-            {
-                if let Err(e) = raw.decode(label) {
-                    return (side, e);
-                }
+    /// Retain a cleanly and completely checked pair for delta-base
+    /// replay, when a retention slot is attached. Returns its epoch.
+    fn retain(&self, mut captured: Vec<(Side, RetainedRecord)>) -> Option<SnapshotEpoch> {
+        let slot = self.retention?;
+        captured.sort_by_key(|(side, record)| (*side, record.index));
+        let mut pre_records = Vec::new();
+        let mut post_records = Vec::new();
+        for (side, record) in captured {
+            match side {
+                Side::Pre => pre_records.push(record),
+                Side::Post => post_records.push(record),
             }
-            let mut e = SnapshotError::at(message, joined.provenance.offset)
-                .with_entry(joined.provenance.index);
-            if let Some(label) = label {
-                e = e.with_source_label(label);
-            }
-            (side, e)
-        })
-    }
-
-    /// Decide one class mid-ingest against a **per-class** symbol table
-    /// (the run-global table cannot exist until the stream ends). A
-    /// compliant verdict is final: it renders no paths, so its bytes
-    /// cannot depend on the table. A violating verdict proves only the
-    /// boolean — language (in)equivalence is invariant under the table
-    /// relabeling — while its witnesses are table-sensitive, so it is
-    /// handed back for a finisher re-decide.
-    fn eager_decide(
-        &self,
-        task: EagerTask,
-        memo: &FstMemo,
-        default_lowered: &LoweredCheck<'_>,
-        routed_lowered: &[LoweredCheck<'_>],
-        state: &mut PipelineWorkerState,
-    ) {
-        let names = self.collect_symbols(std::slice::from_ref(&task.rep));
-        let table_fp = table_fingerprint(&names);
-        let table = self.table_of(&names);
-        let t0 = Instant::now();
-        let before = state.phases;
-        let result = self.check_class(
-            task.rep.borrow(),
-            task.route,
-            task.key,
-            default_lowered,
-            routed_lowered,
-            &table,
-            table_fp,
-            memo,
-            &mut state.phases,
-        );
-        let outcome = if result.violations.is_empty() {
-            EagerOutcome::Compliant(result, t0.elapsed(), state.phases.since(&before))
-        } else {
-            EagerOutcome::ViolatingProvisional
+        }
+        let fold_of = |records: &[RetainedRecord]| {
+            side_fold(records.iter().map(|r| record_mix(&r.flow, r.hash)))
         };
-        state.outcomes.push((task.class, outcome));
+        let epoch = pair_epoch(fold_of(&pre_records), fold_of(&post_records));
+        slot.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Arc::new(RetainedBase {
+                epoch: epoch.as_u128(),
+                pre: pre_records,
+                post: post_records,
+            }));
+        Some(epoch)
     }
 
     /// `options.threads`, with `0` resolved to the machine's available
@@ -1516,100 +1164,128 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// The batch decide-and-broadcast engine behind [`Checker::check`]:
-    /// given the per-FEC flow keys, the behavior classes, and one
-    /// representative FEC per class (`reps[i]` represents `classes[i]`),
-    /// consult the persistent store, decide the cold classes over a
-    /// work-stealing queue, and broadcast verdicts to every member.
-    fn run_classes(
+    /// The decide-and-broadcast finisher both engines end in: given the
+    /// per-FEC flow keys, the behavior classes, one representative FEC
+    /// per class (`reps[i]` represents `classes[i]`) and the verdicts
+    /// the store already answered (`warm`), decide every other class
+    /// once over a work-stealing queue, write the fresh decisions back,
+    /// and broadcast each verdict to every member of its class.
+    ///
+    /// Every decide runs under one table — the sorted set of the
+    /// representatives' location names plus `replayed` (the names
+    /// byte-warm classes carry in their payloads instead of in their
+    /// placeholder representatives). It is the same table whichever
+    /// engine admitted the classes, which is what makes witness bytes
+    /// identical across engines.
+    fn finish(
         &self,
         start: Instant,
         flows: &[&FlowSpec],
         classes: &[BehaviorClass],
         reps: &[&AlignedFec],
+        warm: Vec<(usize, FecResult)>,
+        replayed: BTreeSet<String>,
     ) -> CheckReport {
         debug_assert_eq!(classes.len(), reps.len());
-        let names = self.collect_symbols(reps);
-        let table_fp = table_fingerprint(&names);
-        let table = self.table_of(&names);
-        let default_lowered = LoweredCheck::new(&self.program.default_check);
-        let routed_lowered: Vec<LoweredCheck<'_>> = self
-            .program
-            .routed
-            .iter()
-            .map(|r| LoweredCheck::new(&r.check))
-            .collect();
-        let threads = self.resolve_threads();
-
-        // Consult the persistent store (sharded across workers): a class
-        // whose verdict a previous run (same spec, same engine, same
-        // options) already decided replays warm.
-        let (warm, cold) = self.consult_store(flows, classes, threads);
-
-        // Decide one representative per cold class over the
-        // work-stealing queue.
+        let mut names = self.collect_symbols(reps);
+        names.extend(replayed);
         let local_memo = FstMemo::new();
         let memo: &FstMemo = self.memo.unwrap_or(&local_memo);
         let memo_hits_before = memo.hits.load(Ordering::Relaxed);
-        let (decided, phases) = self.decide_classes(
-            &cold,
-            classes,
-            reps,
-            &default_lowered,
-            &routed_lowered,
-            &table,
-            table_fp,
-            memo,
-            threads,
-        );
+        let ctx = self.decide_ctx(&names, memo);
+
+        let mut answered = vec![false; classes.len()];
+        for (ix, _) in &warm {
+            answered[*ix] = true;
+        }
+        let cold: Vec<usize> = (0..classes.len()).filter(|&ix| !answered[ix]).collect();
+        let (decided, phases) = self.decide_classes(&ctx, &cold, classes, reps);
         if self.was_cancelled() {
+            // partial decides are individually sound but the run is not
+            // complete: nothing is written back or retained, and the
+            // session replies with the deadline error instead
             return self.cancelled_report(start);
         }
 
         // Write fresh decisions back to the store (in memory; the owner
-        // of the store persists to disk after the run).
+        // of the store persists to disk after the run) — under the
+        // behavior key, and mirrored under the founding byte key, when
+        // the class came through byte-level admission, so the next run
+        // can replay without decoding.
         if let Some(cache) = self.cache {
             for (ix, result, wall, class_phases) in &decided {
-                if let Some(key) = self.store_key(&classes[*ix]) {
-                    cache.put(&key, result.to_cache_value(*wall, class_phases));
+                let class = &classes[*ix];
+                if let Some(key) = self.store_key(class) {
+                    let value = result.to_cache_value(*wall, class_phases);
+                    if let Some(byte_key) = class.byte_key {
+                        let symbols = self.collect_symbols(&reps[*ix..=*ix]);
+                        cache.put(
+                            &self.byte_store_key(byte_key, class.route),
+                            payload_with_symbols(value.clone(), &symbols),
+                        );
+                    }
+                    cache.put(&key, value);
                 }
             }
         }
 
-        let decided = decided
+        // Broadcast: slots are filled by member flow index, then sorted
+        // by flow, so the report bytes are independent of class ordering
+        // and decide scheduling.
+        let warm_hits = warm.len();
+        let mut max_class_time = Duration::ZERO;
+        let mut slots: Vec<Option<FecResult>> = vec![None; flows.len()];
+        let broadcast = decided
             .into_iter()
             .map(|(ix, result, wall, _)| (ix, result, wall))
+            .chain(
+                warm.into_iter()
+                    .map(|(ix, result)| (ix, result, Duration::ZERO)),
+            );
+        for (class_ix, result, class_time) in broadcast {
+            max_class_time = max_class_time.max(class_time);
+            for &member in &classes[class_ix].members {
+                let mut r = result.clone();
+                r.flow = flows[member].clone();
+                slots[member] = Some(r);
+            }
+        }
+        let mut results: Vec<FecResult> = slots
+            .into_iter()
+            .map(|r| r.expect("every FEC belongs to a class"))
             .collect();
-        self.assemble_report(
-            start,
-            flows,
-            classes,
-            warm,
-            decided,
-            memo.hits
+        results.sort_by(|a, b| a.flow.cmp(&b.flow));
+        let stats = CheckStats {
+            fecs: flows.len(),
+            classes: classes.len(),
+            dedup_hits: flows.len() - classes.len(),
+            warm_hits,
+            fst_memo_hits: memo
+                .hits
                 .load(Ordering::Relaxed)
                 .saturating_sub(memo_hits_before),
             phases,
-            // the batch path materializes every record during ingest, so
-            // every record costs one graph decode
-            flows.len() * 2,
-        )
+            max_class_time,
+            ..CheckStats::default()
+        };
+        CheckReport::with_stats(results, start.elapsed(), stats)
     }
 
     /// Consult the persistent store for every class, sharded across
-    /// workers. The per-class consult — store lookup, payload clone,
+    /// workers, and return the verdicts it answered by class index. The
+    /// per-class consult — store lookup, payload clone,
     /// JSON→[`FecResult`] parse — is the *entire* check on a fully-warm
     /// run, and a serial pass leaves every core but one idle (ROADMAP:
-    /// parallel warm-replay lookup). Contiguous chunks keep the
-    /// warm/cold lists in class order, identical to a serial consult.
+    /// parallel warm-replay lookup). Contiguous chunks keep the list in
+    /// class order, identical to a serial consult.
     fn consult_store(
         &self,
         flows: &[&FlowSpec],
         classes: &[BehaviorClass],
         threads: usize,
-    ) -> (Vec<(usize, FecResult)>, Vec<usize>) {
+    ) -> Vec<(usize, FecResult)> {
         if self.cache.is_none() {
-            return (Vec::new(), (0..classes.len()).collect());
+            return Vec::new();
         }
         // don't spawn when thread startup dwarfs the lookups
         const MIN_CLASSES_PER_WORKER: usize = 64;
@@ -1643,164 +1319,64 @@ impl<'a> Checker<'a> {
                     .collect()
             })
         };
-        let mut warm = Vec::new();
-        let mut cold = Vec::with_capacity(classes.len());
-        for (ix, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Some(result) => warm.push((ix, result)),
-                None => cold.push(ix),
-            }
-        }
-        (warm, cold)
+        outcomes
+            .into_iter()
+            .enumerate()
+            .filter_map(|(ix, outcome)| Some((ix, outcome?)))
+            .collect()
     }
 
     /// Decide the classes listed in `cold` (indices into `classes`) over
     /// a work-stealing queue: workers pull the next undecided class from
     /// an atomic cursor, so a pathological class occupies one worker
     /// while the rest drain the queue, instead of stalling a statically
-    /// assigned chunk. Shared by [`Checker::run_classes`] and the
-    /// pipelined finisher.
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn decide_classes<R>(
+    /// assigned chunk. The one place a class is decided.
+    fn decide_classes(
         &self,
+        ctx: &DecideCtx<'_>,
         cold: &[usize],
         classes: &[BehaviorClass],
-        reps: &[R],
-        default_lowered: &LoweredCheck<'_>,
-        routed_lowered: &[LoweredCheck<'_>],
-        table: &SymbolTable,
-        table_fp: u128,
-        memo: &FstMemo,
-        threads: usize,
+        reps: &[&AlignedFec],
     ) -> (
         Vec<(usize, FecResult, Duration, PhaseTimings)>,
         PhaseTimings,
-    )
-    where
-        R: Borrow<AlignedFec> + Sync,
-    {
-        let mut decided: Vec<(usize, FecResult, Duration, PhaseTimings)> =
-            Vec::with_capacity(cold.len());
-        let mut phases = PhaseTimings::default();
-        if threads <= 1 || cold.len() <= 1 {
-            for &ix in cold {
-                if self.cancelled() {
+    ) {
+        let cursor = AtomicUsize::new(0);
+        let drain = || {
+            let mut out = Vec::new();
+            let mut phases = PhaseTimings::default();
+            loop {
+                let next = cursor.fetch_add(1, Ordering::Relaxed);
+                if next >= cold.len() || self.cancelled() {
                     break;
                 }
+                let ix = cold[next];
                 let class = &classes[ix];
                 let t0 = Instant::now();
                 let before = phases;
-                let result = self.check_class(
-                    reps[ix].borrow(),
-                    class.route,
-                    class.key,
-                    default_lowered,
-                    routed_lowered,
-                    table,
-                    table_fp,
-                    memo,
-                    &mut phases,
-                );
-                decided.push((ix, result, t0.elapsed(), phases.since(&before)));
+                let result = self.check_class(ctx, reps[ix], class.route, class.key, &mut phases);
+                out.push((ix, result, t0.elapsed(), phases.since(&before)));
             }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let worker_out = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut local_phases = PhaseTimings::default();
-                            loop {
-                                let next = cursor.fetch_add(1, Ordering::Relaxed);
-                                if next >= cold.len() || self.cancelled() {
-                                    break;
-                                }
-                                let ix = cold[next];
-                                let class = &classes[ix];
-                                let t0 = Instant::now();
-                                let before = local_phases;
-                                let result = self.check_class(
-                                    reps[ix].borrow(),
-                                    class.route,
-                                    class.key,
-                                    default_lowered,
-                                    routed_lowered,
-                                    table,
-                                    table_fp,
-                                    memo,
-                                    &mut local_phases,
-                                );
-                                out.push((ix, result, t0.elapsed(), local_phases.since(&before)));
-                            }
-                            (out, local_phases)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-                    .collect::<Vec<_>>()
-            });
-            for (out, local_phases) in worker_out {
-                decided.extend(out);
-                phases.merge(&local_phases);
-            }
+            (out, phases)
+        };
+        let threads = self.resolve_threads();
+        if threads <= 1 || cold.len() <= 1 {
+            return drain();
+        }
+        let worker_out = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(drain)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect::<Vec<_>>()
+        });
+        let mut decided = Vec::with_capacity(cold.len());
+        let mut phases = PhaseTimings::default();
+        for (out, local_phases) in worker_out {
+            decided.extend(out);
+            phases.merge(&local_phases);
         }
         (decided, phases)
-    }
-
-    /// Broadcast each representative's verdict to every class member and
-    /// aggregate the report: slots are filled by member flow index, then
-    /// sorted by flow, so the report bytes are independent of class
-    /// ordering and decide scheduling.
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
-    fn assemble_report<F>(
-        &self,
-        start: Instant,
-        flows: &[F],
-        classes: &[BehaviorClass],
-        warm: Vec<(usize, FecResult)>,
-        decided: Vec<(usize, FecResult, Duration)>,
-        fst_memo_hits: usize,
-        phases: PhaseTimings,
-        graph_decodes: usize,
-    ) -> CheckReport
-    where
-        F: Borrow<FlowSpec>,
-    {
-        let warm_hits = warm.len();
-        let mut max_class_time = Duration::ZERO;
-        let mut slots: Vec<Option<FecResult>> = vec![None; flows.len()];
-        let broadcast = decided.into_iter().chain(
-            warm.into_iter()
-                .map(|(ix, result)| (ix, result, Duration::ZERO)),
-        );
-        for (class_ix, result, class_time) in broadcast {
-            max_class_time = max_class_time.max(class_time);
-            for &member in &classes[class_ix].members {
-                let mut r = result.clone();
-                r.flow = flows[member].borrow().clone();
-                slots[member] = Some(r);
-            }
-        }
-        let mut results: Vec<FecResult> = slots
-            .into_iter()
-            .map(|r| r.expect("every FEC belongs to a class"))
-            .collect();
-        results.sort_by(|a, b| a.flow.cmp(&b.flow));
-        let stats = CheckStats {
-            fecs: flows.len(),
-            classes: classes.len(),
-            dedup_hits: flows.len() - classes.len(),
-            warm_hits,
-            fst_memo_hits,
-            phases,
-            max_class_time,
-            graph_decodes,
-        };
-        CheckReport::with_stats(results, start.elapsed(), stats)
     }
 
     /// Group the pair's FECs into behavior classes. With dedup disabled
@@ -1981,35 +1557,36 @@ impl<'a> Checker<'a> {
 
     /// Check a single FEC (useful for incremental workflows and tests).
     pub fn check_fec(&self, fec: &AlignedFec) -> FecResult {
-        let names = self.collect_symbols(std::slice::from_ref(fec));
-        let table = self.table_of(&names);
-        let default_lowered = LoweredCheck::new(&self.program.default_check);
-        let routed_lowered: Vec<LoweredCheck<'_>> = self
-            .program
-            .routed
-            .iter()
-            .map(|r| LoweredCheck::new(&r.check))
-            .collect();
-        self.check_class(
-            fec,
-            self.route_of(fec),
-            None,
-            &default_lowered,
-            &routed_lowered,
-            &table,
-            table_fingerprint(&names),
-            &FstMemo::new(),
-            &mut PhaseTimings::default(),
-        )
+        let memo = FstMemo::new();
+        let ctx = self.decide_ctx(&self.collect_symbols(&[fec]), &memo);
+        let route = self.route_of(fec);
+        self.check_class(&ctx, fec, route, None, &mut PhaseTimings::default())
+    }
+
+    /// The decide context for a run whose representatives mention
+    /// `names`.
+    fn decide_ctx<'c>(&'c self, names: &BTreeSet<String>, memo: &'c FstMemo) -> DecideCtx<'c> {
+        let lowered = |check: &'c CompiledCheck| LoweredCheck::new(check);
+        DecideCtx {
+            default_lowered: lowered(&self.program.default_check),
+            routed_lowered: self
+                .program
+                .routed
+                .iter()
+                .map(|r| lowered(&r.check))
+                .collect(),
+            table: self.table_of(names),
+            table_fp: table_fingerprint(names),
+            memo,
+        }
     }
 
     /// The sorted set of location names the representative graphs
     /// mention at the program granularity — the content the run's master
     /// symbol table is built from (see [`Checker::table_of`]).
-    fn collect_symbols<R: Borrow<AlignedFec>>(&self, reps: &[R]) -> BTreeSet<String> {
+    fn collect_symbols(&self, reps: &[&AlignedFec]) -> BTreeSet<String> {
         let mut names: BTreeSet<String> = BTreeSet::new();
-        for rep in reps {
-            let fec = rep.borrow();
+        for fec in reps {
             self.collect_graph_symbols(&fec.pre, &mut names);
             self.collect_graph_symbols(&fec.post, &mut names);
         }
@@ -2078,17 +1655,12 @@ impl<'a> Checker<'a> {
     /// would produce byte-identical output if checked individually
     /// (witness enumeration order depends on automaton layout, and the
     /// canonical form pins that layout).
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
     fn check_class(
         &self,
+        ctx: &DecideCtx<'_>,
         fec: &AlignedFec,
         route: Option<usize>,
         class_key: Option<(BehaviorHash, BehaviorHash)>,
-        default_lowered: &LoweredCheck<'_>,
-        routed_lowered: &[LoweredCheck<'_>],
-        table: &SymbolTable,
-        table_fp: u128,
-        memo: &FstMemo,
         phases: &mut PhaseTimings,
     ) -> FecResult {
         // deterministic panic injection for the containment tests: under
@@ -2101,10 +1673,11 @@ impl<'a> Checker<'a> {
         let (route_name, lowered) = match route {
             Some(r) => (
                 Some(self.program.routed[r].name.clone()),
-                &routed_lowered[r],
+                &ctx.routed_lowered[r],
             ),
-            None => (None, default_lowered),
+            None => (None, &ctx.default_lowered),
         };
+        let table = &ctx.table;
 
         let pre_graph = canonical_graph(&fec.pre);
         let post_graph = canonical_graph(&fec.post);
@@ -2116,17 +1689,10 @@ impl<'a> Checker<'a> {
         let renderer = PathRenderer::new(table, &self.program.hash_undo);
 
         let violations = match lowered.check {
-            CompiledCheck::Relational { parts, .. } => self.check_relational(
-                parts,
-                &lowered.fsts,
-                &env,
-                &renderer,
-                class_key,
-                route.unwrap_or(usize::MAX),
-                table_fp,
-                memo,
-                phases,
-            ),
+            CompiledCheck::Relational { parts, .. } => {
+                let memo_id = class_key.map(|(pre, post)| (pre, post, route.unwrap_or(usize::MAX)));
+                self.check_relational(ctx, parts, &lowered.fsts, &env, memo_id, phases)
+            }
             CompiledCheck::Raw { name, spec } => {
                 let failures = self.check_raw(spec, &env, &renderer, phases);
                 if failures.is_empty() {
@@ -2184,21 +1750,20 @@ impl<'a> Checker<'a> {
     /// Decide every guarded equation of a relational check. Each side's
     /// `det(image(State, R))` is looked up in (or recorded into) the
     /// per-side memo: a side is identified by its behavior hash plus
-    /// the (route, part) selecting the relation, so classes that share
-    /// an unchanged side skip its image and determinization entirely.
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the engine's data flow
+    /// the (route, part) selecting the relation — `memo_id` is the
+    /// class's `(pre hash, post hash, route)`, `None` when it has no
+    /// fingerprints — so classes that share an unchanged side skip its
+    /// image and determinization entirely.
     fn check_relational(
         &self,
+        ctx: &DecideCtx<'_>,
         parts: &[GuardedPart],
         fsts: &[(Fst, Fst)],
         env: &PairFsas,
-        renderer: &PathRenderer<'_>,
-        class_key: Option<(BehaviorHash, BehaviorHash)>,
-        route_key: usize,
-        table_fp: u128,
-        memo: &FstMemo,
+        memo_id: Option<(BehaviorHash, BehaviorHash, usize)>,
         phases: &mut PhaseTimings,
     ) -> Vec<PartViolation> {
+        let renderer = PathRenderer::new(&ctx.table, &self.program.hash_undo);
         let det_side = |nfa: &Nfa, phases: &mut PhaseTimings| {
             let t0 = Instant::now();
             let dfa = determinize(nfa);
@@ -2207,8 +1772,11 @@ impl<'a> Checker<'a> {
         };
         let mut out = Vec::new();
         for (part_ix, (part, (fst_pre, fst_post))) in parts.iter().zip(fsts).enumerate() {
-            let lhs = memo.get_or_compute(
-                class_key.map(|(pre, _)| (pre.as_u128(), route_key, part_ix, false, table_fp)),
+            let side_key = |hash: BehaviorHash, route: usize, is_post: bool| {
+                (hash.as_u128(), route, part_ix, is_post, ctx.table_fp)
+            };
+            let lhs = ctx.memo.get_or_compute(
+                memo_id.map(|(pre, _, route)| side_key(pre, route, false)),
                 || {
                     let t0 = Instant::now();
                     let nfa = image(&env.pre, fst_pre).trim();
@@ -2216,8 +1784,8 @@ impl<'a> Checker<'a> {
                     det_side(&nfa, phases)
                 },
             );
-            let rhs = memo.get_or_compute(
-                class_key.map(|(_, post)| (post.as_u128(), route_key, part_ix, true, table_fp)),
+            let rhs = ctx.memo.get_or_compute(
+                memo_id.map(|(_, post, route)| side_key(post, route, true)),
                 || {
                     let t0 = Instant::now();
                     let nfa = image(&env.post, fst_post).trim();
@@ -2232,7 +1800,7 @@ impl<'a> Checker<'a> {
                 continue;
             }
             let t0 = Instant::now();
-            let diff = diff_equation(&lhs, &rhs, renderer, self.options.witness);
+            let diff = diff_equation(&lhs, &rhs, &renderer, self.options.witness);
             phases.witness += t0.elapsed();
             debug_assert!(!diff.is_empty(), "inequivalent DFAs must differ");
             out.push(PartViolation {
@@ -3022,6 +2590,68 @@ mod tests {
             .unwrap_err();
         assert_eq!(piped_err, serial_err);
         assert!(piped_err.to_string().contains("missing field `flow`"));
+    }
+
+    /// Two framers and a prepared item list are one producer body and
+    /// one worker path: the same bad record fails with the same entry
+    /// index, offset, label and message whichever way it was fed — and
+    /// it is the serial reader's error.
+    #[test]
+    fn both_feeds_report_a_bad_record_identically() {
+        use rela_net::{SnapshotFramer, SnapshotReader, SnapshotWriter};
+        let db = db();
+        let (pre, post) = duplicated_snapshots(6);
+        let pre_json = pre.to_json().unwrap();
+        let post_json = post.to_json().unwrap();
+        // the graph of entry #3 loses a required field (the record still
+        // frames: only a worker's decode can object)
+        let third = post_json.match_indices("{\"flow\"").nth(3).unwrap().0;
+        let bad_graph = format!(
+            "{}{}",
+            &post_json[..third],
+            post_json[third..].replacen("\"edges\"", "\"edgez\"", 1)
+        );
+        // entry #6 repeats the flow of entry #0
+        let mut writer = SnapshotWriter::new(Vec::new()).unwrap();
+        for (flow, graph) in post.iter().chain(post.iter().take(1)) {
+            writer.write(flow, graph).unwrap();
+        }
+        let duplicate = String::from_utf8(writer.finish().unwrap()).unwrap();
+
+        let program = crate::parser::parse_program(NOCHANGE).unwrap();
+        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
+        let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
+            threads: 4,
+            ..CheckOptions::default()
+        });
+        for (case, doc, entry) in [("bad graph", &bad_graph, 3), ("duplicate", &duplicate, 6)] {
+            let framed = checker
+                .check_pipelined(
+                    SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
+                    SnapshotFramer::new(doc.as_bytes(), "post.json"),
+                )
+                .unwrap_err();
+            let items = |json: &str, side: Side| {
+                SnapshotFramer::new(json.as_bytes(), "unused")
+                    .map(move |raw| PreparedItem::Record {
+                        side,
+                        raw: raw.unwrap(),
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let mut list = items(&pre_json, Side::Pre);
+            list.extend(items(doc, Side::Post));
+            let labels = [Some("pre.json".to_owned()), Some("post.json".to_owned())];
+            let prepared = checker.check_prepared(list, labels).unwrap_err();
+            assert_eq!(prepared, framed, "{case}");
+            assert_eq!(framed.entry_index(), Some(entry), "{case}: {framed}");
+            assert!(framed.byte_offset().is_some(), "{case}");
+            let serial = SnapshotReader::new(doc.as_bytes())
+                .with_label("post.json")
+                .collect::<Result<Snapshot, _>>()
+                .unwrap_err();
+            assert_eq!(framed, serial, "{case}");
+        }
     }
 
     #[test]

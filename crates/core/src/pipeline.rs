@@ -1,15 +1,16 @@
-//! Infrastructure for the pipelined cold path
+//! Infrastructure for the pipelined engine's ingest stage
 //! ([`Checker::check_pipelined`](crate::check::Checker::check_pipelined)):
-//! a bounded MPMC channel between the framer threads and the
-//! decode/fingerprint worker pool, a sharded flow-join map, a sharded
+//! a bounded MPMC channel between the producer threads and the
+//! decode/admission worker pool, a sharded flow-join map, a sharded
 //! behavior-class registry, and the first-error sink that aborts the
 //! pipeline cleanly.
 //!
-//! Everything here is engine plumbing: the decision logic (hashing,
-//! store consult, decide, broadcast) stays in [`crate::check`], which
-//! drives these pieces from `std::thread::scope` workers.
+//! Everything here is ingest plumbing and nothing here decides a class:
+//! hashing and the store consult are driven from [`crate::check`]'s
+//! `std::thread::scope` workers, and every cold class the registry ends
+//! up holding is decided afterwards by the finisher the batch engine
+//! also uses.
 
-use crate::report::FecResult;
 use rela_net::{
     AlignedFec, BehaviorHash, FlowSpec, RawRecord, RecordBody, SnapshotError, SpanBytes,
 };
@@ -17,7 +18,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Which snapshot stream a record came from. `Pre` orders before `Post`
@@ -48,7 +49,8 @@ pub(crate) enum Recv<T> {
     /// An item was dequeued.
     Item(T),
     /// The channel is open but empty (the timeout elapsed) — a worker
-    /// uses the gap to pull from the decide queue.
+    /// goes back to polling the job's deadline, which a blocking
+    /// receive on a stalled stream would never reach.
     Timeout,
     /// Closed (or poisoned) and drained: no more items will arrive.
     Closed,
@@ -205,11 +207,9 @@ impl ErrorSink {
         self.abort.load(Ordering::Acquire)
     }
 
-    /// The winning error, if any (consumes the sink).
-    pub(crate) fn into_first(self) -> Option<SnapshotError> {
-        self.errors
-            .into_inner()
-            .expect("error sink lock")
+    /// Take the winning error, if any (the sink is left empty).
+    pub(crate) fn take_first(&self) -> Option<SnapshotError> {
+        std::mem::take(&mut *self.errors.lock().expect("error sink lock"))
             .into_iter()
             .min_by_key(|(entry, side, e)| (*entry, *side, e.byte_offset().unwrap_or(u64::MAX)))
             .map(|(_, _, e)| e)
@@ -287,15 +287,6 @@ impl GraphSpan {
     }
 }
 
-/// A spilled record waiting for its partner side: the undecoded graph
-/// span plus its content hash (decode happens only after the byte-level
-/// admission check on the joined pair).
-struct PendingSide {
-    span: GraphSpan,
-    hash: u128,
-    provenance: Provenance,
-}
-
 /// Where a consumed record sat in its stream: retained per side for
 /// duplicate reporting (the serial reader names the *second*
 /// occurrence, which under out-of-order decode may be the one already
@@ -317,7 +308,7 @@ enum SideSlot {
     /// Not yet seen on this side.
     Absent,
     /// Seen; the partner side has not arrived.
-    Pending(Box<PendingSide>),
+    Pending(Box<JoinedSide>),
     /// Paired and handed downstream (kept for duplicate detection).
     Done(Provenance),
 }
@@ -327,8 +318,9 @@ struct JoinEntry {
     post: SideSlot,
 }
 
-/// One half of a joined pair: the undecoded span, its content hash, and
-/// where the record sat in its stream.
+/// One side of a flow in (or out of) the join: the undecoded graph span,
+/// its content hash, and where the record sat in its stream. Decode
+/// happens only after the byte-level admission check on the joined pair.
 pub(crate) struct JoinedSide {
     pub(crate) span: GraphSpan,
     pub(crate) hash: u128,
@@ -357,9 +349,7 @@ pub(crate) enum Joined {
 pub(crate) struct OneSided {
     pub(crate) flow: FlowSpec,
     pub(crate) side: Side,
-    pub(crate) span: GraphSpan,
-    pub(crate) hash: u128,
-    pub(crate) provenance: Provenance,
+    pub(crate) own: JoinedSide,
 }
 
 /// The streaming hash-join on the flow key, sharded by flow hash so
@@ -390,14 +380,8 @@ impl JoinMap {
     /// already arrived. A record that has to wait keeps its span, and
     /// through it the JSON chunk it was framed out of, until the partner
     /// arrives or the streams end.
-    pub(crate) fn insert(
-        &self,
-        side: Side,
-        flow: &FlowSpec,
-        span: GraphSpan,
-        hash: u128,
-        provenance: Provenance,
-    ) -> Joined {
+    pub(crate) fn insert(&self, side: Side, flow: &FlowSpec, incoming: JoinedSide) -> Joined {
+        let provenance = incoming.provenance;
         let mut shard = self.shards[self.shard_of(flow)].lock().expect("join lock");
         let entry = shard.entry(flow.clone()).or_insert(JoinEntry {
             pre: SideSlot::Absent,
@@ -423,25 +407,10 @@ impl JoinMap {
         match std::mem::replace(other, SideSlot::Absent) {
             SideSlot::Pending(partner) => {
                 *own = SideSlot::Done(provenance);
-                let PendingSide {
-                    span: partner_span,
-                    hash: partner_hash,
-                    provenance: partner_provenance,
-                } = *partner;
-                *other = SideSlot::Done(partner_provenance);
-                let own_side = JoinedSide {
-                    span,
-                    hash,
-                    provenance,
-                };
-                let partner_side = JoinedSide {
-                    span: partner_span,
-                    hash: partner_hash,
-                    provenance: partner_provenance,
-                };
+                *other = SideSlot::Done(partner.provenance);
                 let (pre, post) = match side {
-                    Side::Pre => (own_side, partner_side),
-                    Side::Post => (partner_side, own_side),
+                    Side::Pre => (incoming, *partner),
+                    Side::Post => (*partner, incoming),
                 };
                 Joined::Paired { pre, post }
             }
@@ -452,11 +421,7 @@ impl JoinMap {
                 unreachable!("join entry half-done with an absent partner")
             }
             SideSlot::Absent => {
-                *own = SideSlot::Pending(Box::new(PendingSide {
-                    span,
-                    hash,
-                    provenance,
-                }));
+                *own = SideSlot::Pending(Box::new(incoming));
                 Joined::Pending
             }
         }
@@ -465,28 +430,17 @@ impl JoinMap {
     /// Drain the flows seen on exactly one side (call after both streams
     /// ended). Order is arbitrary; the checker's report assembly sorts
     /// by flow.
-    pub(crate) fn drain_one_sided(self) -> Vec<OneSided> {
+    pub(crate) fn drain_one_sided(&self) -> Vec<OneSided> {
         let mut out = Vec::new();
-        for shard in self.shards {
-            for (flow, entry) in shard.into_inner().expect("join lock") {
-                match (entry.pre, entry.post) {
-                    (SideSlot::Pending(pending), SideSlot::Absent) => out.push(OneSided {
-                        flow,
-                        side: Side::Pre,
-                        span: pending.span,
-                        hash: pending.hash,
-                        provenance: pending.provenance,
-                    }),
-                    (SideSlot::Absent, SideSlot::Pending(pending)) => out.push(OneSided {
-                        flow,
-                        side: Side::Post,
-                        span: pending.span,
-                        hash: pending.hash,
-                        provenance: pending.provenance,
-                    }),
-                    (SideSlot::Done(_), SideSlot::Done(_)) => {}
+        for shard in &self.shards {
+            for (flow, entry) in std::mem::take(&mut *shard.lock().expect("join lock")) {
+                let (side, own) = match (entry.pre, entry.post) {
+                    (SideSlot::Pending(own), SideSlot::Absent) => (Side::Pre, *own),
+                    (SideSlot::Absent, SideSlot::Pending(own)) => (Side::Post, *own),
+                    (SideSlot::Done(_), SideSlot::Done(_)) => continue,
                     _ => unreachable!("join entry in an impossible end state"),
-                }
+                };
+                out.push(OneSided { flow, side, own });
             }
         }
         out
@@ -514,9 +468,8 @@ pub(crate) struct ClassAcc {
     /// byte-warm placeholder classes (their byte entry already exists)
     /// and with dedup off.
     pub(crate) byte_key: Option<(u128, u128)>,
-    /// The first member's aligned FEC — the class representative (shared
-    /// with the decide queue, which may already be checking it).
-    pub(crate) rep: Arc<AlignedFec>,
+    /// The first member's aligned FEC — the class representative.
+    pub(crate) rep: AlignedFec,
     pub(crate) members: Vec<FlowRef>,
 }
 
@@ -575,10 +528,9 @@ impl ClassRegistry {
     }
 
     /// Admit one aligned FEC under its behavior fingerprint. Returns the
-    /// class it landed in, plus the representative handle when this
-    /// member *founded* the class (the caller then consults the store or
-    /// queues a decide); `None` when it joined an existing one (its
-    /// graphs are dropped with `fec`).
+    /// class it landed in and whether this member *founded* it (the
+    /// caller then consults the store); a member that joined an existing
+    /// class has its graphs dropped with `fec`.
     pub(crate) fn admit(
         &self,
         fec: AlignedFec,
@@ -586,7 +538,7 @@ impl ClassRegistry {
         byte_key: Option<(u128, u128)>,
         route: Option<usize>,
         member: FlowRef,
-    ) -> (ClassRef, Option<Arc<AlignedFec>>) {
+    ) -> (ClassRef, bool) {
         let (map_key, shard_ix) = match key {
             Some((pre, post)) if self.dedup => {
                 let map_key = (pre.as_u128(), post.as_u128(), route.unwrap_or(usize::MAX));
@@ -603,31 +555,32 @@ impl ClassRegistry {
         if let Some(map_key) = map_key {
             if let Some(&existing) = shard.index.get(&map_key) {
                 shard.classes[existing].members.push(member);
-                return (
-                    ClassRef {
-                        shard: shard_ix,
-                        index: existing,
-                    },
-                    None,
-                );
+                let class = ClassRef {
+                    shard: shard_ix,
+                    index: existing,
+                };
+                return (class, false);
             }
             shard.index.insert(map_key, ix);
         }
-        let rep = Arc::new(fec);
         shard.classes.push(ClassAcc {
             route,
             key,
             byte_key,
-            rep: rep.clone(),
+            rep: fec,
             members: vec![member],
         });
-        (
-            ClassRef {
-                shard: shard_ix,
-                index: ix,
-            },
-            Some(rep),
-        )
+        let class = ClassRef {
+            shard: shard_ix,
+            index: ix,
+        };
+        (class, true)
+    }
+
+    /// Run `f` on a class's representative, under its shard's lock.
+    pub(crate) fn with_rep<T>(&self, class: ClassRef, f: impl FnOnce(&AlignedFec) -> T) -> T {
+        let shard = self.shards[class.shard].lock().expect("registry lock");
+        f(&shard.classes[class.index].rep)
     }
 
     /// Add a member to an already-admitted class.
@@ -678,53 +631,6 @@ impl ClassRegistry {
         }
         (classes, offsets)
     }
-}
-
-/// A class waiting for an eager (mid-ingest) decide.
-pub(crate) struct EagerTask {
-    pub(crate) class: ClassRef,
-    pub(crate) rep: Arc<AlignedFec>,
-    pub(crate) route: Option<usize>,
-    pub(crate) key: Option<(BehaviorHash, BehaviorHash)>,
-}
-
-/// The queue feeding idle decode workers with founded classes to decide
-/// while records still arrive. Leftovers (classes founded near the end
-/// of the stream) are decided by the finisher with the final table.
-pub(crate) struct DecideQueue {
-    tasks: Mutex<VecDeque<EagerTask>>,
-}
-
-impl DecideQueue {
-    pub(crate) fn new() -> DecideQueue {
-        DecideQueue {
-            tasks: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    pub(crate) fn push(&self, task: EagerTask) {
-        self.tasks
-            .lock()
-            .expect("decide queue lock")
-            .push_back(task);
-    }
-
-    pub(crate) fn pop(&self) -> Option<EagerTask> {
-        self.tasks.lock().expect("decide queue lock").pop_front()
-    }
-}
-
-/// The outcome of an eager store consult or decide for one class.
-pub(crate) enum EagerOutcome {
-    /// Replayed from the persistent store (final — warm verdicts are
-    /// rendering-complete and byte-identical by the store contract).
-    Warm(FecResult),
-    /// Decided compliant mid-ingest (final — compliant results carry no
-    /// rendered paths, so they are independent of the symbol table).
-    Compliant(FecResult, Duration, crate::report::PhaseTimings),
-    /// Decided violating mid-ingest: the verdict stands but witnesses
-    /// depend on the final symbol table, so the finisher re-decides it.
-    ViolatingProvisional,
 }
 
 #[cfg(test)]
@@ -781,7 +687,7 @@ mod tests {
         sink.record(Side::Pre, at(Some(2)));
         sink.record(Side::Pre, at(None)); // header/trailer ranks last
         assert!(sink.aborted());
-        let first = sink.into_first().unwrap();
+        let first = sink.take_first().unwrap();
         assert_eq!(first.entry_index(), Some(2));
     }
 }

@@ -2,7 +2,7 @@
 //! aggregate statistics, rendered in the style of the paper's Table 1.
 
 use crate::counterexample::EquationDiff;
-use rela_net::FlowSpec;
+use rela_net::{FlowSpec, SnapshotEpoch};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -215,6 +215,11 @@ pub struct CheckStats {
     /// record (`2 × fecs`). Not printed by `Display` (report bytes are
     /// decode-schedule-invariant); exported via the serve stats JSON.
     pub graph_decodes: usize,
+    /// The content epoch of the pair this run retained as a delta base:
+    /// `None` unless the run went through the pipelined engine on a
+    /// retaining session and completed. Not printed by `Display`;
+    /// `rela serve` reports it as the REPORT frame's `base_epoch`.
+    pub retained_epoch: Option<SnapshotEpoch>,
 }
 
 impl CheckStats {

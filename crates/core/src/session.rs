@@ -110,8 +110,9 @@ impl Default for SessionConfig {
 /// [`JobInput::Pair`], which is already in memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestMode {
-    /// The fully pipelined cold path ([`Checker::check_pipelined`]):
-    /// framing, decoding, fingerprinting, and deciding overlap.
+    /// The pipelined engine ([`Checker::check_pipelined`]): framing,
+    /// decoding, fingerprinting, and the store consult overlap; each
+    /// cold class is decided once the streams have ended.
     #[default]
     Pipelined,
     /// Materialize both snapshots in memory, then align and check
@@ -586,7 +587,10 @@ impl CheckSession {
     /// The snapshot epoch of the newest retained base pair, if
     /// [`SessionConfig::retain_bases`] > 0 and a pipelined job has
     /// completed. A [`JobInput::Deltas`] job may target this or any
-    /// other epoch in [`CheckSession::retained_epochs`].
+    /// other epoch in [`CheckSession::retained_epochs`]. With jobs
+    /// running concurrently this need not be the pair the caller's own
+    /// job retained — that is its report's
+    /// [`CheckStats::retained_epoch`](crate::report::CheckStats::retained_epoch).
     pub fn base_epoch(&self) -> Option<SnapshotEpoch> {
         self.retained
             .lock()

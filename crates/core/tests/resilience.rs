@@ -159,3 +159,85 @@ fn faulted_input_streams_replay_byte_identically_across_seeds() {
         assert_eq!(verdict_bytes(&report), baseline, "seed {seed}");
     }
 }
+
+/// Every cold class is decided exactly once. The plan's `decide`
+/// counter is the only observable of a second decide: a job over K
+/// classes, all violating, must get through `panic=decide@K+1`
+/// untouched and must trip `panic=decide@K`.
+#[test]
+fn every_cold_class_is_decided_exactly_once() {
+    use rela_core::JobOptions;
+    use rela_net::{diff_side, scan_side, write_delta, SnapshotFramer};
+    // K = 3 classes of two member flows each, every one of them moved
+    const K: usize = 3;
+    let moves: [(&[&str], &[&str]); K] = [
+        (&["A1", "B1"], &["A1", "C1"]),
+        (&["A1", "C1"], &["A1", "B1"]),
+        (&["A1", "B1", "C1"], &["A1", "C1", "B1"]),
+    ];
+    let mut pre = Snapshot::new();
+    let mut post = Snapshot::new();
+    for ix in 0..2 * K {
+        let flow = FlowSpec::new(format!("10.0.{ix}.0/24").parse().unwrap(), "A1");
+        let (before, after) = moves[ix % K];
+        pre.insert(flow.clone(), linear_graph(before));
+        post.insert(flow, linear_graph(after));
+    }
+    let docs = (pre.to_json().unwrap(), post.to_json().unwrap());
+
+    let decides_k_classes =
+        |s: &mut CheckSession, job: &dyn Fn(&CheckSession) -> Result<CheckReport, JobError>| {
+            s.set_faults(Some(
+                FaultPlan::parse(&format!("panic=decide@{}", K + 1)).unwrap(),
+            ));
+            let report = job(s).expect("K classes must not reach a K+1-th decide");
+            assert_eq!(report.stats.classes, K);
+            assert_eq!(report.violations.len(), 2 * K, "every class violates");
+            s.set_faults(Some(
+                FaultPlan::parse(&format!("panic=decide@{K}")).unwrap(),
+            ));
+            let err = job(s).expect_err("K classes must reach the K-th decide");
+            assert!(matches!(err, JobError::Panicked { .. }), "{err}");
+        };
+
+    // through the pipelined engine
+    let mut s = session(2);
+    decides_k_classes(&mut s, &|s| run(s, &docs));
+
+    // through a delta job: an empty delta against the retained pair
+    // replays every record, and no store is attached, so all K classes
+    // are cold again
+    let mut s = CheckSession::open(
+        SPEC,
+        db(),
+        SessionConfig {
+            granularity: Granularity::Device,
+            threads: 2,
+            retain_bases: 1,
+            ..SessionConfig::default()
+        },
+    )
+    .unwrap();
+    run(&s, &docs).expect("the base pair ingests");
+    let epoch = s.base_epoch().expect("the pipelined job retained its pair");
+    let empty_delta = |json: &str| {
+        let scan = scan_side(SnapshotFramer::new(json.as_bytes(), "side")).unwrap();
+        let diff = diff_side(&scan, &scan);
+        let mut doc = Vec::new();
+        write_delta(&mut doc, epoch, &diff.removed, &diff.records).unwrap();
+        doc
+    };
+    let deltas = (empty_delta(&docs.0), empty_delta(&docs.1));
+    decides_k_classes(&mut s, &|s| {
+        s.run(
+            JobSpec::deltas(
+                LabeledSource::new(&deltas.0[..], "delta:pre"),
+                LabeledSource::new(&deltas.1[..], "delta:post"),
+            )
+            .with_options(JobOptions {
+                delta_base: Some(epoch.as_u128()),
+                ..JobOptions::default()
+            }),
+        )
+    });
+}

@@ -259,7 +259,7 @@ USAGE:
              [--retries N] [--retry-delay-ms N]
   rela submit --socket PATH --ping | --shutdown
   rela report --spec FILE --db FILE --pre FILE --post FILE [--json | --csv]
-             [check flags]
+             [check flags other than --cache-stats]
   rela snapshot pack --in FILE --out FILE [--unpack]
   rela snapshot diff --base-pre FILE --base-post FILE --pre FILE --post FILE
              --out-pre FILE --out-post FILE
@@ -281,8 +281,8 @@ iteration N+1 of a change only re-decides classes whose behavior moved
 and store counters after the report.
 check ingests the snapshot files through a pipeline by default: a reader
 thread frames raw records, a worker pool decodes and fingerprints them,
-and deciding begins while records still arrive — only one forwarding
-graph per behavior class is ever held in memory (docs/SNAPSHOT_FORMAT.md
+and each behavior class is decided once both files are read — only one
+forwarding graph per class is ever held in memory (docs/SNAPSHOT_FORMAT.md
 specifies the wire format; files ending in .gz are gunzipped on the fly).
 --no-stream loads both snapshots fully before aligning instead: the
 reference engine the pipelined one is tested against, at the cost of
@@ -355,6 +355,88 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
         }
     }
+    // each subcommand's subset of the flag table below: a flag another
+    // subcommand owns is refused by name, not parsed and then ignored
+    // (`submit --spec other.rela` would be checked under the daemon's)
+    const CHECK_FLAGS: &[&str] = &[
+        "--spec",
+        "--db",
+        "--pre",
+        "--post",
+        "--granularity",
+        "--threads",
+        "--cache-dir",
+        "--deadline-ms",
+        "--no-dedup",
+        "--no-cache",
+        "--no-stream",
+    ];
+    let (name, owned): (&str, &[&str]) = match (cmd.as_str(), snapshot_sub) {
+        ("check", _) => ("check", &["--cache-stats"]),
+        ("report", _) => ("report", &["--json", "--csv"]),
+        ("serve", _) => (
+            "serve",
+            &[
+                "--socket",
+                "--spec",
+                "--db",
+                "--granularity",
+                "--threads",
+                "--cache-dir",
+                "--retain-epochs",
+                "--retain-bytes",
+            ],
+        ),
+        ("submit", _) => (
+            "submit",
+            &[
+                "--socket",
+                "--pre",
+                "--post",
+                "--delta-base",
+                "--delta-pre",
+                "--delta-post",
+                "--deadline-ms",
+                "--retries",
+                "--retry-delay-ms",
+                "--no-dedup",
+                "--no-cache",
+                "--cache-stats",
+                "--no-stream",
+                "--ping",
+                "--shutdown",
+            ],
+        ),
+        ("snapshot", "pack") => ("snapshot pack", &["--in", "--out", "--unpack"]),
+        ("snapshot", _) => (
+            "snapshot diff",
+            &[
+                "--base-pre",
+                "--base-post",
+                "--pre",
+                "--post",
+                "--out-pre",
+                "--out-post",
+            ],
+        ),
+        ("diff", _) => ("diff", &["--db", "--pre", "--post", "--granularity"]),
+        ("cache", _) => (
+            "cache gc",
+            &[
+                "--cache-dir",
+                "--spec",
+                "--db",
+                "--keep-epochs",
+                "--max-bytes",
+            ],
+        ),
+        ("demo", _) => ("demo", &["--out"]),
+        ("help" | "--help" | "-h", _) => ("help", &[]),
+        (other, _) => return Err(usage_error(format!("unknown command `{other}`"))),
+    };
+    let applies = |flag: &str| {
+        owned.contains(&flag) || (matches!(name, "check" | "report") && CHECK_FLAGS.contains(&flag))
+    };
     // every flag some subcommand defines; anything else is a typo, and a
     // typo must not swallow the next argument as its value
     const VALUE_FLAGS: [&str; 24] = [
@@ -400,12 +482,18 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         if !flag.starts_with("--") {
             return Err(usage_error(format!("unexpected argument `{flag}`")));
         }
-        if SWITCHES.contains(&flag.as_str()) {
+        let switch = SWITCHES.contains(&flag.as_str());
+        if !switch && !VALUE_FLAGS.contains(&flag.as_str()) {
+            return Err(usage_error(format!("unknown flag `{flag}`")));
+        }
+        if !applies(flag) {
+            return Err(usage_error(format!(
+                "flag `{flag}` does not apply to `{name}`"
+            )));
+        }
+        if switch {
             flags.insert(flag.trim_start_matches("--").to_owned(), "true".to_owned());
             continue;
-        }
-        if !VALUE_FLAGS.contains(&flag.as_str()) {
-            return Err(usage_error(format!("unknown flag `{flag}`")));
         }
         let value = it
             .next()
@@ -604,8 +692,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .map(PathBuf::from)
                 .unwrap_or_else(|| PathBuf::from("fig1-demo")),
         }),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(usage_error(format!("unknown command `{other}`"))),
+        _ => Ok(Command::Help), // the subset match refused every other name
     }
 }
 
@@ -1484,6 +1571,65 @@ mod tests {
             refused(&["--pipeline-dpth", "0", "--threads", "lots", "--ping"])
                 .contains("`--pipeline-dpth`")
         );
+        // a flag another subcommand owns is refused, not parsed and ignored
+        let stray = |argv: &[&str]| {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert_eq!(err.code, 2, "{argv:?}");
+            err.message
+        };
+        assert_eq!(
+            refused(&["--ping", "--socket", "nowhere", "--unpack"]),
+            "flag `--ping` does not apply to `check`"
+        );
+        let submit = ["submit", "--socket", "s", "--pre", "a", "--post", "b"];
+        for owned_elsewhere in [
+            &["--spec", "other.rela"][..],
+            &["--granularity", "interface"],
+            &["--threads", "8"],
+            &["--json"],
+        ] {
+            let flag = owned_elsewhere[0];
+            assert_eq!(
+                stray(&[&submit[..], owned_elsewhere].concat()),
+                format!("flag `{flag}` does not apply to `submit`")
+            );
+        }
+        let diff = ["diff", "--db", "d", "--pre", "a", "--post", "b"];
+        assert_eq!(
+            stray(&[&diff[..], &["--retries", "7", "--csv"]].concat()),
+            "flag `--retries` does not apply to `diff`"
+        );
+        assert_eq!(
+            stray(&["report", "--cache-stats"]),
+            "flag `--cache-stats` does not apply to `report`"
+        );
+        assert_eq!(
+            stray(&[
+                "snapshot",
+                "pack",
+                "--in",
+                "a",
+                "--out",
+                "b",
+                "--out-pre",
+                "c"
+            ]),
+            "flag `--out-pre` does not apply to `snapshot pack`"
+        );
+        assert_eq!(
+            stray(&["cache", "gc", "--cache-dir", "c", "--no-cache"]),
+            "flag `--no-cache` does not apply to `cache gc`"
+        );
+        // every subcommand still takes all of its own
+        parse_args(&args(&[&diff[..], &["--granularity", "device"]].concat())).unwrap();
+        parse_args(&args(
+            &[
+                &submit[..],
+                &["--no-stream", "--cache-stats", "--retries", "3"],
+            ]
+            .concat(),
+        ))
+        .unwrap();
     }
 
     #[test]

@@ -627,9 +627,11 @@ fn run_job(stream: &mut UnixStream, session: &CheckSession, payload: &[u8], id: 
                         ("dedup_hits", stats.dedup_hits.to_value()),
                         ("fst_memo_hits", stats.fst_memo_hits.to_value()),
                         ("graph_decodes", stats.graph_decodes.to_value()),
-                        // the epoch of the pair just retained — what the
-                        // next delta submission should name as its base
-                        ("base_epoch", base_value(session.base_epoch())),
+                        // the epoch of the pair this job retained — what
+                        // the next delta submission should name as its
+                        // base; null when the job retained nothing (only
+                        // the pipelined engine captures a base)
+                        ("base_epoch", base_value(stats.retained_epoch)),
                         // every epoch still accepted as a delta base,
                         // newest first (K-epoch retention)
                         ("retained_epochs", retained_value(session)),

@@ -702,6 +702,56 @@ fn an_expired_deadline_exits_4_and_the_daemon_survives() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `base epoch:` is the base *this* job retained. A `--no-stream` job
+/// retains none (only the pipelined engine captures one), so it prints
+/// no line — not the epoch of whichever pair the daemon retained last.
+#[test]
+fn a_no_stream_submit_does_not_report_another_jobs_base() {
+    let dir = demo_dir("nostream-base");
+    let socket = dir.join("daemon.sock");
+    let daemon = spawn_daemon(&dir, &socket, None);
+
+    let (_, first) = submit(&socket, &dir, "post_v1.json", true);
+    let base_v1 = stat_line(&first, "base epoch: ").to_owned();
+
+    let mut sink = Vec::new();
+    let code = cli::run(
+        &Command::Submit {
+            socket: socket.clone(),
+            pre: dir.join("pre.json"),
+            post: dir.join("post_v2.json"),
+            delta: None,
+            job: JobOptions {
+                ingest: rela::lang::IngestMode::Materialized,
+                ..JobOptions::default()
+            },
+            cache_stats: true,
+            retry: rela::client::RetryPolicy::default(),
+        },
+        &mut sink,
+    )
+    .expect("submit succeeds");
+    let materialized = String::from_utf8(sink).unwrap();
+    assert_eq!(code, 1, "{materialized}");
+    assert!(materialized.contains("cache: "), "{materialized}");
+    assert!(!materialized.contains("base epoch:"), "{materialized}");
+
+    // the same pair streamed retains, and names its own epoch
+    let (_, streamed) = submit(&socket, &dir, "post_v2.json", true);
+    assert_ne!(stat_line(&streamed, "base epoch: "), base_v1);
+    assert_eq!(verdict_bytes(&streamed), verdict_bytes(&materialized));
+
+    cli::run(
+        &Command::Shutdown {
+            socket: socket.clone(),
+        },
+        &mut Vec::new(),
+    )
+    .expect("shutdown is acknowledged");
+    wait_exit(daemon, &socket);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Tentpole (d) end-to-end: with the default `--retain-epochs 2` two
 /// interleaved delta chains — one pinned to (pre, v2), one to (pre, v4)
 /// — both take the delta path with zero misses; a third full pair then

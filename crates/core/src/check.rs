@@ -614,8 +614,7 @@ impl Pipeline<'_, '_> {
         let byte_key = (pre.hash, post.hash, route.unwrap_or(usize::MAX));
         self.registry.admit_by_bytes(byte_key, member, || {
             self.resolve_byte_class(&flow, route, &pre, &post, member, state)
-        })?;
-        Ok(())
+        })
     }
 
     /// Resolve the behavior class for a byte-key founder: consult the
@@ -1010,8 +1009,8 @@ impl<'a> Checker<'a> {
     /// same records at any thread count. `check` shares neither of this
     /// method's shortcuts — byte-level admission and the streaming join
     /// — which is what makes it the reference the identity suites
-    /// compare against. The first stream error aborts
-    /// the pipeline (framers stop, workers drain) and is returned with
+    /// compare against. The first stream error aborts the pipeline
+    /// (framers stop, workers drain) and is returned with
     /// [`rela_net::SnapshotReader`]'s offset/entry-index contract; when
     /// several errors are discovered concurrently, the lowest entry index
     /// wins, `pre` before `post`.
@@ -1566,15 +1565,10 @@ impl<'a> Checker<'a> {
     /// The decide context for a run whose representatives mention
     /// `names`.
     fn decide_ctx<'c>(&'c self, names: &BTreeSet<String>, memo: &'c FstMemo) -> DecideCtx<'c> {
-        let lowered = |check: &'c CompiledCheck| LoweredCheck::new(check);
+        let routed = self.program.routed.iter();
         DecideCtx {
-            default_lowered: lowered(&self.program.default_check),
-            routed_lowered: self
-                .program
-                .routed
-                .iter()
-                .map(|r| lowered(&r.check))
-                .collect(),
+            default_lowered: LoweredCheck::new(&self.program.default_check),
+            routed_lowered: routed.map(|r| LoweredCheck::new(&r.check)).collect(),
             table: self.table_of(names),
             table_fp: table_fingerprint(names),
             memo,

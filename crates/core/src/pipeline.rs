@@ -595,25 +595,23 @@ impl ClassRegistry {
     /// to resolve one. `found` runs **under the byte-shard lock**, so
     /// exactly one member per byte key decodes even when workers race;
     /// lock order is byte shard → registry shard (acyclic, `found` may
-    /// call [`ClassRegistry::admit`]). Returns whether this member
-    /// founded the byte class.
+    /// call [`ClassRegistry::admit`]).
     pub(crate) fn admit_by_bytes<E>(
         &self,
         byte_key: ClassKey,
         member: FlowRef,
         found: impl FnOnce() -> Result<ClassRef, E>,
-    ) -> Result<bool, E> {
+    ) -> Result<(), E> {
         let mut hasher = DefaultHasher::new();
         byte_key.hash(&mut hasher);
         let shard_ix = (hasher.finish() as usize) % self.byte_index.len();
         let mut shard = self.byte_index[shard_ix].lock().expect("byte index lock");
         if let Some(&class) = shard.get(&byte_key) {
             self.add_member(class, member);
-            return Ok(false);
+            return Ok(());
         }
-        let class = found()?;
-        shard.insert(byte_key, class);
-        Ok(true)
+        shard.insert(byte_key, found()?);
+        Ok(())
     }
 
     /// Flatten the shards into a single class list. Returns the classes

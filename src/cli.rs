@@ -355,150 +355,91 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
         }
     }
-    // each subcommand's subset of the flag table below: a flag another
-    // subcommand owns is refused by name, not parsed and then ignored
-    // (`submit --spec other.rela` would be checked under the daemon's)
-    const CHECK_FLAGS: &[&str] = &[
-        "--spec",
-        "--db",
-        "--pre",
-        "--post",
-        "--granularity",
-        "--threads",
-        "--cache-dir",
-        "--deadline-ms",
-        "--no-dedup",
-        "--no-cache",
-        "--no-stream",
-    ];
-    let (name, owned): (&str, &[&str]) = match (cmd.as_str(), snapshot_sub) {
-        ("check", _) => ("check", &["--cache-stats"]),
-        ("report", _) => ("report", &["--json", "--csv"]),
-        ("serve", _) => (
-            "serve",
-            &[
-                "--socket",
-                "--spec",
-                "--db",
-                "--granularity",
-                "--threads",
-                "--cache-dir",
-                "--retain-epochs",
-                "--retain-bytes",
-            ],
-        ),
-        ("submit", _) => (
-            "submit",
-            &[
-                "--socket",
-                "--pre",
-                "--post",
-                "--delta-base",
-                "--delta-pre",
-                "--delta-post",
-                "--deadline-ms",
-                "--retries",
-                "--retry-delay-ms",
-                "--no-dedup",
-                "--no-cache",
-                "--cache-stats",
-                "--no-stream",
-                "--ping",
-                "--shutdown",
-            ],
-        ),
-        ("snapshot", "pack") => ("snapshot pack", &["--in", "--out", "--unpack"]),
-        ("snapshot", _) => (
-            "snapshot diff",
-            &[
-                "--base-pre",
-                "--base-post",
-                "--pre",
-                "--post",
-                "--out-pre",
-                "--out-post",
-            ],
-        ),
-        ("diff", _) => ("diff", &["--db", "--pre", "--post", "--granularity"]),
-        ("cache", _) => (
-            "cache gc",
-            &[
-                "--cache-dir",
-                "--spec",
-                "--db",
-                "--keep-epochs",
-                "--max-bytes",
-            ],
-        ),
-        ("demo", _) => ("demo", &["--out"]),
-        ("help" | "--help" | "-h", _) => ("help", &[]),
+    let name = match (cmd.as_str(), snapshot_sub) {
+        ("snapshot", "pack") => "snapshot pack",
+        ("snapshot", _) => "snapshot diff",
+        ("cache", _) => "cache gc",
+        ("help" | "--help" | "-h", _) => "help",
+        (own @ ("check" | "serve" | "submit" | "report" | "diff" | "demo"), _) => own,
         (other, _) => return Err(usage_error(format!("unknown command `{other}`"))),
     };
-    let applies = |flag: &str| {
-        owned.contains(&flag) || (matches!(name, "check" | "report") && CHECK_FLAGS.contains(&flag))
-    };
-    // every flag some subcommand defines; anything else is a typo, and a
-    // typo must not swallow the next argument as its value
-    const VALUE_FLAGS: [&str; 24] = [
-        "--spec",
-        "--db",
-        "--pre",
-        "--post",
-        "--granularity",
-        "--threads",
-        "--cache-dir",
-        "--deadline-ms",
-        "--socket",
-        "--retain-epochs",
-        "--retain-bytes",
-        "--delta-base",
-        "--delta-pre",
-        "--delta-post",
-        "--retries",
-        "--retry-delay-ms",
-        "--in",
-        "--out",
-        "--base-pre",
-        "--base-post",
-        "--out-pre",
-        "--out-post",
-        "--keep-epochs",
-        "--max-bytes",
-    ];
-    // flags that take no value
-    const SWITCHES: [&str; 9] = [
-        "--no-dedup",
-        "--no-cache",
-        "--cache-stats",
-        "--no-stream",
-        "--ping",
-        "--shutdown",
-        "--unpack",
-        "--json",
-        "--csv",
+    // The one flag table: every flag, whether it takes a value, and the
+    // subcommands that own it. Anything not in it is a typo, and a typo
+    // must not swallow the next argument as its value; a flag another
+    // subcommand owns is refused by name, not parsed and then ignored
+    // (`submit --spec other.rela` would be checked under the daemon's).
+    const FLAGS: [(&str, bool, &[&str]); 33] = [
+        ("--spec", true, &["check", "report", "serve", "cache gc"]),
+        (
+            "--db",
+            true,
+            &["check", "report", "serve", "diff", "cache gc"],
+        ),
+        (
+            "--pre",
+            true,
+            &["check", "report", "submit", "diff", "snapshot diff"],
+        ),
+        (
+            "--post",
+            true,
+            &["check", "report", "submit", "diff", "snapshot diff"],
+        ),
+        ("--granularity", true, &["check", "report", "serve", "diff"]),
+        ("--threads", true, &["check", "report", "serve"]),
+        (
+            "--cache-dir",
+            true,
+            &["check", "report", "serve", "cache gc"],
+        ),
+        ("--deadline-ms", true, &["check", "report", "submit"]),
+        ("--socket", true, &["serve", "submit"]),
+        ("--retain-epochs", true, &["serve"]),
+        ("--retain-bytes", true, &["serve"]),
+        ("--delta-base", true, &["submit"]),
+        ("--delta-pre", true, &["submit"]),
+        ("--delta-post", true, &["submit"]),
+        ("--retries", true, &["submit"]),
+        ("--retry-delay-ms", true, &["submit"]),
+        ("--in", true, &["snapshot pack"]),
+        ("--out", true, &["snapshot pack", "demo"]),
+        ("--base-pre", true, &["snapshot diff"]),
+        ("--base-post", true, &["snapshot diff"]),
+        ("--out-pre", true, &["snapshot diff"]),
+        ("--out-post", true, &["snapshot diff"]),
+        ("--keep-epochs", true, &["cache gc"]),
+        ("--max-bytes", true, &["cache gc"]),
+        ("--no-dedup", false, &["check", "report", "submit"]),
+        ("--no-cache", false, &["check", "report", "submit"]),
+        ("--cache-stats", false, &["check", "submit"]),
+        ("--no-stream", false, &["check", "report", "submit"]),
+        ("--ping", false, &["submit"]),
+        ("--shutdown", false, &["submit"]),
+        ("--unpack", false, &["snapshot pack"]),
+        ("--json", false, &["report"]),
+        ("--csv", false, &["report"]),
     ];
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         if !flag.starts_with("--") {
             return Err(usage_error(format!("unexpected argument `{flag}`")));
         }
-        let switch = SWITCHES.contains(&flag.as_str());
-        if !switch && !VALUE_FLAGS.contains(&flag.as_str()) {
+        let Some((_, takes_value, owners)) = FLAGS.iter().find(|(known, ..)| known == flag) else {
             return Err(usage_error(format!("unknown flag `{flag}`")));
-        }
-        if !applies(flag) {
+        };
+        if !owners.contains(&name) {
             return Err(usage_error(format!(
                 "flag `{flag}` does not apply to `{name}`"
             )));
         }
-        if switch {
-            flags.insert(flag.trim_start_matches("--").to_owned(), "true".to_owned());
-            continue;
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| usage_error(format!("flag `{flag}` needs a value")))?;
-        flags.insert(flag.trim_start_matches("--").to_owned(), value.clone());
+        let value = if *takes_value {
+            it.next()
+                .ok_or_else(|| usage_error(format!("flag `{flag}` needs a value")))?
+                .clone()
+        } else {
+            "true".to_owned()
+        };
+        flags.insert(flag.trim_start_matches("--").to_owned(), value);
     }
     let need = |key: &str| -> Result<PathBuf, CliError> {
         flags

@@ -130,9 +130,80 @@ pub fn compose(f: &Fst, g: &Fst) -> Fst {
 }
 
 /// The image `P ⊲ R`: the set of paths related by `R` to some path in
-/// `P` (paper §5.2). Computed as `range(I(P) ∘ R)`.
+/// `P` (paper §5.2, §6.1: `range(I(P) ∘ R)`).
+///
+/// The result is *structurally* `compose(&Fst::identity(p), r).range()`
+/// — same states in the same order, same arcs and ε-arcs in the same
+/// order — built in one walk over the `(p state, r state)` product
+/// instead of through two intermediate transducers. Report bytes rest on
+/// that: determinization numbers its states by the order it meets this
+/// automaton's, and witnesses are listed by arc index. So the walk below
+/// is [`compose`]'s, step for step (`p` moving alone on its ε-arcs, `r`
+/// moving alone on arcs that read nothing, then synchronized moves, a
+/// LIFO worklist), with each arc projected to its output tape as it is
+/// found: what writes nothing becomes an ε-arc.
+///
+/// The pair index is a dense `p.len() × r.len()` table — the worst-case
+/// size of the result itself — zero-initialized, so the allocator hands
+/// out untouched pages lazily.
 pub fn image(p: &Nfa, r: &Fst) -> Nfa {
-    compose(&Fst::identity(p), r).range()
+    let mut out = Nfa::new();
+    // id + 1 of the output state standing for each pair; 0 = not met yet
+    let mut index = vec![0u32; p.len() * r.len()];
+    let start_pair = (p.start(), r.start());
+    index[start_pair.0 * r.len() + start_pair.1] = 1;
+    out.set_accepting(
+        out.start(),
+        p.is_accepting(p.start()) && r.is_accepting(r.start()),
+    );
+    let mut work = vec![start_pair];
+    while let Some((sp, sr)) = work.pop() {
+        let sid = index[sp * r.len() + sr] as StateId - 1;
+        let mut target = |out: &mut Nfa, tp: StateId, tr: StateId| -> StateId {
+            let slot = &mut index[tp * r.len() + tr];
+            if *slot == 0 {
+                let id = out.add_state();
+                out.set_accepting(id, p.is_accepting(tp) && r.is_accepting(tr));
+                work.push((tp, tr));
+                *slot = u32::try_from(id + 1).expect("an image has fewer than 2^32 states");
+            }
+            *slot as StateId - 1
+        };
+        for &tp in p.eps_from(sp) {
+            let tid = target(&mut out, tp, sr);
+            out.add_eps(sid, tid);
+        }
+        for (label, tr) in r.arcs_from(sr) {
+            if label.input().is_none() {
+                let tid = target(&mut out, sp, *tr);
+                match label.output() {
+                    Some(written) => out.add_arc(sid, written.clone(), tid),
+                    None => out.add_eps(sid, tid),
+                }
+            }
+        }
+        for (read, tp) in p.arcs_from(sp) {
+            for (label, tr) in r.arcs_from(sr) {
+                // `I(p)` writes the symbol it reads; `r` reads that one
+                let written = match label {
+                    FstLabel::In(t) if read.intersects(t) => None,
+                    FstLabel::Id(t) => match read.intersect(t) {
+                        both if both.is_empty() => continue,
+                        both => Some(both),
+                    },
+                    FstLabel::Pair(t, u) if !u.is_empty() && read.intersects(t) => Some(u.clone()),
+                    // no common symbol, or an arc `r` took alone above
+                    _ => continue,
+                };
+                let tid = target(&mut out, *tp, *tr);
+                match written {
+                    Some(written) => out.add_arc(sid, written, tid),
+                    None => out.add_eps(sid, tid),
+                }
+            }
+        }
+    }
+    out
 }
 
 /// The preimage of `P` under `R`: paths that `R` maps into `P`.

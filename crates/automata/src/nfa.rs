@@ -315,7 +315,16 @@ impl Nfa {
     /// Remove states that are unreachable from the start or cannot reach
     /// an accepting state. The language is preserved; the resulting
     /// automaton always has at least the start state.
-    pub fn trim(&self) -> Nfa {
+    ///
+    /// Consumes the automaton: the labels of surviving arcs are moved,
+    /// not cloned (the decide path trims every image it builds and drops
+    /// the untrimmed one). Surviving states keep their relative order,
+    /// with the start first, and arcs keep theirs. An automaton with no
+    /// accepting state trims to [`Nfa::empty_language`] without a pass.
+    pub fn trim(mut self) -> Nfa {
+        if !self.accepting.contains(&true) {
+            return Nfa::new();
+        }
         let n = self.len();
         // forward reachability
         let mut fwd = vec![false; n];
@@ -346,12 +355,7 @@ impl Nfa {
             }
         }
         let mut bwd = vec![false; n];
-        let mut stack: Vec<StateId> = self
-            .accepting
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| a.then_some(i))
-            .collect();
+        let mut stack: Vec<StateId> = self.accepting_states().collect();
         for &s in &stack {
             bwd[s] = true;
         }
@@ -377,16 +381,16 @@ impl Nfa {
             }
         }
         for s in 0..n {
-            if map[s] == usize::MAX || !(live[s] || s == self.start) {
+            if map[s] == usize::MAX {
                 continue;
             }
-            for (label, t) in &self.arcs[s] {
-                if *t < n && map[*t] != usize::MAX && live[*t] {
-                    out.arcs[map[s]].push((label.clone(), map[*t]));
+            for (label, t) in std::mem::take(&mut self.arcs[s]) {
+                if live[t] {
+                    out.arcs[map[s]].push((label, map[t]));
                 }
             }
             for &t in &self.eps[s] {
-                if map[t] != usize::MAX && live[t] {
+                if live[t] {
                     out.eps[map[s]].push(map[t]);
                 }
             }

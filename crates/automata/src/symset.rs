@@ -126,9 +126,19 @@ impl SymSet {
         self.intersect(&other.complement())
     }
 
-    /// True iff the two sets share at least one symbol.
+    /// True iff the two sets share at least one symbol. Equal to
+    /// `!self.intersect(other).is_empty()` without building the
+    /// intersection: composition asks this of every arc pair.
     pub fn intersects(&self, other: &SymSet) -> bool {
-        !self.intersect(other).is_empty()
+        use SymSet::*;
+        match (self, other) {
+            (Finite(a), Finite(b)) => sorted_overlap(a, b),
+            (Finite(fin), CoFinite(excl)) | (CoFinite(excl), Finite(fin)) => {
+                !sorted_is_subset(fin, excl)
+            }
+            // the alphabet is open: two co-finite sets always meet
+            (CoFinite(_), CoFinite(_)) => true,
+        }
     }
 
     /// True iff `self ⊆ other`.
@@ -236,6 +246,34 @@ fn sorted_union(a: &[Symbol], b: &[Symbol]) -> Vec<Symbol> {
     out
 }
 
+/// Do the sorted slices share an element?
+fn sorted_overlap(a: &[Symbol], b: &[Symbol]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
+/// Is every element of sorted `a` in sorted `b`?
+fn sorted_is_subset(a: &[Symbol], b: &[Symbol]) -> bool {
+    let mut j = 0;
+    for x in a {
+        while j < b.len() && b[j] < *x {
+            j += 1;
+        }
+        if j == b.len() || b[j] != *x {
+            return false;
+        }
+        j += 1;
+    }
+    true
+}
+
 /// `a \ b` for sorted slices.
 fn sorted_difference(a: &[Symbol], b: &[Symbol]) -> Vec<Symbol> {
     let mut out = Vec::with_capacity(a.len());
@@ -341,6 +379,23 @@ mod tests {
         // union excludes only what both exclude
         assert_eq!(a.union(&b), SymSet::all_except(vec![s(2)]));
         assert_eq!(a.intersect(&b), SymSet::all_except(vec![s(1), s(2), s(3)]));
+    }
+
+    #[test]
+    fn intersects_is_a_nonempty_intersection_on_every_pairing() {
+        let lists: [&[u32]; 6] = [&[], &[1], &[2], &[1, 2], &[2, 3, 5], &[0, 1, 2, 3, 4, 5]];
+        let sets: Vec<SymSet> = lists
+            .iter()
+            .flat_map(|syms| {
+                let syms: Vec<Symbol> = syms.iter().map(|&i| s(i)).collect();
+                [SymSet::from_syms(syms.clone()), SymSet::all_except(syms)]
+            })
+            .collect();
+        for a in &sets {
+            for b in &sets {
+                assert_eq!(a.intersects(b), !a.intersect(b).is_empty(), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -88,29 +88,65 @@ pub fn shortest_word_nfa(nfa: &Nfa) -> Option<Vec<SymSet>> {
 }
 
 /// Enumerate up to `limit` accepted words of length at most `max_len`,
-/// shortest first (breadth-first over prefixes). Used to report several
-/// counterexample paths per violating flow instead of just one.
+/// shortest first. Used to report several counterexample paths per
+/// violating flow instead of just one.
+///
+/// **Order** (report bytes rest on it): by length, then lexicographically
+/// by arc index along the path — the order a breadth-first walk over
+/// prefixes pops them, and what the `#[cfg(test)]` reference below
+/// literally does.
+///
+/// **Cost.** The breadth-first walk visits every prefix, and prefixes
+/// multiply with each ECMP hop even when all but a few are dead ends.
+/// This walk is layered instead: `layers[k]` marks the states that reach
+/// acceptance in exactly `k` more steps (one O(arcs) pass per length),
+/// and the depth-first walk for length `len` only follows an arc whose
+/// target is in the layer for the steps that remain, so every prefix it
+/// touches ends in a listed word: O(limit · len · out-degree) per length.
+/// It stops at `limit`, at `max_len`, or at the first empty layer (no
+/// state has a word that long, hence none has a longer one).
 pub fn enumerate_words(dfa: &Dfa, limit: usize, max_len: usize) -> Vec<Vec<SymSet>> {
     let mut out = Vec::new();
     if limit == 0 {
         return out;
     }
-    let mut queue: VecDeque<(StateId, Vec<SymSet>)> = VecDeque::new();
-    queue.push_back((dfa.start(), Vec::new()));
-    while let Some((s, path)) = queue.pop_front() {
-        if dfa.is_accepting(s) {
-            out.push(path.clone());
-            if out.len() >= limit {
-                break;
-            }
+    let mut layers: Vec<Vec<bool>> = Vec::new();
+    for len in 0..=max_len {
+        let layer: Vec<bool> = match layers.last() {
+            None => (0..dfa.len()).map(|s| dfa.is_accepting(s)).collect(),
+            Some(shorter) => (0..dfa.len())
+                .map(|s| dfa.arcs_from(s).iter().any(|(_, t)| shorter[*t]))
+                .collect(),
+        };
+        if !layer.contains(&true) {
+            break;
         }
-        if path.len() >= max_len {
+        layers.push(layer);
+        if !layers[len][dfa.start()] {
             continue;
         }
-        for (label, t) in dfa.arcs_from(s) {
-            let mut next = path.clone();
-            next.push(label.clone());
-            queue.push_back((*t, next));
+        // each frame is (state, next arc to try); `word` holds the labels
+        // of the arcs taken, one per frame below the top
+        let mut stack: Vec<(StateId, usize)> = vec![(dfa.start(), 0)];
+        let mut word: Vec<&SymSet> = Vec::with_capacity(len);
+        while let Some(&(state, from)) = stack.last() {
+            if word.len() == len {
+                out.push(word.iter().map(|&label| label.clone()).collect());
+                if out.len() >= limit {
+                    return out;
+                }
+            } else {
+                let finishes = &layers[len - word.len() - 1];
+                let arcs = dfa.arcs_from(state);
+                if let Some(ix) = (from..arcs.len()).find(|&ix| finishes[arcs[ix].1]) {
+                    stack.last_mut().expect("frame was just read").1 = ix + 1;
+                    word.push(&arcs[ix].0);
+                    stack.push((arcs[ix].1, 0));
+                    continue;
+                }
+            }
+            stack.pop();
+            word.pop();
         }
     }
     out
@@ -137,6 +173,7 @@ mod tests {
     use super::*;
     use crate::determinize::determinize;
     use crate::regex::Regex;
+    use proptest::prelude::*;
 
     fn sym(ix: usize) -> Symbol {
         Symbol::from_index(ix)
@@ -144,6 +181,118 @@ mod tests {
 
     fn dfa_of(re: &Regex) -> Dfa {
         determinize(&re.to_nfa())
+    }
+
+    /// The definition of `enumerate_words`' order: a breadth-first walk
+    /// over prefixes pops words by length, then by arc index along the
+    /// path. It visits every prefix, so only small inputs finish.
+    fn enumerate_words_bfs(dfa: &Dfa, limit: usize, max_len: usize) -> Vec<Vec<SymSet>> {
+        let mut out = Vec::new();
+        if limit == 0 {
+            return out;
+        }
+        let mut queue: VecDeque<(StateId, Vec<SymSet>)> = VecDeque::new();
+        queue.push_back((dfa.start(), Vec::new()));
+        while let Some((s, path)) = queue.pop_front() {
+            if dfa.is_accepting(s) {
+                out.push(path.clone());
+                if out.len() >= limit {
+                    break;
+                }
+            }
+            if path.len() >= max_len {
+                continue;
+            }
+            for (label, t) in dfa.arcs_from(s) {
+                let mut next = path.clone();
+                next.push(label.clone());
+                queue.push_back((*t, next));
+            }
+        }
+        out
+    }
+
+    /// Small DFAs over three symbols: any target per (state, symbol) or
+    /// none, so cycles, dead-end branches and partial rows all occur.
+    fn dfa_strategy() -> impl Strategy<Value = Dfa> {
+        (1usize..7).prop_flat_map(|n| {
+            let row = (any::<bool>(), proptest::collection::vec(0..2 * n, 3..=3));
+            proptest::collection::vec(row, n..=n).prop_map(move |rows| {
+                let arcs = rows
+                    .iter()
+                    .map(|(_, targets)| {
+                        let arc = |(ix, &t): (usize, &usize)| {
+                            (t < n).then(|| (SymSet::singleton(sym(ix)), t))
+                        };
+                        targets.iter().enumerate().filter_map(arc).collect()
+                    })
+                    .collect();
+                let accepting = rows.iter().map(|(accepts, _)| *accepts).collect();
+                Dfa::from_parts(arcs, accepting, 0)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn enumerate_matches_the_breadth_first_reference_at_every_cut(dfa in dfa_strategy()) {
+            for max_len in 0..=5 {
+                let all = enumerate_words_bfs(&dfa, usize::MAX, max_len);
+                for limit in (0..=all.len() + 1).chain([usize::MAX]) {
+                    prop_assert_eq!(
+                        enumerate_words(&dfa, limit, max_len),
+                        enumerate_words_bfs(&dfa, limit, max_len),
+                        "limit {} max_len {} on {:?}", limit, max_len, dfa
+                    );
+                }
+            }
+        }
+    }
+
+    /// `hops` hops of four disjoint parallel arcs, each hop with a fifth
+    /// arc into a non-accepting dead branch: 4^hops accepted words, all
+    /// of length `hops`, and 5^k prefixes of length `k`.
+    fn ecmp_chain(hops: usize) -> Dfa {
+        let dead = hops + 1;
+        let mut arcs: Vec<Vec<(SymSet, StateId)>> = (0..hops)
+            .map(|hop| {
+                let link = |ix: usize| (SymSet::singleton(sym(5 * hop + ix)), hop + 1);
+                let mut row: Vec<_> = (0..4).map(link).collect();
+                row.push((SymSet::singleton(sym(5 * hop + 4)), dead));
+                row
+            })
+            .collect();
+        arcs.push(Vec::new()); // the accepting end
+        arcs.push(vec![(SymSet::universe(), dead)]);
+        let accepting = (0..arcs.len()).map(|s| s == hops).collect();
+        Dfa::from_parts(arcs, accepting, 0)
+    }
+
+    #[test]
+    fn enumerate_does_not_walk_dead_prefixes() {
+        // the breadth-first walk queues 4^24 live prefixes (and as many
+        // dead ones again) before it pops the first word
+        let dfa = ecmp_chain(24);
+        let words = enumerate_words(&dfa, 4, 64);
+        assert_eq!(words.len(), 4);
+        for (ix, word) in words.iter().enumerate() {
+            assert_eq!(word.len(), 24);
+            // arc-index order: only the last hop's link varies
+            assert!(word[..23]
+                .iter()
+                .enumerate()
+                .all(|(hop, l)| l.contains(sym(5 * hop))));
+            assert!(word[23].contains(sym(5 * 23 + ix)));
+        }
+        // small enough for the reference to finish
+        let small = ecmp_chain(5);
+        assert_eq!(
+            enumerate_words(&small, 7, 64),
+            enumerate_words_bfs(&small, 7, 64)
+        );
+        assert!(enumerate_words(&dfa, 4, 23).is_empty());
     }
 
     #[test]

@@ -197,7 +197,7 @@ proptest! {
     #[test]
     fn trim_preserves(re in regex_strategy()) {
         let nfa = re.to_nfa();
-        let t = nfa.trim();
+        let t = nfa.clone().trim();
         for w in all_words() {
             prop_assert_eq!(nfa.accepts(&w), t.accepts(&w), "word {:?}", w);
         }
@@ -240,6 +240,46 @@ proptest! {
 /// Words up to length 3 for relation-level brute force (pairs are quadratic).
 fn short_words() -> Vec<Vec<Symbol>> {
     all_words().into_iter().filter(|w| w.len() <= 3).collect()
+}
+
+/// A finite or co-finite set over the small alphabet (never empty).
+fn set_strategy() -> impl Strategy<Value = SymSet> {
+    prop_oneof![
+        proptest::collection::vec(0..ALPHABET, 1..3)
+            .prop_map(|v| SymSet::from_syms(v.into_iter().map(sym).collect())),
+        proptest::collection::vec(0..ALPHABET, 0..3)
+            .prop_map(|v| SymSet::all_except(v.into_iter().map(sym).collect())),
+    ]
+}
+
+/// A raw transducer: up to four states, arcs of all five label kinds
+/// between arbitrary states (self-loops and dead ends included).
+fn fst_strategy() -> impl Strategy<Value = Fst> {
+    let label = prop_oneof![
+        Just(FstLabel::Eps),
+        set_strategy().prop_map(FstLabel::In),
+        set_strategy().prop_map(FstLabel::Out),
+        (set_strategy(), set_strategy()).prop_map(|(a, b)| FstLabel::Pair(a, b)),
+        set_strategy().prop_map(FstLabel::Id),
+    ]
+    .boxed();
+    (1usize..5).prop_flat_map(move |n| {
+        let arcs = proptest::collection::vec((0..n, label.clone(), 0..n), 0..10);
+        let accepting = proptest::collection::vec(any::<bool>(), n..=n);
+        (arcs, accepting).prop_map(move |(arcs, accepting)| {
+            let mut fst = Fst::new();
+            for _ in 1..n {
+                fst.add_state();
+            }
+            for (from, label, to) in arcs {
+                fst.add_arc(from, label, to);
+            }
+            for (state, accepts) in accepting.into_iter().enumerate() {
+                fst.set_accepting(state, accepts);
+            }
+            fst
+        })
+    })
 }
 
 proptest! {
@@ -303,7 +343,7 @@ proptest! {
                 let pre_y = preimage(&r, &Nfa::word(&y));
                 let candidates = product(
                     &determinize(&pre_y.trim()),
-                    &determinize(&p.trim()),
+                    &determinize(&p.clone().trim()),
                     ProductMode::Intersection,
                 );
                 let witness = shortest_word(&candidates);
@@ -316,6 +356,33 @@ proptest! {
                     x,
                     y
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn image_is_structurally_the_range_of_the_composition(
+        rp in regex_strategy(),
+        raw in fst_strategy(),
+        r1 in regex_strategy(),
+        r2 in regex_strategy(),
+    ) {
+        // report bytes depend on the image's state and arc order, not
+        // only on its language: `image` must build, state for state and
+        // arc for arc, what the two-step definition builds
+        let p = rp.to_nfa();
+        let (n1, n2) = (r1.to_nfa(), r2.to_nfa());
+        let compiled = Fst::cross(&n1, &n2).union(&Fst::identity(&n1)).star();
+        let guarded = compose(&Fst::identity(&determinize(&n2).complement().to_nfa()), &compiled);
+        for r in [&raw, &compiled, &guarded] {
+            let fused = image(&p, r);
+            let two_step = compose(&Fst::identity(&p), r).range();
+            prop_assert_eq!(fused.len(), two_step.len());
+            prop_assert_eq!(fused.start(), two_step.start());
+            for s in 0..fused.len() {
+                prop_assert_eq!(fused.arcs_from(s), two_step.arcs_from(s), "arcs of {}", s);
+                prop_assert_eq!(fused.eps_from(s), two_step.eps_from(s), "ε-arcs of {}", s);
+                prop_assert_eq!(fused.is_accepting(s), two_step.is_accepting(s), "state {}", s);
             }
         }
     }

@@ -22,8 +22,8 @@
 
 use crate::ast::Program;
 use crate::compile::{CompiledCheck, CompiledProgram, GuardedPart};
-use crate::counterexample::{diff_equation, EquationDiff, PathRenderer, WitnessLimits};
-use crate::lower::{lower_pathset_dfa, lower_rel, PairFsas};
+use crate::counterexample::{diff_equation, diff_paths, EquationDiff, PathRenderer, WitnessLimits};
+use crate::lower::{lower_pathset_dfa, Lowering, PairFsas};
 use crate::pipeline::{
     Channel, ClassRef, ClassRegistry, ErrorSink, FlowRef, GraphSpan, JoinMap, Joined, JoinedSide,
     OneSided, PoisonOnPanic, Provenance, Recv, Side,
@@ -32,7 +32,9 @@ use crate::report::{
     CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, ViolationDetail,
 };
 use crate::rir::RirSpec;
-use rela_automata::{determinize, enumerate_words, equivalent, image, Dfa, Fst, Nfa, SymbolTable};
+use rela_automata::{
+    determinize, enumerate_words, equivalent, image, included, Dfa, Fst, Nfa, SymbolTable,
+};
 use rela_cache::{CacheEpoch, CacheKey, VerdictStore, BYTE_VARIANT_SALT};
 use rela_net::faultio::FaultPlan;
 use rela_net::{
@@ -46,7 +48,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::Read;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The engine identity folded into every cache epoch: the crate version
@@ -790,9 +792,14 @@ const FST_MEMO_CAP: usize = 4096;
 /// [`Checker::with_memo`] so an unchanged side survives from one
 /// submission to the next (the keys are content hashes, so reuse across
 /// runs is exactly as sound as reuse within one).
+///
+/// A memo belongs to one compiled program — its keys name routes and
+/// parts by index — so it also holds that program's [`LoweredProgram`],
+/// built by the first run that uses the memo.
 pub(crate) struct FstMemo {
     map: Mutex<HashMap<MemoKey, Arc<Dfa>>>,
     pub(crate) hits: AtomicUsize,
+    lowered: OnceLock<LoweredProgram>,
 }
 
 impl FstMemo {
@@ -800,6 +807,7 @@ impl FstMemo {
         FstMemo {
             map: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
+            lowered: OnceLock::new(),
         }
     }
 
@@ -834,39 +842,63 @@ impl FstMemo {
     }
 }
 
-/// A compiled check with its relations pre-lowered to transducers.
-/// Relations never mention `PreState`/`PostState`, so the FSTs are
-/// computed once and shared across every FEC.
-struct LoweredCheck<'a> {
-    check: &'a CompiledCheck,
-    /// For relational checks: per part, (lowered rpre, lowered rpost).
+/// The relations of one compiled check, lowered to transducers: per
+/// part of a relational check, `(rpre, rpost)`; nothing for the other
+/// kinds. Relations never mention `PreState`/`PostState`, so the
+/// transducers are a function of the check alone and every FEC of every
+/// job shares them.
+///
+/// One [`Lowering`] serves the whole check, so the zone guard of part
+/// *i* — which appears in both of its relations and, when the `else`
+/// chain nests to the right, whole inside part *i + 1*'s guard — is
+/// lowered once rather than once per occurrence. The transducers are
+/// the ones separate lowerings would build, state for state.
+struct LoweredCheck {
     fsts: Vec<(Fst, Fst)>,
 }
 
-impl<'a> LoweredCheck<'a> {
-    fn new(check: &'a CompiledCheck) -> LoweredCheck<'a> {
+impl LoweredCheck {
+    fn new(check: &CompiledCheck) -> LoweredCheck {
         // relations are state-independent; bind an empty dummy env
         let dummy = PairFsas::new(Nfa::empty_language(), Nfa::empty_language());
+        let mut lowering = Lowering::new(&dummy);
         let fsts = match check {
             CompiledCheck::Relational { parts, .. } => parts
                 .iter()
                 .map(|p| {
                     debug_assert!(!p.rpre.mentions_state() && !p.rpost.mentions_state());
-                    (lower_rel(&p.rpre, &dummy), lower_rel(&p.rpost, &dummy))
+                    (lowering.rel(&p.rpre), lowering.rel(&p.rpost))
                 })
                 .collect(),
             CompiledCheck::Raw { .. } | CompiledCheck::PathLimit { .. } => Vec::new(),
         };
-        LoweredCheck { check, fsts }
+        LoweredCheck { fsts }
     }
 }
 
-/// What every class decide of one run reads: the program's checks with
-/// their relations lowered, the run's symbol table and its fingerprint,
-/// and the memo of determinized sides.
+/// Every check of a [`CompiledProgram`], lowered (see [`LoweredCheck`]).
+/// Built once per [`FstMemo`]: once per session, or once per run of a
+/// checker that has no session behind it.
+struct LoweredProgram {
+    default_check: LoweredCheck,
+    routed: Vec<LoweredCheck>,
+}
+
+impl LoweredProgram {
+    fn new(program: &CompiledProgram) -> LoweredProgram {
+        let routed = program.routed.iter();
+        LoweredProgram {
+            default_check: LoweredCheck::new(&program.default_check),
+            routed: routed.map(|r| LoweredCheck::new(&r.check)).collect(),
+        }
+    }
+}
+
+/// What every class decide of one run reads: the program's relations
+/// lowered, the run's symbol table and its fingerprint, and the memo of
+/// determinized sides.
 struct DecideCtx<'a> {
-    default_lowered: LoweredCheck<'a>,
-    routed_lowered: Vec<LoweredCheck<'a>>,
+    lowered: &'a LoweredProgram,
     table: SymbolTable,
     table_fp: u128,
     memo: &'a FstMemo,
@@ -1565,10 +1597,10 @@ impl<'a> Checker<'a> {
     /// The decide context for a run whose representatives mention
     /// `names`.
     fn decide_ctx<'c>(&'c self, names: &BTreeSet<String>, memo: &'c FstMemo) -> DecideCtx<'c> {
-        let routed = self.program.routed.iter();
         DecideCtx {
-            default_lowered: LoweredCheck::new(&self.program.default_check),
-            routed_lowered: routed.map(|r| LoweredCheck::new(&r.check)).collect(),
+            lowered: memo
+                .lowered
+                .get_or_init(|| LoweredProgram::new(self.program)),
             table: self.table_of(names),
             table_fp: table_fingerprint(names),
             memo,
@@ -1664,12 +1696,20 @@ impl<'a> Checker<'a> {
         if let Some(plan) = self.faults {
             plan.at("decide").fire();
         }
-        let (route_name, lowered) = match route {
-            Some(r) => (
-                Some(self.program.routed[r].name.clone()),
-                &ctx.routed_lowered[r],
+        let (route_name, check, lowered) = match route {
+            Some(r) => {
+                let routed = &self.program.routed[r];
+                (
+                    Some(routed.name.clone()),
+                    &routed.check,
+                    &ctx.lowered.routed[r],
+                )
+            }
+            None => (
+                None,
+                &self.program.default_check,
+                &ctx.lowered.default_check,
             ),
-            None => (None, &ctx.default_lowered),
         };
         let table = &ctx.table;
 
@@ -1682,7 +1722,7 @@ impl<'a> Checker<'a> {
         let env = PairFsas::new(pre, post);
         let renderer = PathRenderer::new(table, &self.program.hash_undo);
 
-        let violations = match lowered.check {
+        let violations = match check {
             CompiledCheck::Relational { parts, .. } => {
                 let memo_id = class_key.map(|(pre, post)| (pre, post, route.unwrap_or(usize::MAX)));
                 self.check_relational(ctx, parts, &lowered.fsts, &env, memo_id, phases)
@@ -1724,8 +1764,8 @@ impl<'a> Checker<'a> {
         } else {
             let t0 = Instant::now();
             let rendered = (
-                render_language(&env.pre, &renderer, path_limit),
-                render_language(&env.post, &renderer, path_limit),
+                render_language(env.pre, &renderer, path_limit),
+                render_language(env.post, &renderer, path_limit),
             );
             phases.witness += t0.elapsed();
             rendered
@@ -1733,7 +1773,7 @@ impl<'a> Checker<'a> {
 
         FecResult {
             flow: fec.flow.clone(),
-            check_name: lowered.check.name().to_owned(),
+            check_name: check.name().to_owned(),
             route: route_name,
             pre_paths,
             post_paths,
@@ -1838,15 +1878,20 @@ impl<'a> Checker<'a> {
                 let da = lower_pathset_dfa(a, env);
                 let db_ = lower_pathset_dfa(b, env);
                 phases.lower += t0.elapsed();
+                // the verdict is the inclusion itself, never the witness
+                // list: `max_len` truncates that
                 let t0 = Instant::now();
-                let diff = diff_equation(&da, &db_, renderer, self.options.witness);
-                phases.witness += t0.elapsed();
-                if diff.missing.is_empty() {
+                let holds = included(&da, &db_).is_ok();
+                phases.equivalent += t0.elapsed();
+                if holds {
                     Vec::new()
                 } else {
+                    let t0 = Instant::now();
+                    let extra = diff_paths(&da, &db_, renderer, self.options.witness);
+                    phases.witness += t0.elapsed();
                     vec![format!(
                         "inclusion violated; extra paths: {}",
-                        diff.missing.join(", ")
+                        extra.join(", ")
                     )]
                 }
             }
@@ -1899,7 +1944,7 @@ fn path_len_bound(graph: &ForwardingGraph) -> usize {
     graph.vertices.len() * 2 + 4
 }
 
-fn render_language(nfa: &Nfa, renderer: &PathRenderer<'_>, limits: WitnessLimits) -> Vec<String> {
+fn render_language(nfa: Nfa, renderer: &PathRenderer<'_>, limits: WitnessLimits) -> Vec<String> {
     let dfa = determinize(&nfa.trim());
     enumerate_words(&dfa, limits.max_paths, limits.max_len)
         .into_iter()
@@ -2120,6 +2165,76 @@ mod tests {
         );
         let report2 = run_check(src, &db, Granularity::Device, &ok).unwrap();
         assert!(report2.is_compliant());
+    }
+
+    /// A 70-device chain before the change, nothing after it: every
+    /// differing path is longer than `WitnessLimits::max_len` (64).
+    fn long_chain_pair() -> (LocationDb, SnapshotPair) {
+        let names: Vec<String> = (0..70).map(|i| format!("hop{i}")).collect();
+        let mut db = LocationDb::new();
+        for name in &names {
+            db.add_device(Device::new(name.as_str(), name.as_str()));
+        }
+        let chain: Vec<&str> = names.iter().map(String::as_str).collect();
+        let pair = pair_of(vec![(flow("10.1.0.0/24", "hop0"), chain)], vec![]);
+        (db, pair)
+    }
+
+    fn raw_messages(report: &CheckReport) -> &[String] {
+        match &report.violations[0].violations[0].detail {
+            ViolationDetail::Raw(msgs) => msgs,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn raw_inclusion_is_decided_not_read_off_the_witness_list() {
+        let (db, pair) = long_chain_pair();
+        let run = |src: &str| run_check(src, &db, Granularity::Device, &pair).unwrap();
+
+        let subset = run("rir keep := pre <= post\ncheck keep");
+        assert!(!subset.is_compliant(), "{subset}");
+        let msgs = raw_messages(&subset);
+        assert!(
+            msgs[0].starts_with("inclusion violated; extra paths: hop0 hop1 "),
+            "{msgs:?}"
+        );
+
+        // the negation of a violated inclusion holds
+        let negated = run("rir gone := !pre <= post\ncheck gone");
+        assert!(negated.is_compliant(), "{negated}");
+
+        // neither disjunct holds, so the disjunction does not
+        let either = run("rir either := pre <= post || pre == post\ncheck either");
+        assert!(!either.is_compliant(), "{either}");
+        let msgs = raw_messages(&either);
+        assert!(msgs[0].starts_with("both disjuncts failed: "), "{msgs:?}");
+    }
+
+    #[test]
+    fn a_violation_past_the_witness_length_still_has_a_reason() {
+        let (db, pair) = long_chain_pair();
+        let run = |src: &str| run_check(src, &db, Granularity::Device, &pair).unwrap();
+
+        let relational = run(NOCHANGE);
+        assert!(!relational.is_compliant());
+        match &relational.violations[0].violations[0].detail {
+            ViolationDetail::Equation(diff) => {
+                // the shortest differing path, whole
+                assert_eq!(diff.missing.len(), 1);
+                assert_eq!(diff.missing[0].split(' ').count(), 70);
+                assert!(diff.unexpected.is_empty());
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+
+        let raw = run("rir same := pre == post\ncheck same");
+        assert!(!raw.is_compliant());
+        let msgs = raw_messages(&raw);
+        assert!(
+            msgs[0].starts_with("equality violated; missing: {hop0 hop1 "),
+            "{msgs:?}"
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! surface pattern they stand for, so reasons read like the paper's
 //! Table 1.
 
-use rela_automata::{enumerate_words, product, Dfa, ProductMode, SymSet, Symbol, SymbolTable};
+use rela_automata::{
+    enumerate_words, product, shortest_word, Dfa, ProductMode, SymSet, Symbol, SymbolTable,
+};
 use std::collections::BTreeMap;
 
 /// How many witness paths to list per difference, and how long they may
@@ -53,18 +55,30 @@ pub fn diff_equation(
     renderer: &PathRenderer<'_>,
     limits: WitnessLimits,
 ) -> EquationDiff {
-    let missing_dfa = product(lhs, rhs, ProductMode::Difference);
-    let unexpected_dfa = product(rhs, lhs, ProductMode::Difference);
     EquationDiff {
-        missing: render_words(&missing_dfa, renderer, limits),
-        unexpected: render_words(&unexpected_dfa, renderer, limits),
+        missing: diff_paths(lhs, rhs, renderer, limits),
+        unexpected: diff_paths(rhs, lhs, renderer, limits),
     }
 }
 
-fn render_words(dfa: &Dfa, renderer: &PathRenderer<'_>, limits: WitnessLimits) -> Vec<String> {
-    enumerate_words(dfa, limits.max_paths, limits.max_len)
-        .into_iter()
-        .map(|w| renderer.render_witness(&w))
+/// Render up to `limits.max_paths` paths of `L(lhs) \ L(rhs)`, shortest
+/// first. `limits.max_len` bounds their length unless even the shortest
+/// path of the difference is longer — then the bound is that length, so
+/// a failed check is never reported without a reason.
+pub(crate) fn diff_paths(
+    lhs: &Dfa,
+    rhs: &Dfa,
+    renderer: &PathRenderer<'_>,
+    limits: WitnessLimits,
+) -> Vec<String> {
+    let diff = product(lhs, rhs, ProductMode::Difference);
+    let Some(shortest) = shortest_word(&diff) else {
+        return Vec::new();
+    };
+    let max_len = limits.max_len.max(shortest.len());
+    enumerate_words(&diff, limits.max_paths, max_len)
+        .iter()
+        .map(|w| renderer.render_witness(w))
         .collect()
 }
 

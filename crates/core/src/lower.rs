@@ -28,38 +28,106 @@ impl PairFsas {
     }
 }
 
-/// Lower a path set to an NFA.
-pub fn lower_pathset(p: &PathSet, env: &PairFsas) -> Nfa {
-    match p {
-        PathSet::Empty => Nfa::empty_language(),
-        PathSet::Eps => Nfa::epsilon_language(),
-        PathSet::Atom(set) => Nfa::symbol_set(set.clone()),
-        PathSet::PreState => env.pre.clone(),
-        PathSet::PostState => env.post.clone(),
-        PathSet::Union(parts) => parts
-            .iter()
-            .map(|q| lower_pathset(q, env))
-            .fold(Nfa::empty_language(), |acc, n| acc.union(&n)),
-        PathSet::Concat(parts) => parts
-            .iter()
-            .map(|q| lower_pathset(q, env))
-            .fold(Nfa::epsilon_language(), |acc, n| acc.concat(&n)),
-        PathSet::Star(inner) => lower_pathset(inner, env).star(),
-        PathSet::Inter(a, b) => {
-            let da = determinize(&lower_pathset(a, env));
-            let db = determinize(&lower_pathset(b, env));
-            product(&da, &db, ProductMode::Intersection).to_nfa()
-        }
-        PathSet::Complement(inner) => {
-            let d = determinize(&lower_pathset(inner, env));
-            d.complement().to_nfa()
-        }
-        PathSet::Image(p, r) => {
-            let base = lower_pathset(p, env);
-            let rel = lower_rel(r, env);
-            image(&base, &rel)
+/// Lowers terms against one snapshot pair, keeping every intersection
+/// and complement it has lowered — the two shapes that determinize —
+/// so a sub-term that occurs again is lowered once. The `else` chain is
+/// what makes that matter: the guard of branch *i* (`¬(Z₁ ∪ … ∪ Zᵢ₋₁)`,
+/// or `¬Z₁ ∩ … ∩ ¬Zᵢ₋₁` when the chain nests to the right) is the
+/// largest term of the branch and occurs in both of its relations, and a
+/// right-nested guard contains the previous branch's guard whole.
+///
+/// Lowering is a function of the term and the pair, so a remembered
+/// automaton is the one a fresh lowering would build, state for state.
+pub(crate) struct Lowering<'a> {
+    env: &'a PairFsas,
+    /// Found by structural equality: the compiler clones guards into
+    /// each branch, so equal sub-terms do not share an address.
+    lowered: Vec<(&'a PathSet, Nfa)>,
+}
+
+impl<'a> Lowering<'a> {
+    pub(crate) fn new(env: &'a PairFsas) -> Lowering<'a> {
+        Lowering {
+            env,
+            lowered: Vec::new(),
         }
     }
+
+    /// The automaton remembered for `term`, or `build`'s, remembered.
+    fn once(&mut self, term: &'a PathSet, build: impl FnOnce(&mut Self) -> Nfa) -> Nfa {
+        if let Some((_, nfa)) = self.lowered.iter().find(|(seen, _)| *seen == term) {
+            return nfa.clone();
+        }
+        let nfa = build(self);
+        self.lowered.push((term, nfa.clone()));
+        nfa
+    }
+
+    /// Lower a path set to an NFA.
+    pub(crate) fn pathset(&mut self, p: &'a PathSet) -> Nfa {
+        match p {
+            PathSet::Empty => Nfa::empty_language(),
+            PathSet::Eps => Nfa::epsilon_language(),
+            PathSet::Atom(set) => Nfa::symbol_set(set.clone()),
+            PathSet::PreState => self.env.pre.clone(),
+            PathSet::PostState => self.env.post.clone(),
+            PathSet::Union(parts) => parts
+                .iter()
+                .map(|q| self.pathset(q))
+                .fold(Nfa::empty_language(), |acc, n| acc.union(&n)),
+            PathSet::Concat(parts) => parts
+                .iter()
+                .map(|q| self.pathset(q))
+                .fold(Nfa::epsilon_language(), |acc, n| acc.concat(&n)),
+            PathSet::Star(inner) => self.pathset(inner).star(),
+            PathSet::Inter(a, b) => self.once(p, |lowering| {
+                let da = determinize(&lowering.pathset(a));
+                let db = determinize(&lowering.pathset(b));
+                product(&da, &db, ProductMode::Intersection).to_nfa()
+            }),
+            PathSet::Complement(inner) => self.once(p, |lowering| {
+                determinize(&lowering.pathset(inner)).complement().to_nfa()
+            }),
+            PathSet::Image(p, r) => {
+                let base = self.pathset(p);
+                let rel = self.rel(r);
+                image(&base, &rel)
+            }
+        }
+    }
+
+    /// Lower a relation to a transducer.
+    pub(crate) fn rel(&mut self, r: &'a Rel) -> Fst {
+        match r {
+            Rel::Empty => Fst::empty_relation(),
+            Rel::Eps => Fst::eps_relation(),
+            Rel::Cross(a, b) => {
+                let left = self.pathset(a);
+                let right = self.pathset(b);
+                Fst::cross(&left, &right)
+            }
+            Rel::Ident(p) => Fst::identity(&self.pathset(p)),
+            Rel::Union(parts) => parts
+                .iter()
+                .map(|q| self.rel(q))
+                .fold(Fst::empty_relation(), |acc, f| acc.union(&f)),
+            Rel::Concat(parts) => parts
+                .iter()
+                .map(|q| self.rel(q))
+                .fold(Fst::eps_relation(), |acc, f| acc.concat(&f)),
+            Rel::Star(inner) => self.rel(inner).star(),
+            Rel::Compose(a, b) => {
+                let left = self.rel(a);
+                let right = self.rel(b);
+                compose(&left, &right)
+            }
+        }
+    }
+}
+
+/// Lower a path set to an NFA.
+pub fn lower_pathset(p: &PathSet, env: &PairFsas) -> Nfa {
+    Lowering::new(env).pathset(p)
 }
 
 /// Lower a path set straight to a (trimmed) DFA.
@@ -69,30 +137,7 @@ pub fn lower_pathset_dfa(p: &PathSet, env: &PairFsas) -> Dfa {
 
 /// Lower a relation to a transducer.
 pub fn lower_rel(r: &Rel, env: &PairFsas) -> Fst {
-    match r {
-        Rel::Empty => Fst::empty_relation(),
-        Rel::Eps => Fst::eps_relation(),
-        Rel::Cross(a, b) => {
-            let left = lower_pathset(a, env);
-            let right = lower_pathset(b, env);
-            Fst::cross(&left, &right)
-        }
-        Rel::Ident(p) => Fst::identity(&lower_pathset(p, env)),
-        Rel::Union(parts) => parts
-            .iter()
-            .map(|q| lower_rel(q, env))
-            .fold(Fst::empty_relation(), |acc, f| acc.union(&f)),
-        Rel::Concat(parts) => parts
-            .iter()
-            .map(|q| lower_rel(q, env))
-            .fold(Fst::eps_relation(), |acc, f| acc.concat(&f)),
-        Rel::Star(inner) => lower_rel(inner, env).star(),
-        Rel::Compose(a, b) => {
-            let left = lower_rel(a, env);
-            let right = lower_rel(b, env);
-            compose(&left, &right)
-        }
-    }
+    Lowering::new(env).rel(r)
 }
 
 /// Decide an RIR specification against a snapshot pair.
@@ -280,6 +325,40 @@ mod tests {
                 "spec {spec:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_shared_lowering_builds_what_separate_lowerings_build() {
+        // three branches of a right-nested `else` chain: each guard
+        // contains the previous one whole and occurs in two relations
+        let not = |p: PathSet| PathSet::Complement(Box::new(p));
+        let zone = |ix: usize| PathSet::Concat(vec![atom(ix), any_star()]);
+        let g1 = not(zone(0));
+        let g2 = PathSet::Inter(Box::new(g1.clone()), Box::new(not(zone(1))));
+        let guarded = |g: &PathSet, body: Rel| {
+            Rel::Compose(Box::new(Rel::Ident(Box::new(g.clone()))), Box::new(body))
+        };
+        let keep = || Rel::Ident(Box::new(any_star()));
+        let rewrite = || Rel::Cross(Box::new(zone(2)), Box::new(atom(1)));
+        let rels = [
+            guarded(&g1, keep()),
+            guarded(&g1, rewrite()),
+            guarded(&g2, keep()),
+            guarded(&g2, rewrite()),
+        ];
+        let (env, _) = env_from(&[], &[]);
+        let mut shared = Lowering::new(&env);
+        for rel in &rels {
+            let (once, fresh) = (shared.rel(rel), lower_rel(rel, &env));
+            assert_eq!(once.len(), fresh.len());
+            assert_eq!(once.start(), fresh.start());
+            for s in 0..once.len() {
+                assert_eq!(once.arcs_from(s), fresh.arcs_from(s), "arcs of {s}");
+                assert_eq!(once.is_accepting(s), fresh.is_accepting(s), "state {s}");
+            }
+        }
+        // g1 once, g2 once, and the complement inside g2 once
+        assert_eq!(shared.lowered.len(), 3);
     }
 
     #[test]

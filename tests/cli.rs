@@ -137,3 +137,66 @@ fn usage_and_input_errors_exit_two() {
     let err = run(&check_cmd(&work2, &db2, &good2), &mut out).expect_err("invalid spec");
     assert_eq!(err.code, 2);
 }
+
+/// Write a pair whose only difference is longer than the witness length
+/// bound (64): a 70-device chain before the change, no path after it.
+fn long_chain_inputs(work: &Workdir, spec: &str) -> Vec<String> {
+    let names: Vec<String> = (0..70).map(|i| format!("hop{i}")).collect();
+    let mut db = LocationDb::new();
+    for name in &names {
+        db.add_device(Device::new(name.as_str(), name.as_str()));
+    }
+    let chain: Vec<&str> = names.iter().map(String::as_str).collect();
+    let mut pre = Snapshot::new();
+    pre.insert(
+        FlowSpec::new("10.1.0.0/24".parse().unwrap(), "hop0"),
+        linear_graph(&chain),
+    );
+    let files = [
+        ("--spec", work.write("spec.rela", spec.to_owned())),
+        (
+            "--db",
+            work.write("db.json", serde_json::to_string(&db).unwrap()),
+        ),
+        ("--pre", work.write("pre.json", pre.to_json().unwrap())),
+        (
+            "--post",
+            work.write("post.json", Snapshot::new().to_json().unwrap()),
+        ),
+    ];
+    let mut args = vec!["check".to_owned()];
+    for (flag, path) in files {
+        args.extend([flag.to_owned(), path.display().to_string()]);
+    }
+    args.extend(["--granularity".to_owned(), "device".to_owned()]);
+    args
+}
+
+#[test]
+fn a_difference_past_the_witness_length_fails_with_a_reason_in_both_engines() {
+    let cases = [
+        (
+            "rir keep := pre <= post\ncheck keep",
+            "inclusion violated; extra paths: hop0 hop1 ",
+        ),
+        (
+            "spec nochange := { .* : preserve }\ncheck nochange",
+            "nochange: expected {hop0 hop1 ",
+        ),
+    ];
+    for (ix, (spec, reason)) in cases.into_iter().enumerate() {
+        let work = Workdir::new(&format!("long-chain-{ix}"));
+        let pipelined = long_chain_inputs(&work, spec);
+        let mut batch = pipelined.clone();
+        batch.push("--no-stream".to_owned());
+        for args in [pipelined, batch] {
+            let mut out = Vec::new();
+            let code =
+                run(&parse_args(&args).expect("valid command line"), &mut out).expect("runs");
+            let text = String::from_utf8(out).unwrap();
+            assert_eq!(code, 1, "{args:?}\n{text}");
+            assert!(text.contains(reason), "{args:?}\n{text}");
+            assert!(text.contains("verdict: FAIL"), "{args:?}\n{text}");
+        }
+    }
+}

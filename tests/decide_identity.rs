@@ -1,0 +1,91 @@
+//! Layout pin for the decide path: one interface-granularity pair, the
+//! shape of `relabench`'s `decide-interface` workload, is decided by
+//! both engines at 1 and 2 threads and the rendered report must hash to
+//! one committed fingerprint.
+//!
+//! Every other identity suite compares two runs of the build under
+//! test, so a change that reorders witnesses or renumbers automaton
+//! states the same way in both runs passes them all. This fingerprint
+//! was recorded before the decide path was rewritten (PR 15: layered
+//! witness enumeration, fused image, guards lowered once) and pins
+//! witness order and automaton layout *across* builds. If it moves, the
+//! order invariant in `docs/ARCHITECTURE.md` (*Decide path*) is broken —
+//! do not re-record it without bumping `ENGINE_VERSION`.
+
+use rela::lang::{CheckReport, CheckSession, JobSpec, LabeledSource, SessionConfig};
+use rela::net::{content_hash128, Granularity, Ipv4Prefix, SnapshotPair};
+use rela::sim::workload::{group_name, spec_of_size, synthetic_wan, WanParams};
+use rela::sim::{configured, simulate, ConfigChange, DeviceSelector};
+
+/// `content_hash128` of the verdict bytes, recorded at commit dec54f1.
+const FINGERPRINT: u128 = 0x2e03_16b1_0763_774a_4418_f155_0307_326a;
+
+fn verdict_bytes(report: &CheckReport) -> String {
+    report
+        .to_string()
+        .lines()
+        .filter(|l| !l.starts_with("checked ") && !l.starts_with("behavior classes:"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn the_interface_granularity_report_is_pinned_across_builds() {
+    let params = WanParams {
+        regions: 10,
+        routers_per_group: 2,
+        parallel_links: 4,
+        fecs_per_pair: 2,
+    };
+    let wan = synthetic_wan(&params);
+    // relabench's change: drain the R0C–R1C trunk, deny one /24 at R1O
+    let changes = [
+        ConfigChange::SetGroupLinkCost {
+            group_a: group_name(0, 'C'),
+            group_b: group_name(1, 'C'),
+            cost: 20,
+        },
+        ConfigChange::AddAclDeny {
+            devices: DeviceSelector::Group(group_name(1, 'O')),
+            prefixes: vec![Ipv4Prefix::from_octets(10, 1, 0, 0, 24)],
+        },
+    ];
+    let (pre, unconverged) = simulate(&wan.topology, &wan.config, &wan.traffic);
+    assert!(unconverged.is_empty());
+    let cfg = configured(&wan.config, &wan.topology, &changes);
+    let (post, unconverged) = simulate(&wan.topology, &cfg, &wan.traffic);
+    assert!(unconverged.is_empty());
+    let pair = SnapshotPair::align(&pre, &post);
+    let (pre_json, post_json) = (pre.to_json().unwrap(), post.to_json().unwrap());
+
+    let spec = spec_of_size(37, params.regions);
+    for threads in [1, 2] {
+        // a session per engine: each decides every class cold
+        let open = || {
+            let config = SessionConfig {
+                granularity: Granularity::Interface,
+                threads,
+                ..SessionConfig::default()
+            };
+            CheckSession::open(&spec, wan.topology.db.clone(), config).unwrap()
+        };
+        let batch = open().run(JobSpec::pair(&pair)).unwrap();
+        assert!(!batch.is_compliant(), "the change must be visible");
+        // streams go through the pipelined engine by default
+        let streams = JobSpec::streams(
+            LabeledSource::new(pre_json.as_bytes(), "pre"),
+            LabeledSource::new(post_json.as_bytes(), "post"),
+        );
+        let pipelined = open().run(streams).unwrap();
+        for (engine, report) in [("batch", &batch), ("pipelined", &pipelined)] {
+            let bytes = verdict_bytes(report);
+            assert_eq!(
+                content_hash128(bytes.as_bytes()),
+                FINGERPRINT,
+                "{engine} engine at {threads} thread(s): witness order or automaton layout \
+                 moved ({} report bytes)",
+                bytes.len(),
+            );
+        }
+    }
+}

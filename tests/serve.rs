@@ -752,6 +752,62 @@ fn a_no_stream_submit_does_not_report_another_jobs_base() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A difference whose every path is longer than the witness length
+/// bound (a 70-device chain that disappears) comes back through the
+/// daemon as exit 1 with a reason — under a raw inclusion (which used to
+/// PASS) and under `nochange` (which used to FAIL with empty path sets).
+#[test]
+fn a_difference_past_the_witness_length_is_reported_through_submit() {
+    use rela::net::{linear_graph, Device, FlowSpec, LocationDb, Snapshot};
+    let names: Vec<String> = (0..70).map(|i| format!("hop{i}")).collect();
+    let mut db = LocationDb::new();
+    for name in &names {
+        db.add_device(Device::new(name.as_str(), name.as_str()));
+    }
+    let chain: Vec<&str> = names.iter().map(String::as_str).collect();
+    let mut pre = Snapshot::new();
+    pre.insert(
+        FlowSpec::new("10.1.0.0/24".parse().unwrap(), "hop0"),
+        linear_graph(&chain),
+    );
+    let cases = [
+        (
+            "rir keep := pre <= post\ncheck keep",
+            "inclusion violated; extra paths: hop0 hop1 ",
+        ),
+        (
+            "spec nochange := { .* : preserve }\ncheck nochange",
+            "nochange: expected {hop0 hop1 ",
+        ),
+    ];
+    for (ix, (spec, reason)) in cases.into_iter().enumerate() {
+        let dir =
+            std::env::temp_dir().join(format!("rela-serve-long-chain-{ix}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("change.rela"), spec).unwrap();
+        std::fs::write(dir.join("db.json"), serde_json::to_string(&db).unwrap()).unwrap();
+        std::fs::write(dir.join("pre.json"), pre.to_json().unwrap()).unwrap();
+        std::fs::write(dir.join("post.json"), Snapshot::new().to_json().unwrap()).unwrap();
+        let socket = dir.join("daemon.sock");
+        let daemon = spawn_daemon_with(&dir, &socket, None, &["--granularity", "device"]);
+
+        let (code, text) = submit(&socket, &dir, "post.json", false);
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains(reason), "{text}");
+
+        cli::run(
+            &Command::Shutdown {
+                socket: socket.clone(),
+            },
+            &mut Vec::new(),
+        )
+        .expect("shutdown is acknowledged");
+        wait_exit(daemon, &socket);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Tentpole (d) end-to-end: with the default `--retain-epochs 2` two
 /// interleaved delta chains — one pinned to (pre, v2), one to (pre, v4)
 /// — both take the delta path with zero misses; a third full pair then

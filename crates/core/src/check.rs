@@ -25,8 +25,8 @@ use crate::compile::{CompiledCheck, CompiledProgram, GuardedPart};
 use crate::counterexample::{diff_equation, diff_paths, EquationDiff, PathRenderer, WitnessLimits};
 use crate::lower::{lower_pathset_dfa, Lowering, PairFsas};
 use crate::pipeline::{
-    Channel, ClassRef, ClassRegistry, ErrorSink, FlowRef, GraphSpan, JoinMap, Joined, JoinedSide,
-    OneSided, PoisonOnPanic, Provenance, Recv, Side,
+    Channel, ClassKey, ClassRef, ClassRegistry, ErrorSink, FlowRef, GraphSpan, JoinMap, Joined,
+    JoinedSide, OneSided, PoisonOnPanic, Provenance, Recv, Side,
 };
 use crate::report::{
     CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, ViolationDetail,
@@ -67,7 +67,11 @@ use std::time::{Duration, Instant};
 // engine.4: the variant fingerprint is back to 24 option bytes (the
 // ablation is gone), so engine.3 entries can never match again — same
 // reasoning as engine.3.
-pub const ENGINE_VERSION: &str = concat!("rela-core/", env!("CARGO_PKG_VERSION"), "/engine.4");
+// engine.5: `rela_net::content_hash128` is MurmurHash3 x64_128 instead of
+// FNV-1a, and byte-keyed entries are keyed by it, so engine.4's can never
+// match again — same reasoning; a client holding an engine.4 snapshot
+// epoch gets DELTA_MISS and resends in full.
+pub const ENGINE_VERSION: &str = concat!("rela-core/", env!("CARGO_PKG_VERSION"), "/engine.5");
 
 /// The persistent-cache epoch for a parsed program bound to a location
 /// database: a content hash of the spec AST *and* the database it
@@ -131,14 +135,19 @@ struct BehaviorClass {
 }
 
 /// One snapshot record retained for delta-base replay: the flow key,
-/// the undecoded graph span, the span's content hash, and the record's
-/// entry index in its stream.
+/// the undecoded graph span, the span's content hash, the record's
+/// entry index in its stream, and its share of the side's epoch fold.
 #[derive(Clone)]
 pub(crate) struct RetainedRecord {
     pub(crate) flow: FlowSpec,
     pub(crate) span: GraphSpan,
     pub(crate) hash: u128,
     pub(crate) index: usize,
+    /// [`record_mix`] of `flow` and `hash`, computed once where the
+    /// record is framed so a replayed record never pays for it again.
+    /// Zero in a run that retains nothing: only [`Checker::retain`]
+    /// reads it.
+    pub(crate) mix: u128,
 }
 
 impl RetainedRecord {
@@ -337,15 +346,20 @@ fn framer_feed<'f, R: Read + Send + 'f>(framer: SnapshotFramer<R>, side: Side) -
 /// after the join), the classes it replayed warm from the store, the
 /// graph decodes it actually performed, the symbol names replayed out of
 /// byte-keyed store entries, and the records captured for delta-base
-/// retention.
+/// retention, `[pre, post]`. `byte_classes` and `members` are the dedup
+/// hit path: the class of every byte key this worker has taken through
+/// the shared index once, and the members it has since added to those
+/// classes without going back — folded into the classes after the join.
 #[derive(Default)]
 struct WorkerState {
     worker: usize,
     flows: Vec<FlowSpec>,
+    byte_classes: HashMap<ClassKey, ClassRef>,
+    members: Vec<(ClassRef, FlowRef)>,
     warm: Vec<(ClassRef, FecResult)>,
     decodes: usize,
     symbols: BTreeSet<String>,
-    captured: Vec<(Side, RetainedRecord)>,
+    captured: [Vec<RetainedRecord>; 2],
 }
 
 impl WorkerState {
@@ -515,8 +529,8 @@ impl Pipeline<'_, '_> {
             PreparedItem::Replay { side, record } => self.side(side, record, 0, state),
             PreparedItem::PairReplay { pre, post } => {
                 if self.checker.retention.is_some() {
-                    state.captured.push((Side::Pre, pre.clone()));
-                    state.captured.push((Side::Post, post.clone()));
+                    state.captured[Side::Pre as usize].push(pre.clone());
+                    state.captured[Side::Post as usize].push(post.clone());
                 }
                 let (flow, pre) = pre.into_joined(0);
                 let (_, post) = post.into_joined(0);
@@ -551,11 +565,17 @@ impl Pipeline<'_, '_> {
                 ),
             ),
         };
+        let hash = content_hash128(span.as_slice());
+        let mix = match self.checker.retention {
+            Some(_) => record_mix(&flow, hash),
+            None => 0,
+        };
         let record = RetainedRecord {
             flow,
-            hash: content_hash128(span.as_slice()),
             span,
+            hash,
             index: raw.index,
+            mix,
         };
         self.side(side, record, raw.offset, state)
     }
@@ -570,7 +590,7 @@ impl Pipeline<'_, '_> {
         state: &mut WorkerState,
     ) -> Result<(), SidedError> {
         if self.checker.retention.is_some() {
-            state.captured.push((side, record.clone()));
+            state.captured[side as usize].push(record.clone());
         }
         let (flow, own) = record.into_joined(offset);
         match self.join.insert(side, &flow, own) {
@@ -586,10 +606,14 @@ impl Pipeline<'_, '_> {
     }
 
     /// Admit one paired flow to the class registry by its raw byte key.
-    /// A byte-key hit joins the already-resolved class with zero decode
-    /// work; a miss resolves a class — decode, fingerprint,
-    /// behavior-admit, store-consult — under the byte-shard lock, so
-    /// exactly one member per byte key pays for the decode.
+    /// A key this worker has met before is a hit that takes no shared
+    /// lock: the member goes on the worker's own list, to be folded into
+    /// the class when the worker states are flattened. A key it has not
+    /// met goes through the shared byte index, where a hit joins the
+    /// already-resolved class with zero decode work and a miss resolves
+    /// a class — decode, fingerprint, behavior-admit, store-consult —
+    /// under the byte-shard lock, so exactly one member per byte key
+    /// pays for the decode.
     fn admit_spans(
         &self,
         flow: FlowSpec,
@@ -603,8 +627,8 @@ impl Pipeline<'_, '_> {
             worker: state.worker,
             local: state.flows.len(),
         };
-        state.flows.push(flow.clone());
         if !self.checker.options.dedup {
+            state.flows.push(flow.clone());
             let fec = AlignedFec {
                 pre: self.decode_side(Side::Pre, &pre, state)?,
                 post: self.decode_side(Side::Post, &post, state)?,
@@ -614,9 +638,16 @@ impl Pipeline<'_, '_> {
             return Ok(());
         }
         let byte_key = (pre.hash, post.hash, route.unwrap_or(usize::MAX));
-        self.registry.admit_by_bytes(byte_key, member, || {
-            self.resolve_byte_class(&flow, route, &pre, &post, member, state)
-        })
+        if let Some(&class) = state.byte_classes.get(&byte_key) {
+            state.members.push((class, member));
+        } else {
+            let class = self.registry.admit_by_bytes(byte_key, member, || {
+                self.resolve_byte_class(&flow, route, &pre, &post, member, state)
+            })?;
+            state.byte_classes.insert(byte_key, class);
+        }
+        state.flows.push(flow);
+        Ok(())
     }
 
     /// Resolve the behavior class for a byte-key founder: consult the
@@ -735,6 +766,22 @@ impl Pipeline<'_, '_> {
         }
         (side, e)
     }
+}
+
+/// What [`Checker::ingest_pipelined`] hands the finisher: the inputs
+/// [`Checker::finish`] takes, plus what the engine itself reports or
+/// retains afterwards.
+struct Ingested {
+    flows: Vec<FlowSpec>,
+    /// `classes[i]` is represented by `reps[i]`; members index `flows`.
+    classes: Vec<BehaviorClass>,
+    reps: Vec<AlignedFec>,
+    /// Verdicts the store answered during ingest, by class index.
+    warm: Vec<(usize, FecResult)>,
+    graph_decodes: usize,
+    replayed_symbols: BTreeSet<String>,
+    /// The records a retaining run keeps, `[pre, post]`.
+    captured: [Vec<RetainedRecord>; 2],
 }
 
 /// Fold `symbols` into a cached-verdict payload as a sorted `symbols`
@@ -1077,7 +1124,7 @@ impl<'a> Checker<'a> {
     }
 
     /// The pipelined engine shared by [`Checker::check_pipelined`] and
-    /// the delta path: [`Pipeline::ingest`] in front of
+    /// the delta path: [`Checker::ingest_pipelined`] in front of
     /// [`Checker::finish`].
     fn run_pipelined(
         &self,
@@ -1085,6 +1132,38 @@ impl<'a> Checker<'a> {
         labels: [Option<String>; 2],
     ) -> Result<CheckReport, SnapshotError> {
         let start = Instant::now();
+        let Some(ingested) = self.ingest_pipelined(feeds, labels)? else {
+            return Ok(self.cancelled_report(start));
+        };
+        // Byte-warm classes replay with placeholder reps, so the symbol
+        // names their payloads recorded are folded back into the table.
+        let mut report = self.finish(
+            start,
+            &ingested.flows.iter().collect::<Vec<_>>(),
+            &ingested.classes,
+            &ingested.reps.iter().collect::<Vec<_>>(),
+            ingested.warm,
+            ingested.replayed_symbols,
+        );
+        if !self.was_cancelled() {
+            report.stats.graph_decodes = ingested.graph_decodes;
+            report.stats.retained_epoch = self.retain(ingested.captured);
+        }
+        Ok(report)
+    }
+
+    /// Run [`Pipeline::ingest`] over `feeds` and flatten what its
+    /// workers hold into the finisher's inputs: worker-local flow lists
+    /// concatenate into the global one, registry shards into the class
+    /// list, and the members each worker kept to itself on the dedup
+    /// hit path join their classes — behind the members the registry
+    /// already holds, so `members[0]` is still the founder. `None` when
+    /// the job's deadline expired mid-ingest.
+    fn ingest_pipelined(
+        &self,
+        feeds: Vec<Feed<'_>>,
+        labels: [Option<String>; 2],
+    ) -> Result<Option<Ingested>, SnapshotError> {
         let workers = self.resolve_threads().max(1);
         let shards = workers.next_power_of_two().max(8);
         let pipe = Pipeline {
@@ -1100,25 +1179,37 @@ impl<'a> Checker<'a> {
         };
         let locals = pipe.ingest(feeds, workers)?;
         if self.was_cancelled() {
-            return Ok(self.cancelled_report(start));
+            return Ok(None);
         }
 
-        // Flatten worker-local state into the finisher's inputs.
+        let (mut accs, shard_offsets) = pipe.registry.into_classes();
+        let class_ix = |class: ClassRef| shard_offsets[class.shard] + class.index;
         let mut offsets = Vec::with_capacity(locals.len());
         let mut flows: Vec<FlowSpec> = Vec::new();
-        let mut warm_refs: Vec<(ClassRef, FecResult)> = Vec::new();
+        let mut warm: Vec<(usize, FecResult)> = Vec::new();
         let mut graph_decodes = 0usize;
         let mut replayed_symbols: BTreeSet<String> = BTreeSet::new();
-        let mut captured: Vec<(Side, RetainedRecord)> = Vec::new();
+        // sized once: these two vectors are what a retained base holds
+        let mut captured: [Vec<RetainedRecord>; 2] = [0, 1]
+            .map(|side| Vec::with_capacity(locals.iter().map(|l| l.captured[side].len()).sum()));
         for mut local in locals {
             offsets.push(flows.len());
             flows.append(&mut local.flows);
-            warm_refs.append(&mut local.warm);
+            for (class, member) in local.members {
+                accs[class_ix(class)].members.push(member);
+            }
+            warm.extend(
+                local
+                    .warm
+                    .into_iter()
+                    .map(|(class, result)| (class_ix(class), result)),
+            );
             graph_decodes += local.decodes;
             replayed_symbols.extend(local.symbols);
-            captured.append(&mut local.captured);
+            for (all, own) in captured.iter_mut().zip(&mut local.captured) {
+                all.append(own);
+            }
         }
-        let (accs, shard_offsets) = pipe.registry.into_classes();
         let mut classes: Vec<BehaviorClass> = Vec::with_capacity(accs.len());
         let mut reps: Vec<AlignedFec> = Vec::with_capacity(accs.len());
         for acc in accs {
@@ -1134,44 +1225,29 @@ impl<'a> Checker<'a> {
             });
             reps.push(acc.rep);
         }
-        let warm = warm_refs
-            .into_iter()
-            .map(|(class, result)| (shard_offsets[class.shard] + class.index, result))
-            .collect();
-
-        // Byte-warm classes replay with placeholder reps, so the symbol
-        // names their payloads recorded are folded back into the table.
-        let mut report = self.finish(
-            start,
-            &flows.iter().collect::<Vec<_>>(),
-            &classes,
-            &reps.iter().collect::<Vec<_>>(),
+        Ok(Some(Ingested {
+            flows,
+            classes,
+            reps,
             warm,
+            graph_decodes,
             replayed_symbols,
-        );
-        if !self.was_cancelled() {
-            report.stats.graph_decodes = graph_decodes;
-            report.stats.retained_epoch = self.retain(captured);
-        }
-        Ok(report)
+            captured,
+        }))
     }
 
     /// Retain a cleanly and completely checked pair for delta-base
-    /// replay, when a retention slot is attached. Returns its epoch.
-    fn retain(&self, mut captured: Vec<(Side, RetainedRecord)>) -> Option<SnapshotEpoch> {
+    /// replay, when a retention slot is attached. Returns its epoch,
+    /// folded from the mixes the records carry.
+    fn retain(&self, captured: [Vec<RetainedRecord>; 2]) -> Option<SnapshotEpoch> {
         let slot = self.retention?;
-        captured.sort_by_key(|(side, record)| (*side, record.index));
-        let mut pre_records = Vec::new();
-        let mut post_records = Vec::new();
-        for (side, record) in captured {
-            match side {
-                Side::Pre => pre_records.push(record),
-                Side::Post => post_records.push(record),
-            }
-        }
-        let fold_of = |records: &[RetainedRecord]| {
-            side_fold(records.iter().map(|r| record_mix(&r.flow, r.hash)))
-        };
+        let [mut pre_records, mut post_records] = captured;
+        // stream order, as far as there is one: a delta job's own
+        // records tie with replayed ones, and nothing reads the order
+        // but the next replay's feed
+        pre_records.sort_unstable_by_key(|record| record.index);
+        post_records.sort_unstable_by_key(|record| record.index);
+        let fold_of = |records: &[RetainedRecord]| side_fold(records.iter().map(|r| r.mix));
         let epoch = pair_epoch(fold_of(&pre_records), fold_of(&post_records));
         slot.lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -2620,6 +2696,73 @@ mod tests {
                 verdict_bytes(&batch),
                 "dedup={dedup}"
             );
+        }
+    }
+
+    #[test]
+    fn every_flow_lands_in_exactly_one_class_at_any_worker_count() {
+        use rela_net::SnapshotFramer;
+        let db = db();
+        // 256 paired flows in two byte classes, plus one-sided flows
+        // that share bytes among themselves: hits come through the
+        // shared index, the workers' own maps and the one-sided drain
+        let (mut pre, mut post) = duplicated_snapshots(256);
+        for i in 0..3 {
+            let gone = flow(&format!("10.2.{i}.0/24"), "x1");
+            pre.insert(gone, linear_graph(&["x1", "B1-r1", "y1"]));
+        }
+        post.insert(flow("10.3.0.0/24", "x1"), linear_graph(&["x1", "D1-r1"]));
+        let pair = SnapshotPair::align(&pre, &post);
+        let (pre_json, post_json) = (pre.to_json().unwrap(), post.to_json().unwrap());
+        let program = crate::parser::parse_program(NOCHANGE).unwrap();
+        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
+        for dedup in [true, false] {
+            for threads in [1usize, 2, 8] {
+                let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
+                    threads,
+                    dedup,
+                    ..CheckOptions::default()
+                });
+                let batch = checker.check(&pair);
+                let feeds = vec![
+                    framer_feed(SnapshotFramer::new(pre_json.as_bytes(), "pre"), Side::Pre),
+                    framer_feed(
+                        SnapshotFramer::new(post_json.as_bytes(), "post"),
+                        Side::Post,
+                    ),
+                ];
+                let ingested = checker
+                    .ingest_pipelined(feeds, [None, None])
+                    .unwrap()
+                    .expect("no deadline to expire");
+                let at = format!("dedup={dedup} threads={threads}");
+                assert_eq!(ingested.flows.len(), 260, "{at}");
+                let mut classes_of = vec![0usize; ingested.flows.len()];
+                for (class, rep) in ingested.classes.iter().zip(&ingested.reps) {
+                    for &member in &class.members {
+                        classes_of[member] += 1;
+                    }
+                    // the founder, whose graphs the class kept, is first
+                    assert_eq!(ingested.flows[class.members[0]], rep.flow, "{at}");
+                }
+                assert!(classes_of.iter().all(|&n| n == 1), "{at}: {classes_of:?}");
+                assert_eq!(ingested.classes.len(), batch.stats.classes, "{at}");
+                // one decoded pair per byte class (here also one per
+                // behavior class), however the workers raced for it
+                let decoded_pairs = if dedup { 4 } else { 260 };
+                assert_eq!(batch.stats.classes, decoded_pairs, "{at}");
+                assert_eq!(ingested.graph_decodes, 2 * decoded_pairs, "{at}");
+
+                let piped = pipelined(&checker, &pre, &post);
+                assert_eq!(piped.stats.classes, batch.stats.classes, "{at}");
+                assert_eq!(piped.stats.dedup_hits, batch.stats.dedup_hits, "{at}");
+                assert_eq!(piped.stats.graph_decodes, 2 * decoded_pairs, "{at}");
+                if !dedup {
+                    // which is every graph, as the batch engine decodes
+                    assert_eq!(piped.stats.graph_decodes, batch.stats.graph_decodes);
+                }
+                assert_eq!(verdict_bytes(&piped), verdict_bytes(&batch), "{at}");
+            }
         }
     }
 

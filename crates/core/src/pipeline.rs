@@ -595,23 +595,26 @@ impl ClassRegistry {
     /// to resolve one. `found` runs **under the byte-shard lock**, so
     /// exactly one member per byte key decodes even when workers race;
     /// lock order is byte shard → registry shard (acyclic, `found` may
-    /// call [`ClassRegistry::admit`]).
+    /// call [`ClassRegistry::admit`]). Returns the class `member` is
+    /// now in: a worker remembers it and keeps the key's later members
+    /// to itself, so only its first sight of a key comes through here.
     pub(crate) fn admit_by_bytes<E>(
         &self,
         byte_key: ClassKey,
         member: FlowRef,
         found: impl FnOnce() -> Result<ClassRef, E>,
-    ) -> Result<(), E> {
+    ) -> Result<ClassRef, E> {
         let mut hasher = DefaultHasher::new();
         byte_key.hash(&mut hasher);
         let shard_ix = (hasher.finish() as usize) % self.byte_index.len();
         let mut shard = self.byte_index[shard_ix].lock().expect("byte index lock");
         if let Some(&class) = shard.get(&byte_key) {
             self.add_member(class, member);
-            return Ok(());
+            return Ok(class);
         }
-        shard.insert(byte_key, found()?);
-        Ok(())
+        let class = found()?;
+        shard.insert(byte_key, class);
+        Ok(class)
     }
 
     /// Flatten the shards into a single class list. Returns the classes

@@ -1165,6 +1165,18 @@ mod tests {
             .unwrap();
         assert_eq!(verdict_bytes(&delta_report), verdict_bytes(&full));
         assert_eq!(s.base_epoch().unwrap(), new_epoch, "same pair, same epoch");
+        // the delta job folded the mixes its replayed records carried
+        // since they were first framed, the full job computed every mix
+        // afresh, the scanner never saw either: one pair, one epoch
+        assert_eq!(delta_report.stats.retained_epoch, Some(new_epoch));
+        assert_eq!(full.stats.retained_epoch, Some(new_epoch));
+        assert_eq!(
+            new_epoch,
+            pair_epoch(
+                scan(&new_pre, "new:pre").fold,
+                scan(&new_post, "new:post").fold
+            )
+        );
     }
 
     #[test]

@@ -89,19 +89,94 @@ impl std::str::FromStr for BehaviorHash {
     }
 }
 
-/// Fingerprint arbitrary bytes with the same 128-bit FNV-1a construction
-/// behavior hashes use — the workspace's one content-hash primitive
-/// (spec epochs, cache file names) so stores stay comparable across
-/// processes and platforms.
+/// Fingerprint arbitrary bytes: MurmurHash3 x64_128 (Appleby, public
+/// domain) with seed 0, reproduced exactly — the 16 output bytes of the
+/// reference implementation read as one little-endian integer, which is
+/// the value other ports publish as `hash128`. It is the workspace's one
+/// content-hash primitive: graph-span byte keys, snapshot and cache
+/// epochs, store file names.
+///
+/// Stability promise: a pure function of the bytes — explicit
+/// little-endian loads, no pointer casts, no per-process seed — so the
+/// value is the same in every process and on every platform, and stores
+/// stay comparable. Everything keyed by it (byte-keyed store entries,
+/// cache epochs, snapshot epochs) is only comparable between builds that
+/// share it: changing this function bumps `rela_core::ENGINE_VERSION`.
+///
+/// It is not keyed and not collision-resistant against an adversary;
+/// like the FNV-1a it replaced, it guards against accident, not attack.
 pub fn content_hash128(bytes: &[u8]) -> u128 {
-    let mut h = Fnv::new();
-    h.bytes(bytes);
-    h.0
+    murmur3_x64_128(bytes, 0)
 }
 
-/// 128-bit FNV-1a. Hand-rolled because the workspace builds without
-/// crates.io; 128 bits keeps the birthday bound far beyond the 10⁶-FEC
-/// scale the checker targets.
+/// MurmurHash3 x64_128: 16 bytes a step, each half of the block
+/// multiplied, rotated and multiplied into its own 64-bit lane, the
+/// lanes cross-added after every block, the length folded in before two
+/// `fmix64` avalanches. `seed` exists so the tests can run the
+/// reference implementation's published verification (SMHasher seeds
+/// every key); production hashes with seed 0.
+fn murmur3_x64_128(bytes: &[u8], seed: u32) -> u128 {
+    const C1: u64 = 0x87c3_7b91_1142_53d5;
+    const C2: u64 = 0x4cf5_ad43_2745_937f;
+    let mix_k1 = |k: u64| k.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2);
+    let mix_k2 = |k: u64| k.wrapping_mul(C2).rotate_left(33).wrapping_mul(C1);
+    let halves = |block: &[u8; 16]| {
+        let (lo, hi) = block.split_at(8);
+        (
+            u64::from_le_bytes(lo.try_into().expect("8 of 16 bytes")),
+            u64::from_le_bytes(hi.try_into().expect("8 of 16 bytes")),
+        )
+    };
+
+    let (mut h1, mut h2) = (u64::from(seed), u64::from(seed));
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let (k1, k2) = halves(block.try_into().expect("chunks_exact(16)"));
+        h1 ^= mix_k1(k1);
+        h1 = h1.rotate_left(27).wrapping_add(h2);
+        h1 = h1.wrapping_mul(5).wrapping_add(0x52dc_e729);
+        h2 ^= mix_k2(k2);
+        h2 = h2.rotate_left(31).wrapping_add(h1);
+        h2 = h2.wrapping_mul(5).wrapping_add(0x3849_5ab5);
+    }
+    // the tail, zero-padded: a lane the tail does not reach mixes to
+    // zero, which is the reference's fall-through switch skipping it
+    let tail = blocks.remainder();
+    let mut padded = [0u8; 16];
+    padded[..tail.len()].copy_from_slice(tail);
+    let (k1, k2) = halves(&padded);
+    h1 ^= mix_k1(k1);
+    h2 ^= mix_k2(k2);
+
+    // the length keeps zero padding unambiguous
+    let len = bytes.len() as u64;
+    h1 ^= len;
+    h2 ^= len;
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    h1 = fmix64(h1);
+    h2 = fmix64(h2);
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    u128::from(h2) << 64 | u128::from(h1)
+}
+
+/// MurmurHash3's 64-bit finalizer: every input bit flips every output
+/// bit with probability ½.
+fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
+/// 128-bit FNV-1a, private to [`behavior_hash`]: its incremental
+/// `text`/`num` feeds run only over the graphs that get decoded (one
+/// pair per byte class), so byte-at-a-time is not on the ingest path.
+/// Hand-rolled because the workspace builds without crates.io; 128 bits
+/// keeps the birthday bound far beyond the 10⁶-FEC scale the checker
+/// targets.
 struct Fnv(u128);
 
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -444,6 +519,172 @@ mod tests {
         assert_eq!(content_hash128(b"spec"), content_hash128(b"spec"));
         assert_ne!(content_hash128(b"spec"), content_hash128(b"spec2"));
         assert_ne!(content_hash128(b""), content_hash128(b"\x00"));
+    }
+
+    #[test]
+    fn content_hash_is_murmur3_x64_128_as_published() {
+        // SMHasher's VerificationTest, the reference implementation's
+        // own self-check: hash the keys {}, {0}, {0,1}, … {0..=254} with
+        // seeds 256, 255, … 1, hash the 256 concatenated digests with
+        // seed 0, and read the first four bytes little-endian. Every
+        // tail length and the seeded lanes are in it.
+        let key: Vec<u8> = (0..=255).collect();
+        let mut digests = Vec::with_capacity(256 * 16);
+        for len in 0..256usize {
+            let digest = murmur3_x64_128(&key[..len], 256 - len as u32);
+            digests.extend_from_slice(&digest.to_le_bytes());
+        }
+        let verification = murmur3_x64_128(&digests, 0) as u32;
+        assert_eq!(verification, 0x6384_ba69, "{verification:#010x}");
+
+        // seed-0 vectors other ports publish (Apache Commons Codec's
+        // `hash128x64`, the Python `mmh3` README's `hash128`)
+        assert_eq!(content_hash128(b""), 0);
+        assert_eq!(
+            content_hash128(b"The quick brown fox jumps over the lazy dog"),
+            0x7a43_3ca9_c49a_9347_e34b_bc7b_bc07_1b6c
+        );
+        assert_eq!(
+            content_hash128(b"foo"),
+            168394135621993849475852668931176482145
+        );
+        assert_eq!(
+            murmur3_x64_128(b"foo", 42),
+            215966891540331383248189432718888555506
+        );
+    }
+
+    /// `len` bytes of a fixed pattern with no period under 256.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    #[test]
+    fn content_hash_known_answers_at_every_block_boundary() {
+        // computed with an independent implementation of the reference
+        // (which also reproduces the published vectors above): lengths
+        // around the 8-byte lane, the 16-byte block, and a long run
+        let known: [(usize, u128); 14] = [
+            (0, 0x00000000000000000000000000000000),
+            (1, 0x7a434b816c4508dc932fc7cce617f1e7),
+            (7, 0xa08f38dfaa7ff6f98340cc686662983b),
+            (8, 0xd02221832d7af9a1f0b144007f89ced7),
+            (15, 0x49ca338fe7701fac2906f047b67f83ff),
+            (16, 0x885aae87bb6c5ff7da9c66580c5ef0fb),
+            (17, 0xe36790301698fce078b8ee9a775e07d1),
+            (31, 0xcb6926489e7b3763b1ca061ed4c5532f),
+            (32, 0x3a5200924dcdd6ffaf7374eb8efe799b),
+            (33, 0x15c06fbdb5df8af908b88a88c3099ba9),
+            (63, 0x75495cf694b2ed97281925e2603553ee),
+            (64, 0x9a6c3536f9d78a8e497867a35161e107),
+            (65, 0xbc3f54ea6f42cc4011fd61fdca4cfbe2),
+            (1024, 0x5769eb3d25a6259a9d3bdab97cacfb46),
+        ];
+        for (len, expect) in known {
+            let got = content_hash128(&pattern(len));
+            assert_eq!(got, expect, "length {len}: {got:#034x}");
+        }
+    }
+
+    #[test]
+    fn content_hash_ignores_where_the_bytes_sit() {
+        // spans are hashed in place in chunks and file mappings, at any
+        // alignment
+        for len in [0usize, 1, 15, 16, 17, 100, 1400] {
+            let data = pattern(len);
+            let expect = content_hash128(&data);
+            for offset in 0..8 {
+                let mut buf = vec![0xa5u8; offset];
+                buf.extend_from_slice(&data);
+                buf.push(0x5a);
+                assert_eq!(
+                    content_hash128(&buf[offset..offset + len]),
+                    expect,
+                    "length {len} at offset {offset}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_runs_of_every_length_hash_apart() {
+        // the tail is zero-padded to a block, so only the length in the
+        // finalizer tells n zeros from n + 1
+        let zeros = [0u8; 256];
+        let mut seen = std::collections::HashMap::new();
+        for len in 0..=256 {
+            if let Some(other) = seen.insert(content_hash128(&zeros[..len]), len) {
+                panic!("{other} and {len} zero bytes collide");
+            }
+        }
+    }
+
+    /// The graph span of one record, as the snapshot writer emits it.
+    fn written_graph_span() -> Vec<u8> {
+        use crate::snapshot::{SnapshotFramer, SnapshotWriter};
+        let flow = crate::FlowSpec::new("10.1.0.0/24".parse().unwrap(), "a1");
+        let mut writer = SnapshotWriter::new(Vec::new()).unwrap();
+        writer
+            .write(&flow, &linear_graph(&["a1", "b1", "c1"]))
+            .unwrap();
+        let doc = writer.finish().unwrap();
+        let raw = SnapshotFramer::new(&doc[..], "doc")
+            .next()
+            .unwrap()
+            .unwrap();
+        raw.split_spans(None).unwrap().1.to_vec()
+    }
+
+    #[test]
+    fn every_one_byte_edit_of_a_graph_span_moves_the_digest_and_avalanches() {
+        let span = written_graph_span();
+        assert!(span.len() > 128, "{} bytes", span.len());
+        let original = content_hash128(&span);
+        let mut edited = span.clone();
+        let mut flipped = [0usize; 128];
+        for at in 0..span.len() {
+            for byte in 0..=255u8 {
+                if byte != span[at] {
+                    edited[at] = byte;
+                    assert_ne!(content_hash128(&edited), original, "byte {at} := {byte}");
+                }
+            }
+            for bit in 0..8 {
+                edited[at] = span[at] ^ (1 << bit);
+                let diff = content_hash128(&edited) ^ original;
+                assert_ne!(diff, 0, "byte {at} bit {bit}");
+                for (out, count) in flipped.iter_mut().enumerate() {
+                    *count += (diff >> out & 1) as usize;
+                }
+            }
+            edited[at] = span[at];
+        }
+        // both 64-bit halves see every input bit: each output bit moves
+        // on about half of the single-bit flips
+        let flips = (span.len() * 8) as f64;
+        for (out, &count) in flipped.iter().enumerate() {
+            let frequency = count as f64 / flips;
+            assert!(
+                (0.35..=0.65).contains(&frequency),
+                "output bit {out} flips with frequency {frequency:.3}"
+            );
+        }
+    }
+
+    #[test]
+    fn neither_half_collides_over_the_two_byte_inputs() {
+        // a byte-index key that degenerated to one good half would
+        // still pass every test above
+        let mut low = std::collections::HashSet::new();
+        let mut high = std::collections::HashSet::new();
+        for input in 0..=u16::MAX {
+            let digest = content_hash128(&input.to_le_bytes());
+            assert!(low.insert(digest as u64), "low half collides at {input}");
+            assert!(
+                high.insert((digest >> 64) as u64),
+                "high half collides at {input}"
+            );
+        }
     }
 
     #[test]

@@ -71,9 +71,10 @@ impl FromStr for SnapshotEpoch {
 }
 
 /// The identity mix of one record: its flow key and the content hash of
-/// its raw graph span. The flow's display form and the hash bytes are
-/// separated by a `0xff` byte (which cannot appear in either), so
-/// adjacent fields cannot collide.
+/// its raw graph span. The flow's display form is UTF-8, where a `0xff`
+/// byte cannot appear, so the `0xff` after it ends it unambiguously;
+/// the hash bytes (which can hold any value) are fixed-width and last,
+/// so they need no terminator and adjacent fields cannot collide.
 pub fn record_mix(flow: &FlowSpec, span_hash: u128) -> u128 {
     let flow_text = flow.to_string();
     let mut bytes = Vec::with_capacity(flow_text.len() + 17);

@@ -672,16 +672,22 @@ impl RawRecord {
 
     /// Parse the record's flow key and hand out its graph span *without*
     /// decoding the graph — the entry point of the pipelined
-    /// byte-admission fast path. Falls back to a full
-    /// [`RawRecord::decode`] when the values were not located (escaped
-    /// keys, missing fields, a record that is not an object), so every
+    /// byte-admission fast path. A flow span in the writers' own
+    /// encoding is read straight from its bytes
+    /// (`FlowSpec::from_canonical_json`); any other goes through a
+    /// `Value`. Falls back to a full [`RawRecord::decode`] when the
+    /// values were not located (escaped keys, missing fields, a record
+    /// that is not an object) or the flow does not decode, so every
     /// error is exactly what the serial reader would have reported.
     pub fn decode_flow(&self, label: Option<&str>) -> Result<FlowDecoded, SnapshotError> {
         if let Ok((flow_span, graph_span)) = self.split_spans(label) {
-            let parsed = std::str::from_utf8(flow_span.as_slice())
-                .ok()
-                .and_then(|text| serde_json::from_str::<Value>(text).ok())
-                .and_then(|value| FlowSpec::from_value(&value).ok());
+            let bytes = flow_span.as_slice();
+            let parsed = FlowSpec::from_canonical_json(bytes).or_else(|| {
+                std::str::from_utf8(bytes)
+                    .ok()
+                    .and_then(|text| serde_json::from_str::<Value>(text).ok())
+                    .and_then(|value| FlowSpec::from_value(&value).ok())
+            });
             if let Some(flow) = parsed {
                 return Ok(FlowDecoded::Split(flow, graph_span));
             }

@@ -11,14 +11,28 @@
 //! witness order and automaton layout *across* builds. If it moves, the
 //! order invariant in `docs/ARCHITECTURE.md` (*Decide path*) is broken —
 //! do not re-record it without bumping `ENGINE_VERSION`.
+//!
+//! The digest is this file's own FNV-1a-128, not the production content
+//! hash: the pin must not ride on a function a PR may replace, so an
+//! unchanged constant means unchanged report bytes whatever
+//! `content_hash128` is.
 
 use rela::lang::{CheckReport, CheckSession, JobSpec, LabeledSource, SessionConfig};
-use rela::net::{content_hash128, Granularity, Ipv4Prefix, SnapshotPair};
+use rela::net::{Granularity, Ipv4Prefix, SnapshotPair};
 use rela::sim::workload::{group_name, spec_of_size, synthetic_wan, WanParams};
 use rela::sim::{configured, simulate, ConfigChange, DeviceSelector};
 
-/// `content_hash128` of the verdict bytes, recorded at commit dec54f1.
+/// [`fnv1a_128`] of the verdict bytes, recorded at commit dec54f1.
 const FINGERPRINT: u128 = 0x2e03_16b1_0763_774a_4418_f155_0307_326a;
+
+/// 128-bit FNV-1a (what `content_hash128` was at dec54f1).
+fn fnv1a_128(bytes: &[u8]) -> u128 {
+    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
+    const PRIME: u128 = 0x0000000001000000000000000000013b;
+    bytes
+        .iter()
+        .fold(OFFSET, |h, &b| (h ^ u128::from(b)).wrapping_mul(PRIME))
+}
 
 fn verdict_bytes(report: &CheckReport) -> String {
     report
@@ -80,7 +94,7 @@ fn the_interface_granularity_report_is_pinned_across_builds() {
         for (engine, report) in [("batch", &batch), ("pipelined", &pipelined)] {
             let bytes = verdict_bytes(report);
             assert_eq!(
-                content_hash128(bytes.as_bytes()),
+                fnv1a_128(bytes.as_bytes()),
                 FINGERPRINT,
                 "{engine} engine at {threads} thread(s): witness order or automaton layout \
                  moved ({} report bytes)",

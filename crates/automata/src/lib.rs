@@ -50,7 +50,6 @@
 mod compose;
 mod determinize;
 mod dfa;
-mod dot;
 mod equiv;
 mod fst;
 mod minimize;
@@ -63,7 +62,6 @@ mod witness;
 pub use compose::{compose, image, preimage};
 pub use determinize::determinize;
 pub use dfa::{product, Dfa, ProductMode};
-pub use dot::{dfa_to_dot, fst_to_dot, nfa_to_dot};
 pub use equiv::{compare, equivalent, included, CheckResult, DiffWitness};
 pub use fst::{Fst, FstLabel};
 pub use minimize::minimize;

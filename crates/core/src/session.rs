@@ -59,8 +59,8 @@ use crate::RelaError;
 use rela_cache::{CacheEpoch, VerdictStore};
 use rela_net::faultio::FaultPlan;
 use rela_net::{
-    FlowDecoded, FlowSpec, Granularity, LocationDb, MmapReader, MmapSource, Snapshot,
-    SnapshotDelta, SnapshotEpoch, SnapshotError, SnapshotFramer, SnapshotPair, SnapshotReader,
+    FlowDecoded, FlowSpec, Granularity, LocationDb, MmapSource, Snapshot, SnapshotDelta,
+    SnapshotEpoch, SnapshotError, SnapshotFramer, SnapshotPair, SnapshotReader,
 };
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet};
@@ -294,8 +294,8 @@ impl<'a> LabeledSource<'a> {
 
     /// Turn the source into a record framer: mapped sources frame in
     /// place (zero-copy for RSNB containers), streams are framed through
-    /// a buffered reader.
-    fn into_framer(self) -> SnapshotFramer<Box<dyn Read + Send + 'a>> {
+    /// shared chunks.
+    pub fn into_framer(self) -> SnapshotFramer<Box<dyn Read + Send + 'a>> {
         match self.source {
             SourceKind::Stream(reader) => SnapshotFramer::new(reader, self.label),
             SourceKind::Mapped(map) => SnapshotFramer::from_map(map, self.label),
@@ -304,11 +304,11 @@ impl<'a> LabeledSource<'a> {
 
     /// Turn the source into a plain byte stream plus its label, for the
     /// inputs that parse rather than frame (materialized, deltas). Mapped
-    /// sources are read through [`MmapReader`].
+    /// sources are read through a `Cursor`.
     fn into_stream(self) -> (Box<dyn Read + Send + 'a>, String) {
         match self.source {
             SourceKind::Stream(reader) => (reader, self.label),
-            SourceKind::Mapped(map) => (Box::new(MmapReader::new(Arc::new(map))), self.label),
+            SourceKind::Mapped(map) => (Box::new(std::io::Cursor::new(map)), self.label),
         }
     }
 }

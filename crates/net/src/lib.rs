@@ -39,7 +39,7 @@ pub use fsa::{graph_to_fsa, graph_to_fsa_prepared};
 pub use granularity::{device_path_to_group, interface_path_to_device};
 pub use graph::{linear_graph, Edge, ForwardingGraph, GraphError, VertexId};
 pub use location::{glob_match, interface_device, Device, Granularity, DROP_LOCATION};
-pub use mmap::{MmapReader, MmapSource};
+pub use mmap::MmapSource;
 pub use prefix::{Ipv4Prefix, PrefixParseError, PrefixTrie};
 pub use snapshot::{
     decode_graph_span, snapshot_source, AlignedFec, BinarySnapshotWriter, FlowDecoded, RawRecord,

@@ -5,10 +5,8 @@
 //! extern (no libc crate — the workspace builds air-gapped) and hands
 //! out the mapping as one `&[u8]`. The binary framer does pointer
 //! arithmetic over that slice, so record spans borrow the page cache
-//! directly instead of being copied through a `BufReader`. On non-unix
-//! targets, or when the `mmap-fallback` feature is enabled (CI exercises
-//! it on unix too), the same API is backed by a plain read-to-`Vec` —
-//! byte-identical behavior, no mapping.
+//! directly instead of being copied through a chunk reader. Unix only,
+//! like the `rela` binary's sockets.
 //!
 //! This is the only module in the crate allowed to use `unsafe`; the
 //! crate root carries `#![deny(unsafe_code)]` and every unsafe block
@@ -17,11 +15,9 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
-#[cfg(all(unix, not(feature = "mmap-fallback")))]
 mod sys {
     use std::ffi::c_void;
 
@@ -50,33 +46,21 @@ mod sys {
     }
 }
 
-/// A read-only memory mapping of a snapshot file (or, on non-unix /
-/// `mmap-fallback` builds, the file read into memory). The whole file
-/// is visible as one immutable `&[u8]` for the mapping's lifetime;
-/// record spans framed out of it borrow the page cache with no copy.
+/// A read-only memory mapping of a snapshot file. The whole file is
+/// visible as one immutable `&[u8]` for the mapping's lifetime; record
+/// spans framed out of it borrow the page cache with no copy.
 ///
 /// Empty files are special-cased without a mapping (`mmap(2)` rejects
 /// zero-length maps), so `open` works on any regular file.
-#[cfg(all(unix, not(feature = "mmap-fallback")))]
 pub struct MmapSource {
     /// Base address of the mapping; null for empty files (no mapping).
     ptr: *const u8,
     len: usize,
 }
 
-/// A read-only memory mapping of a snapshot file (fallback build: the
-/// file is read into an owned buffer instead of mapped, same API and
-/// byte-for-byte behavior).
-#[cfg(any(not(unix), feature = "mmap-fallback"))]
-pub struct MmapSource {
-    bytes: Vec<u8>,
-}
-
-#[cfg(all(unix, not(feature = "mmap-fallback")))]
 // SAFETY: the mapping is immutable (PROT_READ, MAP_PRIVATE) for its
 // whole lifetime, so sharing the pointer across threads is sound.
 unsafe impl Send for MmapSource {}
-#[cfg(all(unix, not(feature = "mmap-fallback")))]
 // SAFETY: see the Send impl — the mapping is never written through.
 unsafe impl Sync for MmapSource {}
 
@@ -84,10 +68,15 @@ impl MmapSource {
     /// Map `path` read-only. The file handle is released immediately —
     /// a live mapping keeps the pages reachable on its own (which is
     /// also why a spooled file may be unlinked right after mapping).
-    #[cfg(all(unix, not(feature = "mmap-fallback")))]
     pub fn open(path: impl AsRef<Path>) -> io::Result<MmapSource> {
+        MmapSource::map(&File::open(path)?)
+    }
+
+    /// Map an open regular file read-only, for a caller that had to
+    /// open it anyway to look at its head. The mapping does not depend
+    /// on the handle staying open.
+    pub fn map(file: &File) -> io::Result<MmapSource> {
         use std::os::unix::io::AsRawFd;
-        let file = File::open(path)?;
         let len = file.metadata()?.len();
         let len = usize::try_from(len)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "file too large to map"))?;
@@ -119,17 +108,7 @@ impl MmapSource {
         })
     }
 
-    /// Read `path` into memory (fallback build — same API as the real
-    /// mapping, backed by an owned buffer).
-    #[cfg(any(not(unix), feature = "mmap-fallback"))]
-    pub fn open(path: impl AsRef<Path>) -> io::Result<MmapSource> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        Ok(MmapSource { bytes })
-    }
-
     /// The mapped bytes.
-    #[cfg(all(unix, not(feature = "mmap-fallback")))]
     pub fn as_slice(&self) -> &[u8] {
         if self.len == 0 {
             return &[];
@@ -137,12 +116,6 @@ impl MmapSource {
         // SAFETY: ptr/len describe a live PROT_READ mapping owned by
         // self; it is unmapped only in Drop.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// The mapped bytes.
-    #[cfg(any(not(unix), feature = "mmap-fallback"))]
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
     }
 
     /// Tell the kernel the first `upto` bytes have been consumed and
@@ -153,8 +126,7 @@ impl MmapSource {
     /// clean and read-only, so the page-cache copy survives and any
     /// later access — a span borrowing the released region, say —
     /// refaults the identical bytes with a minor fault. Failures are
-    /// ignored; no-op on fallback builds.
-    #[cfg(all(unix, not(feature = "mmap-fallback")))]
+    /// ignored.
     pub fn release_prefix(&self, upto: usize) {
         // align the length down generously so the (page-aligned) base
         // covers a whole number of pages for any page size in use
@@ -171,14 +143,9 @@ impl MmapSource {
         }
     }
 
-    /// Fallback build: nothing to release, the backing is an owned
-    /// buffer.
-    #[cfg(any(not(unix), feature = "mmap-fallback"))]
-    pub fn release_prefix(&self, _upto: usize) {}
-
     /// Length of the mapping in bytes.
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.len
     }
 
     /// Whether the mapped file was empty.
@@ -187,7 +154,6 @@ impl MmapSource {
     }
 }
 
-#[cfg(all(unix, not(feature = "mmap-fallback")))]
 impl Drop for MmapSource {
     fn drop(&mut self) {
         if self.len > 0 {
@@ -217,35 +183,12 @@ impl fmt::Debug for MmapSource {
     }
 }
 
-/// A [`Read`] adapter over a shared [`MmapSource`], for the ingest
-/// paths that want a stream rather than a slice (JSON content inside a
-/// mapped file, serial/materialized modes). Cloning the `Arc` is the
-/// only cost; reads copy out of the mapping like any buffered reader
-/// would.
-pub struct MmapReader {
-    map: Arc<MmapSource>,
-    pos: usize,
-}
-
-impl MmapReader {
-    /// A reader positioned at the start of the mapping.
-    pub fn new(map: Arc<MmapSource>) -> MmapReader {
-        MmapReader { map, pos: 0 }
-    }
-
-    /// The underlying mapping.
-    pub fn source(&self) -> &Arc<MmapSource> {
-        &self.map
-    }
-}
-
-impl Read for MmapReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let rest = &self.map.as_slice()[self.pos..];
-        let n = rest.len().min(buf.len());
-        buf[..n].copy_from_slice(&rest[..n]);
-        self.pos += n;
-        Ok(n)
+/// What makes `std::io::Cursor<MmapSource>` a [`std::io::Read`], for the
+/// ingest paths that want a stream rather than a slice (JSON content
+/// inside a mapped file, the materialized and delta modes).
+impl AsRef<[u8]> for MmapSource {
+    fn as_ref(&self) -> &[u8] {
+        self.as_slice()
     }
 }
 
@@ -308,11 +251,12 @@ mod tests {
 
     #[test]
     fn reader_streams_the_mapping() {
+        use std::io::Read;
         let path = temp_path("reader");
         std::fs::write(&path, b"0123456789").unwrap();
-        let map = Arc::new(MmapSource::open(&path).unwrap());
+        let map = MmapSource::open(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        let mut reader = MmapReader::new(map);
+        let mut reader = io::Cursor::new(map);
         let mut buf = [0u8; 4];
         assert_eq!(reader.read(&mut buf).unwrap(), 4);
         assert_eq!(&buf, b"0123");

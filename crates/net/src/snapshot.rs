@@ -35,17 +35,18 @@
 //! A seekable binary container can additionally be ingested *zero-copy*:
 //! [`SnapshotFramer::from_map`] frames a memory-mapped file
 //! ([`crate::MmapSource`]) by pure pointer arithmetic, yielding record
-//! spans ([`SpanBytes`]) that borrow the mapping instead of copying
-//! through a `BufReader`. Both binary framers produce identical
-//! [`RecordBody::Split`] records, so reports, content hashes, and the
+//! spans ([`SpanBytes`]) that borrow the mapping instead of a chunk read
+//! from it. The binary grammar is written once and run over either, so
+//! the [`RecordBody::Split`] records, reports, content hashes, and the
 //! error contract are byte-for-byte the same; `docs/INGEST.md` has the
 //! full mode matrix.
 
 use crate::fec::FlowSpec;
 use crate::graph::ForwardingGraph;
-use crate::mmap::{MmapReader, MmapSource};
+use crate::mmap::MmapSource;
 use serde::{Deserialize, Serialize, Value};
-use serde_json::scan::{frame_value, Member};
+use serde_json::scan::{frame_value, Member, Stop};
+use serde_json::stream::Chunks;
 use serde_json::JsonReader;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
@@ -294,8 +295,8 @@ const BINARY_GRAPH_CAP: u32 = 64 << 20;
 pub const FRAME_BATCH_BYTES: usize = serde_json::stream::CHUNK;
 
 /// A byte span into a shared backing buffer: an owned `Vec` for
-/// buffered framing (one per binary-container span, one per *chunk* of
-/// a JSON container — every record framed out of a chunk shares it), or
+/// buffered framing (one per *chunk* of a streamed container, JSON or
+/// binary — every record framed out of a chunk shares it), or
 /// a read-only file mapping for the zero-copy binary path. Cloning is
 /// O(1) — an `Arc` bump plus the range — so spans travel through
 /// channels, join maps, and retention slots without copying record
@@ -328,7 +329,7 @@ impl SpanBuf {
 
 impl SpanBytes {
     /// A span over `range` of a buffer shared with other spans — how the
-    /// JSON framer hands out the records of one chunk.
+    /// framer hands out the records of one chunk.
     pub fn shared(buf: Arc<Vec<u8>>, range: Range<usize>) -> SpanBytes {
         debug_assert!(range.end <= buf.len() && range.start <= range.end);
         SpanBytes {
@@ -549,8 +550,7 @@ impl RawRecord {
         }
     }
 
-    /// A record over a binary container's two value spans (what both
-    /// binary framers yield).
+    /// A record over a binary container's two value spans.
     pub fn from_split_spans(
         flow: SpanBytes,
         graph: SpanBytes,
@@ -726,15 +726,20 @@ pub fn decode_graph_span(bytes: &[u8]) -> Result<ForwardingGraph, String> {
 /// first four bytes ([`BINARY_MAGIC`] opens a binary snapshot; anything
 /// else is parsed as the JSON document).
 ///
-/// This is what a pipelined consumer runs on its reader thread. A JSON
-/// container is read [`FRAME_BATCH_BYTES`] at a time into shared chunks
-/// and framed in place: one strict scan per record (malformed JSON fails
-/// here with the same message and offset as the decoding reader) finds
-/// the record's end and its `flow`/`graph` value ranges, and the record
-/// is handed out as a [`SpanBytes`] range of its chunk — no per-record
-/// buffer, no copy. Only a record cut by the end of a chunk is touched
-/// twice: its head is carried into the next chunk and scanned again
-/// there. Binary framing is pure length-prefix arithmetic. All
+/// This is what a pipelined consumer runs on its reader thread. The
+/// input is read [`FRAME_BATCH_BYTES`] at a time into shared chunks
+/// ([`Chunks`]) and framed in place by the container's record grammar —
+/// a slice scanner that the one fill–carry–frame loop
+/// ([`Chunks::scan`]) runs at the cursor. For JSON that is one strict
+/// scan per record (malformed JSON fails here with the same message and
+/// offset as the decoding reader) that finds the record's end and its
+/// `flow`/`graph` value ranges; for the binary container it is
+/// length-prefix arithmetic. Either way the record is handed out as
+/// [`SpanBytes`] ranges of its chunk — no per-record buffer, no copy.
+/// Only a record cut by the end of a chunk is touched twice: its head is
+/// carried into the next chunk and scanned again there. A mapped binary
+/// container ([`SnapshotFramer::from_map`]) is the degenerate case: the
+/// mapping is the one chunk, and it already ends the input. All
 /// allocation-heavy decoding is left to [`RawRecord::decode`] /
 /// [`RawRecord::decode_flow`], which can run on worker threads.
 /// [`SnapshotReader`] is this framer plus an inline decoder and
@@ -753,13 +758,13 @@ pub struct SnapshotFramer<R: Read> {
 
 /// The framer's container-specific state.
 enum FramerInner<R: Read> {
-    /// No bytes pulled yet; the format is decided on first use.
-    Unsniffed(Option<R>),
+    /// No bytes pulled yet; the first pull decides the container and
+    /// consumes its header ([`open_container`]).
+    Unopened(Option<FramerBytes<R>>),
+    /// Inside the `fecs` array of a JSON document.
     Json(JsonFramer<R>),
-    Binary(BinaryFramer<R>),
-    /// Zero-copy binary framing over a memory mapping (no `R` involved —
-    /// record spans borrow the map).
-    Mapped(MappedBinaryFramer),
+    /// Between the records of a binary container.
+    Binary(FramerBytes<R>),
     /// Finished or failed; the iterator is fused.
     Done,
 }
@@ -775,10 +780,14 @@ impl<R: Read> SnapshotFramer<R> {
     /// submission that caused it. Every error this framer produces
     /// carries the label alongside the entry index and byte offset.
     pub fn new(source: R, label: impl Into<String>) -> SnapshotFramer<R> {
+        SnapshotFramer::over(FramerBytes::Chunks(Chunks::new(source)), Some(label.into()))
+    }
+
+    fn over(bytes: FramerBytes<R>, label: Option<String>) -> SnapshotFramer<R> {
         SnapshotFramer {
-            inner: FramerInner::Unsniffed(Some(source)),
+            inner: FramerInner::Unopened(Some(bytes)),
             index: 0,
-            label: Some(label.into()),
+            label,
         }
     }
 
@@ -791,7 +800,11 @@ impl<R: Read> SnapshotFramer<R> {
     /// and diagnostics; the records it yields are indistinguishable from
     /// the buffered binary framer's).
     pub fn is_mapped(&self) -> bool {
-        matches!(self.inner, FramerInner::Mapped(_))
+        matches!(
+            self.inner,
+            FramerInner::Unopened(Some(FramerBytes::Map { .. }))
+                | FramerInner::Binary(FramerBytes::Map { .. })
+        )
     }
 
     /// Number of records framed so far.
@@ -816,34 +829,26 @@ impl<R: Read> SnapshotFramer<R> {
 
 impl<'a> SnapshotFramer<Box<dyn Read + Send + 'a>> {
     /// Frame a memory-mapped snapshot file. A binary container
-    /// ([`BINARY_MAGIC`] head) is framed zero-copy — pointer arithmetic
-    /// over the mapping, record spans borrowing it — with the same
-    /// record sequence, offsets, and error contract as the buffered
-    /// [`SnapshotFramer::new`] over the same bytes. Any other content
-    /// (a JSON document in the mapped file) transparently rides the
-    /// ordinary sniffing path through a [`MmapReader`], so callers may
-    /// map first and ask questions never.
+    /// ([`BINARY_MAGIC`] head) is framed zero-copy — the record grammar
+    /// runs over the mapping itself, record spans borrowing it — with
+    /// the same record sequence, offsets, and error contract as the
+    /// buffered [`SnapshotFramer::new`] over the same bytes. Any other
+    /// content (a JSON document in the mapped file) transparently rides
+    /// the ordinary sniffing path through a `Cursor`, so callers may map
+    /// first and ask questions never.
     pub fn from_map(
         map: MmapSource,
         label: impl Into<String>,
     ) -> SnapshotFramer<Box<dyn Read + Send + 'a>> {
-        let map = Arc::new(map);
-        if map.as_slice().get(..4) == Some(&BINARY_MAGIC[..]) {
-            SnapshotFramer {
-                inner: FramerInner::Mapped(MappedBinaryFramer {
-                    map,
-                    // the sniffed magic is consumed; the version word is
-                    // checked on the first pull, like the lazy sniffer
-                    pos: BINARY_MAGIC.len(),
-                    released: 0,
-                    version_checked: false,
-                }),
-                index: 0,
-                label: Some(label.into()),
-            }
-        } else {
-            SnapshotFramer::new(Box::new(MmapReader::new(map)), label)
+        if !map.starts_with(&BINARY_MAGIC) {
+            return SnapshotFramer::new(Box::new(std::io::Cursor::new(map)), label);
         }
+        let bytes = FramerBytes::Map {
+            map: Arc::new(map),
+            pos: 0,
+            released: 0,
+        };
+        SnapshotFramer::over(bytes, Some(label.into()))
     }
 }
 
@@ -851,19 +856,19 @@ impl<R: Read> Iterator for SnapshotFramer<R> {
     type Item = Result<RawRecord, SnapshotError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if let FramerInner::Unsniffed(source) = &mut self.inner {
-            let source = source.take().expect("unsniffed framer holds its source");
-            match sniff_format(source) {
-                Ok(inner) => self.inner = inner,
-                Err(e) => return Some(Err(self.fail(e))),
+        let result = loop {
+            match &mut self.inner {
+                FramerInner::Done => return None,
+                FramerInner::Json(j) => break j.next_record(self.index),
+                FramerInner::Binary(b) => break b.next_record(self.index),
+                FramerInner::Unopened(bytes) => {
+                    let bytes = bytes.take().expect("unopened framer holds its bytes");
+                    match open_container(bytes) {
+                        Ok(inner) => self.inner = inner,
+                        Err(e) => break Err(e),
+                    }
+                }
             }
-        }
-        let result = match &mut self.inner {
-            FramerInner::Done => return None,
-            FramerInner::Json(j) => j.next_record(self.index),
-            FramerInner::Binary(b) => b.next_record(self.index),
-            FramerInner::Mapped(m) => m.next_record(self.index),
-            FramerInner::Unsniffed(_) => unreachable!("format sniffed above"),
         };
         match result {
             Ok(Some(raw)) => {
@@ -879,78 +884,43 @@ impl<R: Read> Iterator for SnapshotFramer<R> {
     }
 }
 
-/// Read up to four head bytes and decide the container format. A binary
-/// header is consumed (and its version checked); for JSON the head
-/// bytes are replayed in front of the source so the JSON reader's byte
-/// offsets stay absolute.
-fn sniff_format<R: Read>(mut source: R) -> Result<FramerInner<R>, SnapshotError> {
-    let mut head = [0u8; 4];
-    let mut have = 0;
-    while have < head.len() {
-        match source.read(&mut head[have..]) {
-            Ok(0) => break,
-            Ok(n) => have += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(SnapshotError::at(format!("io error: {e}"), have as u64)),
+/// Decide the container — a stream's from the first four bytes of its
+/// first chunk, of which nothing is consumed, so either grammar counts
+/// its offsets from byte 0; a mapping was checked for the magic when it
+/// was wrapped — and consume its header.
+fn open_container<R: Read>(bytes: FramerBytes<R>) -> Result<FramerInner<R>, SnapshotError> {
+    let mut bytes = match bytes {
+        FramerBytes::Chunks(mut chunks) => {
+            let head = |buf: &[u8], _pos: usize, last: bool| {
+                if buf.len() >= BINARY_MAGIC.len() || last {
+                    Ok(())
+                } else {
+                    Err(Stop::NeedMore)
+                }
+            };
+            chunks
+                .scan(head)
+                .map_err(|e| SnapshotError::at(e.message, e.at as u64))?;
+            if !chunks.chunk().starts_with(&BINARY_MAGIC) {
+                let mut json = JsonFramer {
+                    json: JsonReader::from_chunks(chunks),
+                    members: Vec::new(),
+                };
+                json.read_header()?;
+                return Ok(FramerInner::Json(json));
+            }
+            FramerBytes::Chunks(chunks)
         }
-    }
-    if have == head.len() && head == BINARY_MAGIC {
-        let mut framer = BinaryFramer {
-            source,
-            offset: head.len() as u64,
-        };
-        let mut version = [0u8; 4];
-        framer.read_exact(&mut version, "the format version", None)?;
-        let v = u32::from_le_bytes(version);
-        if v != BINARY_VERSION {
-            return Err(SnapshotError::at(
-                format!("unsupported binary snapshot version {v} (expected {BINARY_VERSION})"),
-                head.len() as u64,
-            ));
-        }
-        Ok(FramerInner::Binary(framer))
-    } else {
-        Ok(FramerInner::Json(JsonFramer {
-            json: JsonReader::new(PrefixedReader {
-                prefix: head,
-                len: have,
-                pos: 0,
-                inner: source,
-            }),
-            started: false,
-            members: Vec::new(),
-        }))
-    }
-}
-
-/// Replays the sniffed head bytes before the underlying source, so a
-/// JSON reader built on top sees the stream from byte 0 and its offsets
-/// stay absolute.
-struct PrefixedReader<R> {
-    prefix: [u8; 4],
-    len: usize,
-    pos: usize,
-    inner: R,
-}
-
-impl<R: Read> Read for PrefixedReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos < self.len {
-            let n = (self.len - self.pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.prefix[self.pos..self.pos + n]);
-            self.pos += n;
-            return Ok(n);
-        }
-        self.inner.read(buf)
-    }
+        mapped => mapped,
+    };
+    bytes.frame(binary_header)?;
+    Ok(FramerInner::Binary(bytes))
 }
 
 /// Framing state for the JSON container: the document skeleton
-/// (`{"fecs": [ ... ]}`) is consumed lazily around the record loop.
+/// (`{"fecs": [ ... ]}`) is consumed around the record loop.
 struct JsonFramer<R: Read> {
-    json: JsonReader<PrefixedReader<R>>,
-    /// Header (`{"fecs": [`) consumed.
-    started: bool,
+    json: JsonReader<R>,
     /// Scratch for the scan's top-level member ranges.
     members: Vec<Member>,
 }
@@ -974,9 +944,7 @@ impl<R: Read> JsonFramer<R> {
                 ))
             }
         }
-        self.json.begin_array().map_err(SnapshotError::from_json)?;
-        self.started = true;
-        Ok(())
+        self.json.begin_array().map_err(SnapshotError::from_json)
     }
 
     /// Consume `}` plus trailing whitespace/EOF after the records.
@@ -993,9 +961,6 @@ impl<R: Read> JsonFramer<R> {
 
     /// Frame the next record span; `Ok(None)` on a clean trailer.
     fn next_record(&mut self, index: usize) -> Result<Option<RawRecord>, SnapshotError> {
-        if !self.started {
-            self.read_header()?;
-        }
         match self.json.next_element() {
             Err(e) => Err(SnapshotError::from_json(e).with_entry(index)),
             Ok(false) => {
@@ -1019,131 +984,128 @@ impl<R: Read> JsonFramer<R> {
     }
 }
 
-/// Framing state for the binary container (header already consumed by
-/// the sniffer): records are pure length-prefix arithmetic, yielded as
-/// [`RecordBody::Split`] value-span pairs with no reassembly. A
-/// record's offset is the absolute position of its first length prefix.
-struct BinaryFramer<R: Read> {
-    source: R,
-    /// Absolute offset of the next unread byte.
-    offset: u64,
-}
+// The binary container's grammar, as slice scanners in the shape of
+// `serde_json::scan::frame_value`: `(buf, pos, last)` to what sits at
+// `buf[pos..]` (as ranges of `buf`) and the index after it;
+// `Stop::NeedMore` off the end of a slice that is not the end of the
+// input, the format's own error (at an index of `buf`) otherwise. Every
+// cap, sentinel rule and message of `docs/SNAPSHOT_FORMAT.md` is here
+// and nowhere else.
 
-impl<R: Read> BinaryFramer<R> {
-    fn read_exact(
-        &mut self,
-        buf: &mut [u8],
-        what: &str,
-        entry: Option<usize>,
-    ) -> Result<(), SnapshotError> {
-        let attach = |e: SnapshotError| match entry {
-            Some(ix) => e.with_entry(ix),
-            None => e,
-        };
-        let mut have = 0;
-        while have < buf.len() {
-            match self.source.read(&mut buf[have..]) {
-                Ok(0) => {
-                    return Err(attach(SnapshotError::at(
-                        format!("unexpected end of binary snapshot reading {what}"),
-                        self.offset + have as u64,
-                    )))
-                }
-                Ok(n) => have += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    return Err(attach(SnapshotError::at(
-                        format!("io error: {e}"),
-                        self.offset + have as u64,
-                    )))
-                }
-            }
-        }
-        self.offset += buf.len() as u64;
-        Ok(())
-    }
-
-    /// Read one little-endian length prefix, enforcing `cap` (the
-    /// sentinel is exempt — the caller decides whether it is legal).
-    fn read_len(&mut self, what: &str, cap: u32, index: usize) -> Result<u32, SnapshotError> {
-        let at = self.offset;
-        let mut buf = [0u8; 4];
-        self.read_exact(&mut buf, what, Some(index))?;
-        let len = u32::from_le_bytes(buf);
-        if len != BINARY_SENTINEL && len > cap {
-            return Err(SnapshotError::at(
-                format!("{what} of {len} bytes exceeds the {cap}-byte cap"),
-                at,
-            )
-            .with_entry(index));
-        }
-        Ok(len)
-    }
-
-    /// Frame the next record span; `Ok(None)` on the end sentinel.
-    fn next_record(&mut self, index: usize) -> Result<Option<RawRecord>, SnapshotError> {
-        let record_start = self.offset;
-        let flow_len = self.read_len("a flow-key length", BINARY_FLOW_CAP, index)?;
-        if flow_len == BINARY_SENTINEL {
-            // end marker: nothing may follow it
-            let mut probe = [0u8; 1];
-            loop {
-                match self.source.read(&mut probe) {
-                    Ok(0) => return Ok(None),
-                    Ok(_) => {
-                        return Err(SnapshotError::at(
-                            "trailing bytes after the binary snapshot end marker",
-                            self.offset,
-                        ))
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(SnapshotError::at(format!("io error: {e}"), self.offset)),
-                }
-            }
-        }
-        let mut flow = vec![0u8; flow_len as usize];
-        self.read_exact(&mut flow, "a flow-key span", Some(index))?;
-        let graph_len = self.read_len("a graph length", BINARY_GRAPH_CAP, index)?;
-        if graph_len == BINARY_SENTINEL {
-            return Err(SnapshotError::at(
-                "end marker in place of a graph length",
-                self.offset - 4,
-            )
-            .with_entry(index));
-        }
-        let mut graph = vec![0u8; graph_len as usize];
-        self.read_exact(&mut graph, "a graph span", Some(index))?;
-        Ok(Some(RawRecord::from_split_spans(
-            flow.into(),
-            graph.into(),
-            record_start,
-            index,
-        )))
-    }
-}
-
-/// Zero-copy framing state for a memory-mapped binary container: the
-/// same length-prefix arithmetic as [`BinaryFramer`], but over the
-/// mapping's slice — record spans borrow the map instead of being read
-/// into fresh buffers. Every error (message, byte offset, entry index)
-/// is identical to what the buffered framer reports for the same bytes;
-/// truncation mid-record surfaces at the mapping's end, exactly where a
-/// buffered read would have hit EOF.
-struct MappedBinaryFramer {
-    map: Arc<MmapSource>,
-    /// Absolute offset of the next unread byte.
+/// The `len` bytes at `buf[pos..]`; an input that ends short of them
+/// ends where a read would have hit EOF.
+fn binary_take(
+    buf: &[u8],
     pos: usize,
-    /// Watermark below which pages have been advised reclaimable
-    /// ([`MmapSource::release_prefix`]) — without this a large container
-    /// accumulates its entire length in the process's resident set as
-    /// framing touches every page. Released lagging one
-    /// [`MAPPED_RELEASE_CHUNK`] behind `pos` so in-flight spans almost
-    /// always sit on still-resident pages (a span behind the lag merely
-    /// refaults from the page cache).
-    released: usize,
-    /// The version word is validated lazily on the first pull, matching
-    /// the buffered sniffer's laziness.
-    version_checked: bool,
+    len: usize,
+    last: bool,
+    what: &str,
+) -> Result<Range<usize>, Stop> {
+    if buf.len().saturating_sub(pos) >= len {
+        Ok(pos..pos + len)
+    } else if last {
+        Err(Stop::Syntax {
+            message: format!("unexpected end of binary snapshot reading {what}"),
+            at: buf.len(),
+        })
+    } else {
+        Err(Stop::NeedMore)
+    }
+}
+
+/// The little-endian word at `buf[pos..]`.
+fn binary_word(buf: &[u8], pos: usize, last: bool, what: &str) -> Result<u32, Stop> {
+    let word = binary_take(buf, pos, 4, last, what)?;
+    Ok(u32::from_le_bytes(
+        buf[word].try_into().expect("4-byte range"),
+    ))
+}
+
+/// One length prefix, enforcing `cap` (the sentinel is exempt — the
+/// caller decides whether it is legal).
+fn binary_len(buf: &[u8], pos: usize, last: bool, what: &str, cap: u32) -> Result<u32, Stop> {
+    let len = binary_word(buf, pos, last, what)?;
+    if len != BINARY_SENTINEL && len > cap {
+        return Err(Stop::Syntax {
+            message: format!("{what} of {len} bytes exceeds the {cap}-byte cap"),
+            at: pos,
+        });
+    }
+    Ok(len)
+}
+
+/// The container header: the magic (which is what selected this
+/// grammar) and the version word.
+fn binary_header(buf: &[u8], pos: usize, last: bool) -> Result<((), usize), Stop> {
+    let at = pos + BINARY_MAGIC.len();
+    let v = binary_word(buf, at, last, "the format version")?;
+    if v != BINARY_VERSION {
+        return Err(Stop::Syntax {
+            message: format!("unsupported binary snapshot version {v} (expected {BINARY_VERSION})"),
+            at,
+        });
+    }
+    Ok(((), at + 4))
+}
+
+/// The `(flow, graph)` value ranges of one binary record.
+type SplitRanges = (Range<usize>, Range<usize>);
+
+/// One record, or `None` for the four-byte end marker.
+fn binary_record(buf: &[u8], pos: usize, last: bool) -> Result<(Option<SplitRanges>, usize), Stop> {
+    let flow_len = binary_len(buf, pos, last, "a flow-key length", BINARY_FLOW_CAP)?;
+    if flow_len == BINARY_SENTINEL {
+        return Ok((None, pos + 4));
+    }
+    let flow = binary_take(buf, pos + 4, flow_len as usize, last, "a flow-key span")?;
+    let graph_len = binary_len(buf, flow.end, last, "a graph length", BINARY_GRAPH_CAP)?;
+    if graph_len == BINARY_SENTINEL {
+        return Err(Stop::Syntax {
+            message: "end marker in place of a graph length".to_owned(),
+            at: flow.end,
+        });
+    }
+    let graph = binary_take(buf, flow.end + 4, graph_len as usize, last, "a graph span")?;
+    let end = graph.end;
+    Ok((Some((flow, graph)), end))
+}
+
+/// What follows the end marker: nothing may.
+fn binary_end(buf: &[u8], pos: usize, last: bool) -> Result<((), usize), Stop> {
+    if pos < buf.len() {
+        Err(Stop::Syntax {
+            message: "trailing bytes after the binary snapshot end marker".to_owned(),
+            at: pos,
+        })
+    } else if last {
+        Ok(((), pos))
+    } else {
+        Err(Stop::NeedMore)
+    }
+}
+
+/// The bytes a framer runs its grammar over. (Only the binary grammar
+/// runs here directly — a JSON stream's chunks go on to a
+/// [`JsonReader`] — and only a binary container is framed out of a
+/// mapping.)
+enum FramerBytes<R: Read> {
+    /// A stream, one shared chunk at a time.
+    Chunks(Chunks<R>),
+    /// A mapped container: the one chunk that is the whole input, so
+    /// record spans borrow the mapping instead of a buffer.
+    Map {
+        map: Arc<MmapSource>,
+        /// Absolute offset of the next unread byte.
+        pos: usize,
+        /// Watermark below which pages have been advised reclaimable
+        /// ([`MmapSource::release_prefix`]) — without this a large
+        /// container accumulates its entire length in the process's
+        /// resident set as framing touches every page. Released lagging
+        /// one [`MAPPED_RELEASE_CHUNK`] behind `pos` so in-flight spans
+        /// almost always sit on still-resident pages (a span behind the
+        /// lag merely refaults from the page cache).
+        released: usize,
+    },
 }
 
 /// Granularity of the mapped framer's resident-set release: pages are
@@ -1152,96 +1114,69 @@ struct MappedBinaryFramer {
 /// regardless of container size.
 const MAPPED_RELEASE_CHUNK: usize = 1 << 20;
 
-impl MappedBinaryFramer {
-    /// Claim `len` bytes at the cursor; the mapped analogue of
-    /// [`BinaryFramer::read_exact`], with the identical error contract
-    /// (a short claim errors at `pos + available`, i.e. the map's end).
-    fn take(
+impl<R: Read> FramerBytes<R> {
+    /// Run `grammar` at the cursor — through the chunk loop for a
+    /// stream, once over the mapping otherwise — and consume what it
+    /// framed. Returns that with the absolute offset it started at; an
+    /// error's offset is absolute too.
+    fn frame<T>(
         &mut self,
-        len: usize,
-        what: &str,
-        entry: Option<usize>,
-    ) -> Result<Range<usize>, SnapshotError> {
-        let have = self.map.len().saturating_sub(self.pos).min(len);
-        if have < len {
-            let e = SnapshotError::at(
-                format!("unexpected end of binary snapshot reading {what}"),
-                (self.pos + have) as u64,
-            );
-            return Err(match entry {
-                Some(ix) => e.with_entry(ix),
-                None => e,
-            });
+        mut grammar: impl FnMut(&[u8], usize, bool) -> Result<(T, usize), Stop>,
+    ) -> Result<(u64, T), SnapshotError> {
+        match self {
+            FramerBytes::Chunks(chunks) => {
+                let scanned = chunks.scan(grammar);
+                let (framed, end) = scanned
+                    .map_err(|e| SnapshotError::at(e.message, chunks.base() + e.at as u64))?;
+                let offset = chunks.base() + chunks.pos() as u64;
+                chunks.advance_to(end);
+                Ok((offset, framed))
+            }
+            FramerBytes::Map { map, pos, released } => {
+                let (framed, end) = grammar(map, *pos, true).map_err(|stop| match stop {
+                    Stop::Syntax { message, at } => SnapshotError::at(message, at as u64),
+                    Stop::NeedMore => unreachable!("the mapping was scanned as the end of input"),
+                })?;
+                let offset = *pos as u64;
+                *pos = end;
+                if end >= *released + 2 * MAPPED_RELEASE_CHUNK {
+                    *released = end - MAPPED_RELEASE_CHUNK;
+                    map.release_prefix(*released);
+                }
+                Ok((offset, framed))
+            }
         }
-        let range = self.pos..self.pos + len;
-        self.pos += len;
-        Ok(range)
     }
 
-    /// Read one little-endian length prefix, enforcing `cap` (the
-    /// sentinel is exempt — the caller decides whether it is legal).
-    fn read_len(&mut self, what: &str, cap: u32, index: usize) -> Result<u32, SnapshotError> {
-        let at = self.pos as u64;
-        let range = self.take(4, what, Some(index))?;
-        let word: [u8; 4] = self.map.as_slice()[range].try_into().expect("4-byte range");
-        let len = u32::from_le_bytes(word);
-        if len != BINARY_SENTINEL && len > cap {
-            return Err(SnapshotError::at(
-                format!("{what} of {len} bytes exceeds the {cap}-byte cap"),
-                at,
-            )
-            .with_entry(index));
+    /// A range the grammar just framed, as a span sharing the backing.
+    fn span(&self, range: Range<usize>) -> SpanBytes {
+        match self {
+            FramerBytes::Chunks(chunks) => SpanBytes::shared(Arc::clone(chunks.chunk()), range),
+            FramerBytes::Map { map, .. } => SpanBytes::mapped(Arc::clone(map), range),
         }
-        Ok(len)
     }
+}
 
-    /// Frame the next record span; `Ok(None)` on the end sentinel.
+impl<R: Read> FramerBytes<R> {
+    /// Frame the next record of a binary container whose header has
+    /// been consumed; `Ok(None)` on the end marker. Records are yielded
+    /// as [`RecordBody::Split`] value-span pairs with no reassembly. A
+    /// record's offset is the absolute position of its first length
+    /// prefix; an error inside a record carries the entry index, one in
+    /// the header or after the end marker does not.
     fn next_record(&mut self, index: usize) -> Result<Option<RawRecord>, SnapshotError> {
-        if !self.version_checked {
-            let range = self.take(4, "the format version", None)?;
-            let word: [u8; 4] = self.map.as_slice()[range].try_into().expect("4-byte range");
-            let v = u32::from_le_bytes(word);
-            if v != BINARY_VERSION {
-                return Err(SnapshotError::at(
-                    format!("unsupported binary snapshot version {v} (expected {BINARY_VERSION})"),
-                    BINARY_MAGIC.len() as u64,
-                ));
+        match self.frame(binary_record).map_err(|e| e.with_entry(index))? {
+            (offset, Some((flow, graph))) => {
+                let (flow, graph) = (self.span(flow), self.span(graph));
+                Ok(Some(RawRecord::from_split_spans(
+                    flow, graph, offset, index,
+                )))
             }
-            self.version_checked = true;
-        }
-        let record_start = self.pos as u64;
-        let flow_len = self.read_len("a flow-key length", BINARY_FLOW_CAP, index)?;
-        if flow_len == BINARY_SENTINEL {
-            // end marker: nothing may follow it
-            if self.pos < self.map.len() {
-                return Err(SnapshotError::at(
-                    "trailing bytes after the binary snapshot end marker",
-                    self.pos as u64,
-                ));
+            (_, None) => {
+                self.frame(binary_end)?;
+                Ok(None)
             }
-            return Ok(None);
         }
-        let flow = self.take(flow_len as usize, "a flow-key span", Some(index))?;
-        let graph_len = self.read_len("a graph length", BINARY_GRAPH_CAP, index)?;
-        if graph_len == BINARY_SENTINEL {
-            return Err(SnapshotError::at(
-                "end marker in place of a graph length",
-                self.pos as u64 - 4,
-            )
-            .with_entry(index));
-        }
-        let graph = self.take(graph_len as usize, "a graph span", Some(index))?;
-        if self.pos >= self.released + 2 * MAPPED_RELEASE_CHUNK {
-            let upto = self.pos - MAPPED_RELEASE_CHUNK;
-            self.map.release_prefix(upto);
-            self.released = upto;
-        }
-        Ok(Some(RawRecord::from_split_spans(
-            SpanBytes::mapped(self.map.clone(), flow),
-            SpanBytes::mapped(self.map.clone(), graph),
-            record_start,
-            index,
-        )))
     }
 }
 
@@ -1279,14 +1214,9 @@ impl<R: Read> SnapshotReader<R> {
     pub fn new(source: R) -> SnapshotReader<R> {
         SnapshotReader {
             // A serial reader may legitimately be label-free (in-memory
-            // sources in tests and doc examples), so the framer is built
-            // directly rather than through `SnapshotFramer::new`, which
-            // demands a label.
-            framer: SnapshotFramer {
-                inner: FramerInner::Unsniffed(Some(source)),
-                index: 0,
-                label: None,
-            },
+            // sources in tests and doc examples), which
+            // `SnapshotFramer::new` does not allow.
+            framer: SnapshotFramer::over(FramerBytes::Chunks(Chunks::new(source)), None),
             decoded: 0,
             seen: HashSet::new(),
         }
@@ -2283,5 +2213,146 @@ mod tests {
             .collect();
         assert_eq!(alive.len(), 1, "only the held span's chunk survives");
         assert_eq!(held.unwrap().as_slice(), EMPTY_GRAPH.as_bytes());
+    }
+
+    // ---- one loop, two grammars: chunk ends and failing reads ---------
+
+    /// What a framer hands its consumer: every record's offset, index
+    /// and value bytes, then the rendered error if it ended in one.
+    type Framed = (Vec<(u64, usize, Vec<u8>, Vec<u8>)>, Option<String>);
+
+    fn drain(framer: impl Iterator<Item = Result<RawRecord, SnapshotError>>) -> Framed {
+        let mut records = Vec::new();
+        for item in framer {
+            match item {
+                Ok(raw) => {
+                    let (flow, graph) = raw.split_spans(Some("t")).unwrap();
+                    records.push((raw.offset, raw.index, flow.to_vec(), graph.to_vec()));
+                }
+                Err(e) => return (records, Some(e.to_string())),
+            }
+        }
+        (records, None)
+    }
+
+    /// A buffered framer whose chunks hold `chunk_bytes`.
+    fn chunked<R: Read>(source: R, chunk_bytes: usize) -> SnapshotFramer<R> {
+        let chunks = Chunks::with_chunk_bytes(source, chunk_bytes);
+        SnapshotFramer::over(FramerBytes::Chunks(chunks), Some("t".to_owned()))
+    }
+
+    /// The mapped framer over a file holding `bytes`.
+    fn mapped(bytes: &[u8]) -> SnapshotFramer<Box<dyn Read + Send>> {
+        static N: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("rela-sweep-{}-{n}", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let map = MmapSource::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        SnapshotFramer::from_map(map, "t")
+    }
+
+    #[test]
+    fn buffered_binary_framing_equals_mapped_framing_at_every_chunk_end() {
+        use crate::faultio::{FaultPlan, FaultyRead};
+        let intact = pack(&three_fec_snapshot());
+        let header = &intact[..8];
+        let flow = [&4u32.to_le_bytes()[..], b"flow"].concat();
+        let mut cases: Vec<Vec<u8>> = (0..=intact.len())
+            .map(|cut| intact[..cut].to_vec())
+            .collect();
+        cases.extend([
+            [&intact[..], b"\0"].concat(),
+            [&BINARY_MAGIC[..], &7u32.to_le_bytes(), &intact[8..]].concat(),
+            [header, &(BINARY_FLOW_CAP + 1).to_le_bytes()].concat(),
+            [header, &flow, &(BINARY_GRAPH_CAP + 1).to_le_bytes()].concat(),
+            [header, &flow, &BINARY_SENTINEL.to_le_bytes()].concat(),
+        ]);
+        for case in &cases {
+            let expected = drain(mapped(case));
+            if *case == intact {
+                assert_eq!((expected.0.len(), &expected.1), (3, &None));
+            } else {
+                assert!(expected.1.is_some(), "{} bytes framed clean", case.len());
+            }
+            // the first chunk ends at every offset, the later ones
+            // wherever the carried records leave them
+            for chunk_bytes in 1..=case.len() + 1 {
+                let got = drain(chunked(&case[..], chunk_bytes));
+                assert_eq!(
+                    got,
+                    expected,
+                    "{} bytes, chunks of {chunk_bytes}",
+                    case.len()
+                );
+            }
+            for seed in 1..=3 {
+                let plan = format!("seed={seed},short-read=0.7,eintr=0.3");
+                for chunk_bytes in [5, FRAME_BATCH_BYTES] {
+                    let source = FaultyRead::new(&case[..], FaultPlan::parse(&plan).unwrap());
+                    let got = drain(chunked(source, chunk_bytes));
+                    assert_eq!(got, expected, "{} bytes, {plan}", case.len());
+                }
+            }
+        }
+    }
+
+    /// Yields its bytes, then fails every read.
+    struct FailAfter<'a>(&'a [u8]);
+
+    impl Read for FailAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::Error::other("link down"));
+            }
+            let n = self.0.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_read_that_fails_after_k_bytes_is_reported_at_byte_k_with_its_entry() {
+        let snap = three_fec_snapshot();
+        // (container, bytes before the first record, bytes after the last)
+        let containers = [
+            (snap.to_json().unwrap().into_bytes(), 9, 1),
+            (pack(&snap), 8, 4),
+        ];
+        for (doc, head, tail) in containers {
+            // where each record ends: an entry is "being read" from the
+            // end of the one before it, separator included
+            let ends: Vec<usize> = frame_all(&doc)
+                .unwrap()
+                .iter()
+                .map(|raw| match &raw.body {
+                    RecordBody::Json { record, .. } => raw.offset as usize + record.len(),
+                    RecordBody::Split { .. } => raw.offset as usize + 8 + raw.span_len(),
+                })
+                .collect();
+            assert_eq!(ends[2] + tail + usize::from(doc[0] == b'{'), doc.len());
+            for k in 0..=doc.len() {
+                let in_entries = k >= head && k < ends[2] + tail;
+                let entry = in_entries.then(|| ends.iter().filter(|&&end| end <= k).count());
+                for chunk_bytes in [1, 13, FRAME_BATCH_BYTES] {
+                    let mut records = 0;
+                    let mut error = None;
+                    for item in chunked(FailAfter(&doc[..k]), chunk_bytes) {
+                        match item {
+                            Ok(_) => records += 1,
+                            Err(e) => error = Some(e),
+                        }
+                    }
+                    let e = error.expect("the read failure surfaces");
+                    assert!(e.message().starts_with("io error: link down"), "{e}");
+                    assert_eq!(e.byte_offset(), Some(k as u64), "{e}");
+                    assert_eq!(e.entry_index(), entry, "{k} good bytes: {e}");
+                    assert_eq!(e.label(), Some("t"));
+                    // every record that ended before the failure was framed
+                    assert_eq!(records, ends.iter().filter(|&&end| end <= k).count());
+                }
+            }
+        }
     }
 }

@@ -18,8 +18,8 @@ use rela_baseline::{path_diff, DiffOptions};
 use rela_core::{CheckSession, IngestMode, JobOptions, JobSpec, LabeledSource, SessionConfig};
 use rela_net::{
     diff_side, pair_epoch, scan_side, snapshot_source, write_delta, BinarySnapshotWriter,
-    Granularity, LocationDb, MmapSource, SideScan, Snapshot, SnapshotEpoch, SnapshotFramer,
-    SnapshotPair, BINARY_MAGIC,
+    Granularity, LocationDb, MmapSource, RecordBody, SideScan, Snapshot, SnapshotEpoch,
+    SnapshotFramer, SnapshotPair, BINARY_MAGIC,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -703,51 +703,33 @@ fn open_session(
     Ok(session)
 }
 
-/// Open a snapshot path as a labeled streaming source for a job.
-/// Whether `path` is a plain (uncompressed) regular file opening with
-/// the RSNB magic — the case where a memory mapping replaces buffered
-/// reads. Gzip streams and pipes are not seekable/mappable. JSON files
-/// stay on buffered reads: their records are framed in place too, but
-/// in the 64 KiB chunks the framer reads them into — every byte has to
-/// pass through the scanner anyway, so a mapping would save only that
-/// read (a small fraction of the scan) while every live span pinned
-/// file pages instead of one chunk. Errors report as `false` so callers
-/// fall back to the streaming open, which attributes the failure
-/// properly.
-fn mappable_rsnb(path: &Path) -> bool {
-    if path.extension().is_some_and(|ext| ext == "gz") {
-        return false;
-    }
-    let Ok(mut file) = std::fs::File::open(path) else {
-        return false;
-    };
-    if !file.metadata().is_ok_and(|m| m.is_file()) {
-        return false;
-    }
-    let mut head = [0u8; 4];
-    file.read_exact(&mut head).is_ok() && head == BINARY_MAGIC
-}
-
+/// Open a snapshot path as a labeled source for a job — the one place
+/// that chooses between mapping a file and streaming it
+/// (`docs/INGEST.md`, *How the mapped path is chosen*): a plain regular
+/// file opening with the RSNB magic is mapped, everything else is
+/// streamed. Each path is opened exactly once, and what it is gets asked
+/// of a `stat` first: a FIFO hands its writer's bytes to whichever open
+/// reads it, so an open made only to look at the head would eat them.
 fn labeled(path: &Path) -> Result<LabeledSource<'static>, CliError> {
+    use std::os::unix::fs::FileExt;
     let label = path.display().to_string();
-    if mappable_rsnb(path) {
-        let map =
-            MmapSource::open(path).map_err(|e| usage_error(format!("{}: {e}", path.display())))?;
+    let fail = |e: std::io::Error| usage_error(format!("{}: {e}", path.display()));
+    let gzip = path.extension().is_some_and(|ext| ext == "gz");
+    if gzip || !std::fs::metadata(path).is_ok_and(|m| m.is_file()) {
+        return Ok(LabeledSource::new(open_snapshot(path)?, label));
+    }
+    let file = std::fs::File::open(path).map_err(fail)?;
+    let mut head = [0u8; 4];
+    if file.read_exact_at(&mut head, 0).is_ok() && head == BINARY_MAGIC {
+        let map = MmapSource::map(&file).map_err(fail)?;
         return Ok(LabeledSource::mapped(map, label));
     }
-    Ok(LabeledSource::new(open_snapshot(path)?, label))
+    Ok(LabeledSource::new(file, label))
 }
 
-/// Open a snapshot as a record framer, memory-mapping seekable RSNB
-/// containers (zero-copy framing) and streaming everything else.
+/// Open a snapshot as a record framer: [`labeled`]'s source, framed.
 fn open_framer(path: &Path) -> Result<SnapshotFramer<Box<dyn Read + Send + 'static>>, CliError> {
-    let label = path.display().to_string();
-    if mappable_rsnb(path) {
-        let map =
-            MmapSource::open(path).map_err(|e| usage_error(format!("{}: {e}", path.display())))?;
-        return Ok(SnapshotFramer::from_map(map, label));
-    }
-    Ok(SnapshotFramer::new(open_snapshot(path)?, label))
+    Ok(labeled(path)?.into_framer())
 }
 
 /// Execute a command, writing human output through `out`. Returns the
@@ -880,14 +862,6 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<i32, CliError>
             unpack,
         } => {
             let label = input.display().to_string();
-            // sniff the (decompressed) head so pack-on-binary can warn:
-            // re-packing RSNB is a cheap span copy, not a re-encode, but
-            // the user probably meant to pack a JSON snapshot
-            let already_binary = {
-                let mut head = [0u8; 4];
-                let mut src = open_snapshot(input)?;
-                src.read_exact(&mut head).is_ok() && head == BINARY_MAGIC
-            };
             let mut framer = open_framer(input)?;
             let file = std::fs::File::create(output)
                 .map_err(|e| usage_error(format!("{}: {e}", output.display())))?;
@@ -912,18 +886,13 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<i32, CliError>
                 sink.flush().map_err(fail_out)?;
                 written
             } else {
-                if already_binary {
-                    emit(
-                        out,
-                        format!(
-                            "warning: {label} is already a binary snapshot; \
-                             copying record spans unchanged\n"
-                        ),
-                    )?;
-                }
+                // re-packing RSNB is a cheap span copy, not a re-encode,
+                // but the user probably meant to pack a JSON snapshot
+                let mut already_binary = false;
                 let mut writer = BinarySnapshotWriter::new(sink).map_err(fail_out)?;
                 for raw in &mut framer {
                     let raw = raw.map_err(|e| usage_error(format!("invalid snapshot: {e}")))?;
+                    already_binary |= matches!(raw.body, RecordBody::Split { .. });
                     match raw.split_spans(Some(&label)) {
                         Ok((flow, graph)) => writer
                             .write_raw(flow.as_slice(), graph.as_slice())
@@ -944,6 +913,15 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<i32, CliError>
                     .map_err(fail_out)?
                     .flush()
                     .map_err(fail_out)?;
+                if already_binary {
+                    emit(
+                        out,
+                        format!(
+                            "warning: {label} is already a binary snapshot; \
+                             copying record spans unchanged\n"
+                        ),
+                    )?;
+                }
                 written
             };
             emit(

@@ -70,21 +70,24 @@ fn quickstart_inputs(work: &Workdir) -> (PathBuf, PathBuf, PathBuf) {
     (db_path, good, bad)
 }
 
-fn check_cmd(work: &Workdir, db: &Path, post: &Path) -> Command {
-    parse_args(&[
+fn check_args(work: &Workdir, db: &Path, pre: &Path, post: &Path) -> Vec<String> {
+    vec![
         "check".to_owned(),
         "--spec".to_owned(),
         work.dir.join("spec.rela").display().to_string(),
         "--db".to_owned(),
         db.display().to_string(),
         "--pre".to_owned(),
-        work.dir.join("pre.json").display().to_string(),
+        pre.display().to_string(),
         "--post".to_owned(),
         post.display().to_string(),
         "--granularity".to_owned(),
         "device".to_owned(),
-    ])
-    .expect("valid command line")
+    ]
+}
+
+fn check_cmd(work: &Workdir, db: &Path, post: &Path) -> Command {
+    parse_args(&check_args(work, db, &work.dir.join("pre.json"), post)).expect("valid command line")
 }
 
 #[test]
@@ -136,6 +139,93 @@ fn usage_and_input_errors_exit_two() {
     let mut out = Vec::new();
     let err = run(&check_cmd(&work2, &db2, &good2), &mut out).expect_err("invalid spec");
     assert_eq!(err.code, 2);
+}
+
+/// Run the `rela` binary to its exit, killing it if it is still running
+/// after ten seconds (it then has no exit code), and return its exit
+/// code and its report without the line that carries the wall time.
+fn rela_child(args: &[String]) -> (Option<i32>, String) {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_rela"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn rela");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().expect("poll rela").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().expect("kill rela");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let output = child.wait_with_output().expect("collect rela");
+    let report: Vec<&str> = std::str::from_utf8(&output.stdout)
+        .expect("utf-8 report")
+        .lines()
+        .filter(|line| !line.starts_with("checked "))
+        .collect();
+    (output.status.code(), report.join("\n"))
+}
+
+/// `docs/INGEST.md`: a named pipe takes the buffered open. A FIFO's
+/// bytes go to whichever open reads them, so a path that is opened once
+/// to look at its head and again to read it never sees them: the second
+/// open waits for a writer that has been and gone.
+#[test]
+fn snapshots_fed_through_named_pipes_check_like_the_files() {
+    let work = Workdir::new("fifo");
+    let (db, _, bad) = quickstart_inputs(&work);
+    let json = (work.dir.join("pre.json"), bad);
+    let pack = |input: &Path, name: &str| {
+        let output = work.dir.join(name);
+        let cmd = Command::SnapshotPack {
+            input: input.to_owned(),
+            output: output.clone(),
+            unpack: false,
+        };
+        assert_eq!(run(&cmd, &mut Vec::new()).expect("packs"), 0);
+        output
+    };
+    let rsnb = (pack(&json.0, "pre.rsnb"), pack(&json.1, "post.rsnb"));
+    for (container, (pre, post)) in [("json", json), ("rsnb", rsnb)] {
+        let (code, from_files) = rela_child(&check_args(&work, &db, &pre, &post));
+        assert_eq!(code, Some(1), "{container}: {from_files}");
+
+        let pipes = [
+            work.dir.join(format!("{container}-pre.fifo")),
+            work.dir.join(format!("{container}-post.fifo")),
+        ];
+        let made = std::process::Command::new("mkfifo")
+            .args(&pipes)
+            .status()
+            .expect("spawn mkfifo");
+        assert!(made.success(), "mkfifo {pipes:?}");
+        let writers: Vec<_> = [&pre, &post]
+            .into_iter()
+            .zip(&pipes)
+            .map(|(file, pipe)| {
+                let bytes = std::fs::read(file).expect("read snapshot");
+                let pipe = pipe.clone();
+                // opening a FIFO for writing waits for its reader
+                std::thread::spawn(move || std::fs::write(pipe, bytes))
+            })
+            .collect();
+        let (code, from_pipes) = rela_child(&check_args(&work, &db, &pipes[0], &pipes[1]));
+        // a writer nobody read from is still waiting in its open:
+        // opening the pipe both ways lets it through, dropping that
+        // handle fails whatever it has not written yet
+        for pipe in &pipes {
+            std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(pipe)
+                .expect("open fifo");
+        }
+        for writer in writers {
+            writer.join().expect("writer thread").ok();
+        }
+        assert_eq!(code, Some(1), "{container}: {from_pipes}");
+        assert_eq!(from_pipes, from_files, "{container}");
+    }
 }
 
 /// Write a pair whose only difference is longer than the witness length

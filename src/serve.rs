@@ -13,6 +13,13 @@
 //! stop the daemon accepting new jobs, in-flight jobs run to completion
 //! and get their replies, then the socket is unlinked and the process
 //! exits 0.
+//!
+//! Nothing in the daemon runs on a timer. The acceptor blocks in
+//! `accept`, and whatever can end the wait *knocks* — connects to the
+//! daemon's own socket and hangs up: a watcher thread the signal handler
+//! wakes through a socket pair ([`wake_fd`]), and the last connection to
+//! leave during a drain ([`LastOut`]). An idle daemon makes no system
+//! call at all.
 
 use crate::cli::{CliError, ServeConfig};
 use crate::proto::{
@@ -20,11 +27,13 @@ use crate::proto::{
     KIND_PONG, KIND_POST, KIND_PRE, KIND_REPORT, KIND_SHUTDOWN,
 };
 use rela_core::{CheckSession, JobError, JobOptions, JobSpec, LabeledSource, SessionConfig};
+use rela_net::faultio::FaultPlan;
 use rela_net::{chunk_pipe, MmapSource, BINARY_MAGIC};
 use serde::{Deserialize, Serialize, Value};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// The process-wide drain flag. A static (not daemon-local state)
@@ -32,19 +41,43 @@ use std::time::Duration;
 /// async-signal context, where only a lock-free store is safe.
 static DRAIN: AtomicBool = AtomicBool::new(false);
 
+/// The raw fd a signal handler writes one byte to after
+/// [`request_drain`], or `-1` while no daemon is accepting. A static for
+/// the same reason [`DRAIN`] is one.
+///
+/// `DRAIN` and `WAKE_FD` are each written by one side and read by the
+/// other (the handler stores `DRAIN` then loads `WAKE_FD`; [`serve`]
+/// stores `WAKE_FD` then loads `DRAIN`), so all four accesses are
+/// `SeqCst`: at least one side sees the other's store, and a signal that
+/// lands during startup is never lost.
+static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+
 /// Ask the running daemon to drain: stop accepting jobs, finish
-/// in-flight ones, exit. Async-signal-safe (a single atomic store).
+/// in-flight ones, exit. Async-signal-safe (a single atomic store). It
+/// does not by itself wake a blocked acceptor — a signal handler follows
+/// it with one byte to [`wake_fd`]; a connection thread that calls it is
+/// itself a connection, and the last of those to leave knocks.
 pub fn request_drain() {
-    DRAIN.store(true, Ordering::Release);
+    DRAIN.store(true, Ordering::SeqCst);
 }
 
 /// Whether a drain has been requested.
 pub fn drain_requested() -> bool {
-    DRAIN.load(Ordering::Acquire)
+    DRAIN.load(Ordering::SeqCst)
 }
 
-/// How often the accept loop polls the drain flag between connections.
-const ACCEPT_POLL: Duration = Duration::from_millis(15);
+/// The fd a signal handler wakes the daemon through: one byte written
+/// to it (any value) makes the watcher thread knock on the daemon's own
+/// socket, which is what returns the acceptor from `accept`. `None`
+/// while no daemon is accepting. Async-signal-safe (one atomic load).
+pub fn wake_fd() -> Option<i32> {
+    let fd = WAKE_FD.load(Ordering::SeqCst);
+    (fd >= 0).then_some(fd)
+}
+
+/// How long the acceptor waits after a *failed* `accept` (descriptor
+/// exhaustion, say) before trying again, so the failure cannot spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(15);
 
 /// Per-connection read timeout: a client that stalls mid-frame for this
 /// long is dropped (its job, if any, fails with a truncated stream).
@@ -151,7 +184,7 @@ pub fn serve(config: &ServeConfig, out: &mut dyn std::io::Write) -> Result<i32, 
 
     // fault injection (tests, chaos drills): a malformed plan is a
     // startup error, not something to discover mid-job
-    let faults = rela_net::faultio::FaultPlan::from_env().map_err(|e| CliError {
+    let faults = FaultPlan::from_env().map_err(|e| CliError {
         message: format!("{}: {e}", rela_net::faultio::ENV_VAR),
         code: 2,
     })?;
@@ -196,7 +229,7 @@ pub fn serve(config: &ServeConfig, out: &mut dyn std::io::Write) -> Result<i32, 
             &rela_cache::GcPolicy::default(),
         ) {
             Ok(mut store) => {
-                store.set_faults(faults);
+                store.set_faults(faults.clone());
                 session.attach_store(store);
             }
             Err(e) => {
@@ -206,9 +239,9 @@ pub fn serve(config: &ServeConfig, out: &mut dyn std::io::Write) -> Result<i32, 
     }
 
     let listener = bind_socket(&config.socket)?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| io_error("socket", e))?;
+    // the signal handler's way in: it writes a byte to `wake_tx`, the
+    // watcher below reads it from `wake_rx` and knocks
+    let (wake_rx, wake_tx) = UnixStream::pair().map_err(|e| io_error("socket pair", e))?;
     writeln!(
         out,
         "serving {} on {} ({} granularity{})",
@@ -224,30 +257,59 @@ pub fn serve(config: &ServeConfig, out: &mut dyn std::io::Write) -> Result<i32, 
     out.flush().ok();
 
     let session = &session;
+    let socket = config.socket.as_path();
+    let faults = faults.as_ref();
     let active = AtomicUsize::new(0);
     let job_seq = AtomicUsize::new(0);
     let jobs_active = AtomicUsize::new(0);
-    std::thread::scope(|scope| loop {
-        if drain_requested() && active.load(Ordering::Acquire) == 0 {
-            break;
+    let drained = || drain_requested() && active.load(Ordering::Acquire) == 0;
+    std::thread::scope(|scope| {
+        WAKE_FD.store(wake_tx.as_raw_fd(), Ordering::SeqCst);
+        scope.spawn(move || watch_for_signals(wake_rx, socket));
+        let mut accepted = 0usize;
+        // checked before the first `accept` too: a signal that landed
+        // before the wake fd was published reached no watcher
+        while !drained() {
+            match listener.accept() {
+                // a knock (or a client racing one) on a daemon with
+                // nothing left to finish: leave, rather than serve it and
+                // have its departure knock again
+                Ok(_) if drained() => break,
+                Ok((stream, _)) => {
+                    accepted += 1;
+                    active.fetch_add(1, Ordering::AcqRel);
+                    let last_out = LastOut {
+                        active: &active,
+                        socket,
+                    };
+                    let (job_seq, jobs_active) = (&job_seq, &jobs_active);
+                    scope.spawn(move || {
+                        // dropped however this thread ends, so a panic in
+                        // the connection plumbing cannot wedge the drain
+                        let _last_out = last_out;
+                        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            handle_connection(&stream, session, faults, job_seq, jobs_active)
+                        }));
+                        if served.is_err() {
+                            eprintln!(
+                                "warning: conn-{accepted}: connection thread panicked; \
+                                 the connection is dropped, the daemon keeps serving"
+                            );
+                        }
+                    });
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    eprintln!("warning: accept failed: {e}");
+                    std::thread::sleep(ACCEPT_BACKOFF); // accept-error back-off
+                }
+            }
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                active.fetch_add(1, Ordering::AcqRel);
-                let (active, job_seq, jobs_active) = (&active, &job_seq, &jobs_active);
-                scope.spawn(move || {
-                    handle_connection(stream, session, job_seq, jobs_active);
-                    active.fetch_sub(1, Ordering::AcqRel);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => {
-                eprintln!("warning: accept failed: {e}");
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
+        // no handler may write from here on; the write end itself stays
+        // open until `serve` returns so its fd number cannot be reused
+        // under a handler that loaded it a moment ago
+        WAKE_FD.store(-1, Ordering::SeqCst);
+        wake_tx.shutdown(std::net::Shutdown::Write).ok(); // the watcher's EOF
     });
 
     std::fs::remove_file(&config.socket).ok();
@@ -257,12 +319,6 @@ pub fn serve(config: &ServeConfig, out: &mut dyn std::io::Write) -> Result<i32, 
     writeln!(out, "drained after {} job(s)", session.jobs_run())
         .map_err(|e| io_error("write failed", e))?;
     Ok(0)
-}
-
-fn send_json(stream: &mut UnixStream, kind: u8, value: &Value) -> std::io::Result<()> {
-    let json = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    write_frame(stream, kind, json.as_bytes())
 }
 
 /// Machine-readable ERROR codes (`docs/SERVE_PROTOCOL.md`). The client
@@ -281,15 +337,37 @@ pub mod error_code {
     pub const DRAINING: &str = "draining";
 }
 
-fn send_error(stream: &mut UnixStream, code: &str, message: String) {
-    let _ = send_json(
-        stream,
-        KIND_ERROR,
-        &Value::obj(vec![
-            ("message", Value::Str(message)),
-            ("code", Value::Str(code.to_owned())),
-        ]),
-    );
+/// One accepted connection: its stream and the daemon's fault plan,
+/// which every reply consults at the `reply` lifecycle point
+/// (`docs/RESILIENCE.md`).
+struct Connection<'a> {
+    stream: &'a UnixStream,
+    faults: Option<&'a FaultPlan>,
+}
+
+impl Connection<'_> {
+    fn read_frame(&mut self) -> std::io::Result<Option<(u8, Vec<u8>)>> {
+        read_frame(&mut Patient(self.stream))
+    }
+
+    fn send_json(&mut self, kind: u8, value: &Value) -> std::io::Result<()> {
+        if let Some(plan) = self.faults {
+            plan.at("reply").fire();
+        }
+        let json = serde_json::to_string(value)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        write_frame(&mut &*self.stream, kind, json.as_bytes())
+    }
+
+    fn send_error(&mut self, code: &str, message: String) {
+        let _ = self.send_json(
+            KIND_ERROR,
+            &Value::obj(vec![
+                ("message", Value::Str(message)),
+                ("code", Value::Str(code.to_owned())),
+            ]),
+        );
+    }
 }
 
 /// Decrement a counter when dropped: keeps `jobs_active` honest across
@@ -302,15 +380,65 @@ impl Drop for CountGuard<'_> {
     }
 }
 
+/// Wake the blocked acceptor: connect to the daemon's own socket and
+/// hang up. The acceptor either breaks out (drained) or serves the knock
+/// as a connection that closes before its first frame.
+fn knock(socket: &Path) {
+    use std::io::Write as _;
+    if let Err(e) = UnixStream::connect(socket) {
+        // not `eprintln!`: this runs inside `Drop`, which must not panic
+        let _ = writeln!(
+            std::io::stderr(),
+            "warning: {}: cannot wake the acceptor: {e}",
+            socket.display()
+        );
+    }
+}
+
+/// The watcher thread: blocked in `read` until the signal handler writes
+/// a byte to the other end ([`wake_fd`]), then knocks — a handler may do
+/// nothing but async-signal-safe calls, so the `connect` happens here.
+/// Returns at EOF, which [`serve`] produces once the accept loop is over.
+fn watch_for_signals(mut wake_rx: UnixStream, socket: &Path) {
+    let mut byte = [0u8; 1];
+    loop {
+        match std::io::Read::read(&mut wake_rx, &mut byte) {
+            Ok(0) => return,
+            Ok(_) => knock(socket),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return,
+        }
+    }
+}
+
+/// One connection's claim on the daemon, released on drop — also when
+/// the connection thread unwinds. The last one out during a drain knocks,
+/// because the acceptor is blocked in `accept` and nothing else will
+/// tell it there is nothing left to wait for.
+struct LastOut<'a> {
+    active: &'a AtomicUsize,
+    socket: &'a Path,
+}
+
+impl Drop for LastOut<'_> {
+    fn drop(&mut self) {
+        if self.active.fetch_sub(1, Ordering::AcqRel) == 1 && drain_requested() {
+            knock(self.socket);
+        }
+    }
+}
+
 /// Serve one connection: any number of pings and job submissions until
 /// the peer hangs up (or violates the protocol).
 fn handle_connection(
-    mut stream: UnixStream,
+    stream: &UnixStream,
     session: &CheckSession,
+    faults: Option<&FaultPlan>,
     job_seq: &AtomicUsize,
     jobs_active: &AtomicUsize,
 ) {
     stream.set_read_timeout(Some(READ_POLL)).ok();
+    let mut conn = Connection { stream, faults };
     let pong = |session: &CheckSession, draining: bool| {
         Value::obj(vec![
             ("jobs_run", session.jobs_run().to_value()),
@@ -322,23 +450,22 @@ fn handle_connection(
         ])
     };
     loop {
-        let frame = match read_frame(&mut Patient(&stream)) {
+        let frame = match conn.read_frame() {
             Ok(Some(frame)) => frame,
             Ok(None) => return, // peer closed
             Err(_) => return,   // timeout or torn frame: nothing sane to reply to
         };
         match frame {
             (KIND_PING, _) => {
-                let _ = send_json(&mut stream, KIND_PONG, &pong(session, drain_requested()));
+                let _ = conn.send_json(KIND_PONG, &pong(session, drain_requested()));
             }
             (KIND_SHUTDOWN, _) => {
                 request_drain();
-                let _ = send_json(&mut stream, KIND_PONG, &pong(session, true));
+                let _ = conn.send_json(KIND_PONG, &pong(session, true));
             }
             (KIND_JOB, payload) => {
                 if drain_requested() {
-                    send_error(
-                        &mut stream,
+                    conn.send_error(
                         error_code::DRAINING,
                         "daemon is draining and accepts no new jobs".to_owned(),
                     );
@@ -347,11 +474,10 @@ fn handle_connection(
                 let id = job_seq.fetch_add(1, Ordering::AcqRel) + 1;
                 jobs_active.fetch_add(1, Ordering::AcqRel);
                 let _running = CountGuard(jobs_active);
-                run_job(&mut stream, session, &payload, id);
+                run_job(&mut conn, session, &payload, id);
             }
             (kind, _) => {
-                send_error(
-                    &mut stream,
+                conn.send_error(
                     error_code::PROTOCOL,
                     format!("unexpected frame kind 0x{kind:02x}"),
                 );
@@ -396,7 +522,7 @@ impl SideSink {
 /// as both sides' sources exist (immediately for piped sides, at
 /// end-of-side for spooled ones), so streaming jobs keep their
 /// transfer/decode overlap.
-fn run_job(stream: &mut UnixStream, session: &CheckSession, payload: &[u8], id: usize) {
+fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id: usize) {
     let mut options = match std::str::from_utf8(payload)
         .map_err(|e| e.to_string())
         .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
@@ -404,8 +530,7 @@ fn run_job(stream: &mut UnixStream, session: &CheckSession, payload: &[u8], id: 
     {
         Ok(options) => options,
         Err(e) => {
-            send_error(
-                stream,
+            conn.send_error(
                 error_code::PROTOCOL,
                 format!("job-{id}: malformed job options: {e}"),
             );
@@ -433,29 +558,29 @@ fn run_job(stream: &mut UnixStream, session: &CheckSession, payload: &[u8], id: 
     if let Some(proposed) = options.delta_base {
         if session.retains_epoch(rela_net::SnapshotEpoch::from_u128(proposed)) {
             delta = true;
-            if send_json(
-                stream,
-                KIND_DELTA_OK,
-                &Value::obj(vec![(
-                    "base",
-                    base_value(Some(rela_net::SnapshotEpoch::from_u128(proposed))),
-                )]),
-            )
-            .is_err()
+            if conn
+                .send_json(
+                    KIND_DELTA_OK,
+                    &Value::obj(vec![(
+                        "base",
+                        base_value(Some(rela_net::SnapshotEpoch::from_u128(proposed))),
+                    )]),
+                )
+                .is_err()
             {
                 return;
             }
         } else {
             options.delta_base = None;
-            if send_json(
-                stream,
-                KIND_DELTA_MISS,
-                &Value::obj(vec![
-                    ("base", base_value(session.base_epoch())),
-                    ("retained", retained_value(session)),
-                ]),
-            )
-            .is_err()
+            if conn
+                .send_json(
+                    KIND_DELTA_MISS,
+                    &Value::obj(vec![
+                        ("base", base_value(session.base_epoch())),
+                        ("retained", retained_value(session)),
+                    ]),
+                )
+                .is_err()
             {
                 return;
             }
@@ -471,7 +596,7 @@ fn run_job(stream: &mut UnixStream, session: &CheckSession, payload: &[u8], id: 
         let mut job = None;
         let mut protocol_error: Option<String> = None;
         while sinks.iter().any(|s| !s.done()) {
-            let (side, chunk) = match read_frame(&mut Patient(&*stream)) {
+            let (side, chunk) = match conn.read_frame() {
                 Ok(Some((KIND_PRE, chunk))) => (0usize, chunk),
                 Ok(Some((KIND_POST, chunk))) => (1usize, chunk),
                 Ok(Some((kind, _))) => {
@@ -593,7 +718,7 @@ fn run_job(stream: &mut UnixStream, session: &CheckSession, payload: &[u8], id: 
     });
 
     if let Some(message) = protocol_error {
-        send_error(stream, error_code::PROTOCOL, message);
+        conn.send_error(error_code::PROTOCOL, message);
         return;
     }
     let result = match result {
@@ -601,8 +726,7 @@ fn run_job(stream: &mut UnixStream, session: &CheckSession, payload: &[u8], id: 
         None => {
             // both sides ended before a source existed (can't happen:
             // end-of-side always yields a source), but fail loudly
-            send_error(
-                stream,
+            conn.send_error(
                 error_code::PROTOCOL,
                 format!("job-{id}: no snapshot data received"),
             );
@@ -638,33 +762,28 @@ fn run_job(stream: &mut UnixStream, session: &CheckSession, payload: &[u8], id: 
                     ]),
                 ),
             ]);
-            let _ = send_json(stream, KIND_REPORT, &reply);
+            let _ = conn.send_json(KIND_REPORT, &reply);
             if let Err(e) = session.persist_if_dirty() {
                 eprintln!("warning: could not persist cache: {e}");
             }
         }
         Ok(Err(JobError::Snapshot(snapshot_error))) => {
-            send_error(
-                stream,
+            conn.send_error(
                 error_code::SNAPSHOT,
                 format!("invalid snapshot: {snapshot_error}"),
             );
         }
         Ok(Err(err @ JobError::DeadlineExceeded { .. })) => {
-            send_error(stream, error_code::DEADLINE, format!("job-{id}: {err}"));
+            conn.send_error(error_code::DEADLINE, format!("job-{id}: {err}"));
         }
         Ok(Err(err @ JobError::Panicked { .. })) => {
             // the panic was contained at the session boundary: this
             // job gets a typed error, the daemon keeps serving
-            send_error(stream, error_code::PANIC, format!("job-{id}: {err}"));
+            conn.send_error(error_code::PANIC, format!("job-{id}: {err}"));
         }
         Err(_) => {
             // a panic outside CheckSession::run (job plumbing itself)
-            send_error(
-                stream,
-                error_code::PANIC,
-                format!("job-{id}: check panicked"),
-            );
+            conn.send_error(error_code::PANIC, format!("job-{id}: check panicked"));
         }
     }
 }

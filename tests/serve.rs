@@ -6,7 +6,9 @@
 
 use rela::cli::{self, Command};
 use rela::lang::JobOptions;
-use rela::proto::{read_frame, write_frame, KIND_ERROR, KIND_JOB, KIND_PRE, KIND_REPORT};
+use rela::proto::{
+    read_frame, write_frame, KIND_ERROR, KIND_JOB, KIND_PING, KIND_PONG, KIND_PRE, KIND_REPORT,
+};
 use serde::Serialize;
 use std::io::Read as _;
 use std::os::unix::net::UnixStream;
@@ -80,13 +82,8 @@ fn spawn_daemon_with(
     spawn_daemon_env(dir, socket, cache_dir, extra, &[])
 }
 
-fn spawn_daemon_env(
-    dir: &Path,
-    socket: &Path,
-    cache_dir: Option<&Path>,
-    extra: &[&str],
-    env: &[(&str, &str)],
-) -> Daemon {
+/// The `rela serve` command line over the demo inputs in `dir`.
+fn daemon_command(dir: &Path, socket: &Path) -> Process {
     let mut cmd = Process::new(env!("CARGO_BIN_EXE_rela"));
     cmd.args(["serve", "--socket"])
         .arg(socket)
@@ -94,10 +91,20 @@ fn spawn_daemon_env(
         .arg(dir.join("change.rela"))
         .arg("--db")
         .arg(dir.join("db.json"))
-        .args(extra)
-        .envs(env.iter().copied())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
+    cmd
+}
+
+fn spawn_daemon_env(
+    dir: &Path,
+    socket: &Path,
+    cache_dir: Option<&Path>,
+    extra: &[&str],
+    env: &[(&str, &str)],
+) -> Daemon {
+    let mut cmd = daemon_command(dir, socket);
+    cmd.args(extra).envs(env.iter().copied());
     if let Some(cache) = cache_dir {
         cmd.arg("--cache-dir").arg(cache);
     }
@@ -226,6 +233,63 @@ fn wait_exit(daemon: Daemon, socket: &Path) {
     let status = daemon.into_inner().wait().expect("daemon exits");
     assert_eq!(status.code(), Some(0), "drained daemon must exit 0");
     assert!(!socket.exists(), "socket must be unlinked after drain");
+}
+
+/// Spawn `rela serve` and wait for its `serving …` line instead of
+/// pinging it, so the daemon has never had a connection. The line is
+/// printed once the socket is bound and the signal handlers are in.
+fn spawn_daemon_unpinged(dir: &Path, socket: &Path) -> Daemon {
+    let mut daemon = Daemon(Some(
+        daemon_command(dir, socket).spawn().expect("daemon spawns"),
+    ));
+    let stdout = daemon.0.as_mut().unwrap().stdout.as_mut().unwrap();
+    // byte by byte: nothing past the line may be consumed, the drain
+    // assertions read the rest
+    let mut line = Vec::new();
+    let mut byte = [0u8; 1];
+    while byte[0] != b'\n' {
+        assert_eq!(
+            stdout.read(&mut byte).expect("daemon stdout"),
+            1,
+            "daemon died at startup"
+        );
+        line.push(byte[0]);
+    }
+    let line = String::from_utf8_lossy(&line);
+    assert!(line.starts_with("serving "), "{line}");
+    daemon
+}
+
+fn sigterm(daemon: &Daemon) {
+    let killed = Process::new("kill")
+        .args(["-TERM", &daemon.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(killed.success());
+}
+
+/// The clean-drain assertions under a 10 s watchdog: a daemon whose
+/// blocked `accept` was never woken is killed and fails the test here
+/// instead of hanging it. Returns what the daemon printed.
+fn drained_within_watchdog(daemon: Daemon, socket: &Path) -> String {
+    let mut child = daemon.into_inner();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("daemon never drained: its acceptor was not woken");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(status.code(), Some(0), "drained daemon must exit 0");
+    assert!(!socket.exists(), "socket must be unlinked after drain");
+    let mut out = String::new();
+    child.stdout.take().unwrap().read_to_string(&mut out).ok();
+    out
 }
 
 #[test]
@@ -1123,5 +1187,201 @@ fn retries_ride_out_a_daemon_that_starts_late() {
     )
     .expect("shutdown is acknowledged");
     wait_exit(daemon, &socket);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sum of `voluntary_ctxt_switches` over every thread of `pid`: how
+/// often the process has gone to sleep in the kernel, i.e. (for a
+/// process nobody talks to) how often a timer woke it.
+fn voluntary_switches(pid: u32) -> Option<u64> {
+    let mut total = 0;
+    for task in std::fs::read_dir(format!("/proc/{pid}/task")).ok()? {
+        let status = std::fs::read_to_string(task.ok()?.path().join("status")).ok()?;
+        let line = status
+            .lines()
+            .find(|l| l.starts_with("voluntary_ctxt_switches:"))?;
+        total += line.split_whitespace().nth(1)?.parse::<u64>().ok()?;
+    }
+    Some(total)
+}
+
+/// No timer runs in an idle daemon: the acceptor blocks in `accept`, the
+/// watcher in `read`. Counted in context switches rather than timed — a
+/// polling acceptor goes to sleep ≈ 20 times in 300 ms on any host, a
+/// blocked one not at all.
+#[test]
+fn an_idle_daemon_does_not_wake() {
+    let dir = demo_dir("idle");
+    let socket = dir.join("daemon.sock");
+    let daemon = spawn_daemon(&dir, &socket, None);
+    let (code, text) = submit(&socket, &dir, "post_v4.json", false);
+    assert_eq!(code, 0, "{text}");
+    // let the primed job's threads finish leaving
+    std::thread::sleep(Duration::from_millis(100));
+
+    match voluntary_switches(daemon.id()) {
+        None => eprintln!("skipping: no /proc/<pid>/task/*/status on this host"),
+        Some(before) => {
+            std::thread::sleep(Duration::from_millis(300));
+            let after = voluntary_switches(daemon.id()).expect("daemon still running");
+            assert!(
+                after.saturating_sub(before) <= 3,
+                "an idle daemon slept {} times in 300 ms: something in it polls",
+                after - before
+            );
+        }
+    }
+
+    sigterm(&daemon);
+    drained_within_watchdog(daemon, &socket);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// SIGTERM to a daemon no client ever reached: only the signal watcher
+/// can wake the acceptor.
+#[test]
+fn sigterm_wakes_a_daemon_that_never_had_a_connection() {
+    let dir = demo_dir("wake-signal");
+    let socket = dir.join("daemon.sock");
+    let daemon = spawn_daemon_unpinged(&dir, &socket);
+    sigterm(&daemon);
+    let out = drained_within_watchdog(daemon, &socket);
+    assert!(out.contains("drained after 0 job(s)"), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// SIGTERM while a client holds an idle connection open: the daemon
+/// keeps answering pings, and exits only once that client hangs up —
+/// woken by the last connection out, long after the signal's own knock.
+#[test]
+fn sigterm_with_an_idle_connection_exits_when_the_client_hangs_up() {
+    let dir = demo_dir("wake-idle");
+    let socket = dir.join("daemon.sock");
+    let daemon = spawn_daemon(&dir, &socket, None);
+
+    // a PING answered on it proves the connection is accepted and counted
+    let mut idle = UnixStream::connect(&socket).expect("connects");
+    write_frame(&mut idle, KIND_PING, b"").unwrap();
+    assert!(matches!(read_frame(&mut idle), Ok(Some((KIND_PONG, _)))));
+
+    sigterm(&daemon);
+    wait_for_ping(&socket, "draining: true");
+    let mut daemon = daemon;
+    let still_up = daemon.0.as_mut().unwrap().try_wait().expect("try_wait");
+    assert!(
+        still_up.is_none(),
+        "the daemon left a connected client behind"
+    );
+
+    drop(idle);
+    let out = drained_within_watchdog(daemon, &socket);
+    assert!(out.contains("drained after 0 job(s)"), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `submit --shutdown` as the only connection the daemon ever serves
+/// concurrently: no signal, so the knock that ends the drain is the
+/// shutdown connection's own departure.
+#[test]
+fn a_lone_shutdown_connection_wakes_the_acceptor_on_its_way_out() {
+    let dir = demo_dir("wake-shutdown");
+    let socket = dir.join("daemon.sock");
+    let daemon = spawn_daemon_unpinged(&dir, &socket);
+    let mut sink = Vec::new();
+    cli::run(
+        &Command::Shutdown {
+            socket: socket.clone(),
+        },
+        &mut sink,
+    )
+    .expect("shutdown is acknowledged");
+    let out = drained_within_watchdog(daemon, &socket);
+    assert!(out.contains("drained after 0 job(s)"), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The lost-wakeup case: two threads churn connect → PING → close while
+/// one SIGTERM lands somewhere among them, so the signal's knock, the
+/// last-one-out knocks and real clients interleave every which way. No
+/// repetition may hang, whichever connection the acceptor sees last.
+#[test]
+fn a_sigterm_racing_connection_churn_never_loses_the_wakeup() {
+    let dir = demo_dir("wake-race");
+    let socket = dir.join("daemon.sock");
+    for repetition in 0..20 {
+        let daemon = spawn_daemon_unpinged(&dir, &socket);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..100 {
+                        // once the daemon is gone the connects fail
+                        let Ok(mut stream) = UnixStream::connect(&socket) else {
+                            return;
+                        };
+                        if write_frame(&mut stream, KIND_PING, b"").is_ok() {
+                            let _ = read_frame(&mut stream);
+                        }
+                    }
+                });
+            }
+            // a different point of the churn each repetition
+            std::thread::sleep(Duration::from_micros(150 * repetition));
+            sigterm(&daemon);
+        });
+        let out = drained_within_watchdog(daemon, &socket);
+        assert!(
+            out.contains("drained after 0 job(s)"),
+            "repetition {repetition}: {out}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A panic in the connection plumbing — outside the job's own panic
+/// boundary — costs that connection only: it is reported on stderr, the
+/// daemon keeps serving, and the drain still completes because the
+/// connection's claim is released as the thread unwinds.
+#[test]
+fn a_panicking_connection_thread_does_not_wedge_the_drain() {
+    let dir = demo_dir("conn-panic");
+    let socket = dir.join("daemon.sock");
+    // reply 1 is the readiness ping's PONG
+    let daemon = spawn_daemon_env(
+        &dir,
+        &socket,
+        None,
+        &[],
+        &[("RELA_FAULTS", "panic=reply@2")],
+    );
+    let ping = || {
+        cli::run(
+            &Command::Ping {
+                socket: socket.clone(),
+            },
+            &mut Vec::new(),
+        )
+    };
+    let err = ping().expect_err("the injected panic eats this connection's reply");
+    assert!(err.message.contains("without a reply"), "{}", err.message);
+    ping().expect("the daemon survived its connection thread");
+
+    sigterm(&daemon);
+    let mut child = daemon.into_inner();
+    let mut stderr = child.stderr.take().unwrap();
+    let out = drained_within_watchdog(Daemon(Some(child)), &socket);
+    assert!(out.contains("drained after 0 job(s)"), "{out}");
+    let mut warnings = String::new();
+    stderr.read_to_string(&mut warnings).ok();
+    assert!(
+        warnings.contains("warning: conn-2: connection thread panicked"),
+        "{warnings}"
+    );
+
+    // the path is free again: a later daemon on it serves normally
+    let daemon = spawn_daemon(&dir, &socket, None);
+    let (code, text) = submit(&socket, &dir, "post_v4.json", false);
+    assert_eq!(code, 0, "{text}");
+    sigterm(&daemon);
+    drained_within_watchdog(daemon, &socket);
     std::fs::remove_dir_all(&dir).ok();
 }

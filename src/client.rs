@@ -16,7 +16,7 @@ use crate::proto::{
 use rela_core::JobOptions;
 use rela_net::snapshot_source;
 use serde::{Serialize, Value};
-use std::io::Read;
+use std::io::{BufReader, Read};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
@@ -107,21 +107,21 @@ impl SideFeed {
         })
     }
 
-    /// Send up to one chunk; on EOF send the zero-length end marker.
-    /// Returns `Err` only for local read failures — remote write
-    /// failures surface as `Ok(false)` so the caller can go collect the
-    /// daemon's (probably already-sent) error reply.
-    fn pump(&mut self, stream: &mut UnixStream) -> Result<bool, CliError> {
+    /// Send up to one chunk (read into `buf`, the transfer's one chunk
+    /// buffer); on EOF send the zero-length end marker. Returns `Err`
+    /// only for local read failures — remote write failures surface as
+    /// `Ok(false)` so the caller can go collect the daemon's (probably
+    /// already-sent) error reply.
+    fn pump(&mut self, mut stream: &UnixStream, buf: &mut [u8]) -> Result<bool, CliError> {
         if self.done {
             return Ok(true);
         }
-        let mut buf = vec![0u8; CHUNK];
         let n = self
             .source
-            .read(&mut buf)
+            .read(buf)
             .map_err(|e| usage_error(format!("reading snapshot: {e}")))?;
         self.done = n == 0;
-        Ok(write_frame(stream, self.kind, &buf[..n]).is_ok())
+        Ok(write_frame(&mut stream, self.kind, &buf[..n]).is_ok())
     }
 }
 
@@ -179,15 +179,18 @@ fn submit_once(
     out: &mut dyn std::io::Write,
 ) -> Result<i32, SubmitError> {
     use SubmitError::{Fatal, Transport};
-    let mut stream = connect(socket).map_err(Transport)?;
+    let stream = connect(socket).map_err(Transport)?;
+    // one buffered reader for the connection's whole life: a reply frame
+    // is one `read`, and nothing it reads ahead is lost between frames
+    let mut replies = BufReader::new(&stream);
     let json = serde_json::to_string(&options.to_value())
         .map_err(|e| Fatal(usage_error(format!("serializing job options: {e}"))))?;
-    let sent = write_frame(&mut stream, KIND_JOB, json.as_bytes()).is_ok();
+    let sent = write_frame(&mut &stream, KIND_JOB, json.as_bytes()).is_ok();
     let (pre, post) = match (delta, options.delta_base) {
         (Some((delta_pre, delta_post)), Some(_)) if sent => {
             // the daemon answers the negotiation before any snapshot
             // bytes move
-            match read_frame(&mut stream) {
+            match read_frame(&mut replies) {
                 Ok(Some((KIND_DELTA_OK, _))) => (delta_pre, delta_post),
                 Ok(Some((KIND_DELTA_MISS, payload))) => {
                     let base = parse_reply(&payload)
@@ -224,12 +227,13 @@ fn submit_once(
     let mut pre = SideFeed::open(pre, KIND_PRE).map_err(Fatal)?;
     let mut post = SideFeed::open(post, KIND_POST).map_err(Fatal)?;
     if sent {
+        let mut buf = vec![0u8; CHUNK];
         // interleave the sides so the daemon's two framers both have
         // bytes and its flow join pairs records as they arrive
         while !(pre.done && post.done) {
             let pumped = pre
-                .pump(&mut stream)
-                .and_then(|ok| Ok(ok && post.pump(&mut stream)?))
+                .pump(&stream, &mut buf)
+                .and_then(|ok| Ok(ok && post.pump(&stream, &mut buf)?))
                 .map_err(Fatal)?;
             if !pumped {
                 // the daemon hung up mid-transfer — it has (or will
@@ -239,7 +243,7 @@ fn submit_once(
         }
     }
 
-    match read_frame(&mut stream) {
+    match read_frame(&mut replies) {
         Ok(Some((KIND_REPORT, payload))) => {
             let reply = parse_reply(&payload).map_err(Fatal)?;
             let exit: i64 = serde::field(&reply, "exit")
@@ -281,10 +285,10 @@ fn submit_once(
 
 /// Probe the daemon; prints its status line. Exit 0 when it answers.
 pub fn ping(socket: &Path, out: &mut dyn std::io::Write) -> Result<i32, CliError> {
-    let mut stream = connect(socket)?;
-    write_frame(&mut stream, KIND_PING, b"")
+    let stream = connect(socket)?;
+    write_frame(&mut &stream, KIND_PING, b"")
         .map_err(|e| usage_error(format!("sending ping: {e}")))?;
-    let pong = read_pong(&mut stream)?;
+    let pong = read_pong(&stream)?;
     writeln!(
         out,
         "daemon alive: {} job(s) run, {} in flight, draining: {}",
@@ -296,10 +300,10 @@ pub fn ping(socket: &Path, out: &mut dyn std::io::Write) -> Result<i32, CliError
 
 /// Ask the daemon to drain and exit (in-flight jobs finish first).
 pub fn shutdown(socket: &Path, out: &mut dyn std::io::Write) -> Result<i32, CliError> {
-    let mut stream = connect(socket)?;
-    write_frame(&mut stream, KIND_SHUTDOWN, b"")
+    let stream = connect(socket)?;
+    write_frame(&mut &stream, KIND_SHUTDOWN, b"")
         .map_err(|e| usage_error(format!("sending shutdown: {e}")))?;
-    let pong = read_pong(&mut stream)?;
+    let pong = read_pong(&stream)?;
     writeln!(out, "daemon draining after {} job(s)", pong.jobs_run)
         .map_err(|e| usage_error(format!("write failed: {e}")))?;
     Ok(0)
@@ -343,8 +347,8 @@ struct Pong {
     draining: bool,
 }
 
-fn read_pong(stream: &mut UnixStream) -> Result<Pong, CliError> {
-    match read_frame(stream) {
+fn read_pong(stream: &UnixStream) -> Result<Pong, CliError> {
+    match read_frame(&mut BufReader::new(stream)) {
         Ok(Some((KIND_PONG, payload))) => {
             let reply = parse_reply(&payload)?;
             Ok(Pong {

@@ -7,7 +7,7 @@
 //! is deliberately dumb — no versioning handshake, no compression — so
 //! a client is ~50 lines in any language.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Job submission (client → server). Payload: the serialized
 /// `JobOptions` object.
@@ -51,7 +51,9 @@ pub const KIND_DELTA_MISS: u8 = 0x31;
 /// memory.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Write one frame.
+/// Write one frame: header and payload go out in one vectored write, so
+/// a frame a socket takes whole costs one system call. A short write
+/// resumes where it stopped; an interrupted one is retried.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame payload too large")
@@ -62,17 +64,35 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Res
             "frame payload too large",
         ));
     }
-    w.write_all(&[kind])?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)
+    let mut header = [kind, 0, 0, 0, 0];
+    header[1..].copy_from_slice(&len.to_le_bytes());
+    let (mut head, mut body) = (&header[..], payload);
+    while !(head.is_empty() && body.is_empty()) {
+        let written = match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let of_head = written.min(head.len());
+        head = &head[of_head..];
+        body = &body[written - of_head..];
+    }
+    Ok(())
 }
 
 /// Read one frame. `Ok(None)` on clean EOF at a frame boundary.
 ///
+/// Both ends of a connection read through one `BufReader` that lives
+/// across frames, so the header's two small reads are copies out of its
+/// buffer and a control frame costs one `read`; a chunk payload larger
+/// than the buffer is read straight into its `Vec`, which is reserved
+/// but never zero-filled.
+///
 /// Interrupted reads (`EINTR` — signal delivery, fault injection) are
-/// retried here for the kind byte; `read_exact` already retries them
-/// for the length prefix and payload. A frame reader must never treat a
-/// signal as a torn frame.
+/// retried here for the kind byte; `read_exact` and `read_to_end`
+/// already retry them for the length prefix and payload. A frame reader
+/// must never treat a signal as a torn frame.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<(u8, Vec<u8>)>> {
     let mut kind = [0u8; 1];
     let n = loop {
@@ -93,8 +113,10 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<(u8, Vec<u8>)>> {
             format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len as usize);
+    if r.take(u64::from(len)).read_to_end(&mut payload)? < len as usize {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(Some((kind[0], payload)))
 }
 
@@ -187,6 +209,104 @@ mod tests {
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).unwrap(), Some((0x7f, b"???".to_vec())));
         assert_eq!(read_frame(&mut r).unwrap(), Some((KIND_PING, Vec::new())));
+    }
+
+    /// A writer that takes 1–7 bytes a call (never more than the first
+    /// non-empty slice holds) and interrupts every fourth call.
+    struct Stingy {
+        taken: Vec<u8>,
+        tick: usize,
+    }
+
+    impl Write for Stingy {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.tick += 1;
+            if self.tick % 4 == 0 {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let Some(buf) = bufs.iter().find(|b| !b.is_empty()) else {
+                return Ok(0);
+            };
+            let n = buf.len().min(1 + self.tick % 7);
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_never_tear_a_frame() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let mut stingy = Stingy {
+            taken: Vec::new(),
+            tick: 0,
+        };
+        write_frame(&mut stingy, KIND_JOB, b"{}").unwrap();
+        write_frame(&mut stingy, KIND_PRE, b"").unwrap();
+        write_frame(&mut stingy, KIND_POST, &payload).unwrap();
+        let mut whole = Vec::new();
+        write_frame(&mut whole, KIND_JOB, b"{}").unwrap();
+        write_frame(&mut whole, KIND_PRE, b"").unwrap();
+        write_frame(&mut whole, KIND_POST, &payload).unwrap();
+        assert_eq!(stingy.taken, whole, "same bytes however they were taken");
+        let mut r = &stingy.taken[..];
+        assert_eq!(
+            read_frame(&mut r).unwrap(),
+            Some((KIND_JOB, b"{}".to_vec()))
+        );
+        assert_eq!(read_frame(&mut r).unwrap(), Some((KIND_PRE, Vec::new())));
+        assert_eq!(read_frame(&mut r).unwrap(), Some((KIND_POST, payload)));
+        assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_an_error_not_a_spin() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_frame(&mut Full, KIND_PING, b"").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    /// One `BufReader` across frames — what both ends of a connection
+    /// hold: whatever it read ahead past one frame is the next frame's
+    /// head, at any buffer size relative to the frames.
+    #[test]
+    fn back_to_back_frames_through_one_bufreader_lose_no_bytes() {
+        let big: Vec<u8> = (0..=255u8).cycle().take(5000).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, KIND_JOB, b"{\"a\":1}").unwrap();
+        write_frame(&mut wire, KIND_PRE, &big).unwrap();
+        write_frame(&mut wire, KIND_PRE, b"").unwrap();
+        write_frame(&mut wire, KIND_POST, b"xyz").unwrap();
+        for capacity in [1, 4, 5, 6, 13, 64, 4096, 1 << 16] {
+            let mut r = std::io::BufReader::with_capacity(capacity, &wire[..]);
+            assert_eq!(
+                read_frame(&mut r).unwrap(),
+                Some((KIND_JOB, b"{\"a\":1}".to_vec())),
+                "capacity {capacity}"
+            );
+            assert_eq!(read_frame(&mut r).unwrap(), Some((KIND_PRE, big.clone())));
+            assert_eq!(read_frame(&mut r).unwrap(), Some((KIND_PRE, Vec::new())));
+            assert_eq!(
+                read_frame(&mut r).unwrap(),
+                Some((KIND_POST, b"xyz".to_vec()))
+            );
+            assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+        }
     }
 
     /// A reader that interrupts and short-reads on a fixed schedule:

@@ -30,6 +30,7 @@ use rela_core::{CheckSession, JobError, JobOptions, JobSpec, LabeledSource, Sess
 use rela_net::faultio::FaultPlan;
 use rela_net::{chunk_pipe, MmapSource, BINARY_MAGIC};
 use serde::{Deserialize, Serialize, Value};
+use std::io::BufReader;
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
@@ -337,17 +338,21 @@ pub mod error_code {
     pub const DRAINING: &str = "draining";
 }
 
-/// One accepted connection: its stream and the daemon's fault plan,
+/// One accepted connection: its stream, the buffered reader that lives
+/// across its frames (so a frame costs one `read`, and read-ahead past
+/// one frame is the next frame's head), and the daemon's fault plan,
 /// which every reply consults at the `reply` lifecycle point
-/// (`docs/RESILIENCE.md`).
+/// (`docs/RESILIENCE.md`). The reader wraps [`Patient`]: buffering sits
+/// above the signal-and-timeout contract, not around it.
 struct Connection<'a> {
     stream: &'a UnixStream,
+    reader: BufReader<Patient<'a>>,
     faults: Option<&'a FaultPlan>,
 }
 
 impl Connection<'_> {
     fn read_frame(&mut self) -> std::io::Result<Option<(u8, Vec<u8>)>> {
-        read_frame(&mut Patient(self.stream))
+        read_frame(&mut self.reader)
     }
 
     fn send_json(&mut self, kind: u8, value: &Value) -> std::io::Result<()> {
@@ -438,7 +443,11 @@ fn handle_connection(
     jobs_active: &AtomicUsize,
 ) {
     stream.set_read_timeout(Some(READ_POLL)).ok();
-    let mut conn = Connection { stream, faults };
+    let mut conn = Connection {
+        stream,
+        reader: BufReader::new(Patient(stream)),
+        faults,
+    };
     let pong = |session: &CheckSession, draining: bool| {
         Value::obj(vec![
             ("jobs_run", session.jobs_run().to_value()),

@@ -136,12 +136,18 @@ struct BehaviorClass {
 
 /// One snapshot record retained for delta-base replay: the flow key,
 /// the undecoded graph span, the span's content hash, the record's
-/// entry index in its stream, and its share of the side's epoch fold.
+/// place in its side, and its share of the side's epoch fold.
 #[derive(Clone)]
 pub(crate) struct RetainedRecord {
     pub(crate) flow: FlowSpec,
     pub(crate) span: GraphSpan,
     pub(crate) hash: u128,
+    /// What [`Checker::retain`] orders a side by, unique within it: the
+    /// record's entry index in the snapshot stream that carried it, and
+    /// for a delta job's upsert the index of the base record it replaced
+    /// ([`PreparedItem::Record::place`]) — so a flow keeps its place, and
+    /// the two sides of a base their common order, through any chain of
+    /// delta jobs.
     pub(crate) index: usize,
     /// [`record_mix`] of `flow` and `hash`, computed once where the
     /// record is framed so a replayed record never pays for it again.
@@ -152,12 +158,8 @@ pub(crate) struct RetainedRecord {
 
 impl RetainedRecord {
     /// Split into the flow key and the join's view of the record, which
-    /// sat at byte `offset` of its stream.
-    fn into_joined(self, offset: u64) -> (FlowSpec, JoinedSide) {
-        let provenance = Provenance {
-            index: self.index,
-            offset,
-        };
+    /// errors cite at `provenance`.
+    fn into_joined(self, provenance: Provenance) -> (FlowSpec, JoinedSide) {
         let side = JoinedSide {
             span: self.span,
             hash: self.hash,
@@ -297,8 +299,13 @@ impl CancelToken {
 pub(crate) enum PreparedItem {
     /// A framed record (a whole snapshot's, or a delta document's
     /// upsert): its flow key is decoded, its graph span fingerprinted,
-    /// and it goes through the flow join.
-    Record { side: Side, raw: RawRecord },
+    /// and it goes through the flow join. `place` is the
+    /// [`RetainedRecord::index`] of the copy a retaining run keeps.
+    Record {
+        side: Side,
+        raw: RawRecord,
+        place: usize,
+    },
     /// An unchanged base record whose partner side changed: replays
     /// through the flow join to meet the new partner.
     Replay { side: Side, record: RetainedRecord },
@@ -325,6 +332,15 @@ impl PreparedItem {
     }
 }
 
+/// Where errors cite a replayed record: at its place in the base;
+/// replayed spans have no document offset.
+fn replayed_at(record: &RetainedRecord) -> Provenance {
+    Provenance {
+        index: record.index,
+        offset: 0,
+    }
+}
+
 /// What a worker (or a framer) reports when a record is bad: the error
 /// and the side it came from, which ranks simultaneous errors.
 type SidedError = (Side, SnapshotError);
@@ -336,7 +352,11 @@ type Feed<'f> = Box<dyn Iterator<Item = Result<PreparedItem, SidedError>> + Send
 /// A framer as a [`Feed`].
 fn framer_feed<'f, R: Read + Send + 'f>(framer: SnapshotFramer<R>, side: Side) -> Feed<'f> {
     Box::new(framer.map(move |framed| match framed {
-        Ok(raw) => Ok(PreparedItem::Record { side, raw }),
+        Ok(raw) => Ok(PreparedItem::Record {
+            side,
+            place: raw.index,
+            raw,
+        }),
         Err(e) => Err((side, e)),
     }))
 }
@@ -524,16 +544,19 @@ impl Pipeline<'_, '_> {
     /// Process one item.
     fn item(&self, item: PreparedItem, state: &mut WorkerState) -> Result<(), SidedError> {
         match item {
-            PreparedItem::Record { side, raw } => self.record(side, raw, state),
-            // replayed spans have no document offset
-            PreparedItem::Replay { side, record } => self.side(side, record, 0, state),
+            PreparedItem::Record { side, raw, place } => self.record(side, raw, place, state),
+            PreparedItem::Replay { side, record } => {
+                let at = replayed_at(&record);
+                self.side(side, record, at, state)
+            }
             PreparedItem::PairReplay { pre, post } => {
                 if self.checker.retention.is_some() {
                     state.captured[Side::Pre as usize].push(pre.clone());
                     state.captured[Side::Post as usize].push(post.clone());
                 }
-                let (flow, pre) = pre.into_joined(0);
-                let (_, post) = post.into_joined(0);
+                let (pre_at, post_at) = (replayed_at(&pre), replayed_at(&post));
+                let (flow, pre) = pre.into_joined(pre_at);
+                let (_, post) = post.into_joined(post_at);
                 self.admit_spans(flow, pre, post, state)
             }
         }
@@ -547,6 +570,7 @@ impl Pipeline<'_, '_> {
         &self,
         side: Side,
         raw: RawRecord,
+        place: usize,
         state: &mut WorkerState,
     ) -> Result<(), SidedError> {
         let decoded = raw.decode_flow(self.label(side)).map_err(|e| (side, e))?;
@@ -574,25 +598,29 @@ impl Pipeline<'_, '_> {
             flow,
             span,
             hash,
-            index: raw.index,
+            index: place,
             mix,
         };
-        self.side(side, record, raw.offset, state)
+        let at = Provenance {
+            index: raw.index,
+            offset: raw.offset,
+        };
+        self.side(side, record, at, state)
     }
 
     /// Join one fingerprinted side with its partner; a completed pair is
-    /// admitted to the class registry.
+    /// admitted to the class registry. Errors cite the record at `at`.
     fn side(
         &self,
         side: Side,
         record: RetainedRecord,
-        offset: u64,
+        at: Provenance,
         state: &mut WorkerState,
     ) -> Result<(), SidedError> {
         if self.checker.retention.is_some() {
             state.captured[side as usize].push(record.clone());
         }
-        let (flow, own) = record.into_joined(offset);
+        let (flow, own) = record.into_joined(at);
         match self.join.insert(side, &flow, own) {
             Joined::Pending => Ok(()),
             // `second` is the occurrence with the larger entry index —
@@ -1242,9 +1270,10 @@ impl<'a> Checker<'a> {
     fn retain(&self, captured: [Vec<RetainedRecord>; 2]) -> Option<SnapshotEpoch> {
         let slot = self.retention?;
         let [mut pre_records, mut post_records] = captured;
-        // stream order, as far as there is one: a delta job's own
-        // records tie with replayed ones, and nothing reads the order
-        // but the next replay's feed
+        // stream order, with a delta job's upserts in the places of the
+        // records they replaced: both sides of a pair of snapshots of
+        // one network come out in one flow order, which is what lets the
+        // next delta job pair them by position
         pre_records.sort_unstable_by_key(|record| record.index);
         post_records.sort_unstable_by_key(|record| record.index);
         let fold_of = |records: &[RetainedRecord]| side_fold(records.iter().map(|r| r.mix));
@@ -2885,9 +2914,13 @@ mod tests {
                 .unwrap_err();
             let items = |json: &str, side: Side| {
                 SnapshotFramer::new(json.as_bytes(), "unused")
-                    .map(move |raw| PreparedItem::Record {
-                        side,
-                        raw: raw.unwrap(),
+                    .map(move |raw| {
+                        let raw = raw.unwrap();
+                        PreparedItem::Record {
+                            side,
+                            place: raw.index,
+                            raw,
+                        }
                     })
                     .collect::<Vec<_>>()
             };

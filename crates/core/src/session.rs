@@ -67,7 +67,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Session-lifetime configuration: what the spec compiles against and
@@ -826,7 +826,7 @@ impl CheckSession {
 /// both sides kept it), and the delta's own records enter as raw
 /// upserts. Removed flows simply don't reappear.
 fn delta_items(
-    base: &Arc<RetainedBase>,
+    base: &RetainedBase,
     pre: SnapshotDelta,
     post: SnapshotDelta,
     labels: [&String; 2],
@@ -843,19 +843,62 @@ fn delta_items(
             })
             .collect()
     };
-    let pre_flows = flows_of(&pre, labels[0])?;
-    let post_flows = flows_of(&post, labels[1])?;
-    let pre_changed: HashSet<&FlowSpec> = pre.removed.iter().chain(pre_flows.iter()).collect();
-    let post_changed: HashSet<&FlowSpec> = post.removed.iter().chain(post_flows.iter()).collect();
+    let flows = [flows_of(&pre, labels[0])?, flows_of(&post, labels[1])?];
+    let changed: [HashSet<&FlowSpec>; 2] = [
+        pre.removed.iter().chain(&flows[0]).collect(),
+        post.removed.iter().chain(&flows[1]).collect(),
+    ];
+    let Replayed { mut items, vacated } =
+        replay_lockstep(base, &changed).unwrap_or_else(|| replay_joined(base, &changed));
+    // an upsert takes the place of the record it replaces; a flow new to
+    // its side goes past the side's end (a retained side is in index
+    // order, so its last record holds the highest)
+    let mut past_end = [&base.pre, &base.post].map(|side| side.last().map_or(0, |r| r.index + 1));
+    for (side, records) in [(Side::Pre, pre.records), (Side::Post, post.records)] {
+        for (raw, flow) in records.into_iter().zip(&flows[side as usize]) {
+            let place = vacated[side as usize]
+                .get(flow)
+                .copied()
+                .unwrap_or_else(|| {
+                    past_end[side as usize] += 1;
+                    past_end[side as usize] - 1
+                });
+            items.push(PreparedItem::Record { side, raw, place });
+        }
+    }
+    Ok(items)
+}
+
+/// The replayed part of a delta job's item list — pre-driven items in
+/// `base.pre` order (a pair when the post side kept the flow too), then
+/// the post records nothing paired, in `base.post` order — and, per
+/// side `[pre, post]`, the [`RetainedRecord::index`] each base record
+/// the delta touches held.
+struct Replayed<'b> {
+    items: Vec<PreparedItem>,
+    vacated: [HashMap<&'b FlowSpec, usize>; 2],
+}
+
+/// [`Replayed`] in general: the kept base records of the two sides are
+/// joined by flow.
+fn replay_joined<'b>(base: &'b RetainedBase, changed: &[HashSet<&FlowSpec>; 2]) -> Replayed<'b> {
+    let mut vacated = [HashMap::new(), HashMap::new()];
+    let mut keeps = |side: Side, record: &'b RetainedRecord| {
+        let keeps = !changed[side as usize].contains(&record.flow);
+        if !keeps {
+            vacated[side as usize].insert(&record.flow, record.index);
+        }
+        keeps
+    };
     let post_keep: HashMap<&FlowSpec, &RetainedRecord> = base
         .post
         .iter()
-        .filter(|r| !post_changed.contains(&r.flow))
+        .filter(|r| keeps(Side::Post, r))
         .map(|r| (&r.flow, r))
         .collect();
     let mut items = Vec::new();
     let mut paired: HashSet<&FlowSpec> = HashSet::new();
-    for record in base.pre.iter().filter(|r| !pre_changed.contains(&r.flow)) {
+    for record in base.pre.iter().filter(|r| keeps(Side::Pre, r)) {
         match post_keep.get(&record.flow) {
             Some(partner) => {
                 paired.insert(&record.flow);
@@ -873,26 +916,63 @@ fn delta_items(
     for record in base
         .post
         .iter()
-        .filter(|r| !post_changed.contains(&r.flow) && !paired.contains(&r.flow))
+        .filter(|r| post_keep.contains_key(&r.flow) && !paired.contains(&r.flow))
     {
         items.push(PreparedItem::Replay {
             side: Side::Post,
             record: record.clone(),
         });
     }
-    for raw in pre.records {
-        items.push(PreparedItem::Record {
-            side: Side::Pre,
-            raw,
-        });
+    Replayed { items, vacated }
+}
+
+/// [`replay_joined`] without its tables, for a base whose two sides list
+/// the same flows in the same order — what a pair of snapshots of one
+/// network is, and stays through delta jobs: record *i* of one side can
+/// only pair with record *i* of the other, so nothing of the base is
+/// hashed into a map. `None` at the first position where the sides
+/// disagree; the caller then joins by flow. Same items, same order (a
+/// retained side holds no flow twice: a duplicate fails the run that
+/// would have retained it).
+fn replay_lockstep<'b>(
+    base: &'b RetainedBase,
+    changed: &[HashSet<&FlowSpec>; 2],
+) -> Option<Replayed<'b>> {
+    if base.pre.len() != base.post.len() {
+        return None;
     }
-    for raw in post.records {
-        items.push(PreparedItem::Record {
-            side: Side::Post,
-            raw,
-        });
+    let mut items = Vec::with_capacity(base.pre.len());
+    let mut post_only = Vec::new();
+    let mut vacated = [HashMap::new(), HashMap::new()];
+    for (pre, post) in base.pre.iter().zip(&base.post) {
+        if pre.flow != post.flow {
+            return None;
+        }
+        let mut keeps = [true; 2];
+        for (side, record) in [pre, post].into_iter().enumerate() {
+            keeps[side] = !changed[side].contains(&record.flow);
+            if !keeps[side] {
+                vacated[side].insert(&record.flow, record.index);
+            }
+        }
+        match keeps {
+            [true, true] => items.push(PreparedItem::PairReplay {
+                pre: pre.clone(),
+                post: post.clone(),
+            }),
+            [true, false] => items.push(PreparedItem::Replay {
+                side: Side::Pre,
+                record: pre.clone(),
+            }),
+            [false, true] => post_only.push(PreparedItem::Replay {
+                side: Side::Post,
+                record: post.clone(),
+            }),
+            [false, false] => {}
+        }
     }
-    Ok(items)
+    items.append(&mut post_only);
+    Some(Replayed { items, vacated })
 }
 
 #[cfg(test)]
@@ -1156,6 +1236,24 @@ mod tests {
         // the delta ingest retains the *new* pair as the next base
         let new_epoch = s.base_epoch().unwrap();
         assert_ne!(new_epoch, epoch);
+        // in which the upsert (entry 0 of its delta document) took the
+        // place of the record it replaced, so the two sides keep their
+        // common order and the next delta job pairs them by position
+        let retained = s
+            .retained
+            .lock()
+            .unwrap()
+            .find(new_epoch.as_u128())
+            .unwrap();
+        let places = |side: &[RetainedRecord]| -> Vec<(usize, FlowSpec)> {
+            side.iter().map(|r| (r.index, r.flow.clone())).collect()
+        };
+        assert_eq!(places(&retained.pre), places(&retained.post));
+        assert_eq!(
+            retained.post.iter().map(|r| r.index).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        assert!(replay_lockstep(&retained, &[HashSet::new(), HashSet::new()]).is_some());
         // byte-identical to resubmitting the new snapshots in full
         let full = s
             .run(JobSpec::streams(
@@ -1177,6 +1275,114 @@ mod tests {
                 scan(&new_post, "new:post").fold
             )
         );
+    }
+
+    /// What the lockstep-vs-joined property compares of an item: variant,
+    /// side, flow and record index (two for a pair).
+    fn item_key(item: &PreparedItem) -> (&'static str, Option<Side>, &FlowSpec, usize, usize) {
+        match item {
+            PreparedItem::Record { .. } => unreachable!("replays only"),
+            PreparedItem::Replay { side, record } => {
+                ("replay", Some(*side), &record.flow, record.index, 0)
+            }
+            PreparedItem::PairReplay { pre, post } => {
+                assert_eq!(pre.flow, post.flow, "a pair is one flow");
+                ("pair", None, &pre.flow, pre.index, post.index)
+            }
+        }
+    }
+
+    /// `replay_lockstep` is `replay_joined` wherever it answers at all —
+    /// same items in the same order, same vacated places — and it
+    /// answers exactly for bases whose sides agree position by position.
+    #[test]
+    fn lockstep_replay_equals_the_joined_one_and_declines_unaligned_bases() {
+        let mut state = 0x5eed_u64;
+        let mut below = move |n: usize| {
+            // SplitMix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let flow = |ix: usize| {
+            FlowSpec::new(
+                format!("10.{}.{}.0/24", ix / 256, ix % 256)
+                    .parse()
+                    .unwrap(),
+                "A1",
+            )
+        };
+        let side_of = |flows: &[usize]| -> Vec<RetainedRecord> {
+            flows
+                .iter()
+                .enumerate()
+                .map(|(index, &ix)| RetainedRecord {
+                    flow: flow(ix),
+                    span: crate::pipeline::GraphSpan::whole(vec![b'0' + (ix % 10) as u8]),
+                    hash: ix as u128,
+                    // unique, increasing, and not simply the position
+                    index: 3 * index + 1,
+                    mix: 0,
+                })
+                .collect()
+        };
+        let (mut aligned, mut declined) = (0, 0);
+        for case in 0..400 {
+            let n = 1 + below(24);
+            let pre: Vec<usize> = (0..n).collect();
+            let mut post = pre.clone();
+            // base shapes: same order; one side permuted; one-sided flows
+            let shape = case % 4;
+            if shape == 1 && n > 1 {
+                let (a, b) = (below(n), below(n - 1));
+                post.swap(a, if b >= a { b + 1 } else { b });
+            }
+            let mut pre = pre;
+            if shape == 2 {
+                post.remove(below(post.len()));
+            }
+            if shape == 3 {
+                pre.remove(below(pre.len()));
+            }
+            let unaligned = pre != post;
+            let base = RetainedBase {
+                epoch: 0,
+                pre: side_of(&pre),
+                post: side_of(&post),
+            };
+            // deltas: flows changed or removed (in the base) and added
+            // (past it), independently per side
+            let touched: [Vec<FlowSpec>; 2] = [(); 2].map(|()| {
+                (0..below(5))
+                    .map(|_| flow(below(n + 3)))
+                    .collect::<Vec<_>>()
+            });
+            let changed = [touched[0].iter().collect(), touched[1].iter().collect()];
+
+            let joined = replay_joined(&base, &changed);
+            match replay_lockstep(&base, &changed) {
+                None => {
+                    assert!(
+                        unaligned,
+                        "case {case}: an aligned base must walk in lockstep"
+                    );
+                    declined += 1;
+                }
+                Some(lockstep) => {
+                    assert!(!unaligned, "case {case}: an unaligned base must fall back");
+                    assert_eq!(
+                        lockstep.items.iter().map(item_key).collect::<Vec<_>>(),
+                        joined.items.iter().map(item_key).collect::<Vec<_>>(),
+                        "case {case}"
+                    );
+                    assert_eq!(lockstep.vacated, joined.vacated, "case {case}");
+                    aligned += 1;
+                }
+            }
+        }
+        assert!(aligned >= 100 && declined >= 100, "{aligned} / {declined}");
     }
 
     #[test]

@@ -855,14 +855,12 @@ fn delta_items(
     // order, so its last record holds the highest)
     let mut past_end = [&base.pre, &base.post].map(|side| side.last().map_or(0, |r| r.index + 1));
     for (side, records) in [(Side::Pre, pre.records), (Side::Post, post.records)] {
+        let (vacated, past_end) = (&vacated[side as usize], &mut past_end[side as usize]);
         for (raw, flow) in records.into_iter().zip(&flows[side as usize]) {
-            let place = vacated[side as usize]
-                .get(flow)
-                .copied()
-                .unwrap_or_else(|| {
-                    past_end[side as usize] += 1;
-                    past_end[side as usize] - 1
-                });
+            let place = match vacated.get(flow) {
+                Some(&place) => place,
+                None => std::mem::replace(past_end, *past_end + 1),
+            };
             items.push(PreparedItem::Record { side, raw, place });
         }
     }

@@ -18,7 +18,7 @@
 //! `accept`, and whatever can end the wait *knocks* — connects to the
 //! daemon's own socket and hangs up: a watcher thread the signal handler
 //! wakes through a socket pair ([`wake_fd`]), and the last connection to
-//! leave during a drain ([`LastOut`]). An idle daemon makes no system
+//! leave during a drain (`LastOut`). An idle daemon makes no system
 //! call at all.
 
 use crate::cli::{CliError, ServeConfig};
@@ -405,9 +405,10 @@ fn knock(socket: &Path) {
 /// nothing but async-signal-safe calls, so the `connect` happens here.
 /// Returns at EOF, which [`serve`] produces once the accept loop is over.
 fn watch_for_signals(mut wake_rx: UnixStream, socket: &Path) {
+    use std::io::Read as _;
     let mut byte = [0u8; 1];
     loop {
-        match std::io::Read::read(&mut wake_rx, &mut byte) {
+        match wake_rx.read(&mut byte) {
             Ok(0) => return,
             Ok(_) => knock(socket),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}

@@ -600,12 +600,7 @@ fn sigterm_drains_in_flight_job_and_refuses_new_ones() {
     wait_for_ping(&socket, ", 1 in flight,");
 
     // SIGTERM mid-job: the daemon must drain, not die
-    let pid = daemon.id().to_string();
-    let killed = Process::new("kill")
-        .args(["-TERM", &pid])
-        .status()
-        .expect("kill runs");
-    assert!(killed.success());
+    sigterm(&daemon);
     // wait until the daemon reports itself draining
     wait_for_ping(&socket, "draining: true");
 
@@ -646,23 +641,7 @@ fn sigterm_drains_in_flight_job_and_refuses_new_ones() {
     drop(stream);
 
     // with the last connection gone the drain completes
-    let mut child = daemon.into_inner();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            break status;
-        }
-        if Instant::now() >= deadline {
-            child.kill().ok();
-            child.wait().ok();
-            panic!("daemon never drained");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert_eq!(status.code(), Some(0));
-    assert!(!socket.exists(), "socket must be unlinked after drain");
-    let mut out = String::new();
-    child.stdout.take().unwrap().read_to_string(&mut out).ok();
+    let out = drained_within_watchdog(daemon, &socket);
     assert!(out.contains("drained after 1 job(s)"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -86,8 +86,8 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Res
 /// Both ends of a connection read through one `BufReader` that lives
 /// across frames, so the header's two small reads are copies out of its
 /// buffer and a control frame costs one `read`; a chunk payload larger
-/// than the buffer is read straight into its `Vec`, which is reserved
-/// but never zero-filled.
+/// than the buffer is read straight into its `Vec` (in `read_to_end`'s
+/// growing pieces), which is reserved but never zero-filled.
 ///
 /// Interrupted reads (`EINTR` — signal delivery, fault injection) are
 /// retried here for the kind byte; `read_exact` and `read_to_end`

@@ -31,6 +31,7 @@ use crate::pipeline::{
 use crate::report::{
     CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, ViolationDetail,
 };
+use crate::retain::{JoinedRow, RetainedBase, RetainedRow, RetentionSlot};
 use crate::rir::RirSpec;
 use rela_automata::{
     determinize, enumerate_words, equivalent, image, included, Dfa, Fst, Nfa, SymbolTable,
@@ -39,12 +40,12 @@ use rela_cache::{CacheEpoch, CacheKey, VerdictStore, BYTE_VARIANT_SALT};
 use rela_net::faultio::FaultPlan;
 use rela_net::{
     behavior_hash, canonical_graph, content_hash128, decode_graph_span, graph_to_fsa_prepared,
-    pair_epoch, record_mix, side_fold, AlignedFec, BehaviorHash, FlowDecoded, FlowSpec,
-    ForwardingGraph, Granularity, LocationDb, RawRecord, SnapshotEpoch, SnapshotError,
-    SnapshotFramer, SnapshotPair, DROP_LOCATION, FRAME_BATCH_BYTES,
+    record_mix, AlignedFec, BehaviorHash, FlowDecoded, FlowSpec, ForwardingGraph, Granularity,
+    LocationDb, RawRecord, SnapshotEpoch, SnapshotError, SnapshotFramer, SnapshotPair,
+    DROP_LOCATION, FRAME_BATCH_BYTES,
 };
 use serde::{Serialize, Value};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::io::Read;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -134,127 +135,6 @@ struct BehaviorClass {
     byte_key: Option<(u128, u128)>,
 }
 
-/// One snapshot record retained for delta-base replay: the flow key,
-/// the undecoded graph span, the span's content hash, the record's
-/// place in its side, and its share of the side's epoch fold.
-#[derive(Clone)]
-pub(crate) struct RetainedRecord {
-    pub(crate) flow: FlowSpec,
-    pub(crate) span: GraphSpan,
-    pub(crate) hash: u128,
-    /// What [`Checker::retain`] orders a side by, unique within it: the
-    /// record's entry index in the snapshot stream that carried it, and
-    /// for a delta job's upsert the index of the base record it replaced
-    /// ([`PreparedItem::Record::place`]) — so a flow keeps its place, and
-    /// the two sides of a base their common order, through any chain of
-    /// delta jobs.
-    pub(crate) index: usize,
-    /// [`record_mix`] of `flow` and `hash`, computed once where the
-    /// record is framed so a replayed record never pays for it again.
-    /// Zero in a run that retains nothing: only [`Checker::retain`]
-    /// reads it.
-    pub(crate) mix: u128,
-}
-
-impl RetainedRecord {
-    /// Split into the flow key and the join's view of the record, which
-    /// errors cite at `provenance`.
-    fn into_joined(self, provenance: Provenance) -> (FlowSpec, JoinedSide) {
-        let side = JoinedSide {
-            span: self.span,
-            hash: self.hash,
-            provenance,
-        };
-        (self.flow, side)
-    }
-}
-
-/// The snapshot pair retained after a successful pipelined run, kept so
-/// a later `--delta-base` submission can replay the unchanged records
-/// without the client resending (or the daemon re-framing) them. The
-/// epoch is content-derived ([`rela_net::pair_epoch`] over the per-side
-/// record folds), so it identifies the pair bytes themselves, not the
-/// job that carried them.
-pub(crate) struct RetainedBase {
-    pub(crate) epoch: u128,
-    pub(crate) pre: Vec<RetainedRecord>,
-    pub(crate) post: Vec<RetainedRecord>,
-}
-
-impl RetainedBase {
-    /// Approximate resident bytes: the dominant cost is the undecoded
-    /// graph spans; flow keys and indices are noise next to them.
-    fn approx_bytes(&self) -> u64 {
-        self.pre
-            .iter()
-            .chain(self.post.iter())
-            .map(|r| r.span.as_slice().len() as u64 + 64)
-            .sum()
-    }
-}
-
-/// The session's retained delta bases, newest first: the last K
-/// `(pre, post)` pairs a delta job may name, bounded by a count and an
-/// optional byte budget (the same shape as the cache directory's
-/// [`rela_cache::GcPolicy`] — `keep` mirrors `keep_epochs`, the byte
-/// cap mirrors `max_bytes`). An operator iterating on two changes
-/// interleaved keeps both bases resident; eviction degrades the evicted
-/// epoch to a DELTA_MISS → full resubmit, never an error.
-pub(crate) struct RetentionSet {
-    entries: VecDeque<Arc<RetainedBase>>,
-    keep: usize,
-    max_bytes: Option<u64>,
-}
-
-impl RetentionSet {
-    pub(crate) fn new(keep: usize, max_bytes: Option<u64>) -> RetentionSet {
-        RetentionSet {
-            entries: VecDeque::new(),
-            keep: keep.max(1),
-            max_bytes,
-        }
-    }
-
-    /// Admit a freshly checked base. A pair re-checked while already
-    /// retained moves to the front (it is the most recent again) rather
-    /// than duplicating; then the set is trimmed to the count and byte
-    /// budgets, oldest first — except the newest base, which is always
-    /// kept: the pair just checked must be nameable by the very next
-    /// delta no matter how small the budget.
-    pub(crate) fn push(&mut self, base: Arc<RetainedBase>) {
-        self.entries.retain(|b| b.epoch != base.epoch);
-        self.entries.push_front(base);
-        self.entries.truncate(self.keep);
-        if let Some(budget) = self.max_bytes {
-            let mut total: u64 = self.entries.iter().map(|b| b.approx_bytes()).sum();
-            while self.entries.len() > 1 && total > budget {
-                if let Some(evicted) = self.entries.pop_back() {
-                    total -= evicted.approx_bytes();
-                }
-            }
-        }
-    }
-
-    /// The retained base with this pair epoch, if still resident.
-    pub(crate) fn find(&self, epoch: u128) -> Option<Arc<RetainedBase>> {
-        self.entries.iter().find(|b| b.epoch == epoch).cloned()
-    }
-
-    /// The most recently retained epoch.
-    pub(crate) fn newest_epoch(&self) -> Option<u128> {
-        self.entries.front().map(|b| b.epoch)
-    }
-
-    /// Every retained epoch, newest first.
-    pub(crate) fn epochs(&self) -> Vec<u128> {
-        self.entries.iter().map(|b| b.epoch).collect()
-    }
-}
-
-/// The shared retention set — the session owns it; the checker admits a
-/// base after each successful pipelined run.
-pub(crate) type RetentionSlot = Mutex<RetentionSet>;
-
 /// A cooperative cancellation token carrying a job's deadline. The
 /// engine polls it at class boundaries — between channel batches on the
 /// pipelined path, between classes on the decide loops — so a job never
@@ -294,27 +174,23 @@ impl CancelToken {
 }
 
 /// One input of the pipelined engine. A framer thread yields `Record`s
-/// as it cuts them from its stream; the delta path's item list mixes
-/// them with replayed base records.
+/// as it cuts them from its stream; the delta path's item list
+/// ([`RetainedBase::replay`]) mixes them with what it replays of a base.
 pub(crate) enum PreparedItem {
     /// A framed record (a whole snapshot's, or a delta document's
     /// upsert): its flow key is decoded, its graph span fingerprinted,
-    /// and it goes through the flow join. `place` is the
-    /// [`RetainedRecord::index`] of the copy a retaining run keeps.
-    Record {
+    /// and it goes through the flow join.
+    Record { side: Side, raw: RawRecord },
+    /// The side a base row keeps when a delta touches its other side:
+    /// replays through the flow join to meet the new partner.
+    Replay {
         side: Side,
-        raw: RawRecord,
-        place: usize,
+        flow: FlowSpec,
+        own: JoinedSide,
     },
-    /// An unchanged base record whose partner side changed: replays
-    /// through the flow join to meet the new partner.
-    Replay { side: Side, record: RetainedRecord },
-    /// A flow unchanged on both sides: admitted as a pre-joined pair,
-    /// skipping the join map entirely.
-    PairReplay {
-        pre: RetainedRecord,
-        post: RetainedRecord,
-    },
+    /// A base row neither delta touches: admitted whole, skipping the
+    /// join map entirely, and shared into the base this run retains.
+    Row(Arc<RetainedRow>),
 }
 
 impl PreparedItem {
@@ -324,20 +200,12 @@ impl PreparedItem {
     fn payload_len(&self) -> usize {
         match self {
             PreparedItem::Record { raw, .. } => raw.span_len(),
-            PreparedItem::Replay { record, .. } => record.span.as_slice().len(),
-            PreparedItem::PairReplay { pre, post } => {
-                pre.span.as_slice().len() + post.span.as_slice().len()
+            PreparedItem::Replay { own, .. } => own.span.as_slice().len(),
+            PreparedItem::Row(row) => {
+                let sides = row.sides.iter().flatten();
+                sides.map(|side| side.span.as_slice().len()).sum()
             }
         }
-    }
-}
-
-/// Where errors cite a replayed record: at its place in the base;
-/// replayed spans have no document offset.
-fn replayed_at(record: &RetainedRecord) -> Provenance {
-    Provenance {
-        index: record.index,
-        offset: 0,
     }
 }
 
@@ -352,11 +220,7 @@ type Feed<'f> = Box<dyn Iterator<Item = Result<PreparedItem, SidedError>> + Send
 /// A framer as a [`Feed`].
 fn framer_feed<'f, R: Read + Send + 'f>(framer: SnapshotFramer<R>, side: Side) -> Feed<'f> {
     Box::new(framer.map(move |framed| match framed {
-        Ok(raw) => Ok(PreparedItem::Record {
-            side,
-            place: raw.index,
-            raw,
-        }),
+        Ok(raw) => Ok(PreparedItem::Record { side, raw }),
         Err(e) => Err((side, e)),
     }))
 }
@@ -365,8 +229,8 @@ fn framer_feed<'f, R: Read + Send + 'f>(framer: SnapshotFramer<R>, side: Side) -
 /// worker completed pairs for (concatenated into the global flow list
 /// after the join), the classes it replayed warm from the store, the
 /// graph decodes it actually performed, the symbol names replayed out of
-/// byte-keyed store entries, and the records captured for delta-base
-/// retention, `[pre, post]`. `byte_classes` and `members` are the dedup
+/// byte-keyed store entries, and the rows captured for delta-base
+/// retention. `byte_classes` and `members` are the dedup
 /// hit path: the class of every byte key this worker has taken through
 /// the shared index once, and the members it has since added to those
 /// classes without going back — folded into the classes after the join.
@@ -379,7 +243,7 @@ struct WorkerState {
     warm: Vec<(ClassRef, FecResult)>,
     decodes: usize,
     symbols: BTreeSet<String>,
-    captured: [Vec<RetainedRecord>; 2],
+    captured: Vec<Arc<RetainedRow>>,
 }
 
 impl WorkerState {
@@ -410,6 +274,8 @@ struct Pipeline<'c, 'a> {
     producers_left: AtomicUsize,
     /// The `[pre, post]` source labels errors are attributed to.
     labels: [Option<String>; 2],
+    /// What stands in for the side of a flow only one snapshot carries.
+    absent: JoinedSide,
 }
 
 impl Pipeline<'_, '_> {
@@ -442,32 +308,19 @@ impl Pipeline<'_, '_> {
             return Ok(locals);
         }
 
-        // Both streams ended cleanly: drain flows seen on one side only
-        // (the missing side is the canonical empty-graph span, so it
-        // byte-hashes and fingerprints exactly as `align`'s empty graph
-        // would). Sorted by entry index so a decode error surfaces for
-        // the record a sequential reader would hit first.
+        // Both streams ended cleanly: drain flows seen on one side only.
+        // Sorted by entry index so a decode error surfaces for the record
+        // a sequential reader would hit first.
         let mut drain = WorkerState::new(workers); // one extra pseudo-worker
-        let empty_span = GraphSpan::whole(
-            serde_json::to_string(&ForwardingGraph::default().to_value())
-                .expect("the empty graph serializes")
-                .into_bytes(),
-        );
-        let empty_hash = content_hash128(empty_span.as_slice());
         let mut one_sided = self.join.drain_one_sided();
         one_sided.sort_by_key(|one| (one.own.provenance.index, one.side));
         for OneSided { flow, side, own } in one_sided {
-            let absent = JoinedSide {
-                span: empty_span.clone(),
-                hash: empty_hash,
-                provenance: own.provenance,
+            let sides = match side {
+                Side::Pre => [Some(own), None],
+                Side::Post => [None, Some(own)],
             };
-            let (pre, post) = match side {
-                Side::Pre => (own, absent),
-                Side::Post => (absent, own),
-            };
-            self.admit_spans(flow, pre, post, &mut drain)
-                .map_err(|(_, e)| e)?;
+            let row = JoinedRow::Fresh(RetainedRow { flow, sides });
+            self.admit_spans(row, &mut drain).map_err(|(_, e)| e)?;
         }
         locals.push(drain);
         Ok(locals)
@@ -544,21 +397,9 @@ impl Pipeline<'_, '_> {
     /// Process one item.
     fn item(&self, item: PreparedItem, state: &mut WorkerState) -> Result<(), SidedError> {
         match item {
-            PreparedItem::Record { side, raw, place } => self.record(side, raw, place, state),
-            PreparedItem::Replay { side, record } => {
-                let at = replayed_at(&record);
-                self.side(side, record, at, state)
-            }
-            PreparedItem::PairReplay { pre, post } => {
-                if self.checker.retention.is_some() {
-                    state.captured[Side::Pre as usize].push(pre.clone());
-                    state.captured[Side::Post as usize].push(post.clone());
-                }
-                let (pre_at, post_at) = (replayed_at(&pre), replayed_at(&post));
-                let (flow, pre) = pre.into_joined(pre_at);
-                let (_, post) = post.into_joined(post_at);
-                self.admit_spans(flow, pre, post, state)
-            }
+            PreparedItem::Record { side, raw } => self.record(side, raw, state),
+            PreparedItem::Replay { side, flow, own } => self.side(side, flow, own, state),
+            PreparedItem::Row(row) => self.admit_spans(JoinedRow::Shared(row), state),
         }
     }
 
@@ -570,7 +411,6 @@ impl Pipeline<'_, '_> {
         &self,
         side: Side,
         raw: RawRecord,
-        place: usize,
         state: &mut WorkerState,
     ) -> Result<(), SidedError> {
         let decoded = raw.decode_flow(self.label(side)).map_err(|e| (side, e))?;
@@ -590,37 +430,30 @@ impl Pipeline<'_, '_> {
             ),
         };
         let hash = content_hash128(span.as_slice());
-        let mix = match self.checker.retention {
-            Some(_) => record_mix(&flow, hash),
-            None => 0,
-        };
-        let record = RetainedRecord {
-            flow,
+        let own = JoinedSide {
             span,
             hash,
-            index: place,
-            mix,
+            mix: match self.checker.retention {
+                Some(_) => record_mix(&flow, hash),
+                None => 0,
+            },
+            provenance: Provenance {
+                index: raw.index,
+                offset: raw.offset,
+            },
         };
-        let at = Provenance {
-            index: raw.index,
-            offset: raw.offset,
-        };
-        self.side(side, record, at, state)
+        self.side(side, flow, own, state)
     }
 
     /// Join one fingerprinted side with its partner; a completed pair is
-    /// admitted to the class registry. Errors cite the record at `at`.
+    /// admitted to the class registry.
     fn side(
         &self,
         side: Side,
-        record: RetainedRecord,
-        at: Provenance,
+        flow: FlowSpec,
+        own: JoinedSide,
         state: &mut WorkerState,
     ) -> Result<(), SidedError> {
-        if self.checker.retention.is_some() {
-            state.captured[side as usize].push(record.clone());
-        }
-        let (flow, own) = record.into_joined(at);
         match self.join.insert(side, &flow, own) {
             Joined::Pending => Ok(()),
             // `second` is the occurrence with the larger entry index —
@@ -629,52 +462,63 @@ impl Pipeline<'_, '_> {
             Joined::Duplicate(second) => {
                 Err(self.located(side, format!("duplicate flow {flow}"), second))
             }
-            Joined::Paired { pre, post } => self.admit_spans(flow, pre, post, state),
+            Joined::Paired { pre, post } => {
+                let sides = [Some(pre), Some(post)];
+                self.admit_spans(JoinedRow::Fresh(RetainedRow { flow, sides }), state)
+            }
         }
     }
 
-    /// Admit one paired flow to the class registry by its raw byte key.
-    /// A key this worker has met before is a hit that takes no shared
-    /// lock: the member goes on the worker's own list, to be folded into
-    /// the class when the worker states are flattened. A key it has not
-    /// met goes through the shared byte index, where a hit joins the
-    /// already-resolved class with zero decode work and a miss resolves
-    /// a class — decode, fingerprint, behavior-admit, store-consult —
-    /// under the byte-shard lock, so exactly one member per byte key
-    /// pays for the decode.
-    fn admit_spans(
-        &self,
-        flow: FlowSpec,
-        pre: JoinedSide,
-        post: JoinedSide,
-        state: &mut WorkerState,
-    ) -> Result<(), SidedError> {
+    /// Admit one flow, both sides in hand, to the class registry by its
+    /// raw byte key (a side its snapshot does not carry counts as the
+    /// empty graph). A key this worker has met before is a hit that
+    /// takes no shared lock: the member goes on the worker's own list, to
+    /// be folded into the class when the worker states are flattened. A
+    /// key it has not met goes through the shared byte index, where a
+    /// hit joins the already-resolved class with zero decode work and a
+    /// miss resolves a class — decode, fingerprint, behavior-admit,
+    /// store-consult — under the byte-shard lock, so exactly one member
+    /// per byte key pays for the decode.
+    fn admit_spans(&self, row: JoinedRow, state: &mut WorkerState) -> Result<(), SidedError> {
+        let flow = &row.flow;
+        let [pre, post] = row
+            .sides
+            .each_ref()
+            .map(|s| s.as_ref().unwrap_or(&self.absent));
         // routes are a function of the flow alone
-        let route = self.checker.route_of_flow(&flow);
+        let route = self.checker.route_of_flow(flow);
         let member = FlowRef {
             worker: state.worker,
             local: state.flows.len(),
         };
+        let byte_key = (pre.hash, post.hash, route.unwrap_or(usize::MAX));
         if !self.checker.options.dedup {
-            state.flows.push(flow.clone());
             let fec = AlignedFec {
-                pre: self.decode_side(Side::Pre, &pre, state)?,
-                post: self.decode_side(Side::Post, &post, state)?,
-                flow,
+                pre: self.decode_side(Side::Pre, pre, state)?,
+                post: self.decode_side(Side::Post, post, state)?,
+                flow: flow.clone(),
             };
             self.registry.admit(fec, None, None, route, member);
-            return Ok(());
-        }
-        let byte_key = (pre.hash, post.hash, route.unwrap_or(usize::MAX));
-        if let Some(&class) = state.byte_classes.get(&byte_key) {
+        } else if let Some(&class) = state.byte_classes.get(&byte_key) {
             state.members.push((class, member));
         } else {
             let class = self.registry.admit_by_bytes(byte_key, member, || {
-                self.resolve_byte_class(&flow, route, &pre, &post, member, state)
+                self.resolve_byte_class(flow, route, pre, post, member, state)
             })?;
             state.byte_classes.insert(byte_key, class);
         }
-        state.flows.push(flow);
+        // every admitted flow passes here exactly once, joined: the one
+        // place a retaining run captures what its base will hold (a row
+        // out of a base only exists in a retaining run)
+        state.flows.push(match (row, self.checker.retention) {
+            (JoinedRow::Fresh(row), None) => row.flow,
+            (row, _) => {
+                let row = row.into_shared();
+                let flow = row.flow.clone();
+                state.captured.push(row);
+                flow
+            }
+        });
         Ok(())
     }
 
@@ -808,8 +652,8 @@ struct Ingested {
     warm: Vec<(usize, FecResult)>,
     graph_decodes: usize,
     replayed_symbols: BTreeSet<String>,
-    /// The records a retaining run keeps, `[pre, post]`.
-    captured: [Vec<RetainedRecord>; 2],
+    /// The rows a retaining run keeps.
+    captured: Vec<Arc<RetainedRow>>,
 }
 
 /// Fold `symbols` into a cached-verdict payload as a sorted `symbols`
@@ -1204,6 +1048,7 @@ impl<'a> Checker<'a> {
             errors: ErrorSink::new(),
             producers_left: AtomicUsize::new(feeds.len()),
             labels,
+            absent: JoinedSide::absent(),
         };
         let locals = pipe.ingest(feeds, workers)?;
         if self.was_cancelled() {
@@ -1217,9 +1062,8 @@ impl<'a> Checker<'a> {
         let mut warm: Vec<(usize, FecResult)> = Vec::new();
         let mut graph_decodes = 0usize;
         let mut replayed_symbols: BTreeSet<String> = BTreeSet::new();
-        // sized once: these two vectors are what a retained base holds
-        let mut captured: [Vec<RetainedRecord>; 2] = [0, 1]
-            .map(|side| Vec::with_capacity(locals.iter().map(|l| l.captured[side].len()).sum()));
+        // sized once: this vector is what a retained base holds
+        let mut captured = Vec::with_capacity(locals.iter().map(|l| l.captured.len()).sum());
         for mut local in locals {
             offsets.push(flows.len());
             flows.append(&mut local.flows);
@@ -1234,9 +1078,7 @@ impl<'a> Checker<'a> {
             );
             graph_decodes += local.decodes;
             replayed_symbols.extend(local.symbols);
-            for (all, own) in captured.iter_mut().zip(&mut local.captured) {
-                all.append(own);
-            }
+            captured.append(&mut local.captured);
         }
         let mut classes: Vec<BehaviorClass> = Vec::with_capacity(accs.len());
         let mut reps: Vec<AlignedFec> = Vec::with_capacity(accs.len());
@@ -1265,26 +1107,14 @@ impl<'a> Checker<'a> {
     }
 
     /// Retain a cleanly and completely checked pair for delta-base
-    /// replay, when a retention slot is attached. Returns its epoch,
-    /// folded from the mixes the records carry.
-    fn retain(&self, captured: [Vec<RetainedRecord>; 2]) -> Option<SnapshotEpoch> {
+    /// replay, when a retention slot is attached. Returns its epoch.
+    fn retain(&self, rows: Vec<Arc<RetainedRow>>) -> Option<SnapshotEpoch> {
         let slot = self.retention?;
-        let [mut pre_records, mut post_records] = captured;
-        // stream order, with a delta job's upserts in the places of the
-        // records they replaced: both sides of a pair of snapshots of
-        // one network come out in one flow order, which is what lets the
-        // next delta job pair them by position
-        pre_records.sort_unstable_by_key(|record| record.index);
-        post_records.sort_unstable_by_key(|record| record.index);
-        let fold_of = |records: &[RetainedRecord]| side_fold(records.iter().map(|r| r.mix));
-        let epoch = pair_epoch(fold_of(&pre_records), fold_of(&post_records));
+        let base = Arc::new(RetainedBase::new(rows));
+        let epoch = base.epoch();
         slot.lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(Arc::new(RetainedBase {
-                epoch: epoch.as_u128(),
-                pre: pre_records,
-                post: post_records,
-            }));
+            .push(base);
         Some(epoch)
     }
 
@@ -2916,11 +2746,7 @@ mod tests {
                 SnapshotFramer::new(json.as_bytes(), "unused")
                     .map(move |raw| {
                         let raw = raw.unwrap();
-                        PreparedItem::Record {
-                            side,
-                            place: raw.index,
-                            raw,
-                        }
+                        PreparedItem::Record { side, raw }
                     })
                     .collect::<Vec<_>>()
             };

@@ -33,6 +33,7 @@ pub mod parser;
 mod pipeline;
 pub mod pspec;
 pub mod report;
+mod retain;
 pub mod rir;
 pub mod semantics;
 pub mod session;

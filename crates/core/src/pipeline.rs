@@ -12,8 +12,10 @@
 //! also uses.
 
 use rela_net::{
-    AlignedFec, BehaviorHash, FlowSpec, RawRecord, RecordBody, SnapshotError, SpanBytes,
+    content_hash128, AlignedFec, BehaviorHash, FlowSpec, ForwardingGraph, RawRecord, RecordBody,
+    SnapshotError, SpanBytes,
 };
+use serde::Serialize;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -318,13 +320,43 @@ struct JoinEntry {
     post: SideSlot,
 }
 
-/// One side of a flow in (or out of) the join: the undecoded graph span,
-/// its content hash, and where the record sat in its stream. Decode
-/// happens only after the byte-level admission check on the joined pair.
+/// One side of a flow, in the join, out of it, and in a retained base —
+/// one type, so nothing is converted on the way: the undecoded graph
+/// span, its content hash, and where the record sat in the stream that
+/// carried it. Decode happens only after the byte-level admission check
+/// on the joined pair.
+#[derive(Clone)]
 pub(crate) struct JoinedSide {
     pub(crate) span: GraphSpan,
     pub(crate) hash: u128,
+    /// [`rela_net::record_mix`] of the flow and `hash`, computed once
+    /// where the record is framed so a replayed side never pays for it
+    /// again. Zero in a run that retains nothing: only the retained
+    /// base's epoch fold reads it.
+    pub(crate) mix: u128,
     pub(crate) provenance: Provenance,
+}
+
+impl JoinedSide {
+    /// The side of a flow its snapshot does not carry: the canonical
+    /// empty-graph span, so it byte-hashes and fingerprints exactly as
+    /// `align`'s empty graph would.
+    pub(crate) fn absent() -> JoinedSide {
+        let span = GraphSpan::whole(
+            serde_json::to_string(&ForwardingGraph::default().to_value())
+                .expect("the empty graph serializes")
+                .into_bytes(),
+        );
+        JoinedSide {
+            hash: content_hash128(span.as_slice()),
+            span,
+            mix: 0,
+            provenance: Provenance {
+                index: 0,
+                offset: 0,
+            },
+        }
+    }
 }
 
 /// What inserting one framed record into the join produced.

@@ -47,27 +47,23 @@
 //! assert!(report.is_compliant());
 //! ```
 
-use crate::check::{
-    cache_epoch, CancelToken, CheckOptions, Checker, FstMemo, PreparedItem, RetainedBase,
-    RetainedRecord, RetentionSet, RetentionSlot,
-};
+use crate::check::{cache_epoch, CancelToken, CheckOptions, Checker, FstMemo};
 use crate::compile::{compile_program, CompiledProgram};
 use crate::parser::parse_program;
-use crate::pipeline::Side;
 use crate::report::CheckReport;
+use crate::retain::{RetentionSet, RetentionSlot};
 use crate::RelaError;
 use rela_cache::{CacheEpoch, VerdictStore};
 use rela_net::faultio::FaultPlan;
 use rela_net::{
-    FlowDecoded, FlowSpec, Granularity, LocationDb, MmapSource, Snapshot, SnapshotDelta,
-    SnapshotEpoch, SnapshotError, SnapshotFramer, SnapshotPair, SnapshotReader,
+    Granularity, LocationDb, MmapSource, Snapshot, SnapshotDelta, SnapshotEpoch, SnapshotError,
+    SnapshotFramer, SnapshotPair, SnapshotReader,
 };
 use serde::{Deserialize, Serialize, Value};
-use std::collections::{HashMap, HashSet};
 use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Session-lifetime configuration: what the spec compiles against and
@@ -592,33 +588,26 @@ impl CheckSession {
     /// job retained — that is its report's
     /// [`CheckStats::retained_epoch`](crate::report::CheckStats::retained_epoch).
     pub fn base_epoch(&self) -> Option<SnapshotEpoch> {
-        self.retained
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .newest_epoch()
-            .map(SnapshotEpoch::from_u128)
+        self.retention().epochs().next()
     }
 
     /// All retained base epochs, newest first. These are the epochs a
     /// delta job may target (and what `rela serve` consults during
     /// delta negotiation).
     pub fn retained_epochs(&self) -> Vec<SnapshotEpoch> {
-        self.retained
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .epochs()
-            .into_iter()
-            .map(SnapshotEpoch::from_u128)
-            .collect()
+        self.retention().epochs().collect()
     }
 
     /// Whether `epoch` is still retained as a delta base.
     pub fn retains_epoch(&self, epoch: SnapshotEpoch) -> bool {
-        self.retained
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .find(epoch.as_u128())
-            .is_some()
+        self.retention().find(epoch).is_some()
+    }
+
+    /// The retention set, locked. Poison-immune: it only ever holds
+    /// completed bases, so it is valid whatever a panicked holder was
+    /// doing.
+    fn retention(&self) -> MutexGuard<'_, RetentionSet> {
+        self.retained.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Run one check job. The report is byte-identical across ingest
@@ -715,10 +704,9 @@ impl CheckSession {
         }
     }
 
-    /// Run a delta job: parse both delta documents, resolve the retained
-    /// base epoch they target (any of the last K), splice replayed base
-    /// records with the delta's own, and feed the result through the
-    /// pipelined engine.
+    /// Run a delta job: resolve the retained base it targets (any of the
+    /// last K) — once, under one lock — parse both delta documents, and
+    /// feed the base's replay of them through the pipelined engine.
     fn run_delta(
         &self,
         checker: &Checker<'_>,
@@ -728,84 +716,23 @@ impl CheckSession {
     ) -> Result<CheckReport, SnapshotError> {
         let pre_label = pre.label().to_owned();
         let post_label = post.label().to_owned();
-        let find = |epoch: u128| {
-            self.retained
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .find(epoch)
+        let resolve = |what: &str, epoch: SnapshotEpoch| {
+            let base = self.retention().resolve(what, epoch);
+            base.map_err(|message| SnapshotError::at(message, 0).with_source_label(&pre_label))
         };
-        let retained_list = || {
-            let epochs = self
-                .retained
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .epochs();
-            epochs
-                .iter()
-                .map(|e| SnapshotEpoch::from_u128(*e).to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        if self
-            .retained
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .newest_epoch()
-            .is_none()
-        {
-            return Err(SnapshotError::at(
-                "no retained base snapshot: submit a full snapshot pair first",
-                0,
-            )
-            .with_source_label(pre_label));
-        }
         // a declared base wins over the documents: an unretained epoch
         // rejects before the documents are even parsed
-        let mut base = match declared_base {
-            Some(declared) => Some(find(declared).ok_or_else(|| {
-                SnapshotError::at(
-                    format!(
-                        "declared delta base {} does not match the retained bases ({})",
-                        SnapshotEpoch::from_u128(declared),
-                        retained_list()
-                    ),
-                    0,
-                )
-                .with_source_label(pre_label.clone())
-            })?),
-            None => None,
-        };
+        let declared = declared_base
+            .map(|declared| resolve("declared delta base", SnapshotEpoch::from_u128(declared)))
+            .transpose()?;
         let pre_delta = SnapshotDelta::from_reader(pre.into_stream().0, &pre_label)?;
         let post_delta = SnapshotDelta::from_reader(post.into_stream().0, &post_label)?;
-        if base.is_none() {
+        let base = match declared {
+            Some(base) => base,
             // no declared base: the documents name their own epoch
-            base = Some(find(pre_delta.base.as_u128()).ok_or_else(|| {
-                SnapshotError::at(
-                    format!(
-                        "delta base {} does not match the retained bases ({})",
-                        pre_delta.base,
-                        retained_list()
-                    ),
-                    0,
-                )
-                .with_source_label(pre_label.clone())
-            })?);
-        }
-        let base = base.expect("delta base resolved above");
-        let expect = SnapshotEpoch::from_u128(base.epoch);
-        for (delta, label) in [(&pre_delta, &pre_label), (&post_delta, &post_label)] {
-            if delta.base != expect {
-                return Err(SnapshotError::at(
-                    format!(
-                        "delta base {} does not match the retained base {expect}",
-                        delta.base
-                    ),
-                    0,
-                )
-                .with_source_label(label.clone()));
-            }
-        }
-        let items = delta_items(&base, pre_delta, post_delta, [&pre_label, &post_label])?;
+            None => resolve("delta base", pre_delta.base)?,
+        };
+        let items = base.replay(pre_delta, post_delta, [&pre_label, &post_label])?;
         checker.check_prepared(items, [Some(pre_label), Some(post_label)])
     }
 
@@ -818,159 +745,6 @@ impl CheckSession {
             None => Ok(false),
         }
     }
-}
-
-/// Splice the prepared item list for a delta job: every base record
-/// whose flow is untouched by its side's delta replays from the
-/// retained spans (as a zero-decode [`PreparedItem::PairReplay`] when
-/// both sides kept it), and the delta's own records enter as raw
-/// upserts. Removed flows simply don't reappear.
-fn delta_items(
-    base: &RetainedBase,
-    pre: SnapshotDelta,
-    post: SnapshotDelta,
-    labels: [&String; 2],
-) -> Result<Vec<PreparedItem>, SnapshotError> {
-    let flows_of = |delta: &SnapshotDelta, label: &str| -> Result<Vec<FlowSpec>, SnapshotError> {
-        delta
-            .records
-            .iter()
-            .map(|raw| {
-                Ok(match raw.decode_flow(Some(label))? {
-                    FlowDecoded::Split(flow, _) => flow,
-                    FlowDecoded::Full(flow, _) => flow,
-                })
-            })
-            .collect()
-    };
-    let flows = [flows_of(&pre, labels[0])?, flows_of(&post, labels[1])?];
-    let changed: [HashSet<&FlowSpec>; 2] = [
-        pre.removed.iter().chain(&flows[0]).collect(),
-        post.removed.iter().chain(&flows[1]).collect(),
-    ];
-    let Replayed { mut items, vacated } =
-        replay_lockstep(base, &changed).unwrap_or_else(|| replay_joined(base, &changed));
-    // an upsert takes the place of the record it replaces; a flow new to
-    // its side goes past the side's end (a retained side is in index
-    // order, so its last record holds the highest)
-    let mut past_end = [&base.pre, &base.post].map(|side| side.last().map_or(0, |r| r.index + 1));
-    for (side, records) in [(Side::Pre, pre.records), (Side::Post, post.records)] {
-        let (vacated, past_end) = (&vacated[side as usize], &mut past_end[side as usize]);
-        for (raw, flow) in records.into_iter().zip(&flows[side as usize]) {
-            let place = match vacated.get(flow) {
-                Some(&place) => place,
-                None => std::mem::replace(past_end, *past_end + 1),
-            };
-            items.push(PreparedItem::Record { side, raw, place });
-        }
-    }
-    Ok(items)
-}
-
-/// The replayed part of a delta job's item list — pre-driven items in
-/// `base.pre` order (a pair when the post side kept the flow too), then
-/// the post records nothing paired, in `base.post` order — and, per
-/// side `[pre, post]`, the [`RetainedRecord::index`] each base record
-/// the delta touches held.
-struct Replayed<'b> {
-    items: Vec<PreparedItem>,
-    vacated: [HashMap<&'b FlowSpec, usize>; 2],
-}
-
-/// [`Replayed`] in general: the kept base records of the two sides are
-/// joined by flow.
-fn replay_joined<'b>(base: &'b RetainedBase, changed: &[HashSet<&FlowSpec>; 2]) -> Replayed<'b> {
-    let mut vacated = [HashMap::new(), HashMap::new()];
-    let mut keeps = |side: Side, record: &'b RetainedRecord| {
-        let keeps = !changed[side as usize].contains(&record.flow);
-        if !keeps {
-            vacated[side as usize].insert(&record.flow, record.index);
-        }
-        keeps
-    };
-    let post_keep: HashMap<&FlowSpec, &RetainedRecord> = base
-        .post
-        .iter()
-        .filter(|r| keeps(Side::Post, r))
-        .map(|r| (&r.flow, r))
-        .collect();
-    let mut items = Vec::new();
-    let mut paired: HashSet<&FlowSpec> = HashSet::new();
-    for record in base.pre.iter().filter(|r| keeps(Side::Pre, r)) {
-        match post_keep.get(&record.flow) {
-            Some(partner) => {
-                paired.insert(&record.flow);
-                items.push(PreparedItem::PairReplay {
-                    pre: record.clone(),
-                    post: (*partner).clone(),
-                });
-            }
-            None => items.push(PreparedItem::Replay {
-                side: Side::Pre,
-                record: record.clone(),
-            }),
-        }
-    }
-    for record in base
-        .post
-        .iter()
-        .filter(|r| post_keep.contains_key(&r.flow) && !paired.contains(&r.flow))
-    {
-        items.push(PreparedItem::Replay {
-            side: Side::Post,
-            record: record.clone(),
-        });
-    }
-    Replayed { items, vacated }
-}
-
-/// [`replay_joined`] without its tables, for a base whose two sides list
-/// the same flows in the same order — what a pair of snapshots of one
-/// network is, and stays through delta jobs: record *i* of one side can
-/// only pair with record *i* of the other, so nothing of the base is
-/// hashed into a map. `None` at the first position where the sides
-/// disagree; the caller then joins by flow. Same items, same order (a
-/// retained side holds no flow twice: a duplicate fails the run that
-/// would have retained it).
-fn replay_lockstep<'b>(
-    base: &'b RetainedBase,
-    changed: &[HashSet<&FlowSpec>; 2],
-) -> Option<Replayed<'b>> {
-    if base.pre.len() != base.post.len() {
-        return None;
-    }
-    let mut items = Vec::with_capacity(base.pre.len());
-    let mut post_only = Vec::new();
-    let mut vacated = [HashMap::new(), HashMap::new()];
-    for (pre, post) in base.pre.iter().zip(&base.post) {
-        if pre.flow != post.flow {
-            return None;
-        }
-        let mut keeps = [true; 2];
-        for (side, record) in [pre, post].into_iter().enumerate() {
-            keeps[side] = !changed[side].contains(&record.flow);
-            if !keeps[side] {
-                vacated[side].insert(&record.flow, record.index);
-            }
-        }
-        match keeps {
-            [true, true] => items.push(PreparedItem::PairReplay {
-                pre: pre.clone(),
-                post: post.clone(),
-            }),
-            [true, false] => items.push(PreparedItem::Replay {
-                side: Side::Pre,
-                record: pre.clone(),
-            }),
-            [false, true] => post_only.push(PreparedItem::Replay {
-                side: Side::Post,
-                record: post.clone(),
-            }),
-            [false, false] => {}
-        }
-    }
-    items.append(&mut post_only);
-    Some(Replayed { items, vacated })
 }
 
 #[cfg(test)]
@@ -1198,8 +972,9 @@ mod tests {
         ))
         .unwrap();
         let epoch = s.base_epoch().expect("base retained after a pipelined job");
-        // the offline scanner derives the very same epoch the session
-        // captured during ingest
+        let first_base = s.retention().find(epoch).unwrap(); // K = 1: the delta job evicts it
+                                                             // the offline scanner derives the very same epoch the session
+                                                             // captured during ingest
         let scan = |json: &str, label: &str| {
             scan_side(SnapshotFramer::new(json.as_bytes(), label.to_owned())).unwrap()
         };
@@ -1234,24 +1009,21 @@ mod tests {
         // the delta ingest retains the *new* pair as the next base
         let new_epoch = s.base_epoch().unwrap();
         assert_ne!(new_epoch, epoch);
-        // in which the upsert (entry 0 of its delta document) took the
-        // place of the record it replaced, so the two sides keep their
-        // common order and the next delta job pairs them by position
-        let retained = s
-            .retained
-            .lock()
-            .unwrap()
-            .find(new_epoch.as_u128())
-            .unwrap();
-        let places = |side: &[RetainedRecord]| -> Vec<(usize, FlowSpec)> {
-            side.iter().map(|r| (r.index, r.flow.clone())).collect()
+        // which holds one row a flow, and shares with the first base the
+        // rows of the two flows the delta did not touch — the same rows,
+        // not copies
+        let by_flow = |base: &crate::retain::RetainedBase| {
+            let mut rows = base.rows.clone();
+            rows.sort_by(|a, b| a.flow.cmp(&b.flow));
+            rows
         };
-        assert_eq!(places(&retained.pre), places(&retained.post));
-        assert_eq!(
-            retained.post.iter().map(|r| r.index).collect::<Vec<_>>(),
-            [0, 1, 2]
-        );
-        assert!(replay_lockstep(&retained, &[HashSet::new(), HashSet::new()]).is_some());
+        let old_rows = by_flow(&first_base);
+        let new_rows = by_flow(&s.retention().find(new_epoch).unwrap());
+        assert_eq!(new_rows.len(), 3);
+        let shared: Vec<bool> = (0..3)
+            .map(|ix| std::sync::Arc::ptr_eq(&old_rows[ix], &new_rows[ix]))
+            .collect();
+        assert_eq!(shared, [true, false, true]);
         // byte-identical to resubmitting the new snapshots in full
         let full = s
             .run(JobSpec::streams(
@@ -1275,112 +1047,82 @@ mod tests {
         );
     }
 
-    /// What the lockstep-vs-joined property compares of an item: variant,
-    /// side, flow and record index (two for a pair).
-    fn item_key(item: &PreparedItem) -> (&'static str, Option<Side>, &FlowSpec, usize, usize) {
-        match item {
-            PreparedItem::Record { .. } => unreachable!("replays only"),
-            PreparedItem::Replay { side, record } => {
-                ("replay", Some(*side), &record.flow, record.index, 0)
-            }
-            PreparedItem::PairReplay { pre, post } => {
-                assert_eq!(pre.flow, post.flow, "a pair is one flow");
-                ("pair", None, &pre.flow, pre.index, post.index)
-            }
-        }
-    }
-
-    /// `replay_lockstep` is `replay_joined` wherever it answers at all —
-    /// same items in the same order, same vacated places — and it
-    /// answers exactly for bases whose sides agree position by position.
+    /// Delta chains over a base the two sides of which agree neither in
+    /// order nor in flows — a pre-only flow (a prefix decommission), a
+    /// post-only one (a new announcement), the post side listed in another
+    /// order — pinned where it is observable: after every job of the chain
+    /// the reply and the retained epoch are those of a fresh session
+    /// given the same two snapshots in full.
     #[test]
-    fn lockstep_replay_equals_the_joined_one_and_declines_unaligned_bases() {
-        let mut state = 0x5eed_u64;
-        let mut below = move |n: usize| {
-            // SplitMix64
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        };
-        let flow = |ix: usize| {
-            FlowSpec::new(
-                format!("10.{}.{}.0/24", ix / 256, ix % 256)
-                    .parse()
-                    .unwrap(),
-                "A1",
-            )
-        };
-        let side_of = |flows: &[usize]| -> Vec<RetainedRecord> {
-            flows
-                .iter()
-                .enumerate()
-                .map(|(index, &ix)| RetainedRecord {
-                    flow: flow(ix),
-                    span: crate::pipeline::GraphSpan::whole(vec![b'0' + (ix % 10) as u8]),
-                    hash: ix as u128,
-                    // unique, increasing, and not simply the position
-                    index: 3 * index + 1,
-                    mix: 0,
-                })
-                .collect()
-        };
-        let (mut aligned, mut declined) = (0, 0);
-        for case in 0..400 {
-            let n = 1 + below(24);
-            let pre: Vec<usize> = (0..n).collect();
-            let mut post = pre.clone();
-            // base shapes: same order; one side permuted; one-sided flows
-            let shape = case % 4;
-            if shape == 1 && n > 1 {
-                let (a, b) = (below(n), below(n - 1));
-                post.swap(a, if b >= a { b + 1 } else { b });
+    fn delta_chains_over_an_unaligned_base_match_full_resubmission() {
+        use rela_net::{diff_side, pair_epoch, scan_side, write_delta, SnapshotWriter};
+        type SideRecords = Vec<(FlowSpec, rela_net::ForwardingGraph)>;
+        let flow = |ix: usize| FlowSpec::new(format!("10.0.{ix}.0/24").parse().unwrap(), "A1");
+        let via = |hop: &str| linear_graph(&["A1", hop]);
+        let json = |side: &SideRecords| {
+            let mut writer = SnapshotWriter::new(Vec::new()).unwrap();
+            for (flow, graph) in side {
+                writer.write(flow, graph).unwrap();
             }
-            let mut pre = pre;
-            if shape == 2 {
-                post.remove(below(post.len()));
+            writer.finish().unwrap()
+        };
+        let scan = |bytes: &[u8]| scan_side(SnapshotFramer::new(bytes, "scan".to_owned())).unwrap();
+        let full = |s: &CheckSession, pre: &[u8], post: &[u8]| {
+            s.run(JobSpec::streams(
+                LabeledSource::new(pre, "full:pre"),
+                LabeledSource::new(post, "full:post"),
+            ))
+            .unwrap()
+        };
+        let mut pre: SideRecords = [0, 1, 7, 2].map(|ix| (flow(ix), via("B1"))).into();
+        let mut post: SideRecords = [2, 8, 0, 1].map(|ix| (flow(ix), via("B1"))).into();
+        let s = retaining_session();
+        let (mut pre_json, mut post_json) = (json(&pre), json(&post));
+        assert_eq!(full(&s, &pre_json, &post_json).stats.fecs, 5);
+        for (step, fecs) in [5, 4, 4, 5].into_iter().enumerate() {
+            match step {
+                // change one side of a two-sided flow
+                0 => post[3].1 = via("C1"),
+                // remove the pre-only flow
+                1 => pre.retain(|(f, _)| *f != flow(7)),
+                // give the post-only flow its pre side
+                2 => pre.push((flow(8), via("C1"))),
+                // add a flow new to both sides
+                _ => {
+                    pre.insert(0, (flow(9), via("B1")));
+                    post.push((flow(9), via("C1")));
+                }
             }
-            if shape == 3 {
-                pre.remove(below(pre.len()));
-            }
-            let unaligned = pre != post;
-            let base = RetainedBase {
-                epoch: 0,
-                pre: side_of(&pre),
-                post: side_of(&post),
+            let base = s.base_epoch().unwrap();
+            let (new_pre, new_post) = (json(&pre), json(&post));
+            let doc = |old: &[u8], new: &[u8]| {
+                let diff = diff_side(&scan(old), &scan(new));
+                let mut doc = Vec::new();
+                write_delta(&mut doc, base, &diff.removed, &diff.records).unwrap();
+                doc
             };
-            // deltas: flows changed or removed (in the base) and added
-            // (past it), independently per side
-            let touched: [Vec<FlowSpec>; 2] = [(); 2].map(|()| {
-                (0..below(5))
-                    .map(|_| flow(below(n + 3)))
-                    .collect::<Vec<_>>()
-            });
-            let changed = [touched[0].iter().collect(), touched[1].iter().collect()];
-
-            let joined = replay_joined(&base, &changed);
-            match replay_lockstep(&base, &changed) {
-                None => {
-                    assert!(
-                        unaligned,
-                        "case {case}: an aligned base must walk in lockstep"
-                    );
-                    declined += 1;
-                }
-                Some(lockstep) => {
-                    assert!(!unaligned, "case {case}: an unaligned base must fall back");
-                    assert_eq!(
-                        lockstep.items.iter().map(item_key).collect::<Vec<_>>(),
-                        joined.items.iter().map(item_key).collect::<Vec<_>>(),
-                        "case {case}"
-                    );
-                    assert_eq!(lockstep.vacated, joined.vacated, "case {case}");
-                    aligned += 1;
-                }
-            }
+            let (pre_doc, post_doc) = (doc(&pre_json, &new_pre), doc(&post_json, &new_post));
+            let delta = s
+                .run(
+                    JobSpec::deltas(
+                        LabeledSource::new(&pre_doc[..], "delta:pre"),
+                        LabeledSource::new(&post_doc[..], "delta:post"),
+                    )
+                    .with_options(JobOptions {
+                        delta_base: Some(base.as_u128()),
+                        ..JobOptions::default()
+                    }),
+                )
+                .unwrap();
+            let fresh = full(&retaining_session(), &new_pre, &new_post);
+            assert_eq!(verdict_bytes(&delta), verdict_bytes(&fresh), "step {step}");
+            assert_eq!(delta.stats.fecs, fecs, "step {step}");
+            assert_eq!(fresh.stats.fecs, fecs, "step {step}");
+            let epoch = pair_epoch(scan(&new_pre).fold, scan(&new_post).fold);
+            assert_eq!(delta.stats.retained_epoch, Some(epoch), "step {step}");
+            assert_eq!(fresh.stats.retained_epoch, Some(epoch), "step {step}");
+            (pre_json, post_json) = (new_pre, new_post);
         }
-        assert!(aligned >= 100 && declined >= 100, "{aligned} / {declined}");
     }
 
     #[test]

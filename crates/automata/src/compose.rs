@@ -8,6 +8,7 @@
 //! machines, where duplicated ε-paths would double-count weights (see
 //! DESIGN.md §5).
 
+use crate::dfa::Dfa;
 use crate::fst::{Fst, FstLabel};
 use crate::nfa::{Nfa, StateId};
 use std::collections::HashMap;
@@ -206,6 +207,60 @@ pub fn image(p: &Nfa, r: &Fst) -> Nfa {
     out
 }
 
+/// Whether `p` and `d` accept a common word: `L(p) ∩ L(d) ≠ ∅`.
+///
+/// This is the question to ask before [`image`]: with `d` the
+/// determinized domain of `r`, a `false` here means `image(p, r)` has no
+/// accepting state, for the cost of a reachability walk over the
+/// `(p state, d state)` product instead of the construction of an
+/// automaton that [`Nfa::trim`] would throw away. The walk allocates one
+/// dense `p.len() × d.len()` seen-table and nothing per state, and
+/// returns at the first pair that accepts on both sides.
+///
+/// The implication runs one way only when `r` holds an arc that writes
+/// an empty set: [`Fst::domain`] keeps what such an arc reads, so a
+/// `true` can stand before an empty image — never the reverse.
+///
+/// # Examples
+///
+/// ```
+/// use rela_automata::{determinize, meets, Fst, Nfa, Regex, Symbol};
+/// let a = Symbol::from_index(0);
+/// let b = Symbol::from_index(1);
+/// let r = Fst::cross(&Regex::sym(a).to_nfa(), &Regex::sym(b).to_nfa());
+/// let domain = determinize(&r.domain().trim()).trim_dead();
+/// assert!(meets(&Nfa::word(&[a]), &domain));
+/// assert!(!meets(&Nfa::word(&[b]), &domain));
+/// ```
+pub fn meets(p: &Nfa, d: &Dfa) -> bool {
+    let mut seen = vec![false; p.len() * d.len()];
+    seen[p.start() * d.len() + d.start()] = true;
+    let mut work = vec![(p.start(), d.start())];
+    while let Some((sp, sd)) = work.pop() {
+        if p.is_accepting(sp) && d.is_accepting(sd) {
+            return true;
+        }
+        let mut visit = |tp: StateId, td: StateId| {
+            let slot = &mut seen[tp * d.len() + td];
+            if !*slot {
+                *slot = true;
+                work.push((tp, td));
+            }
+        };
+        for &tp in p.eps_from(sp) {
+            visit(tp, sd);
+        }
+        for (read, tp) in p.arcs_from(sp) {
+            for (label, td) in d.arcs_from(sd) {
+                if read.intersects(label) {
+                    visit(*tp, *td);
+                }
+            }
+        }
+    }
+    false
+}
+
 /// The preimage of `P` under `R`: paths that `R` maps into `P`.
 /// Computed as `domain(R ∘ I(P))`.
 pub fn preimage(r: &Fst, p: &Nfa) -> Nfa {
@@ -346,6 +401,22 @@ mod tests {
         assert!(img.accepts(&[a, b]));
         assert!(!img.accepts(&[a]));
         assert!(!img.accepts(&[b]));
+    }
+
+    #[test]
+    fn meets_is_nonempty_intersection() {
+        let a = sym(0);
+        let b = sym(1);
+        // ε-arcs on the NFA side, a partial DFA on the other
+        let p = Regex::union(vec![Regex::word(&[a, b]), Regex::sym(b)])
+            .star()
+            .to_nfa();
+        let det = |re: Regex| crate::determinize(&re.to_nfa()).trim_dead();
+        assert!(meets(&p, &det(Regex::word(&[a, b, b]))));
+        assert!(meets(&p, &det(Regex::Eps)));
+        assert!(!meets(&p, &det(Regex::word(&[a, a]))));
+        assert!(!meets(&p, &Dfa::empty_language()));
+        assert!(!meets(&Nfa::empty_language(), &det(Regex::any_star())));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! - [`equivalent`] / [`included`] (Hopcroft–Karp style) for the final
 //!   compliance check,
 //! - [`Fst`] transducers with [`compose`] and [`image`] (`P ⊲ R`) for
-//!   regular relations,
+//!   regular relations, and [`meets`] to ask whether an image is empty
+//!   before building it,
 //! - [`shortest_word`] / [`enumerate_words`] for counterexample paths.
 //!
 //! Transition labels are *sets* of interned [`Symbol`]s ([`SymSet`]), so
@@ -59,7 +60,7 @@ mod symbol;
 mod symset;
 mod witness;
 
-pub use compose::{compose, image, preimage};
+pub use compose::{compose, image, meets, preimage};
 pub use determinize::determinize;
 pub use dfa::{product, Dfa, ProductMode};
 pub use equiv::{compare, equivalent, included, CheckResult, DiffWitness};

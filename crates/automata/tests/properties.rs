@@ -255,12 +255,17 @@ fn set_strategy() -> impl Strategy<Value = SymSet> {
 /// A raw transducer: up to four states, arcs of all five label kinds
 /// between arbitrary states (self-loops and dead ends included).
 fn fst_strategy() -> impl Strategy<Value = Fst> {
+    fst_strategy_over(set_strategy().boxed())
+}
+
+/// [`fst_strategy`] with its label sets drawn from `sets`.
+fn fst_strategy_over(sets: BoxedStrategy<SymSet>) -> impl Strategy<Value = Fst> {
     let label = prop_oneof![
         Just(FstLabel::Eps),
-        set_strategy().prop_map(FstLabel::In),
-        set_strategy().prop_map(FstLabel::Out),
-        (set_strategy(), set_strategy()).prop_map(|(a, b)| FstLabel::Pair(a, b)),
-        set_strategy().prop_map(FstLabel::Id),
+        sets.clone().prop_map(FstLabel::In),
+        sets.clone().prop_map(FstLabel::Out),
+        (sets.clone(), sets.clone()).prop_map(|(a, b)| FstLabel::Pair(a, b)),
+        sets.prop_map(FstLabel::Id),
     ]
     .boxed();
     (1usize..5).prop_flat_map(move |n| {
@@ -383,6 +388,36 @@ proptest! {
                 prop_assert_eq!(fused.arcs_from(s), two_step.arcs_from(s), "arcs of {}", s);
                 prop_assert_eq!(fused.eps_from(s), two_step.eps_from(s), "ε-arcs of {}", s);
                 prop_assert_eq!(fused.is_accepting(s), two_step.is_accepting(s), "state {}", s);
+            }
+        }
+    }
+
+    #[test]
+    fn a_domain_the_paths_miss_means_an_image_with_no_accepting_state(
+        rp in regex_strategy(),
+        // one set in four is empty
+        raw in fst_strategy_over(
+            prop_oneof![set_strategy(), set_strategy(), set_strategy(), Just(SymSet::empty())].boxed()
+        ),
+        r1 in regex_strategy(),
+        r2 in regex_strategy(),
+    ) {
+        // the decide path skips `image` on the strength of `meets`: a
+        // wrong `false` would turn a violation into a pass
+        let p = rp.to_nfa();
+        let (n1, n2) = (r1.to_nfa(), r2.to_nfa());
+        let compiled = Fst::cross(&n1, &n2).union(&Fst::identity(&n1)).star();
+        let guarded = compose(&Fst::identity(&determinize(&n2).complement().to_nfa()), &compiled);
+        for r in [&raw, &compiled, &guarded] {
+            let domain = determinize(&r.domain().trim()).trim_dead();
+            let img = image(&p, r);
+            let accepts = img.accepting_states().next().is_some();
+            if !meets(&p, &domain) {
+                prop_assert!(!accepts, "skipped a live image");
+            } else if (0..r.len()).all(|s| r.arcs_from(s).iter().all(|(l, _)| !l.is_void())) {
+                // an arc that writes the empty set is read by the domain
+                // and by nothing else; without one the answer is exact
+                prop_assert!(accepts, "built a dead image");
             }
         }
     }

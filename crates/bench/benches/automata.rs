@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rela_automata::{
-    compose, determinize, enumerate_words, equivalent, image, minimize, Dfa, Fst, Nfa, Regex,
-    SymSet, Symbol,
+    compose, determinize, enumerate_words, equivalent, image, meets, minimize, Dfa, Fst, Nfa,
+    Regex, SymSet, Symbol,
 };
 use std::hint::black_box;
 
@@ -130,6 +130,11 @@ fn bench_fst_interface(c: &mut Criterion) {
         let (trunk, relation) = trunk_and_guarded_relation(hops);
         group.bench_with_input(BenchmarkId::new("image-interface", hops), &hops, |b, _| {
             b.iter(|| image(black_box(&trunk), black_box(&relation)))
+        });
+        // the question the decide path asks before it builds that image
+        let domain = determinize(&relation.domain().trim()).trim_dead();
+        group.bench_with_input(BenchmarkId::new("meets-interface", hops), &hops, |b, _| {
+            b.iter(|| meets(black_box(&trunk), black_box(&domain)))
         });
     }
     group.finish();

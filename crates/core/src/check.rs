@@ -34,7 +34,7 @@ use crate::report::{
 use crate::retain::{JoinedRow, RetainedBase, RetainedRow, RetentionSlot};
 use crate::rir::RirSpec;
 use rela_automata::{
-    determinize, enumerate_words, equivalent, image, included, Dfa, Fst, Nfa, SymbolTable,
+    determinize, enumerate_words, equivalent, image, included, meets, Dfa, Fst, Nfa, SymbolTable,
 };
 use rela_cache::{CacheEpoch, CacheKey, VerdictStore, BYTE_VARIANT_SALT};
 use rela_net::faultio::FaultPlan;
@@ -705,7 +705,10 @@ const FST_MEMO_CAP: usize = 4096;
 /// Many classes share one unchanged side (typically `pre` on a
 /// mostly-unchanged snapshot), so `det(image(State, R))` for that side
 /// is computed once and reused instead of re-running
-/// image → trim → determinize per class.
+/// image → trim → determinize per class. Only *live* sides — those
+/// whose path set meets the relation's domain — are looked up or kept:
+/// a dead side is the one shared empty DFA and costs no entry, so the
+/// cap below is a cap on automata worth keeping.
 ///
 /// Per-run by default; a `CheckSession` shares one memo across jobs via
 /// [`Checker::with_memo`] so an unchanged side survives from one
@@ -761,8 +764,26 @@ impl FstMemo {
     }
 }
 
+/// One relation of a part, lowered: the transducer, and the trimmed DFA
+/// of its domain. [`meets`] reads the second to tell whether a path set
+/// has an image under the first at all — the `else` chain partitions
+/// path space, so for most `(class, part)` pairs it has none — without
+/// building that image. On `decide-interface`'s 37-atomic spec the
+/// domains are 10–100 states for transducers of 41–299.
+struct LoweredSide {
+    fst: Fst,
+    domain: Dfa,
+}
+
+impl LoweredSide {
+    fn new(fst: Fst) -> LoweredSide {
+        let domain = determinize(&fst.domain().trim()).trim_dead();
+        LoweredSide { fst, domain }
+    }
+}
+
 /// The relations of one compiled check, lowered to transducers: per
-/// part of a relational check, `(rpre, rpost)`; nothing for the other
+/// part of a relational check, `[rpre, rpost]`; nothing for the other
 /// kinds. Relations never mention `PreState`/`PostState`, so the
 /// transducers are a function of the check alone and every FEC of every
 /// job shares them.
@@ -773,7 +794,7 @@ impl FstMemo {
 /// lowered once rather than once per occurrence. The transducers are
 /// the ones separate lowerings would build, state for state.
 struct LoweredCheck {
-    fsts: Vec<(Fst, Fst)>,
+    parts: Vec<[LoweredSide; 2]>,
 }
 
 impl LoweredCheck {
@@ -781,17 +802,17 @@ impl LoweredCheck {
         // relations are state-independent; bind an empty dummy env
         let dummy = PairFsas::new(Nfa::empty_language(), Nfa::empty_language());
         let mut lowering = Lowering::new(&dummy);
-        let fsts = match check {
+        let parts = match check {
             CompiledCheck::Relational { parts, .. } => parts
                 .iter()
                 .map(|p| {
                     debug_assert!(!p.rpre.mentions_state() && !p.rpost.mentions_state());
-                    (lowering.rel(&p.rpre), lowering.rel(&p.rpost))
+                    [&p.rpre, &p.rpost].map(|r| LoweredSide::new(lowering.rel(r)))
                 })
                 .collect(),
             CompiledCheck::Raw { .. } | CompiledCheck::PathLimit { .. } => Vec::new(),
         };
-        LoweredCheck { fsts }
+        LoweredCheck { parts }
     }
 }
 
@@ -814,13 +835,25 @@ impl LoweredProgram {
 }
 
 /// What every class decide of one run reads: the program's relations
-/// lowered, the run's symbol table and its fingerprint, and the memo of
-/// determinized sides.
+/// lowered, the run's symbol table and its fingerprint, the memo of
+/// determinized sides and the one DFA every dead side is — and the
+/// counters the decides add to.
 struct DecideCtx<'a> {
     lowered: &'a LoweredProgram,
+    /// Wall this run paid building `lowered` on its way here; zero when
+    /// the memo already held it.
+    relations: Duration,
     table: SymbolTable,
     table_fp: u128,
     memo: &'a FstMemo,
+    /// `memo.hits` when this context was built: a run reports the
+    /// difference.
+    memo_hits_before: usize,
+    /// Structurally `determinize(&Nfa::new())`: what image → trim →
+    /// determinize makes of a side with no image.
+    empty: Arc<Dfa>,
+    /// Equation sides asked for liveness so far, `[dead, live]`.
+    sides: [AtomicUsize; 2],
 }
 
 /// The checker: a compiled program bound to a location database.
@@ -926,7 +959,12 @@ impl<'a> Checker<'a> {
         let reps: Vec<&AlignedFec> = classes.iter().map(|c| &pair.fecs[c.members[0]]).collect();
         let flows: Vec<&FlowSpec> = pair.fecs.iter().map(|f| &f.flow).collect();
         let warm = self.consult_store(&flows, &classes, threads);
-        let mut report = self.finish(start, &flows, &classes, &reps, warm, BTreeSet::new());
+        let local_memo = FstMemo::new();
+        let ctx = self.decide_ctx(
+            &self.collect_symbols(&reps),
+            self.memo.unwrap_or(&local_memo),
+        );
+        let mut report = self.finish(start, &flows, &classes, &reps, warm, &ctx);
         // the batch path materializes every record during ingest, so
         // every record costs one graph decode
         report.stats.graph_decodes = flows.len() * 2;
@@ -998,26 +1036,51 @@ impl<'a> Checker<'a> {
     /// The pipelined engine shared by [`Checker::check_pipelined`] and
     /// the delta path: [`Checker::ingest_pipelined`] in front of
     /// [`Checker::finish`].
+    ///
+    /// The relations are a function of the spec alone, so a run that has
+    /// a second thread to give, on a memo that does not hold them yet,
+    /// lowers them beside the ingest instead of between ingest and
+    /// decide. A single-threaded run lowers inline (one compute thread
+    /// stays one), and a session's later jobs find them lowered. The
+    /// lowering is joined like every other scoped worker here — its
+    /// panic is the run's — so an ingest that fails or expires first
+    /// returns when the lowering has finished.
     fn run_pipelined(
         &self,
         feeds: Vec<Feed<'_>>,
         labels: [Option<String>; 2],
     ) -> Result<CheckReport, SnapshotError> {
         let start = Instant::now();
-        let Some(ingested) = self.ingest_pipelined(feeds, labels)? else {
+        let local_memo = FstMemo::new();
+        let memo = self.memo.unwrap_or(&local_memo);
+        let overlap = self.resolve_threads() > 1 && memo.lowered.get().is_none();
+        let (ingested, overlapped) = std::thread::scope(|scope| {
+            let lowering = overlap.then(|| scope.spawn(|| self.lower_relations(memo).1));
+            let ingested = self.ingest_pipelined(feeds, labels);
+            let paid = lowering.map_or(Duration::ZERO, |h| {
+                h.join().unwrap_or_else(|payload| resume_unwind(payload))
+            });
+            (ingested, paid)
+        });
+        let Some(ingested) = ingested? else {
             return Ok(self.cancelled_report(start));
         };
+        let reps: Vec<&AlignedFec> = ingested.reps.iter().collect();
         // Byte-warm classes replay with placeholder reps, so the symbol
         // names their payloads recorded are folded back into the table.
+        let mut names = self.collect_symbols(&reps);
+        names.extend(ingested.replayed_symbols);
+        let ctx = self.decide_ctx(&names, memo);
         let mut report = self.finish(
             start,
             &ingested.flows.iter().collect::<Vec<_>>(),
             &ingested.classes,
-            &ingested.reps.iter().collect::<Vec<_>>(),
+            &reps,
             ingested.warm,
-            ingested.replayed_symbols,
+            &ctx,
         );
         if !self.was_cancelled() {
+            report.stats.relations += overlapped;
             report.stats.graph_decodes = ingested.graph_decodes;
             report.stats.retained_epoch = self.retain(ingested.captured);
         }
@@ -1137,12 +1200,13 @@ impl<'a> Checker<'a> {
     /// once over a work-stealing queue, write the fresh decisions back,
     /// and broadcast each verdict to every member of its class.
     ///
-    /// Every decide runs under one table — the sorted set of the
-    /// representatives' location names plus `replayed` (the names
-    /// byte-warm classes carry in their payloads instead of in their
-    /// placeholder representatives). It is the same table whichever
-    /// engine admitted the classes, which is what makes witness bytes
-    /// identical across engines.
+    /// Every decide runs under `ctx`'s one table — the sorted set of the
+    /// representatives' location names plus the names byte-warm classes
+    /// carry in their payloads instead of in their placeholder
+    /// representatives. It is the same table whichever engine admitted
+    /// the classes, which is what makes witness bytes identical across
+    /// engines. `ctx` is fresh: the memo hits it reports are this
+    /// call's.
     fn finish(
         &self,
         start: Instant,
@@ -1150,22 +1214,16 @@ impl<'a> Checker<'a> {
         classes: &[BehaviorClass],
         reps: &[&AlignedFec],
         warm: Vec<(usize, FecResult)>,
-        replayed: BTreeSet<String>,
+        ctx: &DecideCtx<'_>,
     ) -> CheckReport {
         debug_assert_eq!(classes.len(), reps.len());
-        let mut names = self.collect_symbols(reps);
-        names.extend(replayed);
-        let local_memo = FstMemo::new();
-        let memo: &FstMemo = self.memo.unwrap_or(&local_memo);
-        let memo_hits_before = memo.hits.load(Ordering::Relaxed);
-        let ctx = self.decide_ctx(&names, memo);
 
         let mut answered = vec![false; classes.len()];
         for (ix, _) in &warm {
             answered[*ix] = true;
         }
         let cold: Vec<usize> = (0..classes.len()).filter(|&ix| !answered[ix]).collect();
-        let (decided, phases) = self.decide_classes(&ctx, &cold, classes, reps);
+        let (decided, phases) = self.decide_classes(ctx, &cold, classes, reps);
         if self.was_cancelled() {
             // partial decides are individually sound but the run is not
             // complete: nothing is written back or retained, and the
@@ -1226,10 +1284,14 @@ impl<'a> Checker<'a> {
             classes: classes.len(),
             dedup_hits: flows.len() - classes.len(),
             warm_hits,
-            fst_memo_hits: memo
+            fst_memo_hits: ctx
+                .memo
                 .hits
                 .load(Ordering::Relaxed)
-                .saturating_sub(memo_hits_before),
+                .saturating_sub(ctx.memo_hits_before),
+            dead_sides: ctx.sides[0].load(Ordering::Relaxed),
+            live_sides: ctx.sides[1].load(Ordering::Relaxed),
+            relations: ctx.relations,
             phases,
             max_class_time,
             ..CheckStats::default()
@@ -1529,16 +1591,33 @@ impl<'a> Checker<'a> {
         self.check_class(&ctx, fec, route, None, &mut PhaseTimings::default())
     }
 
+    /// The program's relations lowered, out of `memo` — built here, on
+    /// the calling thread, if no run has built them yet — and the wall
+    /// this call paid for that.
+    fn lower_relations<'m>(&self, memo: &'m FstMemo) -> (&'m LoweredProgram, Duration) {
+        let mut paid = Duration::ZERO;
+        let lowered = memo.lowered.get_or_init(|| {
+            let t0 = Instant::now();
+            let lowered = LoweredProgram::new(self.program);
+            paid = t0.elapsed();
+            lowered
+        });
+        (lowered, paid)
+    }
+
     /// The decide context for a run whose representatives mention
     /// `names`.
     fn decide_ctx<'c>(&'c self, names: &BTreeSet<String>, memo: &'c FstMemo) -> DecideCtx<'c> {
+        let (lowered, relations) = self.lower_relations(memo);
         DecideCtx {
-            lowered: memo
-                .lowered
-                .get_or_init(|| LoweredProgram::new(self.program)),
+            lowered,
+            relations,
             table: self.table_of(names),
             table_fp: table_fingerprint(names),
             memo,
+            memo_hits_before: memo.hits.load(Ordering::Relaxed),
+            empty: Arc::new(Dfa::empty_language()),
+            sides: Default::default(),
         }
     }
 
@@ -1596,9 +1675,17 @@ impl<'a> Checker<'a> {
                 }
             }
             Granularity::Interface => {
+                // one buffer for every `device:port`: `add` copies a
+                // name out only when the set does not have it yet
+                let mut name = String::new();
                 for e in &graph.edges {
-                    add(&format!("{}:{}", graph.vertices[e.from], e.src_port));
-                    add(&format!("{}:{}", graph.vertices[e.to], e.dst_port));
+                    for (vertex, port) in [(e.from, &e.src_port), (e.to, &e.dst_port)] {
+                        name.clear();
+                        name.push_str(&graph.vertices[vertex]);
+                        name.push(':');
+                        name.push_str(port);
+                        add(&name);
+                    }
                 }
                 for v in &graph.vertices {
                     add(v);
@@ -1660,7 +1747,7 @@ impl<'a> Checker<'a> {
         let violations = match check {
             CompiledCheck::Relational { parts, .. } => {
                 let memo_id = class_key.map(|(pre, post)| (pre, post, route.unwrap_or(usize::MAX)));
-                self.check_relational(ctx, parts, &lowered.fsts, &env, memo_id, phases)
+                self.check_relational(ctx, parts, &lowered.parts, &env, memo_id, phases)
             }
             CompiledCheck::Raw { name, spec } => {
                 let failures = self.check_raw(spec, &env, &renderer, phases);
@@ -1716,52 +1803,76 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Decide every guarded equation of a relational check. Each side's
-    /// `det(image(State, R))` is looked up in (or recorded into) the
-    /// per-side memo: a side is identified by its behavior hash plus
-    /// the (route, part) selecting the relation — `memo_id` is the
-    /// class's `(pre hash, post hash, route)`, `None` when it has no
-    /// fingerprints — so classes that share an unchanged side skip its
-    /// image and determinization entirely.
+    /// Decide every guarded equation of a relational check.
+    ///
+    /// A side is asked for liveness first — does the class's path set
+    /// meet the domain of the part's relation ([`meets`])? The `else`
+    /// chain partitions path space, so for most parts it does not. A
+    /// part dead on both sides is skipped: ∅ = ∅ holds. A side dead
+    /// alone is the shared empty DFA. Only a live side is built —
+    /// image → trim → determinize — through the per-side memo, where it
+    /// is identified by its behavior hash plus the (route, part)
+    /// selecting the relation: `memo_id` is the class's `(pre hash, post
+    /// hash, route)`, `None` when it has no fingerprints. Classes that
+    /// share an unchanged side skip its image and determinization
+    /// entirely. A skipped side is what building it would have returned,
+    /// so every automaton that reaches `equivalent` or a witness is the
+    /// one it always was; debug builds build each skipped side anyway
+    /// and check.
     fn check_relational(
         &self,
         ctx: &DecideCtx<'_>,
         parts: &[GuardedPart],
-        fsts: &[(Fst, Fst)],
+        lowered: &[[LoweredSide; 2]],
         env: &PairFsas,
         memo_id: Option<(BehaviorHash, BehaviorHash, usize)>,
         phases: &mut PhaseTimings,
     ) -> Vec<PartViolation> {
         let renderer = PathRenderer::new(&ctx.table, &self.program.hash_undo);
-        let det_side = |nfa: &Nfa, phases: &mut PhaseTimings| {
-            let t0 = Instant::now();
-            let dfa = determinize(nfa);
-            phases.determinize += t0.elapsed();
-            dfa
-        };
+        let states = [&env.pre, &env.post];
         let mut out = Vec::new();
-        for (part_ix, (part, (fst_pre, fst_post))) in parts.iter().zip(fsts).enumerate() {
-            let side_key = |hash: BehaviorHash, route: usize, is_post: bool| {
-                (hash.as_u128(), route, part_ix, is_post, ctx.table_fp)
+        for (part_ix, (part, relations)) in parts.iter().zip(lowered).enumerate() {
+            let t0 = Instant::now();
+            let live = [0, 1].map(|side| meets(states[side], &relations[side].domain));
+            phases.lower += t0.elapsed();
+            for alive in live {
+                ctx.sides[usize::from(alive)].fetch_add(1, Ordering::Relaxed);
+            }
+            let build = |side: usize, phases: &mut PhaseTimings| {
+                let t0 = Instant::now();
+                let nfa = image(states[side], &relations[side].fst).trim();
+                phases.lower += t0.elapsed();
+                let t0 = Instant::now();
+                let dfa = determinize(&nfa);
+                phases.determinize += t0.elapsed();
+                dfa
             };
-            let lhs = ctx.memo.get_or_compute(
-                memo_id.map(|(pre, _, route)| side_key(pre, route, false)),
-                || {
-                    let t0 = Instant::now();
-                    let nfa = image(&env.pre, fst_pre).trim();
-                    phases.lower += t0.elapsed();
-                    det_side(&nfa, phases)
-                },
-            );
-            let rhs = ctx.memo.get_or_compute(
-                memo_id.map(|(_, post, route)| side_key(post, route, true)),
-                || {
-                    let t0 = Instant::now();
-                    let nfa = image(&env.post, fst_post).trim();
-                    phases.lower += t0.elapsed();
-                    det_side(&nfa, phases)
-                },
-            );
+            #[cfg(debug_assertions)]
+            for side in (0..2).filter(|&side| !live[side]) {
+                let built = build(side, &mut PhaseTimings::default());
+                let start = built.start();
+                assert!(
+                    built.len() == 1
+                        && !built.is_accepting(start)
+                        && built.arcs_from(start).is_empty(),
+                    "part `{}` skipped side {side}, which has an image",
+                    part.name
+                );
+            }
+            if live == [false, false] {
+                continue;
+            }
+            let mut side = |side: usize| {
+                if !live[side] {
+                    return ctx.empty.clone();
+                }
+                let key = memo_id.map(|(pre, post, route)| {
+                    let hash = [pre, post][side].as_u128();
+                    (hash, route, part_ix, side == 1, ctx.table_fp)
+                });
+                ctx.memo.get_or_compute(key, || build(side, phases))
+            };
+            let (lhs, rhs) = (side(0), side(1));
             let t0 = Instant::now();
             let equal = equivalent(&lhs, &rhs).is_ok();
             phases.equivalent += t0.elapsed();
@@ -1891,6 +2002,13 @@ fn render_language(nfa: Nfa, renderer: &PathRenderer<'_>, limits: WitnessLimits)
 mod tests {
     use super::*;
     use rela_net::{linear_graph, Device, FlowSpec, Snapshot};
+
+    impl FstMemo {
+        /// Sides currently held.
+        pub(crate) fn len(&self) -> usize {
+            self.map.lock().unwrap().len()
+        }
+    }
 
     /// Session-API stand-in for the deprecated `run_check` shim
     /// (shadows the glob import, so the tests exercise the live path).

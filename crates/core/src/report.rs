@@ -139,8 +139,9 @@ impl FecResult {
 /// report's wall-clock `elapsed` when checking runs in parallel).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// Building path FSAs and applying relation transducers (includes
-    /// the embedded determinization of raw-RIR lowering).
+    /// Building path FSAs, asking which relation transducers apply to
+    /// them and applying those (includes the embedded determinization
+    /// of raw-RIR lowering).
     pub lower: Duration,
     /// Subset-construction determinization of the equation sides.
     pub determinize: Duration,
@@ -203,6 +204,20 @@ pub struct CheckStats {
     /// Determinized equation sides reused from the in-run per-side FST
     /// memo instead of being recomputed.
     pub fst_memo_hits: usize,
+    /// Equation sides — one per `(class, part, snapshot)` of the
+    /// relational checks decided — whose path set misses the domain of
+    /// the part's relation: each is the empty language, known without
+    /// building its image, and a part dead on both sides is not decided
+    /// at all. Every side is asked before the memo, so the two counts
+    /// are a function of the inputs at any thread count.
+    pub dead_sides: usize,
+    /// Equation sides that have an image: built, or answered by the
+    /// memo.
+    pub live_sides: usize,
+    /// Wall-clock this run spent lowering the program's relations to
+    /// transducers — beside its ingest when it had a second thread to
+    /// give — and zero when its session had already lowered them.
+    pub relations: Duration,
     /// CPU time per pipeline phase, summed over classes.
     pub phases: PhaseTimings,
     /// Wall-clock of the slowest single behavior class — the quantity

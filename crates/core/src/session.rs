@@ -1308,6 +1308,101 @@ mod tests {
         );
     }
 
+    /// `relabench`'s `decide-interface` shape, which
+    /// `tests/decide_identity.rs` pins: a 10-region WAN with 4 parallel
+    /// links a trunk under a 37-atomic spec (12 `shiftN` parts and
+    /// `nochange`), and two iterations of a change to it — the
+    /// benchmark's (a drained trunk and an ACL denying one /24 at the
+    /// region's egress) and the same with the region's other /24 denied
+    /// a tier earlier, which moves a few classes and no interface name,
+    /// so both jobs intern one table.
+    fn interface_corpus() -> (impl Fn(usize) -> CheckSession, Snapshot, [Snapshot; 2]) {
+        use rela_sim::workload::{group_name, spec_of_size, synthetic_wan, WanParams};
+        use rela_sim::{configured, simulate, ConfigChange, DeviceSelector};
+        let params = WanParams {
+            regions: 10,
+            routers_per_group: 2,
+            parallel_links: 4,
+            fecs_per_pair: 2,
+        };
+        let wan = synthetic_wan(&params);
+        let run = |changes: &[ConfigChange]| {
+            let cfg = configured(&wan.config, &wan.topology, changes);
+            let (snapshot, unconverged) = simulate(&wan.topology, &cfg, &wan.traffic);
+            assert!(unconverged.is_empty());
+            snapshot
+        };
+        let drain = ConfigChange::SetGroupLinkCost {
+            group_a: group_name(0, 'C'),
+            group_b: group_name(1, 'C'),
+            cost: 20,
+        };
+        let deny = |tier: char, third: u8| ConfigChange::AddAclDeny {
+            devices: DeviceSelector::Group(group_name(1, tier)),
+            prefixes: vec![rela_net::Ipv4Prefix::from_octets(10, 1, third, 0, 24)],
+        };
+        let spec = spec_of_size(37, params.regions);
+        let db = wan.topology.db.clone();
+        let open = move |threads: usize| {
+            let config = SessionConfig {
+                granularity: Granularity::Interface,
+                threads,
+                ..SessionConfig::default()
+            };
+            CheckSession::open(&spec, db.clone(), config).unwrap()
+        };
+        let first = [drain.clone(), deny('O', 0)];
+        let second = [drain, deny('O', 0), deny('C', 1)];
+        (open, run(&[]), [run(&first), run(&second)])
+    }
+
+    fn json_job<'a>(pre: &'a str, post: &'a str) -> JobSpec<'a> {
+        JobSpec::streams(
+            LabeledSource::new(pre.as_bytes(), "pre"),
+            LabeledSource::new(post.as_bytes(), "post"),
+        )
+    }
+
+    #[test]
+    fn every_side_is_asked_and_most_are_dead_at_any_thread_count() {
+        let (open, pre, [post, _]) = interface_corpus();
+        let (pre, post) = (pre.to_json().unwrap(), post.to_json().unwrap());
+        for threads in [1, 2] {
+            let stats = open(threads).run(json_job(&pre, &post)).unwrap().stats;
+            // 99 classes × 13 parts × 2 snapshots, each asked before the
+            // memo: 2 live sides for each `shiftN` part over the whole
+            // job, and for `nochange` the 24 it leaves to them dead
+            assert_eq!(stats.classes, 99);
+            assert_eq!(
+                (stats.live_sides, stats.dead_sides),
+                (198, 2376),
+                "{threads} thread(s)"
+            );
+            assert!(stats.relations > Duration::ZERO, "a cold session lowers");
+        }
+    }
+
+    #[test]
+    fn the_memo_holds_live_sides_only() {
+        let (open, pre, posts) = interface_corpus();
+        let pre = pre.to_json().unwrap();
+        let [first, second] = posts.map(|post| post.to_json().unwrap());
+        let s = open(1);
+        let stats = s.run(json_job(&pre, &first)).unwrap().stats;
+        // a dead side is the shared empty DFA: no lookup, no entry
+        assert_eq!(stats.live_sides - stats.fst_memo_hits, 189);
+        assert_eq!(s.memo.len(), 189);
+        // a different pair over the same `pre`: its live sides join the
+        // memo, the ones it shares with the first job are hits, and the
+        // cap (4,096; 2,457 entries a job before dead sides stayed out)
+        // is nowhere near
+        let again = s.run(json_job(&pre, &second)).unwrap().stats;
+        assert!(again.fst_memo_hits > 0, "the pairs share their pre sides");
+        assert!(again.live_sides > again.fst_memo_hits, "and differ in post");
+        assert_eq!(s.memo.len(), 189 + again.live_sides - again.fst_memo_hits);
+        assert_eq!(again.relations, Duration::ZERO, "a session lowers once");
+    }
+
     #[test]
     fn use_cache_false_skips_the_store() {
         let mut s = session();

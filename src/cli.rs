@@ -775,28 +775,28 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<i32, CliError>
             }
             if *cache_stats {
                 let stats = report.stats;
-                match session.store() {
-                    Some(store) => {
-                        let s = store.stats();
-                        emit(
-                            out,
-                            format!(
-                                "cache: {} warm hits / {} classes, {} loaded, {} recorded, \
-                                 {} fst memo hits, epoch {}\n",
-                                stats.warm_hits,
-                                stats.classes,
-                                store.loaded(),
-                                s.inserted,
-                                stats.fst_memo_hits,
-                                store.epoch(),
-                            ),
-                        )?;
-                    }
-                    None => emit(
-                        out,
-                        format!("cache: disabled, {} fst memo hits\n", stats.fst_memo_hits),
-                    )?,
-                }
+                let store = match session.store() {
+                    Some(store) => format!(
+                        "{} warm hits / {} classes, {} loaded, {} recorded, \
+                         {} fst memo hits, epoch {}",
+                        stats.warm_hits,
+                        stats.classes,
+                        store.loaded(),
+                        store.stats().inserted,
+                        stats.fst_memo_hits,
+                        store.epoch(),
+                    ),
+                    None => format!("disabled, {} fst memo hits", stats.fst_memo_hits),
+                };
+                emit(
+                    out,
+                    format!(
+                        "cache: {store}, {} live / {} dead sides, relations {:.2}ms\n",
+                        stats.live_sides,
+                        stats.dead_sides,
+                        stats.relations.as_secs_f64() * 1e3,
+                    ),
+                )?;
             }
             Ok(if report.is_compliant() { 0 } else { 1 })
         }

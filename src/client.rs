@@ -258,11 +258,19 @@ fn submit_once(
                     |name: &str| -> u64 { stats.get(name).and_then(Value::as_u64).unwrap_or(0) };
                 writeln!(
                     out,
-                    "cache: {} warm hits / {} classes, {} fst memo hits, {} graph decodes",
+                    "cache: {} warm hits / {} classes, {} fst memo hits, {} graph decodes, \
+                     {} live / {} dead sides, relations {:.2}ms",
                     count("warm_hits"),
                     count("classes"),
                     count("fst_memo_hits"),
                     count("graph_decodes"),
+                    count("live_sides"),
+                    count("dead_sides"),
+                    stats
+                        .get("relations_s")
+                        .and_then(Value::as_f64)
+                        .unwrap_or(0.0)
+                        * 1e3,
                 )
                 .map_err(|e| Fatal(usage_error(format!("write failed: {e}"))))?;
                 if let Some(base) = stats.get("base_epoch").and_then(Value::as_str) {

@@ -760,6 +760,9 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
                         ("warm_hits", stats.warm_hits.to_value()),
                         ("dedup_hits", stats.dedup_hits.to_value()),
                         ("fst_memo_hits", stats.fst_memo_hits.to_value()),
+                        ("live_sides", stats.live_sides.to_value()),
+                        ("dead_sides", stats.dead_sides.to_value()),
+                        ("relations_s", stats.relations.as_secs_f64().to_value()),
                         ("graph_decodes", stats.graph_decodes.to_value()),
                         // the epoch of the pair this job retained — what
                         // the next delta submission should name as its

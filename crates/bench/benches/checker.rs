@@ -6,13 +6,23 @@
 //! paper's exact rows/series; these benches give statistically robust
 //! per-configuration timings.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rela_baseline::{path_diff, DiffOptions};
 use rela_bench::{build_testbed, Testbed};
-use rela_core::{CheckReport, CheckSession, JobSpec, SessionConfig};
+use rela_core::{CheckReport, CheckSession, JobOptions, JobSpec, SessionConfig};
 use rela_net::{Granularity, LocationDb, SnapshotPair};
 use rela_sim::workload::{spec_of_size, WanParams};
 use std::hint::black_box;
+
+/// A fresh session (parse + compile) over `db`.
+fn open(source: &str, db: &LocationDb, granularity: Granularity, threads: usize) -> CheckSession {
+    let config = SessionConfig {
+        granularity,
+        threads,
+        ..SessionConfig::default()
+    };
+    CheckSession::open(source, db.clone(), config).expect("spec compiles")
+}
 
 /// One cold validation (parse + compile + check) through the session
 /// API — the quantity the paper's Fig. 6/7 time.
@@ -22,15 +32,7 @@ fn run_check(
     granularity: Granularity,
     pair: &SnapshotPair,
 ) -> CheckReport {
-    let session = CheckSession::open(
-        source,
-        db.clone(),
-        SessionConfig {
-            granularity,
-            ..SessionConfig::default()
-        },
-    )
-    .expect("spec compiles");
+    let session = open(source, db, granularity, 0);
     session.run(JobSpec::pair(pair)).expect("in-memory pair")
 }
 
@@ -124,23 +126,25 @@ fn bench_dedup_engine(c: &mut Criterion) {
     };
     let tb = build_testbed(&params);
     let source = spec_of_size(4, params.regions);
-    let program = rela_core::parse_program(&source).expect("spec parses");
-    let compiled = rela_core::compile_program(&program, &tb.wan.topology.db, Granularity::Group)
-        .expect("spec compiles");
     let mut group = c.benchmark_group("dedup-engine");
     group.sample_size(10);
     for dedup in [true, false] {
         let label = if dedup { "dedup" } else { "no-dedup" };
+        let options = JobOptions {
+            dedup,
+            ..JobOptions::default()
+        };
+        // a session keeps its memo and lowered relations, so every timed
+        // run gets a fresh one, opened outside the timer: each is cold
         group.bench_function(label, |b| {
-            b.iter(|| {
-                rela_core::Checker::new(black_box(&compiled), &tb.wan.topology.db)
-                    .with_options(rela_core::CheckOptions {
-                        dedup,
-                        threads: 1,
-                        ..rela_core::CheckOptions::default()
-                    })
-                    .check(&tb.pair)
-            })
+            b.iter_batched(
+                || open(&source, &tb.wan.topology.db, Granularity::Group, 1),
+                |session| {
+                    let job = JobSpec::pair(black_box(&tb.pair)).with_options(options);
+                    session.run(job).expect("in-memory pair")
+                },
+                BatchSize::PerIteration,
+            )
         });
     }
     group.finish();

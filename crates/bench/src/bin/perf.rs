@@ -15,9 +15,9 @@
 //!   cache ([`rela_cache::VerdictStore`]), measuring cold→warm speedup
 //!   with cache-free runs cross-checking every replayed verdict.
 //! - **ingest** — the cold path from snapshot files on disk to a
-//!   verdict, pipelined (`SnapshotFramer` → `check_pipelined`: framers →
-//!   bounded channel → decode pool → decide-while-loading) vs.
-//!   materialized (`from_json` → `align` → `check`) at 12k and 100k+
+//!   verdict, pipelined (a streams job: framers → bounded channel →
+//!   decode pool → decide-while-loading) vs. materialized (`from_json`
+//!   → `align` → a pair job) at 12k and 100k+
 //!   FECs. Each path runs in a fresh child process so peak RSS (`VmHWM`)
 //!   isolates its true footprint; report identity is asserted via a
 //!   verdict fingerprint, and the scenario's `speedup` records the
@@ -89,13 +89,10 @@
 
 use rela_bench::{build_testbed, secs, Testbed};
 use rela_cache::VerdictStore;
-use rela_core::{
-    compile_program, parse_program, CheckOptions, CheckReport, CheckSession, Checker,
-    CompiledProgram, JobOptions, JobSpec, LabeledSource, SessionConfig,
-};
+use rela_core::{CheckReport, CheckSession, JobOptions, JobSpec, LabeledSource, SessionConfig};
 use rela_net::{
-    content_hash128, BinarySnapshotWriter, Granularity, MmapSource, Snapshot, SnapshotFramer,
-    SnapshotPair, SnapshotWriter,
+    content_hash128, BinarySnapshotWriter, Granularity, LocationDb, MmapSource, Snapshot,
+    SnapshotFramer, SnapshotPair, SnapshotWriter,
 };
 use rela_sim::adversarial::{self, ScenarioFamily};
 use rela_sim::workload::{
@@ -182,20 +179,33 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
     ]
 }
 
+/// A fresh session over `db`. A session keeps its memo and lowered
+/// relations across runs, so a cold measurement opens its own — outside
+/// the timer, as the parse and compile always were.
+fn open(source: &str, db: &LocationDb, granularity: Granularity, threads: usize) -> CheckSession {
+    let config = SessionConfig {
+        granularity,
+        threads,
+        ..SessionConfig::default()
+    };
+    CheckSession::open(source, db.clone(), config).expect("spec compiles")
+}
+
+/// One cold check of the testbed's pair, timed.
 fn check(
     tb: &Testbed,
-    compiled: &CompiledProgram,
+    source: &str,
+    granularity: Granularity,
     dedup: bool,
     threads: usize,
 ) -> (Duration, CheckReport) {
+    let session = open(source, &tb.wan.topology.db, granularity, threads);
+    let job = JobSpec::pair(&tb.pair).with_options(JobOptions {
+        dedup,
+        ..JobOptions::default()
+    });
     let start = Instant::now();
-    let report = Checker::new(compiled, &tb.wan.topology.db)
-        .with_options(CheckOptions {
-            dedup,
-            threads,
-            ..CheckOptions::default()
-        })
-        .check(&tb.pair);
+    let report = session.run(job).expect("in-memory pair");
     (start.elapsed(), report)
 }
 
@@ -259,17 +269,14 @@ fn run_scenario(s: &Scenario, threads: usize, smoke: bool) -> Value {
     );
     let tb = build_testbed(&s.params);
     let source = spec_of_size(s.spec_atomics, s.params.regions);
-    let program = parse_program(&source).expect("spec parses");
-    let compiled =
-        compile_program(&program, &tb.wan.topology.db, s.granularity).expect("spec compiles");
 
-    let (wall, report) = check(&tb, &compiled, true, threads);
+    let (wall, report) = check(&tb, &source, s.granularity, true, threads);
     // the no-dedup baseline re-decides every FEC from scratch — the
     // expensive half of the measurement, skipped in --smoke (CI) runs
     let baseline = if smoke {
         None
     } else {
-        let (wall_nodedup, report_nodedup) = check(&tb, &compiled, false, threads);
+        let (wall_nodedup, report_nodedup) = check(&tb, &source, s.granularity, false, threads);
         Some((wall_nodedup, reports_agree(&report, &report_nodedup)))
     };
     let stats = report.stats;
@@ -530,13 +537,8 @@ fn ingest_worker(args: &[String]) -> ! {
 
     // rebuild the deterministic WAN for its location db + spec
     let wan = synthetic_wan(&params);
-    let program = parse_program(&spec_of_size(spec_atomics, params.regions)).expect("spec parses");
-    let compiled =
-        compile_program(&program, &wan.topology.db, Granularity::Group).expect("spec compiles");
-    let checker = Checker::new(&compiled, &wan.topology.db).with_options(CheckOptions {
-        threads,
-        ..CheckOptions::default()
-    });
+    let spec = spec_of_size(spec_atomics, params.regions);
+    let session = open(&spec, &wan.topology.db, Granularity::Group, threads);
 
     let t0 = Instant::now();
     let report = match mode {
@@ -546,22 +548,22 @@ fn ingest_worker(args: &[String]) -> ! {
                 Snapshot::from_json(&text).expect("snapshot parses")
             };
             let pair = SnapshotPair::align(&load(pre_path), &load(post_path));
-            checker.check(&pair)
+            session.run(JobSpec::pair(&pair)).expect("in-memory pair")
         }
         "pipelined" => {
-            let frame = |path: &str| {
-                SnapshotFramer::new(std::fs::File::open(path).expect("snapshot file"), path)
+            let source = |path: &str| {
+                LabeledSource::new(std::fs::File::open(path).expect("snapshot file"), path)
             };
-            checker
-                .check_pipelined(frame(pre_path), frame(post_path))
+            session
+                .run(JobSpec::streams(source(pre_path), source(post_path)))
                 .expect("snapshot pipelines")
         }
         "mmap" => {
-            let frame = |path: &str| {
-                SnapshotFramer::from_map(MmapSource::open(path).expect("snapshot map"), path)
+            let source = |path: &str| {
+                LabeledSource::mapped(MmapSource::open(path).expect("snapshot map"), path)
             };
-            checker
-                .check_pipelined(frame(pre_path), frame(post_path))
+            session
+                .run(JobSpec::streams(source(pre_path), source(post_path)))
                 .expect("snapshot maps")
         }
         other => panic!("unknown ingest mode `{other}`"),
@@ -643,8 +645,8 @@ const INGEST_SPEC_ATOMICS: usize = 4;
 
 /// The **ingest** scenario kind: how fast — and in how much memory — a
 /// cold validation gets from snapshot files on disk to a verdict, with
-/// the pipelined path (`SnapshotFramer` → `check_pipelined`) measured
-/// against the materialized one (`from_json` → `align` → `check`). Each
+/// the pipelined path (a streams job) measured against the materialized
+/// one (`from_json` → `align` → a pair job). Each
 /// path runs in a fresh child process so `VmHWM` isolates its true peak;
 /// both must produce a byte-identical report (asserted via a verdict
 /// fingerprint). The scenario's `speedup` field records the peak-RSS
@@ -1282,15 +1284,9 @@ fn run_adversarial(family: ScenarioFamily, threads: usize) -> Value {
         .last()
         .expect("scenarios have iterations");
     let pair = SnapshotPair::align(&sc.iterations.pre, post);
-    let program = parse_program(&sc.spec).expect("nochange spec parses");
-    let compiled = compile_program(&program, db, sc.granularity).expect("nochange spec compiles");
+    let session = open(&sc.spec, db, sc.granularity, threads);
     let start = Instant::now();
-    let report = Checker::new(&compiled, db)
-        .with_options(CheckOptions {
-            threads,
-            ..CheckOptions::default()
-        })
-        .check(&pair);
+    let report = session.run(JobSpec::pair(&pair)).expect("in-memory pair");
     let wall = start.elapsed();
     let start = Instant::now();
     let diff = rela_baseline::path_diff(

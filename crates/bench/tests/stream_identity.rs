@@ -1,11 +1,11 @@
 //! The pipelined cold path must be indistinguishable from the
-//! materialized one: on the fig6/fig7 testbeds, feeding the serialized
-//! snapshots through `SnapshotFramer` → `check_pipelined` produces a
-//! byte-identical `CheckReport` to `align` → `check` (timing lines
-//! excluded — they are the only nondeterministic output).
+//! materialized one: on the fig6/fig7 testbeds, a streams job over the
+//! serialized snapshots produces a byte-identical `CheckReport` to a
+//! pair job over `align` of them (timing lines excluded — they are the
+//! only nondeterministic output).
 
-use rela_core::{compile_program, parse_program, CheckOptions, CheckReport, Checker};
-use rela_net::{Granularity, SnapshotFramer, SnapshotPair};
+use rela_core::{CheckReport, CheckSession, JobSpec, LabeledSource, SessionConfig};
+use rela_net::{Granularity, SnapshotPair};
 use rela_sim::workload::{spec_of_size, synthetic_wan, WanParams};
 use rela_sim::{configured, simulate};
 
@@ -27,21 +27,26 @@ fn assert_streamed_identical(params: &WanParams, spec_atomics: usize, granularit
     let (post, unconverged) = simulate(&wan.topology, &post_cfg, &wan.traffic);
     assert!(unconverged.is_empty(), "changed WAN must converge");
 
-    let program = parse_program(&spec_of_size(spec_atomics, params.regions)).expect("spec parses");
-    let compiled = compile_program(&program, &wan.topology.db, granularity).expect("spec compiles");
-    let checker = Checker::new(&compiled, &wan.topology.db).with_options(CheckOptions {
-        threads: 2,
-        ..CheckOptions::default()
-    });
+    // a fresh session per engine: each run is cold
+    let session = || {
+        let config = SessionConfig {
+            granularity,
+            threads: 2,
+            ..SessionConfig::default()
+        };
+        let spec = spec_of_size(spec_atomics, params.regions);
+        CheckSession::open(&spec, wan.topology.db.clone(), config).expect("spec compiles")
+    };
 
-    let materialized = checker.check(&SnapshotPair::align(&pre, &post));
+    let pair = SnapshotPair::align(&pre, &post);
+    let materialized = session().run(JobSpec::pair(&pair)).expect("in-memory pair");
     let pre_json = pre.to_json().expect("pre serializes");
     let post_json = post.to_json().expect("post serializes");
-    let pipelined = checker
-        .check_pipelined(
-            SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
-            SnapshotFramer::new(post_json.as_bytes(), "post.json"),
-        )
+    let pipelined = session()
+        .run(JobSpec::streams(
+            LabeledSource::new(pre_json.as_bytes(), "pre.json"),
+            LabeledSource::new(post_json.as_bytes(), "post.json"),
+        ))
         .expect("streams are well-formed");
     assert_eq!(pipelined.total, materialized.total);
     assert_eq!(pipelined.compliant, materialized.compliant);

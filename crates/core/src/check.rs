@@ -33,6 +33,7 @@ use crate::report::{
 };
 use crate::retain::{JoinedRow, RetainedBase, RetainedRow, RetentionSlot};
 use crate::rir::RirSpec;
+use crate::session::JobOptions;
 use rela_automata::{
     determinize, enumerate_words, equivalent, image, included, meets, Dfa, Fst, Nfa, SymbolTable,
 };
@@ -92,32 +93,6 @@ pub fn cache_epoch(program: &Program, db: &LocationDb) -> CacheEpoch {
     bytes.push(0xff); // separator: ast/db boundaries can't collide
     bytes.extend_from_slice(db_json.as_bytes());
     CacheEpoch::derive(content_hash128(&bytes), ENGINE_VERSION)
-}
-
-/// Checker tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckOptions {
-    /// Witness enumeration limits for counterexamples.
-    pub witness: WitnessLimits,
-    /// Worker threads; `0` uses the machine's available parallelism.
-    pub threads: usize,
-    /// Number of pre/post paths rendered per violating FEC.
-    pub list_paths: usize,
-    /// Group FECs into behavior classes and decide one representative
-    /// per class (on by default; `false` re-decides every FEC from
-    /// scratch, which is only useful for benchmarking the dedup win).
-    pub dedup: bool,
-}
-
-impl Default for CheckOptions {
-    fn default() -> CheckOptions {
-        CheckOptions {
-            witness: WitnessLimits::default(),
-            threads: 0,
-            list_paths: 4,
-            dedup: true,
-        }
-    }
 }
 
 /// One behavior class: the pspec route shared by all members, the
@@ -215,10 +190,13 @@ type SidedError = (Side, SnapshotError);
 
 /// One producer's input: a snapshot framer tagged with its side (the
 /// full path runs two) or a pre-built item list (the delta path's one).
-type Feed<'f> = Box<dyn Iterator<Item = Result<PreparedItem, SidedError>> + Send + 'f>;
+pub(crate) type Feed<'f> = Box<dyn Iterator<Item = Result<PreparedItem, SidedError>> + Send + 'f>;
 
 /// A framer as a [`Feed`].
-fn framer_feed<'f, R: Read + Send + 'f>(framer: SnapshotFramer<R>, side: Side) -> Feed<'f> {
+pub(crate) fn framer_feed<'f, R: Read + Send + 'f>(
+    framer: SnapshotFramer<R>,
+    side: Side,
+) -> Feed<'f> {
     Box::new(framer.map(move |framed| match framed {
         Ok(raw) => Ok(PreparedItem::Record { side, raw }),
         Err(e) => Err((side, e)),
@@ -304,7 +282,7 @@ impl Pipeline<'_, '_> {
         if let Some(first) = self.errors.take_first() {
             return Err(first);
         }
-        if self.checker.was_cancelled() {
+        if self.checker.cancel.fired() {
             return Ok(locals);
         }
 
@@ -374,7 +352,7 @@ impl Pipeline<'_, '_> {
             // the producers and releases the other workers, so an expired
             // job drains in one batch per worker instead of finishing
             // the snapshot
-            if self.checker.cancelled() {
+            if self.checker.cancel.check() {
                 self.channel.poison();
                 return state;
             }
@@ -710,10 +688,11 @@ const FST_MEMO_CAP: usize = 4096;
 /// a dead side is the one shared empty DFA and costs no entry, so the
 /// cap below is a cap on automata worth keeping.
 ///
-/// Per-run by default; a `CheckSession` shares one memo across jobs via
-/// [`Checker::with_memo`] so an unchanged side survives from one
-/// submission to the next (the keys are content hashes, so reuse across
-/// runs is exactly as sound as reuse within one).
+/// A `CheckSession` owns one and lends it to every job, so an unchanged
+/// side survives from one submission to the next (the keys are content
+/// hashes, so reuse across runs is exactly as sound as reuse within
+/// one). The `fst_memo_hits` a run reports is a before/after difference
+/// — approximate only when jobs share the memo concurrently.
 ///
 /// A memo belongs to one compiled program — its keys name routes and
 /// parts by index — so it also holds that program's [`LoweredProgram`],
@@ -817,8 +796,7 @@ impl LoweredCheck {
 }
 
 /// Every check of a [`CompiledProgram`], lowered (see [`LoweredCheck`]).
-/// Built once per [`FstMemo`]: once per session, or once per run of a
-/// checker that has no session behind it.
+/// Built once per [`FstMemo`], which is once per session.
 struct LoweredProgram {
     default_check: LoweredCheck,
     routed: Vec<LoweredCheck>,
@@ -856,94 +834,33 @@ struct DecideCtx<'a> {
     sides: [AtomicUsize; 2],
 }
 
-/// The checker: a compiled program bound to a location database.
-pub struct Checker<'a> {
-    program: &'a CompiledProgram,
-    db: &'a LocationDb,
-    options: CheckOptions,
-    cache: Option<&'a VerdictStore>,
-    memo: Option<&'a FstMemo>,
-    retention: Option<&'a RetentionSlot>,
-    cancel: Option<&'a CancelToken>,
-    faults: Option<&'a FaultPlan>,
+/// The checker: a compiled program bound to a location database, and
+/// what one job of a `CheckSession` lends it. The session builds it in
+/// one place (`CheckSession::checker`), from the job's [`JobOptions`]
+/// and the session's thread count; nothing outside the crate can.
+pub(crate) struct Checker<'a> {
+    pub(crate) program: &'a CompiledProgram,
+    pub(crate) db: &'a LocationDb,
+    /// The job's options; the checker reads `witness`, `list_paths` and
+    /// `dedup`.
+    pub(crate) options: JobOptions,
+    /// Worker threads; `0` uses the machine's available parallelism.
+    pub(crate) threads: usize,
+    /// The verdict store: classes found in it replay without being
+    /// decided, fresh decisions are written back (the session persists).
+    pub(crate) cache: Option<&'a VerdictStore>,
+    pub(crate) memo: &'a FstMemo,
+    /// Where a clean pipelined run retains its rows as a delta base.
+    pub(crate) retention: Option<&'a RetentionSlot>,
+    /// The job's deadline, polled at class boundaries; once it fires the
+    /// run returns an empty report quickly and the session surfaces the
+    /// deadline as a typed error.
+    pub(crate) cancel: &'a CancelToken,
+    /// Consulted at the `decide` lifecycle point.
+    pub(crate) faults: Option<&'a FaultPlan>,
 }
 
-impl<'a> Checker<'a> {
-    /// Create a checker with default options.
-    pub fn new(program: &'a CompiledProgram, db: &'a LocationDb) -> Checker<'a> {
-        Checker {
-            program,
-            db,
-            options: CheckOptions::default(),
-            cache: None,
-            memo: None,
-            retention: None,
-            cancel: None,
-            faults: None,
-        }
-    }
-
-    /// Override the options.
-    pub fn with_options(mut self, options: CheckOptions) -> Checker<'a> {
-        self.options = options;
-        self
-    }
-
-    /// Attach a persistent verdict store (opened at [`cache_epoch`] of
-    /// the program's AST). Classes found in the store replay without
-    /// being decided; fresh decisions are written back. The caller owns
-    /// persistence — call [`VerdictStore::persist`] after checking.
-    pub fn with_cache(mut self, cache: &'a VerdictStore) -> Checker<'a> {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Share a session-lifetime FST memo across runs (crate-internal:
-    /// the session API is the public surface for this). The reported
-    /// `fst_memo_hits` stat is this run's delta, computed as a
-    /// before/after difference — approximate only when jobs share the
-    /// memo concurrently.
-    pub(crate) fn with_memo(mut self, memo: &'a FstMemo) -> Checker<'a> {
-        self.memo = Some(memo);
-        self
-    }
-
-    /// Retain the snapshot pair of each successful pipelined run into
-    /// `slot` (crate-internal: the session owns the slot and uses it to
-    /// serve `--delta-base` submissions against the retained epoch).
-    pub(crate) fn with_retention(mut self, slot: &'a RetentionSlot) -> Checker<'a> {
-        self.retention = Some(slot);
-        self
-    }
-
-    /// Attach a cooperative cancellation token (crate-internal: the
-    /// session builds one from `JobOptions::deadline_ms`). The engine
-    /// polls it at class boundaries; once it expires the run returns an
-    /// empty report quickly and the session surfaces the deadline as a
-    /// typed error.
-    pub(crate) fn with_cancel(mut self, token: &'a CancelToken) -> Checker<'a> {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Consult `plan` at the `decide` lifecycle point (crate-internal:
-    /// the session hands over the plan it was given).
-    pub(crate) fn with_faults(mut self, plan: &'a FaultPlan) -> Checker<'a> {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Poll the attached cancellation token, if any.
-    fn cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::check)
-    }
-
-    /// True when the attached token has already fired (without
-    /// re-polling the clock).
-    fn was_cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::fired)
-    }
-
+impl Checker<'_> {
     /// The placeholder report an expired run returns. The session never
     /// shows it — it sees the fired token and replies with a typed
     /// deadline error — so its only job is to be cheap and well-formed.
@@ -951,19 +868,16 @@ impl<'a> Checker<'a> {
         CheckReport::with_stats(Vec::new(), start.elapsed(), CheckStats::default())
     }
 
-    /// Check every FEC of an aligned snapshot pair.
-    pub fn check(&self, pair: &SnapshotPair) -> CheckReport {
+    /// Check every FEC of an aligned snapshot pair: the batch engine,
+    /// the reference [`Checker::run_pipelined`] is tested against.
+    pub(crate) fn check(&self, pair: &SnapshotPair) -> CheckReport {
         let start = Instant::now();
         let threads = self.resolve_threads();
         let classes = self.group_into_classes(pair, threads);
         let reps: Vec<&AlignedFec> = classes.iter().map(|c| &pair.fecs[c.members[0]]).collect();
         let flows: Vec<&FlowSpec> = pair.fecs.iter().map(|f| &f.flow).collect();
         let warm = self.consult_store(&flows, &classes, threads);
-        let local_memo = FstMemo::new();
-        let ctx = self.decide_ctx(
-            &self.collect_symbols(&reps),
-            self.memo.unwrap_or(&local_memo),
-        );
+        let ctx = self.decide_ctx(&self.collect_symbols(&reps));
         let mut report = self.finish(start, &flows, &classes, &reps, warm, &ctx);
         // the batch path materializes every record during ingest, so
         // every record costs one graph decode
@@ -971,11 +885,17 @@ impl<'a> Checker<'a> {
         report
     }
 
-    /// Check two snapshot streams through the pipelined engine.
+    /// Check snapshot records through the pipelined engine:
+    /// [`Checker::ingest_pipelined`] in front of [`Checker::finish`].
+    /// A streams job feeds it two framers ([`framer_feed`]), a delta
+    /// job one list of replayed base rows and freshly framed delta
+    /// records — the same channel, workers and byte-level admission,
+    /// which is what makes a delta reply byte-identical to a full
+    /// resubmission.
     ///
     /// Where [`Checker::check`] needs the whole pair decoded and aligned
-    /// before it fingerprints a single FEC, this method overlaps framing
-    /// with decoding and decodes only what it has not seen before:
+    /// before it fingerprints a single FEC, this overlaps framing with
+    /// decoding and decodes only what it has not seen before:
     ///
     /// 1. **Framers** (one thread per snapshot) extract undecoded record
     ///    spans ([`rela_net::SnapshotFramer`]) and push them over a
@@ -990,52 +910,20 @@ impl<'a> Checker<'a> {
     ///    class; graph residency stays O(classes). A founded class
     ///    consults the persistent store at once, so warm classes replay
     ///    while records still arrive.
-    /// 4. When both streams have ended, the **finisher** — the one
+    /// 4. When the feeds have ended, the **finisher** — the one
     ///    [`Checker::check`] uses — decides every class the store did
     ///    not answer, once, under the run's definitive sorted table.
     ///
     /// The produced report is byte-identical to [`Checker::check`] on the
     /// same records at any thread count. `check` shares neither of this
-    /// method's shortcuts — byte-level admission and the streaming join
+    /// engine's shortcuts — byte-level admission and the streaming join
     /// — which is what makes it the reference the identity suites
     /// compare against. The first stream error aborts the pipeline
     /// (framers stop, workers drain) and is returned with
     /// [`rela_net::SnapshotReader`]'s offset/entry-index contract; when
     /// several errors are discovered concurrently, the lowest entry index
-    /// wins, `pre` before `post`.
-    pub fn check_pipelined<A, B>(
-        &self,
-        pre: SnapshotFramer<A>,
-        post: SnapshotFramer<B>,
-    ) -> Result<CheckReport, SnapshotError>
-    where
-        A: Read + Send,
-        B: Read + Send,
-    {
-        let labels: [Option<String>; 2] = [
-            pre.label().map(str::to_owned),
-            post.label().map(str::to_owned),
-        ];
-        let feeds = vec![framer_feed(pre, Side::Pre), framer_feed(post, Side::Post)];
-        self.run_pipelined(feeds, labels)
-    }
-
-    /// Check a pre-built item feed through the pipelined engine — the
-    /// delta path: replayed base records and freshly framed delta
-    /// records ride the same bounded channel, workers, and byte-level
-    /// admission as a full snapshot pair, which is what makes the delta
-    /// reply byte-identical to a full resubmission.
-    pub(crate) fn check_prepared(
-        &self,
-        items: Vec<PreparedItem>,
-        labels: [Option<String>; 2],
-    ) -> Result<CheckReport, SnapshotError> {
-        self.run_pipelined(vec![Box::new(items.into_iter().map(Ok))], labels)
-    }
-
-    /// The pipelined engine shared by [`Checker::check_pipelined`] and
-    /// the delta path: [`Checker::ingest_pipelined`] in front of
-    /// [`Checker::finish`].
+    /// wins, `pre` before `post`. `labels` name the `[pre, post]` sources
+    /// in those errors.
     ///
     /// The relations are a function of the spec alone, so a run that has
     /// a second thread to give, on a memo that does not hold them yet,
@@ -1045,17 +933,15 @@ impl<'a> Checker<'a> {
     /// lowering is joined like every other scoped worker here — its
     /// panic is the run's — so an ingest that fails or expires first
     /// returns when the lowering has finished.
-    fn run_pipelined(
+    pub(crate) fn run_pipelined(
         &self,
         feeds: Vec<Feed<'_>>,
         labels: [Option<String>; 2],
     ) -> Result<CheckReport, SnapshotError> {
         let start = Instant::now();
-        let local_memo = FstMemo::new();
-        let memo = self.memo.unwrap_or(&local_memo);
-        let overlap = self.resolve_threads() > 1 && memo.lowered.get().is_none();
+        let overlap = self.resolve_threads() > 1 && self.memo.lowered.get().is_none();
         let (ingested, overlapped) = std::thread::scope(|scope| {
-            let lowering = overlap.then(|| scope.spawn(|| self.lower_relations(memo).1));
+            let lowering = overlap.then(|| scope.spawn(|| self.lower_relations().1));
             let ingested = self.ingest_pipelined(feeds, labels);
             let paid = lowering.map_or(Duration::ZERO, |h| {
                 h.join().unwrap_or_else(|payload| resume_unwind(payload))
@@ -1070,7 +956,7 @@ impl<'a> Checker<'a> {
         // names their payloads recorded are folded back into the table.
         let mut names = self.collect_symbols(&reps);
         names.extend(ingested.replayed_symbols);
-        let ctx = self.decide_ctx(&names, memo);
+        let ctx = self.decide_ctx(&names);
         let mut report = self.finish(
             start,
             &ingested.flows.iter().collect::<Vec<_>>(),
@@ -1079,7 +965,7 @@ impl<'a> Checker<'a> {
             ingested.warm,
             &ctx,
         );
-        if !self.was_cancelled() {
+        if !self.cancel.fired() {
             report.stats.relations += overlapped;
             report.stats.graph_decodes = ingested.graph_decodes;
             report.stats.retained_epoch = self.retain(ingested.captured);
@@ -1114,7 +1000,7 @@ impl<'a> Checker<'a> {
             absent: JoinedSide::absent(),
         };
         let locals = pipe.ingest(feeds, workers)?;
-        if self.was_cancelled() {
+        if self.cancel.fired() {
             return Ok(None);
         }
 
@@ -1181,15 +1067,15 @@ impl<'a> Checker<'a> {
         Some(epoch)
     }
 
-    /// `options.threads`, with `0` resolved to the machine's available
+    /// `threads`, with `0` resolved to the machine's available
     /// parallelism.
     fn resolve_threads(&self) -> usize {
-        if self.options.threads == 0 {
+        if self.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         } else {
-            self.options.threads
+            self.threads
         }
     }
 
@@ -1224,7 +1110,7 @@ impl<'a> Checker<'a> {
         }
         let cold: Vec<usize> = (0..classes.len()).filter(|&ix| !answered[ix]).collect();
         let (decided, phases) = self.decide_classes(ctx, &cold, classes, reps);
-        if self.was_cancelled() {
+        if self.cancel.fired() {
             // partial decides are individually sound but the run is not
             // complete: nothing is written back or retained, and the
             // session replies with the deadline error instead
@@ -1375,7 +1261,7 @@ impl<'a> Checker<'a> {
             let mut phases = PhaseTimings::default();
             loop {
                 let next = cursor.fetch_add(1, Ordering::Relaxed);
-                if next >= cold.len() || self.cancelled() {
+                if next >= cold.len() || self.cancel.check() {
                     break;
                 }
                 let ix = cold[next];
@@ -1583,20 +1469,12 @@ impl<'a> Checker<'a> {
             .position(|r| r.pred.matches(flow))
     }
 
-    /// Check a single FEC (useful for incremental workflows and tests).
-    pub fn check_fec(&self, fec: &AlignedFec) -> FecResult {
-        let memo = FstMemo::new();
-        let ctx = self.decide_ctx(&self.collect_symbols(&[fec]), &memo);
-        let route = self.route_of(fec);
-        self.check_class(&ctx, fec, route, None, &mut PhaseTimings::default())
-    }
-
-    /// The program's relations lowered, out of `memo` — built here, on
+    /// The program's relations lowered, out of the memo — built here, on
     /// the calling thread, if no run has built them yet — and the wall
     /// this call paid for that.
-    fn lower_relations<'m>(&self, memo: &'m FstMemo) -> (&'m LoweredProgram, Duration) {
+    fn lower_relations(&self) -> (&LoweredProgram, Duration) {
         let mut paid = Duration::ZERO;
-        let lowered = memo.lowered.get_or_init(|| {
+        let lowered = self.memo.lowered.get_or_init(|| {
             let t0 = Instant::now();
             let lowered = LoweredProgram::new(self.program);
             paid = t0.elapsed();
@@ -1607,15 +1485,15 @@ impl<'a> Checker<'a> {
 
     /// The decide context for a run whose representatives mention
     /// `names`.
-    fn decide_ctx<'c>(&'c self, names: &BTreeSet<String>, memo: &'c FstMemo) -> DecideCtx<'c> {
-        let (lowered, relations) = self.lower_relations(memo);
+    fn decide_ctx(&self, names: &BTreeSet<String>) -> DecideCtx<'_> {
+        let (lowered, relations) = self.lower_relations();
         DecideCtx {
             lowered,
             relations,
             table: self.table_of(names),
             table_fp: table_fingerprint(names),
-            memo,
-            memo_hits_before: memo.hits.load(Ordering::Relaxed),
+            memo: self.memo,
+            memo_hits_before: self.memo.hits.load(Ordering::Relaxed),
             empty: Arc::new(Dfa::empty_language()),
             sides: Default::default(),
         }
@@ -1640,7 +1518,7 @@ impl<'a> Checker<'a> {
     /// automaton layouts, witness enumeration order, and report bytes —
     /// a function of the graphs' content only, independent of FEC
     /// arrival order, dedup mode, and thread count. That invariant is
-    /// what lets [`Checker::check_pipelined`] promise byte-identical
+    /// what lets [`Checker::run_pipelined`] promise byte-identical
     /// reports to [`Checker::check`]. Interning only class
     /// representatives is sound and sufficient: members of a class share
     /// the representative's granularity-level location set (the
@@ -2001,6 +1879,7 @@ fn render_language(nfa: Nfa, renderer: &PathRenderer<'_>, limits: WitnessLimits)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{CheckSession, JobError, JobSpec, LabeledSource, SessionConfig};
     use rela_net::{linear_graph, Device, FlowSpec, Snapshot};
 
     impl FstMemo {
@@ -2062,6 +1941,42 @@ mod tests {
     }
 
     const NOCHANGE: &str = "spec nochange := { .* : preserve }\ncheck nochange";
+
+    /// A fresh session checking [`NOCHANGE`] against [`db`] at device
+    /// granularity on `threads` workers. Its first run is cold.
+    fn session(threads: usize) -> CheckSession {
+        let config = SessionConfig {
+            granularity: Granularity::Device,
+            threads,
+            ..SessionConfig::default()
+        };
+        CheckSession::open(NOCHANGE, db(), config).unwrap()
+    }
+
+    /// One cold run of `pair` under `options` on `threads` workers.
+    fn check_with(threads: usize, options: JobOptions, pair: &SnapshotPair) -> CheckReport {
+        let job = JobSpec::pair(pair).with_options(options);
+        session(threads).run(job).unwrap()
+    }
+
+    /// A job over two JSON snapshot documents, labelled `pre.json` and
+    /// `post.json`.
+    fn streams<'a>(pre: &'a str, post: &'a str, options: JobOptions) -> JobSpec<'a> {
+        JobSpec::streams(
+            LabeledSource::new(pre.as_bytes(), "pre.json"),
+            LabeledSource::new(post.as_bytes(), "post.json"),
+        )
+        .with_options(options)
+    }
+
+    /// The snapshot error a job failed with.
+    fn snapshot_error(outcome: Result<CheckReport, JobError>) -> SnapshotError {
+        match outcome {
+            Err(JobError::Snapshot(e)) => e,
+            Err(other) => panic!("expected a snapshot error, got {other}"),
+            Ok(report) => panic!("expected a snapshot error, got\n{report}"),
+        }
+    }
 
     #[test]
     fn nochange_passes_on_identical_snapshots() {
@@ -2292,7 +2207,6 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_agree() {
-        let db = db();
         let mut pre = Vec::new();
         let mut post = Vec::new();
         for i in 0..12 {
@@ -2306,20 +2220,8 @@ mod tests {
             }
         }
         let pair = pair_of(pre, post);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let serial = Checker::new(&compiled, &db)
-            .with_options(CheckOptions {
-                threads: 1,
-                ..CheckOptions::default()
-            })
-            .check(&pair);
-        let parallel = Checker::new(&compiled, &db)
-            .with_options(CheckOptions {
-                threads: 4,
-                ..CheckOptions::default()
-            })
-            .check(&pair);
+        let serial = check_with(1, JobOptions::default(), &pair);
+        let parallel = check_with(4, JobOptions::default(), &pair);
         assert_eq!(serial.total, parallel.total);
         assert_eq!(serial.compliant, parallel.compliant);
         assert_eq!(serial.violations.len(), parallel.violations.len());
@@ -2346,19 +2248,18 @@ mod tests {
         pair_of(pre, post)
     }
 
-    fn check_with(options: CheckOptions, pair: &SnapshotPair) -> CheckReport {
-        let db = db();
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        Checker::new(&compiled, &db)
-            .with_options(options)
-            .check(pair)
+    /// Every FEC decided from scratch.
+    fn no_dedup() -> JobOptions {
+        JobOptions {
+            dedup: false,
+            ..JobOptions::default()
+        }
     }
 
     #[test]
     fn dedup_groups_identical_behavior_into_classes() {
         let pair = duplicated_pair(16);
-        let report = check_with(CheckOptions::default(), &pair);
+        let report = check_with(0, JobOptions::default(), &pair);
         assert_eq!(report.total, 16);
         assert_eq!(report.violations.len(), 8);
         // 16 FECs, but only 2 distinct (pre, post) behaviors
@@ -2372,14 +2273,8 @@ mod tests {
     #[test]
     fn dedup_off_checks_every_fec_and_agrees() {
         let pair = duplicated_pair(12);
-        let on = check_with(CheckOptions::default(), &pair);
-        let off = check_with(
-            CheckOptions {
-                dedup: false,
-                ..CheckOptions::default()
-            },
-            &pair,
-        );
+        let on = check_with(0, JobOptions::default(), &pair);
+        let off = check_with(0, no_dedup(), &pair);
         assert_eq!(off.stats.classes, 12);
         assert_eq!(off.stats.dedup_hits, 0);
         assert_eq!(on.total, off.total);
@@ -2410,15 +2305,9 @@ mod tests {
             post.insert(f, linear_graph(&["x1", "A2-r1", "y1"]));
         }
         let pair = SnapshotPair::align(&pre, &post);
-        let on = check_with(CheckOptions::default(), &pair);
+        let on = check_with(0, JobOptions::default(), &pair);
         assert_eq!(on.stats.classes, 1, "permuted graphs must share a class");
-        let off = check_with(
-            CheckOptions {
-                dedup: false,
-                ..CheckOptions::default()
-            },
-            &pair,
-        );
+        let off = check_with(0, no_dedup(), &pair);
         assert_eq!(on.violations, off.violations);
     }
 
@@ -2449,19 +2338,23 @@ mod tests {
         assert_eq!(report.violations[0].route.as_deref(), Some("deallocP"));
     }
 
+    /// A fresh session with an in-memory store attached.
+    fn stored_session() -> CheckSession {
+        let mut s = session(0);
+        s.attach_store(VerdictStore::in_memory(s.epoch()));
+        s
+    }
+
     #[test]
     fn persistent_cache_replays_identical_reports() {
-        let db = db();
         let pair = duplicated_pair(12);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let store = VerdictStore::in_memory(cache_epoch(&program, &db));
+        let s = stored_session();
 
-        let cold = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
+        let cold = s.run(JobSpec::pair(&pair)).unwrap();
         assert_eq!(cold.stats.warm_hits, 0);
-        assert_eq!(store.stats().inserted, cold.stats.classes);
+        assert_eq!(s.store().unwrap().stats().inserted, cold.stats.classes);
 
-        let warm = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
+        let warm = s.run(JobSpec::pair(&pair)).unwrap();
         assert_eq!(warm.stats.warm_hits, warm.stats.classes, "all classes warm");
         assert_eq!(warm.total, cold.total);
         assert_eq!(warm.compliant, cold.compliant);
@@ -2469,39 +2362,33 @@ mod tests {
         assert_eq!(warm.violations, cold.violations);
 
         // a cache-free run agrees with the replay
-        let plain = Checker::new(&compiled, &db).check(&pair);
+        let plain = check_with(0, JobOptions::default(), &pair);
         assert_eq!(plain.violations, warm.violations);
         assert!(warm.to_string().contains("warm from store"));
     }
 
     #[test]
     fn option_changes_never_replay_mismatched_payloads() {
-        let db = db();
         let pair = duplicated_pair(8);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let store = VerdictStore::in_memory(cache_epoch(&program, &db));
-        let cold = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
+        let s = stored_session();
+        let cold = s.run(JobSpec::pair(&pair)).unwrap();
         assert_eq!(cold.stats.warm_hits, 0);
 
         // same store, different rendered-path budget: the payload shape
         // differs, so this must be a clean miss, not a wrong replay
-        let wide_options = CheckOptions {
+        let wide_options = JobOptions {
             list_paths: 9,
-            ..CheckOptions::default()
+            ..JobOptions::default()
         };
-        let wide = Checker::new(&compiled, &db)
-            .with_options(wide_options)
-            .with_cache(&store)
-            .check(&pair);
+        let wide = s
+            .run(JobSpec::pair(&pair).with_options(wide_options))
+            .unwrap();
         assert_eq!(wide.stats.warm_hits, 0, "options changed ⇒ full miss");
-        let plain_wide = Checker::new(&compiled, &db)
-            .with_options(wide_options)
-            .check(&pair);
+        let plain_wide = check_with(0, wide_options, &pair);
         assert_eq!(wide.violations, plain_wide.violations);
 
         // default options still replay their own entries warm
-        let warm = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
+        let warm = s.run(JobSpec::pair(&pair)).unwrap();
         assert_eq!(warm.stats.warm_hits, warm.stats.classes);
         assert_eq!(warm.violations, cold.violations);
     }
@@ -2533,13 +2420,7 @@ mod tests {
         // split the pair into two classes ⇒ the second class's pre side
         // must come from the memo (serial so ordering is deterministic)
         let pair = duplicated_pair(8);
-        let report = check_with(
-            CheckOptions {
-                threads: 1,
-                ..CheckOptions::default()
-            },
-            &pair,
-        );
+        let report = check_with(1, JobOptions::default(), &pair);
         assert_eq!(report.stats.classes, 2);
         assert!(
             report.stats.fst_memo_hits >= 1,
@@ -2547,20 +2428,14 @@ mod tests {
             report.stats.fst_memo_hits
         );
         // memoized and memo-free (no-dedup) runs agree
-        let off = check_with(
-            CheckOptions {
-                dedup: false,
-                ..CheckOptions::default()
-            },
-            &pair,
-        );
+        let off = check_with(0, no_dedup(), &pair);
         assert_eq!(report.violations, off.violations);
     }
 
     #[test]
     fn phase_timings_are_populated() {
         let pair = duplicated_pair(4);
-        let report = check_with(CheckOptions::default(), &pair);
+        let report = check_with(0, JobOptions::default(), &pair);
         let phases = report.stats.phases;
         assert!(phases.lower > Duration::ZERO);
         assert!(phases.determinize > Duration::ZERO);
@@ -2607,34 +2482,26 @@ mod tests {
         (pre, post)
     }
 
-    fn pipelined(checker: &Checker<'_>, pre: &Snapshot, post: &Snapshot) -> CheckReport {
-        use rela_net::SnapshotFramer;
-        let pre_json = pre.to_json().unwrap();
-        let post_json = post.to_json().unwrap();
-        checker
-            .check_pipelined(
-                SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
-                SnapshotFramer::new(post_json.as_bytes(), "post.json"),
-            )
-            .unwrap()
+    /// `pre` and `post` through the pipelined engine, as JSON streams.
+    fn pipelined(
+        session: &CheckSession,
+        options: JobOptions,
+        pre: &Snapshot,
+        post: &Snapshot,
+    ) -> CheckReport {
+        let (pre, post) = (pre.to_json().unwrap(), post.to_json().unwrap());
+        session.run(streams(&pre, &post, options)).unwrap()
     }
 
     #[test]
     fn check_pipelined_is_byte_identical_across_threads() {
-        let db = db();
         let (pre, post) = duplicated_snapshots(16);
         let pair = SnapshotPair::align(&pre, &post);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let materialized = Checker::new(&compiled, &db).check(&pair);
+        let materialized = check_with(0, JobOptions::default(), &pair);
         assert!(!materialized.is_compliant(), "the testbed must violate");
 
         for threads in [1usize, 2, 4] {
-            let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
-                threads,
-                ..CheckOptions::default()
-            });
-            let report = pipelined(&checker, &pre, &post);
+            let report = pipelined(&session(threads), JobOptions::default(), &pre, &post);
             assert_eq!(report.stats.classes, materialized.stats.classes);
             assert_eq!(report.stats.fecs, materialized.stats.fecs);
             assert_eq!(
@@ -2647,7 +2514,6 @@ mod tests {
 
     #[test]
     fn check_pipelined_handles_one_sided_flows_and_no_dedup() {
-        let db = db();
         // overlap, pre-only, and post-only flows
         let mut pre = Snapshot::new();
         let mut post = Snapshot::new();
@@ -2656,17 +2522,13 @@ mod tests {
         post.insert(flow("10.1.0.0/24", "x1"), linear_graph(&["x1", "A1-r1"]));
         post.insert(flow("10.1.2.0/24", "x1"), linear_graph(&["x1", "D1-r1"]));
         let pair = SnapshotPair::align(&pre, &post);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
         for dedup in [true, false] {
-            let options = CheckOptions {
+            let options = JobOptions {
                 dedup,
-                threads: 2,
-                ..CheckOptions::default()
+                ..JobOptions::default()
             };
-            let checker = Checker::new(&compiled, &db).with_options(options);
-            let batch = checker.check(&pair);
-            let piped = pipelined(&checker, &pre, &post);
+            let batch = check_with(2, options, &pair);
+            let piped = pipelined(&session(2), options, &pre, &post);
             assert_eq!(piped.total, 3, "dedup={dedup}");
             assert_eq!(
                 verdict_bytes(&piped),
@@ -2679,7 +2541,6 @@ mod tests {
     #[test]
     fn every_flow_lands_in_exactly_one_class_at_any_worker_count() {
         use rela_net::SnapshotFramer;
-        let db = db();
         // 256 paired flows in two byte classes, plus one-sided flows
         // that share bytes among themselves: hits come through the
         // shared index, the workers' own maps and the one-sided drain
@@ -2691,16 +2552,15 @@ mod tests {
         post.insert(flow("10.3.0.0/24", "x1"), linear_graph(&["x1", "D1-r1"]));
         let pair = SnapshotPair::align(&pre, &post);
         let (pre_json, post_json) = (pre.to_json().unwrap(), post.to_json().unwrap());
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
+        let token = CancelToken::with_deadline_ms(None);
         for dedup in [true, false] {
             for threads in [1usize, 2, 8] {
-                let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
-                    threads,
+                let options = JobOptions {
                     dedup,
-                    ..CheckOptions::default()
-                });
-                let batch = checker.check(&pair);
+                    ..JobOptions::default()
+                };
+                let batch = check_with(threads, options, &pair);
+                let s = session(threads);
                 let feeds = vec![
                     framer_feed(SnapshotFramer::new(pre_json.as_bytes(), "pre"), Side::Pre),
                     framer_feed(
@@ -2708,7 +2568,8 @@ mod tests {
                         Side::Post,
                     ),
                 ];
-                let ingested = checker
+                let ingested = s
+                    .checker(options, &token)
                     .ingest_pipelined(feeds, [None, None])
                     .unwrap()
                     .expect("no deadline to expire");
@@ -2730,7 +2591,7 @@ mod tests {
                 assert_eq!(batch.stats.classes, decoded_pairs, "{at}");
                 assert_eq!(ingested.graph_decodes, 2 * decoded_pairs, "{at}");
 
-                let piped = pipelined(&checker, &pre, &post);
+                let piped = pipelined(&session(threads), options, &pre, &post);
                 assert_eq!(piped.stats.classes, batch.stats.classes, "{at}");
                 assert_eq!(piped.stats.dedup_hits, batch.stats.dedup_hits, "{at}");
                 assert_eq!(piped.stats.graph_decodes, 2 * decoded_pairs, "{at}");
@@ -2745,48 +2606,41 @@ mod tests {
 
     #[test]
     fn check_pipelined_replays_fully_warm_runs_from_the_store() {
-        let db = db();
         let (pre, post) = duplicated_snapshots(10);
         let pair = SnapshotPair::align(&pre, &post);
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let store = VerdictStore::in_memory(cache_epoch(&program, &db));
+        let s = stored_session();
         // cold through the pipelined path populates the store...
-        let checker = Checker::new(&compiled, &db).with_cache(&store);
-        let cold = pipelined(&checker, &pre, &post);
+        let cold = pipelined(&s, JobOptions::default(), &pre, &post);
         assert_eq!(cold.stats.warm_hits, 0);
         // every class stores its behavior-keyed entry plus the
         // byte-keyed twin that lets identical bytes skip the decode
-        assert_eq!(store.stats().inserted, cold.stats.classes * 2);
+        assert_eq!(s.store().unwrap().stats().inserted, cold.stats.classes * 2);
         // ...and the warm pipelined run replays every class on the
         // workers (no decides at all) straight from the byte-keyed
         // twins — without decoding a single graph
-        let warm = pipelined(&checker, &pre, &post);
+        let warm = pipelined(&s, JobOptions::default(), &pre, &post);
         assert_eq!(warm.stats.warm_hits, warm.stats.classes);
         assert_eq!(warm.stats.graph_decodes, 0);
         assert_eq!(verdict_bytes(&warm), verdict_bytes(&cold));
         // the batch engine replays the very same store entries
-        let batch_warm = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
+        let batch_warm = s.run(JobSpec::pair(&pair)).unwrap();
         assert_eq!(batch_warm.stats.warm_hits, batch_warm.stats.classes);
         assert_eq!(verdict_bytes(&batch_warm), verdict_bytes(&cold));
     }
 
     #[test]
     fn check_pipelined_matches_the_serial_error_contract() {
-        use rela_net::{SnapshotFramer, SnapshotReader};
-        let db = db();
+        use rela_net::SnapshotReader;
         let (pre, post) = duplicated_snapshots(6);
         let pre_json = pre.to_json().unwrap();
         let post_json = post.to_json().unwrap();
         // truncate the post stream inside record #3
         let third = post_json.match_indices("{\"flow\"").nth(3).unwrap().0;
         let cut = &post_json[..third + 25];
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
-            threads: 4,
-            ..CheckOptions::default()
-        });
+        let s = session(4);
+        let piped = |pre: &str, post: &str| {
+            snapshot_error(s.run(streams(pre, post, JobOptions::default())))
+        };
         // the oracle is the decoder the materialized path runs over the
         // one corrupt side
         let reader_err = |doc: &str, label: &str| {
@@ -2796,12 +2650,7 @@ mod tests {
                 .unwrap_err()
         };
         let serial_err = reader_err(cut, "post.json");
-        let piped_err = checker
-            .check_pipelined(
-                SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
-                SnapshotFramer::new(cut.as_bytes(), "post.json"),
-            )
-            .unwrap_err();
+        let piped_err = piped(&pre_json, cut);
         assert_eq!(piped_err, serial_err);
         assert_eq!(piped_err.entry_index(), Some(3));
         assert_eq!(piped_err.label(), Some("post.json"));
@@ -2811,12 +2660,7 @@ mod tests {
         let bad = r#"{"fecs": [{"graph": {"vertices": [], "edges": [],
                       "sources": [], "sinks": [], "drops": []}}]}"#;
         let serial_err = reader_err(bad, "pre.json");
-        let piped_err = checker
-            .check_pipelined(
-                SnapshotFramer::new(bad.as_bytes(), "pre.json"),
-                SnapshotFramer::new(post_json.as_bytes(), "post.json"),
-            )
-            .unwrap_err();
+        let piped_err = piped(bad, &post_json);
         assert_eq!(piped_err, serial_err);
         assert!(piped_err.to_string().contains("missing field `flow`"));
     }
@@ -2828,7 +2672,6 @@ mod tests {
     #[test]
     fn both_feeds_report_a_bad_record_identically() {
         use rela_net::{SnapshotFramer, SnapshotReader, SnapshotWriter};
-        let db = db();
         let (pre, post) = duplicated_snapshots(6);
         let pre_json = pre.to_json().unwrap();
         let post_json = post.to_json().unwrap();
@@ -2847,19 +2690,11 @@ mod tests {
         }
         let duplicate = String::from_utf8(writer.finish().unwrap()).unwrap();
 
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let checker = Checker::new(&compiled, &db).with_options(CheckOptions {
-            threads: 4,
-            ..CheckOptions::default()
-        });
+        let s = session(4);
+        let token = CancelToken::with_deadline_ms(None);
+        let checker = s.checker(JobOptions::default(), &token);
         for (case, doc, entry) in [("bad graph", &bad_graph, 3), ("duplicate", &duplicate, 6)] {
-            let framed = checker
-                .check_pipelined(
-                    SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
-                    SnapshotFramer::new(doc.as_bytes(), "post.json"),
-                )
-                .unwrap_err();
+            let framed = snapshot_error(s.run(streams(&pre_json, doc, JobOptions::default())));
             let items = |json: &str, side: Side| {
                 SnapshotFramer::new(json.as_bytes(), "unused")
                     .map(move |raw| {
@@ -2871,7 +2706,8 @@ mod tests {
             let mut list = items(&pre_json, Side::Pre);
             list.extend(items(doc, Side::Post));
             let labels = [Some("pre.json".to_owned()), Some("post.json".to_owned())];
-            let prepared = checker.check_prepared(list, labels).unwrap_err();
+            let feed = Box::new(list.into_iter().map(Ok));
+            let prepared = checker.run_pipelined(vec![feed], labels).unwrap_err();
             assert_eq!(prepared, framed, "{case}");
             assert_eq!(framed.entry_index(), Some(entry), "{case}: {framed}");
             assert!(framed.byte_offset().is_some(), "{case}");
@@ -2885,8 +2721,7 @@ mod tests {
 
     #[test]
     fn check_pipelined_rejects_duplicate_flows() {
-        use rela_net::{SnapshotFramer, SnapshotWriter};
-        let db = db();
+        use rela_net::SnapshotWriter;
         let g = linear_graph(&["x1", "A1-r1"]);
         let mut writer = SnapshotWriter::new(Vec::new()).unwrap();
         writer.write(&flow("10.1.0.0/24", "x1"), &g).unwrap();
@@ -2894,14 +2729,10 @@ mod tests {
         writer.write(&flow("10.1.0.0/24", "x1"), &g).unwrap(); // dup of #0
         let dup_json = String::from_utf8(writer.finish().unwrap()).unwrap();
         let clean = duplicated_snapshots(3).1.to_json().unwrap();
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let err = Checker::new(&compiled, &db)
-            .check_pipelined(
-                SnapshotFramer::new(dup_json.as_bytes(), "pre.json"),
-                SnapshotFramer::new(clean.as_bytes(), "post.json"),
-            )
-            .unwrap_err();
+        let job = |s: &CheckSession, pre: &str, post: &str| {
+            snapshot_error(s.run(streams(pre, post, JobOptions::default())))
+        };
+        let err = job(&session(0), &dup_json, &clean);
         assert_eq!(err.entry_index(), Some(2), "{err}");
         assert_eq!(err.label(), Some("pre.json"));
         assert!(err.to_string().contains("duplicate flow"), "{err}");
@@ -2922,17 +2753,9 @@ mod tests {
             .unwrap_err();
         assert_eq!(serial_err.entry_index(), Some(20));
         for threads in [1usize, 4] {
+            let s = session(threads);
             for _ in 0..4 {
-                let err = Checker::new(&compiled, &db)
-                    .with_options(CheckOptions {
-                        threads,
-                        ..CheckOptions::default()
-                    })
-                    .check_pipelined(
-                        SnapshotFramer::new(wide_json.as_bytes(), "pre.json"),
-                        SnapshotFramer::new(wide_json.as_bytes(), "post.json"),
-                    )
-                    .unwrap_err();
+                let err = job(&s, &wide_json, &wide_json);
                 assert_eq!(err.entry_index(), Some(20), "threads {threads}: {err}");
                 assert_eq!(err.byte_offset(), serial_err.byte_offset());
             }
@@ -2941,16 +2764,9 @@ mod tests {
 
     #[test]
     fn check_pipelined_empty_streams_are_compliant() {
-        use rela_net::SnapshotFramer;
-        let db = db();
-        let program = crate::parser::parse_program(NOCHANGE).unwrap();
-        let compiled = crate::compile::compile_program(&program, &db, Granularity::Device).unwrap();
-        let empty = br#"{"fecs": []}"#;
-        let report = Checker::new(&compiled, &db)
-            .check_pipelined(
-                SnapshotFramer::new(&empty[..], "pre.json"),
-                SnapshotFramer::new(&empty[..], "post.json"),
-            )
+        let empty = r#"{"fecs": []}"#;
+        let report = session(0)
+            .run(streams(empty, empty, JobOptions::default()))
             .unwrap();
         assert!(report.is_compliant());
         assert_eq!(report.total, 0);

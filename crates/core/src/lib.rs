@@ -12,10 +12,17 @@
 //! 2. [`compile_program`] — name resolution against a
 //!    [`rela_net::LocationDb`] at a chosen granularity, then the Fig. 4
 //!    translation to the regular intermediate representation ([`rir`]).
-//! 3. [`check::Checker`] — binds each FEC's pre/post forwarding DAGs to
-//!    `PreState`/`PostState`, decides the equations with automata
+//! 3. [`CheckSession::run`] — binds each FEC's pre/post forwarding DAGs
+//!    to `PreState`/`PostState`, decides the equations with automata
 //!    ([`lower`]), and reports attributed counterexamples
 //!    ([`report::CheckReport`], rendered like the paper's Table 1).
+//!
+//! A session ([`session`]) is the one way into the checker: the engine
+//! behind it is crate-private, so it cannot be named from outside.
+//!
+//! ```compile_fail
+//! use rela_core::check::Checker;
+//! ```
 //!
 //! The executable reference semantics of the RIR (paper Appendix A)
 //! lives in [`semantics`] and cross-checks the automata path in tests.
@@ -39,7 +46,7 @@ pub mod semantics;
 pub mod session;
 
 pub use ast::{Def, Modifier, PathRegex, PredExpr, Program, RirExpr, RirSpecExpr, SpecExpr};
-pub use check::{cache_epoch, CheckOptions, Checker, ENGINE_VERSION};
+pub use check::{cache_epoch, ENGINE_VERSION};
 pub use compile::{
     compile_program, CompileError, CompiledCheck, CompiledProgram, GuardedPart, RoutedCheck,
 };

@@ -1,6 +1,7 @@
 //! Infrastructure for the pipelined engine's ingest stage
-//! ([`Checker::check_pipelined`](crate::check::Checker::check_pipelined)):
-//! a bounded MPMC channel between the producer threads and the
+//! ([`Checker::run_pipelined`](crate::check::Checker::run_pipelined),
+//! which every streams and delta job of a `CheckSession` runs): a
+//! bounded MPMC channel between the producer threads and the
 //! decode/admission worker pool, a sharded flow-join map, a sharded
 //! behavior-class registry, and the first-error sink that aborts the
 //! pipeline cleanly.

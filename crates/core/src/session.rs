@@ -1,13 +1,11 @@
-//! The unified check-job API: one resident [`CheckSession`] running any
-//! number of [`JobSpec`]s.
+//! The check-job API, and the only way into the engine: one resident
+//! [`CheckSession`] running any number of [`JobSpec`]s.
 //!
-//! Historically the crate grew sibling entry points —
-//! [`Checker::check`], [`Checker::check_pipelined`] — plus the CLI-only
-//! `run_check` convenience, each re-deriving the same warm state (parsed
-//! spec, compiled program, verdict store, FST memo) per call. The paper's
-//! §8.1 workflow is iterative: an operator re-submits near-identical
-//! jobs against one spec, so that warm state is exactly what should
-//! persist between checks. This module splits the API along that line:
+//! The paper's §8.1 workflow is iterative: an operator re-submits
+//! near-identical jobs against one spec, so the warm state (parsed
+//! spec, compiled program, verdict store, FST memo, lowered relations)
+//! is exactly what should persist between checks. This module splits
+//! the API along that line:
 //!
 //! - a **session** owns everything that outlives a request: the
 //!   compiled program, the location database, the cache epoch derived
@@ -18,9 +16,10 @@
 //!
 //! One-shot CLI mode is the degenerate case — open a session, run one
 //! job, exit — and `rela serve` is the same session kept resident
-//! behind a socket. Reports are byte-identical across both ingest modes
-//! and between a fresh and a warm session (the memo and store change
-//! wall time and the stats line, never verdict bytes).
+//! behind a socket; tests and benchmarks that want a cold run open a
+//! fresh session for it. Reports are byte-identical across both ingest
+//! modes and between a fresh and a warm session (the memo and store
+//! change wall time and the stats line, never verdict bytes).
 //!
 //! ```
 //! use rela_core::{CheckSession, JobSpec, SessionConfig};
@@ -47,9 +46,11 @@
 //! assert!(report.is_compliant());
 //! ```
 
-use crate::check::{cache_epoch, CancelToken, CheckOptions, Checker, FstMemo};
+use crate::check::{cache_epoch, framer_feed, CancelToken, Checker, FstMemo};
 use crate::compile::{compile_program, CompiledProgram};
+use crate::counterexample::WitnessLimits;
 use crate::parser::parse_program;
+use crate::pipeline::Side;
 use crate::report::CheckReport;
 use crate::retain::{RetentionSet, RetentionSlot};
 use crate::RelaError;
@@ -106,14 +107,15 @@ impl Default for SessionConfig {
 /// [`JobInput::Pair`], which is already in memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestMode {
-    /// The pipelined engine ([`Checker::check_pipelined`]): framing,
-    /// decoding, fingerprinting, and the store consult overlap; each
-    /// cold class is decided once the streams have ended.
+    /// The pipelined engine: framing, decoding, fingerprinting, and the
+    /// store consult overlap; each cold class is decided once the
+    /// streams have ended.
     #[default]
     Pipelined,
-    /// Materialize both snapshots in memory, then align and check
-    /// ([`Checker::check`]) — the reference engine the identity suites
-    /// and `relabench`'s golden report compare the pipelined one against.
+    /// Materialize both snapshots in memory, then align and check them
+    /// as a [`JobInput::Pair`] is checked — the batch engine, the
+    /// reference the identity suites and `relabench`'s golden report
+    /// compare the pipelined one against. No CLI flag spells it.
     Materialized,
 }
 
@@ -125,11 +127,12 @@ pub enum IngestMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobOptions {
     /// Witness enumeration limits for counterexamples.
-    pub witness: crate::counterexample::WitnessLimits,
+    pub witness: WitnessLimits,
     /// Number of pre/post paths rendered per violating FEC.
     pub list_paths: usize,
     /// Group FECs into behavior classes and decide one representative
-    /// per class.
+    /// per class (`false` re-decides every FEC from scratch, which is
+    /// only useful for measuring the dedup win).
     pub dedup: bool,
     /// Stream ingest mode (ignored for in-memory pairs).
     pub ingest: IngestMode,
@@ -150,11 +153,10 @@ pub struct JobOptions {
 
 impl Default for JobOptions {
     fn default() -> JobOptions {
-        let defaults = CheckOptions::default();
         JobOptions {
-            witness: defaults.witness,
-            list_paths: defaults.list_paths,
-            dedup: defaults.dedup,
+            witness: WitnessLimits::default(),
+            list_paths: 4,
+            dedup: true,
             ingest: IngestMode::default(),
             use_cache: true,
             delta_base: None,
@@ -208,7 +210,7 @@ impl Deserialize for JobOptions {
             }
         };
         Ok(JobOptions {
-            witness: crate::counterexample::WitnessLimits {
+            witness: WitnessLimits {
                 max_paths: serde::field(value, "max_paths")?,
                 max_len: serde::field(value, "max_len")?,
             },
@@ -654,34 +656,36 @@ impl CheckSession {
         }
     }
 
+    /// The one place a [`Checker`] is built: this session's program,
+    /// database, memo, fault plan and — when the job consults it — store,
+    /// lent to one job under its `options`, the session's thread count
+    /// and `cancel`.
+    pub(crate) fn checker<'s>(
+        &'s self,
+        options: JobOptions,
+        cancel: &'s CancelToken,
+    ) -> Checker<'s> {
+        Checker {
+            program: &self.program,
+            db: &self.db,
+            options,
+            threads: self.config.threads,
+            cache: self.store.as_ref().filter(|_| options.use_cache),
+            memo: &self.memo,
+            // only the pipelined engine captures records, so the set
+            // tracks the last K pipelined (full or delta) ingests
+            retention: (self.config.retain_bases > 0).then_some(&self.retained),
+            cancel,
+            faults: self.faults.as_ref(),
+        }
+    }
+
     fn run_inner(
         &self,
         job: JobSpec<'_>,
         token: &CancelToken,
     ) -> Result<CheckReport, SnapshotError> {
-        let options = CheckOptions {
-            witness: job.options.witness,
-            threads: self.config.threads,
-            list_paths: job.options.list_paths,
-            dedup: job.options.dedup,
-        };
-        let mut checker = Checker::new(&self.program, &self.db)
-            .with_options(options)
-            .with_memo(&self.memo)
-            .with_cancel(token);
-        if job.options.use_cache {
-            if let Some(store) = &self.store {
-                checker = checker.with_cache(store);
-            }
-        }
-        if let Some(plan) = &self.faults {
-            checker = checker.with_faults(plan);
-        }
-        if self.config.retain_bases > 0 {
-            // only the pipelined engine captures records, so the set
-            // tracks the last K pipelined (full or delta) ingests
-            checker = checker.with_retention(&self.retained);
-        }
+        let checker = self.checker(job.options, token);
         match job.input {
             JobInput::Pair(pair) => Ok(checker.check(pair)),
             JobInput::Deltas { pre, post } => {
@@ -689,7 +693,12 @@ impl CheckSession {
             }
             JobInput::Streams { pre, post } => match job.options.ingest {
                 IngestMode::Pipelined => {
-                    checker.check_pipelined(pre.into_framer(), post.into_framer())
+                    let labels = [&pre, &post].map(|source| Some(source.label().to_owned()));
+                    let feeds = vec![
+                        framer_feed(pre.into_framer(), Side::Pre),
+                        framer_feed(post.into_framer(), Side::Post),
+                    ];
+                    checker.run_pipelined(feeds, labels)
                 }
                 IngestMode::Materialized => {
                     let collect = |source: LabeledSource<'_>| -> Result<Snapshot, SnapshotError> {
@@ -733,7 +742,8 @@ impl CheckSession {
             None => resolve("delta base", pre_delta.base)?,
         };
         let items = base.replay(pre_delta, post_delta, [&pre_label, &post_label])?;
-        checker.check_prepared(items, [Some(pre_label), Some(post_label)])
+        let feed = Box::new(items.into_iter().map(Ok));
+        checker.run_pipelined(vec![feed], [Some(pre_label), Some(post_label)])
     }
 
     /// Flush the attached store to disk if any job inserted fresh
@@ -862,7 +872,7 @@ mod tests {
     #[test]
     fn job_options_round_trip_the_wire_shape() {
         let opts = JobOptions {
-            witness: crate::counterexample::WitnessLimits {
+            witness: WitnessLimits {
                 max_paths: 7,
                 max_len: 99,
             },
@@ -878,6 +888,15 @@ mod tests {
         assert_eq!(back, opts);
         let defaults = JobOptions::default();
         assert_eq!(defaults.ingest, IngestMode::Pipelined);
+        // witness limits and list_paths are folded into every store key
+        // (`store_variant`): a drift would cold-start every user's cache
+        let witness = WitnessLimits {
+            max_paths: 4,
+            max_len: 64,
+        };
+        assert_eq!(defaults.witness, witness);
+        assert_eq!(defaults.list_paths, 4);
+        assert!(defaults.dedup && defaults.use_cache);
         assert_eq!(
             JobOptions::from_value(&defaults.to_value()).unwrap(),
             defaults

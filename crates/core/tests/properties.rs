@@ -360,7 +360,7 @@ proptest! {
 /// randomized snapshot pairs with heavily duplicated forwarding graphs.
 mod dedup {
     use super::*;
-    use rela_core::{compile_program, parse_program, CheckOptions, CheckReport, Checker};
+    use rela_core::{CheckReport, CheckSession, JobOptions, JobSpec, LabeledSource, SessionConfig};
     use rela_net::{
         Device, FlowSpec, ForwardingGraph, Granularity, LocationDb, Snapshot, SnapshotPair,
     };
@@ -445,6 +445,37 @@ mod dedup {
                         pspec lim := (dstPrefix == 10.200.0.0/16) -> ecmp\n\
                         check nochange\n";
 
+    /// A fresh session over [`SPEC`] — fresh, so its first run is cold.
+    fn session(granularity: Granularity, threads: usize) -> CheckSession {
+        let config = SessionConfig {
+            granularity,
+            threads,
+            ..SessionConfig::default()
+        };
+        CheckSession::open(SPEC, db(), config).expect("spec compiles")
+    }
+
+    /// One cold run of an in-memory pair.
+    fn check_pair(
+        granularity: Granularity,
+        threads: usize,
+        options: JobOptions,
+        pair: &SnapshotPair,
+    ) -> CheckReport {
+        let job = JobSpec::pair(pair).with_options(options);
+        session(granularity, threads)
+            .run(job)
+            .expect("in-memory pair")
+    }
+
+    /// A job over two JSON snapshot documents.
+    fn streams<'a>(pre: &'a str, post: &'a str) -> JobSpec<'a> {
+        JobSpec::streams(
+            LabeledSource::new(pre.as_bytes(), "pre.json"),
+            LabeledSource::new(post.as_bytes(), "post.json"),
+        )
+    }
+
     fn assert_reports_equal(a: &CheckReport, b: &CheckReport, what: &str) {
         assert_eq!(a.total, b.total, "{what}: total");
         assert_eq!(a.compliant, b.compliant, "{what}: compliant");
@@ -473,22 +504,13 @@ mod dedup {
             }
             let pair = SnapshotPair::align(&pre, &post);
 
-            let db = db();
-            let program = parse_program(SPEC).expect("spec parses");
             // Group granularity covers the subtlest hashing path: vertices
             // abstract to group labels and intra-group edges become
             // ε-stutters, so hash-vs-FSA agreement is least obvious there.
             for granularity in [Granularity::Device, Granularity::Group] {
-                let compiled =
-                    compile_program(&program, &db, granularity).expect("spec compiles");
                 let run = |dedup: bool, threads: usize| {
-                    Checker::new(&compiled, &db)
-                        .with_options(CheckOptions {
-                            dedup,
-                            threads,
-                            ..CheckOptions::default()
-                        })
-                        .check(&pair)
+                    let options = JobOptions { dedup, ..JobOptions::default() };
+                    check_pair(granularity, threads, options, &pair)
                 };
 
                 let reference = run(true, 1);
@@ -534,7 +556,6 @@ mod dedup {
             bases in proptest::collection::vec(graph_strategy(), 1..4),
             picks in proptest::collection::vec((0..4usize, 0..4usize), 1..13),
         ) {
-            use rela_net::SnapshotFramer;
             let graphs: Vec<ForwardingGraph> = bases
                 .iter()
                 .map(|(walk, parallel, dropped)| build_graph(walk, *parallel, *dropped))
@@ -550,22 +571,12 @@ mod dedup {
             let pre_json = pre.to_json().expect("pre serializes");
             let post_json = post.to_json().expect("post serializes");
 
-            let db = db();
-            let program = parse_program(SPEC).expect("spec parses");
-            let compiled =
-                compile_program(&program, &db, Granularity::Group).expect("spec compiles");
-            let reference = report_bytes(&Checker::new(&compiled, &db).check(&pair));
+            let reference =
+                report_bytes(&check_pair(Granularity::Group, 0, JobOptions::default(), &pair));
 
             for threads in [1usize, 2, 4] {
-                let piped = Checker::new(&compiled, &db)
-                    .with_options(CheckOptions {
-                        threads,
-                        ..CheckOptions::default()
-                    })
-                    .check_pipelined(
-                        SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
-                        SnapshotFramer::new(post_json.as_bytes(), "post.json"),
-                    )
+                let piped = session(Granularity::Group, threads)
+                    .run(streams(&pre_json, &post_json))
                     .expect("clean streams");
                 prop_assert_eq!(report_bytes(&piped), reference.clone(), "threads {}", threads);
             }
@@ -581,7 +592,7 @@ mod dedup {
             picks in proptest::collection::vec((0..4usize, 0..4usize), 2..9),
             cut_permille in 100..950usize,
         ) {
-            use rela_net::{SnapshotFramer, SnapshotReader};
+            use rela_net::SnapshotReader;
             let graphs: Vec<ForwardingGraph> = bases
                 .iter()
                 .map(|(walk, parallel, dropped)| build_graph(walk, *parallel, *dropped))
@@ -597,26 +608,15 @@ mod dedup {
             let post_json = post.to_json().expect("post serializes");
             let cut = &post_json[..post_json.len() * cut_permille / 1000];
 
-            let db = db();
-            let program = parse_program(SPEC).expect("spec parses");
-            let compiled =
-                compile_program(&program, &db, Granularity::Group).expect("spec compiles");
             let serial_err = SnapshotReader::new(cut.as_bytes())
                 .with_label("post.json")
                 .collect::<Result<Snapshot, _>>()
                 .expect_err("truncated post stream");
             for threads in [1usize, 4] {
-                let piped_err = Checker::new(&compiled, &db)
-                    .with_options(CheckOptions {
-                        threads,
-                        ..CheckOptions::default()
-                    })
-                    .check_pipelined(
-                        SnapshotFramer::new(pre_json.as_bytes(), "pre.json"),
-                        SnapshotFramer::new(cut.as_bytes(), "post.json"),
-                    )
+                let piped_err = session(Granularity::Group, threads)
+                    .run(streams(&pre_json, cut))
                     .expect_err("truncated post stream");
-                prop_assert_eq!(&piped_err, &serial_err, "threads {}", threads);
+                prop_assert_eq!(piped_err.as_snapshot(), Some(&serial_err), "threads {}", threads);
             }
         }
     }
@@ -633,7 +633,6 @@ mod dedup {
         picks in proptest::collection::vec((0..4usize, 0..4usize), 1..13),
     ) {
         use rela_cache::VerdictStore;
-        use rela_core::cache_epoch;
         use std::sync::atomic::{AtomicUsize, Ordering};
         static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -650,9 +649,6 @@ mod dedup {
         }
         let pair = SnapshotPair::align(&pre, &post);
 
-        let db = db();
-        let program = parse_program(SPEC).expect("spec parses");
-        let epoch = cache_epoch(&program, &db);
         // all three granularities: the cache key binds the compile
         // granularity, and the routed ECMP limit exercises
         // interface-fidelity hashing inside every run
@@ -661,26 +657,29 @@ mod dedup {
             Granularity::Group,
             Granularity::Interface,
         ] {
-            let compiled = compile_program(&program, &db, granularity).expect("spec compiles");
-            let plain = Checker::new(&compiled, &db).check(&pair);
+            let plain = check_pair(granularity, 0, JobOptions::default(), &pair);
 
             let dir = std::env::temp_dir().join(format!(
                 "rela-prop-cache-{}-{}",
                 std::process::id(),
                 DIR_SEQ.fetch_add(1, Ordering::Relaxed),
             ));
-            let store = VerdictStore::open(&dir, epoch).expect("store opens");
-            let cold = Checker::new(&compiled, &db).with_cache(&store).check(&pair);
+            // a fresh session each run, the store opened from `dir`
+            let stored = || {
+                let mut s = session(granularity, 0);
+                s.attach_store(VerdictStore::open(&dir, s.epoch()).expect("store opens"));
+                s
+            };
+            let cold_session = stored();
+            let cold = cold_session.run(JobSpec::pair(&pair)).expect("in-memory pair");
             prop_assert_eq!(cold.stats.warm_hits, 0, "first run must be cold");
             assert_reports_equal(&plain, &cold, "cold-with-store vs plain");
-            store.persist().expect("store persists");
+            cold_session.store().expect("attached").persist().expect("store persists");
 
             // a separate "run": rehydrate from disk, everything replays
-            let reopened = VerdictStore::open(&dir, epoch).expect("store reopens");
-            prop_assert_eq!(reopened.loaded(), cold.stats.classes);
-            let warm = Checker::new(&compiled, &db)
-                .with_cache(&reopened)
-                .check(&pair);
+            let warm_session = stored();
+            prop_assert_eq!(warm_session.store().expect("attached").loaded(), cold.stats.classes);
+            let warm = warm_session.run(JobSpec::pair(&pair)).expect("in-memory pair");
             prop_assert_eq!(warm.stats.warm_hits, warm.stats.classes, "all classes replay");
             assert_reports_equal(&plain, &warm, "warm replay vs plain");
             std::fs::remove_dir_all(&dir).ok();

@@ -15,7 +15,7 @@
 
 use rela_baseline::{path_diff, DiffOptions};
 
-use rela_core::{CheckSession, IngestMode, JobOptions, JobSpec, LabeledSource, SessionConfig};
+use rela_core::{CheckSession, JobOptions, JobSpec, LabeledSource, SessionConfig};
 use rela_net::{
     diff_side, pair_epoch, scan_side, snapshot_source, write_delta, BinarySnapshotWriter,
     Granularity, LocationDb, MmapSource, RecordBody, SideScan, Snapshot, SnapshotEpoch,
@@ -53,10 +53,28 @@ pub struct ServeConfig {
     pub retain_bytes: Option<u64>,
 }
 
+/// How a check renders its report — the one thing `rela check` and
+/// `rela report` differ in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Output {
+    /// `rela check`: the human table.
+    Text {
+        /// `--cache-stats`: print warm-hit/store counters after the
+        /// report.
+        cache_stats: bool,
+    },
+    /// `rela report --json` (the default export): verdict, stats, and
+    /// per-FEC violations.
+    Json,
+    /// `rela report --csv`: one row per violated sub-spec.
+    Csv,
+}
+
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
-    /// Validate a change spec against a snapshot pair.
+    /// Validate a change spec against a snapshot pair: `rela check`, or
+    /// `rela report` when the output is an export.
     Check {
         /// Path to the `.rela` spec program.
         spec: PathBuf,
@@ -70,16 +88,15 @@ pub enum Command {
         granularity: Granularity,
         /// Worker threads (0 = auto).
         threads: usize,
-        /// Per-job options (`--no-dedup`, `--no-cache`, `--no-stream`
+        /// Per-job options (`--no-dedup`, `--no-cache`, `--deadline-ms`
         /// all fold in here) — the same struct a `rela submit` client
         /// serializes over the wire.
         job: JobOptions,
         /// Persistent verdict-cache directory (`--cache-dir`); `None`
         /// checks from scratch.
         cache_dir: Option<PathBuf>,
-        /// `--cache-stats`: print warm-hit/store counters after the
-        /// report.
-        cache_stats: bool,
+        /// How the report is printed.
+        output: Output,
     },
     /// Run the resident verification daemon: `rela serve`.
     Serve(ServeConfig),
@@ -130,29 +147,6 @@ pub enum Command {
         keep_epochs: Option<usize>,
         /// Total size cap in bytes for the directory.
         max_bytes: Option<u64>,
-    },
-    /// Run a check but print a machine-readable export instead of the
-    /// human table: `rela report --json|--csv`.
-    Report {
-        /// Path to the `.rela` spec program.
-        spec: PathBuf,
-        /// Path to the location database JSON.
-        db: PathBuf,
-        /// Path to the pre-change snapshot.
-        pre: PathBuf,
-        /// Path to the post-change snapshot.
-        post: PathBuf,
-        /// Location granularity.
-        granularity: Granularity,
-        /// Worker threads (0 = auto).
-        threads: usize,
-        /// Per-job options (same flags as `check`).
-        job: JobOptions,
-        /// Persistent verdict-cache directory (`--cache-dir`).
-        cache_dir: Option<PathBuf>,
-        /// `--csv`: per-FEC verdict rows instead of the full JSON
-        /// export.
-        csv: bool,
     },
     /// Convert a snapshot between the JSON and binary containers
     /// without decoding records: `rela snapshot pack`.
@@ -247,15 +241,13 @@ rela — relational network verification (SIGCOMM 2024 reproduction)
 USAGE:
   rela check --spec FILE --db FILE --pre FILE --post FILE
              [--granularity group|device|interface] [--threads N] [--no-dedup]
-             [--cache-dir DIR] [--no-cache] [--cache-stats] [--no-stream]
-             [--deadline-ms N]
+             [--cache-dir DIR] [--no-cache] [--cache-stats] [--deadline-ms N]
   rela serve --socket PATH --spec FILE --db FILE
              [--granularity group|device|interface] [--threads N]
              [--cache-dir DIR] [--retain-epochs K] [--retain-bytes N]
   rela submit --socket PATH --pre FILE --post FILE
              [--delta-base EPOCH --delta-pre FILE --delta-post FILE]
-             [--no-dedup] [--no-cache] [--cache-stats] [--no-stream]
-             [--deadline-ms N]
+             [--no-dedup] [--no-cache] [--cache-stats] [--deadline-ms N]
              [--retries N] [--retry-delay-ms N]
   rela submit --socket PATH --ping | --shutdown
   rela report --spec FILE --db FILE --pre FILE --post FILE [--json | --csv]
@@ -284,9 +276,6 @@ thread frames raw records, a worker pool decodes and fingerprints them,
 and each behavior class is decided once both files are read — only one
 forwarding graph per class is ever held in memory (docs/SNAPSHOT_FORMAT.md
 specifies the wire format; files ending in .gz are gunzipped on the fly).
---no-stream loads both snapshots fully before aligning instead: the
-reference engine the pipelined one is tested against, at the cost of
-holding every forwarding graph of both snapshots in memory.
 serve keeps a compiled spec, location db, verdict store, and FST memo
 resident behind a Unix socket; submit streams a snapshot pair to it and
 prints a report byte-identical to a one-shot check of the same pair —
@@ -368,7 +357,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     // must not swallow the next argument as its value; a flag another
     // subcommand owns is refused by name, not parsed and then ignored
     // (`submit --spec other.rela` would be checked under the daemon's).
-    const FLAGS: [(&str, bool, &[&str]); 33] = [
+    const FLAGS: [(&str, bool, &[&str]); 32] = [
         ("--spec", true, &["check", "report", "serve", "cache gc"]),
         (
             "--db",
@@ -412,7 +401,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         ("--no-dedup", false, &["check", "report", "submit"]),
         ("--no-cache", false, &["check", "report", "submit"]),
         ("--cache-stats", false, &["check", "submit"]),
-        ("--no-stream", false, &["check", "report", "submit"]),
         ("--ping", false, &["submit"]),
         ("--shutdown", false, &["submit"]),
         ("--unpack", false, &["snapshot pack"]),
@@ -457,48 +445,56 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             )))
         }
     };
-    // `--no-stream`/`--no-dedup`/`--no-cache` all fold into one
+    // every numeric flag: absent is `None`, a value that does not parse
+    // is refused by name
+    fn number<T: std::str::FromStr>(
+        flags: &BTreeMap<String, String>,
+        key: &str,
+    ) -> Result<Option<T>, CliError> {
+        let parse = |raw: &String| {
+            raw.parse()
+                .map_err(|_| usage_error(format!("invalid --{key} `{raw}`")))
+        };
+        flags.get(key).map(parse).transpose()
+    }
+    // `--no-dedup`/`--no-cache`/`--deadline-ms` all fold into one
     // JobOptions, shared verbatim between the one-shot CLI and the serve
     // wire protocol
     let job_options = |flags: &BTreeMap<String, String>| -> Result<JobOptions, CliError> {
-        let ingest = if flags.contains_key("no-stream") {
-            IngestMode::Materialized
-        } else {
-            IngestMode::Pipelined
-        };
-        let deadline_ms = match flags.get("deadline-ms") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse::<u64>()
-                    .map_err(|_| usage_error(format!("invalid --deadline-ms `{raw}`")))?,
-            ),
-        };
         Ok(JobOptions {
             dedup: !flags.contains_key("no-dedup"),
             use_cache: !flags.contains_key("no-cache"),
-            ingest,
-            deadline_ms,
+            deadline_ms: number(flags, "deadline-ms")?,
             ..JobOptions::default()
         })
     };
-    let threads = match flags.get("threads") {
-        None => 0,
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| usage_error(format!("invalid --threads `{raw}`")))?,
-    };
+    let threads = number(&flags, "threads")?.unwrap_or(0);
     match cmd.as_str() {
-        "check" => Ok(Command::Check {
-            spec: need("spec")?,
-            db: need("db")?,
-            pre: need("pre")?,
-            post: need("post")?,
-            granularity,
-            threads,
-            job: job_options(&flags)?,
-            cache_dir: flags.get("cache-dir").map(PathBuf::from),
-            cache_stats: flags.contains_key("cache-stats"),
-        }),
+        "check" | "report" => {
+            let output = match (
+                cmd.as_str(),
+                flags.contains_key("json"),
+                flags.contains_key("csv"),
+            ) {
+                ("check", ..) => Output::Text {
+                    cache_stats: flags.contains_key("cache-stats"),
+                },
+                (_, true, true) => return Err(usage_error("pick one of --json or --csv")),
+                (_, _, true) => Output::Csv,
+                _ => Output::Json,
+            };
+            Ok(Command::Check {
+                spec: need("spec")?,
+                db: need("db")?,
+                pre: need("pre")?,
+                post: need("post")?,
+                granularity,
+                threads,
+                job: job_options(&flags)?,
+                cache_dir: flags.get("cache-dir").map(PathBuf::from),
+                output,
+            })
+        }
         "serve" => Ok(Command::Serve(ServeConfig {
             socket: need("socket")?,
             spec: need("spec")?,
@@ -506,19 +502,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             granularity,
             threads,
             cache_dir: flags.get("cache-dir").map(PathBuf::from),
-            retain_epochs: match flags.get("retain-epochs") {
-                None => 2,
-                Some(raw) => raw
-                    .parse()
-                    .map_err(|_| usage_error(format!("invalid --retain-epochs `{raw}`")))?,
-            },
-            retain_bytes: match flags.get("retain-bytes") {
-                None => None,
-                Some(raw) => Some(
-                    raw.parse()
-                        .map_err(|_| usage_error(format!("invalid --retain-bytes `{raw}`")))?,
-                ),
-            },
+            retain_epochs: number(&flags, "retain-epochs")?.unwrap_or(2),
+            retain_bytes: number(&flags, "retain-bytes")?,
         })),
         "submit" => {
             let socket = need("socket")?;
@@ -551,17 +536,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 }
                 let mut job = job_options(&flags)?;
                 job.delta_base = delta_base;
-                let mut retry = crate::client::RetryPolicy::default();
-                if let Some(raw) = flags.get("retries") {
-                    retry.retries = raw
-                        .parse()
-                        .map_err(|_| usage_error(format!("invalid --retries `{raw}`")))?;
-                }
-                if let Some(raw) = flags.get("retry-delay-ms") {
-                    retry.delay_ms = raw
-                        .parse()
-                        .map_err(|_| usage_error(format!("invalid --retry-delay-ms `{raw}`")))?;
-                }
+                let defaults = crate::client::RetryPolicy::default();
+                let retry = crate::client::RetryPolicy {
+                    retries: number(&flags, "retries")?.unwrap_or(defaults.retries),
+                    delay_ms: number(&flags, "retry-delay-ms")?.unwrap_or(defaults.delay_ms),
+                };
                 Ok(Command::Submit {
                     socket,
                     pre: need("pre")?,
@@ -572,22 +551,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     retry,
                 })
             }
-        }
-        "report" => {
-            if flags.contains_key("json") && flags.contains_key("csv") {
-                return Err(usage_error("pick one of --json or --csv"));
-            }
-            Ok(Command::Report {
-                spec: need("spec")?,
-                db: need("db")?,
-                pre: need("pre")?,
-                post: need("post")?,
-                granularity,
-                threads,
-                job: job_options(&flags)?,
-                cache_dir: flags.get("cache-dir").map(PathBuf::from),
-                csv: flags.contains_key("csv"),
-            })
         }
         "snapshot" if snapshot_sub == "pack" => Ok(Command::SnapshotPack {
             input: need("in")?,
@@ -612,20 +575,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             cache_dir: need("cache-dir")?,
             spec: flags.get("spec").map(PathBuf::from),
             db: flags.get("db").map(PathBuf::from),
-            keep_epochs: match flags.get("keep-epochs") {
-                None => None,
-                Some(raw) => Some(
-                    raw.parse()
-                        .map_err(|_| usage_error(format!("invalid --keep-epochs `{raw}`")))?,
-                ),
-            },
-            max_bytes: match flags.get("max-bytes") {
-                None => None,
-                Some(raw) => Some(
-                    raw.parse()
-                        .map_err(|_| usage_error(format!("invalid --max-bytes `{raw}`")))?,
-                ),
-            },
+            keep_epochs: number(&flags, "keep-epochs")?,
+            max_bytes: number(&flags, "max-bytes")?,
         }),
         "demo" => Ok(Command::Demo {
             out: flags
@@ -661,8 +612,8 @@ fn load_snapshot(path: &Path) -> Result<Snapshot, CliError> {
 }
 
 /// Open a check session — the "open a session, run one job, exit" path
-/// both `check` and `report` share with a `rela serve` daemon — with an
-/// optional verdict store attached. An unopenable store degrades to a
+/// `check` shares with a `rela serve` daemon — with an optional verdict
+/// store attached. An unopenable store degrades to a
 /// cold (cache-free) run with a warning: the cache is an accelerator,
 /// never a dependency, so an IO problem must not block or re-label a
 /// valid validation.
@@ -753,7 +704,7 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<i32, CliError>
             threads,
             job,
             cache_dir,
-            cache_stats,
+            output,
         } => {
             let session = open_session(
                 spec,
@@ -767,13 +718,22 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<i32, CliError>
             let report = session
                 .run(JobSpec::streams(labeled(pre)?, labeled(post)?).with_options(*job))
                 .map_err(job_error)?;
-            emit(out, report.to_string())?;
             // a failed flush degrades the next run to cold — warn,
             // don't fail a completed validation over it
-            if let Err(e) = session.persist_if_dirty() {
-                emit(out, format!("warning: could not persist cache: {e}\n"))?;
+            let persisted = session.persist_if_dirty();
+            let mut text = match output {
+                Output::Text { .. } => report.to_string(),
+                Output::Json => {
+                    serde_json::to_string_pretty(&report.to_value())
+                        .map_err(|e| usage_error(e.to_string()))?
+                        + "\n"
+                }
+                Output::Csv => report.to_csv(),
+            };
+            if let Err(e) = persisted {
+                text.push_str(&format!("warning: could not persist cache: {e}\n"));
             }
-            if *cache_stats {
+            if let Output::Text { cache_stats: true } = output {
                 let stats = report.stats;
                 let store = match session.store() {
                     Some(store) => format!(
@@ -788,16 +748,14 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<i32, CliError>
                     ),
                     None => format!("disabled, {} fst memo hits", stats.fst_memo_hits),
                 };
-                emit(
-                    out,
-                    format!(
-                        "cache: {store}, {} live / {} dead sides, relations {:.2}ms\n",
-                        stats.live_sides,
-                        stats.dead_sides,
-                        stats.relations.as_secs_f64() * 1e3,
-                    ),
-                )?;
+                text.push_str(&format!(
+                    "cache: {store}, {} live / {} dead sides, relations {:.2}ms\n",
+                    stats.live_sides,
+                    stats.dead_sides,
+                    stats.relations.as_secs_f64() * 1e3,
+                ));
             }
+            emit(out, text)?;
             Ok(if report.is_compliant() { 0 } else { 1 })
         }
         Command::Serve(config) => crate::serve::serve(config, out),
@@ -819,43 +777,6 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<i32, CliError>
             retry,
             out,
         ),
-        Command::Report {
-            spec,
-            db,
-            pre,
-            post,
-            granularity,
-            threads,
-            job,
-            cache_dir,
-            csv,
-        } => {
-            let session = open_session(
-                spec,
-                db,
-                *granularity,
-                *threads,
-                job.use_cache,
-                cache_dir.as_deref(),
-                out,
-            )?;
-            let report = session
-                .run(JobSpec::streams(labeled(pre)?, labeled(post)?).with_options(*job))
-                .map_err(job_error)?;
-            let rendered = if *csv {
-                report.to_csv()
-            } else {
-                let mut text = serde_json::to_string_pretty(&report.to_value())
-                    .map_err(|e| usage_error(e.to_string()))?;
-                text.push('\n');
-                text
-            };
-            emit(out, rendered)?;
-            if let Err(e) = session.persist_if_dirty() {
-                emit(out, format!("warning: could not persist cache: {e}\n"))?;
-            }
-            Ok(if report.is_compliant() { 0 } else { 1 })
-        }
         Command::SnapshotPack {
             input,
             output,
@@ -1106,6 +1027,7 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<i32, CliError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rela_core::IngestMode;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1135,7 +1057,7 @@ mod tests {
                 threads,
                 job,
                 cache_dir,
-                cache_stats,
+                output,
                 ..
             } => {
                 assert_eq!(granularity, Granularity::Device);
@@ -1143,7 +1065,7 @@ mod tests {
                 assert!(job.dedup, "dedup defaults to on");
                 assert!(job.use_cache, "the cache is consulted when attached");
                 assert_eq!(cache_dir, None, "cache is opt-in");
-                assert!(!cache_stats);
+                assert_eq!(output, Output::Text { cache_stats: false });
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1171,12 +1093,12 @@ mod tests {
             Command::Check {
                 cache_dir,
                 job,
-                cache_stats,
+                output,
                 ..
             } => {
                 assert_eq!(cache_dir, Some(PathBuf::from(".rela-cache")));
                 assert!(!job.use_cache, "--no-cache folds into the job options");
-                assert!(cache_stats);
+                assert_eq!(output, Output::Text { cache_stats: true });
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1252,7 +1174,7 @@ mod tests {
                 threads: 1,
                 job: JobOptions::default(),
                 cache_dir: None,
-                cache_stats: false,
+                output: Output::Text { cache_stats: false },
             };
             let mut sink = Vec::new();
             let code = run(&cmd, &mut sink).unwrap();
@@ -1364,7 +1286,7 @@ mod tests {
                 threads: 1,
                 job: JobOptions::default(),
                 cache_dir: Some(dir.join("cache")),
-                cache_stats: true,
+                output: Output::Text { cache_stats: true },
             };
             let mut sink = Vec::new();
             let code = run(&cmd, &mut sink).unwrap();
@@ -1413,7 +1335,7 @@ mod tests {
             threads: 1,
             job: JobOptions::default(),
             cache_dir: Some(PathBuf::from("/dev/null/not-a-directory")),
-            cache_stats: false,
+            output: Output::Text { cache_stats: false },
         };
         let mut sink = Vec::new();
         let code = run(&cmd, &mut sink).unwrap();
@@ -1435,7 +1357,7 @@ mod tests {
                 ..JobOptions::default()
             },
             cache_dir: Some(dir.join("cache")),
-            cache_stats: true,
+            output: Output::Text { cache_stats: true },
         };
         let mut sink = Vec::new();
         let code = run(&cmd, &mut sink).unwrap();
@@ -1447,24 +1369,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The batch engine has no user-facing spelling: `IngestMode` is
+    /// API-only, every command line runs the pipelined engine, and
+    /// `--no-stream` is a typo like any other.
     #[test]
-    fn no_stream_switch_parses_and_defaults_on() {
-        let base = &[
-            "check", "--spec", "s.rela", "--db", "db.json", "--pre", "a.json", "--post", "b.json",
-        ];
-        match parse_args(&args(base)).unwrap() {
-            Command::Check { job, .. } => assert_eq!(
-                job.ingest,
-                IngestMode::Pipelined,
-                "pipelined streaming is the default"
-            ),
+    fn no_stream_is_refused_as_an_unknown_flag() {
+        let files = ["--spec", "s", "--db", "d", "--pre", "a", "--post", "b"];
+        match parse_args(&args(&[&["check"][..], &files].concat())).unwrap() {
+            Command::Check { job, .. } => assert_eq!(job.ingest, IngestMode::Pipelined),
             other => panic!("unexpected {other:?}"),
         }
-        let mut with_flag: Vec<&str> = base.to_vec();
-        with_flag.push("--no-stream");
-        match parse_args(&args(&with_flag)).unwrap() {
-            Command::Check { job, .. } => assert_eq!(job.ingest, IngestMode::Materialized),
-            other => panic!("unexpected {other:?}"),
+        for cmd in [&["check"][..], &["report"], &["submit", "--socket", "s"]] {
+            let err =
+                parse_args(&args(&[cmd, &files[4..], &["--no-stream"]].concat())).unwrap_err();
+            assert_eq!(err.code, 2, "{cmd:?}");
+            assert_eq!(err.message, "unknown flag `--no-stream`", "{cmd:?}");
         }
     }
 
@@ -1544,7 +1463,7 @@ mod tests {
         parse_args(&args(
             &[
                 &submit[..],
-                &["--no-stream", "--cache-stats", "--retries", "3"],
+                &["--no-dedup", "--cache-stats", "--retries", "3"],
             ]
             .concat(),
         ))
@@ -1742,7 +1661,7 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Report { csv, .. } => assert!(csv),
+            Command::Check { output, .. } => assert_eq!(output, Output::Csv),
             other => panic!("unexpected {other:?}"),
         }
         match parse_args(&args(&[
@@ -1750,8 +1669,8 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Report { csv, job, .. } => {
-                assert!(!csv, "JSON is the default export");
+            Command::Check { output, job, .. } => {
+                assert_eq!(output, Output::Json, "JSON is the default export");
                 assert!(job.dedup);
             }
             other => panic!("unexpected {other:?}"),
@@ -1812,7 +1731,7 @@ mod tests {
                 threads: 1,
                 job: JobOptions::default(),
                 cache_dir: None,
-                cache_stats: false,
+                output: Output::Text { cache_stats: false },
             };
             let mut sink = Vec::new();
             let code = run(&cmd, &mut sink).unwrap();
@@ -1830,8 +1749,8 @@ mod tests {
         assert_eq!(verdicts(&json_text), verdicts(&bin_text));
 
         // report --json agrees with the human verdict and carries stats
-        let report = |csv: bool| {
-            let cmd = Command::Report {
+        let report = |output: Output| {
+            let cmd = Command::Check {
                 spec: dir.join("change.rela"),
                 db: dir.join("db.json"),
                 pre: dir.join("pre.json"),
@@ -1840,18 +1759,18 @@ mod tests {
                 threads: 1,
                 job: JobOptions::default(),
                 cache_dir: None,
-                csv,
+                output,
             };
             let mut sink = Vec::new();
             let code = run(&cmd, &mut sink).unwrap();
             (code, String::from_utf8(sink).unwrap())
         };
-        let (code, json) = report(false);
+        let (code, json) = report(Output::Json);
         assert_eq!(code, 1);
         let value: Value = serde_json::from_str(&json).unwrap();
         assert_eq!(value.get("verdict").and_then(Value::as_str), Some("FAIL"));
         assert!(value.get("stats").and_then(|s| s.get("fecs")).is_some());
-        let (code, csv) = report(true);
+        let (code, csv) = report(Output::Csv);
         assert_eq!(code, 1);
         assert!(csv.starts_with("flow,check,route,part,detail"), "{csv}");
         assert!(csv.lines().count() > 1, "{csv}");
@@ -1948,7 +1867,7 @@ mod tests {
             threads: 1,
             job: JobOptions::default(),
             cache_dir: Some(cache_dir.clone()),
-            cache_stats: false,
+            output: Output::Text { cache_stats: false },
         };
         run(&check, &mut Vec::new()).unwrap();
         // plant a superseded epoch file
@@ -1972,8 +1891,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Pipelined (default) and materialized (`--no-stream`) runs over
-    /// the same files — plus a gzipped copy through the pipelined path —
+    /// Pipelined (default) and materialized (`IngestMode::Materialized`)
+    /// runs over the same files — plus a gzipped copy through the
+    /// pipelined path —
     /// produce byte-identical reports and the same exit code.
     #[test]
     fn pipelined_materialized_and_gz_checks_agree() {
@@ -2005,7 +1925,7 @@ mod tests {
                     ..JobOptions::default()
                 },
                 cache_dir: None,
-                cache_stats: false,
+                output: Output::Text { cache_stats: false },
             };
             let mut sink = Vec::new();
             let code = run(&cmd, &mut sink).unwrap();
@@ -2037,7 +1957,7 @@ mod tests {
             threads: 1,
             job: JobOptions::default(),
             cache_dir: None,
-            cache_stats: false,
+            output: Output::Text { cache_stats: false },
         };
         let err = run(&cmd, &mut Vec::new()).expect_err("truncated gz");
         assert_eq!(err.code, 2);
@@ -2046,7 +1966,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Streamed (default) and `--no-stream` runs over the same files
+    /// Streamed (default) and materialized runs over the same files
     /// produce byte-identical reports and the same exit code.
     #[test]
     fn streamed_and_materialized_checks_agree() {
@@ -2068,7 +1988,7 @@ mod tests {
                     ..JobOptions::default()
                 },
                 cache_dir: None,
-                cache_stats: false,
+                output: Output::Text { cache_stats: false },
             };
             let mut sink = Vec::new();
             let code = run(&cmd, &mut sink).unwrap();
@@ -2100,7 +2020,7 @@ mod tests {
             threads: 1,
             job: JobOptions::default(),
             cache_dir: None,
-            cache_stats: false,
+            output: Output::Text { cache_stats: false },
         };
         let mut sink = Vec::new();
         let err = run(&cmd, &mut sink).expect_err("truncated snapshot");

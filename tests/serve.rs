@@ -4,7 +4,7 @@
 //! store, and `SIGTERM` drains gracefully — the in-flight job finishes,
 //! new submissions are refused, and the daemon exits 0.
 
-use rela::cli::{self, Command};
+use rela::cli::{self, Command, Output};
 use rela::lang::JobOptions;
 use rela::proto::{
     read_frame, write_frame, KIND_ERROR, KIND_JOB, KIND_PING, KIND_PONG, KIND_PRE, KIND_REPORT,
@@ -310,7 +310,7 @@ fn concurrent_submits_match_one_shot_and_replay_warm() {
             threads: 1,
             job: JobOptions::default(),
             cache_dir: None,
-            cache_stats: false,
+            output: Output::Text { cache_stats: false },
         },
         &mut sink,
     )
@@ -449,7 +449,7 @@ fn delta_submission_matches_full_and_skips_unchanged_decodes() {
             threads: 1,
             job: JobOptions::default(),
             cache_dir: None,
-            cache_stats: false,
+            output: Output::Text { cache_stats: false },
         },
         &mut sink,
     )
@@ -673,7 +673,7 @@ fn a_panicking_job_is_contained_and_the_daemon_keeps_serving() {
             threads: 1,
             job: JobOptions::default(),
             cache_dir: None,
-            cache_stats: false,
+            output: Output::Text { cache_stats: false },
         },
         &mut sink,
     )
@@ -745,7 +745,7 @@ fn an_expired_deadline_exits_4_and_the_daemon_survives() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `base epoch:` is the base *this* job retained. A `--no-stream` job
+/// `base epoch:` is the base *this* job retained. A materialized job
 /// retains none (only the pipelined engine captures one), so it prints
 /// no line — not the epoch of whichever pair the daemon retained last.
 #[test]

@@ -13,12 +13,14 @@
 //! `(behavior_hash(pre), behavior_hash(post), routed check)`
 //! ([`rela_net::behavior_hash`]), runs the full
 //! `graph_to_fsa → lower → image → determinize → equivalent` pipeline
-//! once per class on a canonicalized representative, and broadcasts the
-//! verdict — violations, rendered witness paths and all — to every
-//! member. Classes are distributed to workers through a work-stealing
-//! queue (an atomic index over the class list) so one pathological class
-//! cannot idle the other workers, and the interned [`SymbolTable`] is
-//! shared read-only across workers instead of being cloned per chunk.
+//! once per class on a canonicalized representative, and assembles the
+//! report per class: a compliant class's members are counted, a violating
+//! class's verdict — violations, rendered witness paths and all — is
+//! copied to each member. Classes are distributed to workers through a
+//! work-stealing queue (an atomic index over the class list) so one
+//! pathological class cannot idle the other workers, and the interned
+//! [`SymbolTable`] is shared read-only across workers instead of being
+//! cloned per chunk.
 
 use crate::ast::Program;
 use crate::compile::{CompiledCheck, CompiledProgram, GuardedPart};
@@ -29,7 +31,7 @@ use crate::pipeline::{
     JoinedSide, OneSided, PoisonOnPanic, Provenance, Recv, Side,
 };
 use crate::report::{
-    CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, ViolationDetail,
+    CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, StageTable, ViolationDetail,
 };
 use crate::retain::{JoinedRow, RetainedBase, RetainedRow, RetentionSlot};
 use crate::rir::RirSpec;
@@ -46,6 +48,7 @@ use rela_net::{
     DROP_LOCATION, FRAME_BATCH_BYTES,
 };
 use serde::{Serialize, Value};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::io::Read;
 use std::panic::resume_unwind;
@@ -148,6 +151,48 @@ impl CancelToken {
     }
 }
 
+/// A job's clock: read once at the job's start and once at the end of
+/// each serial segment, each read closing one row of the job's
+/// [`StageTable`]. The session starts it, a delta job's replay laps it,
+/// and the engine laps the rest.
+pub(crate) struct StageClock {
+    start: Instant,
+    last: Instant,
+    stages: StageTable,
+}
+
+impl StageClock {
+    pub(crate) fn start() -> StageClock {
+        let now = Instant::now();
+        StageClock {
+            start: now,
+            last: now,
+            stages: StageTable::default(),
+        }
+    }
+
+    /// The wall since the previous boundary; this is the next one.
+    fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let segment = now - self.last;
+        self.last = now;
+        segment
+    }
+
+    /// Close the replay row: everything so far.
+    pub(crate) fn replayed(&mut self) {
+        self.stages.replay = self.lap();
+    }
+
+    /// Close the job's last row, `assemble`, and stamp `report` with the
+    /// table and the job's wall — the rows' sum.
+    fn stamp(mut self, report: &mut CheckReport) {
+        self.stages.assemble = self.lap();
+        report.stats.stages = self.stages;
+        report.elapsed = self.last - self.start;
+    }
+}
+
 /// One input of the pipelined engine. A framer thread yields `Record`s
 /// as it cuts them from its stream; the delta path's item list
 /// ([`RetainedBase::replay`]) mixes them with what it replays of a base.
@@ -163,23 +208,23 @@ pub(crate) enum PreparedItem {
         flow: FlowSpec,
         own: JoinedSide,
     },
-    /// A base row neither delta touches: admitted whole, skipping the
+    /// The rows of one behavior class of the base that neither delta
+    /// touches: admitted whole ([`Pipeline::admit_class`]), skipping the
     /// join map entirely, and shared into the base this run retains.
-    Row(Arc<RetainedRow>),
+    Class(Vec<Arc<RetainedRow>>),
 }
 
 impl PreparedItem {
-    /// Payload bytes the item carries, for the producers' byte budget:
-    /// a framed record counts its span bytes, a replayed one its
-    /// retained graph bytes.
-    fn payload_len(&self) -> usize {
+    /// What the item weighs against a batch's two budgets, `(payload
+    /// bytes, records)`: a framed record counts its span bytes, a
+    /// replayed side its retained graph bytes, and a class of base rows
+    /// its rows alone — its spans are pinned by the base, not by the
+    /// batch.
+    fn weight(&self) -> (usize, usize) {
         match self {
-            PreparedItem::Record { raw, .. } => raw.span_len(),
-            PreparedItem::Replay { own, .. } => own.span.as_slice().len(),
-            PreparedItem::Row(row) => {
-                let sides = row.sides.iter().flatten();
-                sides.map(|side| side.span.as_slice().len()).sum()
-            }
+            PreparedItem::Record { raw, .. } => (raw.span_len(), 1),
+            PreparedItem::Replay { own, .. } => (own.span.as_slice().len(), 1),
+            PreparedItem::Class(rows) => (0, rows.len()),
         }
     }
 }
@@ -203,25 +248,41 @@ pub(crate) fn framer_feed<'f, R: Read + Send + 'f>(
     }))
 }
 
+/// One admitted flow as the pipelined engine keeps it: the flow key
+/// alone, or — in a retaining run — the row its base will hold, which
+/// carries the key, so no run keeps a flow twice.
+enum Admitted {
+    Key(FlowSpec),
+    Row(Arc<RetainedRow>),
+}
+
+impl Admitted {
+    fn flow(&self) -> &FlowSpec {
+        match self {
+            Admitted::Key(flow) => flow,
+            Admitted::Row(row) => &row.flow,
+        }
+    }
+}
+
 /// Per-worker state of the pipelined engine's ingest: the flows this
 /// worker completed pairs for (concatenated into the global flow list
-/// after the join), the classes it replayed warm from the store, the
-/// graph decodes it actually performed, the symbol names replayed out of
-/// byte-keyed store entries, and the rows captured for delta-base
-/// retention. `byte_classes` and `members` are the dedup
+/// after the join; in a retaining run, as the rows its base will hold),
+/// the classes it replayed warm from the store, the graph decodes it
+/// actually performed and the symbol names replayed out of byte-keyed
+/// store entries. `byte_classes` and `members` are the dedup
 /// hit path: the class of every byte key this worker has taken through
 /// the shared index once, and the members it has since added to those
 /// classes without going back — folded into the classes after the join.
 #[derive(Default)]
 struct WorkerState {
     worker: usize,
-    flows: Vec<FlowSpec>,
+    flows: Vec<Admitted>,
     byte_classes: HashMap<ClassKey, ClassRef>,
     members: Vec<(ClassRef, FlowRef)>,
     warm: Vec<(ClassRef, FecResult)>,
     decodes: usize,
     symbols: BTreeSet<String>,
-    captured: Vec<Arc<RetainedRow>>,
 }
 
 impl WorkerState {
@@ -230,6 +291,25 @@ impl WorkerState {
             worker,
             ..WorkerState::default()
         }
+    }
+
+    /// The reference the next flow this worker admits will have.
+    fn next_member(&self) -> FlowRef {
+        FlowRef {
+            worker: self.worker,
+            local: self.flows.len(),
+        }
+    }
+
+    /// Record one admitted flow. Every admitted flow passes here exactly
+    /// once, joined: the one place a retaining run captures what its
+    /// base will hold (a row out of a base only exists in a retaining
+    /// run).
+    fn push_admitted(&mut self, row: JoinedRow, retaining: bool) {
+        self.flows.push(match (row, retaining) {
+            (JoinedRow::Fresh(row), false) => Admitted::Key(row.flow),
+            (row, _) => Admitted::Row(row.into_shared()),
+        });
     }
 }
 
@@ -312,17 +392,19 @@ impl Pipeline<'_, '_> {
     fn produce(&self, feed: Feed<'_>) {
         let _poison_guard = PoisonOnPanic(&self.channel);
         let mut batch: Vec<PreparedItem> = Vec::new();
-        let mut batch_bytes = 0usize;
+        let (mut batch_bytes, mut batch_records) = (0usize, 0usize);
         for item in feed {
             if self.errors.aborted() {
                 break;
             }
             match item {
                 Ok(item) => {
-                    batch_bytes += item.payload_len();
+                    let (bytes, records) = item.weight();
+                    batch_bytes += bytes;
+                    batch_records += records;
                     batch.push(item);
-                    if batch_bytes >= FRAME_BATCH_BYTES || batch.len() >= FRAME_BATCH_RECORDS {
-                        batch_bytes = 0;
+                    if batch_bytes >= FRAME_BATCH_BYTES || batch_records >= FRAME_BATCH_RECORDS {
+                        (batch_bytes, batch_records) = (0, 0);
                         if self.channel.send(std::mem::take(&mut batch)).is_err() {
                             break; // poisoned: the pipeline is aborting
                         }
@@ -377,8 +459,34 @@ impl Pipeline<'_, '_> {
         match item {
             PreparedItem::Record { side, raw } => self.record(side, raw, state),
             PreparedItem::Replay { side, flow, own } => self.side(side, flow, own, state),
-            PreparedItem::Row(row) => self.admit_spans(JoinedRow::Shared(row), state),
+            PreparedItem::Class(rows) => self.admit_class(rows, state),
         }
+    }
+
+    /// Admit the untouched rows of one class of a retained base: the
+    /// first as any joined flow is admitted — byte-warm replay, founder
+    /// decode and store consult included — and every other as a member
+    /// of the class the first landed in, with no lookup. The rows shared
+    /// a behavior class in the session that retained them, so they share
+    /// one here (`crate::retain` says why). A job without dedup admits
+    /// every row by itself.
+    fn admit_class(
+        &self,
+        rows: Vec<Arc<RetainedRow>>,
+        state: &mut WorkerState,
+    ) -> Result<(), SidedError> {
+        let mut class = None;
+        for row in rows {
+            match class {
+                Some(class) if self.checker.options.dedup => {
+                    state.members.push((class, state.next_member()));
+                    let retaining = self.checker.retention.is_some();
+                    state.push_admitted(JoinedRow::Shared(row), retaining);
+                }
+                _ => class = Some(self.admit_spans(JoinedRow::Shared(row), state)?),
+            }
+        }
+        Ok(())
     }
 
     /// Decode one framed record's flow key, fingerprint its raw graph
@@ -442,7 +550,8 @@ impl Pipeline<'_, '_> {
             }
             Joined::Paired { pre, post } => {
                 let sides = [Some(pre), Some(post)];
-                self.admit_spans(JoinedRow::Fresh(RetainedRow { flow, sides }), state)
+                let row = JoinedRow::Fresh(RetainedRow { flow, sides });
+                self.admit_spans(row, state).map(drop)
             }
         }
     }
@@ -456,8 +565,9 @@ impl Pipeline<'_, '_> {
     /// hit joins the already-resolved class with zero decode work and a
     /// miss resolves a class — decode, fingerprint, behavior-admit,
     /// store-consult — under the byte-shard lock, so exactly one member
-    /// per byte key pays for the decode.
-    fn admit_spans(&self, row: JoinedRow, state: &mut WorkerState) -> Result<(), SidedError> {
+    /// per byte key pays for the decode. Returns the class the flow
+    /// landed in.
+    fn admit_spans(&self, row: JoinedRow, state: &mut WorkerState) -> Result<ClassRef, SidedError> {
         let flow = &row.flow;
         let [pre, post] = row
             .sides
@@ -465,39 +575,27 @@ impl Pipeline<'_, '_> {
             .map(|s| s.as_ref().unwrap_or(&self.absent));
         // routes are a function of the flow alone
         let route = self.checker.route_of_flow(flow);
-        let member = FlowRef {
-            worker: state.worker,
-            local: state.flows.len(),
-        };
+        let member = state.next_member();
         let byte_key = (pre.hash, post.hash, route.unwrap_or(usize::MAX));
-        if !self.checker.options.dedup {
+        let class = if !self.checker.options.dedup {
             let fec = AlignedFec {
                 pre: self.decode_side(Side::Pre, pre, state)?,
                 post: self.decode_side(Side::Post, post, state)?,
                 flow: flow.clone(),
             };
-            self.registry.admit(fec, None, None, route, member);
+            self.registry.admit(fec, None, None, route, member).0
         } else if let Some(&class) = state.byte_classes.get(&byte_key) {
             state.members.push((class, member));
+            class
         } else {
             let class = self.registry.admit_by_bytes(byte_key, member, || {
                 self.resolve_byte_class(flow, route, pre, post, member, state)
             })?;
             state.byte_classes.insert(byte_key, class);
-        }
-        // every admitted flow passes here exactly once, joined: the one
-        // place a retaining run captures what its base will hold (a row
-        // out of a base only exists in a retaining run)
-        state.flows.push(match (row, self.checker.retention) {
-            (JoinedRow::Fresh(row), None) => row.flow,
-            (row, _) => {
-                let row = row.into_shared();
-                let flow = row.flow.clone();
-                state.captured.push(row);
-                flow
-            }
-        });
-        Ok(())
+            class
+        };
+        state.push_admitted(row, self.checker.retention.is_some());
+        Ok(class)
     }
 
     /// Resolve the behavior class for a byte-key founder: consult the
@@ -622,7 +720,8 @@ impl Pipeline<'_, '_> {
 /// [`Checker::finish`] takes, plus what the engine itself reports or
 /// retains afterwards.
 struct Ingested {
-    flows: Vec<FlowSpec>,
+    /// In a retaining run, each flow's row: what its base is built from.
+    flows: Vec<Admitted>,
     /// `classes[i]` is represented by `reps[i]`; members index `flows`.
     classes: Vec<BehaviorClass>,
     reps: Vec<AlignedFec>,
@@ -630,8 +729,33 @@ struct Ingested {
     warm: Vec<(usize, FecResult)>,
     graph_decodes: usize,
     replayed_symbols: BTreeSet<String>,
-    /// The rows a retaining run keeps.
-    captured: Vec<Arc<RetainedRow>>,
+}
+
+/// A report's violating rows, assembled per class from each class's
+/// verdict (`verdicts` pairs a class index with it): a compliant class's
+/// members are only counted — the report's total is the flow count — and
+/// a violating class's verdict is copied to each member under the
+/// member's flow. Sorted by flow, so the rows are independent of class
+/// order and decide scheduling, and are the rows a per-FEC broadcast
+/// would keep.
+fn violating_members(
+    flows: &[&FlowSpec],
+    classes: &[BehaviorClass],
+    verdicts: impl IntoIterator<Item = (usize, FecResult)>,
+) -> Vec<FecResult> {
+    let mut violations = Vec::new();
+    for (class, verdict) in verdicts {
+        if verdict.is_compliant() {
+            continue;
+        }
+        violations.extend(classes[class].members.iter().map(|&member| {
+            let mut row = verdict.clone();
+            row.flow = flows[member].clone();
+            row
+        }));
+    }
+    violations.sort_by(|a, b| a.flow.cmp(&b.flow));
+    violations
 }
 
 /// Fold `symbols` into a cached-verdict payload as a sorted `symbols`
@@ -714,8 +838,9 @@ impl FstMemo {
 
     /// Fetch the memoized side, or compute and record it. Competing
     /// workers may compute the same side concurrently; both produce
-    /// structurally identical DFAs (the hash contract), so
-    /// last-insert-wins is sound.
+    /// structurally identical DFAs (the hash contract), and the one that
+    /// inserts second keeps the first's entry and counts a hit — so
+    /// `hits` is lookups minus distinct keys whatever the scheduling.
     fn get_or_compute(&self, key: Option<MemoKey>, compute: impl FnOnce() -> Dfa) -> Arc<Dfa> {
         let Some(key) = key else {
             return Arc::new(compute());
@@ -736,10 +861,15 @@ impl FstMemo {
         }
         let dfa = Arc::new(compute());
         let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        if map.len() < FST_MEMO_CAP {
-            map.insert(key, dfa.clone());
+        let full = map.len() >= FST_MEMO_CAP;
+        match map.entry(key) {
+            Entry::Occupied(first) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                first.get().clone()
+            }
+            Entry::Vacant(slot) if !full => slot.insert(dfa).clone(),
+            Entry::Vacant(_) => dfa,
         }
-        dfa
     }
 }
 
@@ -864,24 +994,26 @@ impl Checker<'_> {
     /// The placeholder report an expired run returns. The session never
     /// shows it — it sees the fired token and replies with a typed
     /// deadline error — so its only job is to be cheap and well-formed.
-    fn cancelled_report(&self, start: Instant) -> CheckReport {
-        CheckReport::with_stats(Vec::new(), start.elapsed(), CheckStats::default())
+    fn cancelled_report() -> CheckReport {
+        CheckReport::new(Vec::new(), Duration::ZERO)
     }
 
     /// Check every FEC of an aligned snapshot pair: the batch engine,
     /// the reference [`Checker::run_pipelined`] is tested against.
-    pub(crate) fn check(&self, pair: &SnapshotPair) -> CheckReport {
-        let start = Instant::now();
+    /// `clock` is the job's, started before the pair was read.
+    pub(crate) fn check(&self, pair: &SnapshotPair, mut clock: StageClock) -> CheckReport {
         let threads = self.resolve_threads();
         let classes = self.group_into_classes(pair, threads);
         let reps: Vec<&AlignedFec> = classes.iter().map(|c| &pair.fecs[c.members[0]]).collect();
         let flows: Vec<&FlowSpec> = pair.fecs.iter().map(|f| &f.flow).collect();
         let warm = self.consult_store(&flows, &classes, threads);
+        clock.stages.ingest = clock.lap();
         let ctx = self.decide_ctx(&self.collect_symbols(&reps));
-        let mut report = self.finish(start, &flows, &classes, &reps, warm, &ctx);
+        let mut report = self.finish(&mut clock, &flows, &classes, &reps, warm, &ctx);
         // the batch path materializes every record during ingest, so
         // every record costs one graph decode
         report.stats.graph_decodes = flows.len() * 2;
+        clock.stamp(&mut report);
         report
     }
 
@@ -933,12 +1065,14 @@ impl Checker<'_> {
     /// lowering is joined like every other scoped worker here — its
     /// panic is the run's — so an ingest that fails or expires first
     /// returns when the lowering has finished.
+    ///
+    /// `clock` is the job's: a delta job's replay has already lapped it.
     pub(crate) fn run_pipelined(
         &self,
         feeds: Vec<Feed<'_>>,
         labels: [Option<String>; 2],
+        mut clock: StageClock,
     ) -> Result<CheckReport, SnapshotError> {
-        let start = Instant::now();
         let overlap = self.resolve_threads() > 1 && self.memo.lowered.get().is_none();
         let (ingested, overlapped) = std::thread::scope(|scope| {
             let lowering = overlap.then(|| scope.spawn(|| self.lower_relations().1));
@@ -949,17 +1083,19 @@ impl Checker<'_> {
             (ingested, paid)
         });
         let Some(ingested) = ingested? else {
-            return Ok(self.cancelled_report(start));
+            return Ok(Checker::cancelled_report());
         };
+        clock.stages.ingest = clock.lap();
         let reps: Vec<&AlignedFec> = ingested.reps.iter().collect();
         // Byte-warm classes replay with placeholder reps, so the symbol
         // names their payloads recorded are folded back into the table.
         let mut names = self.collect_symbols(&reps);
         names.extend(ingested.replayed_symbols);
         let ctx = self.decide_ctx(&names);
+        let flows: Vec<&FlowSpec> = ingested.flows.iter().map(Admitted::flow).collect();
         let mut report = self.finish(
-            start,
-            &ingested.flows.iter().collect::<Vec<_>>(),
+            &mut clock,
+            &flows,
             &ingested.classes,
             &reps,
             ingested.warm,
@@ -968,8 +1104,9 @@ impl Checker<'_> {
         if !self.cancel.fired() {
             report.stats.relations += overlapped;
             report.stats.graph_decodes = ingested.graph_decodes;
-            report.stats.retained_epoch = self.retain(ingested.captured);
+            report.stats.retained_epoch = self.retain(ingested.flows, &ingested.classes);
         }
+        clock.stamp(&mut report);
         Ok(report)
     }
 
@@ -1007,12 +1144,10 @@ impl Checker<'_> {
         let (mut accs, shard_offsets) = pipe.registry.into_classes();
         let class_ix = |class: ClassRef| shard_offsets[class.shard] + class.index;
         let mut offsets = Vec::with_capacity(locals.len());
-        let mut flows: Vec<FlowSpec> = Vec::new();
+        let mut flows = Vec::with_capacity(locals.iter().map(|l| l.flows.len()).sum());
         let mut warm: Vec<(usize, FecResult)> = Vec::new();
         let mut graph_decodes = 0usize;
         let mut replayed_symbols: BTreeSet<String> = BTreeSet::new();
-        // sized once: this vector is what a retained base holds
-        let mut captured = Vec::with_capacity(locals.iter().map(|l| l.captured.len()).sum());
         for mut local in locals {
             offsets.push(flows.len());
             flows.append(&mut local.flows);
@@ -1027,7 +1162,6 @@ impl Checker<'_> {
             );
             graph_decodes += local.decodes;
             replayed_symbols.extend(local.symbols);
-            captured.append(&mut local.captured);
         }
         let mut classes: Vec<BehaviorClass> = Vec::with_capacity(accs.len());
         let mut reps: Vec<AlignedFec> = Vec::with_capacity(accs.len());
@@ -1051,15 +1185,20 @@ impl Checker<'_> {
             warm,
             graph_decodes,
             replayed_symbols,
-            captured,
         }))
     }
 
     /// Retain a cleanly and completely checked pair for delta-base
-    /// replay, when a retention slot is attached. Returns its epoch.
-    fn retain(&self, rows: Vec<Arc<RetainedRow>>) -> Option<SnapshotEpoch> {
+    /// replay, when a retention slot is attached: `flows` holds the row
+    /// of each flow, which `classes` group. Returns its epoch.
+    fn retain(&self, flows: Vec<Admitted>, classes: &[BehaviorClass]) -> Option<SnapshotEpoch> {
         let slot = self.retention?;
-        let base = Arc::new(RetainedBase::new(rows));
+        let rows = flows.into_iter().map(|flow| match flow {
+            Admitted::Row(row) => row,
+            Admitted::Key(_) => unreachable!("a retaining run admits every flow as its row"),
+        });
+        let classes = classes.iter().map(|class| class.members.as_slice());
+        let base = Arc::new(RetainedBase::new(rows, classes));
         let epoch = base.epoch();
         slot.lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -1079,12 +1218,12 @@ impl Checker<'_> {
         }
     }
 
-    /// The decide-and-broadcast finisher both engines end in: given the
+    /// The decide-and-assemble finisher both engines end in: given the
     /// per-FEC flow keys, the behavior classes, one representative FEC
     /// per class (`reps[i]` represents `classes[i]`) and the verdicts
     /// the store already answered (`warm`), decide every other class
     /// once over a work-stealing queue, write the fresh decisions back,
-    /// and broadcast each verdict to every member of its class.
+    /// and assemble the report per class ([`violating_members`]).
     ///
     /// Every decide runs under `ctx`'s one table — the sorted set of the
     /// representatives' location names plus the names byte-warm classes
@@ -1092,10 +1231,11 @@ impl Checker<'_> {
     /// representatives. It is the same table whichever engine admitted
     /// the classes, which is what makes witness bytes identical across
     /// engines. `ctx` is fresh: the memo hits it reports are this
-    /// call's.
+    /// call's. `clock` closes its `decide` row once the decides are done
+    /// — the symbol table and `ctx` were built inside it.
     fn finish(
         &self,
-        start: Instant,
+        clock: &mut StageClock,
         flows: &[&FlowSpec],
         classes: &[BehaviorClass],
         reps: &[&AlignedFec],
@@ -1110,11 +1250,12 @@ impl Checker<'_> {
         }
         let cold: Vec<usize> = (0..classes.len()).filter(|&ix| !answered[ix]).collect();
         let (decided, phases) = self.decide_classes(ctx, &cold, classes, reps);
+        clock.stages.decide = clock.lap();
         if self.cancel.fired() {
             // partial decides are individually sound but the run is not
             // complete: nothing is written back or retained, and the
             // session replies with the deadline error instead
-            return self.cancelled_report(start);
+            return Checker::cancelled_report();
         }
 
         // Write fresh decisions back to the store (in memory; the owner
@@ -1139,32 +1280,18 @@ impl Checker<'_> {
             }
         }
 
-        // Broadcast: slots are filled by member flow index, then sorted
-        // by flow, so the report bytes are independent of class ordering
-        // and decide scheduling.
+        debug_assert_eq!(
+            decided.len() + warm.len(),
+            classes.len(),
+            "every class answered"
+        );
         let warm_hits = warm.len();
-        let mut max_class_time = Duration::ZERO;
-        let mut slots: Vec<Option<FecResult>> = vec![None; flows.len()];
-        let broadcast = decided
+        let max_class_time = decided.iter().map(|(_, _, wall, _)| *wall).max();
+        let verdicts = decided
             .into_iter()
-            .map(|(ix, result, wall, _)| (ix, result, wall))
-            .chain(
-                warm.into_iter()
-                    .map(|(ix, result)| (ix, result, Duration::ZERO)),
-            );
-        for (class_ix, result, class_time) in broadcast {
-            max_class_time = max_class_time.max(class_time);
-            for &member in &classes[class_ix].members {
-                let mut r = result.clone();
-                r.flow = flows[member].clone();
-                slots[member] = Some(r);
-            }
-        }
-        let mut results: Vec<FecResult> = slots
-            .into_iter()
-            .map(|r| r.expect("every FEC belongs to a class"))
-            .collect();
-        results.sort_by(|a, b| a.flow.cmp(&b.flow));
+            .map(|(ix, result, _, _)| (ix, result))
+            .chain(warm);
+        let violations = violating_members(flows, classes, verdicts);
         let stats = CheckStats {
             fecs: flows.len(),
             classes: classes.len(),
@@ -1179,10 +1306,11 @@ impl Checker<'_> {
             live_sides: ctx.sides[1].load(Ordering::Relaxed),
             relations: ctx.relations,
             phases,
-            max_class_time,
+            max_class_time: max_class_time.unwrap_or_default(),
             ..CheckStats::default()
         };
-        CheckReport::with_stats(results, start.elapsed(), stats)
+        // the caller stamps the job's wall once it has retained
+        CheckReport::assembled(flows.len(), violations, Duration::ZERO, stats)
     }
 
     /// Consult the persistent store for every class, sharded across
@@ -1294,7 +1422,7 @@ impl Checker<'_> {
     }
 
     /// Group the pair's FECs into behavior classes. With dedup disabled
-    /// every FEC is its own class, so the same decide/broadcast engine
+    /// every FEC is its own class, so the same decide/assemble engine
     /// serves both modes.
     fn group_into_classes(&self, pair: &SnapshotPair, threads: usize) -> Vec<BehaviorClass> {
         if !self.options.dedup {
@@ -2581,7 +2709,7 @@ mod tests {
                         classes_of[member] += 1;
                     }
                     // the founder, whose graphs the class kept, is first
-                    assert_eq!(ingested.flows[class.members[0]], rep.flow, "{at}");
+                    assert_eq!(*ingested.flows[class.members[0]].flow(), rep.flow, "{at}");
                 }
                 assert!(classes_of.iter().all(|&n| n == 1), "{at}: {classes_of:?}");
                 assert_eq!(ingested.classes.len(), batch.stats.classes, "{at}");
@@ -2707,7 +2835,9 @@ mod tests {
             list.extend(items(doc, Side::Post));
             let labels = [Some("pre.json".to_owned()), Some("post.json".to_owned())];
             let feed = Box::new(list.into_iter().map(Ok));
-            let prepared = checker.run_pipelined(vec![feed], labels).unwrap_err();
+            let prepared = checker
+                .run_pipelined(vec![feed], labels, StageClock::start())
+                .unwrap_err();
             assert_eq!(prepared, framed, "{case}");
             assert_eq!(framed.entry_index(), Some(entry), "{case}: {framed}");
             assert!(framed.byte_offset().is_some(), "{case}");
@@ -2770,6 +2900,119 @@ mod tests {
             .unwrap();
         assert!(report.is_compliant());
         assert_eq!(report.total, 0);
+    }
+
+    /// Two workers that both miss on one side both compute it; the one
+    /// that inserts second keeps the first's entry and counts the hit.
+    #[test]
+    fn racing_misses_on_one_memo_side_count_one_hit() {
+        let memo = FstMemo::new();
+        let key = Some((1u128, usize::MAX, 0, false, 2u128));
+        let both_missed = std::sync::Barrier::new(2);
+        let got: Vec<Arc<Dfa>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        memo.get_or_compute(key, || {
+                            both_missed.wait();
+                            Dfa::empty_language()
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(memo.hits.load(Ordering::Relaxed), 1);
+        assert!(Arc::ptr_eq(&got[0], &got[1]), "both hold the first entry");
+        assert_eq!(memo.len(), 1);
+    }
+
+    /// One class's verdict in [`per_class_assembly_matches_the_per_fec_report`]:
+    /// the parts of `PARTS` its mask selects (none: compliant), routed
+    /// or not.
+    fn verdict(mask: u8, routed: bool) -> FecResult {
+        const PARTS: [&str; 3] = ["e2e", "nochange", "shift"];
+        let violations: Vec<PartViolation> = (0..PARTS.len())
+            .filter(|bit| mask & (1 << bit) != 0)
+            .map(|bit| PartViolation {
+                part: PARTS[bit].to_owned(),
+                detail: ViolationDetail::Raw(vec![format!("part {bit}, \"quoted\", failed")]),
+            })
+            .collect();
+        let paths = |hop: &str| {
+            if violations.is_empty() {
+                Vec::new()
+            } else {
+                vec![format!("x1 {hop}{mask} y1"), "x1 y1".to_owned()]
+            }
+        };
+        FecResult {
+            flow: flow("0.0.0.0/0", "x1"),
+            check_name: "change".to_owned(),
+            route: routed.then(|| "shiftP".to_owned()),
+            pre_paths: paths("A"),
+            post_paths: paths("B"),
+            violations,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The report assembled per class — compliant members counted,
+        /// violating ones copied — renders byte for byte as the per-FEC
+        /// reference: every FEC given its class's verdict, filtered by
+        /// `CheckReport::with_stats`. Flows come in no particular order
+        /// and land in random classes (with dedup off, a class each).
+        #[test]
+        fn per_class_assembly_matches_the_per_fec_report(
+            members in proptest::collection::vec((0usize..6, proptest::prelude::any::<u8>()), 0..40),
+            verdicts in proptest::collection::vec((0u8..8, proptest::prelude::any::<bool>()), 6),
+            dedup in proptest::prelude::any::<bool>(),
+        ) {
+            let flows: Vec<FlowSpec> = members
+                .iter()
+                .enumerate()
+                .map(|(ix, (_, order))| flow(&format!("10.{order}.{ix}.0/24"), "x1"))
+                .collect();
+            let verdicts: Vec<FecResult> =
+                verdicts.into_iter().map(|(mask, routed)| verdict(mask, routed)).collect();
+            let class_of = |member: usize| members[member].0;
+            let mut classes: Vec<BehaviorClass> = Vec::new();
+            let mut class_verdicts: Vec<(usize, FecResult)> = Vec::new();
+            for (id, verdict) in verdicts.iter().enumerate() {
+                let of_id: Vec<usize> = (0..flows.len()).filter(|&m| class_of(m) == id).collect();
+                let groups: Vec<Vec<usize>> = if !dedup {
+                    of_id.into_iter().map(|m| vec![m]).collect()
+                } else if of_id.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![of_id]
+                };
+                for members in groups {
+                    class_verdicts.push((classes.len(), verdict.clone()));
+                    classes.push(BehaviorClass { route: None, members, key: None, byte_key: None });
+                }
+            }
+            // classes in the order the decides happened to finish
+            class_verdicts.reverse();
+
+            let mut per_fec: Vec<FecResult> = (0..flows.len())
+                .map(|m| FecResult { flow: flows[m].clone(), ..verdicts[class_of(m)].clone() })
+                .collect();
+            per_fec.sort_by(|a, b| a.flow.cmp(&b.flow));
+            let stats = CheckStats { fecs: flows.len(), classes: classes.len(), ..CheckStats::default() };
+            let elapsed = Duration::from_millis(3);
+            let reference = CheckReport::with_stats(per_fec, elapsed, stats);
+            let flow_refs: Vec<&FlowSpec> = flows.iter().collect();
+            let violations = violating_members(&flow_refs, &classes, class_verdicts);
+            let assembled = CheckReport::assembled(flows.len(), violations, elapsed, stats);
+
+            proptest::prop_assert_eq!(assembled.to_string(), reference.to_string());
+            let json = |report: &CheckReport| serde_json::to_string(&report.to_value()).unwrap();
+            proptest::prop_assert_eq!(json(&assembled), json(&reference));
+            proptest::prop_assert_eq!(assembled.to_csv(), reference.to_csv());
+        }
     }
 }
 

@@ -187,6 +187,35 @@ impl PhaseTimings {
     }
 }
 
+/// Wall-clock of a job's serial segments, read off one clock with one
+/// `Instant` read at each segment boundary — five a job at most, so it
+/// is always on. The segments follow each other, so the rows sum to the
+/// report's `elapsed` at any thread count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTable {
+    /// A delta job's base lookup, delta-document parse and base replay
+    /// into the engine's item list; zero for every other job.
+    pub replay: Duration,
+    /// Everything up to the last admitted flow: framing, the flow join,
+    /// class admission, graph decodes and the store consult on the
+    /// pipelined engine; reading, aligning, fingerprinting and the store
+    /// consult on the batch engine.
+    pub ingest: Duration,
+    /// The run's symbol table, then every class the store did not
+    /// answer, decided.
+    pub decide: Duration,
+    /// Fresh verdicts written back to the store, the report assembled
+    /// per class, and the delta base retained.
+    pub assemble: Duration,
+}
+
+impl StageTable {
+    /// The rows' sum: the job's wall.
+    pub fn total(&self) -> Duration {
+        self.replay + self.ingest + self.decide + self.assemble
+    }
+}
+
 /// How the dedup-and-memoize engine spent its work: behavior-class
 /// counts, cache effectiveness, and per-phase CPU time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -223,6 +252,9 @@ pub struct CheckStats {
     /// Wall-clock of the slowest single behavior class — the quantity
     /// work-stealing bounds the critical path by.
     pub max_class_time: Duration,
+    /// Wall-clock per serial segment of the job. Not printed by
+    /// `Display`; `--cache-stats` and the serve REPORT stats carry it.
+    pub stages: StageTable,
     /// Forwarding graphs actually decoded during ingest. The pipelined
     /// path admits records by raw-span content hash, so byte-identical
     /// records beyond a class founder — and byte-warm classes replayed
@@ -279,16 +311,23 @@ impl CheckReport {
         stats: CheckStats,
     ) -> CheckReport {
         let total = results.len();
+        let violations = results.into_iter().filter(|r| !r.is_compliant());
+        CheckReport::assembled(total, violations.collect(), elapsed, stats)
+    }
+
+    /// Aggregate a report from its violating FECs alone (already sorted
+    /// by flow) out of `total` checked: the checker assembles per class,
+    /// so a compliant FEC is only ever counted.
+    pub(crate) fn assembled(
+        total: usize,
+        violations: Vec<FecResult>,
+        elapsed: Duration,
+        stats: CheckStats,
+    ) -> CheckReport {
+        debug_assert!(violations.iter().all(|r| !r.is_compliant()));
         let mut part_counts: BTreeMap<String, usize> = BTreeMap::new();
-        let mut violations = Vec::new();
-        for r in results {
-            if r.is_compliant() {
-                continue;
-            }
-            for v in &r.violations {
-                *part_counts.entry(v.part.clone()).or_insert(0) += 1;
-            }
-            violations.push(r);
+        for v in violations.iter().flat_map(|r| &r.violations) {
+            *part_counts.entry(v.part.clone()).or_insert(0) += 1;
         }
         CheckReport {
             total,

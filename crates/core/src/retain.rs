@@ -8,11 +8,24 @@
 //! [`crate::check`]), so a delta job re-derives no alignment:
 //! [`RetainedBase::replay`] is one walk over the rows. Rows are behind
 //! `Arc`s, and a row no delta touches is the *same* row in the next base
-//! of the chain. Row order carries no meaning: the epoch fold is an XOR
-//! and the finisher sorts results by flow.
+//! of the chain.
+//!
+//! The rows are grouped by the behavior class each belonged to in the
+//! run that retained the base. The grouping is read off that run's class
+//! list when the base is built — nothing is hashed — and it is what lets
+//! a delta job admit a class's untouched rows whole: its first row is
+//! admitted like any joined flow, and the others join the class it lands
+//! in without a lookup. That is sound within the session that retained
+//! the base, because class membership is a function of a row's graph
+//! bytes, of its route (which a class's members share), and of the
+//! session's program, database and granularity. Without dedup every
+//! class, and so every group, is one row. Beyond the grouping, row order
+//! carries no meaning: the epoch fold is an XOR and the finisher sorts
+//! results by flow.
 //!
 //! The layout of a base is this module's alone: the row type, the
-//! builder that folds the epoch, the [`RetentionSet`] and the replay.
+//! builder that groups the rows and folds the epoch, the
+//! [`RetentionSet`] and the replay.
 
 use crate::check::PreparedItem;
 use crate::pipeline::{JoinedSide, Side};
@@ -74,7 +87,10 @@ impl JoinedRow {
 /// themselves, not the job that carried them.
 pub(crate) struct RetainedBase {
     epoch: SnapshotEpoch,
+    /// One row a flow, class by class: class `c` is
+    /// `rows[ends[c - 1]..ends[c]]`.
     pub(crate) rows: Vec<Arc<RetainedRow>>,
+    ends: Vec<usize>,
     /// Approximate resident bytes, computed once here: the undecoded
     /// graph spans plus 64 per present side (flow keys and the rest are
     /// noise next to the spans). A row two bases of a chain share is
@@ -84,8 +100,23 @@ pub(crate) struct RetainedBase {
 }
 
 impl RetainedBase {
-    /// The base of a cleanly and completely checked pair.
-    pub(crate) fn new(rows: Vec<Arc<RetainedRow>>) -> RetainedBase {
+    /// The base of a cleanly and completely checked pair: `captured`
+    /// yields the row of each of the run's flows in order, and `classes`
+    /// lists the run's behavior classes as their members' flow indices —
+    /// each flow in exactly one.
+    pub(crate) fn new<'m>(
+        captured: impl Iterator<Item = Arc<RetainedRow>>,
+        classes: impl Iterator<Item = &'m [usize]>,
+    ) -> RetainedBase {
+        let mut slots: Vec<Option<Arc<RetainedRow>>> = captured.map(Some).collect();
+        let mut rows = Vec::with_capacity(slots.len());
+        let mut ends = Vec::new();
+        for members in classes {
+            let class = members.iter().map(|&member| slots[member].take());
+            rows.extend(class.map(|row| row.expect("a flow is in one class")));
+            ends.push(rows.len());
+        }
+        debug_assert_eq!(rows.len(), slots.len(), "every flow is in a class");
         let present = |of: Side| {
             rows.iter()
                 .filter_map(move |row| row.sides[of as usize].as_ref())
@@ -98,6 +129,7 @@ impl RetainedBase {
                 .map(|side| side.span.as_slice().len() as u64 + 64)
                 .sum(),
             rows,
+            ends,
         }
     }
 
@@ -105,13 +137,22 @@ impl RetainedBase {
         self.epoch
     }
 
+    /// The base's rows, one slice a class.
+    fn classes(&self) -> impl Iterator<Item = &[Arc<RetainedRow>]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.rows[start..end])
+    }
+
     /// The item list of a delta job over this base, in one walk over the
-    /// rows: a row neither delta touches replays whole (and is shared
-    /// into the base the job retains), a row one delta touches sends the
-    /// side it keeps through the flow join to meet the new partner, a
-    /// row both touch is dropped; the deltas' own records follow as
-    /// framed records. A removed flow simply does not reappear. `labels`
-    /// name the `[pre, post]` documents in errors.
+    /// rows: the rows of a class neither delta touches replay whole as
+    /// one [`PreparedItem::Class`] (and are shared into the base the job
+    /// retains), a row one delta touches sends the side it keeps through
+    /// the flow join to meet the new partner, a row both touch is
+    /// dropped; the deltas' own records follow as framed records. A
+    /// removed flow simply does not reappear. `labels` name the `[pre,
+    /// post]` documents in errors.
     pub(crate) fn replay(
         &self,
         pre: SnapshotDelta,
@@ -139,21 +180,27 @@ impl RetainedBase {
         }
         let touched: [HashSet<&FlowSpec>; 2] =
             [0, 1].map(|side| deltas[side].removed.iter().chain(&upserted[side]).collect());
-        let mut items = Vec::with_capacity(self.rows.len() + upserted[0].len() + upserted[1].len());
-        for row in &self.rows {
-            let touches = |side: Side| touched[side as usize].contains(&row.flow);
-            if !touches(Side::Pre) && !touches(Side::Post) {
-                items.push(PreparedItem::Row(row.clone()));
-                continue;
-            }
-            for side in [Side::Pre, Side::Post] {
-                if let (false, Some(own)) = (touches(side), &row.sides[side as usize]) {
-                    items.push(PreparedItem::Replay {
-                        side,
-                        flow: row.flow.clone(),
-                        own: own.clone(),
-                    });
+        let mut items = Vec::with_capacity(self.ends.len() + upserted[0].len() + upserted[1].len());
+        for class in self.classes() {
+            let mut untouched = Vec::with_capacity(class.len());
+            for row in class {
+                let touches = |side: Side| touched[side as usize].contains(&row.flow);
+                if !touches(Side::Pre) && !touches(Side::Post) {
+                    untouched.push(row.clone());
+                    continue;
                 }
+                for side in [Side::Pre, Side::Post] {
+                    if let (false, Some(own)) = (touches(side), &row.sides[side as usize]) {
+                        items.push(PreparedItem::Replay {
+                            side,
+                            flow: row.flow.clone(),
+                            own: own.clone(),
+                        });
+                    }
+                }
+            }
+            if !untouched.is_empty() {
+                items.push(PreparedItem::Class(untouched));
             }
         }
         for (side, delta) in [Side::Pre, Side::Post].into_iter().zip(deltas) {

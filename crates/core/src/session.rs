@@ -46,7 +46,7 @@
 //! assert!(report.is_compliant());
 //! ```
 
-use crate::check::{cache_epoch, framer_feed, CancelToken, Checker, FstMemo};
+use crate::check::{cache_epoch, framer_feed, CancelToken, Checker, FstMemo, StageClock};
 use crate::compile::{compile_program, CompiledProgram};
 use crate::counterexample::WitnessLimits;
 use crate::parser::parse_program;
@@ -685,11 +685,12 @@ impl CheckSession {
         job: JobSpec<'_>,
         token: &CancelToken,
     ) -> Result<CheckReport, SnapshotError> {
+        let clock = StageClock::start();
         let checker = self.checker(job.options, token);
         match job.input {
-            JobInput::Pair(pair) => Ok(checker.check(pair)),
+            JobInput::Pair(pair) => Ok(checker.check(pair, clock)),
             JobInput::Deltas { pre, post } => {
-                self.run_delta(&checker, pre, post, job.options.delta_base)
+                self.run_delta(&checker, pre, post, job.options.delta_base, clock)
             }
             JobInput::Streams { pre, post } => match job.options.ingest {
                 IngestMode::Pipelined => {
@@ -698,7 +699,7 @@ impl CheckSession {
                         framer_feed(pre.into_framer(), Side::Pre),
                         framer_feed(post.into_framer(), Side::Post),
                     ];
-                    checker.run_pipelined(feeds, labels)
+                    checker.run_pipelined(feeds, labels, clock)
                 }
                 IngestMode::Materialized => {
                     let collect = |source: LabeledSource<'_>| -> Result<Snapshot, SnapshotError> {
@@ -707,7 +708,7 @@ impl CheckSession {
                     };
                     let pre = collect(pre)?;
                     let post = collect(post)?;
-                    Ok(checker.check(&SnapshotPair::align(&pre, &post)))
+                    Ok(checker.check(&SnapshotPair::align(&pre, &post), clock))
                 }
             },
         }
@@ -715,13 +716,15 @@ impl CheckSession {
 
     /// Run a delta job: resolve the retained base it targets (any of the
     /// last K) — once, under one lock — parse both delta documents, and
-    /// feed the base's replay of them through the pipelined engine.
+    /// feed the base's replay of them through the pipelined engine. All
+    /// of it up to the engine is the job's `replay` row.
     fn run_delta(
         &self,
         checker: &Checker<'_>,
         pre: LabeledSource<'_>,
         post: LabeledSource<'_>,
         declared_base: Option<u128>,
+        mut clock: StageClock,
     ) -> Result<CheckReport, SnapshotError> {
         let pre_label = pre.label().to_owned();
         let post_label = post.label().to_owned();
@@ -742,8 +745,9 @@ impl CheckSession {
             None => resolve("delta base", pre_delta.base)?,
         };
         let items = base.replay(pre_delta, post_delta, [&pre_label, &post_label])?;
+        clock.replayed();
         let feed = Box::new(items.into_iter().map(Ok));
-        checker.run_pipelined(vec![feed], [Some(pre_label), Some(post_label)])
+        checker.run_pipelined(vec![feed], [Some(pre_label), Some(post_label)], clock)
     }
 
     /// Flush the attached store to disk if any job inserted fresh
@@ -1066,82 +1070,228 @@ mod tests {
         );
     }
 
+    type SideRecords = Vec<(FlowSpec, rela_net::ForwardingGraph)>;
+
+    fn side_json(side: &SideRecords) -> Vec<u8> {
+        let mut writer = rela_net::SnapshotWriter::new(Vec::new()).unwrap();
+        for (flow, graph) in side {
+            writer.write(flow, graph).unwrap();
+        }
+        writer.finish().unwrap()
+    }
+
+    fn scan(bytes: &[u8]) -> rela_net::SideScan {
+        rela_net::scan_side(SnapshotFramer::new(bytes, "scan".to_owned())).unwrap()
+    }
+
+    /// The delta documents that take the pair `old` to `new`, against
+    /// the retained base `base`.
+    fn delta_docs(base: SnapshotEpoch, old: [&[u8]; 2], new: [&[u8]; 2]) -> [Vec<u8>; 2] {
+        use rela_net::{diff_side, write_delta};
+        [0, 1].map(|side| {
+            let diff = diff_side(&scan(old[side]), &scan(new[side]));
+            let mut doc = Vec::new();
+            write_delta(&mut doc, base, &diff.removed, &diff.records).unwrap();
+            doc
+        })
+    }
+
+    fn delta_spec(base: SnapshotEpoch, [pre, post]: &[Vec<u8>; 2], dedup: bool) -> JobSpec<'_> {
+        JobSpec::deltas(
+            LabeledSource::new(&pre[..], "delta:pre"),
+            LabeledSource::new(&post[..], "delta:post"),
+        )
+        .with_options(JobOptions {
+            delta_base: Some(base.as_u128()),
+            dedup,
+            ..JobOptions::default()
+        })
+    }
+
+    fn delta_job(s: &CheckSession, base: SnapshotEpoch, docs: &[Vec<u8>; 2]) -> CheckReport {
+        s.run(delta_spec(base, docs, true)).unwrap()
+    }
+
+    fn full_job(s: &CheckSession, pre: &[u8], post: &[u8]) -> CheckReport {
+        s.run(JobSpec::streams(
+            LabeledSource::new(pre, "full:pre"),
+            LabeledSource::new(post, "full:post"),
+        ))
+        .unwrap()
+    }
+
     /// Delta chains over a base the two sides of which agree neither in
     /// order nor in flows — a pre-only flow (a prefix decommission), a
     /// post-only one (a new announcement), the post side listed in another
     /// order — pinned where it is observable: after every job of the chain
     /// the reply and the retained epoch are those of a fresh session
-    /// given the same two snapshots in full.
+    /// given the same two snapshots in full. The base keeps its
+    /// three-member class together, and the chain breaks it up — one
+    /// member rerouted, one removed — so the class admitted whole is
+    /// pinned too, at one and two threads, with and without a store.
+    /// Decodes stay bounded by the change: a store answers every
+    /// untouched class by its bytes, and without one each class pays its
+    /// first row's decode.
     #[test]
     fn delta_chains_over_an_unaligned_base_match_full_resubmission() {
-        use rela_net::{diff_side, pair_epoch, scan_side, write_delta, SnapshotWriter};
-        type SideRecords = Vec<(FlowSpec, rela_net::ForwardingGraph)>;
+        use rela_net::pair_epoch;
         let flow = |ix: usize| FlowSpec::new(format!("10.0.{ix}.0/24").parse().unwrap(), "A1");
         let via = |hop: &str| linear_graph(&["A1", hop]);
-        let json = |side: &SideRecords| {
-            let mut writer = SnapshotWriter::new(Vec::new()).unwrap();
-            for (flow, graph) in side {
-                writer.write(flow, graph).unwrap();
-            }
-            writer.finish().unwrap()
-        };
-        let scan = |bytes: &[u8]| scan_side(SnapshotFramer::new(bytes, "scan".to_owned())).unwrap();
-        let full = |s: &CheckSession, pre: &[u8], post: &[u8]| {
-            s.run(JobSpec::streams(
-                LabeledSource::new(pre, "full:pre"),
-                LabeledSource::new(post, "full:post"),
-            ))
-            .unwrap()
-        };
-        let mut pre: SideRecords = [0, 1, 7, 2].map(|ix| (flow(ix), via("B1"))).into();
-        let mut post: SideRecords = [2, 8, 0, 1].map(|ix| (flow(ix), via("B1"))).into();
-        let s = retaining_session();
-        let (mut pre_json, mut post_json) = (json(&pre), json(&post));
-        assert_eq!(full(&s, &pre_json, &post_json).stats.fecs, 5);
-        for (step, fecs) in [5, 4, 4, 5].into_iter().enumerate() {
-            match step {
-                // change one side of a two-sided flow
-                0 => post[3].1 = via("C1"),
-                // remove the pre-only flow
-                1 => pre.retain(|(f, _)| *f != flow(7)),
-                // give the post-only flow its pre side
-                2 => pre.push((flow(8), via("C1"))),
-                // add a flow new to both sides
-                _ => {
-                    pre.insert(0, (flow(9), via("B1")));
-                    post.push((flow(9), via("C1")));
+        for threads in [1, 2] {
+            for stored in [false, true] {
+                let open = || {
+                    let config = SessionConfig {
+                        granularity: Granularity::Device,
+                        threads,
+                        retain_bases: 1,
+                        retain_bytes: None,
+                    };
+                    let mut s = CheckSession::open(SPEC, db(), config).unwrap();
+                    if stored {
+                        s.attach_store(VerdictStore::in_memory(s.epoch()));
+                    }
+                    s
+                };
+                let mut pre: SideRecords = [0, 1, 7, 2].map(|ix| (flow(ix), via("B1"))).into();
+                let mut post: SideRecords = [2, 8, 0, 1].map(|ix| (flow(ix), via("B1"))).into();
+                let s = open();
+                let (mut pre_json, mut post_json) = (side_json(&pre), side_json(&post));
+                let seed = full_job(&s, &pre_json, &post_json);
+                assert_eq!(seed.stats.fecs, 5);
+                // an empty delta replays each of the base's classes as one
+                // item: flows 0–2, the pre-only 7, the post-only 8
+                let base = s.base_epoch().unwrap();
+                let empty = format!("{{\"base\":\"{base}\",\"removed\":[],\"records\":[]}}");
+                let nothing = || SnapshotDelta::from_reader(empty.as_bytes(), "d").unwrap();
+                let retained = s.retention().find(base).unwrap();
+                let items = retained.replay(nothing(), nothing(), ["d", "d"]).unwrap();
+                let mut sizes: Vec<usize> = items
+                    .iter()
+                    .map(|item| match item {
+                        crate::check::PreparedItem::Class(rows) => rows.len(),
+                        _ => panic!("an empty delta replays classes only"),
+                    })
+                    .collect();
+                sizes.sort_unstable();
+                assert_eq!(sizes, [1, 1, 3]);
+                let mut classes = seed.stats.classes;
+                for (step, fecs) in [5, 4, 4, 5, 4, 5].into_iter().enumerate() {
+                    let changed_records = match step {
+                        // change one side of a two-sided flow
+                        0 => {
+                            post[3].1 = via("C1");
+                            1
+                        }
+                        // remove the pre-only flow
+                        1 => {
+                            pre.retain(|(f, _)| *f != flow(7));
+                            0
+                        }
+                        // give the post-only flow its pre side
+                        2 => {
+                            pre.push((flow(8), via("C1")));
+                            1
+                        }
+                        // add a flow new to both sides
+                        3 => {
+                            pre.insert(0, (flow(9), via("B1")));
+                            post.push((flow(9), via("C1")));
+                            2
+                        }
+                        // remove a two-sided flow, a member of a class
+                        4 => {
+                            pre.retain(|(f, _)| *f != flow(0));
+                            post.retain(|(f, _)| *f != flow(0));
+                            0
+                        }
+                        // add a flow on the post side only
+                        _ => {
+                            post.push((flow(10), via("B1")));
+                            1
+                        }
+                    };
+                    let at = format!("threads {threads}, store {stored}, step {step}");
+                    let base = s.base_epoch().unwrap();
+                    let (new_pre, new_post) = (side_json(&pre), side_json(&post));
+                    let docs = delta_docs(base, [&pre_json, &post_json], [&new_pre, &new_post]);
+                    let delta = delta_job(&s, base, &docs);
+                    let fresh = full_job(&open(), &new_pre, &new_post);
+                    assert_eq!(verdict_bytes(&delta), verdict_bytes(&fresh), "{at}");
+                    assert_eq!(delta.compliant, fresh.compliant, "{at}");
+                    assert_eq!(delta.stats.fecs, fecs, "{at}");
+                    assert_eq!(fresh.stats.fecs, fecs, "{at}");
+                    let epoch = pair_epoch(scan(&new_pre).fold, scan(&new_post).fold);
+                    assert_eq!(delta.stats.retained_epoch, Some(epoch), "{at}");
+                    assert_eq!(fresh.stats.retained_epoch, Some(epoch), "{at}");
+                    let bound = if stored {
+                        2 * changed_records
+                    } else {
+                        2 * (changed_records + classes)
+                    };
+                    let decodes = delta.stats.graph_decodes;
+                    assert!(decodes <= bound, "{at}: {decodes} decodes, bound {bound}");
+                    classes = delta.stats.classes;
+                    (pre_json, post_json) = (new_pre, new_post);
                 }
+                // a job without dedup admits every replayed row by itself,
+                // whatever class the base kept it in
+                let base = s.base_epoch().unwrap();
+                let docs = delta_docs(base, [&pre_json, &post_json], [&pre_json, &post_json]);
+                let undeduped = s.run(delta_spec(base, &docs, false)).unwrap();
+                assert_eq!(undeduped.stats.classes, undeduped.stats.fecs);
+                let fresh = full_job(&open(), &pre_json, &post_json);
+                assert_eq!(verdict_bytes(&undeduped), verdict_bytes(&fresh));
             }
-            let base = s.base_epoch().unwrap();
-            let (new_pre, new_post) = (json(&pre), json(&post));
-            let doc = |old: &[u8], new: &[u8]| {
-                let diff = diff_side(&scan(old), &scan(new));
-                let mut doc = Vec::new();
-                write_delta(&mut doc, base, &diff.removed, &diff.records).unwrap();
-                doc
-            };
-            let (pre_doc, post_doc) = (doc(&pre_json, &new_pre), doc(&post_json, &new_post));
-            let delta = s
-                .run(
-                    JobSpec::deltas(
-                        LabeledSource::new(&pre_doc[..], "delta:pre"),
-                        LabeledSource::new(&post_doc[..], "delta:post"),
-                    )
-                    .with_options(JobOptions {
-                        delta_base: Some(base.as_u128()),
-                        ..JobOptions::default()
-                    }),
-                )
-                .unwrap();
-            let fresh = full(&retaining_session(), &new_pre, &new_post);
-            assert_eq!(verdict_bytes(&delta), verdict_bytes(&fresh), "step {step}");
-            assert_eq!(delta.stats.fecs, fecs, "step {step}");
-            assert_eq!(fresh.stats.fecs, fecs, "step {step}");
-            let epoch = pair_epoch(scan(&new_pre).fold, scan(&new_post).fold);
-            assert_eq!(delta.stats.retained_epoch, Some(epoch), "step {step}");
-            assert_eq!(fresh.stats.retained_epoch, Some(epoch), "step {step}");
-            (pre_json, post_json) = (new_pre, new_post);
         }
+    }
+
+    /// The stage rows cover the job: at one thread their sum is within
+    /// 10 % of the report's `elapsed` — and of the wall around the
+    /// session's `run` — on a streams job and on a delta job, and only
+    /// the delta job replays. The wall check takes the best of three
+    /// tries, so one preemption outside the job does not fail it.
+    #[test]
+    fn the_stage_rows_sum_to_the_job_wall() {
+        let flow = |ix: usize| {
+            let dst = format!("10.{}.{}.0/24", ix / 256, ix % 256);
+            FlowSpec::new(dst.parse().unwrap(), "A1")
+        };
+        let pre: SideRecords = (0..2000)
+            .map(|ix| (flow(ix), linear_graph(&["A1", "B1"])))
+            .collect();
+        let mut post = pre.clone();
+        post[7].1 = linear_graph(&["A1", "C1"]);
+        let (pre_json, post_json) = (side_json(&pre), side_json(&post));
+        post[9].1 = linear_graph(&["A1", "C1"]);
+        let new_post = side_json(&post);
+        let close = |sum: Duration, wall: Duration| sum.abs_diff(wall) <= wall / 10;
+        let mut covered = [false; 2];
+        for _ in 0..3 {
+            let s = retaining_session();
+            let t0 = Instant::now();
+            let streams = full_job(&s, &pre_json, &post_json);
+            let streams_wall = t0.elapsed();
+            let base = s.base_epoch().unwrap();
+            let docs = delta_docs(base, [&pre_json, &post_json], [&pre_json, &new_post]);
+            let t0 = Instant::now();
+            let delta = delta_job(&s, base, &docs);
+            let delta_wall = t0.elapsed();
+            for (ix, (report, wall)) in [(&streams, streams_wall), (&delta, delta_wall)]
+                .into_iter()
+                .enumerate()
+            {
+                let stages = report.stats.stages;
+                let elapsed = report.elapsed;
+                assert!(close(stages.total(), elapsed), "{stages:?} vs {elapsed:?}");
+                assert_eq!(stages.replay > Duration::ZERO, ix == 1, "{stages:?}");
+                assert!(stages.ingest > Duration::ZERO && stages.assemble > Duration::ZERO);
+                covered[ix] |= close(stages.total(), wall);
+            }
+            if covered == [true, true] {
+                return;
+            }
+        }
+        panic!("the stage rows did not cover the job wall: {covered:?}");
     }
 
     #[test]

@@ -748,11 +748,18 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<i32, CliError>
                     ),
                     None => format!("disabled, {} fst memo hits", stats.fst_memo_hits),
                 };
+                let ms = |wall: std::time::Duration| wall.as_secs_f64() * 1e3;
+                let stages = stats.stages;
                 text.push_str(&format!(
-                    "cache: {store}, {} live / {} dead sides, relations {:.2}ms\n",
+                    "cache: {store}, {} live / {} dead sides, relations {:.2}ms, \
+                     replay {:.2}ms, ingest {:.2}ms, decide {:.2}ms, assemble {:.2}ms\n",
                     stats.live_sides,
                     stats.dead_sides,
-                    stats.relations.as_secs_f64() * 1e3,
+                    ms(stats.relations),
+                    ms(stages.replay),
+                    ms(stages.ingest),
+                    ms(stages.decide),
+                    ms(stages.assemble),
                 ));
             }
             emit(out, text)?;

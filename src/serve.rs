@@ -764,6 +764,10 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
                         ("dead_sides", stats.dead_sides.to_value()),
                         ("relations_s", stats.relations.as_secs_f64().to_value()),
                         ("graph_decodes", stats.graph_decodes.to_value()),
+                        ("replay_s", stats.stages.replay.as_secs_f64().to_value()),
+                        ("ingest_s", stats.stages.ingest.as_secs_f64().to_value()),
+                        ("decide_s", stats.stages.decide.as_secs_f64().to_value()),
+                        ("assemble_s", stats.stages.assemble.as_secs_f64().to_value()),
                         // the epoch of the pair this job retained — what
                         // the next delta submission should name as its
                         // base; null when the job retained nothing (only

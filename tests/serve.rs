@@ -245,17 +245,25 @@ fn spawn_daemon_unpinged(dir: &Path, socket: &Path) -> Daemon {
     let stdout = daemon.0.as_mut().unwrap().stdout.as_mut().unwrap();
     // byte by byte: nothing past the line may be consumed, the drain
     // assertions read the rest
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    while byte[0] != b'\n' {
-        assert_eq!(
-            stdout.read(&mut byte).expect("daemon stdout"),
-            1,
-            "daemon died at startup"
-        );
-        line.push(byte[0]);
+    let mut read_line = || {
+        let mut line = Vec::new();
+        let mut byte = [0u8; 1];
+        while byte[0] != b'\n' {
+            assert_eq!(
+                stdout.read(&mut byte).expect("daemon stdout"),
+                1,
+                "daemon died at startup"
+            );
+            line.push(byte[0]);
+        }
+        String::from_utf8_lossy(&line).into_owned()
+    };
+    let mut line = read_line();
+    // a concurrent test may have planted a dead daemon's spool in the
+    // shared temp dir, which this daemon sweeps and says so first
+    if line.starts_with("removed ") && line.contains("stale spool file(s)") {
+        line = read_line();
     }
-    let line = String::from_utf8_lossy(&line);
     assert!(line.starts_with("serving "), "{line}");
     daemon
 }

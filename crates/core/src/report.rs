@@ -216,6 +216,18 @@ impl StageTable {
     }
 }
 
+impl Serialize for StageTable {
+    /// Seconds per row, in segment order.
+    fn to_value(&self) -> Value {
+        Value::obj(vec![
+            ("replay", self.replay.as_secs_f64().to_value()),
+            ("ingest", self.ingest.as_secs_f64().to_value()),
+            ("decide", self.decide.as_secs_f64().to_value()),
+            ("assemble", self.assemble.as_secs_f64().to_value()),
+        ])
+    }
+}
+
 /// How the dedup-and-memoize engine spent its work: behavior-class
 /// counts, cache effectiveness, and per-phase CPU time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -253,7 +265,8 @@ pub struct CheckStats {
     /// work-stealing bounds the critical path by.
     pub max_class_time: Duration,
     /// Wall-clock per serial segment of the job. Not printed by
-    /// `Display`; `--cache-stats` and the serve REPORT stats carry it.
+    /// `Display`; `--cache-stats`, the serve REPORT stats and `rela
+    /// report --json` carry it.
     pub stages: StageTable,
     /// Forwarding graphs actually decoded during ingest. The pipelined
     /// path admits records by raw-span content hash, so byte-identical
@@ -278,6 +291,33 @@ impl CheckStats {
         } else {
             self.dedup_hits as f64 / self.fecs as f64
         }
+    }
+}
+
+impl Serialize for CheckStats {
+    /// The `stats` object of `rela report --json` (and of each arm the
+    /// `perf` harness records): every counter and clock, the
+    /// decode-schedule ones `Display` omits included. The retained epoch
+    /// is the daemon's business and is left out.
+    fn to_value(&self) -> Value {
+        Value::obj(vec![
+            ("fecs", self.fecs.to_value()),
+            ("classes", self.classes.to_value()),
+            ("dedup_hits", self.dedup_hits.to_value()),
+            ("warm_hits", self.warm_hits.to_value()),
+            ("fst_memo_hits", self.fst_memo_hits.to_value()),
+            ("graph_decodes", self.graph_decodes.to_value()),
+            ("hit_rate", self.hit_rate().to_value()),
+            (
+                "max_class_time_s",
+                self.max_class_time.as_secs_f64().to_value(),
+            ),
+            ("phases_s", self.phases.to_cache_value()),
+            ("live_sides", self.live_sides.to_value()),
+            ("dead_sides", self.dead_sides.to_value()),
+            ("relations_s", self.relations.as_secs_f64().to_value()),
+            ("stages_s", self.stages.to_value()),
+        ])
     }
 }
 
@@ -351,8 +391,9 @@ impl CheckReport {
 
     /// Serialize the whole report — verdict, stats, and per-FEC
     /// violations — for tooling (`rela report --json`). Unlike the
-    /// `Display` table nothing is clipped, and the decode-schedule
-    /// counters (`graph_decodes`) that `Display` deliberately omits are
+    /// `Display` table nothing is clipped, and what `Display`
+    /// deliberately omits — the decode-schedule counters
+    /// (`graph_decodes`), the live / dead sides and the stage table — is
     /// included.
     pub fn to_value(&self) -> Value {
         let violations: Vec<Value> = self
@@ -384,20 +425,6 @@ impl CheckReport {
             .iter()
             .map(|(part, count)| (part.clone(), count.to_value()))
             .collect();
-        let stats = Value::obj(vec![
-            ("fecs", self.stats.fecs.to_value()),
-            ("classes", self.stats.classes.to_value()),
-            ("dedup_hits", self.stats.dedup_hits.to_value()),
-            ("warm_hits", self.stats.warm_hits.to_value()),
-            ("fst_memo_hits", self.stats.fst_memo_hits.to_value()),
-            ("graph_decodes", self.stats.graph_decodes.to_value()),
-            ("hit_rate", self.stats.hit_rate().to_value()),
-            (
-                "max_class_time_s",
-                self.stats.max_class_time.as_secs_f64().to_value(),
-            ),
-            ("phases_s", self.stats.phases.to_cache_value()),
-        ]);
         Value::obj(vec![
             (
                 "verdict",
@@ -408,7 +435,7 @@ impl CheckReport {
             ("violating", self.violations.len().to_value()),
             ("elapsed_s", self.elapsed.as_secs_f64().to_value()),
             ("part_counts", Value::Obj(part_counts)),
-            ("stats", stats),
+            ("stats", self.stats.to_value()),
             ("violations", Value::Arr(violations)),
         ])
     }
@@ -635,6 +662,15 @@ mod tests {
         report.stats.fecs = 2;
         report.stats.classes = 1;
         report.stats.graph_decodes = 4;
+        report.stats.live_sides = 3;
+        report.stats.dead_sides = 5;
+        report.stats.relations = Duration::from_millis(2);
+        report.stats.stages = StageTable {
+            ingest: Duration::from_millis(3),
+            decide: Duration::from_millis(1),
+            assemble: Duration::from_millis(1),
+            ..StageTable::default()
+        };
         let value = report.to_value();
         // survive a JSON print/parse cycle, as tooling consumes it
         let text = serde_json::to_string(&value).unwrap();
@@ -645,6 +681,23 @@ mod tests {
         let stats = back.get("stats").unwrap();
         assert_eq!(stats.get("graph_decodes").and_then(Value::as_u64), Some(4));
         assert!(stats.get("phases_s").and_then(|p| p.get("lower")).is_some());
+        assert_eq!(stats.get("live_sides").and_then(Value::as_u64), Some(3));
+        assert_eq!(stats.get("dead_sides").and_then(Value::as_u64), Some(5));
+        assert_eq!(
+            stats.get("relations_s").and_then(Value::as_f64),
+            Some(0.002)
+        );
+        let stages = stats.get("stages_s").unwrap();
+        let row = |name: &str| stages.get(name).and_then(Value::as_f64);
+        assert_eq!(
+            ["replay", "ingest", "decide", "assemble"].map(row),
+            [Some(0.0), Some(0.003), Some(0.001), Some(0.001)]
+        );
+        assert_eq!(
+            stages.as_obj().map(<[_]>::len),
+            Some(4),
+            "one key a row: {stages:?}"
+        );
         assert_eq!(
             back.get("part_counts")
                 .and_then(|p| p.get("e2e"))

@@ -18,7 +18,7 @@
 //!
 //! A child times one thing, its `session.run`, and reports that wall,
 //! its peak RSS, a fingerprint of its report and the report's own
-//! `CheckStats` as `rela report --json` serializes them — the stage table
+//! `CheckStats` as `rela report --json` serializes them — the job's table
 //! (`stages_s`), graph decodes, live and dead sides. The parent adds
 //! records/s and MiB/s of input. [`validate`] panics unless all four
 //! fingerprints are equal. The timing yardstick is `relabench`; this file
@@ -43,8 +43,8 @@
 //!           "arm": "materialized", "wall_s": 0.81, "peak_rss_kb": 250000,
 //!           "violations": 1032, "report_hash": "…", "fecs": 12288,
 //!           "classes": 15, "dedup_hits": 12273, "graph_decodes": 24576, …,
-//!           "stages_s": {"replay": 0.0, "ingest": 0.79, "decide": 0.002,
-//!                        "assemble": 0.01},
+//!           "stages_s": {"relations": 0.0005, "replay": 0.0, "ingest": 0.79,
+//!                        "decide": 0.002, "assemble": 0.01, "lower": 0.001, …},
 //!           "records_per_s": 30340.7, "mib_per_s": 37.5
 //!         },
 //!         …
@@ -519,7 +519,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rela_core::StageTable;
+    use rela_core::PhaseTimings;
 
     fn arm(name: &str, hash: &str) -> Value {
         Value::obj(vec![
@@ -530,7 +530,7 @@ mod tests {
             ("classes", 3usize.to_value()),
             ("dedup_hits", 9usize.to_value()),
             ("graph_decodes", 24usize.to_value()),
-            ("stages_s", StageTable::default().to_value()),
+            ("stages_s", PhaseTimings::default().to_value()),
         ])
     }
 

@@ -31,7 +31,7 @@ use crate::pipeline::{
     JoinedSide, OneSided, PoisonOnPanic, Provenance, Recv, Side,
 };
 use crate::report::{
-    CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, StageTable, ViolationDetail,
+    CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, ViolationDetail,
 };
 use crate::retain::{JoinedRow, RetainedBase, RetainedRow, RetentionSlot};
 use crate::rir::RirSpec;
@@ -152,13 +152,14 @@ impl CancelToken {
 }
 
 /// A job's clock: read once at the job's start and once at the end of
-/// each serial segment, each read closing one row of the job's
-/// [`StageTable`]. The session starts it, a delta job's replay laps it,
-/// and the engine laps the rest.
+/// each serial segment, each read closing one serial row of the job's
+/// [`PhaseTimings`], beside which it keeps what lowering the relations
+/// cost. The session starts it, a delta job's replay laps it, the engine
+/// laps the rest, and the session stamps the report.
 pub(crate) struct StageClock {
     start: Instant,
     last: Instant,
-    stages: StageTable,
+    rows: PhaseTimings,
 }
 
 impl StageClock {
@@ -167,7 +168,7 @@ impl StageClock {
         StageClock {
             start: now,
             last: now,
-            stages: StageTable::default(),
+            rows: PhaseTimings::default(),
         }
     }
 
@@ -181,14 +182,15 @@ impl StageClock {
 
     /// Close the replay row: everything so far.
     pub(crate) fn replayed(&mut self) {
-        self.stages.replay = self.lap();
+        self.rows.replay = self.lap();
     }
 
     /// Close the job's last row, `assemble`, and stamp `report` with the
-    /// table and the job's wall — the rows' sum.
-    fn stamp(mut self, report: &mut CheckReport) {
-        self.stages.assemble = self.lap();
-        report.stats.stages = self.stages;
+    /// clock's rows, beside the decide phases it holds, and the job's
+    /// wall — the serial rows' sum.
+    pub(crate) fn stamp(mut self, report: &mut CheckReport) {
+        self.rows.assemble = self.lap();
+        report.stats.phases.merge(&self.rows);
         report.elapsed = self.last - self.start;
     }
 }
@@ -948,9 +950,6 @@ impl LoweredProgram {
 /// counters the decides add to.
 struct DecideCtx<'a> {
     lowered: &'a LoweredProgram,
-    /// Wall this run paid building `lowered` on its way here; zero when
-    /// the memo already held it.
-    relations: Duration,
     table: SymbolTable,
     table_fp: u128,
     memo: &'a FstMemo,
@@ -999,21 +998,21 @@ impl Checker<'_> {
     }
 
     /// Check every FEC of an aligned snapshot pair: the batch engine,
-    /// the reference [`Checker::run_pipelined`] is tested against.
+    /// the reference [`Checker::run_pipelined`] is tested against. Its
+    /// own passes — fingerprinting and the store consult — are plain
+    /// serial maps; deciding is the shared [`Checker::decide_classes`].
     /// `clock` is the job's, started before the pair was read.
-    pub(crate) fn check(&self, pair: &SnapshotPair, mut clock: StageClock) -> CheckReport {
-        let threads = self.resolve_threads();
-        let classes = self.group_into_classes(pair, threads);
+    pub(crate) fn check(&self, pair: &SnapshotPair, clock: &mut StageClock) -> CheckReport {
+        let classes = self.group_into_classes(pair);
         let reps: Vec<&AlignedFec> = classes.iter().map(|c| &pair.fecs[c.members[0]]).collect();
         let flows: Vec<&FlowSpec> = pair.fecs.iter().map(|f| &f.flow).collect();
-        let warm = self.consult_store(&flows, &classes, threads);
-        clock.stages.ingest = clock.lap();
-        let ctx = self.decide_ctx(&self.collect_symbols(&reps));
-        let mut report = self.finish(&mut clock, &flows, &classes, &reps, warm, &ctx);
+        let warm = self.consult_store(&flows, &classes);
+        clock.rows.ingest = clock.lap();
+        let ctx = self.decide_ctx(&self.collect_symbols(&reps), clock);
+        let mut report = self.finish(clock, &flows, &classes, &reps, warm, &ctx);
         // the batch path materializes every record during ingest, so
         // every record costs one graph decode
         report.stats.graph_decodes = flows.len() * 2;
-        clock.stamp(&mut report);
         report
     }
 
@@ -1071,7 +1070,7 @@ impl Checker<'_> {
         &self,
         feeds: Vec<Feed<'_>>,
         labels: [Option<String>; 2],
-        mut clock: StageClock,
+        clock: &mut StageClock,
     ) -> Result<CheckReport, SnapshotError> {
         let overlap = self.resolve_threads() > 1 && self.memo.lowered.get().is_none();
         let (ingested, overlapped) = std::thread::scope(|scope| {
@@ -1082,31 +1081,23 @@ impl Checker<'_> {
             });
             (ingested, paid)
         });
+        clock.rows.relations += overlapped;
         let Some(ingested) = ingested? else {
             return Ok(Checker::cancelled_report());
         };
-        clock.stages.ingest = clock.lap();
+        clock.rows.ingest = clock.lap();
         let reps: Vec<&AlignedFec> = ingested.reps.iter().collect();
         // Byte-warm classes replay with placeholder reps, so the symbol
         // names their payloads recorded are folded back into the table.
         let mut names = self.collect_symbols(&reps);
         names.extend(ingested.replayed_symbols);
-        let ctx = self.decide_ctx(&names);
+        let ctx = self.decide_ctx(&names, clock);
         let flows: Vec<&FlowSpec> = ingested.flows.iter().map(Admitted::flow).collect();
-        let mut report = self.finish(
-            &mut clock,
-            &flows,
-            &ingested.classes,
-            &reps,
-            ingested.warm,
-            &ctx,
-        );
+        let mut report = self.finish(clock, &flows, &ingested.classes, &reps, ingested.warm, &ctx);
         if !self.cancel.fired() {
-            report.stats.relations += overlapped;
             report.stats.graph_decodes = ingested.graph_decodes;
             report.stats.retained_epoch = self.retain(ingested.flows, &ingested.classes);
         }
-        clock.stamp(&mut report);
         Ok(report)
     }
 
@@ -1250,7 +1241,7 @@ impl Checker<'_> {
         }
         let cold: Vec<usize> = (0..classes.len()).filter(|&ix| !answered[ix]).collect();
         let (decided, phases) = self.decide_classes(ctx, &cold, classes, reps);
-        clock.stages.decide = clock.lap();
+        clock.rows.decide = clock.lap();
         if self.cancel.fired() {
             // partial decides are individually sound but the run is not
             // complete: nothing is written back or retained, and the
@@ -1304,68 +1295,31 @@ impl Checker<'_> {
                 .saturating_sub(ctx.memo_hits_before),
             dead_sides: ctx.sides[0].load(Ordering::Relaxed),
             live_sides: ctx.sides[1].load(Ordering::Relaxed),
-            relations: ctx.relations,
             phases,
             max_class_time: max_class_time.unwrap_or_default(),
             ..CheckStats::default()
         };
-        // the caller stamps the job's wall once it has retained
+        // the session stamps the job's rows and wall once the engine has
+        // retained and freed its inputs
         CheckReport::assembled(flows.len(), violations, Duration::ZERO, stats)
     }
 
-    /// Consult the persistent store for every class, sharded across
-    /// workers, and return the verdicts it answered by class index. The
-    /// per-class consult — store lookup, payload clone,
-    /// JSON→[`FecResult`] parse — is the *entire* check on a fully-warm
-    /// run, and a serial pass leaves every core but one idle (ROADMAP:
-    /// parallel warm-replay lookup). Contiguous chunks keep the list in
-    /// class order, identical to a serial consult.
+    /// Consult the persistent store for every class, in class order, and
+    /// return the verdicts it answered by class index.
     fn consult_store(
         &self,
         flows: &[&FlowSpec],
         classes: &[BehaviorClass],
-        threads: usize,
     ) -> Vec<(usize, FecResult)> {
-        if self.cache.is_none() {
+        let Some(cache) = self.cache else {
             return Vec::new();
-        }
-        // don't spawn when thread startup dwarfs the lookups
-        const MIN_CLASSES_PER_WORKER: usize = 64;
-        let workers = threads
-            .min(classes.len().div_ceil(MIN_CLASSES_PER_WORKER))
-            .max(1);
-        let consult_one = |class: &BehaviorClass| -> Option<FecResult> {
-            self.cache
-                .zip(self.store_key(class))
-                .and_then(|(cache, key)| {
-                    cache.get(&key).and_then(|payload| {
-                        FecResult::from_cache_value(&payload, flows[class.members[0]].clone())
-                    })
-                })
         };
-        let outcomes: Vec<Option<FecResult>> = if workers <= 1 {
-            classes.iter().map(consult_one).collect()
-        } else {
-            let chunk = classes.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = classes
-                    .chunks(chunk)
-                    .map(|shard| {
-                        let consult_one = &consult_one;
-                        scope.spawn(move || shard.iter().map(consult_one).collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-                    .collect()
-            })
+        let consult = |(ix, class): (usize, &BehaviorClass)| {
+            let payload = cache.get(&self.store_key(class)?)?;
+            let result = FecResult::from_cache_value(&payload, flows[class.members[0]].clone())?;
+            Some((ix, result))
         };
-        outcomes
-            .into_iter()
-            .enumerate()
-            .filter_map(|(ix, outcome)| Some((ix, outcome?)))
-            .collect()
+        classes.iter().enumerate().filter_map(consult).collect()
     }
 
     /// Decide the classes listed in `cold` (indices into `classes`) over
@@ -1424,7 +1378,7 @@ impl Checker<'_> {
     /// Group the pair's FECs into behavior classes. With dedup disabled
     /// every FEC is its own class, so the same decide/assemble engine
     /// serves both modes.
-    fn group_into_classes(&self, pair: &SnapshotPair, threads: usize) -> Vec<BehaviorClass> {
+    fn group_into_classes(&self, pair: &SnapshotPair) -> Vec<BehaviorClass> {
         if !self.options.dedup {
             return pair
                 .fecs
@@ -1438,10 +1392,10 @@ impl Checker<'_> {
                 })
                 .collect();
         }
-        let keys = self.fingerprint_fecs(pair, threads);
+        let keys = pair.fecs.iter().map(|fec| self.fingerprint_of(fec));
         let mut classes: Vec<BehaviorClass> = Vec::new();
         let mut index: HashMap<(BehaviorHash, BehaviorHash, usize), usize> = HashMap::new();
-        for (ix, (route, pre, post)) in keys.into_iter().enumerate() {
+        for (ix, (route, pre, post)) in keys.enumerate() {
             match index.entry((pre, post, route.unwrap_or(usize::MAX))) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     classes[*e.get()].members.push(ix);
@@ -1489,49 +1443,6 @@ impl Checker<'_> {
         } else {
             self.program.granularity
         }
-    }
-
-    /// The grouping fingerprint pass, sharded across workers. Hashing
-    /// costs ~µs/FEC, so at the paper's 10⁶-FEC scale a serial pass
-    /// becomes the bottleneck once deciding is deduped; contiguous
-    /// shards keep the output order (and therefore class numbering)
-    /// identical to the serial pass.
-    fn fingerprint_fecs(
-        &self,
-        pair: &SnapshotPair,
-        threads: usize,
-    ) -> Vec<(Option<usize>, BehaviorHash, BehaviorHash)> {
-        // don't spawn for workloads where thread startup dwarfs hashing
-        const MIN_FECS_PER_WORKER: usize = 256;
-        let n = pair.fecs.len();
-        let workers = threads.min(n.div_ceil(MIN_FECS_PER_WORKER)).max(1);
-        if workers <= 1 {
-            return pair
-                .fecs
-                .iter()
-                .map(|fec| self.fingerprint_of(fec))
-                .collect();
-        }
-        let chunk = n.div_ceil(workers);
-        let shards = std::thread::scope(|scope| {
-            let handles: Vec<_> = pair
-                .fecs
-                .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        shard
-                            .iter()
-                            .map(|f| self.fingerprint_of(f))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-                .collect::<Vec<_>>()
-        });
-        shards.into_iter().flatten().collect()
     }
 
     /// The persistent-store key for a class, folding in a fingerprint
@@ -1612,12 +1523,12 @@ impl Checker<'_> {
     }
 
     /// The decide context for a run whose representatives mention
-    /// `names`.
-    fn decide_ctx(&self, names: &BTreeSet<String>) -> DecideCtx<'_> {
-        let (lowered, relations) = self.lower_relations();
+    /// `names`; what lowering the relations cost here goes on `clock`.
+    fn decide_ctx(&self, names: &BTreeSet<String>, clock: &mut StageClock) -> DecideCtx<'_> {
+        let (lowered, paid) = self.lower_relations();
+        clock.rows.relations += paid;
         DecideCtx {
             lowered,
-            relations,
             table: self.table_of(names),
             table_fp: table_fingerprint(names),
             memo: self.memo,
@@ -2570,7 +2481,8 @@ mod tests {
         assert!(phases.equivalent > Duration::ZERO);
         // half the flows violate → witnesses were rendered
         assert!(phases.witness > Duration::ZERO);
-        assert!(phases.total() >= phases.lower);
+        // the serial rows telescope: one clock, read at each boundary
+        assert_eq!(phases.serial(), report.elapsed);
         assert!(report.stats.max_class_time > Duration::ZERO);
     }
 
@@ -2836,7 +2748,7 @@ mod tests {
             let labels = [Some("pre.json".to_owned()), Some("post.json".to_owned())];
             let feed = Box::new(list.into_iter().map(Ok));
             let prepared = checker
-                .run_pipelined(vec![feed], labels, StageClock::start())
+                .run_pipelined(vec![feed], labels, &mut StageClock::start())
                 .unwrap_err();
             assert_eq!(prepared, framed, "{case}");
             assert_eq!(framed.entry_index(), Some(entry), "{case}: {framed}");

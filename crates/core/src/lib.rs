@@ -54,7 +54,7 @@ pub use counterexample::{EquationDiff, PathRenderer, WitnessLimits};
 pub use lower::{decide_spec, lower_pathset, lower_pathset_dfa, lower_rel, PairFsas};
 pub use parser::{parse_program, ParseError};
 pub use report::{
-    CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, StageTable, ViolationDetail,
+    CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, ViolationDetail,
 };
 pub use rir::{PathSet, Rel, RirSpec};
 pub use session::{

@@ -134,11 +134,38 @@ impl FecResult {
     }
 }
 
-/// CPU time spent in each phase of the decision pipeline, summed across
-/// behavior classes (and across workers, so the total can exceed the
-/// report's wall-clock `elapsed` when checking runs in parallel).
+/// The job's one table: every row of what a check spent. Three kinds of
+/// row share it:
+///
+/// - `relations`, the wall this run paid lowering the program's
+///   relations — beside its ingest when it had a second thread to give,
+///   inside `decide` otherwise, and zero once its session holds them;
+/// - the serial segments `replay`, `ingest`, `decide` and `assemble`,
+///   read off one clock with one `Instant` read at each boundary. They
+///   follow each other, so they sum to the report's `elapsed` at any
+///   thread count ([`PhaseTimings::serial`]);
+/// - the decide phases `lower`, `determinize`, `equivalent` and
+///   `witness`: CPU time summed across behavior classes, and across
+///   workers, so they can exceed `decide` when checking runs in
+///   parallel. A verdict-store payload carries these four for its class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
+    /// Lowering the program's relations to transducers.
+    pub relations: Duration,
+    /// A delta job's base lookup, delta-document parse and base replay
+    /// into the engine's item list; zero for every other job.
+    pub replay: Duration,
+    /// Everything up to the last admitted flow: framing, the flow join,
+    /// class admission, graph decodes and the store consult on the
+    /// pipelined engine; reading, aligning, fingerprinting and the store
+    /// consult on the batch engine.
+    pub ingest: Duration,
+    /// The run's symbol table, then every class the store did not
+    /// answer, decided.
+    pub decide: Duration,
+    /// Fresh verdicts written back to the store, the report assembled
+    /// per class, the delta base retained and the job's inputs freed.
+    pub assemble: Duration,
     /// Building path FSAs, asking which relation transducers apply to
     /// them and applying those (includes the embedded determinization
     /// of raw-RIR lowering).
@@ -152,80 +179,72 @@ pub struct PhaseTimings {
 }
 
 impl PhaseTimings {
-    /// Accumulate another worker's timings into this one.
-    pub fn merge(&mut self, other: &PhaseTimings) {
-        self.lower += other.lower;
-        self.determinize += other.determinize;
-        self.equivalent += other.equivalent;
-        self.witness += other.witness;
+    /// Every row with its name, in the order every serialization and
+    /// `cache:` line uses: relations, the serial segments, then the four
+    /// decide phases.
+    pub fn rows(&self) -> [(&'static str, Duration); 9] {
+        [
+            ("relations", self.relations),
+            ("replay", self.replay),
+            ("ingest", self.ingest),
+            ("decide", self.decide),
+            ("assemble", self.assemble),
+            ("lower", self.lower),
+            ("determinize", self.determinize),
+            ("equivalent", self.equivalent),
+            ("witness", self.witness),
+        ]
     }
 
-    /// Total CPU time across all phases.
-    pub fn total(&self) -> Duration {
-        self.lower + self.determinize + self.equivalent + self.witness
-    }
-
-    /// Per-phase difference `self - earlier` (saturating): the cost of
-    /// the work done between two snapshots of an accumulator.
-    pub fn since(&self, earlier: &PhaseTimings) -> PhaseTimings {
+    /// `f` applied row by row to `self` and `other`.
+    fn zip(&self, other: &Self, f: impl Fn(Duration, Duration) -> Duration) -> Self {
         PhaseTimings {
-            lower: self.lower.saturating_sub(earlier.lower),
-            determinize: self.determinize.saturating_sub(earlier.determinize),
-            equivalent: self.equivalent.saturating_sub(earlier.equivalent),
-            witness: self.witness.saturating_sub(earlier.witness),
+            relations: f(self.relations, other.relations),
+            replay: f(self.replay, other.replay),
+            ingest: f(self.ingest, other.ingest),
+            decide: f(self.decide, other.decide),
+            assemble: f(self.assemble, other.assemble),
+            lower: f(self.lower, other.lower),
+            determinize: f(self.determinize, other.determinize),
+            equivalent: f(self.equivalent, other.equivalent),
+            witness: f(self.witness, other.witness),
         }
     }
 
-    /// Serialize for the persistent verdict cache (seconds per phase).
-    pub fn to_cache_value(&self) -> Value {
-        Value::obj(vec![
-            ("lower", self.lower.as_secs_f64().to_value()),
-            ("determinize", self.determinize.as_secs_f64().to_value()),
-            ("equivalent", self.equivalent.as_secs_f64().to_value()),
-            ("witness", self.witness.as_secs_f64().to_value()),
-        ])
+    /// Accumulate another worker's (or clock's) rows into this table.
+    pub fn merge(&mut self, other: &PhaseTimings) {
+        *self = self.zip(other, |a, b| a + b);
     }
-}
 
-/// Wall-clock of a job's serial segments, read off one clock with one
-/// `Instant` read at each segment boundary — five a job at most, so it
-/// is always on. The segments follow each other, so the rows sum to the
-/// report's `elapsed` at any thread count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTable {
-    /// A delta job's base lookup, delta-document parse and base replay
-    /// into the engine's item list; zero for every other job.
-    pub replay: Duration,
-    /// Everything up to the last admitted flow: framing, the flow join,
-    /// class admission, graph decodes and the store consult on the
-    /// pipelined engine; reading, aligning, fingerprinting and the store
-    /// consult on the batch engine.
-    pub ingest: Duration,
-    /// The run's symbol table, then every class the store did not
-    /// answer, decided.
-    pub decide: Duration,
-    /// Fresh verdicts written back to the store, the report assembled
-    /// per class, and the delta base retained.
-    pub assemble: Duration,
-}
+    /// Per-row difference `self - earlier` (saturating): the cost of the
+    /// work done between two snapshots of an accumulator.
+    pub fn since(&self, earlier: &PhaseTimings) -> PhaseTimings {
+        self.zip(earlier, Duration::saturating_sub)
+    }
 
-impl StageTable {
-    /// The rows' sum: the job's wall.
-    pub fn total(&self) -> Duration {
+    /// The serial segments' sum: the job's wall.
+    pub fn serial(&self) -> Duration {
         self.replay + self.ingest + self.decide + self.assemble
     }
+
+    /// Serialize for the persistent verdict cache: seconds per decide
+    /// phase (the last four rows), the only rows a single class has.
+    pub fn to_cache_value(&self) -> Value {
+        seconds(&self.rows()[5..])
+    }
 }
 
-impl Serialize for StageTable {
-    /// Seconds per row, in segment order.
+impl Serialize for PhaseTimings {
+    /// Seconds per row, in [`PhaseTimings::rows`] order.
     fn to_value(&self) -> Value {
-        Value::obj(vec![
-            ("replay", self.replay.as_secs_f64().to_value()),
-            ("ingest", self.ingest.as_secs_f64().to_value()),
-            ("decide", self.decide.as_secs_f64().to_value()),
-            ("assemble", self.assemble.as_secs_f64().to_value()),
-        ])
+        seconds(&self.rows())
     }
+}
+
+/// An object of `rows`, seconds a row.
+fn seconds(rows: &[(&'static str, Duration)]) -> Value {
+    let row = |&(name, wall): &(&'static str, Duration)| (name, wall.as_secs_f64().to_value());
+    Value::obj(rows.iter().map(row).collect())
 }
 
 /// How the dedup-and-memoize engine spent its work: behavior-class
@@ -255,19 +274,13 @@ pub struct CheckStats {
     /// Equation sides that have an image: built, or answered by the
     /// memo.
     pub live_sides: usize,
-    /// Wall-clock this run spent lowering the program's relations to
-    /// transducers — beside its ingest when it had a second thread to
-    /// give — and zero when its session had already lowered them.
-    pub relations: Duration,
-    /// CPU time per pipeline phase, summed over classes.
+    /// The job's one table: relations, serial segments and decide
+    /// phases. Not printed by `Display`; `--cache-stats`, the serve
+    /// REPORT stats and `rela report --json` carry it.
     pub phases: PhaseTimings,
     /// Wall-clock of the slowest single behavior class — the quantity
     /// work-stealing bounds the critical path by.
     pub max_class_time: Duration,
-    /// Wall-clock per serial segment of the job. Not printed by
-    /// `Display`; `--cache-stats`, the serve REPORT stats and `rela
-    /// report --json` carry it.
-    pub stages: StageTable,
     /// Forwarding graphs actually decoded during ingest. The pipelined
     /// path admits records by raw-span content hash, so byte-identical
     /// records beyond a class founder — and byte-warm classes replayed
@@ -295,10 +308,12 @@ impl CheckStats {
 }
 
 impl Serialize for CheckStats {
-    /// The `stats` object of `rela report --json` (and of each arm the
-    /// `perf` harness records): every counter and clock, the
-    /// decode-schedule ones `Display` omits included. The retained epoch
-    /// is the daemon's business and is left out.
+    /// The one stats schema: the `stats` object of `rela report --json`,
+    /// of a serve REPORT frame (which adds its two epoch keys) and of
+    /// each arm the `perf` harness records: every counter, the
+    /// decode-schedule ones `Display` omits included, and the job's table
+    /// as `stages_s`. The retained epoch is the daemon's business and is
+    /// left out.
     fn to_value(&self) -> Value {
         Value::obj(vec![
             ("fecs", self.fecs.to_value()),
@@ -312,11 +327,9 @@ impl Serialize for CheckStats {
                 "max_class_time_s",
                 self.max_class_time.as_secs_f64().to_value(),
             ),
-            ("phases_s", self.phases.to_cache_value()),
             ("live_sides", self.live_sides.to_value()),
             ("dead_sides", self.dead_sides.to_value()),
-            ("relations_s", self.relations.as_secs_f64().to_value()),
-            ("stages_s", self.stages.to_value()),
+            ("stages_s", self.phases.to_value()),
         ])
     }
 }
@@ -393,7 +406,7 @@ impl CheckReport {
     /// violations — for tooling (`rela report --json`). Unlike the
     /// `Display` table nothing is clipped, and what `Display`
     /// deliberately omits — the decode-schedule counters
-    /// (`graph_decodes`), the live / dead sides and the stage table — is
+    /// (`graph_decodes`), the live / dead sides and the job's table — is
     /// included.
     pub fn to_value(&self) -> Value {
         let violations: Vec<Value> = self
@@ -664,12 +677,15 @@ mod tests {
         report.stats.graph_decodes = 4;
         report.stats.live_sides = 3;
         report.stats.dead_sides = 5;
-        report.stats.relations = Duration::from_millis(2);
-        report.stats.stages = StageTable {
-            ingest: Duration::from_millis(3),
-            decide: Duration::from_millis(1),
-            assemble: Duration::from_millis(1),
-            ..StageTable::default()
+        let ms = Duration::from_millis;
+        report.stats.phases = PhaseTimings {
+            relations: ms(2),
+            ingest: ms(3),
+            decide: ms(1),
+            assemble: ms(1),
+            lower: ms(4),
+            witness: ms(5),
+            ..PhaseTimings::default()
         };
         let value = report.to_value();
         // survive a JSON print/parse cycle, as tooling consumes it
@@ -680,23 +696,40 @@ mod tests {
         assert_eq!(back.get("compliant").and_then(Value::as_u64), Some(1));
         let stats = back.get("stats").unwrap();
         assert_eq!(stats.get("graph_decodes").and_then(Value::as_u64), Some(4));
-        assert!(stats.get("phases_s").and_then(|p| p.get("lower")).is_some());
         assert_eq!(stats.get("live_sides").and_then(Value::as_u64), Some(3));
         assert_eq!(stats.get("dead_sides").and_then(Value::as_u64), Some(5));
-        assert_eq!(
-            stats.get("relations_s").and_then(Value::as_f64),
-            Some(0.002)
-        );
+        // one table, one key: no row travels outside `stages_s`
+        for gone in ["phases_s", "relations_s"] {
+            assert!(stats.get(gone).is_none(), "{gone} in {stats:?}");
+        }
         let stages = stats.get("stages_s").unwrap();
-        let row = |name: &str| stages.get(name).and_then(Value::as_f64);
+        let names: Vec<&str> = stages
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect();
         assert_eq!(
-            ["replay", "ingest", "decide", "assemble"].map(row),
-            [Some(0.0), Some(0.003), Some(0.001), Some(0.001)]
+            names,
+            [
+                "relations",
+                "replay",
+                "ingest",
+                "decide",
+                "assemble",
+                "lower",
+                "determinize",
+                "equivalent",
+                "witness"
+            ]
         );
+        let seconds: Vec<f64> = names
+            .iter()
+            .map(|name| stages.get(name).and_then(Value::as_f64).unwrap())
+            .collect();
         assert_eq!(
-            stages.as_obj().map(<[_]>::len),
-            Some(4),
-            "one key a row: {stages:?}"
+            seconds,
+            [0.002, 0.0, 0.003, 0.001, 0.001, 0.004, 0.0, 0.0, 0.005]
         );
         assert_eq!(
             back.get("part_counts")
@@ -720,6 +753,24 @@ mod tests {
             .and_then(Value::as_str)
             .unwrap()
             .contains("expected"));
+    }
+
+    /// A verdict-store payload is one class's cost: its `phases_s` holds
+    /// the four decide phases and nothing of the job's other rows, so
+    /// stores written before the table grew read the same.
+    #[test]
+    fn a_store_payload_keeps_the_four_decide_phases() {
+        let full = PhaseTimings {
+            relations: Duration::from_millis(1),
+            ingest: Duration::from_millis(2),
+            determinize: Duration::from_millis(3),
+            ..PhaseTimings::default()
+        };
+        let value = result("10.1.0.0/24", &["e2e"]).to_cache_value(Duration::ZERO, &full);
+        let phases = value.get("phases_s").and_then(Value::as_obj).unwrap();
+        let names: Vec<&str> = phases.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["lower", "determinize", "equivalent", "witness"]);
+        assert_eq!(phases[1].1.as_f64(), Some(0.003));
     }
 
     #[test]

@@ -223,7 +223,7 @@ fn json_export_carries_the_documented_schema_keys() {
         "graph_decodes",
         "hit_rate",
         "max_class_time_s",
-        "phases_s",
+        "stages_s",
     ] {
         assert!(stats.get(key).is_some(), "missing stats key {key}");
     }

@@ -21,6 +21,7 @@ use rela_net::{
     Granularity, LocationDb, MmapSource, RecordBody, SideScan, Snapshot, SnapshotEpoch,
     SnapshotFramer, SnapshotPair, BINARY_MAGIC,
 };
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
@@ -602,13 +603,30 @@ fn open_snapshot(path: &Path) -> Result<Box<dyn Read + Send>, CliError> {
     snapshot_source(path).map_err(|e| usage_error(format!("{}: {e}", path.display())))
 }
 
+/// Read a whole snapshot the way every job does: through the streaming
+/// reader, so RSNB opens like JSON and a duplicated flow is an error
+/// naming its entry and byte, labelled with the path.
 fn load_snapshot(path: &Path) -> Result<Snapshot, CliError> {
-    let mut text = String::new();
-    open_snapshot(path)?
-        .read_to_string(&mut text)
-        .map_err(|e| usage_error(format!("{}: {e}", path.display())))?;
-    Snapshot::from_json(&text)
-        .map_err(|e| usage_error(format!("{}: invalid snapshot: {e}", path.display())))
+    Snapshot::from_reader(open_snapshot(path)?).map_err(|e| {
+        let e = e.with_source_label(path.display().to_string());
+        usage_error(format!("invalid snapshot: {e}"))
+    })
+}
+
+/// The tail `rela check` and `rela submit` share on their `cache:` line,
+/// read off the one stats schema (`CheckStats`' serialization, which a
+/// REPORT frame carries): live and dead sides, then every row of the
+/// job's `stages_s` table, in its order, in milliseconds.
+pub(crate) fn cache_tail(stats: &Value) -> String {
+    let count = |name: &str| stats.get(name).and_then(Value::as_u64).unwrap_or(0);
+    let [live, dead] = ["live_sides", "dead_sides"].map(count);
+    let mut tail = format!("{live} live / {dead} dead sides");
+    let rows = stats.get("stages_s").and_then(Value::as_obj);
+    for (name, seconds) in rows.unwrap_or_default() {
+        let ms = seconds.as_f64().unwrap_or(0.0) * 1e3;
+        tail.push_str(&format!(", {name} {ms:.2}ms"));
+    }
+    tail
 }
 
 /// Open a check session — the "open a session, run one job, exit" path
@@ -748,19 +766,8 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<i32, CliError>
                     ),
                     None => format!("disabled, {} fst memo hits", stats.fst_memo_hits),
                 };
-                let ms = |wall: std::time::Duration| wall.as_secs_f64() * 1e3;
-                let stages = stats.stages;
-                text.push_str(&format!(
-                    "cache: {store}, {} live / {} dead sides, relations {:.2}ms, \
-                     replay {:.2}ms, ingest {:.2}ms, decide {:.2}ms, assemble {:.2}ms\n",
-                    stats.live_sides,
-                    stats.dead_sides,
-                    ms(stats.relations),
-                    ms(stages.replay),
-                    ms(stages.ingest),
-                    ms(stages.decide),
-                    ms(stages.assemble),
-                ));
+                let tail = cache_tail(&stats.to_value());
+                text.push_str(&format!("cache: {store}, {tail}\n"));
             }
             emit(out, text)?;
             Ok(if report.is_compliant() { 0 } else { 1 })

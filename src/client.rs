@@ -254,25 +254,15 @@ fn submit_once(
                 .map_err(|e| Fatal(usage_error(format!("write failed: {e}"))))?;
             if cache_stats {
                 let stats = reply.get("stats").cloned().unwrap_or(Value::Null);
-                let count =
-                    |name: &str| -> u64 { stats.get(name).and_then(Value::as_u64).unwrap_or(0) };
-                let ms = |name: &str| stats.get(name).and_then(Value::as_f64).unwrap_or(0.0) * 1e3;
+                let count = |name: &str| stats.get(name).and_then(Value::as_u64).unwrap_or(0);
                 writeln!(
                     out,
-                    "cache: {} warm hits / {} classes, {} fst memo hits, {} graph decodes, \
-                     {} live / {} dead sides, relations {:.2}ms, replay {:.2}ms, \
-                     ingest {:.2}ms, decide {:.2}ms, assemble {:.2}ms",
+                    "cache: {} warm hits / {} classes, {} fst memo hits, {} graph decodes, {}",
                     count("warm_hits"),
                     count("classes"),
                     count("fst_memo_hits"),
                     count("graph_decodes"),
-                    count("live_sides"),
-                    count("dead_sides"),
-                    ms("relations_s"),
-                    ms("replay_s"),
-                    ms("ingest_s"),
-                    ms("decide_s"),
-                    ms("assemble_s"),
+                    crate::cli::cache_tail(&stats),
                 )
                 .map_err(|e| Fatal(usage_error(format!("write failed: {e}"))))?;
                 if let Some(base) = stats.get("base_epoch").and_then(Value::as_str) {

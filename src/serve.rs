@@ -745,39 +745,26 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
     };
     match result {
         Ok(Ok(report)) => {
-            let stats = report.stats;
+            // `rela report --json`'s stats, plus the daemon's two keys
+            let mut stats = report.stats.to_value();
+            if let Value::Obj(fields) = &mut stats {
+                // the epoch of the pair this job retained — what the next
+                // delta submission should name as its base; null when the
+                // job retained nothing (only the pipelined engine captures
+                // a base)
+                let base = base_value(report.stats.retained_epoch);
+                fields.push(("base_epoch".to_owned(), base));
+                // every epoch still accepted as a delta base, newest first
+                // (K-epoch retention)
+                fields.push(("retained_epochs".to_owned(), retained_value(session)));
+            }
             let reply = Value::obj(vec![
                 (
                     "exit",
                     if report.is_compliant() { 0u32 } else { 1u32 }.to_value(),
                 ),
                 ("report", Value::Str(report.to_string())),
-                (
-                    "stats",
-                    Value::obj(vec![
-                        ("fecs", stats.fecs.to_value()),
-                        ("classes", stats.classes.to_value()),
-                        ("warm_hits", stats.warm_hits.to_value()),
-                        ("dedup_hits", stats.dedup_hits.to_value()),
-                        ("fst_memo_hits", stats.fst_memo_hits.to_value()),
-                        ("live_sides", stats.live_sides.to_value()),
-                        ("dead_sides", stats.dead_sides.to_value()),
-                        ("relations_s", stats.relations.as_secs_f64().to_value()),
-                        ("graph_decodes", stats.graph_decodes.to_value()),
-                        ("replay_s", stats.stages.replay.as_secs_f64().to_value()),
-                        ("ingest_s", stats.stages.ingest.as_secs_f64().to_value()),
-                        ("decide_s", stats.stages.decide.as_secs_f64().to_value()),
-                        ("assemble_s", stats.stages.assemble.as_secs_f64().to_value()),
-                        // the epoch of the pair this job retained — what
-                        // the next delta submission should name as its
-                        // base; null when the job retained nothing (only
-                        // the pipelined engine captures a base)
-                        ("base_epoch", base_value(stats.retained_epoch)),
-                        // every epoch still accepted as a delta base,
-                        // newest first (K-epoch retention)
-                        ("retained_epochs", retained_value(session)),
-                    ]),
-                ),
+                ("stats", stats),
             ]);
             let _ = conn.send_json(KIND_REPORT, &reply);
             if let Err(e) = session.persist_if_dirty() {

@@ -229,6 +229,55 @@ fn snapshots_fed_through_named_pipes_check_like_the_files() {
     }
 }
 
+/// `rela diff` reads a snapshot the way `rela check` does: an RSNB file
+/// diffs like its JSON source, and a duplicated flow is the same exit-2
+/// error naming the same entry and byte, not a silent last-wins.
+#[test]
+fn diff_reads_snapshots_the_way_check_does() {
+    let work = Workdir::new("diff-read");
+    let (db, _, bad) = quickstart_inputs(&work);
+    let pre = work.dir.join("pre.json");
+    let diff = |pre: &Path, post: &Path| Command::Diff {
+        db: db.clone(),
+        pre: pre.to_owned(),
+        post: post.to_owned(),
+        granularity: rela::net::Granularity::Device,
+    };
+    let outcome = |cmd: &Command| {
+        let mut out = Vec::new();
+        let code = run(cmd, &mut out).map_err(|e| (e.code, e.message));
+        (code, String::from_utf8(out).unwrap())
+    };
+
+    let rsnb = work.dir.join("pre.rsnb");
+    let pack = Command::SnapshotPack {
+        input: pre.clone(),
+        output: rsnb.clone(),
+        unpack: false,
+    };
+    assert_eq!(run(&pack, &mut Vec::new()).expect("packs"), 0);
+    let from_json = outcome(&diff(&pre, &bad));
+    assert_eq!(from_json.0, Ok(1), "{from_json:?}");
+    assert_eq!(outcome(&diff(&rsnb, &bad)), from_json);
+
+    // the second copy of the first record is entry #2
+    let mut doc: serde::Value =
+        serde_json::from_str(&std::fs::read_to_string(&pre).unwrap()).expect("pre.json parses");
+    if let serde::Value::Obj(fields) = &mut doc {
+        if let serde::Value::Arr(fecs) = &mut fields[0].1 {
+            fecs.push(fecs[0].clone());
+        }
+    }
+    let twice = work.write("twice.json", serde_json::to_string(&doc).unwrap());
+    let (diffed, _) = outcome(&diff(&twice, &bad));
+    let (checked, _) = outcome(&parse_args(&check_args(&work, &db, &twice, &bad)).unwrap());
+    let (code, message) = diffed.expect_err("a duplicated flow is an input error");
+    assert_eq!(code, 2, "{message}");
+    assert!(message.contains("snapshot entry #2"), "{message}");
+    assert!(message.contains("twice.json"), "{message}");
+    assert_eq!(Err((code, message)), checked);
+}
+
 /// Write a pair whose only difference is longer than the witness length
 /// bound (64): a 70-device chain before the change, no path after it.
 fn long_chain_inputs(work: &Workdir, spec: &str) -> Vec<String> {

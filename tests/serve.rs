@@ -589,6 +589,63 @@ fn malformed_submission_reports_job_id_and_offset() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One stats schema: a REPORT frame's `stats` is `rela report --json`'s
+/// `stats` for the same pair, key for key, plus exactly the daemon's
+/// `base_epoch` and `retained_epochs`.
+#[test]
+fn a_report_frame_sends_the_report_json_stats() {
+    let dir = demo_dir("schema");
+    let socket = dir.join("daemon.sock");
+    let daemon = spawn_daemon(&dir, &socket, None);
+    let keys = |stats: &serde::Value| -> Vec<String> {
+        let fields = stats.as_obj().expect("stats is an object");
+        fields.iter().map(|(key, _)| key.clone()).collect()
+    };
+
+    let mut stream = UnixStream::connect(&socket).expect("connects");
+    let options = serde_json::to_string(&JobOptions::default().to_value()).unwrap();
+    write_frame(&mut stream, KIND_JOB, options.as_bytes()).unwrap();
+    for (kind, name) in [
+        (KIND_PRE, "pre.json"),
+        (rela::proto::KIND_POST, "post_v2.json"),
+    ] {
+        write_frame(&mut stream, kind, &std::fs::read(dir.join(name)).unwrap()).unwrap();
+        write_frame(&mut stream, kind, b"").unwrap();
+    }
+    let (kind, payload) = read_frame(&mut stream).unwrap().expect("a reply");
+    let reply = String::from_utf8(payload).unwrap();
+    assert_eq!(kind, KIND_REPORT, "{reply}");
+    let reply: serde::Value = serde_json::from_str(&reply).unwrap();
+    drop(stream);
+
+    let mut sink = Vec::new();
+    let code = cli::run(
+        &Command::Check {
+            spec: dir.join("change.rela"),
+            db: dir.join("db.json"),
+            pre: dir.join("pre.json"),
+            post: dir.join("post_v2.json"),
+            granularity: rela::net::Granularity::Group,
+            threads: 1,
+            job: JobOptions::default(),
+            cache_dir: None,
+            output: Output::Json,
+        },
+        &mut sink,
+    )
+    .expect("rela report --json runs");
+    assert_eq!(code, 1);
+    let report: serde::Value = serde_json::from_str(&String::from_utf8(sink).unwrap()).unwrap();
+
+    let mut want = keys(report.get("stats").unwrap());
+    want.extend(["base_epoch".to_owned(), "retained_epochs".to_owned()]);
+    assert_eq!(keys(reply.get("stats").unwrap()), want);
+
+    sigterm(&daemon);
+    wait_exit(daemon, &socket);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn sigterm_drains_in_flight_job_and_refuses_new_ones() {
     let dir = demo_dir("drain");

@@ -21,7 +21,9 @@
 //! `CheckStats` as `rela report --json` serializes them — the job's table
 //! (`stages_s`), graph decodes, live and dead sides. The parent adds
 //! records/s and MiB/s of input. [`validate`] panics unless all four
-//! fingerprints are equal. The timing yardstick is `relabench`; this file
+//! fingerprints are equal and every pipelined arm carries the ingest
+//! rows (`frame`, `send_blocked`, `recv_wait`, `work`) with a nonzero
+//! `frame`. The timing yardstick is `relabench`; this file
 //! records what one cold check costs at a scale relabench does not run.
 //!
 //! Run: `cargo run --release -p rela-bench --bin perf [-- --smoke]
@@ -44,7 +46,9 @@
 //!           "violations": 1032, "report_hash": "…", "fecs": 12288,
 //!           "classes": 15, "dedup_hits": 12273, "graph_decodes": 24576, …,
 //!           "stages_s": {"relations": 0.0005, "replay": 0.0, "ingest": 0.79,
-//!                        "decide": 0.002, "assemble": 0.01, "lower": 0.001, …},
+//!                        "decide": 0.002, "assemble": 0.01, "frame": 0.0,
+//!                        "send_blocked": 0.0, "recv_wait": 0.0, "work": 0.0,
+//!                        "lower": 0.001, …},
 //!           "records_per_s": 30340.7, "mib_per_s": 37.5
 //!         },
 //!         …
@@ -82,6 +86,9 @@ struct Arm {
     mapped: bool,
     ingest: IngestMode,
 }
+
+/// The `stages_s` rows only the pipelined engine fills.
+const PIPELINE_ROWS: [&str; 4] = ["frame", "send_blocked", "recv_wait", "work"];
 
 /// The arms, the reference first.
 const ARMS: [Arm; 4] = [
@@ -401,14 +408,26 @@ fn validate(doc: &Value) -> usize {
         assert_eq!(names, want, "{name}: the arms");
         let reference = arms[0].get("report_hash").and_then(Value::as_str);
         assert!(reference.is_some(), "{name}: no report_hash");
-        for (a, arm) in arms.iter().zip(&ARMS) {
-            let arm = arm.name;
+        for (a, spec) in arms.iter().zip(&ARMS) {
+            let arm = spec.name;
             assert!(num(a, "wall_s") > 0.0, "{name}/{arm}: wall_s");
             let stages = a
                 .get("stages_s")
                 .unwrap_or_else(|| panic!("{name}/{arm}: no stages_s"));
+            let seconds = |row: &str| {
+                let s = stages.get(row).and_then(Value::as_f64);
+                s.unwrap_or_else(|| panic!("{name}/{arm}: no `{row}` row"))
+            };
             for row in ["replay", "ingest", "decide", "assemble"] {
-                assert!(num(stages, row) >= 0.0, "{name}/{arm}: stage {row}");
+                assert!(seconds(row) >= 0.0, "{name}/{arm}: stage {row}");
+            }
+            // the pipelined arms clock their framers and workers: a zero
+            // `frame` means the rows were never wired
+            if spec.ingest == IngestMode::Pipelined {
+                for row in PIPELINE_ROWS {
+                    assert!(seconds(row) >= 0.0, "{name}/{arm}: stage {row}");
+                }
+                assert!(seconds("frame") > 0.0, "{name}/{arm}: zero frame");
             }
             let count = |key: &str| {
                 a.get(key)
@@ -520,6 +539,7 @@ fn main() {
 mod tests {
     use super::*;
     use rela_core::PhaseTimings;
+    use std::time::Duration;
 
     fn arm(name: &str, hash: &str) -> Value {
         Value::obj(vec![
@@ -530,7 +550,14 @@ mod tests {
             ("classes", 3usize.to_value()),
             ("dedup_hits", 9usize.to_value()),
             ("graph_decodes", 24usize.to_value()),
-            ("stages_s", PhaseTimings::default().to_value()),
+            (
+                "stages_s",
+                PhaseTimings {
+                    frame: Duration::from_millis(3),
+                    ..PhaseTimings::default()
+                }
+                .to_value(),
+            ),
         ])
     }
 
@@ -564,6 +591,31 @@ mod tests {
     #[should_panic(expected = "report_hash differs")]
     fn arms_with_unequal_report_hashes_panic() {
         validate(&doc(["h", "h", "other", "h"], |_| {}));
+    }
+
+    /// Put `stages` in place of an arm's `stages_s`.
+    fn set_stages(arm: &mut Value, stages: Value) {
+        if let Value::Obj(fields) = arm {
+            fields.retain(|(key, _)| key != "stages_s");
+            fields.push(("stages_s".into(), stages));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cold-test/json: no `frame` row")]
+    fn a_pipelined_arm_without_its_frame_row_panics() {
+        let mut stages = PhaseTimings::default().to_value();
+        if let Value::Obj(rows) = &mut stages {
+            rows.retain(|(name, _)| name != "frame");
+        }
+        validate(&doc(["h"; 4], |arms| set_stages(&mut arms[1], stages)));
+    }
+
+    #[test]
+    #[should_panic(expected = "cold-test/rsnb-mapped: zero frame")]
+    fn a_pipelined_arm_with_a_zero_frame_panics() {
+        let stages = PhaseTimings::default().to_value();
+        validate(&doc(["h"; 4], |arms| set_stages(&mut arms[3], stages)));
     }
 
     #[test]

@@ -332,6 +332,9 @@ struct Pipeline<'c, 'a> {
     registry: ClassRegistry,
     errors: ErrorSink,
     producers_left: AtomicUsize,
+    /// The ingest rows (`frame`, `send_blocked`, `recv_wait`, `work`):
+    /// each thread clocks its own, once a batch, and adds them here once.
+    rows: Mutex<PhaseTimings>,
     /// The `[pre, post]` source labels errors are attributed to.
     labels: [Option<String>; 2],
     /// What stands in for the side of a flow only one snapshot carries.
@@ -390,9 +393,21 @@ impl Pipeline<'_, '_> {
     /// over the bounded channel to the decode pool, so back-pressure and
     /// abort behave identically for framers and for the delta path's
     /// list. Stops early when the pipeline aborts; the last producer to
-    /// finish closes the channel.
+    /// finish closes the channel. Its time in the feed is `frame`, its
+    /// time in a blocked send `send_blocked`.
     fn produce(&self, feed: Feed<'_>) {
         let _poison_guard = PoisonOnPanic(&self.channel);
+        let mut rows = PhaseTimings::default();
+        let mut mark = Instant::now();
+        // the feed since the last send was `frame`; this send blocks
+        let mut send = |batch: Vec<PreparedItem>| {
+            let framed = Instant::now();
+            rows.frame += framed - mark;
+            let sent = self.channel.send(batch);
+            mark = Instant::now();
+            rows.send_blocked += mark - framed;
+            sent
+        };
         let mut batch: Vec<PreparedItem> = Vec::new();
         let (mut batch_bytes, mut batch_records) = (0usize, 0usize);
         for item in feed {
@@ -407,7 +422,7 @@ impl Pipeline<'_, '_> {
                     batch.push(item);
                     if batch_bytes >= FRAME_BATCH_BYTES || batch_records >= FRAME_BATCH_RECORDS {
                         (batch_bytes, batch_records) = (0, 0);
-                        if self.channel.send(std::mem::take(&mut batch)).is_err() {
+                        if send(std::mem::take(&mut batch)).is_err() {
                             break; // poisoned: the pipeline is aborting
                         }
                     }
@@ -420,17 +435,22 @@ impl Pipeline<'_, '_> {
             }
         }
         if !batch.is_empty() {
-            let _ = self.channel.send(batch);
+            let _ = send(batch);
         }
+        rows.frame += mark.elapsed();
         if self.producers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.channel.close();
         }
+        self.rows.lock().expect("rows lock").merge(&rows);
     }
 
-    /// One decode worker: pull batches until the channel closes.
+    /// One decode worker: pull batches until the channel closes. Its
+    /// time waiting for a batch is `recv_wait`, its time on them `work`.
     fn work(&self, worker: usize) -> WorkerState {
         let _poison_guard = PoisonOnPanic(&self.channel);
         let mut state = WorkerState::new(worker);
+        let mut rows = PhaseTimings::default();
+        let mut mark = Instant::now();
         loop {
             // deadline poll between batches: poisoning the channel stops
             // the producers and releases the other workers, so an expired
@@ -438,9 +458,13 @@ impl Pipeline<'_, '_> {
             // the snapshot
             if self.checker.cancel.check() {
                 self.channel.poison();
-                return state;
+                break;
             }
-            match self.channel.recv(Duration::from_millis(1)) {
+            let received = self.channel.recv(Duration::from_millis(1));
+            let got = Instant::now();
+            rows.recv_wait += got - mark;
+            mark = got;
+            match received {
                 Recv::Item(batch) => {
                     for item in batch {
                         if let Err((side, e)) = self.item(item, &mut state) {
@@ -449,11 +473,15 @@ impl Pipeline<'_, '_> {
                             break;
                         }
                     }
+                    mark = Instant::now();
+                    rows.work += mark - got;
                 }
                 Recv::Timeout => {} // back to the deadline poll
-                Recv::Closed => return state,
+                Recv::Closed => break,
             }
         }
+        self.rows.lock().expect("rows lock").merge(&rows);
+        state
     }
 
     /// Process one item.
@@ -731,6 +759,8 @@ struct Ingested {
     warm: Vec<(usize, FecResult)>,
     graph_decodes: usize,
     replayed_symbols: BTreeSet<String>,
+    /// The ingest rows its producers and workers clocked.
+    rows: PhaseTimings,
 }
 
 /// A report's violating rows, assembled per class from each class's
@@ -1086,6 +1116,7 @@ impl Checker<'_> {
             return Ok(Checker::cancelled_report());
         };
         clock.rows.ingest = clock.lap();
+        clock.rows.merge(&ingested.rows);
         let reps: Vec<&AlignedFec> = ingested.reps.iter().collect();
         // Byte-warm classes replay with placeholder reps, so the symbol
         // names their payloads recorded are folded back into the table.
@@ -1124,6 +1155,7 @@ impl Checker<'_> {
             registry: ClassRegistry::new(shards, self.options.dedup),
             errors: ErrorSink::new(),
             producers_left: AtomicUsize::new(feeds.len()),
+            rows: Mutex::default(),
             labels,
             absent: JoinedSide::absent(),
         };
@@ -1176,6 +1208,7 @@ impl Checker<'_> {
             warm,
             graph_decodes,
             replayed_symbols,
+            rows: pipe.rows.into_inner().expect("rows lock"),
         }))
     }
 

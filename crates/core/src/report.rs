@@ -134,7 +134,7 @@ impl FecResult {
     }
 }
 
-/// The job's one table: every row of what a check spent. Three kinds of
+/// The job's one table: every row of what a check spent. Four kinds of
 /// row share it:
 ///
 /// - `relations`, the wall this run paid lowering the program's
@@ -144,6 +144,10 @@ impl FecResult {
 ///   read off one clock with one `Instant` read at each boundary. They
 ///   follow each other, so they sum to the report's `elapsed` at any
 ///   thread count ([`PhaseTimings::serial`]);
+/// - the pipelined ingest's rows `frame`, `send_blocked`, `recv_wait`
+///   and `work`: thread time summed over its producers and workers,
+///   clocked once a batch, so they can exceed `ingest`. Zero on the
+///   batch engine;
 /// - the decide phases `lower`, `determinize`, `equivalent` and
 ///   `witness`: CPU time summed across behavior classes, and across
 ///   workers, so they can exceed `decide` when checking runs in
@@ -166,6 +170,16 @@ pub struct PhaseTimings {
     /// Fresh verdicts written back to the store, the report assembled
     /// per class, the delta base retained and the job's inputs freed.
     pub assemble: Duration,
+    /// Producer time inside the feed: framing records out of a snapshot
+    /// stream (or listing a delta job's items) and batching them.
+    pub frame: Duration,
+    /// Producer time blocked handing a full batch to the workers.
+    pub send_blocked: Duration,
+    /// Worker time waiting for a batch.
+    pub recv_wait: Duration,
+    /// Worker time on its batches: flow keys, the join, admission,
+    /// graph decodes and the store consult.
+    pub work: Duration,
     /// Building path FSAs, asking which relation transducers apply to
     /// them and applying those (includes the embedded determinization
     /// of raw-RIR lowering).
@@ -180,15 +194,19 @@ pub struct PhaseTimings {
 
 impl PhaseTimings {
     /// Every row with its name, in the order every serialization and
-    /// `cache:` line uses: relations, the serial segments, then the four
-    /// decide phases.
-    pub fn rows(&self) -> [(&'static str, Duration); 9] {
+    /// `cache:` line uses: relations, the serial segments, the ingest
+    /// rows, then the four decide phases.
+    pub fn rows(&self) -> [(&'static str, Duration); 13] {
         [
             ("relations", self.relations),
             ("replay", self.replay),
             ("ingest", self.ingest),
             ("decide", self.decide),
             ("assemble", self.assemble),
+            ("frame", self.frame),
+            ("send_blocked", self.send_blocked),
+            ("recv_wait", self.recv_wait),
+            ("work", self.work),
             ("lower", self.lower),
             ("determinize", self.determinize),
             ("equivalent", self.equivalent),
@@ -204,6 +222,10 @@ impl PhaseTimings {
             ingest: f(self.ingest, other.ingest),
             decide: f(self.decide, other.decide),
             assemble: f(self.assemble, other.assemble),
+            frame: f(self.frame, other.frame),
+            send_blocked: f(self.send_blocked, other.send_blocked),
+            recv_wait: f(self.recv_wait, other.recv_wait),
+            work: f(self.work, other.work),
             lower: f(self.lower, other.lower),
             determinize: f(self.determinize, other.determinize),
             equivalent: f(self.equivalent, other.equivalent),
@@ -230,7 +252,8 @@ impl PhaseTimings {
     /// Serialize for the persistent verdict cache: seconds per decide
     /// phase (the last four rows), the only rows a single class has.
     pub fn to_cache_value(&self) -> Value {
-        seconds(&self.rows()[5..])
+        let rows = self.rows();
+        seconds(&rows[rows.len() - 4..])
     }
 }
 
@@ -274,8 +297,8 @@ pub struct CheckStats {
     /// Equation sides that have an image: built, or answered by the
     /// memo.
     pub live_sides: usize,
-    /// The job's one table: relations, serial segments and decide
-    /// phases. Not printed by `Display`; `--cache-stats`, the serve
+    /// The job's one table: relations, serial segments, ingest rows and
+    /// decide phases. Not printed by `Display`; `--cache-stats`, the serve
     /// REPORT stats and `rela report --json` carry it.
     pub phases: PhaseTimings,
     /// Wall-clock of the slowest single behavior class — the quantity
@@ -683,6 +706,8 @@ mod tests {
             ingest: ms(3),
             decide: ms(1),
             assemble: ms(1),
+            frame: ms(6),
+            work: ms(7),
             lower: ms(4),
             witness: ms(5),
             ..PhaseTimings::default()
@@ -717,6 +742,10 @@ mod tests {
                 "ingest",
                 "decide",
                 "assemble",
+                "frame",
+                "send_blocked",
+                "recv_wait",
+                "work",
                 "lower",
                 "determinize",
                 "equivalent",
@@ -729,7 +758,7 @@ mod tests {
             .collect();
         assert_eq!(
             seconds,
-            [0.002, 0.0, 0.003, 0.001, 0.001, 0.004, 0.0, 0.0, 0.005]
+            [0.002, 0.0, 0.003, 0.001, 0.001, 0.006, 0.0, 0.0, 0.007, 0.004, 0.0, 0.0, 0.005]
         );
         assert_eq!(
             back.get("part_counts")
@@ -763,6 +792,7 @@ mod tests {
         let full = PhaseTimings {
             relations: Duration::from_millis(1),
             ingest: Duration::from_millis(2),
+            frame: Duration::from_millis(4),
             determinize: Duration::from_millis(3),
             ..PhaseTimings::default()
         };

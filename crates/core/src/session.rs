@@ -1298,6 +1298,15 @@ mod tests {
                 assert_eq!(rows.serial(), report.elapsed, "{rows:?}");
                 assert_eq!(rows.replay > Duration::ZERO, ix == 1, "{rows:?}");
                 assert!(rows.ingest > Duration::ZERO && rows.assemble > Duration::ZERO);
+                // the ingest rows are the pipelined engine's: a framer
+                // and a worker each clocked something there, and the
+                // batch engine leaves all four empty
+                let pipelined = ix < 2;
+                assert_eq!(rows.frame > Duration::ZERO, pipelined, "{rows:?}");
+                assert_eq!(rows.work > Duration::ZERO, pipelined, "{rows:?}");
+                if !pipelined {
+                    assert_eq!(rows.send_blocked + rows.recv_wait, Duration::ZERO);
+                }
                 covered[ix] |= close(rows.serial(), wall);
             }
             if covered == [true; 3] {

@@ -2297,6 +2297,101 @@ mod tests {
         }
     }
 
+    /// The records of a compact `{"fecs":[…]}` document as the bare
+    /// scan frames them, one at a time and with no memo: offset, flow
+    /// and graph bytes, then the scan's message and byte if it stopped.
+    type Scanned = (Vec<(u64, Vec<u8>, Vec<u8>)>, Option<(String, u64)>);
+
+    fn scanned(doc: &[u8]) -> Scanned {
+        let mut pos = b"{\"fecs\":[".len();
+        let mut records = Vec::new();
+        loop {
+            match frame_value(doc, pos, true, &mut Vec::new()) {
+                Ok(end) => {
+                    let raw = RawRecord::from_json_span(doc[pos..end].to_vec(), 0, 0);
+                    let (flow, graph) = raw.split_spans(None).unwrap();
+                    records.push((pos as u64, flow.to_vec(), graph.to_vec()));
+                    if doc[end] != b',' {
+                        return (records, None);
+                    }
+                    pos = end + 1;
+                }
+                Err(Stop::Syntax { message, at }) => return (records, Some((message, at as u64))),
+                Err(Stop::NeedMore) => unreachable!("the whole document is in hand"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_graph_frames_alike_at_every_chunk_size() {
+        // one graph, long enough for the framer's scan memo to keep, in
+        // every record
+        let hops: Vec<String> = (0..12).map(|i| format!("R{i}")).collect();
+        let hops: Vec<&str> = hops.iter().map(String::as_str).collect();
+        let mut snap = Snapshot::new();
+        for n in 0..8 {
+            snap.insert(flow(&format!("10.0.{n}.0/24"), "R0"), linear_graph(&hops));
+        }
+        let intact = snap.to_json().unwrap().into_bytes();
+        let (records, _) = scanned(&intact);
+        let (fifth, _, graph) = &records[4];
+        assert!(
+            graph.len() >= serde_json::scan::MEMO_MIN_BYTES,
+            "{}",
+            graph.len()
+        );
+        let record_len = (records[1].0 - records[0].0) as usize;
+        // where the fifth record's graph sits, and three edits of it: a
+        // valid one, a syntax error inside it, and its last byte
+        let at = *fifth as usize
+            + intact[*fifth as usize..]
+                .windows(8)
+                .position(|w| w == b"\"graph\":")
+                .unwrap()
+            + 8;
+        let edit = |offset: usize, byte: u8| {
+            let mut doc = intact.clone();
+            doc[at + offset] = byte;
+            doc
+        };
+        let inside = graph.windows(4).position(|w| w == b"\"R7\"").unwrap();
+        let comma = graph.iter().rposition(|&b| b == b',').unwrap();
+        let docs = [
+            intact.clone(),
+            edit(inside + 2, b'9'),
+            edit(comma, b';'),
+            edit(graph.len() - 1, b']'),
+        ];
+        for doc in &docs {
+            let (bare, stopped) = scanned(doc);
+            let reference = drain(chunked(&doc[..], doc.len()));
+            let framed: Vec<_> = reference
+                .0
+                .iter()
+                .map(|(o, _, f, g)| (*o, f.clone(), g.clone()))
+                .collect();
+            assert_eq!(framed, bare, "the framer frames what the bare scan does");
+            match (&stopped, &reference.1) {
+                (None, None) => assert_eq!(bare.len(), 8),
+                (Some((message, byte)), Some(e)) => {
+                    assert_eq!(bare.len(), 4, "{e}");
+                    let column = byte + 1; // a compact document is one line
+                    assert_eq!(
+                        e,
+                        &format!(
+                            "t: snapshot entry #4: {message} at line 1 column {column} (byte {byte})"
+                        )
+                    );
+                }
+                (expected, got) => panic!("bare scan stopped on {expected:?}, framer on {got:?}"),
+            }
+            for chunk_bytes in 1..=2 * record_len {
+                let got = drain(chunked(&doc[..], chunk_bytes));
+                assert_eq!(got, reference, "chunks of {chunk_bytes}");
+            }
+        }
+    }
+
     /// Yields its bytes, then fails every read.
     struct FailAfter<'a>(&'a [u8]);
 

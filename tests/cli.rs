@@ -278,6 +278,56 @@ fn diff_reads_snapshots_the_way_check_does() {
     assert_eq!(Err((code, message)), checked);
 }
 
+/// RFC 8259 §7 requires U+0000-U+001F inside a string to be escaped: a
+/// snapshot with a raw TAB in its ingress and in a vertex name is an
+/// input error for `check`, `snapshot pack` and `diff` alike, at the
+/// entry and byte of the first one.
+#[test]
+fn a_raw_control_character_in_a_snapshot_string_is_an_input_error() {
+    let work = Workdir::new("control");
+    let (db, _, _) = quickstart_inputs(&work);
+    let mut one = Snapshot::new();
+    one.insert(
+        FlowSpec::new("10.1.0.0/24".parse().unwrap(), "x1"),
+        linear_graph(&["x1", "B1", "y1"]),
+    );
+    let text = one.to_json().unwrap().replace("\"x1\"", "\"x\t1\"");
+    let tab = text.find('\t').unwrap();
+    assert!(
+        text[tab + 1..].contains('\t'),
+        "the vertex name holds one too"
+    );
+    let doc = work.write("tab.json", text);
+
+    let failed = |cmd: Command| {
+        let mut out = Vec::new();
+        let e = run(&cmd, &mut out).expect_err("a raw control character is an input error");
+        assert_eq!(e.code, 2, "{}", e.message);
+        e.message
+    };
+    let check = parse_args(&check_args(&work, &db, &doc, &doc)).unwrap();
+    let pack = Command::SnapshotPack {
+        input: doc.clone(),
+        output: work.dir.join("tab.rsnb"),
+        unpack: false,
+    };
+    let diff = Command::Diff {
+        db,
+        pre: doc.clone(),
+        post: doc,
+        granularity: rela::net::Granularity::Device,
+    };
+    for message in [failed(check), failed(pack), failed(diff)] {
+        for part in [
+            "tab.json",
+            "snapshot entry #0: unescaped control character in string",
+            &format!("(byte {tab})"),
+        ] {
+            assert!(message.contains(part), "{part:?} not in {message}");
+        }
+    }
+}
+
 /// Write a pair whose only difference is longer than the witness length
 /// bound (64): a 70-device chain before the change, no path after it.
 fn long_chain_inputs(work: &Workdir, spec: &str) -> Vec<String> {

@@ -503,7 +503,7 @@ fn replay(dir: &Path) -> Result<(), String> {
     let granularity = parse_granularity(read("granularity.txt")?.trim())?;
     let side = |min: &str, full: &str| -> Result<Snapshot, String> {
         let name = if dir.join(min).exists() { min } else { full };
-        Snapshot::from_json(&read(name)?).map_err(|e| format!("{name}: {e}"))
+        Snapshot::from_reader(read(name)?.as_bytes()).map_err(|e| format!("{name}: {e}"))
     };
     let pre = side("min_pre.json", "pre.json")?;
     let post = side("min_post.json", "post.json")?;

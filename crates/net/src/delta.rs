@@ -25,7 +25,7 @@ use crate::fec::FlowSpec;
 use crate::snapshot::{FlowDecoded, RawRecord, SnapshotError, SnapshotFramer};
 use serde::{Deserialize, Serialize};
 use serde_json::JsonReader;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{Read, Write};
 use std::str::FromStr;
@@ -121,11 +121,14 @@ pub struct SideScan {
 }
 
 /// Scan one snapshot side — JSON or binary, the framer sniffs — into
-/// per-record byte identities without decoding a single graph.
+/// per-record byte identities without decoding a single graph. A flow's
+/// second record is refused as every loader refuses it, so no scan
+/// names a base that a daemon could not retain.
 pub fn scan_side<R: Read>(mut framer: SnapshotFramer<R>) -> Result<SideScan, SnapshotError> {
     let label = framer.label().map(str::to_owned);
     let mut fold = 0u128;
     let mut records = Vec::new();
+    let mut seen = HashSet::new();
     for raw in &mut framer {
         let raw = raw?;
         let (flow, graph_span) = match raw.decode_flow(label.as_deref())? {
@@ -139,6 +142,14 @@ pub fn scan_side<R: Read>(mut framer: SnapshotFramer<R>) -> Result<SideScan, Sna
                 (flow, json.into_bytes())
             }
         };
+        if !seen.insert(flow.clone()) {
+            let message = format!("duplicate flow {flow}");
+            let mut e = SnapshotError::at(message, raw.offset).with_entry(raw.index);
+            if let Some(label) = &label {
+                e = e.with_source_label(label.as_str());
+            }
+            return Err(e);
+        }
         let hash = content_hash128(&graph_span);
         fold ^= record_mix(&flow, hash);
         records.push(ScannedRecord {

@@ -78,32 +78,6 @@ impl Serialize for Snapshot {
     }
 }
 
-impl Deserialize for Snapshot {
-    fn from_value(value: &Value) -> Result<Snapshot, serde::Error> {
-        let fecs_value = value
-            .get("fecs")
-            .ok_or_else(|| serde::Error::missing_field("fecs"))?;
-        let entries = fecs_value
-            .as_arr()
-            .ok_or_else(|| serde::Error::mismatch("an array", fecs_value))?;
-        let fecs = entries
-            .iter()
-            .enumerate()
-            .map(|(ix, entry)| {
-                // attach the failing entry's index: "missing field `flow`"
-                // alone is useless in a million-entry snapshot (the full
-                // error contract lives in docs/SNAPSHOT_FORMAT.md)
-                let attach = |e: serde::Error| serde::Error::custom(format!("fecs[{ix}]: {e}"));
-                Ok((
-                    serde::field::<FlowSpec>(entry, "flow").map_err(attach)?,
-                    serde::field::<ForwardingGraph>(entry, "graph").map_err(attach)?,
-                ))
-            })
-            .collect::<Result<_, serde::Error>>()?;
-        Ok(Snapshot { fecs })
-    }
-}
-
 impl Snapshot {
     /// An empty snapshot.
     pub fn new() -> Snapshot {
@@ -140,21 +114,12 @@ impl Snapshot {
         serde_json::to_string(self)
     }
 
-    /// Deserialize from the JSON exchange format.
-    pub fn from_json(json: &str) -> serde_json::Result<Snapshot> {
-        serde_json::from_str(json)
-    }
-
     /// Deserialize from any [`Read`] source through the streaming
-    /// reader. For documents conforming to `docs/SNAPSHOT_FORMAT.md`
-    /// this decodes the same snapshot as [`Snapshot::from_json`] over
-    /// the same bytes, but never materializes the input text or a whole
-    /// `Value` tree, and its errors carry the byte offset and entry
-    /// index of the failure. It is deliberately *stricter* than the
-    /// lenient batch loader on non-conforming input: duplicate flow
-    /// keys are an error (the batch loader silently keeps the last),
-    /// and `fecs` must be the top level's first and only field (the
-    /// batch loader ignores extra fields).
+    /// reader, the one snapshot loader. It never materializes the input
+    /// text or a whole `Value` tree, and its errors carry the byte offset
+    /// and entry index of the failure. A duplicate flow key is an error,
+    /// and `fecs` must be the top level's first and only field
+    /// (`docs/SNAPSHOT_FORMAT.md`).
     pub fn from_reader(source: impl Read) -> Result<Snapshot, SnapshotError> {
         SnapshotReader::new(source).collect()
     }
@@ -1412,16 +1377,6 @@ impl Serialize for AlignedFec {
     }
 }
 
-impl Deserialize for AlignedFec {
-    fn from_value(value: &Value) -> Result<AlignedFec, serde::Error> {
-        Ok(AlignedFec {
-            flow: serde::field(value, "flow")?,
-            pre: serde::field(value, "pre")?,
-            post: serde::field(value, "post")?,
-        })
-    }
-}
-
 /// A pre/post snapshot pair, aligned per flow.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotPair {
@@ -1432,14 +1387,6 @@ pub struct SnapshotPair {
 impl Serialize for SnapshotPair {
     fn to_value(&self) -> Value {
         Value::obj(vec![("fecs", self.fecs.to_value())])
-    }
-}
-
-impl Deserialize for SnapshotPair {
-    fn from_value(value: &Value) -> Result<SnapshotPair, serde::Error> {
-        Ok(SnapshotPair {
-            fecs: serde::field(value, "fecs")?,
-        })
     }
 }
 
@@ -1474,11 +1421,6 @@ impl SnapshotPair {
     /// Serialize to the JSON exchange format.
     pub fn to_json(&self) -> serde_json::Result<String> {
         serde_json::to_string(self)
-    }
-
-    /// Deserialize from the JSON exchange format.
-    pub fn from_json(json: &str) -> serde_json::Result<SnapshotPair> {
-        serde_json::from_str(json)
     }
 }
 
@@ -1537,7 +1479,7 @@ mod tests {
         let mut snap = Snapshot::new();
         snap.insert(flow("10.0.0.0/24", "x1"), linear_graph(&["x1", "A1", "D1"]));
         let json = snap.to_json().unwrap();
-        let back = Snapshot::from_json(&json).unwrap();
+        let back = Snapshot::from_reader(json.as_bytes()).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back.iter().next().unwrap().1, snap.iter().next().unwrap().1);
     }
@@ -1548,9 +1490,17 @@ mod tests {
         pre.insert(flow("10.0.0.0/24", "x1"), linear_graph(&["x1", "A1"]));
         let pair = SnapshotPair::align(&pre, &Snapshot::new());
         let json = pair.to_json().unwrap();
-        let back = SnapshotPair::from_json(&json).unwrap();
-        assert_eq!(back.len(), 1);
-        assert!(!back.fecs[0].post.carries_traffic());
+        // the pair is written for other tools; its entries read back as
+        // the flow and the two graphs it was built from
+        let back: Value = serde_json::from_str(&json).unwrap();
+        let fecs = back.get("fecs").and_then(Value::as_arr).unwrap();
+        assert_eq!(fecs.len(), 1);
+        let flow: FlowSpec = serde::field(&fecs[0], "flow").unwrap();
+        let pre: ForwardingGraph = serde::field(&fecs[0], "pre").unwrap();
+        let post: ForwardingGraph = serde::field(&fecs[0], "post").unwrap();
+        assert_eq!(flow, pair.fecs[0].flow);
+        assert_eq!(pre, pair.fecs[0].pre);
+        assert!(!post.carries_traffic());
     }
 
     #[test]
@@ -1572,9 +1522,10 @@ mod tests {
              "graph": {"vertices": [], "edges": [], "sources": [], "sinks": [], "drops": []}},
             {"flow": {"dst": "10.0.1.0/24", "ingress": "x1"}}
         ]}"#;
-        let err = Snapshot::from_json(json).unwrap_err();
-        assert!(err.to_string().contains("fecs[1]"), "{err}");
-        assert!(err.to_string().contains("graph"), "{err}");
+        let err = Snapshot::from_reader(json.as_bytes()).unwrap_err();
+        assert_eq!(err.entry_index(), Some(1), "{err}");
+        assert!(err.to_string().contains("snapshot entry #1"), "{err}");
+        assert!(err.to_string().contains("missing field `graph`"), "{err}");
     }
 
     // ---- streaming reader/writer ------------------------------------

@@ -278,6 +278,70 @@ fn diff_reads_snapshots_the_way_check_does() {
     assert_eq!(Err((code, message)), checked);
 }
 
+/// `rela snapshot diff` refuses a duplicated flow as `rela check` does:
+/// exit 2, naming the second occurrence's entry and byte, and no base
+/// epoch printed for a pair that no daemon could ever retain.
+#[test]
+fn snapshot_diff_refuses_a_duplicated_flow_as_check_does() {
+    let work = Workdir::new("snapdiff-dup");
+    let demo = work.dir.join("demo");
+    run(&Command::Demo { out: demo.clone() }, &mut Vec::new()).expect("demo writes");
+    let (pre, post) = (demo.join("pre.json"), demo.join("post_v1.json"));
+    // `fecs[0]` again, after the last of the 56 records
+    let mut doc: serde::Value =
+        serde_json::from_str(&std::fs::read_to_string(&pre).unwrap()).expect("pre.json parses");
+    if let serde::Value::Obj(fields) = &mut doc {
+        if let serde::Value::Arr(fecs) = &mut fields[0].1 {
+            assert_eq!(fecs.len(), 56);
+            fecs.push(fecs[0].clone());
+        }
+    }
+    let twice = work.write("twice.json", serde_json::to_string(&doc).unwrap());
+    let outcome = |cmd: &Command| {
+        let mut out = Vec::new();
+        let code = run(cmd, &mut out).map_err(|e| (e.code, e.message));
+        (code, String::from_utf8(out).unwrap())
+    };
+    let diff = Command::SnapshotDiff {
+        base_pre: twice.clone(),
+        base_post: post.clone(),
+        pre: pre.clone(),
+        post: post.clone(),
+        out_pre: work.dir.join("delta.pre.json"),
+        out_post: work.dir.join("delta.post.json"),
+    };
+    let (diffed, printed) = outcome(&diff);
+    let (code, message) = diffed.expect_err("a duplicated flow is an input error");
+    assert_eq!(code, 2, "{message}");
+    assert!(!printed.contains("base epoch"), "{printed}");
+    let check: Vec<String> = [
+        "check",
+        "--spec",
+        &demo.join("change.rela").display().to_string(),
+        "--db",
+        &demo.join("db.json").display().to_string(),
+        "--pre",
+        &twice.display().to_string(),
+        "--post",
+        &post.display().to_string(),
+    ]
+    .map(str::to_owned)
+    .to_vec();
+    let (checked, _) = outcome(&parse_args(&check).unwrap());
+    let (check_code, check_message) = checked.expect_err("check refuses it too");
+    assert_eq!(check_code, 2, "{check_message}");
+    // both name entry #56 and its byte, whatever prefix each command adds
+    let located = |message: &str| {
+        let at = message.find("snapshot entry #").expect("an entry is named");
+        message[at..].to_owned()
+    };
+    assert!(
+        located(&message).starts_with("snapshot entry #56: duplicate flow "),
+        "{message}"
+    );
+    assert_eq!(located(&message), located(&check_message));
+}
+
 /// RFC 8259 §7 requires U+0000-U+001F inside a string to be escaped: a
 /// snapshot with a raw TAB in its ingress and in a vertex name is an
 /// input error for `check`, `snapshot pack` and `diff` alike, at the

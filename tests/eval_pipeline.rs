@@ -119,8 +119,8 @@ fn snapshots_survive_json_roundtrip_with_identical_verdicts() {
         .iter()
         .map(|f| (f.flow.clone(), f.post.clone()))
         .collect();
-    let pre2 = Snapshot::from_json(&pre.to_json().unwrap()).unwrap();
-    let post2 = Snapshot::from_json(&post.to_json().unwrap()).unwrap();
+    let pre2 = Snapshot::from_reader(pre.to_json().unwrap().as_bytes()).unwrap();
+    let post2 = Snapshot::from_reader(post.to_json().unwrap().as_bytes()).unwrap();
     let pair2 = SnapshotPair::align(&pre2, &post2);
     assert_eq!(pair.len(), pair2.len());
 

@@ -106,23 +106,6 @@ fn stream_job<'a>(pre: &'a [u8], post: &'a [u8], ingest: IngestMode) -> JobSpec<
     })
 }
 
-fn granularity_name(granularity: Granularity) -> &'static str {
-    match granularity {
-        Granularity::Group => "group",
-        Granularity::Device => "device",
-        Granularity::Interface => "interface",
-    }
-}
-
-fn parse_granularity(name: &str) -> Result<Granularity, String> {
-    match name {
-        "group" => Ok(Granularity::Group),
-        "device" => Ok(Granularity::Device),
-        "interface" => Ok(Granularity::Interface),
-        other => Err(format!("unknown granularity {other:?}")),
-    }
-}
-
 fn repros_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/fuzz-repros")
 }
@@ -228,7 +211,7 @@ fn write_bundle(ctx: &FailureContext<'_>) -> PathBuf {
     );
     write(
         "granularity.txt",
-        granularity_name(ctx.scenario.granularity).as_bytes(),
+        ctx.scenario.granularity.to_string().as_bytes(),
     );
     write("pre.json", pre_json.as_bytes());
     write("post.json", post_json.as_bytes());
@@ -271,7 +254,7 @@ fn write_bundle(ctx: &FailureContext<'_>) -> PathBuf {
         seed = ctx.scenario.seed,
         iteration = ctx.iteration,
         stage = ctx.stage,
-        gran = granularity_name(ctx.scenario.granularity),
+        gran = ctx.scenario.granularity,
         desc = ctx.scenario.description,
         detail = ctx.detail,
         dir = dir.display(),
@@ -433,7 +416,7 @@ fn differential_fuzz_all_families() {
                 sc.name,
                 sc.iteration_count(),
                 sc.iterations.pre.len(),
-                granularity_name(sc.granularity),
+                sc.granularity,
                 sc.description,
             );
             run_scenario(&sc);
@@ -500,7 +483,7 @@ fn replay(dir: &Path) -> Result<(), String> {
     let spec = read("spec.rela")?;
     let db: LocationDb =
         serde_json::from_str(&read("db.json")?).map_err(|e| format!("db.json: {e}"))?;
-    let granularity = parse_granularity(read("granularity.txt")?.trim())?;
+    let granularity: Granularity = read("granularity.txt")?.trim().parse()?;
     let side = |min: &str, full: &str| -> Result<Snapshot, String> {
         let name = if dir.join(min).exists() { min } else { full };
         Snapshot::from_reader(read(name)?.as_bytes()).map_err(|e| format!("{name}: {e}"))

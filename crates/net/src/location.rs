@@ -31,6 +31,23 @@ impl fmt::Display for Granularity {
     }
 }
 
+impl std::str::FromStr for Granularity {
+    type Err = String;
+
+    /// Parse the `Display` rendering back: `group`, `device` or
+    /// `interface`.
+    fn from_str(s: &str) -> Result<Granularity, String> {
+        match s {
+            "interface" => Ok(Granularity::Interface),
+            "device" => Ok(Granularity::Device),
+            "group" => Ok(Granularity::Group),
+            other => Err(format!(
+                "unknown granularity `{other}` (expected group, device, or interface)"
+            )),
+        }
+    }
+}
+
 impl Serialize for Granularity {
     fn to_value(&self) -> Value {
         // serde's externally-tagged unit-variant form: the variant name
@@ -234,5 +251,20 @@ mod tests {
         assert_eq!(Granularity::Interface.to_string(), "interface");
         assert_eq!(Granularity::Device.to_string(), "device");
         assert_eq!(Granularity::Group.to_string(), "group");
+    }
+
+    #[test]
+    fn granularity_names_round_trip_and_nothing_else_parses() {
+        for g in [
+            Granularity::Interface,
+            Granularity::Device,
+            Granularity::Group,
+        ] {
+            assert_eq!(g.to_string().parse::<Granularity>(), Ok(g));
+        }
+        for other in ["router", "Group", ""] {
+            let err = other.parse::<Granularity>().unwrap_err();
+            assert!(err.starts_with("unknown granularity"), "{err}");
+        }
     }
 }

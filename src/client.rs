@@ -8,17 +8,17 @@
 //! verbatim — a warm submit is byte-identical to a one-shot check of
 //! the same pair (timing lines aside).
 
-use crate::cli::CliError;
+use crate::cli::{emit, job_options, path_error, usage_error, CliError, Command, Flags};
 use crate::proto::{
     read_frame, write_frame, KIND_DELTA_MISS, KIND_DELTA_OK, KIND_ERROR, KIND_JOB, KIND_PING,
     KIND_PONG, KIND_POST, KIND_PRE, KIND_REPORT, KIND_SHUTDOWN,
 };
 use rela_core::JobOptions;
-use rela_net::snapshot_source;
+use rela_net::{snapshot_source, SnapshotEpoch};
 use serde::{Serialize, Value};
 use std::io::{BufReader, Read};
 use std::os::unix::net::UnixStream;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Snapshot bytes per chunk frame. Small enough to interleave the two
@@ -74,20 +74,86 @@ impl SubmitError {
     }
 }
 
-fn usage_error(message: impl Into<String>) -> CliError {
-    CliError {
-        message: message.into(),
-        code: 2,
+/// `rela submit`: one check job for a running daemon.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubmitArgs {
+    /// Path of the daemon's Unix socket (`--socket`).
+    pub socket: PathBuf,
+    /// Path to the pre-change snapshot (`--pre`).
+    pub pre: PathBuf,
+    /// Path to the post-change snapshot (`--post`).
+    pub post: PathBuf,
+    /// `--delta-pre`/`--delta-post`: per-side delta documents to send
+    /// instead of the full pair when the daemon still retains the base
+    /// epoch in `job.delta_base` (see `rela snapshot diff`). The full
+    /// `pre`/`post` paths stay mandatory — they are the fallback when the
+    /// daemon answers `DELTA_MISS`.
+    pub delta: Option<(PathBuf, PathBuf)>,
+    /// Per-job options, serialized into the JOB frame.
+    pub job: JobOptions,
+    /// `--cache-stats`: print the daemon's warm-hit counters after the
+    /// report.
+    pub cache_stats: bool,
+    /// `--retries`/`--retry-delay-ms`: transport-failure retry with
+    /// jittered exponential backoff.
+    pub retry: RetryPolicy,
+}
+
+impl SubmitArgs {
+    /// `rela submit`'s flags: a job, or `--ping` / `--shutdown`.
+    pub(crate) fn parse(flags: &Flags) -> Result<Command, CliError> {
+        let socket = flags.need("socket")?;
+        if flags.has("ping") {
+            return Ok(Command::Ping(socket));
+        } else if flags.has("shutdown") {
+            return Ok(Command::Shutdown(socket));
+        }
+        let delta_base = match flags.value("delta-base") {
+            None => None,
+            Some(raw) => Some(
+                raw.parse::<SnapshotEpoch>()
+                    .map_err(|e| usage_error(format!("invalid --delta-base `{raw}`: {e}")))?
+                    .as_u128(),
+            ),
+        };
+        let delta = match (flags.path("delta-pre"), flags.path("delta-post")) {
+            (Some(pre), Some(post)) => Some((pre, post)),
+            (None, None) => None,
+            _ => {
+                return Err(usage_error(
+                    "--delta-pre and --delta-post must be given together",
+                ))
+            }
+        };
+        if delta.is_some() != delta_base.is_some() {
+            return Err(usage_error(
+                "a delta submit needs --delta-base, --delta-pre, and --delta-post together",
+            ));
+        }
+        let job = JobOptions {
+            delta_base,
+            ..job_options(flags)?
+        };
+        let defaults = RetryPolicy::default();
+        let retry = RetryPolicy {
+            retries: flags.number("retries")?.unwrap_or(defaults.retries),
+            delay_ms: flags.number("retry-delay-ms")?.unwrap_or(defaults.delay_ms),
+        };
+        Ok(Command::Submit(SubmitArgs {
+            socket,
+            pre: flags.need("pre")?,
+            post: flags.need("post")?,
+            delta,
+            job,
+            cache_stats: flags.has("cache-stats"),
+            retry,
+        }))
     }
 }
 
 fn connect(socket: &Path) -> Result<UnixStream, CliError> {
-    UnixStream::connect(socket).map_err(|e| {
-        usage_error(format!(
-            "{}: {e} (is `rela serve` running?)",
-            socket.display()
-        ))
-    })
+    UnixStream::connect(socket)
+        .map_err(|e| path_error(socket, format!("{e} (is `rela serve` running?)")))
 }
 
 /// One side's sender state during the interleaved transfer.
@@ -100,8 +166,7 @@ struct SideFeed {
 impl SideFeed {
     fn open(path: &Path, kind: u8) -> Result<SideFeed, CliError> {
         Ok(SideFeed {
-            source: snapshot_source(path)
-                .map_err(|e| usage_error(format!("{}: {e}", path.display())))?,
+            source: snapshot_source(path).map_err(|e| path_error(path, e))?,
             kind,
             done: false,
         })
@@ -129,7 +194,7 @@ impl SideFeed {
 /// check's exit code (0 compliant, 1 violations, 2 errors, 4 deadline
 /// exceeded, 5 engine panic, 6 daemon draining).
 ///
-/// With `delta` paths and `options.delta_base` set, the client first
+/// With `delta` paths and `job.delta_base` set, the client first
 /// negotiates: if the daemon still retains that base epoch (any of its
 /// last K) it accepts (`DELTA_OK`) and only the delta documents travel;
 /// otherwise (`DELTA_MISS`) the client falls back to streaming the full
@@ -138,30 +203,19 @@ impl SideFeed {
 /// Transport failures — a refused connect, a connection torn down
 /// before any typed reply — retry up to `retry.retries` times with
 /// jittered exponential backoff. Typed daemon errors never retry.
-#[allow(clippy::too_many_arguments)] // one argument per `rela submit` flag group
-pub fn submit(
-    socket: &Path,
-    pre: &Path,
-    post: &Path,
-    delta: Option<(&Path, &Path)>,
-    options: &JobOptions,
-    cache_stats: bool,
-    retry: &RetryPolicy,
-    out: &mut dyn std::io::Write,
-) -> Result<i32, CliError> {
+pub fn submit(args: &SubmitArgs, out: &mut dyn std::io::Write) -> Result<i32, CliError> {
     let mut attempt = 0;
     loop {
-        match submit_once(socket, pre, post, delta, options, cache_stats, out) {
-            Err(SubmitError::Transport(e)) if attempt < retry.retries => {
-                let delay = backoff(retry, attempt);
+        match submit_once(args, out) {
+            Err(SubmitError::Transport(e)) if attempt < args.retry.retries => {
+                let delay = backoff(&args.retry, attempt);
                 attempt += 1;
-                writeln!(
-                    out,
-                    "submit attempt {attempt} failed ({}); retrying in {}ms",
+                let line = format!(
+                    "submit attempt {attempt} failed ({}); retrying in {}ms\n",
                     e.message,
                     delay.as_millis()
-                )
-                .map_err(|e| usage_error(format!("write failed: {e}")))?;
+                );
+                emit(out, &line)?;
                 std::thread::sleep(delay);
             }
             other => return other.map_err(SubmitError::into_error),
@@ -169,61 +223,35 @@ pub fn submit(
     }
 }
 
-fn submit_once(
-    socket: &Path,
-    pre: &Path,
-    post: &Path,
-    delta: Option<(&Path, &Path)>,
-    options: &JobOptions,
-    cache_stats: bool,
-    out: &mut dyn std::io::Write,
-) -> Result<i32, SubmitError> {
-    use SubmitError::{Fatal, Transport};
-    let stream = connect(socket).map_err(Transport)?;
+fn submit_once(args: &SubmitArgs, out: &mut dyn std::io::Write) -> Result<i32, SubmitError> {
+    use SubmitError::Fatal;
+    let stream = connect(&args.socket).map_err(SubmitError::Transport)?;
     // one buffered reader for the connection's whole life: a reply frame
     // is one `read`, and nothing it reads ahead is lost between frames
     let mut replies = BufReader::new(&stream);
-    let json = serde_json::to_string(&options.to_value())
+    let json = serde_json::to_string(&args.job.to_value())
         .map_err(|e| Fatal(usage_error(format!("serializing job options: {e}"))))?;
     let sent = write_frame(&mut &stream, KIND_JOB, json.as_bytes()).is_ok();
-    let (pre, post) = match (delta, options.delta_base) {
-        (Some((delta_pre, delta_post)), Some(_)) if sent => {
-            // the daemon answers the negotiation before any snapshot
-            // bytes move
-            match read_frame(&mut replies) {
-                Ok(Some((KIND_DELTA_OK, _))) => (delta_pre, delta_post),
-                Ok(Some((KIND_DELTA_MISS, payload))) => {
-                    let base = parse_reply(&payload)
-                        .ok()
-                        .and_then(|v| v.get("base").and_then(Value::as_str).map(str::to_owned));
-                    writeln!(
-                        out,
-                        "delta base not retained by daemon (its base: {}); sending full snapshots",
-                        base.as_deref().unwrap_or("none")
-                    )
-                    .map_err(|e| Fatal(usage_error(format!("write failed: {e}"))))?;
-                    (pre, post)
-                }
-                Ok(Some((KIND_ERROR, payload))) => return Err(Fatal(error_reply(&payload))),
-                Ok(Some((kind, _))) => {
-                    return Err(Fatal(usage_error(format!(
-                        "unexpected reply frame 0x{kind:02x}"
-                    ))))
-                }
-                Ok(None) => {
-                    return Err(Transport(usage_error(
-                        "daemon closed the connection without a reply",
-                    )))
-                }
-                Err(e) => {
-                    return Err(Transport(usage_error(format!(
-                        "reading delta negotiation: {e}"
-                    ))))
-                }
+    let (mut pre, mut post) = (&args.pre, &args.post);
+    let negotiates = sent && args.job.delta_base.is_some();
+    if let Some((delta_pre, delta_post)) = args.delta.as_ref().filter(|_| negotiates) {
+        // the daemon answers the negotiation before any snapshot bytes
+        // move
+        let expected = [KIND_DELTA_OK, KIND_DELTA_MISS];
+        match read_reply(&mut replies, &expected, "delta negotiation")? {
+            (KIND_DELTA_OK, _) => (pre, post) = (delta_pre, delta_post),
+            (_, payload) => {
+                let base = parse_reply(&payload)
+                    .ok()
+                    .and_then(|v| v.get("base").and_then(Value::as_str).map(str::to_owned));
+                let line = format!(
+                    "delta base not retained by daemon (its base: {}); sending full snapshots\n",
+                    base.as_deref().unwrap_or("none")
+                );
+                emit(out, &line).map_err(Fatal)?;
             }
         }
-        _ => (pre, post),
-    };
+    }
     let mut pre = SideFeed::open(pre, KIND_PRE).map_err(Fatal)?;
     let mut post = SideFeed::open(post, KIND_POST).map_err(Fatal)?;
     if sent {
@@ -243,35 +271,77 @@ fn submit_once(
         }
     }
 
-    match read_frame(&mut replies) {
-        Ok(Some((KIND_REPORT, payload))) => {
-            let reply = parse_reply(&payload).map_err(Fatal)?;
-            let exit: i64 = serde::field(&reply, "exit")
-                .map_err(|e| Fatal(usage_error(format!("malformed reply: {e}"))))?;
-            let report: String = serde::field(&reply, "report")
-                .map_err(|e| Fatal(usage_error(format!("malformed reply: {e}"))))?;
-            out.write_all(report.as_bytes())
-                .map_err(|e| Fatal(usage_error(format!("write failed: {e}"))))?;
-            if cache_stats {
-                let stats = reply.get("stats").cloned().unwrap_or(Value::Null);
-                let count = |name: &str| stats.get(name).and_then(Value::as_u64).unwrap_or(0);
-                writeln!(
-                    out,
-                    "cache: {} warm hits / {} classes, {} fst memo hits, {} graph decodes, {}",
-                    count("warm_hits"),
-                    count("classes"),
-                    count("fst_memo_hits"),
-                    count("graph_decodes"),
-                    crate::cli::cache_tail(&stats),
-                )
-                .map_err(|e| Fatal(usage_error(format!("write failed: {e}"))))?;
-                if let Some(base) = stats.get("base_epoch").and_then(Value::as_str) {
-                    writeln!(out, "base epoch: {base}")
-                        .map_err(|e| Fatal(usage_error(format!("write failed: {e}"))))?;
-                }
-            }
-            Ok(exit as i32)
+    let (_, payload) = read_reply(&mut replies, &[KIND_REPORT], "reply")?;
+    let reply = parse_reply(&payload).map_err(Fatal)?;
+    let malformed = |e: serde::Error| Fatal(usage_error(format!("malformed reply: {e}")));
+    let exit: i64 = serde::field(&reply, "exit").map_err(malformed)?;
+    let mut text: String = serde::field(&reply, "report").map_err(malformed)?;
+    if args.cache_stats {
+        let stats = reply.get("stats").cloned().unwrap_or(Value::Null);
+        let count = |name: &str| stats.get(name).and_then(Value::as_u64).unwrap_or(0);
+        text.push_str(&format!(
+            "cache: {} warm hits / {} classes, {} fst memo hits, {} graph decodes, {}\n",
+            count("warm_hits"),
+            count("classes"),
+            count("fst_memo_hits"),
+            count("graph_decodes"),
+            crate::cli::cache_tail(&stats),
+        ));
+        if let Some(base) = stats.get("base_epoch").and_then(Value::as_str) {
+            text.push_str(&format!("base epoch: {base}\n"));
         }
+    }
+    emit(out, &text).map_err(Fatal)?;
+    Ok(exit as i32)
+}
+
+/// Send a `PING` (or, with `shutdown`, a `SHUTDOWN`) frame and print the
+/// daemon's status line. Exit 0 when it answers; a shut-down daemon
+/// drains (in-flight jobs finish first) and exits.
+pub fn control(
+    socket: &Path,
+    shutdown: bool,
+    out: &mut dyn std::io::Write,
+) -> Result<i32, CliError> {
+    let (kind, what) = match shutdown {
+        true => (KIND_SHUTDOWN, "shutdown"),
+        false => (KIND_PING, "ping"),
+    };
+    let stream = connect(socket)?;
+    write_frame(&mut &stream, kind, b"")
+        .map_err(|e| usage_error(format!("sending {what}: {e}")))?;
+    let (_, payload) = read_reply(&mut BufReader::new(&stream), &[KIND_PONG], "reply")
+        .map_err(SubmitError::into_error)?;
+    let pong = parse_reply(&payload)?;
+    let count = |name: &str| pong.get(name).and_then(Value::as_u64).unwrap_or(0);
+    let line = if shutdown {
+        format!("daemon draining after {} job(s)\n", count("jobs_run"))
+    } else {
+        let draining = pong
+            .get("draining")
+            .and_then(Value::as_bool)
+            .unwrap_or(false);
+        format!(
+            "daemon alive: {} job(s) run, {} in flight, draining: {draining}\n",
+            count("jobs_run"),
+            count("jobs_active"),
+        )
+    };
+    emit(out, &line).map(|()| 0)
+}
+
+/// Read the daemon's next reply frame, which must be one of `expected`.
+/// An `ERROR` frame is its typed error, any other kind is fatal, and a
+/// connection that ends or fails before a reply is a transport failure
+/// (`reading {what}: …`).
+fn read_reply(
+    replies: &mut impl Read,
+    expected: &[u8],
+    what: &str,
+) -> Result<(u8, Vec<u8>), SubmitError> {
+    use SubmitError::{Fatal, Transport};
+    match read_frame(replies) {
+        Ok(Some((kind, payload))) if expected.contains(&kind) => Ok((kind, payload)),
         Ok(Some((KIND_ERROR, payload))) => Err(Fatal(error_reply(&payload))),
         Ok(Some((kind, _))) => Err(Fatal(usage_error(format!(
             "unexpected reply frame 0x{kind:02x}"
@@ -279,34 +349,8 @@ fn submit_once(
         Ok(None) => Err(Transport(usage_error(
             "daemon closed the connection without a reply",
         ))),
-        Err(e) => Err(Transport(usage_error(format!("reading reply: {e}")))),
+        Err(e) => Err(Transport(usage_error(format!("reading {what}: {e}")))),
     }
-}
-
-/// Probe the daemon; prints its status line. Exit 0 when it answers.
-pub fn ping(socket: &Path, out: &mut dyn std::io::Write) -> Result<i32, CliError> {
-    let stream = connect(socket)?;
-    write_frame(&mut &stream, KIND_PING, b"")
-        .map_err(|e| usage_error(format!("sending ping: {e}")))?;
-    let pong = read_pong(&stream)?;
-    writeln!(
-        out,
-        "daemon alive: {} job(s) run, {} in flight, draining: {}",
-        pong.jobs_run, pong.jobs_active, pong.draining
-    )
-    .map_err(|e| usage_error(format!("write failed: {e}")))?;
-    Ok(0)
-}
-
-/// Ask the daemon to drain and exit (in-flight jobs finish first).
-pub fn shutdown(socket: &Path, out: &mut dyn std::io::Write) -> Result<i32, CliError> {
-    let stream = connect(socket)?;
-    write_frame(&mut &stream, KIND_SHUTDOWN, b"")
-        .map_err(|e| usage_error(format!("sending shutdown: {e}")))?;
-    let pong = read_pong(&stream)?;
-    writeln!(out, "daemon draining after {} job(s)", pong.jobs_run)
-        .map_err(|e| usage_error(format!("write failed: {e}")))?;
-    Ok(0)
 }
 
 fn parse_reply(payload: &[u8]) -> Result<Value, CliError> {
@@ -338,34 +382,4 @@ fn error_reply(payload: &[u8]) -> CliError {
         _ => 2,
     };
     CliError { message, code }
-}
-
-/// The daemon's status as reported in a `PONG` frame.
-struct Pong {
-    jobs_run: u64,
-    jobs_active: u64,
-    draining: bool,
-}
-
-fn read_pong(stream: &UnixStream) -> Result<Pong, CliError> {
-    match read_frame(&mut BufReader::new(stream)) {
-        Ok(Some((KIND_PONG, payload))) => {
-            let reply = parse_reply(&payload)?;
-            Ok(Pong {
-                jobs_run: reply.get("jobs_run").and_then(Value::as_u64).unwrap_or(0),
-                jobs_active: reply
-                    .get("jobs_active")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
-                draining: reply
-                    .get("draining")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false),
-            })
-        }
-        Ok(Some((KIND_ERROR, payload))) => Err(error_reply(&payload)),
-        Ok(Some((kind, _))) => Err(usage_error(format!("unexpected reply frame 0x{kind:02x}"))),
-        Ok(None) => Err(usage_error("daemon closed the connection without a reply")),
-        Err(e) => Err(usage_error(format!("reading reply: {e}"))),
-    }
 }

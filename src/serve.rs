@@ -21,19 +21,19 @@
 //! leave during a drain (`LastOut`). An idle daemon makes no system
 //! call at all.
 
-use crate::cli::{CliError, ServeConfig};
+use crate::cli::{emit, open_session, path_error, usage_error, CliError, Flags, SessionArgs};
 use crate::proto::{
     read_frame, write_frame, KIND_DELTA_MISS, KIND_DELTA_OK, KIND_ERROR, KIND_JOB, KIND_PING,
     KIND_PONG, KIND_POST, KIND_PRE, KIND_REPORT, KIND_SHUTDOWN,
 };
-use rela_core::{CheckSession, JobError, JobOptions, JobSpec, LabeledSource, SessionConfig};
+use rela_core::{CheckSession, JobError, JobOptions, JobSpec, LabeledSource};
 use rela_net::faultio::FaultPlan;
 use rela_net::{chunk_pipe, MmapSource, BINARY_MAGIC};
 use serde::{Deserialize, Serialize, Value};
-use std::io::BufReader;
+use std::io::{BufReader, Write as _};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -116,10 +116,30 @@ impl std::io::Read for Patient<'_> {
     }
 }
 
-fn io_error(context: &str, e: std::io::Error) -> CliError {
-    CliError {
-        message: format!("{context}: {e}"),
-        code: 2,
+/// `rela serve`: the session a daemon holds warm and the socket it
+/// listens on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ServeConfig {
+    /// Path of the Unix socket to listen on (`--socket`).
+    pub socket: PathBuf,
+    /// The session, opened once at startup. Its config retains
+    /// `--retain-epochs` base pairs (default 2) as delta bases, within
+    /// an optional `--retain-bytes` budget: DELTA frames may name any
+    /// retained epoch, evicted epochs degrade to a full resubmit, and
+    /// the newest pair is never evicted.
+    pub session: SessionArgs,
+}
+
+impl ServeConfig {
+    pub(crate) fn parse(flags: &Flags) -> Result<ServeConfig, CliError> {
+        let socket = flags.need("socket")?;
+        let mut session = SessionArgs::parse(flags)?;
+        // a resident daemon is exactly the iterate-and-resubmit loop
+        // delta ingest exists for; K epochs let interleaved clients each
+        // keep their own delta chain alive
+        session.config.retain_bases = flags.number("retain-epochs")?.unwrap_or(2);
+        session.config.retain_bytes = flags.number("retain-bytes")?;
+        Ok(ServeConfig { socket, session })
     }
 }
 
@@ -161,19 +181,14 @@ fn sweep_stale_spools() -> usize {
 fn bind_socket(path: &Path) -> Result<UnixListener, CliError> {
     if path.exists() {
         match UnixStream::connect(path) {
-            Ok(_) => {
-                return Err(CliError {
-                    message: format!("{}: a daemon is already serving here", path.display()),
-                    code: 2,
-                })
-            }
+            Ok(_) => return Err(path_error(path, "a daemon is already serving here")),
             Err(_) => {
                 // nobody answers: stale socket from a dead process
-                std::fs::remove_file(path).map_err(|e| io_error(&path.display().to_string(), e))?;
+                std::fs::remove_file(path).map_err(|e| path_error(path, e))?;
             }
         }
     }
-    UnixListener::bind(path).map_err(|e| io_error(&path.display().to_string(), e))
+    UnixListener::bind(path).map_err(|e| path_error(path, e))
 }
 
 /// Run the daemon until drained. Returns the process exit code (0 after
@@ -185,76 +200,33 @@ pub fn serve(config: &ServeConfig, out: &mut dyn std::io::Write) -> Result<i32, 
 
     // fault injection (tests, chaos drills): a malformed plan is a
     // startup error, not something to discover mid-job
-    let faults = FaultPlan::from_env().map_err(|e| CliError {
-        message: format!("{}: {e}", rela_net::faultio::ENV_VAR),
-        code: 2,
-    })?;
+    let faults = FaultPlan::from_env()
+        .map_err(|e| usage_error(format!("{}: {e}", rela_net::faultio::ENV_VAR)))?;
 
     let swept = sweep_stale_spools();
     if swept > 0 {
         let _ = writeln!(out, "removed {swept} stale spool file(s) from dead daemons");
     }
 
-    let source = std::fs::read_to_string(&config.spec)
-        .map_err(|e| io_error(&config.spec.display().to_string(), e))?;
-    let db: rela_net::LocationDb = serde_json::from_str(
-        &std::fs::read_to_string(&config.db)
-            .map_err(|e| io_error(&config.db.display().to_string(), e))?,
-    )
-    .map_err(|e| CliError {
-        message: format!("{}: invalid location db: {e}", config.db.display()),
-        code: 2,
-    })?;
-    let mut session = CheckSession::open(
-        &source,
-        db,
-        SessionConfig {
-            granularity: config.granularity,
-            threads: config.threads,
-            // a resident daemon is exactly the iterate-and-resubmit
-            // loop delta ingest exists for; K epochs let interleaved
-            // clients each keep their own delta chain alive
-            retain_bases: config.retain_epochs,
-            retain_bytes: config.retain_bytes,
-        },
-    )
-    .map_err(|e| CliError {
-        message: format!("{}: {e}", config.spec.display()),
-        code: 2,
-    })?;
-    session.set_faults(faults.clone());
-    if let Some(dir) = &config.cache_dir {
-        match rela_cache::VerdictStore::open_with_gc(
-            dir,
-            session.epoch(),
-            &rela_cache::GcPolicy::default(),
-        ) {
-            Ok(mut store) => {
-                store.set_faults(faults.clone());
-                session.attach_store(store);
-            }
-            Err(e) => {
-                let _ = writeln!(out, "warning: cache disabled: {}: {e}", dir.display());
-            }
-        }
-    }
+    let session = open_session(&config.session, true, faults.as_ref(), out)?;
 
     let listener = bind_socket(&config.socket)?;
     // the signal handler's way in: it writes a byte to `wake_tx`, the
     // watcher below reads it from `wake_rx` and knocks
-    let (wake_rx, wake_tx) = UnixStream::pair().map_err(|e| io_error("socket pair", e))?;
-    writeln!(
-        out,
-        "serving {} on {} ({} granularity{})",
-        config.spec.display(),
+    let (wake_rx, wake_tx) =
+        UnixStream::pair().map_err(|e| usage_error(format!("socket pair: {e}")))?;
+    let args = &config.session;
+    let cache = match &args.cache_dir {
+        Some(dir) => format!(", cache {}", dir.display()),
+        None => String::new(),
+    };
+    let line = format!(
+        "serving {} on {} ({} granularity{cache})\n",
+        args.spec.display(),
         config.socket.display(),
-        config.granularity,
-        match &config.cache_dir {
-            Some(dir) => format!(", cache {}", dir.display()),
-            None => String::new(),
-        }
-    )
-    .map_err(|e| io_error("write failed", e))?;
+        args.config.granularity,
+    );
+    emit(out, &line)?;
     out.flush().ok();
 
     let session = &session;
@@ -317,9 +289,11 @@ pub fn serve(config: &ServeConfig, out: &mut dyn std::io::Write) -> Result<i32, 
     if let Err(e) = session.persist_if_dirty() {
         let _ = writeln!(out, "warning: could not persist cache: {e}");
     }
-    writeln!(out, "drained after {} job(s)", session.jobs_run())
-        .map_err(|e| io_error("write failed", e))?;
-    Ok(0)
+    emit(
+        out,
+        &format!("drained after {} job(s)\n", session.jobs_run()),
+    )
+    .map(|()| 0)
 }
 
 /// Machine-readable ERROR codes (`docs/SERVE_PROTOCOL.md`). The client
@@ -504,9 +478,9 @@ enum SideSink {
     Waiting,
     /// Streaming through an unbounded in-memory pipe (JSON, gz, deltas).
     Piped(rela_net::ChunkSender),
-    /// An RSNB body spooling to a temp file; mapped (and the file
-    /// unlinked) at end-of-side so the engine frames it zero-copy.
-    Spooling(std::io::BufWriter<std::fs::File>, std::path::PathBuf),
+    /// An RSNB body spooling to a temp file, mapped at end-of-side so
+    /// the engine frames it zero-copy.
+    Spooling(Spool),
     /// End-of-side seen.
     Done,
 }
@@ -514,6 +488,34 @@ enum SideSink {
 impl SideSink {
     fn done(&self) -> bool {
         matches!(self, SideSink::Done)
+    }
+}
+
+/// An RSNB body's temp file. Dropping it unlinks the file, whichever way
+/// the side ends: mapped (the mapping keeps the pages alive on its own),
+/// failed, or abandoned.
+struct Spool {
+    writer: std::io::BufWriter<std::fs::File>,
+    path: PathBuf,
+}
+
+impl Spool {
+    fn create(path: PathBuf, head: &[u8]) -> std::io::Result<Spool> {
+        let writer = std::io::BufWriter::new(std::fs::File::create(&path)?);
+        let mut spool = Spool { writer, path };
+        spool.writer.write_all(head)?;
+        Ok(spool)
+    }
+
+    fn map(mut self) -> std::io::Result<MmapSource> {
+        self.writer.flush()?;
+        MmapSource::open(&self.path)
+    }
+}
+
+impl Drop for Spool {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.path).ok();
     }
 }
 
@@ -627,10 +629,11 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
             let name = side_names[side];
             let label = format!("job-{id}:{name}");
             let eof = chunk.is_empty();
-            match std::mem::replace(&mut sinks[side], SideSink::Done) {
+            let spooled = match std::mem::replace(&mut sinks[side], SideSink::Done) {
                 SideSink::Waiting if eof => {
                     // empty side: a zero-byte stream, decided right here
                     sources[side] = Some(LabeledSource::new(std::io::empty(), label));
+                    Ok(())
                 }
                 SideSink::Waiting if chunk.starts_with(&BINARY_MAGIC) => {
                     // RSNB body: spool it, map it at end-of-side
@@ -638,69 +641,38 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
                         "rela-serve-{}-job{id}-{name}.rsnb",
                         std::process::id()
                     ));
-                    match std::fs::File::create(&path) {
-                        Ok(file) => {
-                            let mut writer = std::io::BufWriter::new(file);
-                            if let Err(e) = std::io::Write::write_all(&mut writer, &chunk) {
-                                protocol_error = Some(format!("job-{id}: {name} spool: {e}"));
-                                std::fs::remove_file(&path).ok();
-                                break;
-                            }
-                            sinks[side] = SideSink::Spooling(writer, path);
-                        }
-                        Err(e) => {
-                            protocol_error = Some(format!("job-{id}: {name} spool: {e}"));
-                            break;
-                        }
-                    }
+                    Spool::create(path, &chunk).map(|spool| sinks[side] = SideSink::Spooling(spool))
                 }
                 SideSink::Waiting => {
                     let (tx, rx) = chunk_pipe();
                     tx.send(chunk);
                     sources[side] = Some(LabeledSource::new(rx, label));
                     sinks[side] = SideSink::Piped(tx);
+                    Ok(())
                 }
+                // dropping the sender at end-of-side is the reader's
+                // clean EOF
+                SideSink::Piped(_) if eof => Ok(()),
                 SideSink::Piped(tx) => {
-                    if eof {
-                        // dropping the sender is the reader's clean EOF
-                    } else {
-                        tx.send(chunk);
-                        sinks[side] = SideSink::Piped(tx);
-                    }
+                    tx.send(chunk);
+                    sinks[side] = SideSink::Piped(tx);
+                    Ok(())
                 }
-                SideSink::Spooling(mut writer, path) => {
-                    if eof {
-                        let mapped = writer
-                            .into_inner()
-                            .map_err(|e| std::io::Error::other(e.to_string()))
-                            .and_then(|file| {
-                                drop(file);
-                                MmapSource::open(&path)
-                            });
-                        // the mapping keeps the pages alive on its own
-                        std::fs::remove_file(&path).ok();
-                        match mapped {
-                            Ok(map) => sources[side] = Some(LabeledSource::mapped(map, label)),
-                            Err(e) => {
-                                protocol_error = Some(format!("job-{id}: {name} spool: {e}"));
-                                break;
-                            }
-                        }
-                    } else {
-                        match std::io::Write::write_all(&mut writer, &chunk) {
-                            Ok(()) => sinks[side] = SideSink::Spooling(writer, path),
-                            Err(e) => {
-                                protocol_error = Some(format!("job-{id}: {name} spool: {e}"));
-                                std::fs::remove_file(&path).ok();
-                                break;
-                            }
-                        }
-                    }
-                }
+                SideSink::Spooling(spool) if eof => spool
+                    .map()
+                    .map(|map| sources[side] = Some(LabeledSource::mapped(map, label))),
+                SideSink::Spooling(mut spool) => spool
+                    .writer
+                    .write_all(&chunk)
+                    .map(|()| sinks[side] = SideSink::Spooling(spool)),
                 SideSink::Done => {
                     protocol_error = Some(format!("job-{id}: {name} chunk after end-of-side"));
                     break;
                 }
+            };
+            if let Err(e) = spooled {
+                protocol_error = Some(format!("job-{id}: {name} spool: {e}"));
+                break;
             }
             if job.is_none() && sources.iter().all(Option::is_some) {
                 let pre = sources[0].take().expect("pre source");
@@ -719,11 +691,7 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
         // dropping the pipe senders (and any half-spooled files) gives a
         // running job clean EOFs, so it always terminates; its verdict
         // is discarded on a protocol error
-        for sink in &mut sinks {
-            if let SideSink::Spooling(_, path) = std::mem::replace(sink, SideSink::Done) {
-                std::fs::remove_file(&path).ok();
-            }
-        }
+        sinks.fill_with(|| SideSink::Done);
         (job.map(|handle| handle.join()), protocol_error)
     });
 

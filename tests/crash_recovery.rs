@@ -8,6 +8,7 @@
 //! byte-identically.
 
 use rela::cli::{self, Command};
+use rela::client::{RetryPolicy, SubmitArgs};
 use rela::lang::JobOptions;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command as Process, Stdio};
@@ -55,14 +56,7 @@ fn spawn_daemon(dir: &Path, socket: &Path, cache: &Path, faults: Option<&str>) -
     let daemon = Daemon(Some(cmd.spawn().expect("daemon spawns")));
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        if cli::run(
-            &Command::Ping {
-                socket: socket.to_path_buf(),
-            },
-            &mut Vec::new(),
-        )
-        .is_ok()
-        {
+        if cli::run(&Command::Ping(socket.to_path_buf()), &mut Vec::new()).is_ok() {
             return daemon;
         }
         assert!(Instant::now() < deadline, "daemon never became ready");
@@ -73,15 +67,15 @@ fn spawn_daemon(dir: &Path, socket: &Path, cache: &Path, faults: Option<&str>) -
 fn submit(socket: &Path, dir: &Path, post: &str) -> (i32, String) {
     let mut sink = Vec::new();
     let code = cli::run(
-        &Command::Submit {
+        &Command::Submit(SubmitArgs {
             socket: socket.to_path_buf(),
             pre: dir.join("pre.json"),
             post: dir.join(post),
             delta: None,
             job: JobOptions::default(),
             cache_stats: true,
-            retry: rela::client::RetryPolicy::default(),
-        },
+            retry: RetryPolicy::default(),
+        }),
         &mut sink,
     )
     .expect("submit succeeds");
@@ -108,7 +102,7 @@ fn cache_files(cache: &Path, marker: &str) -> Vec<PathBuf> {
 fn kill_9_mid_persist_never_corrupts_the_store_and_warm_replay_survives() {
     let dir = std::env::temp_dir().join(format!("rela-crashrec-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    cli::run(&Command::Demo { out: dir.clone() }, &mut Vec::new()).expect("demo writes");
+    cli::run(&Command::Demo(dir.clone()), &mut Vec::new()).expect("demo writes");
     let socket = dir.join("daemon.sock");
     let cache = dir.join("cache");
 
@@ -200,12 +194,6 @@ fn kill_9_mid_persist_never_corrupts_the_store_and_warm_replay_survives() {
     assert_eq!(code, 0, "{recomputed}");
 
     let mut sink = Vec::new();
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut sink,
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -18,7 +18,7 @@ const SEEDS: std::ops::RangeInclusive<u64> = 1..=8;
 fn demo_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rela-faultmatrix-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    cli::run(&Command::Demo { out: dir.clone() }, &mut Vec::new()).expect("demo writes");
+    cli::run(&Command::Demo(dir.clone()), &mut Vec::new()).expect("demo writes");
     dir
 }
 

@@ -4,7 +4,8 @@
 //! store, and `SIGTERM` drains gracefully — the in-flight job finishes,
 //! new submissions are refused, and the daemon exits 0.
 
-use rela::cli::{self, Command, Output};
+use rela::cli::{self, Command, Output, SnapshotDiffArgs};
+use rela::client::{RetryPolicy, SubmitArgs};
 use rela::lang::JobOptions;
 use rela::proto::{
     read_frame, write_frame, KIND_ERROR, KIND_JOB, KIND_PING, KIND_PONG, KIND_PRE, KIND_REPORT,
@@ -32,11 +33,31 @@ fn verdict_bytes(text: &str) -> String {
         .join("\n")
 }
 
+/// A one-shot `rela check` (or `rela report`) of `pre.json` against
+/// `post` in `dir`, on one thread.
+fn one_shot(dir: &Path, post: &str, output: Output) -> Command {
+    let path = |name: &str| dir.join(name).display().to_string();
+    let mut argv = vec!["check".to_owned(), "--threads".to_owned(), "1".to_owned()];
+    for (flag, name) in [
+        ("--spec", "change.rela"),
+        ("--db", "db.json"),
+        ("--pre", "pre.json"),
+        ("--post", post),
+    ] {
+        argv.extend([flag.to_owned(), path(name)]);
+    }
+    let mut cmd = cli::parse_args(&argv).expect("a valid command line");
+    if let Command::Check(args) = &mut cmd {
+        args.output = output;
+    }
+    cmd
+}
+
 /// Write the Figure 1 demo inputs into a fresh temp dir.
 fn demo_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rela-serve-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    cli::run(&Command::Demo { out: dir.clone() }, &mut Vec::new()).expect("demo writes");
+    cli::run(&Command::Demo(dir.clone()), &mut Vec::new()).expect("demo writes");
     dir
 }
 
@@ -111,14 +132,7 @@ fn spawn_daemon_env(
     let daemon = Daemon(Some(cmd.spawn().expect("daemon spawns")));
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        if cli::run(
-            &Command::Ping {
-                socket: socket.to_path_buf(),
-            },
-            &mut Vec::new(),
-        )
-        .is_ok()
-        {
+        if cli::run(&Command::Ping(socket.to_path_buf()), &mut Vec::new()).is_ok() {
             return daemon;
         }
         assert!(Instant::now() < deadline, "daemon never became ready");
@@ -136,15 +150,15 @@ fn try_submit(
 ) -> Result<(i32, String), cli::CliError> {
     let mut sink = Vec::new();
     let code = cli::run(
-        &Command::Submit {
+        &Command::Submit(SubmitArgs {
             socket: socket.to_path_buf(),
             pre: dir.join("pre.json"),
             post: dir.join(post),
             delta: None,
             job,
             cache_stats: false,
-            retry: rela::client::RetryPolicy::default(),
-        },
+            retry: RetryPolicy::default(),
+        }),
         &mut sink,
     )?;
     Ok((code, String::from_utf8(sink).unwrap()))
@@ -153,15 +167,15 @@ fn try_submit(
 fn submit(socket: &Path, dir: &Path, post: &str, cache_stats: bool) -> (i32, String) {
     let mut sink = Vec::new();
     let code = cli::run(
-        &Command::Submit {
+        &Command::Submit(SubmitArgs {
             socket: socket.to_path_buf(),
             pre: dir.join("pre.json"),
             post: dir.join(post),
             delta: None,
             job: JobOptions::default(),
             cache_stats,
-            retry: rela::client::RetryPolicy::default(),
-        },
+            retry: RetryPolicy::default(),
+        }),
         &mut sink,
     )
     .expect("submit succeeds");
@@ -181,7 +195,7 @@ fn submit_delta(
 ) -> (i32, String) {
     let mut sink = Vec::new();
     let code = cli::run(
-        &Command::Submit {
+        &Command::Submit(SubmitArgs {
             socket: socket.to_path_buf(),
             pre: dir.join("pre.json"),
             post: dir.join(post),
@@ -191,8 +205,8 @@ fn submit_delta(
                 ..JobOptions::default()
             },
             cache_stats: true,
-            retry: rela::client::RetryPolicy::default(),
-        },
+            retry: RetryPolicy::default(),
+        }),
         &mut sink,
     )
     .expect("submit succeeds");
@@ -211,13 +225,7 @@ fn wait_for_ping(socket: &Path, needle: &str) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let mut sink = Vec::new();
-        let answered = cli::run(
-            &Command::Ping {
-                socket: socket.to_path_buf(),
-            },
-            &mut sink,
-        )
-        .is_ok();
+        let answered = cli::run(&Command::Ping(socket.to_path_buf()), &mut sink).is_ok();
         if answered && String::from_utf8(sink).unwrap().contains(needle) {
             return;
         }
@@ -309,17 +317,7 @@ fn concurrent_submits_match_one_shot_and_replay_warm() {
     // ground truth: a one-shot `rela check` of the same pair
     let mut sink = Vec::new();
     let one_shot_code = cli::run(
-        &Command::Check {
-            spec: dir.join("change.rela"),
-            db: dir.join("db.json"),
-            pre: dir.join("pre.json"),
-            post: dir.join("post_v2.json"),
-            granularity: rela::net::Granularity::Group,
-            threads: 1,
-            job: JobOptions::default(),
-            cache_dir: None,
-            output: Output::Text { cache_stats: false },
-        },
+        &one_shot(&dir, "post_v2.json", Output::Text { cache_stats: false }),
         &mut sink,
     )
     .expect("one-shot check runs");
@@ -370,13 +368,7 @@ fn concurrent_submits_match_one_shot_and_replay_warm() {
     assert_eq!(code, 0, "post_v4 is compliant");
 
     let mut sink = Vec::new();
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut sink,
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
     let ack = String::from_utf8(sink).unwrap();
     assert!(ack.contains("draining"), "{ack}");
     wait_exit(daemon, &socket);
@@ -423,14 +415,14 @@ fn delta_submission_matches_full_and_skips_unchanged_decodes() {
     // two parties, no coordination, same content-derived identity
     let mut sink = Vec::new();
     cli::run(
-        &Command::SnapshotDiff {
+        &Command::SnapshotDiff(SnapshotDiffArgs {
             base_pre: dir.join("pre.json"),
             base_post: dir.join("post_v2.json"),
             pre: dir.join("pre.json"),
             post: dir.join("post_v4.json"),
             out_pre: dir.join("delta_pre.json"),
             out_post: dir.join("delta_post.json"),
-        },
+        }),
         &mut sink,
     )
     .expect("snapshot diff runs");
@@ -448,17 +440,7 @@ fn delta_submission_matches_full_and_skips_unchanged_decodes() {
     // ground truth: a one-shot check of the next iteration (pre, v4)
     let mut sink = Vec::new();
     let one_shot_code = cli::run(
-        &Command::Check {
-            spec: dir.join("change.rela"),
-            db: dir.join("db.json"),
-            pre: dir.join("pre.json"),
-            post: dir.join("post_v4.json"),
-            granularity: rela::net::Granularity::Group,
-            threads: 1,
-            job: JobOptions::default(),
-            cache_dir: None,
-            output: Output::Text { cache_stats: false },
-        },
+        &one_shot(&dir, "post_v4.json", Output::Text { cache_stats: false }),
         &mut sink,
     )
     .expect("one-shot check runs");
@@ -494,14 +476,14 @@ fn delta_submission_matches_full_and_skips_unchanged_decodes() {
     // class replayed warm
     let mut sink = Vec::new();
     cli::run(
-        &Command::SnapshotDiff {
+        &Command::SnapshotDiff(SnapshotDiffArgs {
             base_pre: dir.join("pre.json"),
             base_post: dir.join("post_v4.json"),
             pre: dir.join("pre.json"),
             post: dir.join("post_v4.json"),
             out_pre: dir.join("delta_pre2.json"),
             out_post: dir.join("delta_post2.json"),
-        },
+        }),
         &mut sink,
     )
     .expect("snapshot diff runs");
@@ -540,13 +522,7 @@ fn delta_submission_matches_full_and_skips_unchanged_decodes() {
     assert_eq!(verdict_bytes(&stale), verdict_bytes(&one_shot_v4));
 
     let mut sink = Vec::new();
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut sink,
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
     wait_exit(daemon, &socket);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -578,13 +554,7 @@ fn malformed_submission_reports_job_id_and_offset() {
     drop(stream);
 
     let mut sink = Vec::new();
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut sink,
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
     wait_exit(daemon, &socket);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -619,21 +589,8 @@ fn a_report_frame_sends_the_report_json_stats() {
     drop(stream);
 
     let mut sink = Vec::new();
-    let code = cli::run(
-        &Command::Check {
-            spec: dir.join("change.rela"),
-            db: dir.join("db.json"),
-            pre: dir.join("pre.json"),
-            post: dir.join("post_v2.json"),
-            granularity: rela::net::Granularity::Group,
-            threads: 1,
-            job: JobOptions::default(),
-            cache_dir: None,
-            output: Output::Json,
-        },
-        &mut sink,
-    )
-    .expect("rela report --json runs");
+    let code = cli::run(&one_shot(&dir, "post_v2.json", Output::Json), &mut sink)
+        .expect("rela report --json runs");
     assert_eq!(code, 1);
     let report: serde::Value = serde_json::from_str(&String::from_utf8(sink).unwrap()).unwrap();
 
@@ -729,17 +686,7 @@ fn a_panicking_job_is_contained_and_the_daemon_keeps_serving() {
 
     let mut sink = Vec::new();
     let one_shot_code = cli::run(
-        &Command::Check {
-            spec: dir.join("change.rela"),
-            db: dir.join("db.json"),
-            pre: dir.join("pre.json"),
-            post: dir.join("post_v2.json"),
-            granularity: rela::net::Granularity::Group,
-            threads: 1,
-            job: JobOptions::default(),
-            cache_dir: None,
-            output: Output::Text { cache_stats: false },
-        },
+        &one_shot(&dir, "post_v2.json", Output::Text { cache_stats: false }),
         &mut sink,
     )
     .expect("one-shot check runs");
@@ -761,13 +708,7 @@ fn a_panicking_job_is_contained_and_the_daemon_keeps_serving() {
     assert_eq!(verdict_bytes(&text), verdict_bytes(&one_shot));
 
     let mut sink = Vec::new();
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut sink,
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
     wait_exit(daemon, &socket);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -799,13 +740,7 @@ fn an_expired_deadline_exits_4_and_the_daemon_survives() {
     assert_eq!(code, 0, "{text}");
 
     let mut sink = Vec::new();
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut sink,
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
     wait_exit(daemon, &socket);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -824,7 +759,7 @@ fn a_no_stream_submit_does_not_report_another_jobs_base() {
 
     let mut sink = Vec::new();
     let code = cli::run(
-        &Command::Submit {
+        &Command::Submit(SubmitArgs {
             socket: socket.clone(),
             pre: dir.join("pre.json"),
             post: dir.join("post_v2.json"),
@@ -834,8 +769,8 @@ fn a_no_stream_submit_does_not_report_another_jobs_base() {
                 ..JobOptions::default()
             },
             cache_stats: true,
-            retry: rela::client::RetryPolicy::default(),
-        },
+            retry: RetryPolicy::default(),
+        }),
         &mut sink,
     )
     .expect("submit succeeds");
@@ -849,13 +784,8 @@ fn a_no_stream_submit_does_not_report_another_jobs_base() {
     assert_ne!(stat_line(&streamed, "base epoch: "), base_v1);
     assert_eq!(verdict_bytes(&streamed), verdict_bytes(&materialized));
 
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut Vec::new(),
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut Vec::new())
+        .expect("shutdown is acknowledged");
     wait_exit(daemon, &socket);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -904,13 +834,8 @@ fn a_difference_past_the_witness_length_is_reported_through_submit() {
         assert_eq!(code, 1, "{text}");
         assert!(text.contains(reason), "{text}");
 
-        cli::run(
-            &Command::Shutdown {
-                socket: socket.clone(),
-            },
-            &mut Vec::new(),
-        )
-        .expect("shutdown is acknowledged");
+        cli::run(&Command::Shutdown(socket.clone()), &mut Vec::new())
+            .expect("shutdown is acknowledged");
         wait_exit(daemon, &socket);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -946,14 +871,14 @@ fn two_retained_epochs_serve_interleaved_delta_chains() {
     let diff_self = |post: &str, out: &str| -> String {
         let mut sink = Vec::new();
         cli::run(
-            &Command::SnapshotDiff {
+            &Command::SnapshotDiff(SnapshotDiffArgs {
                 base_pre: dir.join("pre.json"),
                 base_post: dir.join(post),
                 pre: dir.join("pre.json"),
                 post: dir.join(post),
                 out_pre: dir.join(format!("{out}_pre.json")),
                 out_post: dir.join(format!("{out}_post.json")),
-            },
+            }),
             &mut sink,
         )
         .expect("snapshot diff runs");
@@ -1033,13 +958,7 @@ fn two_retained_epochs_serve_interleaved_delta_chains() {
     assert_eq!(verdict_bytes(&text), verdict_bytes(&full_v2));
 
     let mut sink = Vec::new();
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut sink,
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
     wait_exit(daemon, &socket);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1088,13 +1007,7 @@ fn a_client_disconnect_mid_spool_leaves_no_temp_files() {
     assert_eq!(code, 0);
 
     let mut sink = Vec::new();
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut sink,
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
     wait_exit(daemon, &socket);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1121,13 +1034,7 @@ fn startup_sweeps_spools_of_dead_daemons_only() {
     std::fs::remove_file(&live).ok();
 
     let mut sink = Vec::new();
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut sink,
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
     wait_exit(daemon, &socket);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1163,18 +1070,18 @@ fn refused_connects_retry_with_backoff_then_fail() {
     let socket = dir.join("nobody-home.sock");
     let mut sink = Vec::new();
     let err = cli::run(
-        &Command::Submit {
+        &Command::Submit(SubmitArgs {
             socket: socket.clone(),
             pre: dir.join("pre.json"),
             post: dir.join("post_v2.json"),
             delta: None,
             job: JobOptions::default(),
             cache_stats: false,
-            retry: rela::client::RetryPolicy {
+            retry: RetryPolicy {
                 retries: 2,
                 delay_ms: 1,
             },
-        },
+        }),
         &mut sink,
     )
     .expect_err("no daemon: the submit must fail");
@@ -1197,18 +1104,18 @@ fn retries_ride_out_a_daemon_that_starts_late() {
         std::thread::spawn(move || {
             let mut sink = Vec::new();
             let code = cli::run(
-                &Command::Submit {
+                &Command::Submit(SubmitArgs {
                     socket,
                     pre: dir.join("pre.json"),
                     post: dir.join("post_v4.json"),
                     delta: None,
                     job: JobOptions::default(),
                     cache_stats: false,
-                    retry: rela::client::RetryPolicy {
+                    retry: RetryPolicy {
                         retries: 40,
                         delay_ms: 100,
                     },
-                },
+                }),
                 &mut sink,
             );
             (code, String::from_utf8(sink).unwrap())
@@ -1223,13 +1130,7 @@ fn retries_ride_out_a_daemon_that_starts_late() {
     assert!(log.contains("retrying in"), "{log}");
 
     let mut sink = Vec::new();
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut sink,
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
     wait_exit(daemon, &socket);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1332,13 +1233,7 @@ fn a_lone_shutdown_connection_wakes_the_acceptor_on_its_way_out() {
     let socket = dir.join("daemon.sock");
     let daemon = spawn_daemon_unpinged(&dir, &socket);
     let mut sink = Vec::new();
-    cli::run(
-        &Command::Shutdown {
-            socket: socket.clone(),
-        },
-        &mut sink,
-    )
-    .expect("shutdown is acknowledged");
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
     let out = drained_within_watchdog(daemon, &socket);
     assert!(out.contains("drained after 0 job(s)"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
@@ -1397,14 +1292,7 @@ fn a_panicking_connection_thread_does_not_wedge_the_drain() {
         &[],
         &[("RELA_FAULTS", "panic=reply@2")],
     );
-    let ping = || {
-        cli::run(
-            &Command::Ping {
-                socket: socket.clone(),
-            },
-            &mut Vec::new(),
-        )
-    };
+    let ping = || cli::run(&Command::Ping(socket.clone()), &mut Vec::new());
     let err = ping().expect_err("the injected panic eats this connection's reply");
     assert!(err.message.contains("without a reply"), "{}", err.message);
     ping().expect("the daemon survived its connection thread");

@@ -20,7 +20,7 @@
 //! {
 //!   "schema": "rela-cache/v1",
 //!   "epoch": "<32 hex digits>",
-//!   "entries": { "<pre>:<post>:<granularity>:<route>": { ...payload... } }
+//!   "entries": { "<pre>:<post>:<granularity>:<route>:<variant>": { ...payload... } }
 //! }
 //! ```
 //!
@@ -28,9 +28,14 @@
 //! ([`CacheEpoch::derive`]): editing the spec — or upgrading to a
 //! checker whose decisions could differ — lands in a different file, so
 //! every lookup is a clean miss and stale verdicts can never leak. Keys
-//! bind the pre/post behavior fingerprints, the compile granularity, and
-//! the pspec route that selected the check, mirroring exactly the
-//! identity the in-run dedup engine groups classes by.
+//! bind a pair of pre/post hashes, the compile granularity, the pspec
+//! route that selected the check, and a variant that says which of the
+//! checker's two key families the hashes belong to: **behavior** keys
+//! carry a class's behavior fingerprints, mirroring exactly the
+//! identity the in-run dedup engine groups classes by, and **byte** keys
+//! (salted with [`BYTE_VARIANT_SALT`]) carry the content hashes of the
+//! raw graph spans of the member that founded the class, so a
+//! byte-identical snapshot replays before any graph is decoded.
 //!
 //! Robustness contract: a missing, truncated, corrupt, or
 //! wrong-schema/wrong-epoch store file is **treated as cold**, never an
@@ -121,10 +126,12 @@ pub struct CacheKey {
     /// Index of the pspec route that selected the check (`None` = the
     /// default check).
     pub route: Option<usize>,
-    /// Fingerprint of the caller's verdict-shaping options (witness
-    /// limits, rendered path counts, ...). Runs with different options
-    /// produce differently-shaped payloads and must never share an
-    /// entry.
+    /// The key family: which kind of hashes `pre` and `post` are. The
+    /// checker keys a verdict under a fixed behavior variant (its value
+    /// is the fingerprint of the witness limits every verdict renders
+    /// under, so stores written while those were per-run options stay
+    /// warm) and under that variant XOR [`BYTE_VARIANT_SALT`] for raw
+    /// graph-span hashes; the two families never share an entry.
     pub variant: u64,
 }
 

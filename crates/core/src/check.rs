@@ -78,6 +78,19 @@ use std::time::{Duration, Instant};
 // epoch gets DELTA_MISS and resends in full.
 pub const ENGINE_VERSION: &str = concat!("rela-core/", env!("CARGO_PKG_VERSION"), "/engine.5");
 
+/// The [`CacheKey::variant`] of a behavior-keyed verdict. It is the
+/// fingerprint of the witness limits every counterexample renders under
+/// ([`WitnessLimits::default`]) and [`LISTED_PATHS`], which were once
+/// per-job options, so stores written while they were stay warm.
+const BEHAVIOR_VARIANT: u64 = 0xeb3a_9940_99bf_50b9;
+
+/// The variant of a byte-keyed verdict: salted, so the two key families
+/// can never collide.
+const BYTE_VARIANT: u64 = BEHAVIOR_VARIANT ^ BYTE_VARIANT_SALT;
+
+/// How many pre and post paths a violating FEC's verdict lists.
+const LISTED_PATHS: usize = 4;
+
 /// The persistent-cache epoch for a parsed program bound to a location
 /// database: a content hash of the spec AST *and* the database it
 /// compiles against (comments and formatting don't churn the cache; any
@@ -593,8 +606,8 @@ impl Pipeline<'_, '_> {
     /// be folded into the class when the worker states are flattened. A
     /// key it has not met goes through the shared byte index, where a
     /// hit joins the already-resolved class with zero decode work and a
-    /// miss resolves a class — decode, fingerprint, behavior-admit,
-    /// store-consult — under the byte-shard lock, so exactly one member
+    /// miss resolves a class — byte-store probe, decode, fingerprint,
+    /// behavior-admit — under the byte-shard lock, so exactly one member
     /// per byte key pays for the decode. Returns the class the flow
     /// landed in.
     fn admit_spans(&self, row: JoinedRow, state: &mut WorkerState) -> Result<ClassRef, SidedError> {
@@ -613,7 +626,7 @@ impl Pipeline<'_, '_> {
                 post: self.decode_side(Side::Post, post, state)?,
                 flow: flow.clone(),
             };
-            self.registry.admit(fec, None, None, route, member).0
+            self.registry.admit(fec, None, None, route, member)
         } else if let Some(&class) = state.byte_classes.get(&byte_key) {
             state.members.push((class, member));
             class
@@ -628,12 +641,12 @@ impl Pipeline<'_, '_> {
         Ok(class)
     }
 
-    /// Resolve the behavior class for a byte-key founder: consult the
+    /// Resolve the behavior class for a byte-key founder: probe the
     /// byte-keyed store first (a hit replays the verdict with **zero**
-    /// graph decodes), else decode both sides, fingerprint, admit by
-    /// behavior key, and — when this member also founds the behavior
-    /// class — consult the behavior-keyed store. A class no store entry
-    /// answers is left for the finisher to decide.
+    /// graph decodes), else decode both sides, fingerprint and admit by
+    /// behavior key. A class the probe does not answer is left to the
+    /// finisher, which consults the behavior-keyed store before it
+    /// decides.
     fn resolve_byte_class(
         &self,
         flow: &FlowSpec,
@@ -645,8 +658,8 @@ impl Pipeline<'_, '_> {
     ) -> Result<ClassRef, SidedError> {
         let checker = self.checker;
         let byte_key = (pre.hash, post.hash);
-        let byte_store_key = checker.byte_store_key(byte_key, route);
-        if let Some(payload) = checker.cache.and_then(|cache| cache.get(&byte_store_key)) {
+        let probe = checker.store_key(byte_key, route, BYTE_VARIANT);
+        if let Some(payload) = checker.cache.and_then(|cache| cache.get(&probe)) {
             if let Some(result) = FecResult::from_cache_value(&payload, flow.clone()) {
                 // the placeholder representative renders nothing, so
                 // the payload carries the symbols its class would
@@ -660,7 +673,7 @@ impl Pipeline<'_, '_> {
                     pre: ForwardingGraph::default(),
                     post: ForwardingGraph::default(),
                 };
-                let (class, _) = self.registry.admit(placeholder, None, None, route, member);
+                let class = self.registry.admit(placeholder, None, None, route, member);
                 state.warm.push((class, result));
                 return Ok(class);
             }
@@ -677,31 +690,9 @@ impl Pipeline<'_, '_> {
             pre: pre_graph,
             post: post_graph,
         };
-        let (class, founded) = self
+        Ok(self
             .registry
-            .admit(fec, Some(key), Some(byte_key), route, member);
-        if !founded {
-            // joined a behavior class founded under a different byte key
-            return Ok(class);
-        }
-        let replay = checker
-            .cache
-            .zip(checker.store_key_parts(Some(key), route))
-            .and_then(|(cache, store_key)| {
-                let payload = cache.get(&store_key)?;
-                let result = FecResult::from_cache_value(&payload, flow.clone())?;
-                Some((cache, payload, result))
-            });
-        if let Some((cache, payload, result)) = replay {
-            // twin the behavior-warm verdict under the byte key so the
-            // next identical snapshot skips the decode
-            let symbols = self
-                .registry
-                .with_rep(class, |rep| checker.collect_symbols(&[rep]));
-            cache.put(&byte_store_key, payload_with_symbols(payload, &symbols));
-            state.warm.push((class, result));
-        }
-        Ok(class)
+            .admit(fec, Some(key), Some(byte_key), route, member))
     }
 
     /// Decode one side's graph span, attributing failures exactly as
@@ -755,7 +746,7 @@ struct Ingested {
     /// `classes[i]` is represented by `reps[i]`; members index `flows`.
     classes: Vec<BehaviorClass>,
     reps: Vec<AlignedFec>,
-    /// Verdicts the store answered during ingest, by class index.
+    /// Verdicts the byte-keyed probe answered, by class index.
     warm: Vec<(usize, FecResult)>,
     graph_decodes: usize,
     replayed_symbols: BTreeSet<String>,
@@ -1000,8 +991,7 @@ struct DecideCtx<'a> {
 pub(crate) struct Checker<'a> {
     pub(crate) program: &'a CompiledProgram,
     pub(crate) db: &'a LocationDb,
-    /// The job's options; the checker reads `witness`, `list_paths` and
-    /// `dedup`.
+    /// The job's options; the checker reads `dedup`.
     pub(crate) options: JobOptions,
     /// Worker threads; `0` uses the machine's available parallelism.
     pub(crate) threads: usize,
@@ -1029,17 +1019,16 @@ impl Checker<'_> {
 
     /// Check every FEC of an aligned snapshot pair: the batch engine,
     /// the reference [`Checker::run_pipelined`] is tested against. Its
-    /// own passes — fingerprinting and the store consult — are plain
-    /// serial maps; deciding is the shared [`Checker::decide_classes`].
+    /// own pass, fingerprinting, is a plain serial map; the rest is the
+    /// shared [`Checker::finish`].
     /// `clock` is the job's, started before the pair was read.
     pub(crate) fn check(&self, pair: &SnapshotPair, clock: &mut StageClock) -> CheckReport {
         let classes = self.group_into_classes(pair);
         let reps: Vec<&AlignedFec> = classes.iter().map(|c| &pair.fecs[c.members[0]]).collect();
         let flows: Vec<&FlowSpec> = pair.fecs.iter().map(|f| &f.flow).collect();
-        let warm = self.consult_store(&flows, &classes);
         clock.rows.ingest = clock.lap();
         let ctx = self.decide_ctx(&self.collect_symbols(&reps), clock);
-        let mut report = self.finish(clock, &flows, &classes, &reps, warm, &ctx);
+        let mut report = self.finish(clock, &flows, &classes, &reps, Vec::new(), &ctx);
         // the batch path materializes every record during ingest, so
         // every record costs one graph decode
         report.stats.graph_decodes = flows.len() * 2;
@@ -1068,12 +1057,13 @@ impl Checker<'_> {
     /// 3. A **class registry** admits each joined pair by its raw bytes,
     ///    decoding and [`BehaviorHash`]ing a pair only when its bytes
     ///    are new, and keeps the first representative of each behavior
-    ///    class; graph residency stays O(classes). A founded class
-    ///    consults the persistent store at once, so warm classes replay
-    ///    while records still arrive.
+    ///    class; graph residency stays O(classes). A new byte key probes
+    ///    the byte-keyed store first, so a byte-warm class replays while
+    ///    records still arrive, without a decode.
     /// 4. When the feeds have ended, the **finisher** — the one
-    ///    [`Checker::check`] uses — decides every class the store did
-    ///    not answer, once, under the run's definitive sorted table.
+    ///    [`Checker::check`] uses — consults the behavior-keyed store,
+    ///    decides every class the store did not answer, once, under the
+    ///    run's definitive sorted table, and writes back.
     ///
     /// The produced report is byte-identical to [`Checker::check`] on the
     /// same records at any thread count. `check` shares neither of this
@@ -1242,12 +1232,16 @@ impl Checker<'_> {
         }
     }
 
-    /// The decide-and-assemble finisher both engines end in: given the
-    /// per-FEC flow keys, the behavior classes, one representative FEC
-    /// per class (`reps[i]` represents `classes[i]`) and the verdicts
-    /// the store already answered (`warm`), decide every other class
-    /// once over a work-stealing queue, write the fresh decisions back,
-    /// and assemble the report per class ([`violating_members`]).
+    /// The finisher both engines end in: given the per-FEC flow keys,
+    /// the behavior classes, one representative FEC per class (`reps[i]`
+    /// represents `classes[i]`) and the verdicts ingest's byte-keyed
+    /// probe answered (`warm`), consult the behavior-keyed store for the
+    /// rest, decide every other class once over a work-stealing queue,
+    /// write back, and assemble the report per class
+    /// ([`violating_members`]). The one place the store is written: a
+    /// fresh verdict under its behavior key, and a fresh or
+    /// behavior-warm class with a founding byte key under that too, with
+    /// its symbols. A job that expires or panics writes nothing.
     ///
     /// Every decide runs under `ctx`'s one table — the sorted set of the
     /// representatives' location names plus the names byte-warm classes
@@ -1263,13 +1257,17 @@ impl Checker<'_> {
         flows: &[&FlowSpec],
         classes: &[BehaviorClass],
         reps: &[&AlignedFec],
-        warm: Vec<(usize, FecResult)>,
+        mut warm: Vec<(usize, FecResult)>,
         ctx: &DecideCtx<'_>,
     ) -> CheckReport {
         debug_assert_eq!(classes.len(), reps.len());
 
         let mut answered = vec![false; classes.len()];
         for (ix, _) in &warm {
+            answered[*ix] = true;
+        }
+        let mut stored = self.consult_store(flows, classes, &answered);
+        for (ix, _, _) in &stored {
             answered[*ix] = true;
         }
         let cold: Vec<usize> = (0..classes.len()).filter(|&ix| !answered[ix]).collect();
@@ -1282,27 +1280,28 @@ impl Checker<'_> {
             return Checker::cancelled_report();
         }
 
-        // Write fresh decisions back to the store (in memory; the owner
-        // of the store persists to disk after the run) — under the
-        // behavior key, and mirrored under the founding byte key, when
-        // the class came through byte-level admission, so the next run
-        // can replay without decoding.
+        // in memory; the owner of the store persists to disk after the run
         if let Some(cache) = self.cache {
-            for (ix, result, wall, class_phases) in &decided {
-                let class = &classes[*ix];
-                if let Some(key) = self.store_key(class) {
-                    let value = result.to_cache_value(*wall, class_phases);
-                    if let Some(byte_key) = class.byte_key {
-                        let symbols = self.collect_symbols(&reps[*ix..=*ix]);
-                        cache.put(
-                            &self.byte_store_key(byte_key, class.route),
-                            payload_with_symbols(value.clone(), &symbols),
-                        );
-                    }
-                    cache.put(&key, value);
+            let fresh = decided.iter().map(|(ix, result, wall, class_phases)| {
+                (*ix, result.to_cache_value(*wall, class_phases), true)
+            });
+            let replayed = stored
+                .iter_mut()
+                .filter_map(|(ix, _, payload)| Some((*ix, payload.take()?, false)));
+            for (ix, value, fresh) in fresh.chain(replayed) {
+                let class = &classes[ix];
+                if let Some(byte_key) = class.byte_key {
+                    let symbols = self.collect_symbols(&reps[ix..=ix]);
+                    let twin = payload_with_symbols(value.clone(), &symbols);
+                    cache.put(&self.store_key(byte_key, class.route, BYTE_VARIANT), twin);
+                }
+                if let Some((pre, post)) = class.key.filter(|_| fresh) {
+                    let key = (pre.as_u128(), post.as_u128());
+                    cache.put(&self.store_key(key, class.route, BEHAVIOR_VARIANT), value);
                 }
             }
         }
+        warm.extend(stored.into_iter().map(|(ix, result, _)| (ix, result)));
 
         debug_assert_eq!(
             decided.len() + warm.len(),
@@ -1337,20 +1336,24 @@ impl Checker<'_> {
         CheckReport::assembled(flows.len(), violations, Duration::ZERO, stats)
     }
 
-    /// Consult the persistent store for every class, in class order, and
-    /// return the verdicts it answered by class index.
+    /// Consult the behavior-keyed store for every class not `answered`,
+    /// in class order: the verdicts it answered by class index, each with
+    /// its payload when the class has a byte key to twin it under.
     fn consult_store(
         &self,
         flows: &[&FlowSpec],
         classes: &[BehaviorClass],
-    ) -> Vec<(usize, FecResult)> {
+        answered: &[bool],
+    ) -> Vec<(usize, FecResult, Option<Value>)> {
         let Some(cache) = self.cache else {
             return Vec::new();
         };
         let consult = |(ix, class): (usize, &BehaviorClass)| {
-            let payload = cache.get(&self.store_key(class)?)?;
+            let (pre, post) = class.key.filter(|_| !answered[ix])?;
+            let key = (pre.as_u128(), post.as_u128());
+            let payload = cache.get(&self.store_key(key, class.route, BEHAVIOR_VARIANT))?;
             let result = FecResult::from_cache_value(&payload, flows[class.members[0]].clone())?;
-            Some((ix, result))
+            Some((ix, result, class.byte_key.map(|_| payload)))
         };
         classes.iter().enumerate().filter_map(consult).collect()
     }
@@ -1478,51 +1481,17 @@ impl Checker<'_> {
         }
     }
 
-    /// The persistent-store key for a class, folding in a fingerprint
-    /// of every option that shapes the cached payload — witness limits
-    /// and rendered path counts change what gets stored, so runs with
-    /// different options must never share an entry (`dedup`/`threads`
-    /// only affect scheduling and are excluded).
-    fn store_key(&self, class: &BehaviorClass) -> Option<CacheKey> {
-        self.store_key_parts(class.key, class.route)
-    }
-
-    /// The option fingerprint folded into every store key; see
-    /// [`Checker::store_key`].
-    fn store_variant(&self) -> u64 {
-        let mut opts = [0u8; 24];
-        opts[..8].copy_from_slice(&(self.options.witness.max_paths as u64).to_le_bytes());
-        opts[8..16].copy_from_slice(&(self.options.witness.max_len as u64).to_le_bytes());
-        opts[16..24].copy_from_slice(&(self.options.list_paths as u64).to_le_bytes());
-        content_hash128(&opts) as u64
-    }
-
-    /// [`Checker::store_key`] from the bare key parts.
-    fn store_key_parts(
-        &self,
-        key: Option<(BehaviorHash, BehaviorHash)>,
-        route: Option<usize>,
-    ) -> Option<CacheKey> {
-        let (pre, post) = key?;
-        Some(CacheKey {
-            pre,
-            post,
-            granularity: self.program.granularity,
-            route,
-            variant: self.store_variant(),
-        })
-    }
-
-    /// The byte-keyed twin of [`Checker::store_key`]: the span content
-    /// hashes stand in for the behavior hashes and the variant is
-    /// salted so the two key families can never collide.
-    fn byte_store_key(&self, byte_key: (u128, u128), route: Option<usize>) -> CacheKey {
+    /// The verdict-store key under which the class with `(pre, post)`
+    /// hashes on `route` is stored: its behavior fingerprints under
+    /// [`BEHAVIOR_VARIANT`], or its founding member's raw-span content
+    /// hashes under [`BYTE_VARIANT`].
+    fn store_key(&self, (pre, post): (u128, u128), route: Option<usize>, variant: u64) -> CacheKey {
         CacheKey {
-            pre: BehaviorHash::from_u128(byte_key.0),
-            post: BehaviorHash::from_u128(byte_key.1),
+            pre: BehaviorHash::from_u128(pre),
+            post: BehaviorHash::from_u128(post),
             granularity: self.program.granularity,
             route,
-            variant: self.store_variant() ^ BYTE_VARIANT_SALT,
+            variant,
         }
     }
 
@@ -1728,7 +1697,7 @@ impl Checker<'_> {
         };
 
         let path_limit = WitnessLimits {
-            max_paths: self.options.list_paths,
+            max_paths: LISTED_PATHS,
             max_len: path_len_bound(&pre_graph).max(path_len_bound(&post_graph)),
         };
         let (pre_paths, post_paths) = if violations.is_empty() {
@@ -1830,7 +1799,7 @@ impl Checker<'_> {
                 continue;
             }
             let t0 = Instant::now();
-            let diff = diff_equation(&lhs, &rhs, &renderer, self.options.witness);
+            let diff = diff_equation(&lhs, &rhs, &renderer, WitnessLimits::default());
             phases.witness += t0.elapsed();
             debug_assert!(!diff.is_empty(), "inequivalent DFAs must differ");
             out.push(PartViolation {
@@ -1864,7 +1833,7 @@ impl Checker<'_> {
                     Vec::new()
                 } else {
                     let t0 = Instant::now();
-                    let diff = diff_equation(&da, &db_, renderer, self.options.witness);
+                    let diff = diff_equation(&da, &db_, renderer, WitnessLimits::default());
                     phases.witness += t0.elapsed();
                     vec![describe_diff("equality", &diff)]
                 }
@@ -1883,7 +1852,7 @@ impl Checker<'_> {
                     Vec::new()
                 } else {
                     let t0 = Instant::now();
-                    let extra = diff_paths(&da, &db_, renderer, self.options.witness);
+                    let extra = diff_paths(&da, &db_, renderer, WitnessLimits::default());
                     phases.witness += t0.elapsed();
                     vec![format!(
                         "inclusion violated; extra paths: {}",
@@ -2440,32 +2409,6 @@ mod tests {
     }
 
     #[test]
-    fn option_changes_never_replay_mismatched_payloads() {
-        let pair = duplicated_pair(8);
-        let s = stored_session();
-        let cold = s.run(JobSpec::pair(&pair)).unwrap();
-        assert_eq!(cold.stats.warm_hits, 0);
-
-        // same store, different rendered-path budget: the payload shape
-        // differs, so this must be a clean miss, not a wrong replay
-        let wide_options = JobOptions {
-            list_paths: 9,
-            ..JobOptions::default()
-        };
-        let wide = s
-            .run(JobSpec::pair(&pair).with_options(wide_options))
-            .unwrap();
-        assert_eq!(wide.stats.warm_hits, 0, "options changed ⇒ full miss");
-        let plain_wide = check_with(0, wide_options, &pair);
-        assert_eq!(wide.violations, plain_wide.violations);
-
-        // default options still replay their own entries warm
-        let warm = s.run(JobSpec::pair(&pair)).unwrap();
-        assert_eq!(warm.stats.warm_hits, warm.stats.classes);
-        assert_eq!(warm.violations, cold.violations);
-    }
-
-    #[test]
     fn cache_epoch_tracks_semantics_not_formatting() {
         let p1 = crate::parser::parse_program(NOCHANGE).unwrap();
         // reformatting and comments leave the epoch unchanged...
@@ -2699,6 +2642,53 @@ mod tests {
         let batch_warm = s.run(JobSpec::pair(&pair)).unwrap();
         assert_eq!(batch_warm.stats.warm_hits, batch_warm.stats.classes);
         assert_eq!(verdict_bytes(&batch_warm), verdict_bytes(&cold));
+    }
+
+    #[test]
+    fn store_keys_do_not_move() {
+        // a cold pipelined run writes each class under both key families;
+        // rebuild both keys from the graphs, as the engine does, with the
+        // variants every store on disk was written under — a change here
+        // cold-starts every user's cache
+        let (pre, post) = duplicated_snapshots(4);
+        let s = stored_session();
+        pipelined(&s, JobOptions::default(), &pre, &post);
+        let store = s.store().unwrap();
+        let key = |(pre, post): (u128, u128), variant: u64| CacheKey {
+            pre: BehaviorHash::from_u128(pre),
+            post: BehaviorHash::from_u128(post),
+            granularity: Granularity::Device,
+            route: None,
+            variant,
+        };
+        let span_hash = |graph: &ForwardingGraph| {
+            content_hash128(serde_json::to_string(&graph.to_value()).unwrap().as_bytes())
+        };
+        let behavior = |graph| behavior_hash(graph, s.db(), Granularity::Device).as_u128();
+        for (flow, pre_graph) in pre.iter() {
+            let post_graph = post.get(flow).unwrap();
+            let behavior_key = key(
+                (behavior(pre_graph), behavior(post_graph)),
+                0xeb3a_9940_99bf_50b9,
+            );
+            let byte_key = key(
+                (span_hash(pre_graph), span_hash(post_graph)),
+                0x750d_e0f9_e6f5_2cac,
+            );
+            assert!(
+                store.get(&behavior_key).is_some(),
+                "{flow}: behavior key moved"
+            );
+            assert!(store.get(&byte_key).is_some(), "{flow}: byte key moved");
+        }
+        // the behavior variant is the fingerprint of the retired witness
+        // options at the values every run used: 4 paths, 64 hops, 4 listed
+        let mut options = [0u8; 24];
+        for (ix, value) in [4u64, 64, 4].into_iter().enumerate() {
+            options[ix * 8..ix * 8 + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        assert_eq!(content_hash128(&options) as u64, BEHAVIOR_VARIANT);
+        assert_eq!(BYTE_VARIANT, BEHAVIOR_VARIANT ^ BYTE_VARIANT_SALT);
     }
 
     #[test]

@@ -496,10 +496,10 @@ pub(crate) struct ClassAcc {
     pub(crate) key: Option<(BehaviorHash, BehaviorHash)>,
     /// The `(pre, post)` raw-span content hashes of the member that
     /// founded the class, when it arrived through byte-level admission —
-    /// the key under which a fresh verdict is *also* written to the
-    /// store so the next run can replay it without decoding. `None` for
-    /// byte-warm placeholder classes (their byte entry already exists)
-    /// and with dedup off.
+    /// the key under which a fresh or behavior-warm verdict is *also*
+    /// written to the store so the next run can replay it without
+    /// decoding. `None` for byte-warm placeholder classes (their byte
+    /// entry already exists) and with dedup off.
     pub(crate) byte_key: Option<(u128, u128)>,
     /// The first member's aligned FEC — the class representative.
     pub(crate) rep: AlignedFec,
@@ -561,9 +561,8 @@ impl ClassRegistry {
     }
 
     /// Admit one aligned FEC under its behavior fingerprint. Returns the
-    /// class it landed in and whether this member *founded* it (the
-    /// caller then consults the store); a member that joined an existing
-    /// class has its graphs dropped with `fec`.
+    /// class it landed in; a member that joined an existing class has
+    /// its graphs dropped with `fec`.
     pub(crate) fn admit(
         &self,
         fec: AlignedFec,
@@ -571,7 +570,7 @@ impl ClassRegistry {
         byte_key: Option<(u128, u128)>,
         route: Option<usize>,
         member: FlowRef,
-    ) -> (ClassRef, bool) {
+    ) -> ClassRef {
         let (map_key, shard_ix) = match key {
             Some((pre, post)) if self.dedup => {
                 let map_key = (pre.as_u128(), post.as_u128(), route.unwrap_or(usize::MAX));
@@ -588,11 +587,10 @@ impl ClassRegistry {
         if let Some(map_key) = map_key {
             if let Some(&existing) = shard.index.get(&map_key) {
                 shard.classes[existing].members.push(member);
-                let class = ClassRef {
+                return ClassRef {
                     shard: shard_ix,
                     index: existing,
                 };
-                return (class, false);
             }
             shard.index.insert(map_key, ix);
         }
@@ -603,17 +601,10 @@ impl ClassRegistry {
             rep: fec,
             members: vec![member],
         });
-        let class = ClassRef {
+        ClassRef {
             shard: shard_ix,
             index: ix,
-        };
-        (class, true)
-    }
-
-    /// Run `f` on a class's representative, under its shard's lock.
-    pub(crate) fn with_rep<T>(&self, class: ClassRef, f: impl FnOnce(&AlignedFec) -> T) -> T {
-        let shard = self.shards[class.shard].lock().expect("registry lock");
-        f(&shard.classes[class.index].rep)
+        }
     }
 
     /// Add a member to an already-admitted class.
@@ -624,7 +615,7 @@ impl ClassRegistry {
 
     /// Byte-level admission: join the class already resolved for this
     /// `(pre-span-hash, post-span-hash, route)` byte key, or run
-    /// `found` — decode, fingerprint, behavior-admit, store-consult —
+    /// `found` — byte-store probe, decode, fingerprint, behavior-admit —
     /// to resolve one. `found` runs **under the byte-shard lock**, so
     /// exactly one member per byte key decodes even when workers race;
     /// lock order is byte shard → registry shard (acyclic, `found` may

@@ -160,14 +160,14 @@ pub struct PhaseTimings {
     /// into the engine's item list; zero for every other job.
     pub replay: Duration,
     /// Everything up to the last admitted flow: framing, the flow join,
-    /// class admission, graph decodes and the store consult on the
-    /// pipelined engine; reading, aligning, fingerprinting and the store
-    /// consult on the batch engine.
+    /// class admission, the byte-keyed store probe and graph decodes on
+    /// the pipelined engine; reading, aligning and fingerprinting on the
+    /// batch engine.
     pub ingest: Duration,
-    /// The run's symbol table, then every class the store did not
-    /// answer, decided.
+    /// The run's symbol table, the behavior-keyed store consult, then
+    /// every class the store did not answer, decided.
     pub decide: Duration,
-    /// Fresh verdicts written back to the store, the report assembled
+    /// Verdicts written back to the store, the report assembled
     /// per class, the delta base retained and the job's inputs freed.
     pub assemble: Duration,
     /// Producer time inside the feed: framing records out of a snapshot
@@ -177,8 +177,8 @@ pub struct PhaseTimings {
     pub send_blocked: Duration,
     /// Worker time waiting for a batch.
     pub recv_wait: Duration,
-    /// Worker time on its batches: flow keys, the join, admission,
-    /// graph decodes and the store consult.
+    /// Worker time on its batches: flow keys, the join, admission, the
+    /// byte-keyed store probe and graph decodes.
     pub work: Duration,
     /// Building path FSAs, asking which relation transducers apply to
     /// them and applying those (includes the embedded determinization

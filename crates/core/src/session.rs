@@ -48,7 +48,6 @@
 
 use crate::check::{cache_epoch, framer_feed, CancelToken, Checker, FstMemo, StageClock};
 use crate::compile::{compile_program, CompiledProgram};
-use crate::counterexample::WitnessLimits;
 use crate::parser::parse_program;
 use crate::pipeline::Side;
 use crate::report::CheckReport;
@@ -126,10 +125,6 @@ pub enum IngestMode {
 /// a client and a one-shot run cannot drift apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobOptions {
-    /// Witness enumeration limits for counterexamples.
-    pub witness: WitnessLimits,
-    /// Number of pre/post paths rendered per violating FEC.
-    pub list_paths: usize,
     /// Group FECs into behavior classes and decide one representative
     /// per class (`false` re-decides every FEC from scratch, which is
     /// only useful for measuring the dedup win).
@@ -154,8 +149,6 @@ pub struct JobOptions {
 impl Default for JobOptions {
     fn default() -> JobOptions {
         JobOptions {
-            witness: WitnessLimits::default(),
-            list_paths: 4,
             dedup: true,
             ingest: IngestMode::default(),
             use_cache: true,
@@ -172,9 +165,6 @@ impl Serialize for JobOptions {
             IngestMode::Materialized => "materialized",
         };
         Value::obj(vec![
-            ("max_paths", self.witness.max_paths.to_value()),
-            ("max_len", self.witness.max_len.to_value()),
-            ("list_paths", self.list_paths.to_value()),
             ("dedup", self.dedup.to_value()),
             ("ingest", Value::Str(mode.to_owned())),
             ("use_cache", self.use_cache.to_value()),
@@ -199,7 +189,8 @@ impl Serialize for JobOptions {
 impl Deserialize for JobOptions {
     fn from_value(value: &Value) -> Result<JobOptions, serde::Error> {
         // keys this struct no longer has (older clients still send the
-        // retired ingest tuning keys) are ignored; a retired *mode* is not
+        // retired ingest tuning and witness keys) are ignored; a retired
+        // *mode* is not
         let ingest = match serde::field::<String>(value, "ingest")?.as_str() {
             "pipelined" => IngestMode::Pipelined,
             "materialized" => IngestMode::Materialized,
@@ -210,11 +201,6 @@ impl Deserialize for JobOptions {
             }
         };
         Ok(JobOptions {
-            witness: WitnessLimits {
-                max_paths: serde::field(value, "max_paths")?,
-                max_len: serde::field(value, "max_len")?,
-            },
-            list_paths: serde::field(value, "list_paths")?,
             dedup: serde::field(value, "dedup")?,
             ingest,
             use_cache: serde::field(value, "use_cache")?,
@@ -879,11 +865,6 @@ mod tests {
     #[test]
     fn job_options_round_trip_the_wire_shape() {
         let opts = JobOptions {
-            witness: WitnessLimits {
-                max_paths: 7,
-                max_len: 99,
-            },
-            list_paths: 2,
             dedup: false,
             ingest: IngestMode::Materialized,
             use_cache: false,
@@ -895,15 +876,8 @@ mod tests {
         assert_eq!(back, opts);
         let defaults = JobOptions::default();
         assert_eq!(defaults.ingest, IngestMode::Pipelined);
-        // witness limits and list_paths are folded into every store key
-        // (`store_variant`): a drift would cold-start every user's cache
-        let witness = WitnessLimits {
-            max_paths: 4,
-            max_len: 64,
-        };
-        assert_eq!(defaults.witness, witness);
-        assert_eq!(defaults.list_paths, 4);
         assert!(defaults.dedup && defaults.use_cache);
+        assert_eq!((defaults.delta_base, defaults.deadline_ms), (None, None));
         assert_eq!(
             JobOptions::from_value(&defaults.to_value()).unwrap(),
             defaults
@@ -912,10 +886,10 @@ mod tests {
 
     #[test]
     fn an_older_clients_payload_still_parses_but_the_serial_mode_is_refused() {
-        // the JOB payload as the previous engine's client wrote it: today's
-        // keys plus the two retired ones (spelled in halves, so a search
-        // for live uses of either name finds none) and the ingest mode the
-        // caller picks
+        // the JOB payload as earlier engines' clients wrote it: today's
+        // keys plus the five retired ones (spelled in halves, so a search
+        // for live uses of any of these names finds none) and the ingest
+        // mode the caller picks
         let old_payload = |opts: &JobOptions, mode: &str| {
             let Value::Obj(mut fields) = opts.to_value() else {
                 panic!("job options serialize as an object");
@@ -924,10 +898,13 @@ mod tests {
             fields.push(("ingest".to_owned(), Value::Str(mode.to_owned())));
             fields.push((["pipeline", "depth"].join("_"), Value::UInt(5)));
             fields.push((["minimize", "sides"].join("_"), Value::Bool(true)));
+            fields.push((["max", "paths"].join("_"), Value::UInt(7)));
+            fields.push((["max", "len"].join("_"), Value::UInt(99)));
+            fields.push((["list", "paths"].join("_"), Value::UInt(2)));
             Value::Obj(fields)
         };
         let opts = JobOptions {
-            list_paths: 2,
+            deadline_ms: Some(50),
             ..JobOptions::default()
         };
         for (ingest, name) in [

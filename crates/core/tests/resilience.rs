@@ -8,6 +8,7 @@
 //! next job's report is byte-identical to an unfaulted run, and a
 //! neighbouring session never sees the plan.
 
+use rela_cache::VerdictStore;
 use rela_core::{CheckReport, CheckSession, JobError, JobSpec, LabeledSource, SessionConfig};
 use rela_net::faultio::{self, FaultPlan};
 use rela_net::{linear_graph, Device, FlowSpec, Granularity, LocationDb, Snapshot};
@@ -106,6 +107,37 @@ fn a_panic_on_a_parallel_worker_is_contained_too() {
     assert!(matches!(err, JobError::Panicked { .. }), "{err}");
     let report = run(&s, &docs).expect("the session must survive a worker panic");
     assert!(report.is_compliant());
+}
+
+#[test]
+fn an_aborted_job_writes_nothing_back() {
+    let mut s = session(2);
+    s.attach_store(VerdictStore::in_memory(s.epoch()));
+    let docs = docs();
+    run(&s, &docs).expect("the cold run fills the store");
+    let inserted = s.store().unwrap().stats().inserted;
+    assert!(inserted > 0);
+
+    // `pre` pretty-printed is byte-cold but behavior-warm, and moving
+    // the first flow to A1→C1 founds the one class that reaches decide,
+    // where it panics: the warm class's byte-keyed twin is not written
+    // either
+    let pre = Snapshot::from_reader(docs.0.as_bytes()).unwrap();
+    let mut post = pre.clone();
+    let (moved, _) = pre.iter().next().unwrap();
+    post.insert(moved.clone(), linear_graph(&["A1", "C1"]));
+    let edited = (
+        serde_json::to_string_pretty(&pre).unwrap(),
+        post.to_json().unwrap(),
+    );
+    s.set_faults(Some(FaultPlan::parse("panic=decide@1").unwrap()));
+    let err = run(&s, &edited).expect_err("the moved class's decide panics");
+    assert!(matches!(err, JobError::Panicked { .. }), "{err}");
+    assert_eq!(
+        s.store().unwrap().stats().inserted,
+        inserted,
+        "written back"
+    );
 }
 
 #[test]

@@ -24,7 +24,7 @@
 use crate::cli::{emit, open_session, path_error, usage_error, CliError, Flags, SessionArgs};
 use crate::proto::{
     read_frame, write_frame, KIND_DELTA_MISS, KIND_DELTA_OK, KIND_ERROR, KIND_JOB, KIND_PING,
-    KIND_PONG, KIND_POST, KIND_PRE, KIND_REPORT, KIND_SHUTDOWN,
+    KIND_PONG, KIND_POST, KIND_PRE, KIND_REPORT, KIND_SHUTDOWN, MAX_FRAME,
 };
 use rela_core::{CheckSession, JobError, JobOptions, JobSpec, LabeledSource};
 use rela_net::faultio::FaultPlan;
@@ -310,6 +310,9 @@ pub mod error_code {
     pub const PANIC: &str = "panic";
     /// The daemon is draining and refused the submission.
     pub const DRAINING: &str = "draining";
+    /// The job's report does not fit in one frame
+    /// ([`MAX_FRAME`](crate::proto::MAX_FRAME)).
+    pub const TOO_LARGE: &str = "too_large";
 }
 
 /// One accepted connection: its stream, the buffered reader that lives
@@ -330,12 +333,16 @@ impl Connection<'_> {
     }
 
     fn send_json(&mut self, kind: u8, value: &Value) -> std::io::Result<()> {
+        let json = serde_json::to_string(value)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        self.send(kind, json.as_bytes())
+    }
+
+    fn send(&mut self, kind: u8, payload: &[u8]) -> std::io::Result<()> {
         if let Some(plan) = self.faults {
             plan.at("reply").fire();
         }
-        let json = serde_json::to_string(value)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        write_frame(&mut &*self.stream, kind, json.as_bytes())
+        write_frame(&mut &*self.stream, kind, payload)
     }
 
     fn send_error(&mut self, code: &str, message: String) {
@@ -734,7 +741,15 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
                 ("report", Value::Str(report.to_string())),
                 ("stats", stats),
             ]);
-            let _ = conn.send_json(KIND_REPORT, &reply);
+            match report_payload(id, &reply) {
+                Ok(payload) => {
+                    let _ = conn.send(KIND_REPORT, &payload);
+                }
+                Err(message) => {
+                    eprintln!("warning: {message}");
+                    conn.send_error(error_code::TOO_LARGE, message);
+                }
+            }
             if let Err(e) = session.persist_if_dirty() {
                 eprintln!("warning: could not persist cache: {e}");
             }
@@ -757,5 +772,44 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
             // a panic outside CheckSession::run (job plumbing itself)
             conn.send_error(error_code::PANIC, format!("job-{id}: check panicked"));
         }
+    }
+}
+
+/// Encode job `id`'s REPORT payload, or — when it would not fit in one
+/// frame ([`MAX_FRAME`]) — the message of the `too_large` ERROR that
+/// replaces it, naming the job, the size and the cap.
+fn report_payload(id: usize, reply: &Value) -> Result<Vec<u8>, String> {
+    let json = serde_json::to_string(reply).expect("a reply holds no non-finite number");
+    if json.len() > MAX_FRAME as usize {
+        return Err(format!(
+            "job-{id}: the report is {} bytes, over the {MAX_FRAME}-byte frame cap; \
+             `rela check` prints a report of any size",
+            json.len()
+        ));
+    }
+    Ok(json.into_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_report_over_one_frame_becomes_a_too_large_error() {
+        let reply = |report: String| Value::obj(vec![("report", Value::Str(report))]);
+        let small = report_payload(3, &reply("PASS".to_owned())).expect("fits");
+        assert_eq!(small, br#"{"report":"PASS"}"#);
+        // a control character encodes as six bytes (`\u0001`), so an
+        // 11 MiB report makes a payload just over the 64 MiB cap
+        let oversized = "\u{1}".repeat(MAX_FRAME as usize / 6 + 1);
+        let message = report_payload(7, &reply(oversized)).expect_err("over the cap");
+        let size = MAX_FRAME as usize / 6 * 6 + 6 + r#"{"report":""}"#.len();
+        assert_eq!(
+            message,
+            format!(
+                "job-7: the report is {size} bytes, over the {MAX_FRAME}-byte frame cap; \
+                 `rela check` prints a report of any size"
+            )
+        );
     }
 }

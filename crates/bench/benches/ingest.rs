@@ -43,7 +43,14 @@ fn records_with(records: usize, ingress_of: impl Fn(usize) -> String) -> Vec<Raw
             let dst = format!("10.{}.{}.0/24", n / 256 % 256, n % 256);
             let flow = FlowSpec::new(dst.parse().expect("a prefix"), ingress_of(n));
             let span = serde_json::to_string(&flow).expect("flow keys serialize");
-            RawRecord::from_split_spans(span.into_bytes().into(), graph.clone(), 0, n)
+            RawRecord {
+                flow: span.into_bytes().into(),
+                graph: graph.clone(),
+                offset: 0,
+                flow_at: 0,
+                graph_at: 0,
+                index: n,
+            }
         })
         .collect()
 }

@@ -27,8 +27,8 @@ use crate::compile::{CompiledCheck, CompiledProgram, GuardedPart};
 use crate::counterexample::{diff_equation, diff_paths, EquationDiff, PathRenderer, WitnessLimits};
 use crate::lower::{lower_pathset_dfa, Lowering, PairFsas};
 use crate::pipeline::{
-    Channel, ClassKey, ClassRef, ClassRegistry, ErrorSink, FlowRef, GraphSpan, JoinMap, Joined,
-    JoinedSide, OneSided, PoisonOnPanic, Provenance, Recv, Side,
+    Channel, ClassKey, ClassRef, ClassRegistry, ErrorSink, FlowRef, JoinMap, Joined, JoinedSide,
+    OneSided, PoisonOnPanic, Provenance, Recv, Side,
 };
 use crate::report::{
     CheckReport, CheckStats, FecResult, PartViolation, PhaseTimings, ViolationDetail,
@@ -43,9 +43,9 @@ use rela_cache::{CacheEpoch, CacheKey, VerdictStore, BYTE_VARIANT_SALT};
 use rela_net::faultio::FaultPlan;
 use rela_net::{
     behavior_hash, canonical_graph, content_hash128, decode_graph_span, graph_to_fsa_prepared,
-    record_mix, AlignedFec, BehaviorHash, FlowDecoded, FlowSpec, ForwardingGraph, Granularity,
-    LocationDb, RawRecord, SnapshotEpoch, SnapshotError, SnapshotFramer, SnapshotPair,
-    DROP_LOCATION, FRAME_BATCH_BYTES,
+    record_mix, AlignedFec, BehaviorHash, FlowSpec, ForwardingGraph, Granularity, LocationDb,
+    RawRecord, SnapshotEpoch, SnapshotError, SnapshotFramer, SnapshotPair, DROP_LOCATION,
+    FRAME_BATCH_BYTES,
 };
 use serde::{Serialize, Value};
 use std::collections::hash_map::Entry;
@@ -237,8 +237,8 @@ impl PreparedItem {
     /// batch.
     fn weight(&self) -> (usize, usize) {
         match self {
-            PreparedItem::Record { raw, .. } => (raw.span_len(), 1),
-            PreparedItem::Replay { own, .. } => (own.span.as_slice().len(), 1),
+            PreparedItem::Record { raw, .. } => (raw.flow.len() + raw.graph.len(), 1),
+            PreparedItem::Replay { own, .. } => (own.span.len(), 1),
             PreparedItem::Class(rows) => (0, rows.len()),
         }
     }
@@ -542,23 +542,10 @@ impl Pipeline<'_, '_> {
         raw: RawRecord,
         state: &mut WorkerState,
     ) -> Result<(), SidedError> {
-        let decoded = raw.decode_flow(self.label(side)).map_err(|e| (side, e))?;
-        let (flow, span) = match decoded {
-            // the graph span shares the framer's backing buffer (chunk,
-            // record vec, or file mapping) — no copy
-            FlowDecoded::Split(flow, graph_span) => (flow, GraphSpan::of_record(&raw, graph_span)),
-            // non-canonical encoding: re-serialize the parsed graph so
-            // byte keys are encoding-invariant
-            FlowDecoded::Full(flow, graph) => (
-                flow,
-                GraphSpan::whole(
-                    serde_json::to_string(&graph.to_value())
-                        .expect("a parsed graph re-serializes")
-                        .into_bytes(),
-                ),
-            ),
-        };
-        let hash = content_hash128(span.as_slice());
+        // the graph span shares the framer's backing buffer (chunk or
+        // file mapping) — no copy
+        let (flow, span) = raw.decode_flow(self.label(side)).map_err(|e| (side, e))?;
+        let hash = content_hash128(&span);
         let own = JoinedSide {
             span,
             hash,
@@ -569,6 +556,7 @@ impl Pipeline<'_, '_> {
             provenance: Provenance {
                 index: raw.index,
                 offset: raw.offset,
+                graph_at: raw.graph_at,
             },
         };
         self.side(side, flow, own, state)
@@ -696,7 +684,9 @@ impl Pipeline<'_, '_> {
     }
 
     /// Decode one side's graph span, attributing failures exactly as
-    /// [`rela_net::SnapshotReader`] would for the same record.
+    /// [`rela_net::SnapshotReader`] would for the same record: a span
+    /// that is not JSON at its failing byte, a graph of the wrong shape
+    /// at its record's start.
     fn decode_side(
         &self,
         side: Side,
@@ -704,17 +694,10 @@ impl Pipeline<'_, '_> {
         state: &mut WorkerState,
     ) -> Result<ForwardingGraph, SidedError> {
         state.decodes += 1;
-        decode_graph_span(joined.span.as_slice()).map_err(|message| {
-            // if the span came out of an intact record, re-run the
-            // record decoder over the reassembled record so the error
-            // text matches the reader's contract byte for byte
-            let Provenance { index, offset } = joined.provenance;
-            if let Some(raw) = joined.span.reconstruct_record(offset, index) {
-                if let Err(e) = raw.decode(self.label(side)) {
-                    return (side, e);
-                }
-            }
-            self.located(side, message, joined.provenance)
+        decode_graph_span(&joined.span).map_err(|(message, byte)| {
+            let at = joined.provenance;
+            let offset = byte.map_or(at.offset, |byte| at.graph_at + byte as u64);
+            self.located(side, message, Provenance { offset, ..at })
         })
     }
 

@@ -13,8 +13,7 @@
 //! also uses.
 
 use rela_net::{
-    content_hash128, AlignedFec, BehaviorHash, FlowSpec, ForwardingGraph, RawRecord, RecordBody,
-    SnapshotError, SpanBytes,
+    content_hash128, AlignedFec, BehaviorHash, FlowSpec, ForwardingGraph, SnapshotError, SpanBytes,
 };
 use serde::Serialize;
 use std::collections::hash_map::DefaultHasher;
@@ -221,75 +220,6 @@ impl ErrorSink {
 
 // ---- sharded flow-join map ---------------------------------------------
 
-/// A raw graph-value span, shared without copying: `span` addresses the
-/// graph value inside its backing buffer — a chunk of the JSON container
-/// shared by every record framed out of it, a binary record's own
-/// buffer, or a file mapping for the zero-copy binary path (see
-/// [`SpanBytes`]). `origin` keeps the rest of the record, so a decode
-/// failure can re-run the serial decoder over it and report the exact
-/// serial-reader error. The byte-admission engine joins, hashes, and
-/// deduplicates these spans — a graph is only ever decoded when its
-/// byte content has not been seen before.
-#[derive(Clone)]
-pub(crate) struct GraphSpan {
-    pub(crate) span: SpanBytes,
-    origin: SpanOrigin,
-}
-
-/// The record a [`GraphSpan`] was cut from.
-#[derive(Clone)]
-enum SpanOrigin {
-    /// A standalone buffer that *is* the span (a re-serialized or
-    /// synthesized graph): nothing to reconstruct.
-    Standalone,
-    /// The whole JSON record span around the graph value.
-    JsonRecord(SpanBytes),
-    /// The sibling flow span of a binary-container record.
-    SplitFlow(SpanBytes),
-}
-
-impl GraphSpan {
-    /// Wrap a standalone buffer that *is* the span.
-    pub(crate) fn whole(bytes: Vec<u8>) -> GraphSpan {
-        GraphSpan {
-            span: bytes.into(),
-            origin: SpanOrigin::Standalone,
-        }
-    }
-
-    /// The graph span `span` located inside `raw`.
-    pub(crate) fn of_record(raw: &RawRecord, span: SpanBytes) -> GraphSpan {
-        let origin = match &raw.body {
-            RecordBody::Json { record, .. } => SpanOrigin::JsonRecord(record.clone()),
-            RecordBody::Split { flow, .. } => SpanOrigin::SplitFlow(flow.clone()),
-        };
-        GraphSpan { span, origin }
-    }
-
-    pub(crate) fn as_slice(&self) -> &[u8] {
-        self.span.as_slice()
-    }
-
-    /// Rebuild the enclosing record for error attribution: the record
-    /// span for a JSON-container graph, the reassembled split record for
-    /// a binary one, `None` for standalone spans (nothing to reconstruct
-    /// — the span is the whole story).
-    pub(crate) fn reconstruct_record(&self, offset: u64, index: usize) -> Option<RawRecord> {
-        match &self.origin {
-            SpanOrigin::Standalone => None,
-            SpanOrigin::JsonRecord(record) => {
-                Some(RawRecord::from_json_span(record.clone(), offset, index))
-            }
-            SpanOrigin::SplitFlow(flow) => Some(RawRecord::from_split_spans(
-                flow.clone(),
-                self.span.clone(),
-                offset,
-                index,
-            )),
-        }
-    }
-}
-
 /// Where a consumed record sat in its stream: retained per side for
 /// duplicate reporting (the serial reader names the *second*
 /// occurrence, which under out-of-order decode may be the one already
@@ -300,6 +230,9 @@ pub(crate) struct Provenance {
     pub(crate) index: usize,
     /// Absolute byte offset of the record span.
     pub(crate) offset: u64,
+    /// Absolute byte offset of the graph span, which addresses a byte
+    /// that fails its decode.
+    pub(crate) graph_at: u64,
 }
 
 /// One side's slot in a join entry. The pending payload is boxed so the
@@ -324,11 +257,14 @@ struct JoinEntry {
 /// One side of a flow, in the join, out of it, and in a retained base —
 /// one type, so nothing is converted on the way: the undecoded graph
 /// span, its content hash, and where the record sat in the stream that
-/// carried it. Decode happens only after the byte-level admission check
-/// on the joined pair.
+/// carried it. The span shares its framer's backing buffer — a chunk
+/// of the container, or a file mapping for the zero-copy binary path
+/// (see [`SpanBytes`]) — without copying. Decode happens only after the
+/// byte-level admission check on the joined pair: a graph is only ever
+/// decoded when its byte content has not been seen before.
 #[derive(Clone)]
 pub(crate) struct JoinedSide {
-    pub(crate) span: GraphSpan,
+    pub(crate) span: SpanBytes,
     pub(crate) hash: u128,
     /// [`rela_net::record_mix`] of the flow and `hash`, computed once
     /// where the record is framed so a replayed side never pays for it
@@ -343,18 +279,19 @@ impl JoinedSide {
     /// empty-graph span, so it byte-hashes and fingerprints exactly as
     /// `align`'s empty graph would.
     pub(crate) fn absent() -> JoinedSide {
-        let span = GraphSpan::whole(
+        let span = SpanBytes::from(
             serde_json::to_string(&ForwardingGraph::default().to_value())
                 .expect("the empty graph serializes")
                 .into_bytes(),
         );
         JoinedSide {
-            hash: content_hash128(span.as_slice()),
+            hash: content_hash128(&span),
             span,
             mix: 0,
             provenance: Provenance {
                 index: 0,
                 offset: 0,
+                graph_at: 0,
             },
         }
     }

@@ -29,9 +29,7 @@
 
 use crate::check::PreparedItem;
 use crate::pipeline::{JoinedSide, Side};
-use rela_net::{
-    pair_epoch, side_fold, FlowDecoded, FlowSpec, SnapshotDelta, SnapshotEpoch, SnapshotError,
-};
+use rela_net::{pair_epoch, side_fold, FlowSpec, SnapshotDelta, SnapshotEpoch, SnapshotError};
 use std::collections::{HashSet, VecDeque};
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
@@ -126,7 +124,7 @@ impl RetainedBase {
             epoch: pair_epoch(fold(Side::Pre), fold(Side::Post)),
             bytes: present(Side::Pre)
                 .chain(present(Side::Post))
-                .map(|side| side.span.as_slice().len() as u64 + 64)
+                .map(|side| side.span.len() as u64 + 64)
                 .sum(),
             rows,
             ends,
@@ -172,10 +170,7 @@ impl RetainedBase {
         let mut upserted: [Vec<FlowSpec>; 2] = [Vec::new(), Vec::new()];
         for ((delta, label), flows) in deltas.iter().zip(labels).zip(&mut upserted) {
             for raw in &delta.records {
-                flows.push(match raw.decode_flow(Some(label))? {
-                    FlowDecoded::Split(flow, _) => flow,
-                    FlowDecoded::Full(flow, _) => flow,
-                });
+                flows.push(raw.decode_flow(Some(label))?.0);
             }
         }
         let touched: [HashSet<&FlowSpec>; 2] =

@@ -15,14 +15,14 @@
 //!
 //! A delta document itself ([`SnapshotDelta`], one per side) is plain
 //! JSON — `{"base": "<epoch>", "removed": [...], "records": [...]}` —
-//! whose `records` entries are the same `{"flow":F,"graph":G}` spans a
-//! [`SnapshotFramer`] yields, so applying a delta splices raw spans and
-//! reproduces the full snapshot's bytes exactly
-//! (`docs/SNAPSHOT_FORMAT.md`).
+//! whose `records` entries are `{"flow":F,"graph":G}` entries framed
+//! into the same [`RawRecord`]s a [`SnapshotFramer`] yields, so applying
+//! a delta splices raw spans and reproduces the full snapshot's bytes
+//! exactly (`docs/SNAPSHOT_FORMAT.md`).
 
 use crate::behavior::content_hash128;
 use crate::fec::FlowSpec;
-use crate::snapshot::{FlowDecoded, RawRecord, SnapshotError, SnapshotFramer};
+use crate::snapshot::{RawRecord, SnapshotError, SnapshotFramer};
 use serde::{Deserialize, Serialize};
 use serde_json::JsonReader;
 use std::collections::{HashMap, HashSet};
@@ -131,17 +131,7 @@ pub fn scan_side<R: Read>(mut framer: SnapshotFramer<R>) -> Result<SideScan, Sna
     let mut seen = HashSet::new();
     for raw in &mut framer {
         let raw = raw?;
-        let (flow, graph_span) = match raw.decode_flow(label.as_deref())? {
-            FlowDecoded::Split(flow, span) => (flow, span.to_vec()),
-            FlowDecoded::Full(flow, graph) => {
-                // non-canonical encoding: re-serialize to the canonical
-                // span so both parties hash the same bytes
-                let json = serde_json::to_string(&graph.to_value()).map_err(|e| {
-                    SnapshotError::at(e.to_string(), raw.offset).with_entry(raw.index)
-                })?;
-                (flow, json.into_bytes())
-            }
-        };
+        let (flow, graph) = raw.decode_flow(label.as_deref())?;
         if !seen.insert(flow.clone()) {
             let message = format!("duplicate flow {flow}");
             let mut e = SnapshotError::at(message, raw.offset).with_entry(raw.index);
@@ -150,11 +140,11 @@ pub fn scan_side<R: Read>(mut framer: SnapshotFramer<R>) -> Result<SideScan, Sna
             }
             return Err(e);
         }
-        let hash = content_hash128(&graph_span);
+        let hash = content_hash128(&graph);
         fold ^= record_mix(&flow, hash);
         records.push(ScannedRecord {
             flow,
-            graph_span,
+            graph_span: graph.to_vec(),
             hash,
         });
     }
@@ -284,9 +274,12 @@ fn read_delta(source: impl Read) -> Result<SnapshotDelta, SnapshotError> {
     json.begin_array().map_err(SnapshotError::from_json)?;
     let mut removed = Vec::new();
     while json.next_element().map_err(SnapshotError::from_json)? {
+        // the item's own first byte: a shape error names it, not its end
+        let at = json.byte_offset();
         let value = json.read_value().map_err(SnapshotError::from_json)?;
-        let flow = FlowSpec::from_value(&value)
-            .map_err(|e| SnapshotError::at(format!("removed flow: {e}"), json.byte_offset()))?;
+        let flow = FlowSpec::from_value(&value).map_err(|e| {
+            SnapshotError::at(format!("`removed` item #{}: {e}", removed.len()), at)
+        })?;
         removed.push(flow);
     }
 
@@ -306,7 +299,7 @@ fn read_delta(source: impl Read) -> Result<SnapshotDelta, SnapshotError> {
         let span = json
             .read_raw_span(&mut members)
             .map_err(|e| SnapshotError::from_json(e).with_entry(index))?;
-        records.push(RawRecord::from_framed_json(span, &members, offset, index));
+        records.push(RawRecord::from_framed_json(span, &members, offset, index)?);
         index += 1;
     }
 
@@ -389,10 +382,7 @@ mod tests {
         let changed: std::collections::HashSet<FlowSpec> = delta
             .records
             .iter()
-            .map(|r| match r.decode_flow(None).unwrap() {
-                FlowDecoded::Split(flow, _) => flow,
-                FlowDecoded::Full(flow, _) => flow,
-            })
+            .map(|r| r.decode_flow(None).unwrap().0)
             .chain(delta.removed.iter().cloned())
             .collect();
         for record in &base_scan.records {
@@ -401,9 +391,7 @@ mod tests {
             }
         }
         for raw in &delta.records {
-            let FlowDecoded::Split(flow, span) = raw.decode_flow(None).unwrap() else {
-                panic!("delta records are canonical")
-            };
+            let (flow, span) = raw.decode_flow(None).unwrap();
             spliced.push((flow, span.to_vec()));
         }
         spliced.sort_by(|a, b| a.flow_cmp(b));
@@ -443,6 +431,34 @@ mod tests {
         let bad = br#"{"base":"zz","removed":[],"records":[]}"#;
         let err = SnapshotDelta::from_reader(&bad[..], "d.json").unwrap_err();
         assert!(err.to_string().contains("32 hex digits"), "{err}");
+    }
+
+    #[test]
+    fn a_bad_removed_flow_is_named_and_addressed_at_its_start() {
+        let base = "0".repeat(32);
+        let good = r#"{"dst":"10.0.0.0/24","ingress":"x1"}"#;
+        let bogus = r#"{"dst":"bogus","ingress":"x1"}"#;
+        let doc = format!(r#"{{"base":"{base}","removed":[{good},{bogus}],"records":[]}}"#);
+        let at = doc.find(bogus).unwrap();
+        assert_eq!(at, 91);
+        let err = SnapshotDelta::from_reader(doc.as_bytes(), "d.json").unwrap_err();
+        assert_eq!(err.byte_offset(), Some(at as u64), "{err}");
+        assert!(err.message().starts_with("`removed` item #1: "), "{err}");
+        assert_eq!(err.entry_index(), None);
+        assert_eq!(err.label(), Some("d.json"));
+    }
+
+    #[test]
+    fn a_record_without_a_graph_is_refused_by_the_reader() {
+        let base = "0".repeat(32);
+        let record = r#"{"flow":{"dst":"10.0.0.0/24","ingress":"x1"}}"#;
+        let doc = format!(r#"{{"base":"{base}","removed":[],"records":[{record}]}}"#);
+        let err = SnapshotDelta::from_reader(doc.as_bytes(), "d.json").unwrap_err();
+        let at = doc.find(record).unwrap();
+        assert_eq!(
+            err.to_string(),
+            format!("d.json: snapshot entry #0: missing field `graph` (byte {at})")
+        );
     }
 
     trait FlowCmp {

@@ -42,7 +42,7 @@ pub use location::{glob_match, interface_device, Device, Granularity, DROP_LOCAT
 pub use mmap::MmapSource;
 pub use prefix::{Ipv4Prefix, PrefixParseError, PrefixTrie};
 pub use snapshot::{
-    decode_graph_span, snapshot_source, AlignedFec, BinarySnapshotWriter, FlowDecoded, RawRecord,
-    RecordBody, RecordFields, Snapshot, SnapshotError, SnapshotFramer, SnapshotPair,
-    SnapshotReader, SnapshotWriter, SpanBytes, BINARY_MAGIC, BINARY_VERSION, FRAME_BATCH_BYTES,
+    decode_graph_span, snapshot_source, AlignedFec, BinarySnapshotWriter, RawRecord, Snapshot,
+    SnapshotError, SnapshotFramer, SnapshotPair, SnapshotReader, SnapshotWriter, SpanBytes,
+    SpanError, BINARY_MAGIC, BINARY_VERSION, FRAME_BATCH_BYTES,
 };

@@ -37,9 +37,9 @@
 //! ([`crate::MmapSource`]) by pure pointer arithmetic, yielding record
 //! spans ([`SpanBytes`]) that borrow the mapping instead of a chunk read
 //! from it. The binary grammar is written once and run over either, so
-//! the [`RecordBody::Split`] records, reports, content hashes, and the
-//! error contract are byte-for-byte the same; `docs/INGEST.md` has the
-//! full mode matrix.
+//! the [`RawRecord`]s, reports, content hashes, and the error contract
+//! are byte-for-byte the same; `docs/INGEST.md` has the full mode
+//! matrix.
 
 use crate::fec::FlowSpec;
 use crate::graph::ForwardingGraph;
@@ -48,7 +48,6 @@ use serde::{Deserialize, Serialize, Value};
 use serde_json::scan::{frame_value, Member, Stop};
 use serde_json::stream::Chunks;
 use serde_json::JsonReader;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::io::{Read, Write};
@@ -375,264 +374,146 @@ impl fmt::Debug for SpanBytes {
     }
 }
 
-/// One undecoded `fecs` entry: the record's value spans plus its
-/// provenance, as produced by a [`SnapshotFramer`].
+/// One undecoded `fecs` entry, as a [`SnapshotFramer`] (or a delta
+/// document's reader) cuts it: the entry's `flow` and `graph` value
+/// spans, where they sit in the input, and the entry's index.
 ///
-/// From a JSON container the body is one complete, strictly-validated
-/// JSON record span — re-parsing it cannot hit a syntax error — with the
-/// ranges of its top-level `flow` and `graph` values, found by the scan
-/// that framed it. From a binary container (buffered or memory-mapped)
-/// the body is the two length-prefixed value spans, carried *unvalidated
-/// and unglued* so byte-level admission can hash them in place;
-/// [`RawRecord::decode`] may therefore surface syntax errors there.
-/// Either way, record-level failures are reported at the record's start
-/// offset exactly as the serial [`SnapshotReader`] does.
+/// Both containers yield this one shape. A binary record's spans are the
+/// two length-prefixed values, carried *unvalidated* so byte-level
+/// admission can hash them in place; [`RawRecord::decode`] may therefore
+/// surface syntax errors there, at the failing byte. A JSON record's
+/// spans were located by the strict scan that framed it (either key
+/// order, keys spelled with escapes, any whitespace, other members
+/// ignored), and an entry that is not an object, lacks `flow` or `graph`,
+/// or repeats either never becomes a record: the framer refuses it.
+/// Record-level failures are reported at the record's start offset
+/// exactly as the serial [`SnapshotReader`] does.
 #[derive(Debug, Clone)]
 pub struct RawRecord {
-    /// The record's value spans.
-    pub body: RecordBody,
+    /// The serialized flow key.
+    pub flow: SpanBytes,
+    /// The serialized forwarding graph, undecoded.
+    pub graph: SpanBytes,
     /// Absolute byte offset of the record's first byte in the input.
     pub offset: u64,
+    /// Absolute byte offset of the flow span's first byte.
+    pub flow_at: u64,
+    /// Absolute byte offset of the graph span's first byte.
+    pub graph_at: u64,
     /// 0-based index among the `fecs` entries.
     pub index: usize,
 }
 
-/// The payload of a [`RawRecord`]: one JSON record span, or the two
-/// value spans a binary container carries.
-#[derive(Debug, Clone)]
-pub enum RecordBody {
-    /// A complete `{"flow": F, "graph": G}` record span, as framed out
-    /// of the JSON container.
-    Json {
-        /// The whole record.
-        record: SpanBytes,
-        /// Where the record's `flow` and `graph` values sit in it.
-        fields: RecordFields,
-    },
-    /// The `flow` and `graph` value spans of a binary-container record,
-    /// exactly as they sit in the container (no JSON skeleton).
-    Split {
-        /// The serialized flow key.
-        flow: SpanBytes,
-        /// The serialized forwarding graph, undecoded.
-        graph: SpanBytes,
-    },
-}
+/// The two members every entry carries, in the order their errors rank.
+const ENTRY_FIELDS: [&str; 2] = ["flow", "graph"];
 
-/// What the framing scan learned about the top level of a JSON record:
-/// the ranges (relative to the record's first byte) of the values under
-/// its plain `"flow"` and `"graph"` keys, and whether either name occurs
-/// twice. A key spelled with escapes (`"fl\u006fw"`) counts towards the
-/// duplicate rule but is not located — such a record takes the full
-/// decode, as does one that is not an object.
-#[derive(Debug, Clone, Default)]
-pub struct RecordFields {
-    flow: Option<Range<usize>>,
-    graph: Option<Range<usize>>,
-    duplicate: Option<&'static str>,
-}
-
-impl RecordFields {
-    /// Pick `flow` and `graph` out of the top-level `members` the scan
-    /// of `buf` recorded for the record that starts at `buf[start]`.
-    fn locate(buf: &[u8], start: usize, members: &[Member]) -> RecordFields {
-        let mut fields = RecordFields::default();
-        let (mut flows, mut graphs) = (0, 0);
-        for member in members {
-            let key = &buf[member.key.clone()];
-            let value = member.value.start - start..member.value.end - start;
-            match key {
-                b"\"flow\"" => {
-                    flows += 1;
-                    fields.flow.get_or_insert(value);
-                }
-                b"\"graph\"" => {
-                    graphs += 1;
-                    fields.graph.get_or_insert(value);
-                }
-                _ if key.contains(&b'\\') => {
-                    // the scan validated the token, so it decodes
-                    let name = std::str::from_utf8(key)
-                        .ok()
-                        .and_then(|text| serde_json::from_str::<String>(text).ok());
-                    match name.as_deref() {
-                        Some("flow") => flows += 1,
-                        Some("graph") => graphs += 1,
-                        _ => {}
-                    }
-                }
-                _ => {}
-            }
-        }
-        if flows > 1 {
-            fields.duplicate = Some("flow");
-        } else if graphs > 1 {
-            fields.duplicate = Some("graph");
-        }
-        fields
-    }
-}
+/// Why a value span did not decode: the message and, for a span that is
+/// not JSON, the index in the span of the byte it fails at. A value of
+/// the wrong shape has no such byte; its record's start addresses it.
+pub type SpanError = (String, Option<usize>);
 
 impl RawRecord {
-    /// A record over one complete JSON record span that did not come
-    /// out of a framer (hand-built in tests; rebuilt by the engine around
-    /// a graph span to word a decode error). The span goes through the
-    /// scan the JSON framer runs; one that is not strict JSON has nothing
-    /// located and reports its syntax error from [`RawRecord::decode`].
-    pub fn from_json_span(span: impl Into<SpanBytes>, offset: u64, index: usize) -> RawRecord {
-        let record = span.into();
-        let bytes = record.as_slice();
-        let mut members = Vec::new();
-        let fields = match frame_value(bytes, 0, true, &mut members) {
-            Ok(end) if bytes[end..].iter().all(|b| b" \t\n\r".contains(b)) => {
-                RecordFields::locate(bytes, 0, &members)
-            }
-            _ => RecordFields::default(),
-        };
-        RawRecord {
-            body: RecordBody::Json { record, fields },
-            offset,
-            index,
-        }
-    }
-
     /// The record a [`JsonReader::read_raw_span`] just framed: `range`
-    /// of `chunk`, with the scan's top-level `members`.
+    /// of `chunk`, starting at absolute `offset`, with the scan's
+    /// top-level `members` (none if the record is not an object). The
+    /// `flow` and `graph` values are picked out however their keys are
+    /// spelled; a record that lacks or repeats either is refused with the
+    /// keyed decoder's message, at its offset and index.
     pub(crate) fn from_framed_json(
         (chunk, range): (Arc<Vec<u8>>, Range<usize>),
         members: &[Member],
         offset: u64,
         index: usize,
-    ) -> RawRecord {
-        let fields = RecordFields::locate(&chunk, range.start, members);
-        RawRecord {
-            body: RecordBody::Json {
-                record: SpanBytes::shared(chunk, range),
-                fields,
-            },
-            offset,
-            index,
+    ) -> Result<RawRecord, SnapshotError> {
+        let mut found: [(usize, Option<Range<usize>>); 2] = [(0, None), (0, None)];
+        for member in members {
+            let key = &chunk[member.key.clone()];
+            let field = match key {
+                b"\"flow\"" => 0,
+                b"\"graph\"" => 1,
+                // the scan validated the token, so it decodes
+                _ if key.contains(&b'\\') => {
+                    let name = serde_json::from_slice::<String>(key).unwrap_or_default();
+                    match ENTRY_FIELDS.iter().position(|field| *field == name) {
+                        Some(field) => field,
+                        None => continue,
+                    }
+                }
+                _ => continue,
+            };
+            found[field].0 += 1;
+            found[field].1.get_or_insert_with(|| member.value.clone());
         }
-    }
-
-    /// A record over a binary container's two value spans.
-    pub fn from_split_spans(
-        flow: SpanBytes,
-        graph: SpanBytes,
-        offset: u64,
-        index: usize,
-    ) -> RawRecord {
-        RawRecord {
-            body: RecordBody::Split { flow, graph },
-            offset,
-            index,
-        }
-    }
-
-    /// The record as one `{"flow":F,"graph":G}` JSON span: borrowed for
-    /// JSON-container records, reassembled for binary-container ones.
-    /// (The binary framer used to pay this glue copy for every record;
-    /// it is now confined to the decode and unpack paths.)
-    pub fn json_bytes(&self) -> Cow<'_, [u8]> {
-        match &self.body {
-            RecordBody::Json { record, .. } => Cow::Borrowed(record.as_slice()),
-            RecordBody::Split { flow, graph } => {
-                let mut bytes = Vec::with_capacity(flow.len() + graph.len() + 18);
-                bytes.extend_from_slice(b"{\"flow\":");
-                bytes.extend_from_slice(flow.as_slice());
-                bytes.extend_from_slice(b",\"graph\":");
-                bytes.extend_from_slice(graph.as_slice());
-                bytes.push(b'}');
-                Cow::Owned(bytes)
+        let refuse = |message: String| Err(SnapshotError::at(message, offset).with_entry(index));
+        for (name, (count, _)) in ENTRY_FIELDS.iter().zip(&found) {
+            if *count > 1 {
+                return refuse(format!("duplicate field `{name}`"));
             }
         }
+        let [(_, Some(flow)), (_, Some(graph))] = found else {
+            let missing = ENTRY_FIELDS[usize::from(found[0].1.is_some())];
+            return refuse(format!("missing field `{missing}`"));
+        };
+        let at = |span: &Range<usize>| offset + (span.start - range.start) as u64;
+        Ok(RawRecord {
+            flow_at: at(&flow),
+            graph_at: at(&graph),
+            flow: SpanBytes::shared(Arc::clone(&chunk), flow),
+            graph: SpanBytes::shared(chunk, graph),
+            offset,
+            index,
+        })
     }
 
-    /// Total payload bytes of the record body — what the pipelined
-    /// engine's byte-budget batching accounts.
-    pub fn span_len(&self) -> usize {
-        match &self.body {
-            RecordBody::Json { record, .. } => record.len(),
-            RecordBody::Split { flow, graph } => flow.len() + graph.len(),
-        }
+    /// The record as one `{"flow":F,"graph":G}` JSON object — what
+    /// `rela snapshot pack --unpack` writes. Members of a JSON record
+    /// other than these two are not carried.
+    pub fn json_bytes(&self) -> Vec<u8> {
+        [
+            b"{\"flow\":",
+            &self.flow[..],
+            b",\"graph\":",
+            &self.graph[..],
+            b"}",
+        ]
+        .concat()
     }
 
-    /// A record-level error at this record's offset and entry index.
-    fn fail(&self, message: impl Into<String>, label: Option<&str>) -> SnapshotError {
+    /// A failure of the value span that starts at absolute `span_at`: at
+    /// the failing byte for a span that is not JSON, at the record's start
+    /// otherwise; with the entry index, and `label` when given.
+    fn fail(&self, (message, at): SpanError, span_at: u64, label: Option<&str>) -> SnapshotError {
         SnapshotError {
-            message: message.into(),
+            message,
             entry: Some(self.index),
-            offset: Some(self.offset),
+            offset: Some(at.map_or(self.offset, |at| span_at + at as u64)),
             offset_in_message: false,
             label: label.map(str::to_owned),
         }
     }
 
-    /// Refuse a JSON record that names `flow` or `graph` twice: which
-    /// occurrence a reader takes would otherwise depend on the reader
-    /// (`docs/SNAPSHOT_FORMAT.md`).
-    fn refuse_duplicates(&self, label: Option<&str>) -> Result<(), SnapshotError> {
-        match &self.body {
-            RecordBody::Json {
-                fields:
-                    RecordFields {
-                        duplicate: Some(name),
-                        ..
-                    },
-                ..
-            } => Err(self.fail(format!("duplicate field `{name}`"), label)),
-            _ => Ok(()),
-        }
-    }
-
-    /// Decode the span into its `(flow, graph)` pair. Errors carry the
-    /// record's byte offset and entry index; `label` (typically the
-    /// source file path) is attached when given.
+    /// Decode the record into its `(flow, graph)` pair: the flow span,
+    /// then the graph span, each through the decoder the pipelined
+    /// engine runs on it. Errors carry the entry index and an offset;
+    /// `label` (typically the source file path) is attached when given.
     pub fn decode(
         &self,
         label: Option<&str>,
     ) -> Result<(FlowSpec, ForwardingGraph), SnapshotError> {
-        self.refuse_duplicates(label)?;
-        let fail = |message: String| self.fail(message, label);
-        // the framer validated the span: strings are checked UTF-8 and
-        // everything else is ASCII, so both conversions are infallible
-        // on framer-produced records (kept as errors for hand-built ones)
-        let bytes = self.json_bytes();
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|_| fail("record span is not valid utf-8".to_owned()))?;
-        let entry: Value =
-            serde_json::from_str(text).map_err(|e| fail(format!("record span: {e}")))?;
-        let flow = serde::field::<FlowSpec>(&entry, "flow").map_err(|e| fail(e.to_string()))?;
-        let graph =
-            serde::field::<ForwardingGraph>(&entry, "graph").map_err(|e| fail(e.to_string()))?;
+        let (flow, graph) = self.decode_flow(label)?;
+        let graph = decode_graph_span(&graph).map_err(|e| self.fail(e, self.graph_at, label))?;
         Ok((flow, graph))
     }
 
-    /// The `flow` and `graph` value spans of the record, located without
-    /// parsing either value — what byte-level admission and the
-    /// `snapshot pack` converter run instead of a decode. O(1) either
-    /// way: a binary container carries the two spans, and a JSON record
-    /// was located by the scan that framed it (plain `"flow"` and
-    /// `"graph"` keys in either order, among any other keys, with any
-    /// inter-token whitespace). Errors carry the record's offset and
-    /// entry index like [`RawRecord::decode`], with the missing-field
-    /// messages matching the serial reader's exactly.
+    /// The `flow` and `graph` value spans of the record, undecoded — what
+    /// byte-level admission and the `snapshot pack` converter read
+    /// instead of a decode. Never fails: the framer refused every record
+    /// whose values it could not locate.
     pub fn split_spans(
         &self,
-        label: Option<&str>,
+        _label: Option<&str>,
     ) -> Result<(SpanBytes, SpanBytes), SnapshotError> {
-        let (record, fields) = match &self.body {
-            RecordBody::Split { flow, graph } => return Ok((flow.clone(), graph.clone())),
-            RecordBody::Json { record, fields } => (record, fields),
-        };
-        self.refuse_duplicates(label)?;
-        match (&fields.flow, &fields.graph) {
-            (Some(flow), Some(graph)) => {
-                Ok((record.slice(flow.clone()), record.slice(graph.clone())))
-            }
-            (None, _) => Err(self.fail("missing field `flow`", label)),
-            (_, None) => Err(self.fail("missing field `graph`", label)),
-        }
+        Ok((self.flow.clone(), self.graph.clone()))
     }
 
     /// Parse the record's flow key and hand out its graph span *without*
@@ -640,49 +521,41 @@ impl RawRecord {
     /// byte-admission fast path. A flow span in the writers' own
     /// encoding is read straight from its bytes
     /// (`FlowSpec::from_canonical_json`); any other goes through a
-    /// `Value`. Falls back to a full [`RawRecord::decode`] when the
-    /// values were not located (escaped keys, missing fields, a record
-    /// that is not an object) or the flow does not decode, so every
-    /// error is exactly what the serial reader would have reported.
-    pub fn decode_flow(&self, label: Option<&str>) -> Result<FlowDecoded, SnapshotError> {
-        if let Ok((flow_span, graph_span)) = self.split_spans(label) {
-            let bytes = flow_span.as_slice();
-            let parsed = FlowSpec::from_canonical_json(bytes).or_else(|| {
-                std::str::from_utf8(bytes)
-                    .ok()
-                    .and_then(|text| serde_json::from_str::<Value>(text).ok())
-                    .and_then(|value| FlowSpec::from_value(&value).ok())
-            });
-            if let Some(flow) = parsed {
-                return Ok(FlowDecoded::Split(flow, graph_span));
-            }
-        }
-        let (flow, graph) = self.decode(label)?;
-        Ok(FlowDecoded::Full(flow, graph))
+    /// `Value`, with [`RawRecord::decode`]'s errors.
+    pub fn decode_flow(&self, label: Option<&str>) -> Result<(FlowSpec, SpanBytes), SnapshotError> {
+        let flow = match FlowSpec::from_canonical_json(&self.flow) {
+            Some(flow) => flow,
+            None => decode_span(&self.flow).map_err(|e| self.fail(e, self.flow_at, label))?,
+        };
+        Ok((flow, self.graph.clone()))
     }
 }
 
-/// What [`RawRecord::decode_flow`] produced.
-// the Full payload is consumed immediately by the caller; boxing the
-// graph would add an allocation to a path that exists to avoid them
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum FlowDecoded {
-    /// The parsed flow key plus the record's *undecoded* graph span.
-    Split(FlowSpec, SpanBytes),
-    /// The record needed a full decode (non-canonical encoding): both
-    /// values, already parsed.
-    Full(FlowSpec, ForwardingGraph),
+/// Decode one value span. A span that is not JSON fails with the
+/// parser's message at its failing byte, as the scanner names it
+/// (`scan_differential.rs` pins the two to each other): the parser's own
+/// line and column would count into the span, not the input.
+fn decode_span<T: Deserialize>(span: &[u8]) -> Result<T, SpanError> {
+    let value: Value = serde_json::from_slice(span).map_err(|_| {
+        let (message, at) = match frame_value(span, 0, true, &mut Vec::new()) {
+            Err(Stop::Syntax { message, at }) => (message, at),
+            // one whole value, and something after it
+            Ok(end) => {
+                let blank = span[end..].iter().take_while(|b| b" \t\n\r".contains(b));
+                ("trailing characters".to_owned(), end + blank.count())
+            }
+            Err(Stop::NeedMore) => unreachable!("the span was scanned as the whole input"),
+        };
+        (format!("record span: {message}"), Some(at))
+    })?;
+    T::from_value(&value).map_err(|e| (e.to_string(), None))
 }
 
-/// Decode one graph value span, as located by [`RawRecord::split_spans`].
-/// The message matches what the serial reader reports for the same shape
-/// failure; the caller owns offset/entry/label attribution.
-pub fn decode_graph_span(bytes: &[u8]) -> Result<ForwardingGraph, String> {
-    let text =
-        std::str::from_utf8(bytes).map_err(|_| "record span is not valid utf-8".to_owned())?;
-    let value: Value = serde_json::from_str(text).map_err(|e| format!("record span: {e}"))?;
-    ForwardingGraph::from_value(&value).map_err(|e| e.to_string())
+/// Decode one graph value span, as [`RawRecord::decode`] does — the
+/// pipelined engine's graph decoder. The caller owns offset, entry and
+/// label attribution ([`SpanError`]).
+pub fn decode_graph_span(bytes: &[u8]) -> Result<ForwardingGraph, SpanError> {
+    decode_span(bytes)
 }
 
 /// The framing half of the snapshot reader: yields each entry of a JSON
@@ -938,12 +811,7 @@ impl<R: Read> JsonFramer<R> {
                     .json
                     .read_raw_span(&mut self.members)
                     .map_err(|e| SnapshotError::from_json(e).with_entry(index))?;
-                Ok(Some(RawRecord::from_framed_json(
-                    span,
-                    &self.members,
-                    offset,
-                    index,
-                )))
+                RawRecord::from_framed_json(span, &self.members, offset, index).map(Some)
             }
         }
     }
@@ -1113,29 +981,41 @@ impl<R: Read> FramerBytes<R> {
         }
     }
 
-    /// A range the grammar just framed, as a span sharing the backing.
-    fn span(&self, range: Range<usize>) -> SpanBytes {
+    /// A range the grammar just framed, as a span sharing the backing,
+    /// and the absolute offset of its first byte.
+    fn span(&self, range: Range<usize>) -> (u64, SpanBytes) {
         match self {
-            FramerBytes::Chunks(chunks) => SpanBytes::shared(Arc::clone(chunks.chunk()), range),
-            FramerBytes::Map { map, .. } => SpanBytes::mapped(Arc::clone(map), range),
+            FramerBytes::Chunks(chunks) => (
+                chunks.base() + range.start as u64,
+                SpanBytes::shared(Arc::clone(chunks.chunk()), range),
+            ),
+            FramerBytes::Map { map, .. } => (
+                range.start as u64,
+                SpanBytes::mapped(Arc::clone(map), range),
+            ),
         }
     }
 }
 
 impl<R: Read> FramerBytes<R> {
     /// Frame the next record of a binary container whose header has
-    /// been consumed; `Ok(None)` on the end marker. Records are yielded
-    /// as [`RecordBody::Split`] value-span pairs with no reassembly. A
-    /// record's offset is the absolute position of its first length
-    /// prefix; an error inside a record carries the entry index, one in
-    /// the header or after the end marker does not.
+    /// been consumed; `Ok(None)` on the end marker. A record's two value
+    /// spans are yielded as they sit, with no reassembly; its offset is
+    /// the absolute position of its first length prefix. An error inside
+    /// a record carries the entry index, one in the header or after the
+    /// end marker does not.
     fn next_record(&mut self, index: usize) -> Result<Option<RawRecord>, SnapshotError> {
         match self.frame(binary_record).map_err(|e| e.with_entry(index))? {
             (offset, Some((flow, graph))) => {
-                let (flow, graph) = (self.span(flow), self.span(graph));
-                Ok(Some(RawRecord::from_split_spans(
-                    flow, graph, offset, index,
-                )))
+                let ((flow_at, flow), (graph_at, graph)) = (self.span(flow), self.span(graph));
+                Ok(Some(RawRecord {
+                    flow,
+                    graph,
+                    offset,
+                    flow_at,
+                    graph_at,
+                    index,
+                }))
             }
             (_, None) => {
                 self.frame(binary_end)?;
@@ -1678,13 +1558,14 @@ mod tests {
     fn raw_record_decode_names_missing_fields_at_the_span() {
         let json = br#"{"fecs": [{"graph": {"vertices": [], "edges": [],
                         "sources": [], "sinks": [], "drops": []}}]}"#;
-        let raw = SnapshotFramer::new(&json[..], "pre.json")
+        // the record cannot be split, so the framer refuses it, at its
+        // first byte
+        let err = SnapshotFramer::new(&json[..], "pre.json")
             .next()
             .unwrap()
-            .unwrap();
-        let err = raw.decode(Some("pre.json")).unwrap_err();
+            .unwrap_err();
         assert_eq!(err.entry_index(), Some(0));
-        assert_eq!(err.byte_offset(), Some(raw.offset));
+        assert_eq!(err.byte_offset(), Some(10));
         assert_eq!(err.label(), Some("pre.json"));
         assert!(err.to_string().contains("missing field `flow`"), "{err}");
     }
@@ -1838,6 +1719,15 @@ mod tests {
         assert!(err.to_string().contains("expected"), "{err}");
     }
 
+    /// A record over one JSON record span that did not come out of a
+    /// framer, cut by the scan the JSON framer runs.
+    fn from_json_span(span: &[u8], offset: u64, index: usize) -> Result<RawRecord, SnapshotError> {
+        let chunk = Arc::new(span.to_vec());
+        let mut members = Vec::new();
+        let end = frame_value(&chunk, 0, true, &mut members).expect("one JSON value");
+        RawRecord::from_framed_json((chunk, 0..end), &members, offset, index)
+    }
+
     #[test]
     fn split_spans_locates_values_across_encodings() {
         let cases = [
@@ -1845,52 +1735,114 @@ mod tests {
             r#"{ "graph" : [1,2] , "flow" : {"dst":"10.0.0.0/24"} }"#,
             "{\n\t\"flow\": \"f\\\"1\",\n\t\"graph\": null\n}",
             r#"{"extra":7,"flow":true,"graph":"{not json}"}"#,
+            r#"{"flow":1,"graph":2}"#,
         ];
         for case in cases {
-            let raw = RawRecord::from_json_span(case.as_bytes().to_vec(), 3, 1);
+            let raw = from_json_span(case.as_bytes(), 3, 1).unwrap();
             let (flow, graph) = raw.split_spans(None).unwrap();
-            // each located span must itself be a parsable JSON value
-            for span in [flow, graph] {
-                let text = std::str::from_utf8(span.as_slice()).unwrap();
-                serde_json::from_str::<Value>(text).unwrap_or_else(|e| panic!("{case}: {e}"));
+            // each located span must itself be a parsable JSON value, and
+            // sit at its recorded offset
+            for (span, at) in [(flow, raw.flow_at), (graph, raw.graph_at)] {
+                serde_json::from_slice::<Value>(&span).unwrap_or_else(|e| panic!("{case}: {e}"));
+                let rel = (at - raw.offset) as usize;
+                assert_eq!(&case.as_bytes()[rel..rel + span.len()], &span[..], "{case}");
             }
         }
     }
 
     #[test]
     fn split_spans_missing_fields_match_the_decode_contract() {
-        let raw = RawRecord::from_json_span(br#"{"graph": null}"#.to_vec(), 11, 4);
-        let err = raw.split_spans(Some("pre.json")).unwrap_err();
-        assert_eq!(err.entry_index(), Some(4));
-        assert_eq!(err.byte_offset(), Some(11));
-        assert_eq!(err.label(), Some("pre.json"));
-        assert!(err.to_string().contains("missing field `flow`"), "{err}");
-        let raw = RawRecord::from_json_span(br#"{"flow": null}"#.to_vec(), 0, 0);
-        let err = raw.split_spans(None).unwrap_err();
-        assert!(err.to_string().contains("missing field `graph`"), "{err}");
+        // the framer refuses a record it cannot split, with the message,
+        // offset, index and label a keyed decode of it would report
+        let cases = [
+            (r#"{"graph": null}"#, "missing field `flow`"),
+            (r#"{"flow": null}"#, "missing field `graph`"),
+            (r#"[{"flow": null, "graph": null}]"#, "missing field `flow`"),
+            (
+                r#"{"flow": {"graph": 1}, "note": {"graph": 2}}"#,
+                "missing field `graph`",
+            ),
+        ];
+        for (record, message) in cases {
+            let doc = format!("{{\"fecs\":[{},{record}]}}", record_text(0));
+            let offset = 10 + record_text(0).len();
+            let err = frame_all(doc.as_bytes()).unwrap_err();
+            assert_eq!(err.entry_index(), Some(1));
+            assert_eq!(err.byte_offset(), Some(offset as u64));
+            assert_eq!(err.label(), Some("doc"));
+            assert_eq!(err.message(), message, "{record}");
+            let reader = SnapshotReader::new(doc.as_bytes()).with_label("doc");
+            assert_eq!(reader.collect::<Result<Vec<_>, _>>().unwrap_err(), err);
+            let hand_built = from_json_span(record.as_bytes(), offset as u64, 1).unwrap_err();
+            assert_eq!(hand_built.with_source_label("doc"), err);
+        }
     }
 
     #[test]
-    fn decode_flow_splits_canonical_records_and_falls_back() {
+    fn decode_flow_reads_the_flow_span_and_hands_out_the_graph_span() {
         let snap = three_fec_snapshot();
-        let json = snap.to_json().unwrap();
-        for raw in SnapshotFramer::new(json.as_bytes(), "pre.json") {
-            let raw = raw.unwrap();
-            match raw.decode_flow(Some("pre.json")).unwrap() {
-                FlowDecoded::Split(flow, graph_span) => {
-                    let (expect_flow, expect_graph) = raw.decode(None).unwrap();
-                    assert_eq!(flow, expect_flow);
-                    let graph = decode_graph_span(graph_span.as_slice()).unwrap();
-                    assert_eq!(graph, expect_graph);
-                }
-                FlowDecoded::Full(..) => panic!("canonical record took the fallback"),
+        for container in [snap.to_json().unwrap().into_bytes(), pack(&snap)] {
+            for raw in SnapshotFramer::new(&container[..], "pre") {
+                let raw = raw.unwrap();
+                let (flow, graph_span) = raw.decode_flow(Some("pre")).unwrap();
+                assert_eq!(graph_span, raw.graph);
+                let (expect_flow, expect_graph) = raw.decode(None).unwrap();
+                assert_eq!(flow, expect_flow);
+                assert_eq!(decode_graph_span(&graph_span).unwrap(), expect_graph);
             }
         }
-        // shape errors surface through the fallback with decode's message
-        let raw = RawRecord::from_json_span(br#"{"graph": null}"#.to_vec(), 5, 2);
+        // a flow of the wrong shape is reported at the record's start,
+        // as `decode` reports it
+        let raw = from_json_span(br#"{"flow": 7, "graph": null}"#, 5, 2).unwrap();
         let err = raw.decode_flow(None).unwrap_err();
-        let expect = raw.decode(None).unwrap_err();
-        assert_eq!(err, expect);
+        assert_eq!(err, raw.decode(None).unwrap_err());
+        assert_eq!((err.byte_offset(), err.entry_index()), (Some(5), Some(2)));
+    }
+
+    #[test]
+    fn a_span_that_is_not_json_fails_at_its_own_byte() {
+        let snap = three_fec_snapshot();
+        let packed = pack(&snap);
+        let second = SnapshotFramer::new(&packed[..], "x")
+            .nth(1)
+            .unwrap()
+            .unwrap();
+        // a graph span cut short, one with a stray byte, and one with
+        // something after its value; then the same for the flow span
+        let graph_at = second.graph_at as usize;
+        let flow_at = second.flow_at as usize;
+        let cases = [
+            (
+                graph_at + 12,
+                b'#',
+                "unexpected character `#`",
+                graph_at + 12,
+            ),
+            (graph_at, b' ', "trailing characters", graph_at + 11),
+            (
+                flow_at + second.flow.len() - 1,
+                b' ',
+                "unexpected end",
+                flow_at + second.flow.len(),
+            ),
+        ];
+        for (byte, with, message, at) in cases {
+            let mut doc = packed.clone();
+            doc[byte] = with;
+            let raw = SnapshotFramer::new(&doc[..], "x").nth(1).unwrap().unwrap();
+            let err = raw.decode(Some("x")).unwrap_err();
+            assert!(
+                err.message()
+                    .starts_with(&format!("record span: {message}")),
+                "{err}"
+            );
+            assert_eq!(err.byte_offset(), Some(at as u64), "{err}");
+            assert_eq!(err.entry_index(), Some(1));
+            // no line or column: they would count into the span
+            assert!(!err.to_string().contains("line"), "{err}");
+            let read = SnapshotReader::new(&doc[..]).with_label("x");
+            assert_eq!(read.collect::<Result<Vec<_>, _>>().unwrap_err(), err);
+        }
     }
 
     // ---- in-place JSON framing over the chunk arena -------------------
@@ -1906,18 +1858,11 @@ mod tests {
         SnapshotFramer::new(doc, "doc").collect()
     }
 
-    /// The chunk a framed JSON record shares.
+    /// The chunk a framed record's spans share.
     fn chunk_of(raw: &RawRecord) -> &Arc<Vec<u8>> {
-        match &raw.body {
-            RecordBody::Json {
-                record:
-                    SpanBytes {
-                        buf: SpanBuf::Owned(chunk),
-                        ..
-                    },
-                ..
-            } => chunk,
-            _ => panic!("not a framed JSON record"),
+        match &raw.graph.buf {
+            SpanBuf::Owned(chunk) => chunk,
+            SpanBuf::Mapped(_) => panic!("not a buffered record"),
         }
     }
 
@@ -1966,8 +1911,9 @@ mod tests {
         let doc = format!("{{\"fecs\":[{},{big},{}]}}", record_text(0), record_text(2));
         let framed = frame_all(doc.as_bytes()).unwrap();
         assert_eq!(framed.len(), 3);
-        assert_eq!(framed[1].json_bytes(), big.as_bytes());
         assert_eq!(framed[1].offset as usize, 9 + record_text(0).len() + 1);
+        let graph_at = framed[1].offset as usize + big.len() - 1 - EMPTY_GRAPH.len();
+        assert_eq!(framed[1].graph_at as usize, graph_at);
         let (_, graph) = framed[1].split_spans(None).unwrap();
         assert_eq!(graph.as_slice(), EMPTY_GRAPH.as_bytes());
         assert!(chunk_of(&framed[1]).len() >= big.len());
@@ -2025,19 +1971,19 @@ mod tests {
         let flow = r#"{"dst":"10.0.0.0/24","ingress":"x1"}"#;
         let graph = serde_json::to_string(&linear_graph(&["x1", "A1"])).unwrap();
         let canonical = format!(r#"{{"flow":{flow},"graph":{graph}}}"#);
-        let located = [
+        let others = [
             format!(r#"{{"graph":{graph},"flow":{flow}}}"#),
             format!(r#"{{"note":[1,{{"flow":0}}],"flow":{flow},"extra":"graph","graph":{graph}}}"#),
             format!("{{\n\t\"flow\" : {flow} ,\r\n\t\"graph\" :\t{graph}\n}}"),
+            // keys spelled with escapes are the same keys
+            format!(r#"{{"fl\u006fw":{flow},"gr\u0061ph":{graph}}}"#),
+            format!(r#"{{"graph":{graph},"flow":{flow},"fl\\ow":0}}"#),
         ];
-        let escaped = format!(r#"{{"fl\u006fw":{flow},"graph":{graph}}}"#);
-        let doc = format!(
-            "{{\"fecs\": [{canonical},{},{escaped}]}}",
-            located.join(" , ")
-        );
+        let doc = format!("{{\"fecs\": [{canonical},{}]}}", others.join(" , "));
         let framed = frame_all(doc.as_bytes()).unwrap();
+        assert_eq!(framed.len(), 6);
         let expected = framed[0].decode(None).unwrap();
-        for raw in &framed[..4] {
+        for raw in &framed {
             let (flow_span, graph_span) = raw.split_spans(None).unwrap();
             assert_eq!(flow_span.as_slice(), flow.as_bytes());
             assert_eq!(graph_span.as_slice(), graph.as_bytes());
@@ -2045,33 +1991,11 @@ mod tests {
                 crate::content_hash128(&graph_span),
                 crate::content_hash128(graph.as_bytes())
             );
-            assert!(matches!(
-                raw.decode_flow(None).unwrap(),
-                FlowDecoded::Split(f, g) if f == expected.0 && g == graph_span
-            ));
+            let (f, g) = raw.decode_flow(None).unwrap();
+            assert_eq!((f, &g), (expected.0.clone(), &graph_span));
             assert_eq!(raw.decode(None).unwrap(), expected);
-            // a hand-built record over the same bytes locates the same
-            let rebuilt = RawRecord::from_json_span(raw.json_bytes().into_owned(), 0, 0);
-            assert_eq!(rebuilt.split_spans(None).unwrap(), (flow_span, graph_span));
-        }
-        // a key spelled with an escape is not located: the span splitter
-        // reports the field missing and the flow decode takes the full
-        // decode, whose graph re-serializes to the canonical span
-        let raw = &framed[4];
-        let err = raw.split_spans(Some("doc")).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            format!(
-                "doc: snapshot entry #4: missing field `flow` (byte {})",
-                raw.offset
-            )
-        );
-        match raw.decode_flow(None).unwrap() {
-            FlowDecoded::Full(f, g) => {
-                assert_eq!((f, &g), (expected.0.clone(), &expected.1));
-                assert_eq!(serde_json::to_string(&g).unwrap(), graph);
-            }
-            FlowDecoded::Split(..) => panic!("an escaped key was located"),
+            // every record glues to the canonical one
+            assert_eq!(raw.json_bytes(), canonical.as_bytes());
         }
     }
 
@@ -2091,29 +2015,26 @@ mod tests {
                 format!(r#"{{"flow":{flow},"graph":null,"graph":{EMPTY_GRAPH}}}"#),
                 "graph",
             ),
+            (
+                format!(r#"{{"flow":{flow},"graph":{EMPTY_GRAPH},"graph":{EMPTY_GRAPH}}}"#),
+                "graph",
+            ),
+            // a repeated flow outranks a repeated graph, wherever it sits
+            (
+                format!(r#"{{"graph":null,"graph":null,"flow":{flow},"flow":{flow}}}"#),
+                "flow",
+            ),
         ];
         for (record, name) in cases {
             let doc = format!("{{\"fecs\":[{},{record}]}}", record_text(9));
-            let framed = frame_all(doc.as_bytes()).unwrap();
-            let raw = &framed[1];
-            let expected = format!(
-                "doc: snapshot entry #1: duplicate field `{name}` (byte {})",
-                raw.offset
-            );
-            assert_eq!(raw.decode(Some("doc")).unwrap_err().to_string(), expected);
-            assert_eq!(
-                raw.split_spans(Some("doc")).unwrap_err().to_string(),
-                expected
-            );
-            assert_eq!(
-                raw.decode_flow(Some("doc")).unwrap_err().to_string(),
-                expected
-            );
-            let rebuilt = RawRecord::from_json_span(record.into_bytes(), raw.offset, 1);
-            assert_eq!(
-                rebuilt.decode(Some("doc")).unwrap_err().to_string(),
-                expected
-            );
+            let offset = 10 + record_text(9).len();
+            let expected =
+                format!("doc: snapshot entry #1: duplicate field `{name}` (byte {offset})");
+            // the framer refuses the record: no accessor ever sees it
+            let err = frame_all(doc.as_bytes()).unwrap_err();
+            assert_eq!(err.to_string(), expected);
+            let hand_built = from_json_span(record.as_bytes(), offset as u64, 1).unwrap_err();
+            assert_eq!(hand_built.with_source_label("doc").to_string(), expected);
             // the serial reader names the same record
             let err = SnapshotReader::new(doc.as_bytes())
                 .with_label("doc")
@@ -2124,7 +2045,8 @@ mod tests {
         // a nested `flow` key is the graph's own business
         let nested =
             format!(r#"{{"flow":{flow},"graph":{EMPTY_GRAPH},"meta":{{"flow":1,"flow":2}}}}"#);
-        RawRecord::from_json_span(nested.into_bytes(), 0, 0)
+        from_json_span(nested.as_bytes(), 0, 0)
+            .unwrap()
             .decode(None)
             .unwrap();
     }
@@ -2259,7 +2181,7 @@ mod tests {
         loop {
             match frame_value(doc, pos, true, &mut Vec::new()) {
                 Ok(end) => {
-                    let raw = RawRecord::from_json_span(doc[pos..end].to_vec(), 0, 0);
+                    let raw = from_json_span(&doc[pos..end], 0, 0).unwrap();
                     let (flow, graph) = raw.split_spans(None).unwrap();
                     records.push((pos as u64, flow.to_vec(), graph.to_vec()));
                     if doc[end] != b',' {
@@ -2367,15 +2289,13 @@ mod tests {
             (pack(&snap), 8, 4),
         ];
         for (doc, head, tail) in containers {
-            // where each record ends: an entry is "being read" from the
-            // end of the one before it, separator included
+            // where each record ends — after its graph, and a JSON
+            // record's `}` — an entry is "being read" from the end of the
+            // one before it, separator included
             let ends: Vec<usize> = frame_all(&doc)
                 .unwrap()
                 .iter()
-                .map(|raw| match &raw.body {
-                    RecordBody::Json { record, .. } => raw.offset as usize + record.len(),
-                    RecordBody::Split { .. } => raw.offset as usize + 8 + raw.span_len(),
-                })
+                .map(|raw| raw.graph_at as usize + raw.graph.len() + usize::from(doc[0] == b'{'))
                 .collect();
             assert_eq!(ends[2] + tail + usize::from(doc[0] == b'{'), doc.len());
             for k in 0..=doc.len() {

@@ -27,7 +27,7 @@ use rela_core::{CheckSession, JobOptions, JobSpec, LabeledSource, SessionConfig}
 use rela_net::faultio::FaultPlan;
 use rela_net::{
     diff_side, pair_epoch, scan_side, snapshot_source, write_delta, BinarySnapshotWriter,
-    Granularity, LocationDb, MmapSource, RecordBody, SideScan, Snapshot, SnapshotPair,
+    Granularity, LocationDb, MmapSource, SideScan, Snapshot, SnapshotFramer, SnapshotPair,
     BINARY_MAGIC,
 };
 use serde::{Serialize, Value};
@@ -653,14 +653,21 @@ impl PackArgs {
             return Err(path_error(output, "--out is the same file as --in"));
         }
         let label = input.display().to_string();
-        let mut framer = labeled(input)?.into_framer();
+        // the decompressed head says which container `--in` is
+        let mut source = open_snapshot(input)?;
+        let mut head = Vec::new();
+        (&mut source)
+            .take(BINARY_MAGIC.len() as u64)
+            .read_to_end(&mut head)
+            .map_err(|e| path_error(input, e))?;
+        let already_binary = head == BINARY_MAGIC;
+        let mut framer = SnapshotFramer::new(std::io::Cursor::new(head).chain(source), &label);
         let file = std::fs::File::create(output).map_err(|e| path_error(output, e))?;
         let mut sink = std::io::BufWriter::new(file);
         let fail_out = |e: std::io::Error| path_error(output, e);
         let count = if self.unpack {
-            // record spans are already the JSON writer's bytes (and
-            // binary spans reassemble to them), so splicing the records
-            // reproduces the canonical JSON container
+            // a record's spans are the JSON writer's bytes, so gluing
+            // them reproduces the canonical JSON container
             sink.write_all(b"{\"fecs\":[").map_err(fail_out)?;
             let mut written = 0usize;
             for raw in &mut framer {
@@ -677,22 +684,10 @@ impl PackArgs {
         } else {
             // re-packing RSNB is a cheap span copy, not a re-encode, but
             // the user probably meant to pack a JSON snapshot
-            let mut already_binary = false;
             let mut writer = BinarySnapshotWriter::new(sink).map_err(fail_out)?;
             for raw in &mut framer {
                 let raw = raw.map_err(invalid_snapshot)?;
-                already_binary |= matches!(raw.body, RecordBody::Split { .. });
-                match raw.split_spans(Some(&label)) {
-                    Ok((flow, graph)) => writer
-                        .write_raw(flow.as_slice(), graph.as_slice())
-                        .map_err(fail_out)?,
-                    Err(_) => {
-                        // non-canonical encoding: decode once and
-                        // re-serialize to the canonical spans
-                        let (flow, graph) = raw.decode(Some(&label)).map_err(invalid_snapshot)?;
-                        writer.write(&flow, &graph).map_err(fail_out)?;
-                    }
-                }
+                writer.write_raw(&raw.flow, &raw.graph).map_err(fail_out)?;
             }
             let written = writer.written();
             let mut sink = writer.finish().map_err(fail_out)?;

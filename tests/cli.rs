@@ -1042,6 +1042,14 @@ fn snapshot_pack_is_idempotent_in_both_directions() {
         read("back2.json"),
         "unpacking a JSON container must reproduce it byte for byte"
     );
+
+    // the container is read off the head of the input, not off its
+    // records: a binary snapshot with none is warned about too
+    let empty = [&b"RSNB"[..], &1u32.to_le_bytes(), &u32::MAX.to_le_bytes()].concat();
+    std::fs::write(work.dir.join("empty.rsnb"), &empty).unwrap();
+    let text = pack(&work, "empty.rsnb", "empty2.rsnb", false);
+    assert!(text.contains("already a binary snapshot"), "{text}");
+    assert_eq!(read("empty2.rsnb"), empty);
 }
 
 /// The CI `cache-warm` contract, in-process: same snapshot pair twice

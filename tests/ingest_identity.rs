@@ -9,7 +9,9 @@ use rela::lang::{
     CheckReport, CheckSession, IngestMode, JobError, JobOptions, JobSpec, LabeledSource,
     SessionConfig,
 };
-use rela::net::{BinarySnapshotWriter, Granularity, MmapSource, SnapshotDelta, SnapshotFramer};
+use rela::net::{
+    BinarySnapshotWriter, Granularity, MmapSource, RawRecord, SnapshotDelta, SnapshotFramer,
+};
 use rela::sim::workload::{iteration_deltas, spec_of_size, synthetic_wan, WanParams};
 
 fn params() -> WanParams {
@@ -316,10 +318,15 @@ fn truncated_delta_documents_keep_the_error_contract() {
     }
 }
 
-/// `doc` with the record at `offset` (`len` bytes long) given a second
-/// `graph` member: an empty graph, after the one it already has.
-fn with_second_graph(doc: &[u8], offset: u64, len: usize) -> Vec<u8> {
-    let close = offset as usize + len - 1;
+/// The index of the `}` that closes `raw`, a canonical JSON record,
+/// whose graph is its last member.
+fn record_close(raw: &RawRecord) -> usize {
+    raw.graph_at as usize + raw.graph.len()
+}
+
+/// `doc` with the record its `close` byte ends given a second `graph`
+/// member: an empty graph, after the one it already has.
+fn with_second_graph(doc: &[u8], close: usize) -> Vec<u8> {
     assert_eq!(doc[close], b'}');
     let mut out = doc[..close].to_vec();
     out.extend_from_slice(
@@ -339,7 +346,7 @@ fn a_repeated_graph_key_is_the_same_error_in_every_container_and_mode() {
         .nth(5)
         .unwrap()
         .unwrap();
-    let post = with_second_graph(fx.post_json.as_bytes(), target.offset, target.span_len());
+    let post = with_second_graph(fx.post_json.as_bytes(), record_close(&target));
     let expected = format!(
         "post: snapshot entry #5: duplicate field `graph` (byte {})",
         target.offset
@@ -376,7 +383,7 @@ fn a_repeated_graph_key_is_the_same_error_in_every_container_and_mode() {
     // and so does a delta document, addressed within the document
     let delta = SnapshotDelta::from_reader(&fx.delta_post[..], "delta:post").unwrap();
     let record = &delta.records[0];
-    let doc = with_second_graph(&fx.delta_post, record.offset, record.span_len());
+    let doc = with_second_graph(&fx.delta_post, record_close(record));
     let s = session(&fx, true);
     s.run(stream_job(
         fx.pre_json.as_bytes(),
@@ -403,4 +410,41 @@ fn a_repeated_graph_key_is_the_same_error_in_every_container_and_mode() {
             record.offset
         )
     );
+}
+
+#[test]
+fn a_malformed_value_in_a_binary_record_is_reported_at_its_failing_byte() {
+    // a stray byte inside record #1's graph span, then one at the end of
+    // its flow span: each is addressed by its own byte in the file — not
+    // the record's start, nor a column of a record glued around the span
+    let fx = fixture();
+    let pre = pack(&fx.pre_json);
+    let intact = pack(&fx.post_json);
+    let target = SnapshotFramer::new(&intact[..], "post")
+        .nth(1)
+        .unwrap()
+        .unwrap();
+    let graph_byte = target.graph_at as usize + 12;
+    let flow_byte = target.flow_at as usize + target.flow.len() - 1;
+    assert_eq!((intact[graph_byte], intact[flow_byte]), (b'[', b'}'));
+    let cases = [
+        (graph_byte, "unexpected character `#`"),
+        (flow_byte, "expected `,` or `}`"),
+    ];
+    for (byte, message) in cases {
+        let mut post = intact.clone();
+        post[byte] = b'#';
+        let expected = format!("post: snapshot entry #1: record span: {message} (byte {byte})");
+        for mode in [IngestMode::Materialized, IngestMode::Pipelined] {
+            for (how, job) in [
+                ("buffered", stream_job(&pre, &post, mode)),
+                ("mapped", mapped_job(&pre, &post, mode)),
+            ] {
+                let err = session(&fx, false).run(job).unwrap_err();
+                assert_eq!(err.to_string(), expected, "{how} × {mode:?}");
+                assert_eq!(err.byte_offset(), Some(byte as u64), "{how} × {mode:?}");
+                assert_eq!(err.entry_index(), Some(1), "{how} × {mode:?}");
+            }
+        }
+    }
 }

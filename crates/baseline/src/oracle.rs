@@ -13,8 +13,11 @@
 //! checker's lowering, determinization, and equivalence decisions match
 //! an independent per-FEC implementation, across whatever ingest path
 //! produced the pair. It says nothing about richer spec features
-//! (`any`/`add`/`remove` modifiers, `else` chains, `where` zones) —
-//! those have their own unit and property tests in `rela-core`.
+//! (`any`/`add`/`remove` modifiers, `else` chains, `where` zones, pspec
+//! routes, raw RIR, ECMP limits): the harness judges those in a second
+//! column, against an exact evaluator of the paper's Appendix-A
+//! semantics kept with `rela-core`'s tests (`docs/FUZZING.md`, *Oracle
+//! semantics*).
 
 use crate::pathdiff::{path_diff, DiffOptions, PathDiff};
 use rela_net::{FlowSpec, Granularity, LocationDb, SnapshotPair};

@@ -24,8 +24,10 @@
 //! use rela_core::check::Checker;
 //! ```
 //!
-//! The executable reference semantics of the RIR (paper Appendix A)
-//! lives in [`semantics`] and cross-checks the automata path in tests.
+//! The paper's Appendix-A semantics is not part of this crate: it is
+//! test support, an exact evaluator that the lowering and, end to end,
+//! every verdict and part attribution of [`CheckSession::run`] are
+//! checked against (`docs/FUZZING.md`, *Oracle semantics*).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,7 +44,6 @@ pub mod pspec;
 pub mod report;
 mod retain;
 pub mod rir;
-pub mod semantics;
 pub mod session;
 
 pub use ast::{Def, Modifier, PathRegex, PredExpr, Program, RirExpr, RirSpecExpr, SpecExpr};

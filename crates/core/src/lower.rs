@@ -162,7 +162,6 @@ pub fn decide_spec(s: &RirSpec, env: &PairFsas) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semantics::{eval_pathset, eval_spec, EvalCtx, Paths};
     use rela_automata::{SymSet, Symbol};
 
     fn s(ix: usize) -> Symbol {
@@ -177,13 +176,7 @@ mod tests {
         PathSet::Star(Box::new(PathSet::Atom(SymSet::universe())))
     }
 
-    fn env_from(pre: &[&[usize]], post: &[&[usize]]) -> (PairFsas, EvalCtx) {
-        let to_paths = |paths: &[&[usize]]| -> Paths {
-            paths
-                .iter()
-                .map(|p| p.iter().map(|&i| s(i)).collect::<Vec<_>>())
-                .collect()
-        };
+    fn env_from(pre: &[&[usize]], post: &[&[usize]]) -> PairFsas {
         let to_nfa = |paths: &[&[usize]]| -> Nfa {
             paths
                 .iter()
@@ -193,138 +186,7 @@ mod tests {
                 })
                 .fold(Nfa::empty_language(), |acc, n| acc.union(&n))
         };
-        let env = PairFsas::new(to_nfa(pre), to_nfa(post));
-        let ctx = EvalCtx {
-            pre: to_paths(pre),
-            post: to_paths(post),
-            alphabet: vec![s(0), s(1), s(2)],
-            max_len: 4,
-        };
-        (env, ctx)
-    }
-
-    /// Assert that the automaton for `p` and the reference evaluator
-    /// agree on all paths up to the context bound.
-    fn assert_matches_reference(p: &PathSet, env: &PairFsas, ctx: &EvalCtx) {
-        let nfa = lower_pathset(p, env);
-        let expected = eval_pathset(p, ctx);
-        for w in ctx.universe() {
-            assert_eq!(
-                nfa.accepts(&w),
-                expected.contains(&w),
-                "term {p:?} disagrees on {w:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn atoms_states_and_boolean_ops_match_reference() {
-        let (env, ctx) = env_from(&[&[0, 1]], &[&[0, 2]]);
-        for p in [
-            atom(0),
-            PathSet::PreState,
-            PathSet::PostState,
-            PathSet::Union(vec![PathSet::PreState, PathSet::PostState]),
-            PathSet::Inter(Box::new(PathSet::PreState), Box::new(PathSet::PostState)),
-            PathSet::Complement(Box::new(PathSet::PreState)),
-            PathSet::PreState.diff(PathSet::PostState),
-            PathSet::Concat(vec![atom(0), PathSet::Star(Box::new(atom(1)))]),
-        ] {
-            assert_matches_reference(&p, &env, &ctx);
-        }
-    }
-
-    #[test]
-    fn image_matches_reference() {
-        let (env, ctx) = env_from(&[&[0, 1], &[2]], &[&[0, 2]]);
-        let cases = [
-            // preserve: PreState ⊲ I(.*)
-            PathSet::Image(
-                Box::new(PathSet::PreState),
-                Box::new(Rel::Ident(Box::new(any_star()))),
-            ),
-            // rewrite: PreState ⊲ (({0}{1}) × {2})
-            PathSet::Image(
-                Box::new(PathSet::PreState),
-                Box::new(Rel::Cross(
-                    Box::new(PathSet::Concat(vec![atom(0), atom(1)])),
-                    Box::new(atom(2)),
-                )),
-            ),
-            // union of identity and rewrite (the add-modifier shape)
-            PathSet::Image(
-                Box::new(PathSet::PreState),
-                Box::new(Rel::Union(vec![
-                    Rel::Ident(Box::new(any_star())),
-                    Rel::Cross(Box::new(atom(2)), Box::new(atom(1))),
-                ])),
-            ),
-            // concatenated relation: I({0}) · ({1} × {2})
-            PathSet::Image(
-                Box::new(PathSet::PreState),
-                Box::new(Rel::Concat(vec![
-                    Rel::Ident(Box::new(atom(0))),
-                    Rel::Cross(Box::new(atom(1)), Box::new(atom(2))),
-                ])),
-            ),
-        ];
-        for p in cases {
-            assert_matches_reference(&p, &env, &ctx);
-        }
-    }
-
-    #[test]
-    fn compose_and_star_rel_match_reference() {
-        let (env, ctx) = env_from(&[&[0, 0]], &[&[1, 1]]);
-        let star_rel = Rel::Star(Box::new(Rel::Cross(Box::new(atom(0)), Box::new(atom(1)))));
-        let p1 = PathSet::Image(Box::new(PathSet::PreState), Box::new(star_rel));
-        assert_matches_reference(&p1, &env, &ctx);
-
-        let comp = Rel::Compose(
-            Box::new(Rel::Cross(Box::new(atom(0)), Box::new(atom(1)))),
-            Box::new(Rel::Cross(Box::new(atom(1)), Box::new(atom(2)))),
-        );
-        let p2 = PathSet::Image(Box::new(atom(0)), Box::new(comp));
-        assert_matches_reference(&p2, &env, &ctx);
-    }
-
-    #[test]
-    fn decide_spec_agrees_with_reference() {
-        let (env, ctx) = env_from(&[&[0, 1], &[2]], &[&[0, 1]]);
-        let specs = [
-            RirSpec::Equal(PathSet::PreState, PathSet::PostState),
-            RirSpec::Subset(PathSet::PostState, PathSet::PreState),
-            RirSpec::Subset(PathSet::PreState, PathSet::PostState),
-            RirSpec::Equal(
-                PathSet::Image(
-                    Box::new(PathSet::PreState),
-                    Box::new(Rel::Ident(Box::new(any_star()))),
-                ),
-                PathSet::Image(
-                    Box::new(PathSet::PostState),
-                    Box::new(Rel::Ident(Box::new(any_star()))),
-                ),
-            ),
-            RirSpec::Not(Box::new(RirSpec::Equal(
-                PathSet::PreState,
-                PathSet::PostState,
-            ))),
-            RirSpec::And(
-                Box::new(RirSpec::Subset(PathSet::PostState, PathSet::PreState)),
-                Box::new(RirSpec::Subset(PathSet::PreState, PathSet::PostState)),
-            ),
-            RirSpec::Or(
-                Box::new(RirSpec::Equal(PathSet::PreState, PathSet::PostState)),
-                Box::new(RirSpec::Subset(PathSet::PostState, PathSet::PreState)),
-            ),
-        ];
-        for spec in specs {
-            assert_eq!(
-                decide_spec(&spec, &env),
-                eval_spec(&spec, &ctx),
-                "spec {spec:?}"
-            );
-        }
+        PairFsas::new(to_nfa(pre), to_nfa(post))
     }
 
     #[test]
@@ -346,7 +208,7 @@ mod tests {
             guarded(&g2, keep()),
             guarded(&g2, rewrite()),
         ];
-        let (env, _) = env_from(&[], &[]);
+        let env = env_from(&[], &[]);
         let mut shared = Lowering::new(&env);
         for rel in &rels {
             let (once, fresh) = (shared.rel(rel), lower_rel(rel, &env));
@@ -364,7 +226,7 @@ mod tests {
     #[test]
     fn footnote3_unconditional_addition() {
         // PostState = PreState | P: "exactly the paths of P are added"
-        let (env, _) = env_from(&[&[0]], &[&[0], &[1, 2]]);
+        let env = env_from(&[&[0]], &[&[0], &[1, 2]]);
         let added = PathSet::Concat(vec![atom(1), atom(2)]);
         let spec = RirSpec::Equal(
             PathSet::PostState,
@@ -372,7 +234,7 @@ mod tests {
         );
         assert!(decide_spec(&spec, &env));
         // wrong addition fails
-        let (env2, _) = env_from(&[&[0]], &[&[0], &[1, 1]]);
+        let env2 = env_from(&[&[0]], &[&[0], &[1, 1]]);
         let spec2 = RirSpec::Equal(
             PathSet::PostState,
             PathSet::Union(vec![
@@ -392,23 +254,13 @@ mod tests {
             PathSet::Union(vec![PathSet::PreState, zone]),
         ));
         // additions within the zone are fine
-        let (env_ok, _) = env_from(&[&[0]], &[&[0], &[1, 2]]);
+        let env_ok = env_from(&[&[0]], &[&[0], &[1, 2]]);
         assert!(decide_spec(&spec, &env_ok));
         // additions outside the zone violate
-        let (env_bad, _) = env_from(&[&[0]], &[&[0], &[2, 2]]);
+        let env_bad = env_from(&[&[0]], &[&[0], &[2, 2]]);
         assert!(!decide_spec(&spec, &env_bad));
         // removals violate
-        let (env_rm, _) = env_from(&[&[0]], &[]);
+        let env_rm = env_from(&[&[0]], &[]);
         assert!(!decide_spec(&spec, &env_rm));
-    }
-
-    #[test]
-    fn empty_snapshots_are_handled() {
-        let (env, ctx) = env_from(&[], &[]);
-        assert_matches_reference(&PathSet::PreState, &env, &ctx);
-        assert!(decide_spec(
-            &RirSpec::Equal(PathSet::PreState, PathSet::PostState),
-            &env
-        ));
     }
 }

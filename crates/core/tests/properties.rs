@@ -4,19 +4,27 @@
 //!
 //! 1. **RIR soundness** — for random RIR terms over small snapshot pairs,
 //!    the automata-based decision procedure ([`rela_core::lower`]) must
-//!    agree with the executable reference semantics of Appendix A
-//!    ([`rela_core::semantics`]), word-for-word up to the length bound.
+//!    agree with the exact reference semantics of Appendix A
+//!    (`support::semantics`, test support that ships in no crate):
+//!    word for word on any term of its fragment, and verdict for verdict
+//!    on any spec.
 //! 2. **Fig. 4 invariants** — for random surface specs, compiled
 //!    relations must satisfy the paper's framing: a spec always accepts
 //!    the identical pre/post pair when its relations preserve the
 //!    snapshot's zone-restricted behaviour (e.g. `preserve`-only specs),
 //!    and zone complements route correctly through `else`.
+//!
+//! The reference evaluator's own tests, and the lowering tests that
+//! compare against it, keep the module paths they had inside `rela-core`
+//! (`semantics::tests`, `lower::tests`).
+
+mod support;
 
 use proptest::prelude::*;
 use rela_automata::{Nfa, SymSet, Symbol};
-use rela_core::semantics::{eval_pathset, eval_spec, EvalCtx, Paths};
 use rela_core::{decide_spec, lower_pathset, PairFsas, PathSet, Rel, RirSpec};
 use std::collections::BTreeSet;
+use support::semantics::{contains, eval_spec, words, EvalCtx, Paths};
 
 const ALPHABET: usize = 3;
 const MAX_LEN: usize = 3;
@@ -25,22 +33,8 @@ fn sym(ix: usize) -> Symbol {
     Symbol::from_index(ix)
 }
 
-fn words_up_to(len: usize) -> Vec<Vec<Symbol>> {
-    let mut out = vec![vec![]];
-    let mut frontier = vec![vec![]];
-    for _ in 0..len {
-        let mut next = Vec::new();
-        for w in &frontier {
-            for a in 0..ALPHABET {
-                let mut w2 = w.clone();
-                w2.push(sym(a));
-                out.push(w2.clone());
-                next.push(w2);
-            }
-        }
-        frontier = next;
-    }
-    out
+fn alphabet() -> Vec<Symbol> {
+    (0..ALPHABET).map(sym).collect()
 }
 
 /// Strategy: a small set of concrete paths (a snapshot).
@@ -52,65 +46,106 @@ fn paths_strategy() -> impl Strategy<Value = Paths> {
     )
 }
 
-/// Strategy: a random symbolic set over the small alphabet.
+/// Strategy: a random finite symbolic set over the small alphabet.
+fn finite_symset_strategy() -> BoxedStrategy<SymSet> {
+    proptest::collection::vec(0..ALPHABET, 0..3)
+        .prop_map(|v| SymSet::from_syms(v.into_iter().map(sym).collect()))
+}
+
+/// Strategy: a random symbolic set, finite or co-finite.
 fn symset_strategy() -> impl Strategy<Value = SymSet> {
     prop_oneof![
         Just(SymSet::universe()),
-        proptest::collection::vec(0..ALPHABET, 0..3)
-            .prop_map(|v| SymSet::from_syms(v.into_iter().map(sym).collect())),
+        finite_symset_strategy(),
         proptest::collection::vec(0..ALPHABET, 1..3)
             .prop_map(|v| SymSet::all_except(v.into_iter().map(sym).collect())),
     ]
 }
 
-/// Strategy: a random RIR path set (including states, boolean algebra,
-/// and images under random relations).
-fn pathset_strategy() -> impl Strategy<Value = PathSet> {
-    let leaf = prop_oneof![
+/// Strategies for random RIR path sets of the reference evaluator's
+/// fragment, `depth` levels deep: `(finite, any)` — sets it enumerates,
+/// and sets it only asks about a word. Images take a finite domain and a
+/// relation with finite outputs.
+fn fragment_strategies(depth: u32) -> (BoxedStrategy<PathSet>, BoxedStrategy<PathSet>) {
+    let finite_leaf = prop_oneof![
         Just(PathSet::Empty),
         Just(PathSet::Eps),
         Just(PathSet::PreState),
         Just(PathSet::PostState),
-        symset_strategy().prop_map(PathSet::Atom),
+        finite_symset_strategy().prop_map(PathSet::Atom),
+    ]
+    .boxed();
+    let any_leaf = prop_oneof![
+        finite_leaf.clone(),
+        symset_strategy().prop_map(PathSet::Atom)
+    ]
+    .boxed();
+    if depth == 0 {
+        return (finite_leaf, any_leaf);
+    }
+    let (finite, any) = fragment_strategies(depth - 1);
+    let rel = rel_strategy(finite.clone(), any.clone());
+    let finite_level = prop_oneof![
+        proptest::collection::vec(finite.clone(), 2..3).prop_map(PathSet::Union),
+        proptest::collection::vec(finite.clone(), 2..3).prop_map(PathSet::Concat),
+        (finite.clone(), any.clone(), 0..2usize).prop_map(|(a, b, flip)| {
+            let (a, b) = (Box::new(a), Box::new(b));
+            if flip == 1 {
+                PathSet::Inter(b, a)
+            } else {
+                PathSet::Inter(a, b)
+            }
+        }),
+        (finite, rel).prop_map(|(p, r)| PathSet::Image(Box::new(p), Box::new(r))),
     ];
-    leaf.prop_recursive(3, 20, 3, |inner| {
-        let rel = rel_strategy_from(inner.clone());
-        prop_oneof![
-            proptest::collection::vec(inner.clone(), 2..3).prop_map(PathSet::Union),
-            proptest::collection::vec(inner.clone(), 2..3).prop_map(PathSet::Concat),
-            inner.clone().prop_map(|p| PathSet::Star(Box::new(p))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| PathSet::Inter(Box::new(a), Box::new(b))),
-            inner.clone().prop_map(|p| PathSet::Complement(Box::new(p))),
-            (inner, rel).prop_map(|(p, r)| PathSet::Image(Box::new(p), Box::new(r))),
-        ]
-    })
+    let finite_next = prop_oneof![finite_leaf, finite_level].boxed();
+    let any_next = prop_oneof![
+        any_leaf,
+        finite_next.clone(),
+        proptest::collection::vec(any.clone(), 2..3).prop_map(PathSet::Union),
+        proptest::collection::vec(any.clone(), 2..3).prop_map(PathSet::Concat),
+        any.clone().prop_map(|p| PathSet::Star(Box::new(p))),
+        (any.clone(), any.clone()).prop_map(|(a, b)| PathSet::Inter(Box::new(a), Box::new(b))),
+        any.prop_map(|p| PathSet::Complement(Box::new(p))),
+    ]
+    .boxed();
+    (finite_next, any_next)
 }
 
-/// Relations built over a given path-set strategy.
-fn rel_strategy_from(
-    pathset: impl Strategy<Value = PathSet> + Clone + 'static,
-) -> impl Strategy<Value = Rel> {
+/// Relations whose image of any one path is finite: a cross product's
+/// right side is finite, and a starred step reads at least one symbol.
+fn rel_strategy(finite: BoxedStrategy<PathSet>, any: BoxedStrategy<PathSet>) -> BoxedStrategy<Rel> {
     let leaf = prop_oneof![
         Just(Rel::Empty),
         Just(Rel::Eps),
-        (pathset.clone(), pathset.clone()).prop_map(|(a, b)| Rel::Cross(Box::new(a), Box::new(b))),
-        pathset.prop_map(|p| Rel::Ident(Box::new(p))),
+        (any.clone(), finite).prop_map(|(a, b)| Rel::Cross(Box::new(a), Box::new(b))),
+        any.prop_map(|p| Rel::Ident(Box::new(p))),
     ];
     leaf.prop_recursive(2, 8, 2, |inner| {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 2..3).prop_map(Rel::Union),
             proptest::collection::vec(inner.clone(), 2..3).prop_map(Rel::Concat),
-            inner.clone().prop_map(|r| Rel::Star(Box::new(r))),
+            (symset_strategy(), inner.clone()).prop_map(|(first, r)| {
+                let step = Rel::Concat(vec![Rel::Ident(Box::new(PathSet::Atom(first))), r]);
+                Rel::Star(Box::new(step))
+            }),
             (inner.clone(), inner).prop_map(|(a, b)| Rel::Compose(Box::new(a), Box::new(b))),
         ]
     })
 }
 
+/// Strategy: any path set of the fragment.
+fn pathset_strategy() -> BoxedStrategy<PathSet> {
+    fragment_strategies(3).1
+}
+
+/// Strategy: a spec of the fragment — `=` between finite sides, `<=`
+/// from a finite side — under random boolean connectives.
 fn spec_strategy() -> impl Strategy<Value = RirSpec> {
+    let (finite, any) = fragment_strategies(2);
     let leaf = prop_oneof![
-        (pathset_strategy(), pathset_strategy()).prop_map(|(a, b)| RirSpec::Equal(a, b)),
-        (pathset_strategy(), pathset_strategy()).prop_map(|(a, b)| RirSpec::Subset(a, b)),
+        (finite.clone(), finite.clone()).prop_map(|(a, b)| RirSpec::Equal(a, b)),
+        (finite, any).prop_map(|(a, b)| RirSpec::Subset(a, b)),
     ];
     leaf.prop_recursive(2, 6, 2, |inner| {
         prop_oneof![
@@ -132,27 +167,13 @@ fn env_of(pre: &Paths, post: &Paths) -> PairFsas {
     PairFsas::new(build(pre), build(post))
 }
 
-fn ctx_of(pre: Paths, post: Paths) -> EvalCtx {
-    EvalCtx {
-        pre,
-        post,
-        alphabet: (0..ALPHABET).map(sym).collect(),
-        max_len: MAX_LEN,
-    }
-}
-
-/// The reference evaluator bounds *intermediate* sets by `max_len`, so a
-/// term like `(P·P) ∩ Σ^{≤L}` can disagree with the true language at the
-/// boundary when concatenation overflows the bound. Restrict comparison
-/// to words short enough that no boundary effect applies — half the
-/// bound is conservative and keeps the test meaningful.
-const SAFE_LEN: usize = MAX_LEN / 2 + 1;
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The automata lowering and the reference semantics agree on every
-    /// word up to the safe length.
+    /// word up to the length of the longest snapshot path — exactly: the
+    /// reference has no length bound, so there is no boundary to stay
+    /// clear of.
     #[test]
     fn lowering_matches_reference_semantics(
         p in pathset_strategy(),
@@ -160,67 +181,28 @@ proptest! {
         post in paths_strategy(),
     ) {
         let env = env_of(&pre, &post);
-        let ctx = ctx_of(pre, post);
+        let ctx = EvalCtx { pre, post };
         let nfa = lower_pathset(&p, &env);
-        let reference = eval_pathset(&p, &ctx);
-        for w in words_up_to(SAFE_LEN) {
+        for w in words(&alphabet(), MAX_LEN) {
             prop_assert_eq!(
                 nfa.accepts(&w),
-                reference.contains(&w),
+                contains(&p, &w, &ctx),
                 "term {:?} disagrees on {:?}", p, w
             );
         }
     }
 
-    /// Verdicts are compared directly on *bounded* terms (no Star, no
-    /// Complement, no multi-part concatenation), for which the reference
-    /// semantics is exact; unbounded terms are covered word-by-word by
-    /// the property above instead, since the reference evaluator is only
-    /// exact up to the length bound for them.
+    /// Verdicts agree on every spec of the fragment: the reference
+    /// decides `=` and `<=` exactly, stars and complements included.
     #[test]
     fn bounded_spec_verdicts_agree(
         s in spec_strategy(),
         pre in paths_strategy(),
         post in paths_strategy(),
     ) {
-        if spec_has_unbounded(&s) {
-            return Ok(()); // covered by the word-level property instead
-        }
         let env = env_of(&pre, &post);
-        let ctx = ctx_of(pre, post);
+        let ctx = EvalCtx { pre, post };
         prop_assert_eq!(decide_spec(&s, &env), eval_spec(&s, &ctx), "spec {:?}", s);
-    }
-}
-
-/// Does the spec contain Star/Complement/long-concat constructs whose
-/// reference evaluation is only exact up to the bound?
-fn spec_has_unbounded(s: &RirSpec) -> bool {
-    fn pathset(p: &PathSet) -> bool {
-        match p {
-            PathSet::Star(_) | PathSet::Complement(_) => true,
-            PathSet::Empty | PathSet::Eps | PathSet::Atom(_) => false,
-            PathSet::PreState | PathSet::PostState => false,
-            PathSet::Union(xs) => xs.iter().any(pathset),
-            PathSet::Concat(xs) => xs.len() > 1 || xs.iter().any(pathset),
-            PathSet::Inter(a, b) => pathset(a) || pathset(b),
-            PathSet::Image(p, r) => pathset(p) || rel(r),
-        }
-    }
-    fn rel(r: &Rel) -> bool {
-        match r {
-            Rel::Star(_) => true,
-            Rel::Empty | Rel::Eps => false,
-            Rel::Cross(a, b) => pathset(a) || pathset(b),
-            Rel::Ident(p) => pathset(p),
-            Rel::Union(xs) => xs.iter().any(rel),
-            Rel::Concat(xs) => xs.len() > 1 || xs.iter().any(rel),
-            Rel::Compose(a, b) => rel(a) || rel(b),
-        }
-    }
-    match s {
-        RirSpec::Equal(a, b) | RirSpec::Subset(a, b) => pathset(a) || pathset(b),
-        RirSpec::And(a, b) | RirSpec::Or(a, b) => spec_has_unbounded(a) || spec_has_unbounded(b),
-        RirSpec::Not(a) => spec_has_unbounded(a),
     }
 }
 
@@ -717,5 +699,372 @@ proptest! {
     ) {
         let input = tokens.join(" ");
         let _ = rela_core::parse_program(&input);
+    }
+}
+
+// ---- the reference evaluator, and the lowering checked against it -------
+
+mod semantics {
+    mod tests {
+        use crate::support::semantics::{
+            apply, contains, eval_spec, members, words, EvalCtx, Paths,
+        };
+        use rela_automata::{SymSet, Symbol};
+        use rela_core::{PathSet, Rel, RirSpec};
+
+        fn s(ix: usize) -> Symbol {
+            Symbol::from_index(ix)
+        }
+
+        fn ctx() -> EvalCtx {
+            EvalCtx {
+                pre: [vec![s(0), s(1)]].into_iter().collect(),
+                post: [vec![s(0), s(2)]].into_iter().collect(),
+            }
+        }
+
+        fn atom(ix: usize) -> PathSet {
+            PathSet::Atom(SymSet::singleton(s(ix)))
+        }
+
+        fn any_star() -> PathSet {
+            PathSet::Star(Box::new(PathSet::Atom(SymSet::universe())))
+        }
+
+        fn paths(words: &[&[usize]]) -> Paths {
+            words
+                .iter()
+                .map(|w| w.iter().map(|&i| s(i)).collect())
+                .collect()
+        }
+
+        #[test]
+        fn atoms_and_states() {
+            let c = ctx();
+            assert_eq!(members(&atom(0), &c).unwrap().len(), 1);
+            assert_eq!(members(&PathSet::PreState, &c).unwrap(), c.pre);
+            assert_eq!(members(&PathSet::PostState, &c).unwrap(), c.post);
+            assert_eq!(members(&PathSet::Empty, &c).unwrap().len(), 0);
+            assert_eq!(members(&PathSet::Eps, &c).unwrap().len(), 1);
+            // `.` may name any location: it is asked, never enumerated
+            let dot = PathSet::Atom(SymSet::universe());
+            assert_eq!(members(&dot, &c), None);
+            assert!(contains(&dot, &[s(7)], &c));
+        }
+
+        #[test]
+        fn universe_size() {
+            // the probes of a word-by-word comparison: 1 + 3 + 9 + 27
+            assert_eq!(words(&[s(0), s(1), s(2)], 3).len(), 40);
+        }
+
+        #[test]
+        fn star_bounded() {
+            // exact, with no bound: ε, 0, 00, … 0¹⁰ and on
+            let c = ctx();
+            let p = PathSet::Star(Box::new(atom(0)));
+            for n in [0, 1, 2, 3, 10] {
+                assert!(contains(&p, &vec![s(0); n], &c), "0^{n}");
+            }
+            assert!(!contains(&p, &[s(0), s(1)], &c));
+            assert_eq!(members(&p, &c), None, "an infinite set is not enumerated");
+            // a star adding nothing but ε is finite
+            let trivial = PathSet::Star(Box::new(PathSet::Eps));
+            assert_eq!(members(&trivial, &c).unwrap(), paths(&[&[]]));
+        }
+
+        #[test]
+        fn complement_within_universe() {
+            let c = ctx();
+            let p = PathSet::Complement(Box::new(PathSet::Eps));
+            assert!(!contains(&p, &[], &c));
+            assert!(contains(&p, &[s(0)], &c));
+            assert!(contains(&p, &[s(2), s(1), s(0), s(9)], &c));
+            assert_eq!(members(&p, &c), None);
+        }
+
+        #[test]
+        fn image_of_cross() {
+            let c = ctx();
+            // PreState ⊲ (PreState × {path 2}) = {2} since pre nonempty
+            let r = Rel::Cross(Box::new(PathSet::PreState), Box::new(atom(2)));
+            let p = PathSet::Image(Box::new(PathSet::PreState), Box::new(r));
+            assert_eq!(members(&p, &c).unwrap(), paths(&[&[2]]));
+        }
+
+        #[test]
+        fn image_of_identity_is_intersection() {
+            let c = ctx();
+            // PreState ⊲ I(.*) = PreState
+            let p = PathSet::Image(
+                Box::new(PathSet::PreState),
+                Box::new(Rel::Ident(Box::new(any_star()))),
+            );
+            assert_eq!(members(&p, &c).unwrap(), c.pre);
+        }
+
+        #[test]
+        fn preserve_equation_fails_when_snapshots_differ() {
+            let c = ctx();
+            // PreState ⊲ I(.*) = PostState ⊲ I(.*) ⟺ pre == post (here false)
+            let lhs = PathSet::Image(
+                Box::new(PathSet::PreState),
+                Box::new(Rel::Ident(Box::new(any_star()))),
+            );
+            let rhs = PathSet::Image(
+                Box::new(PathSet::PostState),
+                Box::new(Rel::Ident(Box::new(any_star()))),
+            );
+            assert!(!eval_spec(&RirSpec::Equal(lhs.clone(), rhs.clone()), &c));
+            assert!(eval_spec(
+                &RirSpec::Not(Box::new(RirSpec::Equal(lhs, rhs))),
+                &c
+            ));
+        }
+
+        #[test]
+        fn subset_and_boolean_combinators() {
+            let c = ctx();
+            let sub = RirSpec::Subset(atom(0), PathSet::Atom(SymSet::universe()));
+            assert!(eval_spec(&sub, &c));
+            let not_sub = RirSpec::Subset(PathSet::Union(vec![atom(0), atom(1)]), atom(0));
+            assert!(!eval_spec(&not_sub, &c));
+            assert!(eval_spec(
+                &RirSpec::Or(Box::new(not_sub.clone()), Box::new(sub.clone())),
+                &c
+            ));
+            assert!(!eval_spec(
+                &RirSpec::And(Box::new(not_sub), Box::new(sub)),
+                &c
+            ));
+        }
+
+        #[test]
+        #[should_panic(expected = "may be infinite")]
+        fn an_infinite_side_of_an_equation_panics() {
+            let spec = RirSpec::Equal(PathSet::Star(Box::new(atom(0))), PathSet::PreState);
+            eval_spec(&spec, &ctx());
+        }
+
+        #[test]
+        fn rel_concat_pairs() {
+            let c = ctx();
+            // ({0}×{1}) · ({1}×{2}) relates 01 → 12, and nothing else
+            let r = Rel::Concat(vec![
+                Rel::Cross(Box::new(atom(0)), Box::new(atom(1))),
+                Rel::Cross(Box::new(atom(1)), Box::new(atom(2))),
+            ]);
+            assert_eq!(apply(&r, &[s(0), s(1)], &c).unwrap(), paths(&[&[1, 2]]));
+            for x in [&[][..], &[s(0)], &[s(1), s(0)], &[s(0), s(1), s(1)]] {
+                assert!(apply(&r, x, &c).unwrap().is_empty(), "{x:?}");
+            }
+        }
+
+        #[test]
+        fn rel_compose_joins_on_middle() {
+            let c = ctx();
+            let r1 = Rel::Cross(Box::new(atom(0)), Box::new(atom(1)));
+            let r2 = Rel::Cross(Box::new(atom(1)), Box::new(atom(2)));
+            let comp = Rel::Compose(Box::new(r1), Box::new(r2));
+            assert_eq!(apply(&comp, &[s(0)], &c).unwrap(), paths(&[&[2]]));
+            assert!(apply(&comp, &[s(1)], &c).unwrap().is_empty());
+        }
+
+        #[test]
+        fn rel_star_synchronized_repetition() {
+            let c = ctx();
+            let r = Rel::Star(Box::new(Rel::Cross(Box::new(atom(0)), Box::new(atom(1)))));
+            // (ε,ε), (0,1), (00,11), (000,111), … with no bound
+            for n in [0, 1, 2, 3, 7] {
+                assert_eq!(
+                    apply(&r, &vec![s(0); n], &c).unwrap(),
+                    [vec![s(1); n]].into()
+                );
+            }
+            assert!(apply(&r, &[s(0), s(1)], &c).unwrap().is_empty());
+            // a step that reads nothing but writes a symbol repeats forever
+            let pump = Rel::Star(Box::new(Rel::Cross(
+                Box::new(PathSet::Eps),
+                Box::new(atom(1)),
+            )));
+            assert_eq!(apply(&pump, &[], &c), None);
+        }
+    }
+}
+
+mod lower {
+    mod tests {
+        use crate::support::semantics::{contains, eval_spec, words, EvalCtx, Paths};
+        use rela_automata::{Nfa, SymSet, Symbol};
+        use rela_core::{decide_spec, lower_pathset, PairFsas, PathSet, Rel, RirSpec};
+
+        fn s(ix: usize) -> Symbol {
+            Symbol::from_index(ix)
+        }
+
+        fn atom(ix: usize) -> PathSet {
+            PathSet::Atom(SymSet::singleton(s(ix)))
+        }
+
+        fn any_star() -> PathSet {
+            PathSet::Star(Box::new(PathSet::Atom(SymSet::universe())))
+        }
+
+        fn env_from(pre: &[&[usize]], post: &[&[usize]]) -> (PairFsas, EvalCtx) {
+            let to_paths = |paths: &[&[usize]]| -> Paths {
+                paths
+                    .iter()
+                    .map(|p| p.iter().map(|&i| s(i)).collect::<Vec<_>>())
+                    .collect()
+            };
+            let to_nfa = |paths: &[&[usize]]| -> Nfa {
+                paths
+                    .iter()
+                    .map(|p| {
+                        let w: Vec<Symbol> = p.iter().map(|&i| s(i)).collect();
+                        Nfa::word(&w)
+                    })
+                    .fold(Nfa::empty_language(), |acc, n| acc.union(&n))
+            };
+            let env = PairFsas::new(to_nfa(pre), to_nfa(post));
+            let ctx = EvalCtx {
+                pre: to_paths(pre),
+                post: to_paths(post),
+            };
+            (env, ctx)
+        }
+
+        /// Assert that the automaton for `p` and the reference evaluator
+        /// agree on every word over the alphabet up to length 4.
+        fn assert_matches_reference(p: &PathSet, env: &PairFsas, ctx: &EvalCtx) {
+            let nfa = lower_pathset(p, env);
+            for w in words(&[s(0), s(1), s(2)], 4) {
+                assert_eq!(
+                    nfa.accepts(&w),
+                    contains(p, &w, ctx),
+                    "term {p:?} disagrees on {w:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn atoms_states_and_boolean_ops_match_reference() {
+            let (env, ctx) = env_from(&[&[0, 1]], &[&[0, 2]]);
+            for p in [
+                atom(0),
+                PathSet::PreState,
+                PathSet::PostState,
+                PathSet::Union(vec![PathSet::PreState, PathSet::PostState]),
+                PathSet::Inter(Box::new(PathSet::PreState), Box::new(PathSet::PostState)),
+                PathSet::Complement(Box::new(PathSet::PreState)),
+                PathSet::PreState.diff(PathSet::PostState),
+                PathSet::Concat(vec![atom(0), PathSet::Star(Box::new(atom(1)))]),
+            ] {
+                assert_matches_reference(&p, &env, &ctx);
+            }
+        }
+
+        #[test]
+        fn image_matches_reference() {
+            let (env, ctx) = env_from(&[&[0, 1], &[2]], &[&[0, 2]]);
+            let cases = [
+                // preserve: PreState ⊲ I(.*)
+                PathSet::Image(
+                    Box::new(PathSet::PreState),
+                    Box::new(Rel::Ident(Box::new(any_star()))),
+                ),
+                // rewrite: PreState ⊲ (({0}{1}) × {2})
+                PathSet::Image(
+                    Box::new(PathSet::PreState),
+                    Box::new(Rel::Cross(
+                        Box::new(PathSet::Concat(vec![atom(0), atom(1)])),
+                        Box::new(atom(2)),
+                    )),
+                ),
+                // union of identity and rewrite (the add-modifier shape)
+                PathSet::Image(
+                    Box::new(PathSet::PreState),
+                    Box::new(Rel::Union(vec![
+                        Rel::Ident(Box::new(any_star())),
+                        Rel::Cross(Box::new(atom(2)), Box::new(atom(1))),
+                    ])),
+                ),
+                // concatenated relation: I({0}) · ({1} × {2})
+                PathSet::Image(
+                    Box::new(PathSet::PreState),
+                    Box::new(Rel::Concat(vec![
+                        Rel::Ident(Box::new(atom(0))),
+                        Rel::Cross(Box::new(atom(1)), Box::new(atom(2))),
+                    ])),
+                ),
+            ];
+            for p in cases {
+                assert_matches_reference(&p, &env, &ctx);
+            }
+        }
+
+        #[test]
+        fn compose_and_star_rel_match_reference() {
+            let (env, ctx) = env_from(&[&[0, 0]], &[&[1, 1]]);
+            let star_rel = Rel::Star(Box::new(Rel::Cross(Box::new(atom(0)), Box::new(atom(1)))));
+            let p1 = PathSet::Image(Box::new(PathSet::PreState), Box::new(star_rel));
+            assert_matches_reference(&p1, &env, &ctx);
+
+            let comp = Rel::Compose(
+                Box::new(Rel::Cross(Box::new(atom(0)), Box::new(atom(1)))),
+                Box::new(Rel::Cross(Box::new(atom(1)), Box::new(atom(2)))),
+            );
+            let p2 = PathSet::Image(Box::new(atom(0)), Box::new(comp));
+            assert_matches_reference(&p2, &env, &ctx);
+        }
+
+        #[test]
+        fn decide_spec_agrees_with_reference() {
+            let (env, ctx) = env_from(&[&[0, 1], &[2]], &[&[0, 1]]);
+            let specs = [
+                RirSpec::Equal(PathSet::PreState, PathSet::PostState),
+                RirSpec::Subset(PathSet::PostState, PathSet::PreState),
+                RirSpec::Subset(PathSet::PreState, PathSet::PostState),
+                RirSpec::Equal(
+                    PathSet::Image(
+                        Box::new(PathSet::PreState),
+                        Box::new(Rel::Ident(Box::new(any_star()))),
+                    ),
+                    PathSet::Image(
+                        Box::new(PathSet::PostState),
+                        Box::new(Rel::Ident(Box::new(any_star()))),
+                    ),
+                ),
+                RirSpec::Not(Box::new(RirSpec::Equal(
+                    PathSet::PreState,
+                    PathSet::PostState,
+                ))),
+                RirSpec::And(
+                    Box::new(RirSpec::Subset(PathSet::PostState, PathSet::PreState)),
+                    Box::new(RirSpec::Subset(PathSet::PreState, PathSet::PostState)),
+                ),
+                RirSpec::Or(
+                    Box::new(RirSpec::Equal(PathSet::PreState, PathSet::PostState)),
+                    Box::new(RirSpec::Subset(PathSet::PostState, PathSet::PreState)),
+                ),
+            ];
+            for spec in specs {
+                assert_eq!(
+                    decide_spec(&spec, &env),
+                    eval_spec(&spec, &ctx),
+                    "spec {spec:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn empty_snapshots_are_handled() {
+            let (env, ctx) = env_from(&[], &[]);
+            assert_matches_reference(&PathSet::PreState, &env, &ctx);
+            assert!(decide_spec(
+                &RirSpec::Equal(PathSet::PreState, PathSet::PostState),
+                &env
+            ));
+        }
     }
 }

@@ -17,7 +17,10 @@
 //! `rela-baseline`'s path diff exactly. The differential-fuzz harness
 //! (`crates/core/tests/differential_fuzz.rs`) draws scenarios from this
 //! registry per seed and checks that agreement across every ingest
-//! mode; see `docs/FUZZING.md` for the taxonomy and oracle semantics.
+//! mode, and every report against the exact Appendix-A semantics too.
+//! The rest of the spec language is drawn there, as tiny instances of
+//! every spec shape; see `docs/FUZZING.md` for the taxonomy and oracle
+//! semantics.
 //!
 //! Determinism: all randomness flows from the vendored-proptest
 //! [`TestRng`] seeded by `(family, seed)` alone, so a scenario is fully

@@ -357,7 +357,7 @@ impl Connection<'_> {
 }
 
 /// Decrement a counter when dropped: keeps `jobs_active` honest across
-/// every exit path of [`run_job`].
+/// every exit path of [`run_job`], a panic included.
 struct CountGuard<'a>(&'a AtomicUsize);
 
 impl Drop for CountGuard<'_> {
@@ -464,8 +464,27 @@ fn handle_connection(
                 }
                 let id = job_seq.fetch_add(1, Ordering::AcqRel) + 1;
                 jobs_active.fetch_add(1, Ordering::AcqRel);
-                let _running = CountGuard(jobs_active);
-                run_job(&mut conn, session, &payload, id);
+                let reply = {
+                    let _running = CountGuard(jobs_active);
+                    run_job(&mut conn, session, &payload, id)
+                };
+                // the job is over before its reply is written: a ping
+                // answered while the reply is on its way does not count it
+                match reply {
+                    Some(JobReply::Report(payload)) => {
+                        match payload {
+                            Ok(payload) => {
+                                let _ = conn.send(KIND_REPORT, &payload);
+                            }
+                            Err(message) => conn.send_error(error_code::TOO_LARGE, message),
+                        }
+                        if let Err(e) = session.persist_if_dirty() {
+                            eprintln!("warning: could not persist cache: {e}");
+                        }
+                    }
+                    Some(JobReply::Error(code, message)) => conn.send_error(code, message),
+                    None => {}
+                }
             }
             (kind, _) => {
                 conn.send_error(
@@ -526,7 +545,17 @@ impl Drop for Spool {
     }
 }
 
-/// Ingest one job's snapshot chunks and reply with its report.
+/// How a job ends: with a report, or with an ERROR's code and message.
+enum JobReply {
+    /// The REPORT payload, or — when it does not fit in one frame — the
+    /// message of the `too_large` ERROR that replaces it.
+    Report(Result<Vec<u8>, String>),
+    Error(&'static str, String),
+}
+
+/// Ingest one job's snapshot chunks and check them: the reply to send,
+/// or `None` when the connection failed mid-negotiation and there is
+/// nobody to send it to.
 ///
 /// The connection thread demultiplexes `PRE`/`POST` chunk frames into
 /// a per-side sink picked by sniffing each side's first chunk. Sides
@@ -541,7 +570,12 @@ impl Drop for Spool {
 /// as both sides' sources exist (immediately for piped sides, at
 /// end-of-side for spooled ones), so streaming jobs keep their
 /// transfer/decode overlap.
-fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id: usize) {
+fn run_job(
+    conn: &mut Connection<'_>,
+    session: &CheckSession,
+    payload: &[u8],
+    id: usize,
+) -> Option<JobReply> {
     let mut options = match std::str::from_utf8(payload)
         .map_err(|e| e.to_string())
         .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
@@ -549,11 +583,10 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
     {
         Ok(options) => options,
         Err(e) => {
-            conn.send_error(
+            return Some(JobReply::Error(
                 error_code::PROTOCOL,
                 format!("job-{id}: malformed job options: {e}"),
-            );
-            return;
+            ));
         }
     };
 
@@ -587,7 +620,7 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
                 )
                 .is_err()
             {
-                return;
+                return None;
             }
         } else {
             options.delta_base = None;
@@ -601,7 +634,7 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
                 )
                 .is_err()
             {
-                return;
+                return None;
             }
         }
     }
@@ -703,22 +736,17 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
     });
 
     if let Some(message) = protocol_error {
-        conn.send_error(error_code::PROTOCOL, message);
-        return;
+        return Some(JobReply::Error(error_code::PROTOCOL, message));
     }
-    let result = match result {
-        Some(result) => result,
-        None => {
-            // both sides ended before a source existed (can't happen:
-            // end-of-side always yields a source), but fail loudly
-            conn.send_error(
-                error_code::PROTOCOL,
-                format!("job-{id}: no snapshot data received"),
-            );
-            return;
-        }
+    let Some(result) = result else {
+        // both sides ended before a source existed (can't happen:
+        // end-of-side always yields a source), but fail loudly
+        return Some(JobReply::Error(
+            error_code::PROTOCOL,
+            format!("job-{id}: no snapshot data received"),
+        ));
     };
-    match result {
+    Some(match result {
         Ok(Ok(report)) => {
             // `rela report --json`'s stats, plus the daemon's two keys
             let mut stats = report.stats.to_value();
@@ -741,38 +769,25 @@ fn run_job(conn: &mut Connection<'_>, session: &CheckSession, payload: &[u8], id
                 ("report", Value::Str(report.to_string())),
                 ("stats", stats),
             ]);
-            match report_payload(id, &reply) {
-                Ok(payload) => {
-                    let _ = conn.send(KIND_REPORT, &payload);
-                }
-                Err(message) => {
-                    eprintln!("warning: {message}");
-                    conn.send_error(error_code::TOO_LARGE, message);
-                }
-            }
-            if let Err(e) = session.persist_if_dirty() {
-                eprintln!("warning: could not persist cache: {e}");
-            }
+            JobReply::Report(
+                report_payload(id, &reply).inspect_err(|message| eprintln!("warning: {message}")),
+            )
         }
-        Ok(Err(JobError::Snapshot(snapshot_error))) => {
-            conn.send_error(
-                error_code::SNAPSHOT,
-                format!("invalid snapshot: {snapshot_error}"),
-            );
-        }
+        Ok(Err(JobError::Snapshot(snapshot_error))) => JobReply::Error(
+            error_code::SNAPSHOT,
+            format!("invalid snapshot: {snapshot_error}"),
+        ),
         Ok(Err(err @ JobError::DeadlineExceeded { .. })) => {
-            conn.send_error(error_code::DEADLINE, format!("job-{id}: {err}"));
+            JobReply::Error(error_code::DEADLINE, format!("job-{id}: {err}"))
         }
+        // the panic was contained at the session boundary: this job
+        // gets a typed error, the daemon keeps serving
         Ok(Err(err @ JobError::Panicked { .. })) => {
-            // the panic was contained at the session boundary: this
-            // job gets a typed error, the daemon keeps serving
-            conn.send_error(error_code::PANIC, format!("job-{id}: {err}"));
+            JobReply::Error(error_code::PANIC, format!("job-{id}: {err}"))
         }
-        Err(_) => {
-            // a panic outside CheckSession::run (job plumbing itself)
-            conn.send_error(error_code::PANIC, format!("job-{id}: check panicked"));
-        }
-    }
+        // a panic outside CheckSession::run (job plumbing itself)
+        Err(_) => JobReply::Error(error_code::PANIC, format!("job-{id}: check panicked")),
+    })
 }
 
 /// Encode job `id`'s REPORT payload, or — when it would not fit in one

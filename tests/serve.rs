@@ -713,6 +713,67 @@ fn a_panicking_job_is_contained_and_the_daemon_keeps_serving() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `jobs_active` counts jobs still being checked. A finished job whose
+/// REPORT is held back — every reply pauses 2 s under the fault plan —
+/// is no longer active: a ping answered meanwhile reads one job run and
+/// none in flight.
+#[test]
+fn a_ping_does_not_count_a_job_whose_reply_is_in_flight() {
+    let dir = demo_dir("reply-in-flight");
+    let socket = dir.join("daemon.sock");
+    let daemon = spawn_daemon_env(
+        &dir,
+        &socket,
+        None,
+        &[],
+        &[("RELA_FAULTS", "pause=reply:2000")],
+    );
+    let job = std::thread::spawn({
+        let (socket, dir) = (socket.clone(), dir.clone());
+        move || {
+            let (code, _) = submit(&socket, &dir, "post_v2.json", false);
+            assert_eq!(code, 1);
+            Instant::now()
+        }
+    });
+    // a ping every 100 ms, each on its own connection: a PONG's counts
+    // are read on arrival, then the PONG pauses like every reply
+    let mut pings = Vec::new();
+    while !job.is_finished() {
+        let socket = socket.clone();
+        let sent = Instant::now();
+        pings.push((
+            sent,
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                cli::run(&Command::Ping(socket), &mut out).expect("ping is answered");
+                String::from_utf8(out).unwrap()
+            }),
+        ));
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    let reported = job.join().expect("the job is answered");
+    let pongs: Vec<(Instant, String)> = pings
+        .into_iter()
+        .map(|(sent, ping)| (sent, ping.join().expect("ping thread")))
+        .collect();
+    // a ping sent half a second or more before the REPORT arrived was
+    // counted before the REPORT was written
+    let early: Vec<&String> = pongs
+        .iter()
+        .filter(|(sent, _)| *sent + Duration::from_millis(500) <= reported)
+        .map(|(_, pong)| pong)
+        .collect();
+    assert!(
+        early
+            .iter()
+            .any(|pong| pong.contains("1 job(s) run, 0 in flight")),
+        "no ping saw the finished job leave `jobs_active`: {early:#?}"
+    );
+    drop(daemon);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Tentpole (b): a `deadline_ms` that already expired aborts the job
 /// cooperatively — typed `deadline` error, exit 4 — and the session
 /// keeps serving jobs without it.

@@ -18,9 +18,9 @@
 //! class's verdict — violations, rendered witness paths and all — is
 //! copied to each member. Classes are distributed to workers through a
 //! work-stealing queue (an atomic index over the class list) so one
-//! pathological class cannot idle the other workers, and the interned
-//! [`SymbolTable`] is shared read-only across workers instead of being
-//! cloned per chunk.
+//! pathological class cannot idle the other workers, and every class is
+//! decided against the compiled program's one [`SymbolTable`], shared
+//! read-only across workers.
 
 use crate::ast::Program;
 use crate::compile::{CompiledCheck, CompiledProgram, GuardedPart};
@@ -42,12 +42,12 @@ use rela_automata::{
 use rela_cache::{CacheEpoch, CacheKey, VerdictStore, BYTE_VARIANT_SALT};
 use rela_net::faultio::FaultPlan;
 use rela_net::{
-    behavior_hash, canonical_graph, content_hash128, decode_graph_span, graph_to_fsa_prepared,
-    record_mix, AlignedFec, BehaviorHash, FlowSpec, ForwardingGraph, Granularity, LocationDb,
-    RawRecord, SnapshotEpoch, SnapshotError, SnapshotFramer, SnapshotPair, DROP_LOCATION,
+    behavior_hash, canonical_graph, content_hash128, decode_graph_span, graph_to_fsa,
+    graph_to_fsa_prepared, record_mix, AlignedFec, BehaviorHash, FlowSpec, ForwardingGraph,
+    Granularity, LocationDb, RawRecord, SnapshotEpoch, SnapshotError, SnapshotFramer, SnapshotPair,
     FRAME_BATCH_BYTES,
 };
-use serde::{Serialize, Value};
+use serde::Value;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::io::Read;
@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 /// without a crate version bump — a new engine must never replay an old
 /// engine's verdicts.
 // engine.2: symbol interning moved to a sorted set of representative
-// locations (`table_of`), which changes automaton layouts and therefore
+// locations, which changes automaton layouts and therefore
 // witness enumeration order — engine.1 renderings must not replay.
 // engine.3: the store-key variant fingerprint widened from 24 to 25
 // option bytes (a side-minimization ablation), so entries written by
@@ -283,9 +283,8 @@ impl Admitted {
 /// Per-worker state of the pipelined engine's ingest: the flows this
 /// worker completed pairs for (concatenated into the global flow list
 /// after the join; in a retaining run, as the rows its base will hold),
-/// the classes it replayed warm from the store, the graph decodes it
-/// actually performed and the symbol names replayed out of byte-keyed
-/// store entries. `byte_classes` and `members` are the dedup
+/// the classes it replayed warm from the store and the graph decodes it
+/// actually performed. `byte_classes` and `members` are the dedup
 /// hit path: the class of every byte key this worker has taken through
 /// the shared index once, and the members it has since added to those
 /// classes without going back — folded into the classes after the join.
@@ -297,7 +296,6 @@ struct WorkerState {
     members: Vec<(ClassRef, FlowRef)>,
     warm: Vec<(ClassRef, FecResult)>,
     decodes: usize,
-    symbols: BTreeSet<String>,
 }
 
 impl WorkerState {
@@ -649,13 +647,6 @@ impl Pipeline<'_, '_> {
         let probe = checker.store_key(byte_key, route, BYTE_VARIANT);
         if let Some(payload) = checker.cache.and_then(|cache| cache.get(&probe)) {
             if let Some(result) = FecResult::from_cache_value(&payload, flow.clone()) {
-                // the placeholder representative renders nothing, so
-                // the payload carries the symbols its class would
-                // have contributed to the definitive table
-                if let Some(symbols) = payload.get("symbols").and_then(|v| v.as_arr()) {
-                    let names = symbols.iter().filter_map(|name| name.as_str());
-                    state.symbols.extend(names.map(str::to_owned));
-                }
                 let placeholder = AlignedFec {
                     flow: flow.clone(),
                     pre: ForwardingGraph::default(),
@@ -732,7 +723,6 @@ struct Ingested {
     /// Verdicts the byte-keyed probe answered, by class index.
     warm: Vec<(usize, FecResult)>,
     graph_decodes: usize,
-    replayed_symbols: BTreeSet<String>,
     /// The ingest rows its producers and workers clocked.
     rows: PhaseTimings,
 }
@@ -764,44 +754,13 @@ fn violating_members(
     violations
 }
 
-/// Fold `symbols` into a cached-verdict payload as a sorted `symbols`
-/// array (replacing any present). Byte-keyed entries must carry the
-/// founding representative's interned location names: a byte-warm class
-/// replays with a placeholder rep that contributes nothing to the run's
-/// symbol table, so the table — and with it the witness bytes of every
-/// *other* class — would drift from the full-decode run without them.
-fn payload_with_symbols(mut payload: Value, symbols: &BTreeSet<String>) -> Value {
-    if let Value::Obj(fields) = &mut payload {
-        fields.retain(|(k, _)| k != "symbols");
-        fields.push((
-            "symbols".to_owned(),
-            Value::Arr(symbols.iter().map(|s| s.to_value()).collect()),
-        ));
-    }
-    payload
-}
-
-/// Content fingerprint of a symbol table's interned location-name set
-/// (the program's own symbols are fixed per run, so the names suffice).
-/// Disambiguates [`MemoKey`]s between decides that used different
-/// tables — see the type's documentation.
-fn table_fingerprint(names: &BTreeSet<String>) -> u128 {
-    let mut bytes = Vec::new();
-    for name in names {
-        bytes.extend_from_slice(name.as_bytes());
-        bytes.push(0xff); // separator: adjacent names cannot collide
-    }
-    content_hash128(&bytes)
-}
-
-/// Memo key: `(side behavior hash, route, part index, is_post_side,
-/// symbol-table fingerprint)`. The table fingerprint matters because a
-/// DFA's state/symbol layout is a function of the table it was built
-/// against: every class of one run is decided under one table, but a
-/// session's memo outlives the run and the next job's snapshots intern
-/// a different name set — sides may only be shared between decides
-/// that interned the same symbol set.
-type MemoKey = (u128, usize, usize, bool, u128);
+/// Memo key: `(side behavior hash, route, part index, is_post_side)`.
+/// Every memoized side is built against the compiled program's table,
+/// the session's one alphabet, so a side's layout is a function of the
+/// key alone and sides are shared across every job of a session. A
+/// class whose graphs name a location the db lacks is decided under a
+/// table of its own and bypasses the memo.
+type MemoKey = (u128, usize, usize, bool);
 
 /// Size cap for a shared, session-lifetime [`FstMemo`]: beyond this many
 /// retained sides new computations are returned uncached, bounding a
@@ -819,14 +778,17 @@ const FST_MEMO_CAP: usize = 4096;
 /// cap below is a cap on automata worth keeping.
 ///
 /// A `CheckSession` owns one and lends it to every job, so an unchanged
-/// side survives from one submission to the next (the keys are content
-/// hashes, so reuse across runs is exactly as sound as reuse within
-/// one). The `fst_memo_hits` a run reports is a before/after difference
-/// — approximate only when jobs share the memo concurrently.
+/// side survives from one submission to the next, whatever else the
+/// next job's snapshots name: the keys are content hashes and every
+/// memoized side is laid out over the session's one alphabet, so reuse
+/// across runs is exactly as sound as reuse within one. The
+/// `fst_memo_hits` a run reports is a before/after difference —
+/// approximate only when jobs share the memo concurrently.
 ///
 /// A memo belongs to one compiled program — its keys name routes and
-/// parts by index — so it also holds that program's [`LoweredProgram`],
-/// built by the first run that uses the memo.
+/// parts by index, its sides use that program's table — so it also
+/// holds that program's [`LoweredProgram`], built by the first run that
+/// uses the memo.
 pub(crate) struct FstMemo {
     map: Mutex<HashMap<MemoKey, Arc<Dfa>>>,
     pub(crate) hits: AtomicUsize,
@@ -949,13 +911,10 @@ impl LoweredProgram {
 }
 
 /// What every class decide of one run reads: the program's relations
-/// lowered, the run's symbol table and its fingerprint, the memo of
-/// determinized sides and the one DFA every dead side is — and the
-/// counters the decides add to.
+/// lowered, the memo of determinized sides and the one DFA every dead
+/// side is — and the counters the decides add to.
 struct DecideCtx<'a> {
     lowered: &'a LoweredProgram,
-    table: SymbolTable,
-    table_fp: u128,
     memo: &'a FstMemo,
     /// `memo.hits` when this context was built: a run reports the
     /// difference.
@@ -1010,7 +969,7 @@ impl Checker<'_> {
         let reps: Vec<&AlignedFec> = classes.iter().map(|c| &pair.fecs[c.members[0]]).collect();
         let flows: Vec<&FlowSpec> = pair.fecs.iter().map(|f| &f.flow).collect();
         clock.rows.ingest = clock.lap();
-        let ctx = self.decide_ctx(&self.collect_symbols(&reps), clock);
+        let ctx = self.decide_ctx(clock);
         let mut report = self.finish(clock, &flows, &classes, &reps, Vec::new(), &ctx);
         // the batch path materializes every record during ingest, so
         // every record costs one graph decode
@@ -1045,8 +1004,8 @@ impl Checker<'_> {
     ///    records still arrive, without a decode.
     /// 4. When the feeds have ended, the **finisher** — the one
     ///    [`Checker::check`] uses — consults the behavior-keyed store,
-    ///    decides every class the store did not answer, once, under the
-    ///    run's definitive sorted table, and writes back.
+    ///    decides every class the store did not answer, once, against
+    ///    the session's one alphabet, and writes back.
     ///
     /// The produced report is byte-identical to [`Checker::check`] on the
     /// same records at any thread count. `check` shares neither of this
@@ -1091,11 +1050,7 @@ impl Checker<'_> {
         clock.rows.ingest = clock.lap();
         clock.rows.merge(&ingested.rows);
         let reps: Vec<&AlignedFec> = ingested.reps.iter().collect();
-        // Byte-warm classes replay with placeholder reps, so the symbol
-        // names their payloads recorded are folded back into the table.
-        let mut names = self.collect_symbols(&reps);
-        names.extend(ingested.replayed_symbols);
-        let ctx = self.decide_ctx(&names, clock);
+        let ctx = self.decide_ctx(clock);
         let flows: Vec<&FlowSpec> = ingested.flows.iter().map(Admitted::flow).collect();
         let mut report = self.finish(clock, &flows, &ingested.classes, &reps, ingested.warm, &ctx);
         if !self.cancel.fired() {
@@ -1143,7 +1098,6 @@ impl Checker<'_> {
         let mut flows = Vec::with_capacity(locals.iter().map(|l| l.flows.len()).sum());
         let mut warm: Vec<(usize, FecResult)> = Vec::new();
         let mut graph_decodes = 0usize;
-        let mut replayed_symbols: BTreeSet<String> = BTreeSet::new();
         for mut local in locals {
             offsets.push(flows.len());
             flows.append(&mut local.flows);
@@ -1157,7 +1111,6 @@ impl Checker<'_> {
                     .map(|(class, result)| (class_ix(class), result)),
             );
             graph_decodes += local.decodes;
-            replayed_symbols.extend(local.symbols);
         }
         let mut classes: Vec<BehaviorClass> = Vec::with_capacity(accs.len());
         let mut reps: Vec<AlignedFec> = Vec::with_capacity(accs.len());
@@ -1180,7 +1133,6 @@ impl Checker<'_> {
             reps,
             warm,
             graph_decodes,
-            replayed_symbols,
             rows: pipe.rows.into_inner().expect("rows lock"),
         }))
     }
@@ -1223,17 +1175,17 @@ impl Checker<'_> {
     /// write back, and assemble the report per class
     /// ([`violating_members`]). The one place the store is written: a
     /// fresh verdict under its behavior key, and a fresh or
-    /// behavior-warm class with a founding byte key under that too, with
-    /// its symbols. A job that expires or panics writes nothing.
+    /// behavior-warm class with a founding byte key under that too. A
+    /// job that expires or panics writes nothing.
     ///
-    /// Every decide runs under `ctx`'s one table — the sorted set of the
-    /// representatives' location names plus the names byte-warm classes
-    /// carry in their payloads instead of in their placeholder
-    /// representatives. It is the same table whichever engine admitted
-    /// the classes, which is what makes witness bytes identical across
-    /// engines. `ctx` is fresh: the memo hits it reports are this
+    /// A class is decided against the session's one alphabet (see
+    /// [`Checker::class_fsas`]), so its automata are a function of its
+    /// own graphs alone, whichever engine admitted it and whatever else
+    /// the run holds: that is what makes witness bytes identical across
+    /// engines, and a byte-warm class's placeholder representative
+    /// harmless. `ctx` is fresh: the memo hits it reports are this
     /// call's. `clock` closes its `decide` row once the decides are done
-    /// — the symbol table and `ctx` were built inside it.
+    /// — `ctx` was built inside it.
     fn finish(
         &self,
         clock: &mut StageClock,
@@ -1274,9 +1226,10 @@ impl Checker<'_> {
             for (ix, value, fresh) in fresh.chain(replayed) {
                 let class = &classes[ix];
                 if let Some(byte_key) = class.byte_key {
-                    let symbols = self.collect_symbols(&reps[ix..=ix]);
-                    let twin = payload_with_symbols(value.clone(), &symbols);
-                    cache.put(&self.store_key(byte_key, class.route, BYTE_VARIANT), twin);
+                    cache.put(
+                        &self.store_key(byte_key, class.route, BYTE_VARIANT),
+                        value.clone(),
+                    );
                 }
                 if let Some((pre, post)) = class.key.filter(|_| fresh) {
                     let key = (pre.as_u128(), post.as_u128());
@@ -1507,15 +1460,13 @@ impl Checker<'_> {
         (lowered, paid)
     }
 
-    /// The decide context for a run whose representatives mention
-    /// `names`; what lowering the relations cost here goes on `clock`.
-    fn decide_ctx(&self, names: &BTreeSet<String>, clock: &mut StageClock) -> DecideCtx<'_> {
+    /// The decide context for a run; what lowering the relations cost
+    /// here goes on `clock`.
+    fn decide_ctx(&self, clock: &mut StageClock) -> DecideCtx<'_> {
         let (lowered, paid) = self.lower_relations();
         clock.rows.relations += paid;
         DecideCtx {
             lowered,
-            table: self.table_of(names),
-            table_fp: table_fingerprint(names),
             memo: self.memo,
             memo_hits_before: self.memo.hits.load(Ordering::Relaxed),
             empty: Arc::new(Dfa::empty_language()),
@@ -1523,80 +1474,35 @@ impl Checker<'_> {
         }
     }
 
-    /// The sorted set of location names the representative graphs
-    /// mention at the program granularity — the content the run's master
-    /// symbol table is built from (see [`Checker::table_of`]).
-    fn collect_symbols(&self, reps: &[&AlignedFec]) -> BTreeSet<String> {
-        let mut names: BTreeSet<String> = BTreeSet::new();
-        for fec in reps {
-            self.collect_graph_symbols(&fec.pre, &mut names);
-            self.collect_graph_symbols(&fec.post, &mut names);
-        }
-        names
-    }
-
-    /// Build a read-only symbol table: the program's own symbols, then
-    /// `names` interned in **sorted order**.
-    ///
-    /// Interning the sorted *set* makes the table — and therefore
-    /// automaton layouts, witness enumeration order, and report bytes —
-    /// a function of the graphs' content only, independent of FEC
-    /// arrival order, dedup mode, and thread count. That invariant is
-    /// what lets [`Checker::run_pipelined`] promise byte-identical
-    /// reports to [`Checker::check`]. Interning only class
-    /// representatives is sound and sufficient: members of a class share
-    /// the representative's granularity-level location set (the
-    /// fingerprint hashes those very labels), so the pre-pass is
-    /// O(classes), not O(FECs).
-    fn table_of(&self, names: &BTreeSet<String>) -> SymbolTable {
-        let mut table = self.program.table.clone();
-        for name in names {
-            table.intern(name);
-        }
-        table
-    }
-
-    /// Collect the location names `graph` contributes to the alphabet at
-    /// the program granularity (the symbols `graph_to_fsa_prepared` will
-    /// look up).
-    fn collect_graph_symbols(&self, graph: &ForwardingGraph, names: &mut BTreeSet<String>) {
-        let mut add = |name: &str| {
-            if !names.contains(name) {
-                names.insert(name.to_owned());
-            }
+    /// Both sides' automata, built against the compiled program's table:
+    /// the session's one alphabet, every location the db lists at the
+    /// granularity, `drop` and the spec's markers, interned once by
+    /// [`crate::compile`]. A class whose graphs name a location the db
+    /// lacks is built against a private copy of it instead, with its
+    /// missing names appended in sorted order, and that copy is returned
+    /// beside the automata. Only the class's own names decide its
+    /// layout either way.
+    fn class_fsas(&self, graphs: [&ForwardingGraph; 2]) -> (Option<SymbolTable>, PairFsas) {
+        let (db, granularity, table) = (self.db, self.program.granularity, &self.program.table);
+        let build = |table: &SymbolTable| {
+            let [pre, post] = graphs.map(|g| graph_to_fsa_prepared(g, db, granularity, table));
+            Some(PairFsas::new(pre?, post?))
         };
-        match self.program.granularity {
-            Granularity::Device => {
-                for v in &graph.vertices {
-                    add(v);
-                }
-            }
-            Granularity::Group => {
-                for v in &graph.vertices {
-                    add(self.db.group_of(v).unwrap_or(v));
-                }
-            }
-            Granularity::Interface => {
-                // one buffer for every `device:port`: `add` copies a
-                // name out only when the set does not have it yet
-                let mut name = String::new();
-                for e in &graph.edges {
-                    for (vertex, port) in [(e.from, &e.src_port), (e.to, &e.dst_port)] {
-                        name.clear();
-                        name.push_str(&graph.vertices[vertex]);
-                        name.push(':');
-                        name.push_str(port);
-                        add(&name);
-                    }
-                }
-                for v in &graph.vertices {
-                    add(v);
-                }
-            }
+        if let Some(env) = build(table) {
+            return (None, env);
         }
-        if !graph.drops.is_empty() {
-            add(DROP_LOCATION);
+        let mut seen = SymbolTable::new();
+        for graph in graphs {
+            graph_to_fsa(graph, db, granularity, &mut seen);
         }
+        let names = seen.iter().map(|sym| seen.name(sym));
+        let missing: BTreeSet<&str> = names.filter(|name| table.lookup(name).is_none()).collect();
+        let mut own = table.clone();
+        for name in missing {
+            own.intern(name);
+        }
+        let env = build(&own).expect("every name the class mentions is interned");
+        (Some(own), env)
     }
 
     /// Decide one behavior class on its representative FEC. The graphs
@@ -1635,21 +1541,22 @@ impl Checker<'_> {
                 &ctx.lowered.default_check,
             ),
         };
-        let table = &ctx.table;
-
         let pre_graph = canonical_graph(&fec.pre);
         let post_graph = canonical_graph(&fec.post);
         let t0 = Instant::now();
-        let pre = graph_to_fsa_prepared(&pre_graph, self.db, self.program.granularity, table);
-        let post = graph_to_fsa_prepared(&post_graph, self.db, self.program.granularity, table);
+        let (own_table, env) = self.class_fsas([&pre_graph, &post_graph]);
         phases.lower += t0.elapsed();
-        let env = PairFsas::new(pre, post);
+        let table = own_table.as_ref().unwrap_or(&self.program.table);
         let renderer = PathRenderer::new(table, &self.program.hash_undo);
 
         let violations = match check {
             CompiledCheck::Relational { parts, .. } => {
-                let memo_id = class_key.map(|(pre, post)| (pre, post, route.unwrap_or(usize::MAX)));
-                self.check_relational(ctx, parts, &lowered.parts, &env, memo_id, phases)
+                // a class under a table of its own shares no side
+                let memo_id = class_key
+                    .filter(|_| own_table.is_none())
+                    .map(|(pre, post)| (pre, post, route.unwrap_or(usize::MAX)));
+                let parts = parts.iter().zip(&lowered.parts);
+                self.check_relational(ctx, parts, &env, &renderer, memo_id, phases)
             }
             CompiledCheck::Raw { name, spec } => {
                 let failures = self.check_raw(spec, &env, &renderer, phases);
@@ -1715,25 +1622,25 @@ impl Checker<'_> {
     /// image → trim → determinize — through the per-side memo, where it
     /// is identified by its behavior hash plus the (route, part)
     /// selecting the relation: `memo_id` is the class's `(pre hash, post
-    /// hash, route)`, `None` when it has no fingerprints. Classes that
+    /// hash, route)`, `None` when it has no fingerprints or its own
+    /// table. Classes that
     /// share an unchanged side skip its image and determinization
     /// entirely. A skipped side is what building it would have returned,
     /// so every automaton that reaches `equivalent` or a witness is the
     /// one it always was; debug builds build each skipped side anyway
     /// and check.
-    fn check_relational(
+    fn check_relational<'p>(
         &self,
         ctx: &DecideCtx<'_>,
-        parts: &[GuardedPart],
-        lowered: &[[LoweredSide; 2]],
+        parts: impl Iterator<Item = (&'p GuardedPart, &'p [LoweredSide; 2])>,
         env: &PairFsas,
+        renderer: &PathRenderer<'_>,
         memo_id: Option<(BehaviorHash, BehaviorHash, usize)>,
         phases: &mut PhaseTimings,
     ) -> Vec<PartViolation> {
-        let renderer = PathRenderer::new(&ctx.table, &self.program.hash_undo);
         let states = [&env.pre, &env.post];
         let mut out = Vec::new();
-        for (part_ix, (part, relations)) in parts.iter().zip(lowered).enumerate() {
+        for (part_ix, (part, relations)) in parts.enumerate() {
             let t0 = Instant::now();
             let live = [0, 1].map(|side| meets(states[side], &relations[side].domain));
             phases.lower += t0.elapsed();
@@ -1770,7 +1677,7 @@ impl Checker<'_> {
                 }
                 let key = memo_id.map(|(pre, post, route)| {
                     let hash = [pre, post][side].as_u128();
-                    (hash, route, part_ix, side == 1, ctx.table_fp)
+                    (hash, route, part_ix, side == 1)
                 });
                 ctx.memo.get_or_compute(key, || build(side, phases))
             };
@@ -1782,7 +1689,7 @@ impl Checker<'_> {
                 continue;
             }
             let t0 = Instant::now();
-            let diff = diff_equation(&lhs, &rhs, &renderer, WitnessLimits::default());
+            let diff = diff_equation(&lhs, &rhs, renderer, WitnessLimits::default());
             phases.witness += t0.elapsed();
             debug_assert!(!diff.is_empty(), "inequivalent DFAs must differ");
             out.push(PartViolation {
@@ -1905,6 +1812,7 @@ mod tests {
     use super::*;
     use crate::session::{CheckSession, JobError, JobSpec, LabeledSource, SessionConfig};
     use rela_net::{linear_graph, Device, FlowSpec, Snapshot};
+    use serde::Serialize;
 
     impl FstMemo {
         /// Sides currently held.
@@ -2825,7 +2733,7 @@ mod tests {
     #[test]
     fn racing_misses_on_one_memo_side_count_one_hit() {
         let memo = FstMemo::new();
-        let key = Some((1u128, usize::MAX, 0, false, 2u128));
+        let key = Some((1u128, usize::MAX, 0, false));
         let both_missed = std::sync::Barrier::new(2);
         let got: Vec<Arc<Dfa>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)

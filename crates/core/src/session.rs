@@ -1579,6 +1579,25 @@ mod tests {
     }
 
     #[test]
+    fn a_job_naming_more_locations_keeps_the_memo_warm() {
+        let (open, pre, [post, _]) = interface_corpus();
+        let pair = SnapshotPair::align(&pre, &post);
+        let third = SnapshotPair {
+            fecs: pair.fecs[..pair.fecs.len() / 3].to_vec(),
+        };
+        let s = open(1);
+        s.run(JobSpec::pair(&third)).unwrap();
+        // the whole pair names interfaces the third does not: every side
+        // is still laid out over the session's one alphabet, so the
+        // third's sides are hits (a cold session reads (9, 189))
+        let stats = s.run(JobSpec::pair(&pair)).unwrap().stats;
+        assert_eq!(
+            (stats.fst_memo_hits, stats.live_sides - stats.fst_memo_hits),
+            (84, 114)
+        );
+    }
+
+    #[test]
     fn use_cache_false_skips_the_store() {
         let mut s = session();
         s.attach_store(VerdictStore::in_memory(s.epoch()));

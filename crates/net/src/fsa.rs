@@ -58,44 +58,36 @@ pub fn graph_to_fsa(
     granularity: Granularity,
     table: &mut SymbolTable,
 ) -> Nfa {
-    build_fsa(graph, db, granularity, &mut |name| table.intern(name))
+    build_fsa(graph, db, granularity, &mut |name| Some(table.intern(name)))
+        .expect("interning never misses")
 }
 
-/// Like [`graph_to_fsa`], but against a *read-only* symbol table: every
-/// location the graph mentions must already be interned. This is the
-/// hot-path variant — the checker pre-interns all locations once, then
-/// shares one table immutably across worker threads instead of cloning
-/// it per worker.
-///
-/// # Panics
-///
-/// Panics if the graph mentions a location absent from `table`.
+/// Like [`graph_to_fsa`], but against a *read-only* symbol table: the
+/// hot-path variant — the checker interns a session's alphabet once and
+/// shares that one table immutably across worker threads. `None` when
+/// the graph mentions a location absent from `table`.
 pub fn graph_to_fsa_prepared(
     graph: &ForwardingGraph,
     db: &LocationDb,
     granularity: Granularity,
     table: &SymbolTable,
-) -> Nfa {
-    build_fsa(graph, db, granularity, &mut |name| {
-        table
-            .lookup(name)
-            .unwrap_or_else(|| panic!("location `{name}` was not pre-interned"))
-    })
+) -> Option<Nfa> {
+    build_fsa(graph, db, granularity, &mut |name| table.lookup(name))
 }
 
 fn build_fsa(
     graph: &ForwardingGraph,
     db: &LocationDb,
     granularity: Granularity,
-    sym: &mut dyn FnMut(&str) -> rela_automata::Symbol,
-) -> Nfa {
+    sym: &mut dyn FnMut(&str) -> Option<rela_automata::Symbol>,
+) -> Option<Nfa> {
     let mut nfa = Nfa::new();
     let vstate: Vec<_> = graph.vertices.iter().map(|_| nfa.add_state()).collect();
 
     match granularity {
         Granularity::Device => {
             for &s in &graph.sources {
-                let label = sym(&graph.vertices[s]);
+                let label = sym(&graph.vertices[s])?;
                 nfa.add_arc(nfa.start(), SymSet::singleton(label), vstate[s]);
             }
             let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -103,13 +95,13 @@ fn build_fsa(
                 if !seen.insert((e.from, e.to)) {
                     continue; // parallel edges are identical at device level
                 }
-                let label = sym(&graph.vertices[e.to]);
+                let label = sym(&graph.vertices[e.to])?;
                 nfa.add_arc(vstate[e.from], SymSet::singleton(label), vstate[e.to]);
             }
         }
         Granularity::Group => {
             for &s in &graph.sources {
-                let label = sym(group_or_self(db, &graph.vertices[s]));
+                let label = sym(group_or_self(db, &graph.vertices[s]))?;
                 nfa.add_arc(nfa.start(), SymSet::singleton(label), vstate[s]);
             }
             let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -123,7 +115,7 @@ fn build_fsa(
                     // stutter: same group, no new path symbol
                     nfa.add_eps(vstate[e.from], vstate[e.to]);
                 } else {
-                    let label = sym(g_to);
+                    let label = sym(g_to)?;
                     nfa.add_arc(vstate[e.from], SymSet::singleton(label), vstate[e.to]);
                 }
             }
@@ -136,8 +128,8 @@ fn build_fsa(
                 let out_if = sym(&Device::interface_name(
                     &graph.vertices[e.from],
                     &e.src_port,
-                ));
-                let in_if = sym(&Device::interface_name(&graph.vertices[e.to], &e.dst_port));
+                ))?;
+                let in_if = sym(&Device::interface_name(&graph.vertices[e.to], &e.dst_port))?;
                 let mid = nfa.add_state();
                 nfa.add_arc(vstate[e.from], SymSet::singleton(out_if), mid);
                 nfa.add_arc(mid, SymSet::singleton(in_if), vstate[e.to]);
@@ -149,14 +141,14 @@ fn build_fsa(
         nfa.set_accepting(vstate[s], true);
     }
     if !graph.drops.is_empty() {
-        let drop_sym = sym(DROP_LOCATION);
+        let drop_sym = sym(DROP_LOCATION)?;
         let drop_state = nfa.add_state();
         nfa.set_accepting(drop_state, true);
         for &d in &graph.drops {
             nfa.add_arc(vstate[d], SymSet::singleton(drop_sym), drop_state);
         }
     }
-    nfa
+    Some(nfa)
 }
 
 #[cfg(test)]
@@ -211,7 +203,7 @@ mod tests {
         for (granularity, probe) in probes {
             let mut table = SymbolTable::new();
             let interned = graph_to_fsa(&g, &db, granularity, &mut table);
-            let prepared = graph_to_fsa_prepared(&g, &db, granularity, &table);
+            let prepared = graph_to_fsa_prepared(&g, &db, granularity, &table).unwrap();
             let word = syms(&table, &probe);
             assert!(interned.accepts(&word), "{granularity:?}");
             assert!(prepared.accepts(&word), "{granularity:?}");
@@ -220,12 +212,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not pre-interned")]
     fn prepared_variant_rejects_unknown_locations() {
         let db = sample_db();
         let g = linear_graph(&["A1-r01", "B1-r01"]);
         let table = SymbolTable::new();
-        let _ = graph_to_fsa_prepared(&g, &db, Granularity::Device, &table);
+        assert!(graph_to_fsa_prepared(&g, &db, Granularity::Device, &table).is_none());
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! Layout pin for the decide path: one interface-granularity pair, the
+//! Layout pins for the decide path: one interface-granularity pair, the
 //! shape of `relabench`'s `decide-interface` workload, is decided by
 //! both engines at 1 and 2 threads and the rendered report must hash to
-//! one committed fingerprint.
+//! one committed fingerprint. A second pin does the same for the
+//! Figure 1 case study against a pruned location db, so the snapshots
+//! name devices and groups the db lacks: the symbols those classes are
+//! decided under come from outside the compiled alphabet.
 //!
 //! Every other identity suite compares two runs of the build under
 //! test, so a change that reorders witnesses or renumbers automaton
@@ -18,12 +21,17 @@
 //! `content_hash128` is.
 
 use rela::lang::{CheckReport, CheckSession, JobSpec, LabeledSource, SessionConfig};
-use rela::net::{Granularity, Ipv4Prefix, SnapshotPair};
+use rela::net::{Granularity, Ipv4Prefix, LocationDb, SnapshotPair};
+use rela::sim::scenarios::{case_study, CASE_STUDY_SPEC};
 use rela::sim::workload::{group_name, spec_of_size, synthetic_wan, WanParams};
 use rela::sim::{configured, simulate, ConfigChange, DeviceSelector};
 
 /// [`fnv1a_128`] of the verdict bytes, recorded at commit dec54f1.
 const FINGERPRINT: u128 = 0x2e03_16b1_0763_774a_4418_f155_0307_326a;
+
+/// [`fnv1a_128`] of the pruned-db case study's verdict bytes, recorded
+/// at commit 164507e.
+const PRUNED_DB_FINGERPRINT: u128 = 0x90da_739d_c154_8553_082c_c231_3ed7_2080;
 
 /// 128-bit FNV-1a (what `content_hash128` was at dec54f1).
 fn fnv1a_128(bytes: &[u8]) -> u128 {
@@ -102,4 +110,71 @@ fn the_interface_granularity_report_is_pinned_across_builds() {
             );
         }
     }
+}
+
+/// The case study's db with every third device gone (the first, then
+/// every third after it, in name order: `xa`, which the spec names,
+/// stays) and `eth0` / `eth1` gone from the rest. The snapshots still
+/// name all of them.
+fn pruned_db(db: &LocationDb) -> LocationDb {
+    let mut pruned = LocationDb::new();
+    for (ix, device) in db.devices().enumerate() {
+        if ix % 3 == 0 {
+            continue;
+        }
+        let mut device = device.clone();
+        device
+            .interfaces
+            .retain(|i| !i.ends_with(":eth0") && !i.ends_with(":eth1"));
+        pruned.add_device(device);
+    }
+    pruned
+}
+
+#[test]
+fn names_outside_the_db_are_pinned_across_builds() {
+    let study = case_study();
+    let db = pruned_db(&study.topology.db);
+    assert!(db.len() < study.topology.db.len());
+    // `rela demo`'s change.rela: routed and raw checks render too
+    let spec = format!(
+        "{CASE_STUDY_SPEC}\nrir sideEffects := pre <= post && post <= (pre | xa .*)\n\
+         pspec sideP := (ingress == \"xa\") -> sideEffects\n"
+    );
+    let pre = study.pre_snapshot();
+    let pre_json = pre.to_json().unwrap();
+    let mut digest = Vec::new();
+    for granularity in [Granularity::Group, Granularity::Device] {
+        for ix in 0..study.iterations.len() {
+            let post = study.post_snapshot(ix);
+            let pair = SnapshotPair::align(&pre, &post);
+            let post_json = post.to_json().unwrap();
+            let mut reports = Vec::new();
+            for threads in [1, 2] {
+                let config = SessionConfig {
+                    granularity,
+                    threads,
+                    ..SessionConfig::default()
+                };
+                let open = || CheckSession::open(&spec, db.clone(), config).unwrap();
+                reports.push(verdict_bytes(&open().run(JobSpec::pair(&pair)).unwrap()));
+                let streams = JobSpec::streams(
+                    LabeledSource::new(pre_json.as_bytes(), "pre"),
+                    LabeledSource::new(post_json.as_bytes(), "post"),
+                );
+                reports.push(verdict_bytes(&open().run(streams).unwrap()));
+            }
+            for report in &reports[1..] {
+                assert_eq!(report, &reports[0], "{granularity:?} post_v{}", ix + 1);
+            }
+            digest.extend_from_slice(reports[0].as_bytes());
+            digest.push(0xff);
+        }
+    }
+    assert_eq!(
+        fnv1a_128(&digest),
+        PRUNED_DB_FINGERPRINT,
+        "witness order or automaton layout moved for names outside the db ({} report bytes)",
+        digest.len(),
+    );
 }

@@ -360,11 +360,11 @@ impl Pipeline<'_, '_> {
     /// states are partial and the caller discards them.
     fn ingest(
         &self,
-        feeds: Vec<Feed<'_>>,
+        mut feeds: Vec<Feed<'_>>,
         workers: usize,
     ) -> Result<Vec<WorkerState>, SnapshotError> {
         let mut locals: Vec<WorkerState> = std::thread::scope(|scope| {
-            for feed in feeds {
+            for feed in &mut feeds {
                 scope.spawn(move || self.produce(feed));
             }
             let handles: Vec<_> = (0..workers)
@@ -397,6 +397,9 @@ impl Pipeline<'_, '_> {
             self.admit_spans(row, &mut drain).map_err(|(_, e)| e)?;
         }
         locals.push(drain);
+        // the feeds outlive every read of their records: a mapped side's
+        // framer releases the container's last window when it drops
+        drop(feeds);
         Ok(locals)
     }
 
@@ -406,7 +409,7 @@ impl Pipeline<'_, '_> {
     /// list. Stops early when the pipeline aborts; the last producer to
     /// finish closes the channel. Its time in the feed is `frame`, its
     /// time in a blocked send `send_blocked`.
-    fn produce(&self, feed: Feed<'_>) {
+    fn produce(&self, feed: &mut Feed<'_>) {
         let _poison_guard = PoisonOnPanic(&self.channel);
         let mut rows = PhaseTimings::default();
         let mut mark = Instant::now();

@@ -16,7 +16,12 @@
 use std::fmt;
 use std::fs::File;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
+
+/// The block [`MmapSource::release`] advises in: a whole number of
+/// pages for the 4, 16 and 64 KiB page sizes in use.
+const RELEASE_ALIGN: usize = 64 << 10;
 
 mod sys {
     use std::ffi::c_void;
@@ -118,29 +123,45 @@ impl MmapSource {
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
-    /// Tell the kernel the first `upto` bytes have been consumed and
-    /// their pages may leave this process's resident set
-    /// (`madvise(MADV_DONTNEED)`; the framer calls this as it advances
-    /// so a large container never accumulates its whole length in RSS).
+    /// Tell the kernel the bytes in `range` have been consumed and their
+    /// pages may leave this process's resident set
+    /// (`madvise(MADV_DONTNEED)`). The advice covers the whole 64 KiB
+    /// blocks inside `range`, and a range that runs to the end of the
+    /// mapping covers its last, partial block too. Returns where the
+    /// advice ends: `range.end` rounded down to a block, or the
+    /// mapping's length. The mapped framer advises each stretch of a
+    /// container about twice as its cursor passes it, so the advice
+    /// over a whole container is O(its length).
+    ///
     /// Purely advisory and strictly non-destructive: the mapping is
     /// clean and read-only, so the page-cache copy survives and any
     /// later access — a span borrowing the released region, say —
-    /// refaults the identical bytes with a minor fault. Failures are
-    /// ignored.
-    pub fn release_prefix(&self, upto: usize) {
-        // align the length down generously so the (page-aligned) base
-        // covers a whole number of pages for any page size in use
-        const ALIGN: usize = 1 << 20;
-        let len = upto.min(self.len) & !(ALIGN - 1);
-        if len == 0 {
-            return;
+    /// refaults the identical bytes with a minor fault. The pages leave
+    /// the process's resident set (what `VmHWM`, `ps` and the OOM score
+    /// see), not the page cache. Failures are ignored.
+    pub fn release(&self, range: Range<usize>) -> usize {
+        let start = range.start.next_multiple_of(RELEASE_ALIGN);
+        let end = if range.end >= self.len {
+            self.len
+        } else {
+            range.end & !(RELEASE_ALIGN - 1)
+        };
+        if start >= end {
+            return end;
         }
-        // SAFETY: [ptr, ptr + len) lies within the live PROT_READ
-        // mapping and MADV_DONTNEED on a clean file-backed private
-        // mapping only drops residency — observable bytes are unchanged.
+        // SAFETY: [ptr + start, ptr + end) lies within the live
+        // PROT_READ mapping, its start on a block boundary and so on a
+        // page boundary, and MADV_DONTNEED on a clean file-backed
+        // private mapping only drops residency — observable bytes are
+        // unchanged.
         unsafe {
-            sys::madvise(self.ptr as *mut std::ffi::c_void, len, sys::MADV_DONTNEED);
+            sys::madvise(
+                self.ptr.add(start) as *mut std::ffi::c_void,
+                end - start,
+                sys::MADV_DONTNEED,
+            );
         }
+        end
     }
 
     /// Length of the mapping in bytes.
@@ -226,18 +247,25 @@ mod tests {
     #[test]
     fn released_pages_refault_identical_bytes() {
         let path = temp_path("release");
-        // several megabytes so the 1MiB-aligned release actually drops
-        // pages rather than rounding down to nothing
-        let payload: Vec<u8> = (0..(3 << 20) as u32).map(|x| x as u8).collect();
+        // several blocks, and a partial one at the end, so the release
+        // drops whole blocks in the middle and the tail at the end
+        let payload: Vec<u8> = (0..(5 * RELEASE_ALIGN + 123) as u32)
+            .map(|x| x as u8)
+            .collect();
         std::fs::write(&path, &payload).unwrap();
         let map = MmapSource::open(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(map.as_slice(), &payload[..]);
-        map.release_prefix(map.len());
+        // an unaligned range releases the whole blocks inside it
+        let ended = map.release(RELEASE_ALIGN / 2..3 * RELEASE_ALIGN + 7);
+        assert_eq!(ended, 3 * RELEASE_ALIGN);
         // the advice must be observably non-destructive, unlink included
         assert_eq!(map.as_slice(), &payload[..]);
-        map.release_prefix(usize::MAX); // clamps to the mapping
-        assert_eq!(&map.as_slice()[..16], &payload[..16]);
+        assert_eq!(map.release(2 * RELEASE_ALIGN..usize::MAX), map.len());
+        assert_eq!(map.as_slice(), &payload[..]);
+        map.release(0..map.len());
+        assert_eq!(map.release(7..7), 0); // nothing inside a block
+        assert_eq!(map.as_slice(), &payload[..]);
     }
 
     #[test]

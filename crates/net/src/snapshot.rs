@@ -603,6 +603,10 @@ enum FramerInner<R: Read> {
     Json(JsonFramer<R>),
     /// Between the records of a binary container.
     Binary(FramerBytes<R>),
+    /// Past a mapped container's end marker; the iterator is fused. The
+    /// cursor stays until the framer goes, so the container's last
+    /// window is released only then ([`MapCursor`]).
+    Ended { _cursor: MapCursor },
     /// Finished or failed; the iterator is fused.
     Done,
 }
@@ -640,8 +644,9 @@ impl<R: Read> SnapshotFramer<R> {
     pub fn is_mapped(&self) -> bool {
         matches!(
             self.inner,
-            FramerInner::Unopened(Some(FramerBytes::Map { .. }))
-                | FramerInner::Binary(FramerBytes::Map { .. })
+            FramerInner::Unopened(Some(FramerBytes::Map(_)))
+                | FramerInner::Binary(FramerBytes::Map(_))
+                | FramerInner::Ended { .. }
         )
     }
 
@@ -681,11 +686,11 @@ impl<'a> SnapshotFramer<Box<dyn Read + Send + 'a>> {
         if !map.starts_with(&BINARY_MAGIC) {
             return SnapshotFramer::new(Box::new(std::io::Cursor::new(map)), label);
         }
-        let bytes = FramerBytes::Map {
+        let bytes = FramerBytes::Map(MapCursor {
             map: Arc::new(map),
             pos: 0,
             released: 0,
-        };
+        });
         SnapshotFramer::over(bytes, Some(label.into()))
     }
 }
@@ -696,7 +701,7 @@ impl<R: Read> Iterator for SnapshotFramer<R> {
     fn next(&mut self) -> Option<Self::Item> {
         let result = loop {
             match &mut self.inner {
-                FramerInner::Done => return None,
+                FramerInner::Done | FramerInner::Ended { .. } => return None,
                 FramerInner::Json(j) => break j.next_record(self.index),
                 FramerInner::Binary(b) => break b.next_record(self.index),
                 FramerInner::Unopened(bytes) => {
@@ -714,7 +719,12 @@ impl<R: Read> Iterator for SnapshotFramer<R> {
                 Some(Ok(raw))
             }
             Ok(None) => {
-                self.inner = FramerInner::Done;
+                self.inner = match std::mem::replace(&mut self.inner, FramerInner::Done) {
+                    FramerInner::Binary(FramerBytes::Map(cursor)) => {
+                        FramerInner::Ended { _cursor: cursor }
+                    }
+                    _ => FramerInner::Done,
+                };
                 None
             }
             Err(e) => Some(Err(self.fail(e))),
@@ -924,28 +934,81 @@ fn binary_end(buf: &[u8], pos: usize, last: bool) -> Result<((), usize), Stop> {
 enum FramerBytes<R: Read> {
     /// A stream, one shared chunk at a time.
     Chunks(Chunks<R>),
-    /// A mapped container: the one chunk that is the whole input, so
-    /// record spans borrow the mapping instead of a buffer.
-    Map {
-        map: Arc<MmapSource>,
-        /// Absolute offset of the next unread byte.
-        pos: usize,
-        /// Watermark below which pages have been advised reclaimable
-        /// ([`MmapSource::release_prefix`]) — without this a large
-        /// container accumulates its entire length in the process's
-        /// resident set as framing touches every page. Released lagging
-        /// one [`MAPPED_RELEASE_CHUNK`] behind `pos` so in-flight spans
-        /// almost always sit on still-resident pages (a span behind the
-        /// lag merely refaults from the page cache).
-        released: usize,
-    },
+    /// A mapped container.
+    Map(MapCursor),
 }
 
-/// Granularity of the mapped framer's resident-set release: pages are
-/// advised reclaimable one chunk at a time, one chunk behind the
-/// framing cursor, bounding a side's framing footprint to ~2 chunks
-/// regardless of container size.
-const MAPPED_RELEASE_CHUNK: usize = 1 << 20;
+/// A mapped container being framed: the one chunk that is the whole
+/// input, so record spans borrow the mapping instead of a buffer.
+///
+/// Framing touches every page of the container, so the cursor advises
+/// them reclaimable behind itself ([`MmapSource::release`]) — without
+/// this a large container accumulates its entire length in the
+/// process's resident set — and advises the rest when it is dropped: a
+/// framer keeps it past the end marker and drops it with itself, and
+/// the pipelined engine drops its framers once its workers have read
+/// every record. So a finished ingest, and a retained base still holding
+/// the mapping, pins no pages; a span read later merely refaults its
+/// pages from the page cache.
+struct MapCursor {
+    map: Arc<MmapSource>,
+    /// Absolute offset of the next unread byte.
+    pos: usize,
+    /// Watermark below which pages have been advised reclaimable. It
+    /// trails `pos` by one [`MAPPED_RELEASE_CHUNK`] window, on a block
+    /// boundary ([`MmapSource::release`]), so the spans still in flight
+    /// sit on resident pages.
+    released: usize,
+}
+
+/// The mapped framer's release window: twice what one side can have in
+/// flight — the channel's batches plus one per worker, four
+/// [`FRAME_BATCH_BYTES`] batches on two workers — so a batch still in
+/// flight sits above the watermark, and a step, one `madvise` with the
+/// TLB flush it costs, comes once per 512 KiB framed. The watermark
+/// trails the cursor by one window and moves a window at a time; each
+/// move advises the stretch it newly passed plus the window below it
+/// again, which drops any page hashing faulted back in. A side's
+/// framing footprint is so held to two windows whatever the
+/// container's size, and the advice over a whole container is O(its
+/// length).
+const MAPPED_RELEASE_CHUNK: usize = 8 * FRAME_BATCH_BYTES;
+
+impl MapCursor {
+    /// Run `grammar` once over the mapping at the cursor, consume what
+    /// it framed, and move the watermark up behind the cursor.
+    fn frame<T>(
+        &mut self,
+        grammar: impl FnOnce(&[u8], usize, bool) -> Result<(T, usize), Stop>,
+    ) -> Result<(u64, T), SnapshotError> {
+        let (framed, end) = grammar(&self.map, self.pos, true).map_err(|stop| match stop {
+            Stop::Syntax { message, at } => SnapshotError::at(message, at as u64),
+            Stop::NeedMore => unreachable!("the mapping was scanned as the end of input"),
+        })?;
+        let offset = self.pos as u64;
+        self.pos = end;
+        let upto = end.saturating_sub(MAPPED_RELEASE_CHUNK);
+        if upto >= self.released + MAPPED_RELEASE_CHUNK {
+            self.release_to(upto);
+        }
+        Ok((offset, framed))
+    }
+
+    /// Advise the pages below `upto` reclaimable, from one window under
+    /// the old watermark, and move the watermark to where the advice
+    /// ended (a block boundary, or the end of the container).
+    fn release_to(&mut self, upto: usize) {
+        let from = self.released.saturating_sub(MAPPED_RELEASE_CHUNK);
+        self.released = self.map.release(from..upto);
+    }
+}
+
+impl Drop for MapCursor {
+    /// The window runs out to the end of the container.
+    fn drop(&mut self) {
+        self.release_to(usize::MAX);
+    }
+}
 
 impl<R: Read> FramerBytes<R> {
     /// Run `grammar` at the cursor — through the chunk loop for a
@@ -954,7 +1017,7 @@ impl<R: Read> FramerBytes<R> {
     /// error's offset is absolute too.
     fn frame<T>(
         &mut self,
-        mut grammar: impl FnMut(&[u8], usize, bool) -> Result<(T, usize), Stop>,
+        grammar: impl FnMut(&[u8], usize, bool) -> Result<(T, usize), Stop>,
     ) -> Result<(u64, T), SnapshotError> {
         match self {
             FramerBytes::Chunks(chunks) => {
@@ -965,19 +1028,7 @@ impl<R: Read> FramerBytes<R> {
                 chunks.advance_to(end);
                 Ok((offset, framed))
             }
-            FramerBytes::Map { map, pos, released } => {
-                let (framed, end) = grammar(map, *pos, true).map_err(|stop| match stop {
-                    Stop::Syntax { message, at } => SnapshotError::at(message, at as u64),
-                    Stop::NeedMore => unreachable!("the mapping was scanned as the end of input"),
-                })?;
-                let offset = *pos as u64;
-                *pos = end;
-                if end >= *released + 2 * MAPPED_RELEASE_CHUNK {
-                    *released = end - MAPPED_RELEASE_CHUNK;
-                    map.release_prefix(*released);
-                }
-                Ok((offset, framed))
-            }
+            FramerBytes::Map(cursor) => cursor.frame(grammar),
         }
     }
 
@@ -989,9 +1040,9 @@ impl<R: Read> FramerBytes<R> {
                 chunks.base() + range.start as u64,
                 SpanBytes::shared(Arc::clone(chunks.chunk()), range),
             ),
-            FramerBytes::Map { map, .. } => (
+            FramerBytes::Map(cursor) => (
                 range.start as u64,
-                SpanBytes::mapped(Arc::clone(map), range),
+                SpanBytes::mapped(Arc::clone(&cursor.map), range),
             ),
         }
     }

@@ -5,12 +5,15 @@
 //! container through `BufReader`, for every record-size mix and at
 //! every truncation point. Errors must match to the message byte,
 //! offset and entry index included.
+//!
+//! And what the mapped framer leaves resident: no more than two release
+//! windows while it runs, nothing once it is gone.
 
 use proptest::prelude::*;
 use rela_net::{
     MmapSource, RawRecord, SnapshotError, SnapshotFramer, BINARY_MAGIC, BINARY_VERSION,
 };
-use std::io::BufReader;
+use std::io::{BufReader, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The container caps of `docs/SNAPSHOT_FORMAT.md` (private consts in
@@ -37,7 +40,11 @@ fn container(records: &[(Vec<u8>, Vec<u8>)], sentinel: bool, trailing: &[u8]) ->
     out
 }
 
-/// Spool `bytes` to a fresh temp file and return its path.
+/// Spool `bytes` to a fresh temp file and return its path. Written 64
+/// KiB at a time, as the daemon spools a body (`rela snapshot pack`
+/// writes smaller pieces still): a fault maps in the whole page-cache
+/// folio it hits (Linux 6.18 on), and one large write may leave the
+/// file in 2 MiB folios, which no release window can split.
 fn spool(bytes: &[u8]) -> std::path::PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
@@ -45,7 +52,10 @@ fn spool(bytes: &[u8]) -> std::path::PathBuf {
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed),
     ));
-    std::fs::write(&path, bytes).unwrap();
+    let mut file = std::fs::File::create(&path).unwrap();
+    for block in bytes.chunks(64 << 10) {
+        file.write_all(block).unwrap();
+    }
     path
 }
 
@@ -205,4 +215,75 @@ fn non_rsnb_maps_fall_back_to_the_sniffing_framer() {
         .map(|r| r.unwrap())
         .collect();
     assert_eq!(records[0].json_bytes(), buffered[0].json_bytes());
+}
+
+/// The resident size, in KiB, of the mapping of this process that
+/// contains `addr`, from `/proc/self/smaps`; `None` where the file is
+/// missing.
+#[cfg(target_os = "linux")]
+fn mapping_rss_kib(addr: usize) -> Option<u64> {
+    let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+    let mut inside = false;
+    for line in smaps.lines() {
+        let range = line
+            .split_whitespace()
+            .next()
+            .and_then(|r| r.split_once('-'));
+        if let Some((start, end)) = range {
+            let parse = |hex| usize::from_str_radix(hex, 16).ok();
+            inside =
+                matches!((parse(start), parse(end)), (Some(s), Some(e)) if s <= addr && addr < e);
+        } else if inside && line.starts_with("Rss:") {
+            return line.split_whitespace().nth(1)?.parse().ok();
+        }
+    }
+    None
+}
+
+/// A mapped container stays resident only within the framer's release
+/// window: pages are advised reclaimable one window behind the cursor
+/// as it advances, and all of them once the framer is gone, so a
+/// mapping that outlives its ingest pins no pages.
+#[cfg(target_os = "linux")]
+#[test]
+fn mapped_framing_holds_two_windows_and_releases_the_tail() {
+    const WINDOW_KIB: u64 = 512;
+    if !std::path::Path::new("/proc/self/smaps").exists() {
+        eprintln!("skipping: no /proc/self/smaps on this host");
+        return;
+    }
+    // over 8 MiB of ~1 KiB records; the container ends mid-block
+    let records: Vec<_> = (0..8_200u32)
+        .map(|i| (format!("flow-{i}").into_bytes(), vec![i as u8; 1_024]))
+        .collect();
+    let bytes = container(&records, true, &[]);
+    assert!(bytes.len() >= 8 << 20);
+    let path = spool(&bytes);
+    let map = MmapSource::open(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let addr = map.as_ptr() as usize;
+
+    // each record is dropped as it comes, but the last: its spans keep
+    // the mapping alive past the end, as a retained base's rows do
+    let mut last = None;
+    for (framed, record) in SnapshotFramer::from_map(map, "t").enumerate() {
+        last = Some(record.unwrap());
+        if (framed + 1) % 256 == 0 {
+            let rss = mapping_rss_kib(addr).expect("the mapping is live");
+            assert!(
+                rss <= 2 * WINDOW_KIB + 64,
+                "{rss} kB of the mapping resident after {} records",
+                framed + 1
+            );
+        }
+    }
+    assert_eq!(
+        last.as_ref().expect("records were framed").index,
+        records.len() - 1
+    );
+    let rss = mapping_rss_kib(addr).expect("the last record holds the mapping");
+    assert!(
+        rss <= 64,
+        "{rss} kB of the mapping resident after the end marker"
+    );
 }

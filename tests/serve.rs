@@ -4,7 +4,7 @@
 //! store, and `SIGTERM` drains gracefully — the in-flight job finishes,
 //! new submissions are refused, and the daemon exits 0.
 
-use rela::cli::{self, Command, Output, SnapshotDiffArgs};
+use rela::cli::{self, Command, Output, PackArgs, SnapshotDiffArgs};
 use rela::client::{RetryPolicy, SubmitArgs};
 use rela::lang::JobOptions;
 use rela::proto::{
@@ -1376,5 +1376,117 @@ fn a_panicking_connection_thread_does_not_wedge_the_drain() {
     assert_eq!(code, 0, "{text}");
     sigterm(&daemon);
     drained_within_watchdog(daemon, &socket);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The daemon's spool mappings — its mapped RSNB bodies, unlinked once
+/// mapped — as their count and Σ smaps `Rss` (kB), with its `VmHWM`
+/// line; `None` where `/proc/<pid>/smaps` is missing.
+fn spool_mappings(pid: u32) -> Option<(usize, u64, String)> {
+    let smaps = std::fs::read_to_string(format!("/proc/{pid}/smaps")).ok()?;
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    let hwm = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let (mut count, mut rss, mut inside) = (0, 0, false);
+    for line in smaps.lines() {
+        if let Some(kib) = line.strip_prefix("Rss:") {
+            if inside {
+                rss += kib.trim().trim_end_matches(" kB").parse::<u64>().ok()?;
+            }
+        } else if line
+            .split_whitespace()
+            .next()
+            .is_some_and(|a| a.contains('-'))
+        {
+            inside = line.contains("/rela-serve-") && line.ends_with(".rsnb (deleted)");
+            count += usize::from(inside);
+        }
+    }
+    let hwm = hwm.split_whitespace().collect::<Vec<_>>().join(" ");
+    Some((count, rss, hwm))
+}
+
+/// A retained base holds its mapped RSNB bodies for `--retain-epochs`
+/// jobs, but none of their pages: the framer releases a body's pages
+/// one window behind its cursor, and the rest once the job has read
+/// every record. Each
+/// side is ~4,096 flows over one ~1 KiB graph, several release windows
+/// long, packed by `rela snapshot pack`; two posts, one a flow short,
+/// make two epochs, so the default `--retain-epochs 2` keeps four
+/// spooled sides.
+#[test]
+fn retained_bases_pin_no_spool_pages() {
+    let dir = demo_dir("spoolpages");
+    let socket = dir.join("daemon.sock");
+    // the demo's first graph under 4,096 destinations
+    let first = rela_net::SnapshotFramer::new(
+        std::fs::File::open(dir.join("pre.json")).unwrap(),
+        "pre.json",
+    )
+    .next()
+    .expect("the demo has records")
+    .unwrap();
+    let graph = String::from_utf8(first.graph.to_vec()).unwrap();
+    let packed = |name: &str, flows: usize| -> PathBuf {
+        let records: Vec<String> = (0..flows)
+            .map(|i| {
+                let dst = format!("10.{}.{}.0/24", 100 + i / 256, i % 256);
+                format!(r#"{{"flow":{{"dst":"{dst}","ingress":"x1"}},"graph":{graph}}}"#)
+            })
+            .collect();
+        let json = dir.join(format!("{name}.json"));
+        std::fs::write(&json, format!(r#"{{"fecs":[{}]}}"#, records.join(","))).unwrap();
+        let output = dir.join(format!("{name}.rsnb"));
+        let pack = PackArgs {
+            input: json,
+            output: output.clone(),
+            unpack: false,
+        };
+        cli::run(&Command::SnapshotPack(pack), &mut Vec::new()).expect("pack writes");
+        assert!(std::fs::metadata(&output).unwrap().len() >= 4 << 20);
+        output
+    };
+    let pre = packed("big-pre", 4_096);
+    let posts = [packed("big-post-a", 4_096), packed("big-post-b", 4_095)];
+
+    let daemon = spawn_daemon(&dir, &socket, None);
+    for post in posts.iter().cycle().take(4) {
+        let mut sink = Vec::new();
+        let code = cli::run(
+            &Command::Submit(SubmitArgs {
+                socket: socket.clone(),
+                pre: pre.clone(),
+                post: post.clone(),
+                delta: None,
+                job: JobOptions::default(),
+                cache_stats: true,
+                retry: RetryPolicy::default(),
+            }),
+            &mut sink,
+        )
+        .expect("submit succeeds");
+        let text = String::from_utf8(sink).unwrap();
+        // the spec wants these paths shifted, and none is
+        assert_eq!(code, 1, "{text}");
+        stat_line(&text, "base epoch: ");
+    }
+
+    match spool_mappings(daemon.id()) {
+        None => eprintln!("skipping: no /proc/<pid>/smaps on this host"),
+        Some((count, rss, hwm)) => {
+            eprintln!("{count} retained spool mappings: {rss} kB resident; daemon {hwm}");
+            assert_eq!(
+                count, 4,
+                "two retained pairs keep four spooled sides mapped"
+            );
+            assert!(
+                rss <= 1024,
+                "the retained bases' spool mappings hold {rss} kB resident"
+            );
+        }
+    }
+
+    let mut sink = Vec::new();
+    cli::run(&Command::Shutdown(socket.clone()), &mut sink).expect("shutdown is acknowledged");
+    wait_exit(daemon, &socket);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,8 +10,8 @@
 
 use crate::dfa::Dfa;
 use crate::fst::{Fst, FstLabel};
+use crate::hash::FixedMap;
 use crate::nfa::{Nfa, StateId};
-use std::collections::HashMap;
 
 /// Combine one synchronized step: `first` writes a symbol that `second`
 /// reads. Returns `None` when the arcs cannot synchronize.
@@ -76,7 +76,7 @@ fn combine(first: &FstLabel, second: &FstLabel) -> Option<FstLabel> {
 /// ```
 pub fn compose(f: &Fst, g: &Fst) -> Fst {
     let mut out = Fst::new();
-    let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
+    let mut index: FixedMap<(StateId, StateId), StateId> = FixedMap::default();
     let start_pair = (f.start(), g.start());
     index.insert(start_pair, out.start());
     out.set_accepting(
@@ -87,7 +87,7 @@ pub fn compose(f: &Fst, g: &Fst) -> Fst {
     while let Some((sf, sg)) = work.pop() {
         let sid = index[&(sf, sg)];
         let push = |out: &mut Fst,
-                    index: &mut HashMap<(StateId, StateId), StateId>,
+                    index: &mut FixedMap<(StateId, StateId), StateId>,
                     work: &mut Vec<(StateId, StateId)>,
                     label: FstLabel,
                     tf: StateId,

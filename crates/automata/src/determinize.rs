@@ -7,9 +7,9 @@
 //! alphabet size.
 
 use crate::dfa::Dfa;
+use crate::hash::FixedMap;
 use crate::nfa::{Nfa, StateId};
 use crate::symset::{minterms, SymSet};
-use std::collections::HashMap;
 
 /// Determinize `nfa` via subset construction.
 ///
@@ -29,7 +29,7 @@ use std::collections::HashMap;
 /// ```
 pub fn determinize(nfa: &Nfa) -> Dfa {
     let start_set = nfa.eps_closure(&[nfa.start()]);
-    let mut index: HashMap<Vec<StateId>, StateId> = HashMap::new();
+    let mut index: FixedMap<Vec<StateId>, StateId> = FixedMap::default();
     let mut arcs: Vec<Vec<(SymSet, StateId)>> = vec![Vec::new()];
     let mut accepting = vec![start_set.iter().any(|&s| nfa.is_accepting(s))];
     index.insert(start_set.clone(), 0);

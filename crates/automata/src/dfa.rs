@@ -293,7 +293,7 @@ impl ProductMode {
 /// assert!(!diff.accepts(&[a, b]));
 /// ```
 pub fn product(a: &Dfa, b: &Dfa, mode: ProductMode) -> Dfa {
-    use std::collections::HashMap;
+    use crate::hash::FixedMap;
     // `None` encodes the virtual (non-accepting, absorbing) dead state.
     type P = (Option<StateId>, Option<StateId>);
     let accept = |p: &P, a_dfa: &Dfa, b_dfa: &Dfa| -> bool {
@@ -302,7 +302,7 @@ pub fn product(a: &Dfa, b: &Dfa, mode: ProductMode) -> Dfa {
         mode.combine(fa, fb)
     };
 
-    let mut index: HashMap<P, StateId> = HashMap::new();
+    let mut index: FixedMap<P, StateId> = FixedMap::default();
     let start_p: P = (Some(a.start()), Some(b.start()));
     let mut arcs: Vec<Vec<(SymSet, StateId)>> = vec![Vec::new()];
     let mut accepting = vec![accept(&start_p, a, b)];

@@ -346,8 +346,8 @@ impl Fst {
     /// in `x`/`y`. Intended for tests; the decision procedure uses
     /// composition + projection instead.
     pub fn relates(&self, x: &[Symbol], y: &[Symbol]) -> bool {
-        use std::collections::HashSet;
-        let mut seen: HashSet<(StateId, usize, usize)> = HashSet::new();
+        use crate::hash::FixedSet;
+        let mut seen: FixedSet<(StateId, usize, usize)> = FixedSet::default();
         let mut stack = vec![(self.start, 0usize, 0usize)];
         while let Some((s, i, j)) = stack.pop() {
             if !seen.insert((s, i, j)) {

@@ -53,6 +53,7 @@ mod determinize;
 mod dfa;
 mod equiv;
 mod fst;
+mod hash;
 mod minimize;
 mod nfa;
 mod regex;
@@ -65,6 +66,7 @@ pub use determinize::determinize;
 pub use dfa::{product, Dfa, ProductMode};
 pub use equiv::{compare, equivalent, included, CheckResult, DiffWitness};
 pub use fst::{Fst, FstLabel};
+pub use hash::{FixedHasher, FixedMap, FixedSet, FixedState};
 pub use minimize::minimize;
 pub use nfa::{Nfa, StateId};
 pub use regex::Regex;

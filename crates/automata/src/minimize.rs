@@ -6,8 +6,8 @@
 //! is re-symbolized by unioning the classes of merged arcs.
 
 use crate::dfa::Dfa;
+use crate::hash::FixedMap;
 use crate::symset::{minterms, SymSet};
-use std::collections::HashMap;
 
 /// Minimize a DFA. The result is the canonical minimal partial DFA for
 /// the language (dead states removed, then Myhill–Nerode classes merged).
@@ -110,7 +110,7 @@ pub fn minimize(dfa: &Dfa) -> Dfa {
             continue;
         }
         // group preimage states by their current block
-        let mut touched: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut touched: FixedMap<usize, Vec<usize>> = FixedMap::default();
         for s in preimage {
             touched.entry(block_of[s]).or_default().push(s);
         }
@@ -154,7 +154,7 @@ pub fn minimize(dfa: &Dfa) -> Dfa {
         let rep = members[0];
         accepting[bid] = dfa.is_accepting(rep);
         // union minterm classes per target block
-        let mut per_target: HashMap<usize, SymSet> = HashMap::new();
+        let mut per_target: FixedMap<usize, SymSet> = FixedMap::default();
         for (c, class) in classes.iter().enumerate() {
             let target_block = block_of[delta[rep * k + c]];
             per_target

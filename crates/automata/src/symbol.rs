@@ -9,7 +9,7 @@
 //! except these"), so the algebra never needs to know the full universe.
 //! See [`crate::symset::SymSet`].
 
-use std::collections::HashMap;
+use crate::hash::FixedMap;
 use std::fmt;
 
 /// A compact, interned alphabet symbol.
@@ -60,7 +60,7 @@ impl fmt::Display for Symbol {
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
     names: Vec<String>,
-    index: HashMap<String, Symbol>,
+    index: FixedMap<String, Symbol>,
 }
 
 impl SymbolTable {

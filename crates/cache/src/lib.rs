@@ -46,12 +46,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use rela_net::{content_hash128, BehaviorHash, Granularity};
+use rela_net::{content_hash128, BehaviorHash, FixedMap, FixedState, Granularity};
 use serde::Value;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -171,7 +169,7 @@ pub struct VerdictStore {
     epoch: CacheEpoch,
     /// Sharded by key hash: warm-replay consults from concurrent checker
     /// workers land on different locks.
-    entries: Vec<Mutex<HashMap<String, Value>>>,
+    entries: Vec<Mutex<FixedMap<String, Value>>>,
     /// How many entries came from disk (for stats/reporting).
     loaded: usize,
     hits: AtomicUsize,
@@ -194,13 +192,11 @@ pub struct VerdictStore {
 }
 
 fn shard_of(key: &str) -> usize {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % SHARDS
+    FixedState::default().hash_one(key) as usize % SHARDS
 }
 
-fn shard_map(entries: HashMap<String, Value>) -> Vec<Mutex<HashMap<String, Value>>> {
-    let mut shards: Vec<HashMap<String, Value>> = (0..SHARDS).map(|_| HashMap::new()).collect();
+fn shard_map(entries: FixedMap<String, Value>) -> Vec<Mutex<FixedMap<String, Value>>> {
+    let mut shards = vec![FixedMap::default(); SHARDS];
     for (k, v) in entries {
         shards[shard_of(&k)].insert(k, v);
     }
@@ -271,7 +267,7 @@ impl VerdictStore {
             path: None,
             epoch,
             loaded: 0,
-            entries: shard_map(HashMap::new()),
+            entries: shard_map(FixedMap::default()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             inserted: AtomicUsize::new(0),
@@ -390,8 +386,8 @@ impl VerdictStore {
                     .collect::<Vec<_>>()
             })
             .collect();
-        // deterministic file bytes: sorted keys, stable across shard and
-        // HashMap iteration order and across runs
+        // sorted keys: entry order is stable across shard and map
+        // iteration order and across runs (the entries' timings are not)
         fields.sort_by(|a, b| a.0.cmp(&b.0));
         let generation = self.generation.load(Ordering::Acquire) + 1;
         let doc = Value::obj(vec![
@@ -674,7 +670,7 @@ pub fn gc(dir: &Path, current: Option<CacheEpoch>, policy: &GcPolicy) -> std::io
 /// `None` on any malformation (wrong JSON, schema, or epoch) so the
 /// caller quarantines and cold-starts. Files written before the
 /// generation marker existed parse as generation 0.
-fn parse_store(text: &str, epoch: CacheEpoch) -> Option<(HashMap<String, Value>, u64)> {
+fn parse_store(text: &str, epoch: CacheEpoch) -> Option<(FixedMap<String, Value>, u64)> {
     let value: Value = serde_json::from_str(text).ok()?;
     if value.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
         return None;

@@ -37,7 +37,8 @@ use crate::retain::{JoinedRow, RetainedBase, RetainedRow, RetentionSlot};
 use crate::rir::RirSpec;
 use crate::session::JobOptions;
 use rela_automata::{
-    determinize, enumerate_words, equivalent, image, included, meets, Dfa, Fst, Nfa, SymbolTable,
+    determinize, enumerate_words, equivalent, image, included, meets, Dfa, FixedMap, Fst, Nfa,
+    SymbolTable,
 };
 use rela_cache::{CacheEpoch, CacheKey, VerdictStore, BYTE_VARIANT_SALT};
 use rela_net::faultio::FaultPlan;
@@ -49,7 +50,7 @@ use rela_net::{
 };
 use serde::Value;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::io::Read;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -292,7 +293,7 @@ impl Admitted {
 struct WorkerState {
     worker: usize,
     flows: Vec<Admitted>,
-    byte_classes: HashMap<ClassKey, ClassRef>,
+    byte_classes: FixedMap<ClassKey, ClassRef>,
     members: Vec<(ClassRef, FlowRef)>,
     warm: Vec<(ClassRef, FecResult)>,
     decodes: usize,
@@ -793,7 +794,7 @@ const FST_MEMO_CAP: usize = 4096;
 /// holds that program's [`LoweredProgram`], built by the first run that
 /// uses the memo.
 pub(crate) struct FstMemo {
-    map: Mutex<HashMap<MemoKey, Arc<Dfa>>>,
+    map: Mutex<FixedMap<MemoKey, Arc<Dfa>>>,
     pub(crate) hits: AtomicUsize,
     lowered: OnceLock<LoweredProgram>,
 }
@@ -801,7 +802,7 @@ pub(crate) struct FstMemo {
 impl FstMemo {
     pub(crate) fn new() -> FstMemo {
         FstMemo {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::default(),
             hits: AtomicUsize::new(0),
             lowered: OnceLock::new(),
         }
@@ -1369,13 +1370,11 @@ impl Checker<'_> {
         }
         let keys = pair.fecs.iter().map(|fec| self.fingerprint_of(fec));
         let mut classes: Vec<BehaviorClass> = Vec::new();
-        let mut index: HashMap<(BehaviorHash, BehaviorHash, usize), usize> = HashMap::new();
+        let mut index: FixedMap<(BehaviorHash, BehaviorHash, usize), usize> = FixedMap::default();
         for (ix, (route, pre, post)) in keys.enumerate() {
             match index.entry((pre, post, route.unwrap_or(usize::MAX))) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    classes[*e.get()].members.push(ix);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
+                Entry::Occupied(e) => classes[*e.get()].members.push(ix),
+                Entry::Vacant(e) => {
                     e.insert(classes.len());
                     classes.push(BehaviorClass {
                         route,

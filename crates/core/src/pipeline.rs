@@ -12,13 +12,13 @@
 //! up holding is decided afterwards by the finisher the batch engine
 //! also uses.
 
+use rela_automata::{FixedMap, FixedState};
 use rela_net::{
     content_hash128, AlignedFec, BehaviorHash, FlowSpec, ForwardingGraph, SnapshotError, SpanBytes,
 };
 use serde::Serialize;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::VecDeque;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -328,22 +328,18 @@ pub(crate) struct OneSided {
 /// duplicate detection (flow keys only, like the serial reader's seen
 /// set).
 pub(crate) struct JoinMap {
-    shards: Vec<Mutex<HashMap<FlowSpec, JoinEntry>>>,
+    shards: Vec<Mutex<FixedMap<FlowSpec, JoinEntry>>>,
 }
 
 impl JoinMap {
     pub(crate) fn new(shards: usize) -> JoinMap {
         JoinMap {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
         }
     }
 
     fn shard_of(&self, flow: &FlowSpec) -> usize {
-        let mut hasher = DefaultHasher::new();
-        flow.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
+        FixedState::default().hash_one(flow) as usize % self.shards.len()
     }
 
     /// Insert one framed record; pairs it with its partner if that side
@@ -457,8 +453,9 @@ pub(crate) struct ClassRef {
 /// and `usize::MAX` as the default-check route.
 pub(crate) type ClassKey = (u128, u128, usize);
 
+#[derive(Default)]
 struct RegistryShard {
-    index: HashMap<ClassKey, usize>,
+    index: FixedMap<ClassKey, usize>,
     classes: Vec<ClassAcc>,
 }
 
@@ -475,24 +472,15 @@ struct RegistryShard {
 /// resolved, every later member joins without touching its bytes again.
 pub(crate) struct ClassRegistry {
     shards: Vec<Mutex<RegistryShard>>,
-    byte_index: Vec<Mutex<HashMap<ClassKey, ClassRef>>>,
+    byte_index: Vec<Mutex<FixedMap<ClassKey, ClassRef>>>,
     dedup: bool,
 }
 
 impl ClassRegistry {
     pub(crate) fn new(shards: usize, dedup: bool) -> ClassRegistry {
         ClassRegistry {
-            shards: (0..shards.max(1))
-                .map(|_| {
-                    Mutex::new(RegistryShard {
-                        index: HashMap::new(),
-                        classes: Vec::new(),
-                    })
-                })
-                .collect(),
-            byte_index: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            byte_index: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             dedup,
         }
     }
@@ -511,9 +499,7 @@ impl ClassRegistry {
         let (map_key, shard_ix) = match key {
             Some((pre, post)) if self.dedup => {
                 let map_key = (pre.as_u128(), post.as_u128(), route.unwrap_or(usize::MAX));
-                let mut hasher = DefaultHasher::new();
-                map_key.hash(&mut hasher);
-                let shard_ix = (hasher.finish() as usize) % self.shards.len();
+                let shard_ix = FixedState::default().hash_one(map_key) as usize % self.shards.len();
                 (Some(map_key), shard_ix)
             }
             // no-dedup (or unkeyed): spread singleton classes by worker
@@ -565,9 +551,7 @@ impl ClassRegistry {
         member: FlowRef,
         found: impl FnOnce() -> Result<ClassRef, E>,
     ) -> Result<ClassRef, E> {
-        let mut hasher = DefaultHasher::new();
-        byte_key.hash(&mut hasher);
-        let shard_ix = (hasher.finish() as usize) % self.byte_index.len();
+        let shard_ix = FixedState::default().hash_one(byte_key) as usize % self.byte_index.len();
         let mut shard = self.byte_index[shard_ix].lock().expect("byte index lock");
         if let Some(&class) = shard.get(&byte_key) {
             self.add_member(class, member);

@@ -29,8 +29,9 @@
 
 use crate::check::PreparedItem;
 use crate::pipeline::{JoinedSide, Side};
+use rela_automata::FixedSet;
 use rela_net::{pair_epoch, side_fold, FlowSpec, SnapshotDelta, SnapshotEpoch, SnapshotError};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
@@ -173,7 +174,7 @@ impl RetainedBase {
                 flows.push(raw.decode_flow(Some(label))?.0);
             }
         }
-        let touched: [HashSet<&FlowSpec>; 2] =
+        let touched: [FixedSet<&FlowSpec>; 2] =
             [0, 1].map(|side| deltas[side].removed.iter().chain(&upserted[side]).collect());
         let mut items = Vec::with_capacity(self.ends.len() + upserted[0].len() + upserted[1].len());
         for class in self.classes() {

@@ -23,9 +23,9 @@
 use crate::behavior::content_hash128;
 use crate::fec::FlowSpec;
 use crate::snapshot::{RawRecord, SnapshotError, SnapshotFramer};
+use rela_automata::{FixedMap, FixedSet};
 use serde::{Deserialize, Serialize};
 use serde_json::JsonReader;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{Read, Write};
 use std::str::FromStr;
@@ -128,7 +128,7 @@ pub fn scan_side<R: Read>(mut framer: SnapshotFramer<R>) -> Result<SideScan, Sna
     let label = framer.label().map(str::to_owned);
     let mut fold = 0u128;
     let mut records = Vec::new();
-    let mut seen = HashSet::new();
+    let mut seen = FixedSet::default();
     for raw in &mut framer {
         let raw = raw?;
         let (flow, graph) = raw.decode_flow(label.as_deref())?;
@@ -165,7 +165,7 @@ pub struct SideDiff {
 /// hash: a record counts as unchanged only when its flow's span bytes
 /// are identical on both sides.
 pub fn diff_side(base: &SideScan, new: &SideScan) -> SideDiff {
-    let mut base_hash: HashMap<&FlowSpec, u128> = base
+    let mut base_hash: FixedMap<&FlowSpec, u128> = base
         .records
         .iter()
         .map(|record| (&record.flow, record.hash))

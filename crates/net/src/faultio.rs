@@ -40,7 +40,7 @@
 //! `RELA_FAULTS` once at startup ([`FaultPlan::from_env`]) and hands the
 //! plan to its session and store.
 
-use std::collections::HashMap;
+use rela_automata::FixedMap;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -102,7 +102,7 @@ struct Spec {
     eintr: f64,
     latency: Option<Duration>,
     enospc_after: Option<u64>,
-    points: HashMap<String, PointRule>,
+    points: FixedMap<String, PointRule>,
 }
 
 /// Mutable per-plan state: the RNG stream, the write budget, and the
@@ -111,7 +111,7 @@ struct Spec {
 struct State {
     rng: FaultRng,
     written: u64,
-    seen: HashMap<String, u64>,
+    seen: FixedMap<String, u64>,
 }
 
 /// A seed-deterministic fault schedule. Cloning is cheap (an [`Arc`]
@@ -200,7 +200,7 @@ impl FaultPlan {
                 state: Mutex::new(State {
                     rng: FaultRng::new(parsed.seed),
                     written: 0,
-                    seen: HashMap::new(),
+                    seen: FixedMap::default(),
                 }),
                 spec: parsed,
             }),

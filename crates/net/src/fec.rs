@@ -135,6 +135,22 @@ mod tests {
         assert!(a < b);
     }
 
+    /// The join map shards on flow keys: 10,000 `/24` destinations over
+    /// 40 ingress names leave no shard of 64 above twice the mean.
+    #[test]
+    fn flow_keys_spread_over_shards() {
+        use rela_automata::FixedState;
+        use std::hash::BuildHasher;
+        let mut shards = [0usize; 64];
+        for i in 0..10_000u32 {
+            let dst = Ipv4Prefix::from_octets(10, (i / 256) as u8, (i % 256) as u8, 0, 24);
+            let flow = FlowSpec::new(dst, format!("R{}E-r{}", i % 40 / 4, i % 4));
+            shards[FixedState::default().hash_one(&flow) as usize % 64] += 1;
+        }
+        let mean = 10_000 / 64;
+        assert!(shards.iter().all(|&n| n <= 2 * mean), "{shards:?}");
+    }
+
     #[test]
     fn serde_roundtrip() {
         let flow = FlowSpec::new(p("10.1.0.0/16"), "x1").with_src(p("10.2.0.0/24"));

@@ -41,6 +41,7 @@ pub use graph::{linear_graph, Edge, ForwardingGraph, GraphError, VertexId};
 pub use location::{glob_match, interface_device, Device, Granularity, DROP_LOCATION};
 pub use mmap::MmapSource;
 pub use prefix::{Ipv4Prefix, PrefixParseError, PrefixTrie};
+pub use rela_automata::{FixedMap, FixedState};
 pub use snapshot::{
     decode_graph_span, snapshot_source, AlignedFec, BinarySnapshotWriter, RawRecord, Snapshot,
     SnapshotError, SnapshotFramer, SnapshotPair, SnapshotReader, SnapshotWriter, SpanBytes,

@@ -44,11 +44,12 @@
 use crate::fec::FlowSpec;
 use crate::graph::ForwardingGraph;
 use crate::mmap::MmapSource;
+use rela_automata::FixedSet;
 use serde::{Deserialize, Serialize, Value};
 use serde_json::scan::{frame_value, Member, Stop};
 use serde_json::stream::Chunks;
 use serde_json::JsonReader;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::ops::Range;
@@ -1101,7 +1102,7 @@ pub struct SnapshotReader<R: Read> {
     decoded: usize,
     /// Flow keys seen so far (duplicate detection). Keys only — the
     /// graphs, which dominate a snapshot's bytes, are not retained.
-    seen: HashSet<FlowSpec>,
+    seen: FixedSet<FlowSpec>,
 }
 
 impl<R: Read> SnapshotReader<R> {
@@ -1114,7 +1115,7 @@ impl<R: Read> SnapshotReader<R> {
             // `SnapshotFramer::new` does not allow.
             framer: SnapshotFramer::over(FramerBytes::Chunks(Chunks::new(source)), None),
             decoded: 0,
-            seen: HashSet::new(),
+            seen: FixedSet::default(),
         }
     }
 

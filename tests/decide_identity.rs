@@ -13,7 +13,8 @@
 //! witness enumeration, fused image, guards lowered once) and pins
 //! witness order and automaton layout *across* builds. If it moves, the
 //! order invariant in `docs/ARCHITECTURE.md` (*Decide path*) is broken —
-//! do not re-record it without bumping `ENGINE_VERSION`.
+//! do not re-record it without bumping `ENGINE_VERSION`. Beside it, at
+//! one thread, each engine's work counters are pinned across builds.
 //!
 //! The digest is this file's own FNV-1a-128, not the production content
 //! hash: the pin must not ride on a function a PR may replace, so an
@@ -32,6 +33,12 @@ const FINGERPRINT: u128 = 0x2e03_16b1_0763_774a_4418_f155_0307_326a;
 /// [`fnv1a_128`] of the pruned-db case study's verdict bytes, recorded
 /// at commit 164507e.
 const PRUNED_DB_FINGERPRINT: u128 = 0x90da_739d_c154_8553_082c_c231_3ed7_2080;
+
+/// Each engine's work at one thread, `(classes, fst_memo_hits,
+/// graph_decodes, live_sides, dead_sides)`, recorded at commit 958dc5e:
+/// two builds that build the same automata do the same work, whatever
+/// their in-memory maps hash with.
+const WORK_AT_ONE_THREAD: [[usize; 5]; 2] = [[99, 9, 360, 198, 2376], [99, 9, 198, 198, 2376]];
 
 /// 128-bit FNV-1a (what `content_hash128` was at dec54f1).
 fn fnv1a_128(bytes: &[u8]) -> u128 {
@@ -99,7 +106,19 @@ fn the_interface_granularity_report_is_pinned_across_builds() {
             LabeledSource::new(post_json.as_bytes(), "post"),
         );
         let pipelined = open().run(streams).unwrap();
-        for (engine, report) in [("batch", &batch), ("pipelined", &pipelined)] {
+        let engines = [("batch", &batch), ("pipelined", &pipelined)];
+        for ((engine, report), work) in engines.into_iter().zip(WORK_AT_ONE_THREAD) {
+            let stats = &report.stats;
+            let counted = [
+                stats.classes,
+                stats.fst_memo_hits,
+                stats.graph_decodes,
+                stats.live_sides,
+                stats.dead_sides,
+            ];
+            if threads == 1 {
+                assert_eq!(counted, work, "{engine} engine's work at 1 thread moved");
+            }
             let bytes = verdict_bytes(report);
             assert_eq!(
                 fnv1a_128(bytes.as_bytes()),

@@ -9,8 +9,8 @@
 //! - `fig5` — CDF of spec sizes (and the §9.1 expressiveness inventory)
 //! - `fig6` — CDF of validation times over the change dataset
 //! - `fig7` — validation time vs. spec size × granularity
-//!
-//! Criterion micro-benchmarks are under `benches/`.
+//! - `perf` — the scale harness: one cold check, four ingest arms, each
+//!   in a child process, recorded in `BENCH_check.json`
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -238,6 +238,21 @@ impl Flags {
         self.value(key).map(PathBuf::from)
     }
 
+    /// Refuse any flag given beside `--{key}` other than those in
+    /// `allowed`, naming the first.
+    pub(crate) fn alone(&self, key: &str, allowed: &[&str]) -> Result<(), CliError> {
+        match self
+            .0
+            .keys()
+            .find(|other| *other != key && !allowed.contains(&other.as_str()))
+        {
+            Some(other) => Err(usage_error(format!(
+                "`--{key}` cannot be combined with `--{other}`"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     pub(crate) fn need(&self, key: &str) -> Result<PathBuf, CliError> {
         self.path(key)
             .ok_or_else(|| usage_error(format!("missing required flag `--{key}`")))
@@ -365,6 +380,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 "flag `{flag}` does not apply to `{name}`"
             )));
         }
+        // a repeated flag has no one meaning: the last value winning
+        // would check a pair the user did not ask about
+        let key = flag.trim_start_matches("--");
+        if flags.has(key) {
+            return Err(usage_error(format!("flag `{flag}` given twice")));
+        }
         let value = if *takes_value {
             it.next()
                 .ok_or_else(|| usage_error(format!("flag `{flag}` needs a value")))?
@@ -372,9 +393,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         } else {
             "true".to_owned()
         };
-        flags
-            .0
-            .insert(flag.trim_start_matches("--").to_owned(), value);
+        flags.0.insert(key.to_owned(), value);
     }
     match name {
         "check" | "report" => CheckArgs::parse(&flags, name).map(Command::Check),

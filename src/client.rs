@@ -100,13 +100,19 @@ pub struct SubmitArgs {
 }
 
 impl SubmitArgs {
-    /// `rela submit`'s flags: a job, or `--ping` / `--shutdown`.
+    /// `rela submit`'s flags: a job, or `--ping` / `--shutdown` with
+    /// nothing but `--socket` beside it.
     pub(crate) fn parse(flags: &Flags) -> Result<Command, CliError> {
         let socket = flags.need("socket")?;
-        if flags.has("ping") {
-            return Ok(Command::Ping(socket));
-        } else if flags.has("shutdown") {
-            return Ok(Command::Shutdown(socket));
+        let control = [
+            ("ping", Command::Ping as fn(PathBuf) -> Command),
+            ("shutdown", Command::Shutdown),
+        ];
+        for (key, command) in control {
+            if flags.has(key) {
+                flags.alone(key, &["socket"])?;
+                return Ok(command(socket));
+            }
         }
         let delta_base = match flags.value("delta-base") {
             None => None,

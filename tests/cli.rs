@@ -740,6 +740,62 @@ fn unknown_flags_and_bad_thread_counts_are_refused_by_name() {
     );
 }
 
+/// A flag given twice is refused by name, with or without a value:
+/// the last `--post` winning used to check a pair nobody asked about
+/// (`post_v1` fails, yet `--post post_v1 --post post_v4` passed).
+#[test]
+fn a_repeated_flag_is_refused_by_name() {
+    let twice = |extra: &[&str]| refused(&[&CHECK[..], extra].concat()).message;
+    assert_eq!(twice(&["--post", "c.json"]), "flag `--post` given twice");
+    assert_eq!(
+        twice(&["--no-dedup", "--threads", "2", "--no-dedup"]),
+        "flag `--no-dedup` given twice"
+    );
+    // refused before its value is looked for
+    assert_eq!(twice(&["--spec"]), "flag `--spec` given twice");
+    let submit = ["submit", "--socket", "s", "--pre", "a", "--post", "b"];
+    assert_eq!(
+        refused(&[&submit[..], &["--retries", "1", "--retries", "2"]].concat()).message,
+        "flag `--retries` given twice"
+    );
+    assert_eq!(
+        refused(&["demo", "--out", "a", "--out", "b"]).message,
+        "flag `--out` given twice"
+    );
+}
+
+/// `--ping` and `--shutdown` take `--socket` and nothing else: either
+/// beside the other, or beside a job flag, is refused by name at parse
+/// time instead of dropping the rest (`--shutdown --pre … --post …` used
+/// to drain the daemon rather than submit).
+#[test]
+fn ping_and_shutdown_stand_alone() {
+    let control = |words: &[&str]| refused(&[&["submit", "--socket", "s"][..], words].concat());
+    assert_eq!(
+        control(&["--ping", "--shutdown"]).message,
+        "`--ping` cannot be combined with `--shutdown`"
+    );
+    assert_eq!(
+        control(&["--shutdown", "--pre", "a.json", "--post", "b.json"]).message,
+        "`--shutdown` cannot be combined with `--post`"
+    );
+    for job_flag in [
+        &["--cache-stats"][..],
+        &["--no-dedup"],
+        &["--deadline-ms", "5"],
+        &["--retries", "3"],
+        &["--delta-base", "0"],
+    ] {
+        for control_flag in ["--ping", "--shutdown"] {
+            let err = control(&[&[control_flag][..], job_flag].concat());
+            assert_eq!(
+                err.message,
+                format!("`{control_flag}` cannot be combined with `{}`", job_flag[0]),
+            );
+        }
+    }
+}
+
 #[test]
 fn serve_and_submit_commands_parse() {
     let serve = [
